@@ -11,8 +11,9 @@
 //!    the effect; alternating runs cancel the drift because both sides
 //!    see the same machine state.
 //!
-//! The tracer's hot path is a bounds-checked ring write plus one
-//! relaxed atomic on overflow, so the budget is ~5% on this anchor; the
+//! Tracing adds one bounds-checked push into a preallocated `Vec` per
+//! phase and mark (the phase counters are fed either way), so the budget
+//! is ~5% on this anchor; the
 //! assert adds a noise margin for what the paired estimator still
 //! cannot cancel.
 //!

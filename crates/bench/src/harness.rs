@@ -1,7 +1,7 @@
 //! Timed, fault-tolerant experiment execution.
 
 use dcd_common::Tuple;
-use dcdatalog::{Engine, EngineConfig, Program};
+use dcdatalog::{DcdError, Engine, EngineConfig, Program};
 use std::fmt;
 use std::time::Duration;
 
@@ -67,7 +67,7 @@ impl Run {
                 result.stats.elapsed.as_secs_f64(),
                 result.relation(&self.probe).len(),
             ),
-            Err(e) if e.to_string().contains("timed out") => Outcome::Timeout,
+            Err(DcdError::Timeout) => Outcome::Timeout,
             Err(e) => Outcome::Failed(e.to_string()),
         }
     }

@@ -104,8 +104,8 @@ pub fn run_cli(cli: &Cli, out: &mut impl Write) -> Result<()> {
         out,
         "done in {:?} ({} local iterations, {} tuples exchanged)",
         result.stats.elapsed,
-        result.stats.total_iterations(),
-        result.stats.total_sent()
+        result.stats.report.total(|w| w.iterations),
+        result.stats.report.total(|w| w.tuples_sent)
     );
     if let Some(path) = &cli.stats_json {
         write_json(out, path, &result.stats.report.to_json(), "stats")?;
@@ -246,7 +246,7 @@ mod tests {
         let mut out = Vec::new();
         run_cli(&c, &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("\"schema\": 4"), "{text}");
+        assert!(text.contains("\"schema\": 5"), "{text}");
         assert!(text.contains("\"per_worker\""), "{text}");
         assert!(text.contains("\"exchanged_bytes\""), "{text}");
         assert!(text.contains("\"edb_resident_bytes\""), "{text}");

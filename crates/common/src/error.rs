@@ -22,6 +22,15 @@ pub enum DcdError {
     Planning(String),
     /// Runtime failure during evaluation.
     Execution(String),
+    /// The evaluation ran past its wall-clock deadline.
+    Timeout,
+    /// A worker thread panicked; `message` is the panic payload.
+    WorkerPanic {
+        /// The worker that panicked.
+        worker: usize,
+        /// The panic payload, or a placeholder when it was not a string.
+        message: String,
+    },
     /// An EDB relation referenced by the program was not supplied.
     MissingRelation(String),
 }
@@ -35,6 +44,10 @@ impl fmt::Display for DcdError {
             DcdError::Analysis(m) => write!(f, "analysis error: {m}"),
             DcdError::Planning(m) => write!(f, "planning error: {m}"),
             DcdError::Execution(m) => write!(f, "execution error: {m}"),
+            DcdError::Timeout => write!(f, "execution error: evaluation timed out"),
+            DcdError::WorkerPanic { worker, message } => {
+                write!(f, "execution error: worker {worker} panicked: {message}")
+            }
             DcdError::MissingRelation(m) => write!(f, "missing EDB relation: {m}"),
         }
     }
@@ -60,6 +73,16 @@ mod tests {
         assert_eq!(
             DcdError::MissingRelation("arc".into()).to_string(),
             "missing EDB relation: arc"
+        );
+        // Callers that only see the text still recognize a timeout.
+        assert!(DcdError::Timeout.to_string().contains("timed out"));
+        let panic = DcdError::WorkerPanic {
+            worker: 2,
+            message: "boom".into(),
+        };
+        assert_eq!(
+            panic.to_string(),
+            "execution error: worker 2 panicked: boom"
         );
     }
 

@@ -315,14 +315,14 @@ mod tests {
     fn roundtrips_the_report_shape() {
         // The exact shape check_stats_json.sh greps for.
         let doc = r#"{
-  "schema": 4,
+  "schema": 5,
   "per_worker": [
-    {"worker":0,"dropped_events":0,"dws_samples":[{"iteration":2,"omega":8}]}
+    {"worker":0,"dropped_events":0,"rows_per_batch":4.500}
   ],
   "iteration_series": []
 }"#;
         let v = Json::parse(doc).unwrap();
-        assert_eq!(v.get("schema").unwrap().as_u64(), Some(4));
+        assert_eq!(v.get("schema").unwrap().as_u64(), Some(5));
         let w0 = &v.get("per_worker").unwrap().items().unwrap()[0];
         assert_eq!(w0.get("dropped_events").unwrap().as_u64(), Some(0));
         assert!(v

@@ -2,72 +2,9 @@
 //!
 //! DWS (paper §4.2) models each worker as a G/G/1 queue. Producers and
 //! consumers need cheap online estimates of the mean and variance of
-//! inter-arrival and service times; [`Welford`] provides exact streaming
-//! moments and [`Ewma`] provides recency-weighted ones (the evaluation is
-//! non-stationary: deltas shrink as the fixpoint nears, so recent samples
-//! matter more).
-
-/// Welford's online algorithm for mean and variance.
-#[derive(Clone, Debug, Default)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one sample.
-    #[inline]
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-    }
-
-    /// Number of samples seen.
-    #[inline]
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 when empty).
-    #[inline]
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance (0 with fewer than 2 samples).
-    #[inline]
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Merges another accumulator (parallel Welford / Chan's formula).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n = self.n + other.n;
-        let d = other.mean - self.mean;
-        self.m2 += other.m2 + d * d * (self.n as f64 * other.n as f64) / n as f64;
-        self.mean += d * other.n as f64 / n as f64;
-        self.n = n;
-    }
-}
+//! inter-arrival and service times; [`Ewma`] provides recency-weighted
+//! ones (the evaluation is non-stationary: deltas shrink as the fixpoint
+//! nears, so recent samples matter more than an all-history mean).
 
 /// Exponentially-weighted moving average of a signal and of its squared
 /// deviation, giving a recency-weighted mean/variance pair.
@@ -142,52 +79,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn welford_matches_two_pass() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut w = Welford::new();
-        for &x in &xs {
-            w.push(x);
-        }
-        assert!((w.mean() - 5.0).abs() < 1e-12);
-        assert!((w.variance() - 4.0).abs() < 1e-12);
-        assert_eq!(w.count(), 8);
-    }
-
-    #[test]
-    fn welford_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i * i % 37) as f64).collect();
-        let mut whole = Welford::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut a = Welford::new();
-        let mut b = Welford::new();
-        for &x in &xs[..33] {
-            a.push(x);
-        }
-        for &x in &xs[33..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn welford_merge_with_empty() {
-        let mut a = Welford::new();
-        a.push(1.0);
-        a.push(3.0);
-        let before = (a.mean(), a.variance());
-        a.merge(&Welford::new());
-        assert_eq!((a.mean(), a.variance()), before);
-
-        let mut e = Welford::new();
-        e.merge(&a);
-        assert_eq!(e.count(), 2);
-    }
-
-    #[test]
     fn ewma_converges_to_constant() {
         let mut e = Ewma::new(0.3);
         for _ in 0..100 {
@@ -198,18 +89,16 @@ mod tests {
     }
 
     #[test]
-    fn ewma_tracks_level_shift_faster_than_welford() {
+    fn ewma_tracks_level_shift_faster_than_plain_mean() {
         let mut e = Ewma::new(0.5);
-        let mut w = Welford::new();
         for _ in 0..50 {
             e.push(1.0);
-            w.push(1.0);
         }
         for _ in 0..10 {
             e.push(10.0);
-            w.push(10.0);
         }
-        assert!(e.mean() > w.mean(), "EWMA should adapt faster");
+        let plain_mean = (50.0 * 1.0 + 10.0 * 10.0) / 60.0;
+        assert!(e.mean() > plain_mean, "EWMA should adapt faster");
         assert!(e.mean() > 9.0);
     }
 

@@ -24,7 +24,7 @@ pub struct EngineConfig {
     /// Idle poll interval for termination detection.
     pub idle_poll: Duration,
     /// Wall-clock evaluation timeout (`None` = unbounded). On expiry the
-    /// run aborts with an execution error, mirroring the paper's 10-hour
+    /// run aborts with `DcdError::Timeout`, mirroring the paper's 10-hour
     /// cap (`TO` entries).
     pub timeout: Option<Duration>,
     /// Route every derived tuple to *all* workers instead of its hash
@@ -32,15 +32,11 @@ pub struct EngineConfig {
     /// attributes to SociaLite/DDlog on non-linear queries (Table 3) and
     /// exists only as a comparison baseline.
     pub broadcast_routing: bool,
-    /// Evaluate Iterate with the batched delta-join kernel (the default).
-    /// When off, delta rows run tuple-at-a-time through `eval_delta` —
-    /// the reference path the differential tests compare against.
-    pub batch_kernel: bool,
-    /// Record per-worker phase spans and instant marks into bounded ring
-    /// buffers (`dcd_runtime::trace`). Off by default: the tracer then
-    /// compiles down to a branch on a `false` flag per phase.
+    /// Record per-worker phase spans and instant marks into bounded
+    /// buffers (`dcd_runtime::Recorder`). Off by default: recording then
+    /// costs one branch on a `false` flag per phase.
     pub trace: bool,
-    /// Events retained per worker ring when tracing; overflow increments
+    /// Events retained per worker when tracing; overflow increments
     /// the worker's `dropped_events` counter instead of reallocating.
     pub trace_capacity: usize,
 }
@@ -60,7 +56,6 @@ impl Default for EngineConfig {
             idle_poll: Duration::from_micros(100),
             timeout: None,
             broadcast_routing: false,
-            batch_kernel: true,
             trace: false,
             trace_capacity: dcd_runtime::trace::DEFAULT_TRACE_CAP,
         }
@@ -88,12 +83,6 @@ impl EngineConfig {
         self
     }
 
-    /// Convenience: toggle the batched Iterate kernel.
-    pub fn batch_kernel(mut self, on: bool) -> Self {
-        self.batch_kernel = on;
-        self
-    }
-
     /// Convenience: toggle per-worker event tracing.
     pub fn tracing(mut self, on: bool) -> Self {
         self.trace = on;
@@ -111,8 +100,6 @@ mod tests {
         assert!(c.workers >= 1);
         assert!(c.optimized);
         assert!(c.timeout.is_none());
-        assert!(c.batch_kernel, "batched kernel is the default path");
-        assert!(!EngineConfig::default().batch_kernel(false).batch_kernel);
         assert!(!c.trace, "tracing is opt-in");
         assert!(c.trace_capacity > 0);
         assert!(EngineConfig::default().tracing(true).trace);

@@ -4,12 +4,15 @@ use crate::catalog::EdbCatalog;
 use crate::config::EngineConfig;
 use crate::report::EvalReport;
 use crate::store::WorkerStore;
-use crate::worker::{Coordination, Worker, WorkerStats};
+use crate::worker::{Coordination, Worker};
 use dcd_common::hash::{FastMap, FastSet};
 use dcd_common::{DcdError, Result, Tuple, Value};
 use dcd_frontend::ast::AggFunc;
 use dcd_frontend::physical::{plan, PhysicalPlan, PlannerConfig, StorageKind};
 use dcd_frontend::{analyze, parse_program, AnalyzedProgram};
+use dcd_runtime::Recorder;
+use std::any::Any;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 /// A parsed and analyzed Datalog program plus its parameters.
@@ -46,23 +49,9 @@ pub struct RunStats {
     /// Wall-clock evaluation time (excludes loading, includes planning-free
     /// execution only).
     pub elapsed: Duration,
-    /// Per-worker statistics.
-    pub workers: Vec<WorkerStats>,
     /// The full observability report (per-worker counters, time splits,
-    /// DWS ω/τ samples, termination totals).
+    /// traces, termination totals).
     pub report: EvalReport,
-}
-
-impl RunStats {
-    /// Total local iterations across workers.
-    pub fn total_iterations(&self) -> u64 {
-        self.workers.iter().map(|w| w.iterations).sum()
-    }
-
-    /// Total tuples exchanged between workers.
-    pub fn total_sent(&self) -> u64 {
-        self.workers.iter().map(|w| w.sent).sum()
-    }
 }
 
 /// The result of an evaluation: every derived relation, fully merged.
@@ -205,13 +194,10 @@ impl Engine {
         // relations one sealed slice per worker. Catalog construction is
         // off the evaluation clock, like the paper's load phase.
         let catalog = EdbCatalog::build(&self.plan, &self.edb_data, &coord.part);
-        for me in 0..self.cfg.workers {
-            coord.metrics[me].record_edb_resident(catalog.partitioned_bytes(me));
-        }
         let start = Instant::now();
         let n = self.cfg.workers;
 
-        let results: Vec<Result<(WorkerStore, WorkerStats)>> = std::thread::scope(|s| {
+        let results: Vec<Result<(WorkerStore, Recorder)>> = std::thread::scope(|s| {
             let mut handles = Vec::with_capacity(n);
             for me in 0..n {
                 let coord = &coord;
@@ -219,10 +205,15 @@ impl Engine {
                 let cfg = &self.cfg;
                 let catalog = &catalog;
                 handles.push(s.spawn(move || {
-                    let store =
-                        WorkerStore::build(plan, catalog, me, cfg.optimized, cfg.cache_slots);
-                    let worker = Worker::new(plan, cfg, coord, me);
-                    let out = worker.run(store);
+                    // A panic is caught on the worker's own thread so the
+                    // others are cancelled at once rather than left waiting
+                    // on a peer that will never arrive.
+                    let out = catch_unwind(AssertUnwindSafe(|| {
+                        let store =
+                            WorkerStore::build(plan, catalog, me, cfg.optimized, cfg.cache_slots);
+                        Worker::new(plan, cfg, coord, me).run(store)
+                    }))
+                    .unwrap_or_else(|payload| Err(panic_error(me, payload.as_ref())));
                     if out.is_err() {
                         coord.cancel();
                     }
@@ -231,38 +222,29 @@ impl Engine {
             }
             handles
                 .into_iter()
-                .map(|h| match h.join() {
-                    Ok(r) => r,
-                    Err(_) => {
-                        coord.cancel();
-                        Err(DcdError::Execution("worker panicked".into()))
-                    }
-                })
+                .map(|h| h.join().expect("worker panics are caught on their thread"))
                 .collect()
         });
         let elapsed = start.elapsed();
 
-        // On failure, prefer the root-cause error: one worker trips the
-        // deadline ("timed out") and cancels the rest, which then report
-        // the generic "aborted" — the timeout is the answer.
-        if results.iter().any(|r| r.is_err()) {
-            let mut first_err = None;
-            for r in results {
-                if let Err(e) = r {
-                    if e.to_string().contains("timed out") {
-                        return Err(e);
-                    }
-                    first_err.get_or_insert(e);
-                }
-            }
-            return Err(first_err.expect("at least one error"));
-        }
         let mut stores = Vec::with_capacity(n);
-        let mut worker_stats = Vec::with_capacity(n);
-        for r in results {
-            let (store, stats) = r?;
-            stores.push(store);
-            worker_stats.push(stats);
+        let mut per_worker = Vec::with_capacity(n);
+        let mut traces = Vec::with_capacity(n);
+        let mut errors = Vec::new();
+        for (me, r) in results.into_iter().enumerate() {
+            match r {
+                Ok((store, rec)) => {
+                    let (mut counters, trace) = rec.finish(me);
+                    counters.edb_resident_bytes = catalog.partitioned_bytes(me);
+                    stores.push(store);
+                    per_worker.push(counters);
+                    traces.push(trace);
+                }
+                Err(e) => errors.push(e),
+            }
+        }
+        if !errors.is_empty() {
+            return Err(root_cause(errors));
         }
         let (produced, consumed) = coord.termination_totals();
         let report = EvalReport {
@@ -272,22 +254,13 @@ impl Engine {
             produced,
             consumed,
             edb_replicated_bytes: catalog.replicated_bytes(),
-            per_worker: coord.metrics.iter().map(|m| m.snapshot()).collect(),
-            traces: coord
-                .tracers
-                .iter()
-                .enumerate()
-                .map(|(i, t)| t.take(i))
-                .collect(),
+            per_worker,
+            traces,
         };
         let relations = self.collect(stores);
         Ok(EvalResult {
             relations,
-            stats: RunStats {
-                elapsed,
-                workers: worker_stats,
-                report,
-            },
+            stats: RunStats { elapsed, report },
         })
     }
 
@@ -342,5 +315,67 @@ impl Engine {
             out.insert(decl.name.clone(), rows);
         }
         out
+    }
+}
+
+/// The error a failed run reports. A timeout or a panic is the cause; the
+/// peers it cancelled then fail with a generic abort, which is only its
+/// consequence. Without a cause, the first worker's error is reported.
+fn root_cause(mut errors: Vec<DcdError>) -> DcdError {
+    let cause = errors
+        .iter()
+        .position(|e| matches!(e, DcdError::Timeout | DcdError::WorkerPanic { .. }))
+        .unwrap_or(0);
+    errors.swap_remove(cause)
+}
+
+/// Turns worker `worker`'s panic payload into an error that keeps the
+/// panic message.
+fn panic_error(worker: usize, payload: &(dyn Any + Send)) -> DcdError {
+    let message = payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string());
+    DcdError::WorkerPanic { worker, message }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn root_cause_prefers_timeout_and_panic_over_aborts() {
+        let aborted = || DcdError::Execution("evaluation aborted".into());
+        assert_eq!(
+            root_cause(vec![aborted(), DcdError::Timeout, aborted()]),
+            DcdError::Timeout
+        );
+        let panic = DcdError::WorkerPanic {
+            worker: 1,
+            message: "boom".into(),
+        };
+        assert_eq!(root_cause(vec![aborted(), panic.clone()]), panic);
+        assert_eq!(root_cause(vec![aborted()]), aborted());
+    }
+
+    #[test]
+    fn panic_error_keeps_the_payload_message() {
+        let payload = catch_unwind(|| panic!("index {} out of range", 7)).unwrap_err();
+        assert_eq!(
+            panic_error(3, payload.as_ref()),
+            DcdError::WorkerPanic {
+                worker: 3,
+                message: "index 7 out of range".into()
+            }
+        );
+        let payload = catch_unwind(|| panic!("static message")).unwrap_err();
+        assert!(panic_error(0, payload.as_ref())
+            .to_string()
+            .contains("worker 0 panicked: static message"));
+        let payload = catch_unwind(|| std::panic::panic_any(42u32)).unwrap_err();
+        assert!(panic_error(0, payload.as_ref())
+            .to_string()
+            .contains("non-string panic payload"));
     }
 }

@@ -121,9 +121,10 @@ pub struct Evaluator<'a> {
 
 impl Evaluator<'_> {
     /// Runs a delta rule for one delta tuple, appending merge-layout head
-    /// rows to `out`. Returns the number of rows emitted. This is the
-    /// tuple-at-a-time reference path; the engine's default is
-    /// [`Evaluator::eval_delta_batch`].
+    /// rows to `out`. Returns the number of rows emitted. The engine
+    /// always runs [`Evaluator::eval_delta_batch`]; this tuple-at-a-time
+    /// path is the reference the kernel's tests and microbenchmark compare
+    /// against.
     pub fn eval_delta(
         &self,
         rule: &CompiledRule,

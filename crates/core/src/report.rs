@@ -4,9 +4,9 @@
 //!
 //! The report answers the questions the paper's evaluation section asks of
 //! a run — how balanced was the load (per-worker iterate/idle split), how
-//! chatty was the exchange (batches and tuples per worker), and what ω/τ
-//! trajectory did the DWS controller follow — without attaching a
-//! profiler. `to_json` emits the document behind the CLI's `--stats-json`
+//! chatty was the exchange (batches and tuples per worker), and, from a
+//! traced run's `DwsDecision` instants, what ω/τ trajectory the DWS
+//! controller followed — without attaching a profiler. `to_json` emits the document behind the CLI's `--stats-json`
 //! flag; the schema is versioned so downstream tooling can detect drift.
 //!
 //! Invariant worth stating: after a completed evaluation the termination
@@ -20,10 +20,12 @@ use dcd_runtime::{chrome_trace_json, MetricsSnapshot, TraceMeta, WorkerTrace};
 
 /// Current `schema` field value of the JSON document.
 ///
-/// Schema 4 adds the tracing fields: per-worker `dropped_events` (ring
-/// overflow accounting) and the top-level `iteration_series` table
-/// (empty arrays when tracing was disabled).
-pub const REPORT_SCHEMA: u32 = 4;
+/// Schema 4 added the tracing fields: per-worker `dropped_events` (trace
+/// overflow accounting) and the top-level `iteration_series` table (empty
+/// arrays when tracing was disabled). Schema 5 drops the per-worker
+/// `dws_samples` and `samples_dropped`: the ω/τ trajectory is the
+/// `omega`/`tau` columns of `iteration_series`.
+pub const REPORT_SCHEMA: u32 = 5;
 
 /// A full per-run observability report.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -46,8 +48,7 @@ pub struct EvalReport {
     /// One snapshot per worker, indexed by worker id.
     pub per_worker: Vec<MetricsSnapshot>,
     /// One event trace per worker (empty event lists when tracing was
-    /// disabled — the tracers still exist, so overflow accounting and the
-    /// JSON shape stay uniform).
+    /// disabled, so overflow accounting and the JSON shape stay uniform).
     pub traces: Vec<WorkerTrace>,
 }
 
@@ -96,7 +97,7 @@ impl EvalReport {
         }
     }
 
-    /// Events dropped by worker `i`'s trace ring (0 when tracing was off
+    /// Events dropped by worker `i`'s trace buffer (0 when tracing was off
     /// or the worker index is out of range).
     pub fn dropped_events(&self, i: usize) -> u64 {
         self.traces.get(i).map_or(0, |t| t.dropped)
@@ -172,18 +173,8 @@ impl EvalReport {
 }
 
 fn worker_json(i: usize, w: &MetricsSnapshot, dropped_events: u64) -> String {
-    let samples: Vec<String> = w
-        .dws_samples
-        .iter()
-        .map(|s| {
-            format!(
-                r#"{{"iteration":{},"omega":{},"tau_ns":{},"delta_len":{}}}"#,
-                s.iteration, s.omega, s.tau_ns, s.delta_len
-            )
-        })
-        .collect();
     format!(
-        r#"{{"worker":{},"iterations":{},"tuples_processed":{},"tuples_sent":{},"batches_out":{},"batches_in":{},"tuples_in":{},"bytes_sent":{},"bytes_in":{},"edb_resident_bytes":{},"local_new":{},"backpressure_retries":{},"idle_ns":{},"omega_wait_ns":{},"gather_ns":{},"iterate_ns":{},"distribute_ns":{},"cache_hits":{},"cache_misses":{},"probe_hits":{},"probe_reuse":{},"kernel_batches":{},"kernel_rows":{},"rows_per_batch":{:.3},"samples_dropped":{},"dropped_events":{},"dws_samples":[{}]}}"#,
+        r#"{{"worker":{},"iterations":{},"tuples_processed":{},"tuples_sent":{},"batches_out":{},"batches_in":{},"tuples_in":{},"bytes_sent":{},"bytes_in":{},"edb_resident_bytes":{},"local_new":{},"backpressure_retries":{},"idle_ns":{},"omega_wait_ns":{},"gather_ns":{},"iterate_ns":{},"distribute_ns":{},"cache_hits":{},"cache_misses":{},"probe_hits":{},"probe_reuse":{},"kernel_batches":{},"kernel_rows":{},"rows_per_batch":{:.3},"dropped_events":{}}}"#,
         i,
         w.iterations,
         w.tuples_processed,
@@ -208,9 +199,7 @@ fn worker_json(i: usize, w: &MetricsSnapshot, dropped_events: u64) -> String {
         w.kernel_batches,
         w.kernel_rows,
         w.rows_per_batch(),
-        w.samples_dropped,
         dropped_events,
-        samples.join(",")
     )
 }
 
@@ -236,10 +225,9 @@ fn json_string(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcd_runtime::DwsSample;
 
     fn sample_report() -> EvalReport {
-        let mut a = MetricsSnapshot {
+        let a = MetricsSnapshot {
             iterations: 3,
             tuples_sent: 10,
             tuples_in: 4,
@@ -256,12 +244,6 @@ mod tests {
             kernel_rows: 9,
             ..MetricsSnapshot::default()
         };
-        a.dws_samples.push(DwsSample {
-            iteration: 2,
-            omega: 8,
-            tau_ns: 1000,
-            delta_len: 5,
-        });
         let b = MetricsSnapshot {
             iterations: 1,
             tuples_sent: 4,
@@ -334,7 +316,7 @@ mod tests {
     fn json_is_wellformed_and_complete() {
         let r = sample_report();
         let json = r.to_json();
-        assert!(json.contains("\"schema\": 4"));
+        assert!(json.contains("\"schema\": 5"));
         assert!(json.contains("\"strategy\": \"DWS\""));
         assert!(json.contains("\"exchanged_bytes\": 224"));
         assert!(json.contains("\"edb_replicated_bytes\": 4096"));
@@ -347,8 +329,7 @@ mod tests {
         assert!(json.contains("\"kernel_batches\":2"));
         assert!(json.contains("\"rows_per_batch\":4.500"));
         assert_eq!(r.exchanged_bytes(), 224);
-        assert!(json
-            .contains(r#""dws_samples":[{"iteration":2,"omega":8,"tau_ns":1000,"delta_len":5}]"#));
+        assert!(!json.contains("dws_samples") && !json.contains("samples_dropped"));
         assert!(json.contains("\"dropped_events\":2"));
         assert!(json.contains("\"dropped_events\":0"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());

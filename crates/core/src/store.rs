@@ -9,7 +9,7 @@
 //! aggregate-aware index (§6.2.1) and the existence-check cache (§6.2.2).
 
 use crate::catalog::EdbCatalog;
-use dcd_common::{Tuple, Value, WorkerId};
+use dcd_common::{Tuple, WorkerId};
 use dcd_frontend::ast::AggFunc;
 use dcd_frontend::physical::{PhysicalPlan, RelId, StorageKind};
 use dcd_storage::{
@@ -369,11 +369,6 @@ impl WorkerStore {
             .map(RecStore::cache_stats)
             .fold((0, 0), |(h, m), (sh, sm)| (h + sh, m + sm))
     }
-}
-
-/// Convenience for tests: the canonical group value of a logical row.
-pub fn row_group(row: &Tuple, group_cols: usize) -> &[Value] {
-    &row.values()[..group_cols]
 }
 
 #[cfg(test)]

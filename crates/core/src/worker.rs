@@ -22,20 +22,19 @@ use dcd_common::{DcdError, Frame, Partitioner, Result, Tuple, WorkerId};
 use dcd_frontend::physical::{PhysicalPlan, RelId};
 use dcd_runtime::trace::{Mark, Phase};
 use dcd_runtime::{
-    Batch, BufferMatrix, DwsController, DwsSample, IdleOutcome, MetricsRecorder, RoundBarrier,
-    SspClock, Strategy, Termination, Tracer, WorkerEndpoints,
+    Batch, BufferMatrix, DwsController, IdleOutcome, Recorder, RoundBarrier, SspClock, Strategy,
+    Termination, WorkerEndpoints,
 };
 use dcd_storage::TupleCache;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 /// Per-stratum coordination objects (shared by all workers).
 pub struct StratumCoord {
     /// Entry synchronization (also separates init sends from round 1).
-    pub entry: Barrier,
+    pub entry: RoundBarrier,
     /// Post-init synchronization.
-    pub post_init: Barrier,
+    pub post_init: RoundBarrier,
     /// Counter-based fixpoint detection (SSP/DWS).
     pub termination: Termination,
     /// Per-global-iteration barrier (Global).
@@ -52,12 +51,9 @@ pub struct Coordination {
     pub part: Partitioner,
     /// Per-stratum coordination.
     pub strata: Vec<StratumCoord>,
-    /// Per-worker observability (indexed by worker id).
-    pub metrics: Vec<MetricsRecorder>,
-    /// Per-worker event tracers (indexed by worker id). All share one
-    /// epoch `Instant`, so the exported tracks align on a common clock.
-    /// No-ops unless `EngineConfig::trace` is set.
-    pub tracers: Vec<Tracer>,
+    /// The run clock's zero: every worker's [`Recorder`] stamps its
+    /// events relative to it, so the exported tracks align.
+    pub epoch: Instant,
     /// Error/timeout flag.
     pub abort: AtomicBool,
     /// Wall-clock deadline.
@@ -76,28 +72,18 @@ impl Coordination {
             .strata
             .iter()
             .map(|_| StratumCoord {
-                entry: Barrier::new(n),
-                post_init: Barrier::new(n),
+                entry: RoundBarrier::new(n),
+                post_init: RoundBarrier::new(n),
                 termination: Termination::new(n, cfg.idle_poll),
                 round: RoundBarrier::new(n),
                 ssp: SspClock::new(n, ssp_s),
             })
             .collect();
-        let epoch = Instant::now();
         Coordination {
             buffers: BufferMatrix::new(n, cfg.queue_capacity),
             part: Partitioner::new(n),
             strata,
-            metrics: (0..n).map(|_| MetricsRecorder::default()).collect(),
-            tracers: (0..n)
-                .map(|_| {
-                    if cfg.trace {
-                        Tracer::new(cfg.trace_capacity, epoch)
-                    } else {
-                        Tracer::disabled(epoch)
-                    }
-                })
-                .collect(),
+            epoch: Instant::now(),
             abort: AtomicBool::new(false),
             deadline: cfg.timeout.map(|t| Instant::now() + t),
         }
@@ -106,7 +92,7 @@ impl Coordination {
     /// Sum of `(produced, consumed)` termination counters over all strata.
     /// After a completed evaluation the two totals are equal (that is the
     /// fixpoint condition); the observability layer reconciles the
-    /// per-worker recorders against them.
+    /// per-worker counters against them.
     pub fn termination_totals(&self) -> (u64, u64) {
         self.strata
             .iter()
@@ -118,6 +104,8 @@ impl Coordination {
     pub fn cancel(&self) {
         self.abort.store(true, Ordering::SeqCst);
         for s in &self.strata {
+            s.entry.cancel();
+            s.post_init.cancel();
             s.termination.cancel();
             s.round.cancel();
         }
@@ -130,24 +118,11 @@ impl Coordination {
         if let Some(d) = self.deadline {
             if Instant::now() > d {
                 self.cancel();
-                return Err(DcdError::Execution("evaluation timed out".into()));
+                return Err(DcdError::Timeout);
             }
         }
         Ok(())
     }
-}
-
-/// Per-worker statistics.
-#[derive(Clone, Debug, Default)]
-pub struct WorkerStats {
-    /// Local iterations executed.
-    pub iterations: u64,
-    /// Delta tuples processed.
-    pub processed: u64,
-    /// Tuples sent to other workers.
-    pub sent: u64,
-    /// Batches received.
-    pub batches_in: u64,
 }
 
 /// Pre-Distribute partial aggregation (§5.2.3): merge-layout rows derived
@@ -258,8 +233,8 @@ pub struct Worker<'a> {
     /// so exact repeats are rare) and for single-worker or unoptimized
     /// runs.
     sent_filter: Vec<Option<TupleCache>>,
-    metrics: &'a MetricsRecorder,
-    tracer: &'a Tracer,
+    /// This worker's counters and trace; returned by [`Worker::run`].
+    rec: Recorder,
 }
 
 impl<'a> Worker<'a> {
@@ -299,43 +274,37 @@ impl<'a> Worker<'a> {
             },
             scratch: EvalScratch::new(),
             sent_filter,
-            metrics: &coord.metrics[me],
-            tracer: &coord.tracers[me],
+            rec: Recorder::new(coord.epoch, cfg.trace.then_some(cfg.trace_capacity)),
         }
     }
 
     /// Runs the full evaluation for this worker; returns the final local
-    /// store and statistics.
-    pub fn run(mut self, mut store: WorkerStore) -> Result<(WorkerStore, WorkerStats)> {
+    /// store and the worker's recorder.
+    pub fn run(mut self, mut store: WorkerStore) -> Result<(WorkerStore, Recorder)> {
         for si in 0..self.plan.strata.len() {
             self.run_stratum(si, &mut store)?;
         }
         // Fold the storage layer's cache counters and the kernel's probe
-        // counters into the recorder so the engine-level snapshot carries
-        // them.
+        // counters into the recorder so the report carries them.
+        let m = &mut self.rec.counters;
         let (hits, misses) = store.cache_totals();
-        self.metrics.record_cache(hits, misses);
+        m.cache_hits += hits;
+        m.cache_misses += misses;
         for f in self.sent_filter.iter().flatten() {
-            let (h, m) = f.stats();
-            self.metrics.record_cache(h, m);
+            let (h, mi) = f.stats();
+            m.cache_hits += h;
+            m.cache_misses += mi;
         }
-        self.metrics
-            .record_probes(self.scratch.probe_hits, self.scratch.probe_reuse);
-        let snap = self.metrics.snapshot();
-        let stats = WorkerStats {
-            iterations: snap.iterations,
-            processed: snap.tuples_processed,
-            sent: snap.tuples_sent,
-            batches_in: snap.batches_in,
-        };
-        Ok((store, stats))
+        m.probe_hits += self.scratch.probe_hits;
+        m.probe_reuse += self.scratch.probe_reuse;
+        Ok((store, self.rec))
     }
 
     fn run_stratum(&mut self, si: usize, store: &mut WorkerStore) -> Result<()> {
         let sc = &self.coord.strata[si];
         let te = Instant::now();
         sc.entry.wait();
-        self.tracer.span(Phase::Idle, te, self.metrics.iterations());
+        self.rec.close(Phase::Idle, te, 0, 0, 0);
         self.coord.check_deadline()?;
 
         // ---- Init phase: base rules + inline facts ----
@@ -362,7 +331,7 @@ impl<'a> Worker<'a> {
         self.distribute(si, store, acc, &mut delta, &mut None)?;
         let tp = Instant::now();
         sc.post_init.wait();
-        self.tracer.span(Phase::Idle, tp, self.metrics.iterations());
+        self.rec.close(Phase::Idle, tp, 0, 0, 0);
 
         // ---- Fixpoint phase ----
         match &self.cfg.strategy {
@@ -388,33 +357,19 @@ impl<'a> Worker<'a> {
         loop {
             self.coord.check_deadline()?;
             let tg = Instant::now();
-            self.drain(si, store, &mut delta, None);
-            self.metrics.add_gather(tg.elapsed());
-            self.tracer
-                .span(Phase::Gather, tg, self.metrics.iterations());
+            self.drain_into(si, store, &mut delta, &mut None);
+            self.rec.close(Phase::Gather, tg, 0, 0, 0);
             let processed = delta.len() as u64;
             let outs = self.iterate(si, store, &mut delta);
             let (local_new, remote_sent) =
                 self.distribute(si, store, outs, &mut delta, &mut None)?;
             let produced = remote_sent + local_new;
-            self.tracer.instant(
-                Mark::Iteration,
-                self.metrics.iterations().saturating_sub(1),
-                processed,
-                local_new + remote_sent,
-                self.coord.buffers.inbound_len(self.me) as u64,
-            );
+            let queue_depth = self.coord.buffers.inbound_len(self.me) as u64;
+            self.rec.end_iteration(processed, produced, queue_depth);
             let tb = Instant::now();
             let cont = self.coord.strata[si].round.arrive(produced);
-            self.metrics.add_idle(tb.elapsed());
-            self.tracer.span(Phase::Idle, tb, self.metrics.iterations());
-            self.tracer.instant(
-                Mark::TerminationRound,
-                self.metrics.iterations(),
-                cont as u64,
-                0,
-                0,
-            );
+            self.rec.close(Phase::Idle, tb, 0, 0, 0);
+            self.rec.mark(Mark::TerminationRound, cont as u64, 0, 0);
             if !cont {
                 if self.coord.abort.load(Ordering::SeqCst) {
                     return Err(DcdError::Execution("evaluation aborted".into()));
@@ -437,10 +392,8 @@ impl<'a> Worker<'a> {
         loop {
             self.coord.check_deadline()?;
             let tg = Instant::now();
-            self.drain(si, store, &mut delta, dws.as_mut());
-            self.metrics.add_gather(tg.elapsed());
-            self.tracer
-                .span(Phase::Gather, tg, self.metrics.iterations());
+            self.drain_into(si, store, &mut delta, &mut dws.as_mut());
+            self.rec.close(Phase::Gather, tg, 0, 0, 0);
 
             if delta.is_empty() {
                 // Local fixpoint: park until new work or global fixpoint.
@@ -449,30 +402,17 @@ impl<'a> Worker<'a> {
                 }
                 let ti = Instant::now();
                 let outcome = sc.termination.idle_wait(|| self.endpoints.has_inbound());
-                self.metrics.add_idle(ti.elapsed());
-                self.tracer.span(Phase::Idle, ti, self.metrics.iterations());
+                self.rec.close(Phase::Idle, ti, 0, 0, 0);
+                let work = outcome == IdleOutcome::Work;
+                self.rec.mark(Mark::TerminationRound, work as u64, 0, 0);
                 match outcome {
                     IdleOutcome::Done => {
-                        self.tracer.instant(
-                            Mark::TerminationRound,
-                            self.metrics.iterations(),
-                            0,
-                            0,
-                            0,
-                        );
                         if self.coord.abort.load(Ordering::SeqCst) {
                             return Err(DcdError::Execution("evaluation aborted".into()));
                         }
                         return Ok(());
                     }
                     IdleOutcome::Work => {
-                        self.tracer.instant(
-                            Mark::TerminationRound,
-                            self.metrics.iterations(),
-                            1,
-                            0,
-                            0,
-                        );
                         if is_ssp {
                             sc.ssp.rejoin(self.me);
                         }
@@ -502,20 +442,11 @@ impl<'a> Worker<'a> {
                             std::thread::sleep(Duration::from_micros(5));
                         }
                     }
-                    self.metrics.add_omega_wait(tw.elapsed());
-                    self.tracer
-                        .span(Phase::OmegaWait, tw, self.metrics.iterations());
+                    self.rec.close(Phase::OmegaWait, tw, 0, 0, 0);
                 }
                 ctrl.update_params();
-                self.metrics.push_sample(DwsSample {
-                    iteration: self.metrics.iterations(),
-                    omega: ctrl.omega() as u64,
-                    tau_ns: ctrl.tau().as_nanos() as u64,
-                    delta_len: delta.len() as u64,
-                });
-                self.tracer.instant(
+                self.rec.mark(
                     Mark::DwsDecision,
-                    self.metrics.iterations(),
                     ctrl.omega() as u64,
                     ctrl.tau().as_nanos() as u64,
                     delta.len() as u64,
@@ -536,13 +467,9 @@ impl<'a> Worker<'a> {
             if let Some(ctrl) = dws.as_mut() {
                 ctrl.on_iteration(processed, t0.elapsed());
             }
-            self.tracer.instant(
-                Mark::Iteration,
-                self.metrics.iterations().saturating_sub(1),
-                processed as u64,
-                local_new + remote_sent,
-                self.coord.buffers.inbound_len(self.me) as u64,
-            );
+            let queue_depth = self.coord.buffers.inbound_len(self.me) as u64;
+            self.rec
+                .end_iteration(processed as u64, local_new + remote_sent, queue_depth);
             if is_ssp {
                 sc.ssp.advance(self.me);
             }
@@ -584,63 +511,39 @@ impl<'a> Worker<'a> {
         let stratum = &self.plan.strata[si];
         let mut rows = self.coalesce(delta.take());
         let nrows = rows.len() as u64;
-        self.metrics.note_iteration(nrows);
+        self.rec.counters.tuples_processed += nrows;
         let mut acc = PartialAgg::default();
-        if self.cfg.batch_kernel {
-            // Cluster the delta by (rel, route): each cluster runs as one
-            // batch per matching rule. The sort is stable, so rows keep
-            // their arrival order within a cluster.
-            rows.sort_by_key(|r| (r.0, r.1));
-            let plan = self.plan;
-            let evaluator = &self.evaluator;
-            let scratch = &mut self.scratch;
-            let mut start = 0;
-            while start < rows.len() {
-                let (rel, route) = (rows[start].0, rows[start].1);
-                let mut end = start + 1;
-                while end < rows.len() && rows[end].0 == rel && rows[end].1 == route {
-                    end += 1;
-                }
-                let group = &rows[start..end];
-                for rule in &stratum.delta_rules {
-                    let spec = rule.delta.as_ref().expect("delta rule");
-                    if spec.rel != rel || spec.route != route as usize {
-                        continue;
-                    }
-                    let head = rule.head_rel;
-                    evaluator.eval_delta_batch(rule, store, group, scratch, &mut |t| {
-                        acc.push(plan, head, t)
-                    });
-                    self.metrics.note_kernel_batch(group.len() as u64);
-                }
-                start = end;
+        // Cluster the delta by (rel, route): each cluster runs as one
+        // batch per matching rule. The sort is stable, so rows keep their
+        // arrival order within a cluster.
+        rows.sort_by_key(|r| (r.0, r.1));
+        let plan = self.plan;
+        let evaluator = &self.evaluator;
+        let scratch = &mut self.scratch;
+        let m = &mut self.rec.counters;
+        let mut start = 0;
+        while start < rows.len() {
+            let (rel, route) = (rows[start].0, rows[start].1);
+            let mut end = start + 1;
+            while end < rows.len() && rows[end].0 == rel && rows[end].1 == route {
+                end += 1;
             }
-        } else {
-            // Tuple-at-a-time reference path, kept reachable end to end so
-            // the differential tests can pin the kernel against it.
-            let mut buf = Vec::new();
-            for (rel, route, row) in &rows {
-                for rule in &stratum.delta_rules {
-                    let spec = rule.delta.as_ref().expect("delta rule");
-                    if spec.rel != *rel || spec.route != *route as usize {
-                        continue;
-                    }
-                    self.evaluator.eval_delta(rule, store, row, &mut buf);
-                    for t in buf.drain(..) {
-                        acc.push(self.plan, rule.head_rel, t);
-                    }
+            let group = &rows[start..end];
+            for rule in &stratum.delta_rules {
+                let spec = rule.delta.as_ref().expect("delta rule");
+                if spec.rel != rel || spec.route != route as usize {
+                    continue;
                 }
+                let head = rule.head_rel;
+                evaluator.eval_delta_batch(rule, store, group, scratch, &mut |t| {
+                    acc.push(plan, head, t)
+                });
+                m.kernel_batches += 1;
+                m.kernel_rows += group.len() as u64;
             }
+            start = end;
         }
-        self.metrics.add_iterate(t0.elapsed());
-        self.tracer.span_args(
-            Phase::EvalDelta,
-            t0,
-            self.metrics.iterations().saturating_sub(1),
-            nrows,
-            0,
-            0,
-        );
+        self.rec.close(Phase::EvalDelta, t0, nrows, 0, 0);
         acc
     }
 
@@ -713,7 +616,10 @@ impl<'a> Worker<'a> {
                 let k = piece.len() as u64;
                 termination.note_produced(k);
                 remote_sent += k;
-                self.metrics.note_batch_out(k, piece.payload_bytes());
+                let m = &mut self.rec.counters;
+                m.batches_out += 1;
+                m.tuples_sent += k;
+                m.bytes_sent += piece.payload_bytes();
                 let mut batch = Batch {
                     rel: rel as u32,
                     route: 0, // receivers re-derive applicable routes
@@ -730,10 +636,10 @@ impl<'a> Worker<'a> {
                             if self.coord.abort.load(Ordering::SeqCst) {
                                 return Err(DcdError::Execution("evaluation aborted".into()));
                             }
-                            if self.tracer.is_enabled() && tbp.is_none() {
+                            if self.rec.is_tracing() && tbp.is_none() {
                                 tbp = Some(Instant::now());
                             }
-                            self.metrics.note_backpressure_retry();
+                            self.rec.counters.backpressure_retries += 1;
                             self.drain_into(si, store, delta, dws);
                             std::thread::yield_now();
                         }
@@ -742,21 +648,13 @@ impl<'a> Worker<'a> {
                 if let Some(t) = tbp {
                     // One span per batch that hit a full queue, covering
                     // the whole retry window (nests inside Distribute).
-                    self.tracer
-                        .span(Phase::Backpressure, t, self.metrics.iterations());
+                    self.rec.close(Phase::Backpressure, t, 0, 0, 0);
                 }
             }
         }
-        self.metrics.note_local_new(local_new);
-        self.metrics.add_distribute(t0.elapsed());
-        self.tracer.span_args(
-            Phase::Distribute,
-            t0,
-            self.metrics.iterations().saturating_sub(1),
-            local_new,
-            remote_sent,
-            0,
-        );
+        self.rec.counters.local_new += local_new;
+        self.rec
+            .close(Phase::Distribute, t0, local_new, remote_sent, 0);
         Ok((local_new, remote_sent))
     }
 
@@ -790,17 +688,8 @@ impl<'a> Worker<'a> {
         }
     }
 
-    /// Drains every inbound queue into the store/delta (Gather).
-    fn drain(
-        &mut self,
-        si: usize,
-        store: &mut WorkerStore,
-        delta: &mut DeltaSet,
-        mut dws: Option<&mut DwsController>,
-    ) {
-        self.drain_into(si, store, delta, &mut dws);
-    }
-
+    /// Drains every inbound queue into the store/delta (Gather, and the
+    /// ω-wait and backpressure loops).
     fn drain_into(
         &mut self,
         si: usize,
@@ -809,13 +698,16 @@ impl<'a> Worker<'a> {
         dws: &mut Option<&mut DwsController>,
     ) {
         let termination = &self.coord.strata[si].termination;
-        let tm = self.tracer.is_enabled().then(Instant::now);
+        let tm = self.rec.is_tracing().then(Instant::now);
         let mut batches = 0u64;
         let mut new = 0u64;
         for j in 0..self.cfg.workers {
             while let Some(batch) = self.endpoints.recv(j) {
                 let k = batch.len() as u64;
-                self.metrics.note_batch_in(k, batch.payload_bytes());
+                let m = &mut self.rec.counters;
+                m.batches_in += 1;
+                m.tuples_in += k;
+                m.bytes_in += batch.payload_bytes();
                 if let Some(ctrl) = dws.as_deref_mut() {
                     ctrl.on_batch(batch.from, batch.len(), batch.sent_at);
                 }
@@ -827,14 +719,11 @@ impl<'a> Worker<'a> {
                 termination.note_consumed(k);
             }
         }
-        self.metrics.note_local_new(new);
-        if batches > 0 {
-            if let Some(tm) = tm {
-                // Nested inside whichever phase drained: Gather, ω-wait
-                // or a backpressure retry.
-                self.tracer
-                    .span_args(Phase::Merge, tm, self.metrics.iterations(), batches, new, 0);
-            }
+        self.rec.counters.local_new += new;
+        if let Some(tm) = tm.filter(|_| batches > 0) {
+            // Nested inside whichever phase drained: Gather, ω-wait or a
+            // backpressure retry.
+            self.rec.close(Phase::Merge, tm, batches, new, 0);
         }
     }
 }

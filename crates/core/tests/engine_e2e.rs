@@ -2,6 +2,7 @@
 //! hand-computable answers, all three coordination strategies, and 1, 2
 //! and 4 workers.
 
+use dcd_runtime::trace::{EventKind, Mark};
 use dcdatalog::{queries, Engine, EngineConfig, Program, Strategy, Tuple, Value};
 
 fn strategies() -> Vec<Strategy> {
@@ -291,8 +292,8 @@ fn stats_are_populated() {
     let mut e = Engine::new(queries::tc().unwrap(), EngineConfig::with_workers(2)).unwrap();
     e.load_edges("arc", &[(1, 2), (2, 3), (3, 4)]).unwrap();
     let r = e.run().unwrap();
-    assert_eq!(r.stats.workers.len(), 2);
-    assert!(r.stats.total_iterations() > 0);
+    assert_eq!(r.stats.report.per_worker.len(), 2);
+    assert!(r.stats.report.total(|w| w.iterations) > 0);
     let names = r.relation_names();
     assert_eq!(names, vec!["tc"]);
 }
@@ -400,11 +401,12 @@ fn report_reconciles_with_termination_counters() {
     let edges: Vec<(i64, i64)> = (0..200).map(|i| (i % 50, (i * 3 + 1) % 50)).collect();
     for cfg in configs() {
         let name = format!("{} x{}", cfg.strategy.name(), cfg.workers);
+        let cfg_workers = cfg.workers;
         let mut e = Engine::new(queries::tc().unwrap(), cfg).unwrap();
         e.load_edges("arc", &edges).unwrap();
         let r = e.run().unwrap();
         let rep = &r.stats.report;
-        assert_eq!(rep.per_worker.len(), r.stats.workers.len(), "{name}");
+        assert_eq!(rep.per_worker.len(), cfg_workers, "{name}");
         assert!(
             rep.reconciles(),
             "{name}: produced {} consumed {} sent {} received {}",
@@ -413,31 +415,35 @@ fn report_reconciles_with_termination_counters() {
             rep.total(|w| w.tuples_sent),
             rep.total(|w| w.tuples_in),
         );
-        // The legacy WorkerStats are derived from the same recorders.
-        for (snap, legacy) in rep.per_worker.iter().zip(&r.stats.workers) {
-            assert_eq!(snap.iterations, legacy.iterations, "{name}");
-            assert_eq!(snap.tuples_processed, legacy.processed, "{name}");
-            assert_eq!(snap.tuples_sent, legacy.sent, "{name}");
-            assert_eq!(snap.batches_in, legacy.batches_in, "{name}");
-        }
         assert!(rep.total(|w| w.iterations) > 0, "{name}");
     }
 }
 
 #[test]
 fn dws_report_carries_omega_tau_samples() {
+    // The ω/τ trajectory lives in the trace: one DwsDecision instant per
+    // controller update, folded into the report's iteration series.
     let edges: Vec<(i64, i64)> = (0..300).map(|i| (i % 60, (i * 7 + 1) % 60)).collect();
-    let cfg = EngineConfig::with_workers(4).strategy(Strategy::Dws);
+    let cfg = EngineConfig::with_workers(4)
+        .strategy(Strategy::Dws)
+        .tracing(true);
     let mut e = Engine::new(queries::tc().unwrap(), cfg).unwrap();
     e.load_edges("arc", &edges).unwrap();
     let r = e.run().unwrap();
     let rep = &r.stats.report;
     assert_eq!(rep.strategy, "DWS");
-    let samples: u64 = rep.total(|w| w.dws_samples.len() as u64 + w.samples_dropped);
-    assert!(samples > 0, "DWS must record ω/τ samples");
+    let decisions = rep
+        .traces
+        .iter()
+        .flat_map(|t| &t.events)
+        .filter(|e| matches!(e.kind, EventKind::Instant(Mark::DwsDecision)))
+        .count();
+    assert!(decisions > 0, "DWS must record ω/τ decisions");
+    assert!(!rep.iteration_series().is_empty());
     let json = rep.to_json();
-    assert!(json.contains("\"schema\": 4"));
-    assert!(json.contains("\"dws_samples\""));
+    assert!(json.contains("\"schema\": 5"));
+    assert!(!json.contains("dws_samples"));
+    assert!(json.contains("\"omega\":"));
 }
 
 #[test]

@@ -65,16 +65,6 @@ fn differential(
         let got = run_once(make(), cfg, load, rels);
         compare(&name, rels, &reference, &got, exact);
     }
-    // The batched Iterate kernel is the default above; the legacy
-    // tuple-at-a-time path must reach the same fixpoint. Running it
-    // through the full engine pins `batch_kernel = false` against the
-    // batched reference end to end.
-    for w in [1usize, 4] {
-        let cfg = EngineConfig::with_workers(w).batch_kernel(false);
-        let name = format!("tuple-at-a-time x{w}");
-        let got = run_once(make(), cfg, load, rels);
-        compare(&name, rels, &reference, &got, exact);
-    }
     // Table-4 ablation path: with the §6.2 optimizations off there is no
     // merge-side existence cache and no Distribute sent-filter, so every
     // duplicate derivation travels the exchange and must be rejected by

@@ -1,11 +1,12 @@
 //! End-to-end well-formedness of the per-worker event traces: TC and SG
 //! under every strategy × {1, 4} workers, checking that spans on one
 //! track nest properly, recorded timestamps are monotone, iteration
-//! instants agree with the metrics counters, and the Perfetto export is
-//! valid JSON with one track per worker plus the controller track.
+//! instants and phase spans agree with the counters, and the Perfetto
+//! export is valid JSON with one track per worker plus the controller
+//! track.
 
 use dcd_common::Json;
-use dcd_runtime::trace::{EventKind, Mark};
+use dcd_runtime::trace::{EventKind, Mark, Phase};
 use dcd_runtime::WorkerTrace;
 use dcdatalog::{queries, Engine, EngineConfig, Program, Strategy};
 
@@ -109,6 +110,44 @@ fn traces_are_wellformed_across_queries_and_strategies() {
 }
 
 #[test]
+fn phase_counters_equal_their_span_sums() {
+    // A phase is timed once: the same duration feeds its counter and its
+    // span, so each counter is exactly the sum of that phase's spans —
+    // barrier waits included.
+    for (qname, prog) in [("tc", queries::tc()), ("sg", queries::sg())] {
+        for cfg in traced_configs() {
+            let name = format!("{qname} {} x{}", cfg.strategy.name(), cfg.workers);
+            let r = run_traced(prog.clone().unwrap(), cfg);
+            let rep = &r.stats.report;
+            for (w, tr) in rep.per_worker.iter().zip(&rep.traces) {
+                assert_eq!(tr.dropped, 0, "{name}: a truncated trace cannot add up");
+                let spans = |p: Phase| -> u64 {
+                    tr.events
+                        .iter()
+                        .filter(|e| e.kind == EventKind::Span(p))
+                        .map(|e| e.dur)
+                        .sum()
+                };
+                let i = tr.worker;
+                assert_eq!(w.gather_ns, spans(Phase::Gather), "{name} w{i} gather");
+                assert_eq!(w.iterate_ns, spans(Phase::EvalDelta), "{name} w{i} iterate");
+                assert_eq!(
+                    w.distribute_ns,
+                    spans(Phase::Distribute),
+                    "{name} w{i} distribute"
+                );
+                assert_eq!(w.idle_ns, spans(Phase::Idle), "{name} w{i} idle");
+                assert_eq!(
+                    w.omega_wait_ns,
+                    spans(Phase::OmegaWait),
+                    "{name} w{i} omega-wait"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn dws_spans_cover_worker_wall_time() {
     // The acceptance bar for the schedule view: on a DWS TC run the
     // phase spans account for ≥95% of each worker's recorded timeline —
@@ -157,7 +196,7 @@ fn disabled_tracing_leaves_report_empty_but_shaped() {
     let cfg = EngineConfig::with_workers(2).strategy(Strategy::Dws);
     let r = run_traced(queries::tc().unwrap(), cfg);
     let rep = &r.stats.report;
-    assert_eq!(rep.traces.len(), 2, "tracers exist even when disabled");
+    assert_eq!(rep.traces.len(), 2, "traces exist even when disabled");
     assert!(rep.traces.iter().all(|t| t.events.is_empty()));
     assert!(rep.iteration_series().is_empty());
     let json = rep.to_json();

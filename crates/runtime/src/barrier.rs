@@ -67,6 +67,12 @@ impl RoundBarrier {
         !st.done
     }
 
+    /// A plain barrier wait: blocks until all `n` workers arrive. Returns
+    /// `false` when the barrier was cancelled instead.
+    pub fn wait(&self) -> bool {
+        self.arrive(1)
+    }
+
     /// Marks the barrier as finished, releasing all waiters (cancellation).
     pub fn cancel(&self) {
         let mut st = self.state.lock().unwrap();
@@ -138,6 +144,21 @@ mod tests {
         assert!(b.arrive(3)); // round 1: total 3 ⇒ continue
         assert!(!b.arrive(0)); // round 2: total 0 ⇒ done
         assert_eq!(h.join().unwrap(), 2);
+    }
+
+    #[test]
+    fn plain_wait_passes_until_cancelled() {
+        let b = Arc::new(RoundBarrier::new(2));
+        let b2 = Arc::clone(&b);
+        let h = std::thread::spawn(move || b2.wait());
+        assert!(b.wait());
+        assert!(h.join().unwrap());
+        // A worker that never arrives cannot strand the others once the
+        // barrier is cancelled, whether it was already waiting or not.
+        let b2 = Arc::clone(&b);
+        let h = std::thread::spawn(move || b2.wait());
+        b.cancel();
+        assert!(!h.join().unwrap());
     }
 
     #[test]

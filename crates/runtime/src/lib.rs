@@ -5,8 +5,6 @@
 //!
 //! * [`spsc`] — the lock-free Single-Producer Single-Consumer ring queue
 //!   (Figure 6) that carries delta batches between workers.
-//! * [`mpsc`] — an unbounded Vyukov-style Multi-Producer Single-Consumer
-//!   queue for n→1 fan-in paths (first-party `SegQueue` replacement).
 //! * [`buffers`] — the `n × n` message-buffer matrix `M_i^j`.
 //! * [`termination`] — counter-based global-fixpoint detection.
 //! * [`barrier`] — the per-global-iteration barrier of the `Global`
@@ -15,22 +13,20 @@
 //! * [`dws`] — the Dynamic Weight-based Strategy controller: G/G/1
 //!   arrival/service tracking, Equation (1) aggregation and Kingman's
 //!   formula (Equation 2) for `ω_i`/`τ_i`.
-//! * [`metrics`] — the per-worker observability layer: relaxed-atomic
-//!   counters for the Gather/Iterate/Distribute loop and a fixed-capacity
-//!   ring of ω/τ samples.
+//! * [`metrics`] — the per-worker observability layer: one worker-owned
+//!   [`Recorder`] times each phase of the Gather/Iterate/Distribute loop
+//!   once, feeding both its counter and its trace span.
 //! * [`strategy`] — strategy selection shared by the engine and benches.
 //! * [`simulator`] — a deterministic discrete-event replay of the three
 //!   coordination schedules (reproduces Figure 3 in abstract time units).
-//! * [`trace`] — the per-worker event tracer: bounded ring of phase
-//!   spans and instant marks on a run-relative clock, exported as
-//!   Chrome/Perfetto trace JSON; the simulator emits the same schema in
-//!   abstract ticks.
+//! * [`trace`] — the per-worker event schema: phase spans and instant
+//!   marks on a run-relative clock, exported as Chrome/Perfetto trace
+//!   JSON; the simulator emits the same schema in abstract ticks.
 
 pub mod barrier;
 pub mod buffers;
 pub mod dws;
 pub mod metrics;
-pub mod mpsc;
 pub mod simulator;
 pub mod spsc;
 pub mod ssp;
@@ -41,10 +37,9 @@ pub mod trace;
 pub use barrier::RoundBarrier;
 pub use buffers::{Batch, BufferMatrix, WorkerEndpoints};
 pub use dws::{DwsConfig, DwsController};
-pub use metrics::{DwsSample, MetricsRecorder, MetricsSnapshot};
-pub use mpsc::MpscQueue;
+pub use metrics::{MetricsSnapshot, Recorder};
 pub use spsc::SpscQueue;
 pub use ssp::SspClock;
 pub use strategy::Strategy;
 pub use termination::{IdleOutcome, Termination};
-pub use trace::{chrome_trace_json, IterationPoint, TraceEvent, TraceMeta, Tracer, WorkerTrace};
+pub use trace::{chrome_trace_json, IterationPoint, TraceEvent, TraceMeta, WorkerTrace};

@@ -1,112 +1,23 @@
-//! Per-worker observability: low-overhead counters plus a fixed-capacity
-//! ring of DWS parameter samples.
+//! Per-worker observability: one [`Recorder`] per worker, owned by the
+//! worker thread, that times every phase of the Gather/Iterate/Distribute
+//! loop exactly once.
 //!
 //! The DWS controller (§4.2) is a feedback loop driven by per-worker
 //! arrival/service statistics; diagnosing it — and parallel imbalance in
-//! general — needs the per-worker load/idle breakdown to be visible. One
-//! [`MetricsRecorder`] exists per worker; the worker thread is the only
-//! writer, other threads (the engine, a future live exporter) read via
-//! [`MetricsRecorder::snapshot`]. All counters are relaxed atomics: a
-//! counter bump is one uncontended add on a cache line owned by the
-//! recording worker, so the overhead budget stays well under the 2%
-//! envelope documented in DESIGN.md §6.
-//!
-//! The ω/τ trajectory of the DWS controller is captured in a
-//! [`SampleRing`]: a fixed-capacity ring that keeps the *last* `cap`
-//! samples (the tail of the trajectory is what matters near the fixpoint)
-//! and counts how many older ones were overwritten.
+//! general — needs the per-worker load/idle breakdown to be visible. A
+//! phase ends with one [`Recorder::close`] call: it reads the clock once,
+//! adds that duration to the phase's `*_ns` counter and, when tracing is
+//! on, records a span built from the same two timestamps. Counters and
+//! spans therefore cannot disagree. There is one writer and the engine
+//! reads the recorder only after the worker has returned it, so the
+//! counters are plain `u64` fields and the trace is a plain `Vec`: no
+//! atomics and no locks.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::Duration;
+use crate::trace::{EventKind, Mark, Phase, TraceEvent, WorkerTrace};
+use std::time::Instant;
 
-/// One observation of the DWS controller state, taken after
-/// `update_params` (Algorithm 2, line 12).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct DwsSample {
-    /// Local iteration index at which the sample was taken.
-    pub iteration: u64,
-    /// The batch-size threshold `ω_i` chosen by Kingman's formula.
-    pub omega: u64,
-    /// The wait budget `τ_i`, in nanoseconds.
-    pub tau_ns: u64,
-    /// Pending delta size when the worker proceeded to iterate.
-    pub delta_len: u64,
-}
-
-/// Fixed-capacity ring of [`DwsSample`]s: keeps the newest `cap` samples.
-struct SampleRing {
-    buf: Vec<DwsSample>,
-    /// Total samples ever pushed (so `pushed - buf.len()` were dropped).
-    pushed: u64,
-    /// Next slot to overwrite once the ring is full.
-    next: usize,
-    cap: usize,
-}
-
-impl SampleRing {
-    fn new(cap: usize) -> Self {
-        SampleRing {
-            buf: Vec::with_capacity(cap.min(1024)),
-            pushed: 0,
-            next: 0,
-            cap: cap.max(1),
-        }
-    }
-
-    fn push(&mut self, s: DwsSample) {
-        self.pushed += 1;
-        if self.buf.len() < self.cap {
-            self.buf.push(s);
-        } else {
-            self.buf[self.next] = s;
-            self.next = (self.next + 1) % self.cap;
-        }
-    }
-
-    /// Samples in chronological order.
-    fn chronological(&self) -> Vec<DwsSample> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.next..]);
-        out.extend_from_slice(&self.buf[..self.next]);
-        out
-    }
-}
-
-/// Default capacity of the ω/τ sample ring.
-pub const DEFAULT_SAMPLE_CAP: usize = 256;
-
-/// Per-worker metrics: counters for the Gather/Iterate/Distribute loop,
-/// wall-clock time splits, cache effectiveness, and the DWS ω/τ
-/// trajectory.
-pub struct MetricsRecorder {
-    iterations: AtomicU64,
-    tuples_processed: AtomicU64,
-    tuples_sent: AtomicU64,
-    batches_out: AtomicU64,
-    batches_in: AtomicU64,
-    tuples_in: AtomicU64,
-    bytes_sent: AtomicU64,
-    bytes_in: AtomicU64,
-    edb_resident_bytes: AtomicU64,
-    local_new: AtomicU64,
-    backpressure_retries: AtomicU64,
-    idle_ns: AtomicU64,
-    omega_wait_ns: AtomicU64,
-    gather_ns: AtomicU64,
-    iterate_ns: AtomicU64,
-    distribute_ns: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    probe_hits: AtomicU64,
-    probe_reuse: AtomicU64,
-    kernel_batches: AtomicU64,
-    kernel_rows: AtomicU64,
-    ring: Mutex<SampleRing>,
-}
-
-/// A coherent copy of one worker's metrics (taken after the worker
-/// finished, or best-effort mid-run).
+/// One worker's counters. [`Recorder`] writes them during the run; the
+/// engine's `EvalReport` carries one per worker.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Local semi-naive iterations executed.
@@ -134,7 +45,8 @@ pub struct MetricsSnapshot {
     pub local_new: u64,
     /// Full-queue retry loops taken while flushing outgoing batches.
     pub backpressure_retries: u64,
-    /// Nanoseconds parked in the idle/termination protocol.
+    /// Nanoseconds parked: stratum-entry and post-init barriers, the
+    /// Global round barrier, and the idle/termination protocol.
     pub idle_ns: u64,
     /// Nanoseconds spent inside the DWS ω-wait window (Alg. 2 l. 5–8).
     pub omega_wait_ns: u64,
@@ -157,10 +69,6 @@ pub struct MetricsSnapshot {
     pub kernel_batches: u64,
     /// Delta rows fed through those batches.
     pub kernel_rows: u64,
-    /// The newest ω/τ samples, chronological.
-    pub dws_samples: Vec<DwsSample>,
-    /// Older samples overwritten by the ring.
-    pub samples_dropped: u64,
 }
 
 impl MetricsSnapshot {
@@ -174,8 +82,7 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Mean delta rows per kernel batch (0 when the batched kernel never
-    /// ran, e.g. with `batch_kernel` off).
+    /// Mean delta rows per kernel batch (0 when the kernel never ran).
     pub fn rows_per_batch(&self) -> f64 {
         if self.kernel_batches == 0 {
             0.0
@@ -185,282 +92,230 @@ impl MetricsSnapshot {
     }
 }
 
-impl Default for MetricsRecorder {
-    fn default() -> Self {
-        MetricsRecorder::new(DEFAULT_SAMPLE_CAP)
-    }
+/// A worker's counters plus, when tracing, its bounded event trace.
+///
+/// Every event is stamped with `counters.iterations`, the index of the
+/// local iteration in progress (or about to start): [`Recorder::end_iteration`]
+/// advances it after the iteration's Distribute.
+pub struct Recorder {
+    /// The worker's counters. The `*_ns` phase times are written only by
+    /// [`Recorder::close`].
+    pub counters: MetricsSnapshot,
+    /// Shared run epoch: every worker's timestamps are relative to it, so
+    /// the exported tracks align.
+    epoch: Instant,
+    /// Whether events are recorded.
+    tracing: bool,
+    /// Recorded events, preallocated to `cap`; the record path never
+    /// allocates.
+    events: Vec<TraceEvent>,
+    cap: usize,
+    /// Events discarded on a full buffer.
+    dropped: u64,
 }
 
-impl MetricsRecorder {
-    /// Creates a recorder whose sample ring keeps `sample_cap` entries.
-    pub fn new(sample_cap: usize) -> Self {
-        MetricsRecorder {
-            iterations: AtomicU64::new(0),
-            tuples_processed: AtomicU64::new(0),
-            tuples_sent: AtomicU64::new(0),
-            batches_out: AtomicU64::new(0),
-            batches_in: AtomicU64::new(0),
-            tuples_in: AtomicU64::new(0),
-            bytes_sent: AtomicU64::new(0),
-            bytes_in: AtomicU64::new(0),
-            edb_resident_bytes: AtomicU64::new(0),
-            local_new: AtomicU64::new(0),
-            backpressure_retries: AtomicU64::new(0),
-            idle_ns: AtomicU64::new(0),
-            omega_wait_ns: AtomicU64::new(0),
-            gather_ns: AtomicU64::new(0),
-            iterate_ns: AtomicU64::new(0),
-            distribute_ns: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            probe_hits: AtomicU64::new(0),
-            probe_reuse: AtomicU64::new(0),
-            kernel_batches: AtomicU64::new(0),
-            kernel_rows: AtomicU64::new(0),
-            ring: Mutex::new(SampleRing::new(sample_cap)),
+impl Recorder {
+    /// A recorder on the run clock `epoch`. `trace_cap` of `Some(cap)`
+    /// turns tracing on with room for `cap` events; `None` records
+    /// counters only.
+    pub fn new(epoch: Instant, trace_cap: Option<usize>) -> Self {
+        let cap = trace_cap.map_or(0, |c| c.max(1));
+        Recorder {
+            counters: MetricsSnapshot::default(),
+            epoch,
+            tracing: trace_cap.is_some(),
+            events: Vec::with_capacity(cap),
+            cap,
+            dropped: 0,
         }
     }
 
-    /// Records one local iteration that processed `tuples` delta tuples.
+    /// Whether events are being recorded.
     #[inline]
-    pub fn note_iteration(&self, tuples: u64) {
-        self.iterations.fetch_add(1, Ordering::Relaxed);
-        self.tuples_processed.fetch_add(tuples, Ordering::Relaxed);
+    pub fn is_tracing(&self) -> bool {
+        self.tracing
     }
 
-    /// Iterations recorded so far (cheap — used to stamp ω/τ samples).
+    /// Ends a phase that began at `started`: reads the clock once, adds
+    /// the elapsed time to the phase's counter (Merge and Backpressure nest
+    /// inside other phases and have none) and, when tracing, records the
+    /// span with arguments `a`, `b`, `c`.
     #[inline]
-    pub fn iterations(&self) -> u64 {
-        self.iterations.load(Ordering::Relaxed)
-    }
-
-    /// Records one outgoing batch of `tuples` tuples carrying `bytes`
-    /// payload bytes.
-    #[inline]
-    pub fn note_batch_out(&self, tuples: u64, bytes: u64) {
-        self.batches_out.fetch_add(1, Ordering::Relaxed);
-        self.tuples_sent.fetch_add(tuples, Ordering::Relaxed);
-        self.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Records one drained inbound batch of `tuples` tuples carrying
-    /// `bytes` payload bytes.
-    #[inline]
-    pub fn note_batch_in(&self, tuples: u64, bytes: u64) {
-        self.batches_in.fetch_add(1, Ordering::Relaxed);
-        self.tuples_in.fetch_add(tuples, Ordering::Relaxed);
-        self.bytes_in.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Records the resident bytes of this worker's private EDB slices
-    /// (set once by the engine after the catalog is built).
-    #[inline]
-    pub fn record_edb_resident(&self, bytes: u64) {
-        self.edb_resident_bytes.store(bytes, Ordering::Relaxed);
-    }
-
-    /// Records `k` new/improved local merges.
-    #[inline]
-    pub fn note_local_new(&self, k: u64) {
-        self.local_new.fetch_add(k, Ordering::Relaxed);
-    }
-
-    /// Records one full-queue retry while flushing an outgoing batch.
-    #[inline]
-    pub fn note_backpressure_retry(&self) {
-        self.backpressure_retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds time parked in the idle/termination protocol.
-    #[inline]
-    pub fn add_idle(&self, d: Duration) {
-        self.idle_ns
-            .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Adds time spent inside the DWS ω-wait window.
-    #[inline]
-    pub fn add_omega_wait(&self, d: Duration) {
-        self.omega_wait_ns
-            .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Adds time draining inbound queues.
-    #[inline]
-    pub fn add_gather(&self, d: Duration) {
-        self.gather_ns
-            .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Adds time evaluating delta rules.
-    #[inline]
-    pub fn add_iterate(&self, d: Duration) {
-        self.iterate_ns
-            .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Adds time routing/merging derived tuples.
-    #[inline]
-    pub fn add_distribute(&self, d: Duration) {
-        self.distribute_ns
-            .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Folds in cache hit/miss totals (called once per worker, at the end
-    /// of the run, from the storage layer's counters).
-    pub fn record_cache(&self, hits: u64, misses: u64) {
-        self.cache_hits.fetch_add(hits, Ordering::Relaxed);
-        self.cache_misses.fetch_add(misses, Ordering::Relaxed);
-    }
-
-    /// Folds in the batched kernel's probe-memoization counters (called
-    /// once per worker, at the end of the run, from the eval scratch).
-    pub fn record_probes(&self, hits: u64, reuse: u64) {
-        self.probe_hits.fetch_add(hits, Ordering::Relaxed);
-        self.probe_reuse.fetch_add(reuse, Ordering::Relaxed);
-    }
-
-    /// Records one batched-kernel invocation over `rows` delta rows.
-    #[inline]
-    pub fn note_kernel_batch(&self, rows: u64) {
-        self.kernel_batches.fetch_add(1, Ordering::Relaxed);
-        self.kernel_rows.fetch_add(rows, Ordering::Relaxed);
-    }
-
-    /// Appends one ω/τ observation to the sample ring.
-    pub fn push_sample(&self, sample: DwsSample) {
-        self.ring.lock().unwrap().push(sample);
-    }
-
-    /// Takes a coherent copy of every counter plus the sample ring.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let ring = self.ring.lock().unwrap();
-        MetricsSnapshot {
-            iterations: self.iterations.load(Ordering::Relaxed),
-            tuples_processed: self.tuples_processed.load(Ordering::Relaxed),
-            tuples_sent: self.tuples_sent.load(Ordering::Relaxed),
-            batches_out: self.batches_out.load(Ordering::Relaxed),
-            batches_in: self.batches_in.load(Ordering::Relaxed),
-            tuples_in: self.tuples_in.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            edb_resident_bytes: self.edb_resident_bytes.load(Ordering::Relaxed),
-            local_new: self.local_new.load(Ordering::Relaxed),
-            backpressure_retries: self.backpressure_retries.load(Ordering::Relaxed),
-            idle_ns: self.idle_ns.load(Ordering::Relaxed),
-            omega_wait_ns: self.omega_wait_ns.load(Ordering::Relaxed),
-            gather_ns: self.gather_ns.load(Ordering::Relaxed),
-            iterate_ns: self.iterate_ns.load(Ordering::Relaxed),
-            distribute_ns: self.distribute_ns.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            probe_hits: self.probe_hits.load(Ordering::Relaxed),
-            probe_reuse: self.probe_reuse.load(Ordering::Relaxed),
-            kernel_batches: self.kernel_batches.load(Ordering::Relaxed),
-            kernel_rows: self.kernel_rows.load(Ordering::Relaxed),
-            dws_samples: ring.chronological(),
-            samples_dropped: ring.pushed - ring.buf.len() as u64,
+    pub fn close(&mut self, phase: Phase, started: Instant, a: u64, b: u64, c: u64) {
+        let dur = started.elapsed().as_nanos() as u64;
+        let m = &mut self.counters;
+        match phase {
+            Phase::Gather => m.gather_ns += dur,
+            Phase::EvalDelta => m.iterate_ns += dur,
+            Phase::Distribute => m.distribute_ns += dur,
+            Phase::Idle => m.idle_ns += dur,
+            Phase::OmegaWait => m.omega_wait_ns += dur,
+            Phase::Merge | Phase::Backpressure => {}
         }
+        if self.tracing {
+            let ts = started.saturating_duration_since(self.epoch).as_nanos() as u64;
+            self.push(EventKind::Span(phase), ts, dur, a, b, c);
+        }
+    }
+
+    /// Records an instant mark stamped now (a no-op when not tracing).
+    #[inline]
+    pub fn mark(&mut self, mark: Mark, a: u64, b: u64, c: u64) {
+        if self.tracing {
+            let ts = self.epoch.elapsed().as_nanos() as u64;
+            self.push(EventKind::Instant(mark), ts, 0, a, b, c);
+        }
+    }
+
+    /// Closes one local iteration: records its [`Mark::Iteration`]
+    /// (`rows_in`, `rows_out`, inbound `queue_depth`) and advances the
+    /// iteration counter.
+    #[inline]
+    pub fn end_iteration(&mut self, rows_in: u64, rows_out: u64, queue_depth: u64) {
+        self.mark(Mark::Iteration, rows_in, rows_out, queue_depth);
+        self.counters.iterations += 1;
+    }
+
+    fn push(&mut self, kind: EventKind, ts: u64, dur: u64, a: u64, b: u64, c: u64) {
+        if self.events.len() < self.cap {
+            self.events.push(TraceEvent {
+                kind,
+                ts,
+                dur,
+                iteration: self.counters.iterations,
+                a,
+                b,
+                c,
+            });
+        } else {
+            // Keep the oldest events: a trace truncated at the tail is a
+            // coherent prefix of the schedule; the drop count says how
+            // much is missing.
+            self.dropped += 1;
+        }
+    }
+
+    /// Consumes the recorder into worker `worker`'s counters and trace.
+    pub fn finish(self, worker: usize) -> (MetricsSnapshot, WorkerTrace) {
+        let trace = WorkerTrace {
+            worker,
+            events: self.events,
+            dropped: self.dropped,
+        };
+        (self.counters, trace)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
-    #[test]
-    fn counters_accumulate() {
-        let m = MetricsRecorder::default();
-        m.note_iteration(10);
-        m.note_iteration(5);
-        m.note_batch_out(100, 1600);
-        m.note_batch_in(40, 640);
-        m.note_batch_in(2, 32);
-        m.record_edb_resident(4096);
-        m.note_local_new(7);
-        m.note_backpressure_retry();
-        m.add_idle(Duration::from_nanos(500));
-        m.add_omega_wait(Duration::from_nanos(20));
-        m.add_gather(Duration::from_nanos(30));
-        m.add_iterate(Duration::from_nanos(40));
-        m.add_distribute(Duration::from_nanos(50));
-        m.record_cache(9, 1);
-        m.record_probes(12, 30);
-        m.note_kernel_batch(8);
-        m.note_kernel_batch(4);
-        let s = m.snapshot();
-        assert_eq!(s.iterations, 2);
-        assert_eq!(s.tuples_processed, 15);
-        assert_eq!((s.batches_out, s.tuples_sent), (1, 100));
-        assert_eq!((s.batches_in, s.tuples_in), (2, 42));
-        assert_eq!((s.bytes_sent, s.bytes_in), (1600, 672));
-        assert_eq!(s.edb_resident_bytes, 4096);
-        assert_eq!(s.local_new, 7);
-        assert_eq!(s.backpressure_retries, 1);
-        assert_eq!(s.idle_ns, 500);
-        assert_eq!(s.omega_wait_ns, 20);
-        assert_eq!(s.gather_ns, 30);
-        assert_eq!(s.iterate_ns, 40);
-        assert_eq!(s.distribute_ns, 50);
-        assert_eq!((s.cache_hits, s.cache_misses), (9, 1));
-        assert!((s.cache_hit_rate() - 0.9).abs() < 1e-12);
-        assert_eq!((s.probe_hits, s.probe_reuse), (12, 30));
-        assert_eq!((s.kernel_batches, s.kernel_rows), (2, 12));
-        assert!((s.rows_per_batch() - 6.0).abs() < 1e-12);
+    fn phase_ns(s: &MetricsSnapshot) -> [u64; 5] {
+        [
+            s.gather_ns,
+            s.iterate_ns,
+            s.distribute_ns,
+            s.idle_ns,
+            s.omega_wait_ns,
+        ]
     }
 
     #[test]
-    fn empty_snapshot_is_zero() {
-        let s = MetricsRecorder::default().snapshot();
+    fn close_feeds_counter_and_span_the_same_duration() {
+        let mut r = Recorder::new(Instant::now(), Some(64));
+        assert!(r.is_tracing());
+        let phases = [
+            Phase::Gather,
+            Phase::EvalDelta,
+            Phase::Distribute,
+            Phase::Idle,
+            Phase::OmegaWait,
+        ];
+        for (i, &p) in phases.iter().enumerate() {
+            let started = Instant::now();
+            std::thread::sleep(Duration::from_micros(50 * (i as u64 + 1)));
+            r.close(p, started, i as u64, 0, 0);
+        }
+        let (s, tr) = r.finish(3);
+        assert_eq!(tr.worker, 3);
+        assert_eq!(tr.events.len(), 5);
+        let durs: Vec<u64> = tr.events.iter().map(|e| e.dur).collect();
+        assert_eq!(phase_ns(&s).to_vec(), durs, "one duration feeds both");
+        assert!(s.idle_ns >= 200_000, "a 200µs sleep, got {}ns", s.idle_ns);
+        assert_eq!(tr.events[1].kind, EventKind::Span(Phase::EvalDelta));
+        assert_eq!(tr.events[1].a, 1);
+    }
+
+    #[test]
+    fn nested_phases_have_no_counter() {
+        let mut r = Recorder::new(Instant::now(), Some(8));
+        r.close(Phase::Merge, Instant::now(), 2, 1, 0);
+        r.close(Phase::Backpressure, Instant::now(), 0, 0, 0);
+        let (s, tr) = r.finish(0);
         assert_eq!(s, MetricsSnapshot::default());
+        assert_eq!(tr.events.len(), 2);
+    }
+
+    #[test]
+    fn events_carry_the_iteration_in_progress() {
+        let mut r = Recorder::new(Instant::now(), Some(16));
+        r.close(Phase::EvalDelta, Instant::now(), 0, 0, 0);
+        r.end_iteration(10, 4, 1);
+        r.close(Phase::Idle, Instant::now(), 0, 0, 0);
+        r.mark(Mark::TerminationRound, 1, 0, 0);
+        let (s, tr) = r.finish(0);
+        assert_eq!(s.iterations, 1);
+        let stamps: Vec<u64> = tr.events.iter().map(|e| e.iteration).collect();
+        assert_eq!(stamps, vec![0, 0, 1, 1]);
+        let it = &tr.events[1];
+        assert_eq!(it.kind, EventKind::Instant(Mark::Iteration));
+        assert_eq!((it.a, it.b, it.c, it.dur), (10, 4, 1, 0));
+        assert!(it.ts >= tr.events[0].end(), "mark stamped after the span");
+    }
+
+    #[test]
+    fn overflow_keeps_prefix_and_counts_drops() {
+        let mut r = Recorder::new(Instant::now(), Some(4));
+        for _ in 0..10 {
+            r.end_iteration(0, 0, 0);
+        }
+        let (s, tr) = r.finish(7);
+        assert_eq!(s.iterations, 10, "counters keep counting past a full trace");
+        assert_eq!(tr.dropped, 6);
+        let iters: Vec<u64> = tr.events.iter().map(|e| e.iteration).collect();
+        assert_eq!(iters, vec![0, 1, 2, 3], "coherent prefix, not a ring tail");
+    }
+
+    #[test]
+    fn untraced_recorder_counts_but_records_nothing() {
+        let mut r = Recorder::new(Instant::now(), None);
+        assert!(!r.is_tracing());
+        let started = Instant::now();
+        std::thread::sleep(Duration::from_micros(100));
+        r.close(Phase::Gather, started, 0, 0, 0);
+        r.mark(Mark::DwsDecision, 8, 1000, 3);
+        r.end_iteration(5, 5, 0);
+        let (s, tr) = r.finish(0);
+        assert!(s.gather_ns >= 100_000);
+        assert_eq!(s.iterations, 1);
+        assert!(tr.events.is_empty());
+        assert_eq!(tr.dropped, 0);
+    }
+
+    #[test]
+    fn rates_of_an_empty_snapshot_are_zero() {
+        let s = MetricsSnapshot::default();
         assert_eq!(s.cache_hit_rate(), 0.0);
         assert_eq!(s.rows_per_batch(), 0.0);
-    }
-
-    #[test]
-    fn sample_ring_keeps_newest_in_order() {
-        let m = MetricsRecorder::new(4);
-        for i in 0..10u64 {
-            m.push_sample(DwsSample {
-                iteration: i,
-                omega: i * 2,
-                tau_ns: i * 3,
-                delta_len: i,
-            });
-        }
-        let s = m.snapshot();
-        assert_eq!(s.samples_dropped, 6);
-        let iters: Vec<u64> = s.dws_samples.iter().map(|x| x.iteration).collect();
-        assert_eq!(iters, vec![6, 7, 8, 9], "newest four, chronological");
-    }
-
-    #[test]
-    fn sample_ring_below_capacity_keeps_all() {
-        let m = MetricsRecorder::new(8);
-        for i in 0..3u64 {
-            m.push_sample(DwsSample {
-                iteration: i,
-                ..DwsSample::default()
-            });
-        }
-        let s = m.snapshot();
-        assert_eq!(s.samples_dropped, 0);
-        assert_eq!(s.dws_samples.len(), 3);
-        assert_eq!(s.dws_samples[2].iteration, 2);
-    }
-
-    #[test]
-    fn recorder_is_shareable_across_threads() {
-        let m = MetricsRecorder::default();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..1000 {
-                        m.note_iteration(1);
-                    }
-                });
-            }
-        });
-        assert_eq!(m.snapshot().iterations, 4000);
+        let s = MetricsSnapshot {
+            cache_hits: 9,
+            cache_misses: 1,
+            kernel_batches: 2,
+            kernel_rows: 12,
+            ..MetricsSnapshot::default()
+        };
+        assert!((s.cache_hit_rate() - 0.9).abs() < 1e-12);
+        assert!((s.rows_per_batch() - 6.0).abs() < 1e-12);
     }
 }

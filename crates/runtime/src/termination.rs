@@ -126,7 +126,6 @@ impl Termination {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
 
     fn det(n: usize) -> Termination {
@@ -181,45 +180,38 @@ mod tests {
 
     #[test]
     fn producer_consumer_ping_pong_then_terminate() {
-        // Worker 0 produces 100 tuples; worker 1 consumes them while
-        // repeatedly going idle; both must terminate exactly once all
-        // tuples are consumed.
-        let t = Arc::new(det(2));
-        let queue = Arc::new(crate::mpsc::MpscQueue::new());
-        let consumed_total = Arc::new(AtomicUsize::new(0));
-
-        let producer = {
-            let t = Arc::clone(&t);
-            let queue = Arc::clone(&queue);
-            std::thread::spawn(move || {
+        // Worker 0 produces 100 tuples into a small SPSC ring; worker 1
+        // consumes them while repeatedly going idle; both must terminate
+        // exactly once all tuples are consumed.
+        let t = det(2);
+        let queue = crate::SpscQueue::new(8);
+        let (mut tx, mut rx) = queue.split();
+        let mut consumed_total = 0;
+        std::thread::scope(|s| {
+            let producer = s.spawn(|| {
                 for i in 0..100u64 {
                     t.note_produced(1);
-                    queue.push(i);
+                    assert!(tx.push_blocking(i, || false));
                     if i % 10 == 0 {
                         std::thread::yield_now();
                     }
                 }
                 t.idle_wait(|| false)
-            })
-        };
-        let consumer = {
-            let t = Arc::clone(&t);
-            let queue = Arc::clone(&queue);
-            let consumed_total = Arc::clone(&consumed_total);
-            std::thread::spawn(move || loop {
-                while let Some(_v) = queue.pop() {
+            });
+            let consumer = s.spawn(|| loop {
+                while rx.pop().is_some() {
                     t.note_consumed(1);
-                    consumed_total.fetch_add(1, Ordering::Relaxed);
+                    consumed_total += 1;
                 }
-                match t.idle_wait(|| !queue.is_empty()) {
+                match t.idle_wait(|| !rx.is_empty()) {
                     IdleOutcome::Work => continue,
                     IdleOutcome::Done => return IdleOutcome::Done,
                 }
-            })
-        };
-        assert_eq!(producer.join().unwrap(), IdleOutcome::Done);
-        assert_eq!(consumer.join().unwrap(), IdleOutcome::Done);
-        assert_eq!(consumed_total.load(Ordering::Relaxed), 100);
+            });
+            assert_eq!(producer.join().unwrap(), IdleOutcome::Done);
+            assert_eq!(consumer.join().unwrap(), IdleOutcome::Done);
+        });
+        assert_eq!(consumed_total, 100);
     }
 
     #[test]

@@ -7,13 +7,13 @@
 //! interleaved — needs a timeline: exactly the schedule structure the
 //! paper's Figure 3 reasons about. This module records one, cheaply:
 //!
-//! * [`Tracer`] — a per-worker, fixed-capacity event buffer. The worker
-//!   thread is the only writer; recording an event is one uncontended
-//!   mutex acquire plus a `Vec` write into preallocated storage
-//!   (allocation-free on the hot path). When the buffer is full, further
-//!   events bump a relaxed-atomic drop counter instead of growing — a
-//!   truncated trace is *detectable* (the count is surfaced per worker in
-//!   the `EvalReport`) rather than silently misleading.
+//! * [`crate::Recorder`] records the events: the same call that adds a
+//!   phase's time to its counter pushes the span into a preallocated
+//!   per-worker `Vec` (allocation-free on the hot path, no lock — the
+//!   worker owns it). When the buffer is full, further events bump a
+//!   drop counter instead of growing — a truncated trace is *detectable*
+//!   (the count is surfaced per worker in the `EvalReport`) rather than
+//!   silently misleading.
 //! * [`TraceEvent`] — a fixed-size record: phase spans (Gather,
 //!   EvalDelta, Distribute, Merge, ω-wait, backpressure, idle) and
 //!   instant marks (iteration boundaries, DWS controller decisions,
@@ -27,8 +27,7 @@
 //!   side-by-side in the same viewer.
 //! * [`iteration_series`] — folds a trace into a per-iteration
 //!   time-series table (delta rows in/out, queue depth, ω/τ estimates)
-//!   for convergence-curve analysis; embedded in the schema-4 stats
-//!   JSON.
+//!   for convergence-curve analysis; embedded in the stats JSON.
 //!
 //! Clock domain: all workers of one evaluation share a single epoch
 //! (`Instant` taken when the coordination state is built), so their
@@ -37,10 +36,6 @@
 //! span **end** time; a nested span (e.g. a Merge inside an ω-wait)
 //! precedes its parent in the buffer. Spans on one track are always
 //! either disjoint or properly nested — never partially overlapping.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
 
 /// Version stamp of the trace schema (the JSON export carries it).
 pub const TRACE_SCHEMA: u32 = 1;
@@ -158,7 +153,7 @@ pub struct WorkerTrace {
     pub worker: usize,
     /// Events in recording order (sorted by span **end** time).
     pub events: Vec<TraceEvent>,
-    /// Events discarded because the ring was full — a non-zero value
+    /// Events discarded because the buffer was full — a non-zero value
     /// means the timeline is truncated and downstream analysis must not
     /// treat it as complete.
     pub dropped: u64,
@@ -198,152 +193,6 @@ impl WorkerTrace {
         }
         covered += cur.1 - cur.0;
         covered as f64 / (hi - lo) as f64
-    }
-}
-
-/// The bounded event buffer behind a [`Tracer`].
-struct TraceRing {
-    buf: Vec<TraceEvent>,
-    cap: usize,
-}
-
-/// Per-worker event recorder. One exists per worker (indexed like
-/// [`crate::MetricsRecorder`] in the engine's coordination state); the
-/// worker thread is the only writer. A disabled tracer keeps no storage
-/// and every record call is a single branch.
-pub struct Tracer {
-    enabled: bool,
-    epoch: Instant,
-    ring: Mutex<TraceRing>,
-    dropped: AtomicU64,
-}
-
-impl Tracer {
-    /// An enabled tracer holding up to `cap` events (preallocated — the
-    /// record path never allocates).
-    pub fn new(cap: usize, epoch: Instant) -> Self {
-        let cap = cap.max(1);
-        Tracer {
-            enabled: true,
-            epoch,
-            ring: Mutex::new(TraceRing {
-                buf: Vec::with_capacity(cap),
-                cap,
-            }),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    /// A disabled tracer: no storage, every record call is a no-op.
-    pub fn disabled(epoch: Instant) -> Self {
-        Tracer {
-            enabled: false,
-            epoch,
-            ring: Mutex::new(TraceRing {
-                buf: Vec::new(),
-                cap: 0,
-            }),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    /// Whether events are being recorded.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Nanoseconds of `at` relative to the run epoch.
-    #[inline]
-    fn rel(&self, at: Instant) -> u64 {
-        at.saturating_duration_since(self.epoch).as_nanos() as u64
-    }
-
-    /// Records a phase span that started at `started` and ends now.
-    #[inline]
-    pub fn span(&self, phase: Phase, started: Instant, iteration: u64) {
-        self.span_args(phase, started, iteration, 0, 0, 0);
-    }
-
-    /// Records a phase span with kind-specific arguments.
-    #[inline]
-    pub fn span_args(
-        &self,
-        phase: Phase,
-        started: Instant,
-        iteration: u64,
-        a: u64,
-        b: u64,
-        c: u64,
-    ) {
-        if !self.enabled {
-            return;
-        }
-        let ts = self.rel(started);
-        let end = self.rel(Instant::now());
-        self.push(TraceEvent {
-            kind: EventKind::Span(phase),
-            ts,
-            dur: end.saturating_sub(ts),
-            iteration,
-            a,
-            b,
-            c,
-        });
-    }
-
-    /// Records an instant mark stamped now.
-    #[inline]
-    pub fn instant(&self, mark: Mark, iteration: u64, a: u64, b: u64, c: u64) {
-        if !self.enabled {
-            return;
-        }
-        let ts = self.rel(Instant::now());
-        self.push(TraceEvent {
-            kind: EventKind::Instant(mark),
-            ts,
-            dur: 0,
-            iteration,
-            a,
-            b,
-            c,
-        });
-    }
-
-    fn push(&self, ev: TraceEvent) {
-        let mut ring = self.ring.lock().unwrap();
-        if ring.buf.len() < ring.cap {
-            ring.buf.push(ev);
-        } else {
-            // Keep the oldest events: a trace truncated at the tail is a
-            // coherent prefix of the schedule; the drop count says how
-            // much is missing.
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Events recorded so far (cheap length probe for tests/benches).
-    pub fn len(&self) -> usize {
-        self.ring.lock().unwrap().buf.len()
-    }
-
-    /// Whether no events were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Events dropped on a full ring so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Drains the buffer into a [`WorkerTrace`] for worker `worker`.
-    pub fn take(&self, worker: usize) -> WorkerTrace {
-        WorkerTrace {
-            worker,
-            events: std::mem::take(&mut self.ring.lock().unwrap().buf),
-            dropped: self.dropped.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -492,7 +341,6 @@ pub fn chrome_trace_json(traces: &[WorkerTrace], meta: &TraceMeta) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     fn span_ev(phase: Phase, ts: u64, dur: u64) -> TraceEvent {
         TraceEvent {
@@ -504,55 +352,6 @@ mod tests {
             b: 0,
             c: 0,
         }
-    }
-
-    #[test]
-    fn records_spans_and_instants_in_run_relative_time() {
-        let epoch = Instant::now();
-        let t = Tracer::new(128, epoch);
-        assert!(t.is_enabled());
-        let started = Instant::now();
-        std::thread::sleep(Duration::from_millis(2));
-        t.span(Phase::Gather, started, 3);
-        t.instant(Mark::Iteration, 3, 10, 4, 1);
-        let tr = t.take(0);
-        assert_eq!(tr.events.len(), 2);
-        let g = &tr.events[0];
-        assert_eq!(g.kind, EventKind::Span(Phase::Gather));
-        assert!(g.dur >= 1_000_000, "span of a 2ms sleep, got {}ns", g.dur);
-        assert_eq!(g.iteration, 3);
-        let i = &tr.events[1];
-        assert_eq!(i.kind, EventKind::Instant(Mark::Iteration));
-        assert_eq!((i.a, i.b, i.c), (10, 4, 1));
-        assert!(i.ts >= g.end(), "instant stamped after the span ended");
-    }
-
-    #[test]
-    fn overflow_keeps_prefix_and_counts_drops() {
-        // Satellite: a tiny ring must keep its first `cap` events and
-        // report exactly how many later ones were discarded.
-        let t = Tracer::new(4, Instant::now());
-        for i in 0..10u64 {
-            t.instant(Mark::Iteration, i, i, 0, 0);
-        }
-        assert_eq!(t.dropped(), 6);
-        let tr = t.take(7);
-        assert_eq!(tr.worker, 7);
-        assert_eq!(tr.events.len(), 4, "first four kept");
-        assert_eq!(tr.dropped, 6);
-        let iters: Vec<u64> = tr.events.iter().map(|e| e.iteration).collect();
-        assert_eq!(iters, vec![0, 1, 2, 3], "coherent prefix, not a ring tail");
-    }
-
-    #[test]
-    fn disabled_tracer_records_nothing() {
-        let t = Tracer::disabled(Instant::now());
-        assert!(!t.is_enabled());
-        t.span(Phase::EvalDelta, Instant::now(), 1);
-        t.instant(Mark::Iteration, 1, 0, 0, 0);
-        assert!(t.is_empty());
-        assert_eq!(t.dropped(), 0);
-        assert!(t.take(0).events.is_empty());
     }
 
     #[test]
@@ -616,11 +415,24 @@ mod tests {
 
     #[test]
     fn chrome_export_has_worker_and_controller_tracks() {
-        let t = Tracer::new(16, Instant::now());
-        t.span(Phase::Gather, Instant::now(), 1);
-        t.instant(Mark::DwsDecision, 1, 8, 500, 3);
-        t.instant(Mark::Iteration, 1, 10, 2, 0);
-        let traces = vec![t.take(0)];
+        let mark = |mark: Mark, a: u64, b: u64, c: u64| TraceEvent {
+            kind: EventKind::Instant(mark),
+            ts: 20,
+            dur: 0,
+            iteration: 1,
+            a,
+            b,
+            c,
+        };
+        let traces = vec![WorkerTrace {
+            worker: 0,
+            events: vec![
+                span_ev(Phase::Gather, 0, 10),
+                mark(Mark::DwsDecision, 8, 500, 3),
+                mark(Mark::Iteration, 10, 2, 0),
+            ],
+            dropped: 0,
+        }];
         let meta = TraceMeta {
             strategy: "DWS".into(),
             workers: 2,
@@ -657,20 +469,5 @@ mod tests {
         let json = chrome_trace_json(&traces, &meta);
         assert!(json.contains(r#""ts":7,"dur":3"#), "{json}");
         assert!(json.contains(r#""clock": "ticks""#));
-    }
-
-    #[test]
-    fn tracer_is_shareable_across_threads() {
-        let t = Tracer::new(1 << 12, Instant::now());
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for i in 0..100 {
-                        t.instant(Mark::Iteration, i, 0, 0, 0);
-                    }
-                });
-            }
-        });
-        assert_eq!(t.len(), 400);
     }
 }

@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "CC: {} components in {:?} ({} local iterations)",
         labels.len(),
         t.elapsed(),
-        cc.stats.total_iterations()
+        cc.stats.report.total(|w| w.iterations)
     );
 
     // Single-source shortest paths over random weights.

@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
 # Metrics smoke check (see DESIGN.md §6): runs TC on 4 workers under all
-# three coordination strategies with `--stats-json`, then validates the
-# emitted EvalReport without any JSON tooling beyond grep/awk:
+# three coordination strategies with `--stats-json` (the DWS run also with
+# `--trace-json`), then validates the emitted EvalReport without any JSON
+# tooling beyond grep/awk:
 #
 #   1. schema version and every per-worker counter field are present,
 #   2. the report carries exactly --workers per_worker entries,
-#   3. produced == consumed (the fixpoint/reconciliation invariant).
+#   3. produced == consumed (the fixpoint/reconciliation invariant),
+#   4. the traced DWS run carries a non-empty iteration_series, whose
+#      omega/tau columns are the controller's trajectory.
 #
 # Run from anywhere inside the repo: scripts/check_stats_json.sh
 # Pass a prebuilt binary path as $1 to skip the cargo build.
@@ -31,10 +34,14 @@ awk 'BEGIN { for (i = 0; i < 120; i++) print i % 40, (i * 7 + 1) % 40 }' \
 fail=0
 for strategy in global ssp:2 dws; do
     out="$workdir/stats_${strategy%%:*}.json"
+    trace=()
+    if [ "$strategy" = dws ]; then
+        trace=(--trace-json "$workdir/trace_dws.json")
+    fi
     "$BIN" run programs/tc.dl \
         --edb arc="$workdir/edges.csv" \
         --workers 4 --strategy "$strategy" \
-        --limit 1 --stats-json "$out" > /dev/null
+        --limit 1 --stats-json "$out" "${trace[@]}" > /dev/null
 
     # -- Field presence --------------------------------------------------
     for field in schema strategy workers elapsed_ns produced consumed \
@@ -45,22 +52,28 @@ for strategy in global ssp:2 dws; do
                  backpressure_retries idle_ns omega_wait_ns gather_ns \
                  iterate_ns distribute_ns cache_hits cache_misses \
                  probe_hits probe_reuse kernel_batches kernel_rows \
-                 rows_per_batch samples_dropped dws_samples \
-                 dropped_events iteration_series; do
+                 rows_per_batch dropped_events iteration_series; do
         if ! grep -q "\"$field\"" "$out"; then
             echo "FAIL($strategy): field \"$field\" missing from $out" >&2
             fail=1
         fi
     done
 
-    # -- Schema version (4 = trace-aware report) -------------------------
-    if ! grep -q '"schema": 4' "$out"; then
-        echo "FAIL($strategy): report schema is not 4 in $out" >&2
+    # -- Schema version (5 = ω/τ read from the trace) -------------------
+    if ! grep -q '"schema": 5' "$out"; then
+        echo "FAIL($strategy): report schema is not 5 in $out" >&2
         fail=1
     fi
+    for gone in dws_samples samples_dropped; do
+        if grep -q "\"$gone\"" "$out"; then
+            echo "FAIL($strategy): schema-4 field \"$gone\" still emitted" >&2
+            fail=1
+        fi
+    done
 
-    # -- Per-worker cardinality ------------------------------------------
-    nworkers=$(grep -c '"worker":' "$out")
+    # -- Per-worker cardinality (iteration_series rows also carry a
+    #    "worker" key, so match the per_worker shape) --------------------
+    nworkers=$(grep -c '"worker":[0-9]*,"iterations"' "$out")
     if [ "$nworkers" -ne 4 ]; then
         echo "FAIL($strategy): expected 4 per_worker entries, got $nworkers" >&2
         fail=1
@@ -82,15 +95,17 @@ for strategy in global ssp:2 dws; do
         fail=1
     fi
 
-    # -- DWS must carry ω/τ samples; the others must not -----------------
-    samples=$(grep -c '"dws_samples":\[{' "$out" || true)
-    case "$strategy" in
-        dws)
-            if [ "$samples" -eq 0 ]; then
-                echo "FAIL(dws): no ω/τ samples recorded" >&2
-                fail=1
-            fi ;;
-    esac
+    # -- The traced DWS run carries its ω/τ trajectory -------------------
+    if [ "$strategy" = dws ]; then
+        if ! grep -q '"iteration_series": \[$' "$out"; then
+            echo "FAIL(dws): traced run has an empty/missing iteration_series" >&2
+            fail=1
+        fi
+        if ! grep -q '"omega":[0-9]*,"tau":[0-9]*' "$out"; then
+            echo "FAIL(dws): iteration_series lacks omega/tau columns" >&2
+            fail=1
+        fi
+    fi
 
     echo "ok($strategy): produced=$produced consumed=$consumed workers=$nworkers"
 done

@@ -14,7 +14,7 @@
 #      covered by the dcd-common JSON parser in the trace_e2e tests),
 #   5. the engine export uses the ns clock, the simulator the tick
 #      clock — same schema, comparable side by side,
-#   6. the schema-4 stats JSON of the traced run carries a non-empty
+#   6. the stats JSON of the traced run carries a non-empty
 #      iteration_series table.
 #
 # Run from anywhere inside the repo: scripts/check_trace_smoke.sh

@@ -4,7 +4,9 @@
 
 use dcdatalog_repro::baselines::Reference;
 use dcdatalog_repro::datagen;
-use dcdatalog_repro::engine::{queries, Engine, EngineConfig, Program, Strategy, Tuple};
+use dcdatalog_repro::engine::{
+    queries, DcdError, Engine, EngineConfig, EvalResult, Program, Strategy, Tuple,
+};
 use dcdatalog_repro::runtime::simulator::{simulate, SimConfig, SimStrategy, SimWorkload};
 
 #[test]
@@ -62,7 +64,8 @@ fn broadcast_and_routed_runs_agree() {
     let b = broadcast.run().unwrap();
     assert_eq!(a.sorted("apsp"), b.sorted("apsp"));
     // Broadcast must exchange at least as many tuples.
-    assert!(b.stats.total_sent() >= a.stats.total_sent());
+    let sent = |r: &EvalResult| r.stats.report.total(|w| w.tuples_sent);
+    assert!(sent(&b) >= sent(&a));
 }
 
 #[test]
@@ -93,6 +96,7 @@ fn timeout_aborts_cleanly_and_engine_remains_usable() {
     let mut e = Engine::new(queries::tc().unwrap(), cfg).unwrap();
     e.load_edges("arc", &edges).unwrap();
     let err = e.run().unwrap_err();
+    assert_eq!(err, DcdError::Timeout, "{err}");
     assert!(err.to_string().contains("timed out"), "{err}");
     // A fresh engine over the same data still works.
     let mut e2 = Engine::new(queries::tc().unwrap(), EngineConfig::with_workers(2)).unwrap();
