@@ -298,3 +298,42 @@ fn pagerank_totals_match_reference_within_epsilon() {
         assert!(dv < 1e-6, "rank mismatch: {g:?} vs {w:?}");
     }
 }
+
+/// A rule that probes an aggregate relation on its aggregate column
+/// (`cc2(Y, Z)` with `Z` bound by `root`). When a group's minimum
+/// improves, its row must leave the old value's index bucket and join the
+/// new one. With `root = {2}`, a stale entry would keep answering the
+/// probe with the superseded minimum, deriving `lead(2)` and `lead(3)`
+/// from their first label 2 although every label converges to 1; with
+/// `root = {1}`, a row missing from its new bucket would drop them.
+#[test]
+fn probe_on_aggregate_column_sees_only_current_values() {
+    const SRC: &str = "cc2(Y, min<Y>) <- arc(Y, _).
+         cc2(Y, min<Z>) <- cc2(X, Z), arc(X, Y).
+         lead(Y) <- root(Z), cc2(Y, Z).";
+    let arcs = [(1, 2), (2, 1), (2, 3), (3, 2)];
+    for root in [2, 1] {
+        let roots = vec![Tuple::from_ints(&[root])];
+        let mut reference = Reference::new(SRC).unwrap();
+        reference.load_edges("arc", &arcs);
+        reference.load("root", roots.clone());
+        let expected = reference.run().unwrap();
+        assert_eq!(expected["lead"].len(), if root == 1 { 3 } else { 0 });
+        for workers in [1, 2, 4] {
+            for strat in [Strategy::Global, Strategy::Dws] {
+                let got = run_engine(
+                    dcdatalog::Program::parse(SRC).unwrap(),
+                    &[("arc", to_tuples(&arcs)), ("root", roots.clone())],
+                    workers,
+                    strat,
+                );
+                for (name, rows) in &got {
+                    assert_eq!(
+                        rows, &expected[name],
+                        "{name}: root={root} workers={workers}"
+                    );
+                }
+            }
+        }
+    }
+}

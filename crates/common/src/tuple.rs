@@ -91,6 +91,15 @@ impl Tuple {
         }
     }
 
+    /// The values as a mutable slice (in-place aggregate updates).
+    #[inline]
+    pub fn values_mut(&mut self) -> &mut [Value] {
+        match self {
+            Tuple::Inline { len, vals } => &mut vals[..*len as usize],
+            Tuple::Spilled(v) => v,
+        }
+    }
+
     /// Projects the tuple onto the given column indices.
     pub fn project(&self, cols: &[usize]) -> Tuple {
         let vals = self.values();

@@ -10,7 +10,7 @@ use std::hash::{Hash, Hasher};
 /// integer costs/levels, or float PageRank masses, so two variants suffice.
 /// The type is `Copy`, 16 bytes, and totally ordered (floats are ordered by
 /// the IEEE-754 total order, so `NaN` compares consistently and the type can
-/// be used as a B+-tree key and inside hash tables).
+/// be used as an ordered key and inside hash tables).
 #[derive(Clone, Copy, Debug)]
 pub enum Value {
     /// A signed 64-bit integer (vertex ids, counts, integer costs).

@@ -277,7 +277,7 @@ impl Engine {
                     for st in &stores {
                         for row in st.rec(decl.id).rows() {
                             if seen.insert(row.clone()) {
-                                rows.push(row);
+                                rows.push(row.clone());
                             }
                         }
                     }

@@ -22,7 +22,6 @@ use dcd_common::{Tuple, Value, WorkerId};
 use dcd_frontend::physical::{
     BindAction, CompiledRule, PhysicalPlan, Placement, Probe, RelId, Step, Target,
 };
-use dcd_storage::EdbRead;
 
 /// A pending delta row: `(relation, route, logical row)`.
 pub type DeltaRow = (RelId, u8, Tuple);
@@ -99,14 +98,6 @@ impl EvalScratch {
     pub fn new() -> Self {
         EvalScratch::default()
     }
-}
-
-/// The memoized bucket of the batched kernel's first probe.
-enum Bucket<'a> {
-    /// A recursive relation's index bucket.
-    Idb(&'a [Tuple]),
-    /// A base relation's row ids plus the row store to resolve them.
-    Edb { rows: &'a [Tuple], ids: &'a [u32] },
 }
 
 /// Evaluation context shared by one worker.
@@ -210,7 +201,9 @@ impl Evaluator<'_> {
         // Pass 2: walk the clustered rows; descend the index only when the
         // key changes. The store is immutable for the whole local
         // iteration, so the bucket borrow stays valid across rows.
-        let mut cached: Option<(u64, Bucket<'_>)> = None;
+        let target = store.relation(step.target);
+        let rows = target.rows();
+        let mut cached: Option<(u64, &[u32])> = None;
         for &(key_bits, i) in order.iter() {
             let (_, _, row) = &batch[i as usize];
             // Re-run the prelude: it passed in pass 1 (it is deterministic)
@@ -220,41 +213,22 @@ impl Evaluator<'_> {
             if !ok {
                 continue;
             }
-            match &cached {
-                Some((k, _)) if *k == key_bits => *probe_reuse += 1,
+            let ids = match cached {
+                Some((k, ids)) if k == key_bits => {
+                    *probe_reuse += 1;
+                    ids
+                }
                 _ => {
                     *probe_hits += 1;
-                    let bucket = match step.target {
-                        Target::Idb { rel, .. } => {
-                            Bucket::Idb(store.rec(rel).probe(*col, key_bits))
-                        }
-                        Target::Edb(rel) => {
-                            let base = store.base(rel);
-                            Bucket::Edb {
-                                rows: base.rows(),
-                                ids: base.probe_ids(*col, key_bits),
-                            }
-                        }
-                    };
-                    cached = Some((key_bits, bucket));
+                    let ids = target.probe_ids(*col, key_bits);
+                    cached = Some((key_bits, ids));
+                    ids
                 }
-            }
-            let (_, bucket) = cached.as_ref().expect("bucket cached above");
-            match bucket {
-                Bucket::Idb(rows) => {
-                    for cand in *rows {
-                        if apply_binds(cand, &step.binds, regs) && apply_level(step, regs) {
-                            self.run_steps(rule, store, 1, regs, &mut counting);
-                        }
-                    }
-                }
-                Bucket::Edb { rows, ids } => {
-                    for &id in *ids {
-                        let cand = &rows[id as usize];
-                        if apply_binds(cand, &step.binds, regs) && apply_level(step, regs) {
-                            self.run_steps(rule, store, 1, regs, &mut counting);
-                        }
-                    }
+            };
+            for &id in ids {
+                let cand = &rows[id as usize];
+                if apply_binds(cand, &step.binds, regs) && apply_level(step, regs) {
+                    self.run_steps(rule, store, 1, regs, &mut counting);
                 }
             }
         }
@@ -305,51 +279,37 @@ impl Evaluator<'_> {
             return;
         }
         let step = &rule.steps[k];
-        match (&step.probe, step.target) {
-            (Probe::Index { col, key }, Target::Edb(rel)) => {
+        // The store is immutable for the whole local iteration (derived
+        // rows are buffered and merged afterwards), so rows are borrowed
+        // straight from the target relation; binds re-verify the probe
+        // column exactly.
+        let target = store.relation(step.target);
+        let rows = target.rows();
+        match &step.probe {
+            Probe::Index { col, key } => {
                 let key_bits = key.eval(regs).key_bits();
-                // The candidate list borrows the store; binds re-verify the
-                // probe column exactly.
-                let base = store.base(rel);
-                for row in base.probe(*col, key_bits) {
+                for &id in target.probe_ids(*col, key_bits) {
+                    let row = &rows[id as usize];
                     if apply_binds(row, &step.binds, regs) && apply_level(step, regs) {
                         self.run_steps(rule, store, k + 1, regs, sink);
                     }
                 }
             }
-            (Probe::Index { col, key }, Target::Idb { rel, .. }) => {
-                let key_bits = key.eval(regs).key_bits();
-                // The store is immutable for the whole local iteration
-                // (derived rows are buffered and merged afterwards), so the
-                // bucket can be borrowed directly.
-                for row in store.rec(rel).probe(*col, key_bits) {
-                    if apply_binds(row, &step.binds, regs) && apply_level(step, regs) {
-                        self.run_steps(rule, store, k + 1, regs, sink);
-                    }
-                }
-            }
-            (Probe::Scan, Target::Edb(rel)) => {
-                let base = store.base(rel);
+            Probe::Scan => {
+                // A leading scan of a replicated base relation in an init
+                // rule is strided across workers so no derivation repeats.
                 let strided = k == 0
                     && rule.delta.is_none()
-                    && matches!(
+                    && matches!(step.target, Target::Edb(rel)
+                    if matches!(
                         self.plan.edb[rel].as_ref().map(|d| d.placement),
                         Some(Placement::Replicated)
-                    );
-                for (i, row) in base.rows().iter().enumerate() {
+                    ));
+                for (i, row) in rows.iter().enumerate() {
                     if strided && i % self.workers != self.me {
                         continue;
                     }
                     if apply_binds(row, &step.binds, regs) && apply_level(step, regs) {
-                        self.run_steps(rule, store, k + 1, regs, sink);
-                    }
-                }
-            }
-            (Probe::Scan, Target::Idb { rel, .. }) => {
-                // Stream the store's logical rows in place — no
-                // materialized Vec per scan step.
-                for row in store.rec(rel).scan() {
-                    if apply_binds(&row, &step.binds, regs) && apply_level(step, regs) {
                         self.run_steps(rule, store, k + 1, regs, sink);
                     }
                 }

@@ -11,123 +11,63 @@
 use crate::catalog::EdbCatalog;
 use dcd_common::{Tuple, WorkerId};
 use dcd_frontend::ast::AggFunc;
-use dcd_frontend::physical::{PhysicalPlan, RelId, StorageKind};
+use dcd_frontend::physical::{PhysicalPlan, RelId, StorageKind, Target};
 use dcd_storage::{
-    AggCache, AggFunc as StAggFunc, AggRelation, BPlusTree, SealedRelation, SetRelation, TupleCache,
+    AggCache, AggFunc as StAggFunc, DerivedRelation, RowStore, SealedRelation, TupleCache,
 };
 use std::sync::Arc;
 
-/// Outcome of merging one incoming row.
-#[derive(Debug, PartialEq)]
-pub enum Merged {
-    /// The logical row is new/improved: feed it to the next delta.
-    New(Tuple),
-    /// Duplicate / non-improving.
-    Old,
-}
-
-/// Secondary probe index: column → bucket of current logical rows.
-struct SecondaryIndex {
-    col: usize,
-    map: BPlusTree<Vec<Tuple>>,
-    /// For aggregate relations, rows with equal leading `group_cols`
-    /// replace each other; `usize::MAX` disables replacement (set rels).
-    group_cols: usize,
-}
-
-impl SecondaryIndex {
-    fn upsert(&mut self, row: &Tuple) {
-        let key = row.key(self.col);
-        let bucket = self.map.or_insert_with(key, Vec::new);
-        if self.group_cols != usize::MAX {
-            if let Some(slot) = bucket
-                .iter_mut()
-                .find(|r| r.values()[..self.group_cols] == row.values()[..self.group_cols])
-            {
-                *slot = row.clone();
-                return;
-            }
-        }
-        bucket.push(row.clone());
-    }
-
-    fn probe(&self, key: u64) -> &[Tuple] {
-        self.map.get(key).map(|v| v.as_slice()).unwrap_or(&[])
-    }
-}
+pub use dcd_storage::Merged;
 
 /// Store for one derived relation on one worker.
 pub struct RecStore {
     kind: StorageKind,
-    set: Option<SetRelation>,
-    agg: Option<AggRelation>,
-    secondary: Vec<SecondaryIndex>,
+    rel: DerivedRelation,
     tuple_cache: Option<TupleCache>,
     agg_cache: Option<AggCache>,
-    /// §6.2 optimizations enabled? When off, aggregate merges locate their
-    /// group by a linear scan (the pre-optimization behaviour of §6.2.1)
-    /// and the caches are bypassed.
-    optimized: bool,
 }
 
 impl RecStore {
-    /// Creates the store for `rel` as declared in `plan`.
+    /// Creates the store for `rel` as declared in `plan`. With
+    /// `optimized` off (the Table 4 ablation) the §6.2.2 caches are
+    /// bypassed and aggregate merges locate their group by a linear scan
+    /// of the stored rows instead of the §6.2.1 index.
     pub fn new(plan: &PhysicalPlan, rel: RelId, optimized: bool, cache_slots: usize) -> Self {
         let decl = plan.idb[rel].as_ref().expect("IDB relation");
-        let mut secondary: Vec<SecondaryIndex> = Vec::new();
-        let (set, agg, tuple_cache, agg_cache, sec_group);
-        match &decl.kind {
-            StorageKind::Set => {
-                let key_col = decl.partition_cols[0];
-                set = Some(SetRelation::new(key_col));
-                agg = None;
-                tuple_cache = optimized.then(|| TupleCache::new(cache_slots));
-                agg_cache = None;
-                sec_group = usize::MAX;
-                // The primary set index covers `key_col`; extra probe
-                // columns get secondaries.
-                for &c in &decl.index_cols {
-                    if c != key_col {
-                        secondary.push(SecondaryIndex {
-                            col: c,
-                            map: BPlusTree::new(),
-                            group_cols: sec_group,
-                        });
-                    }
-                }
-            }
+        let (rel, tuple_cache, agg_cache) = match &decl.kind {
+            StorageKind::Set => (
+                DerivedRelation::set(&decl.index_cols),
+                optimized.then(|| TupleCache::new(cache_slots)),
+                None,
+            ),
             StorageKind::Agg {
                 func,
                 group_cols,
                 epsilon,
             } => {
-                set = None;
-                agg = Some(AggRelation::new(
+                let rel = DerivedRelation::aggregate(
                     to_storage_func(*func),
                     *group_cols,
                     *epsilon,
-                ));
-                tuple_cache = None;
-                agg_cache = (optimized && matches!(func, AggFunc::Min | AggFunc::Max))
-                    .then(|| AggCache::new(cache_slots));
-                sec_group = *group_cols;
-                for &c in &decl.index_cols {
-                    secondary.push(SecondaryIndex {
-                        col: c,
-                        map: BPlusTree::new(),
-                        group_cols: sec_group,
-                    });
-                }
+                    &decl.index_cols,
+                );
+                (
+                    if optimized {
+                        rel
+                    } else {
+                        rel.with_linear_lookup()
+                    },
+                    None,
+                    (optimized && matches!(func, AggFunc::Min | AggFunc::Max))
+                        .then(|| AggCache::new(cache_slots)),
+                )
             }
-        }
+        };
         RecStore {
             kind: decl.kind.clone(),
-            set,
-            agg,
-            secondary,
+            rel,
             tuple_cache,
             agg_cache,
-            optimized,
         }
     }
 
@@ -138,127 +78,60 @@ impl RecStore {
 
     /// Number of logical rows / groups.
     pub fn len(&self) -> usize {
-        match (&self.set, &self.agg) {
-            (Some(s), _) => s.len(),
-            (_, Some(a)) => a.len(),
-            _ => 0,
-        }
+        self.rel.len()
     }
 
     /// Whether nothing is stored.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.rel.is_empty()
     }
 
     /// Merges one incoming merge-layout row (the Gather operator).
     pub fn merge(&mut self, row: &Tuple) -> Merged {
-        // Matching on the place (not a clone) is fine: every bound field is
-        // `Copy`, so the scrutinee borrow ends before the arms run.
-        match self.kind {
-            StorageKind::Set => {
-                if let Some(cache) = &mut self.tuple_cache {
-                    if cache.check(row) {
-                        return Merged::Old;
-                    }
-                }
-                let set = self.set.as_mut().expect("set store");
-                if set.insert(row.clone()) {
-                    if let Some(cache) = &mut self.tuple_cache {
-                        cache.record(row);
-                    }
-                    for idx in &mut self.secondary {
-                        idx.upsert(row);
-                    }
-                    Merged::New(row.clone())
-                } else {
-                    if let Some(cache) = &mut self.tuple_cache {
-                        cache.record(row);
-                    }
-                    Merged::Old
-                }
+        // Cache pre-checks prune duplicates (set) and non-improving rows
+        // (min/max) without touching the dedup table.
+        if let Some(cache) = &mut self.tuple_cache {
+            if cache.check(row) {
+                return Merged::Old;
             }
+            cache.record(row);
+        }
+        if let (
+            Some(cache),
             StorageKind::Agg {
                 func, group_cols, ..
-            } => {
-                // Cache pre-check (min/max only): prune non-improving rows
-                // without touching the B+-tree.
-                if let Some(cache) = &mut self.agg_cache {
-                    let group = row.prefix(group_cols);
-                    if let Some(cached) = cache.get(&group) {
-                        let candidate = row.values()[group_cols];
-                        let non_improving = match func {
-                            AggFunc::Min => candidate >= cached,
-                            AggFunc::Max => candidate <= cached,
-                            _ => false,
-                        };
-                        if non_improving {
-                            return Merged::Old;
-                        }
-                    }
-                }
-                if !self.optimized {
-                    // Pre-§6.2.1 behaviour: locate the group with a linear
-                    // scan of the relation before merging.
-                    let agg = self.agg.as_ref().expect("agg store");
-                    let group_vals = &row.values()[..group_cols];
-                    let mut _found = false;
-                    for logical in agg.iter() {
-                        if &logical.values()[..group_cols] == group_vals {
-                            _found = true;
-                            break;
-                        }
-                    }
-                }
-                let agg = self.agg.as_mut().expect("agg store");
-                match agg.merge(row) {
-                    dcd_storage::aggregate::MergeOutcome::Updated(logical) => {
-                        if let Some(cache) = &mut self.agg_cache {
-                            let group = logical.prefix(group_cols);
-                            cache.record(&group, logical.values()[group_cols]);
-                        }
-                        for idx in &mut self.secondary {
-                            idx.upsert(&logical);
-                        }
-                        Merged::New(logical)
-                    }
-                    dcd_storage::aggregate::MergeOutcome::Unchanged => Merged::Old,
+            },
+        ) = (&mut self.agg_cache, &self.kind)
+        {
+            let group = row.prefix(*group_cols);
+            if let Some(cached) = cache.get(&group) {
+                let candidate = row.values()[*group_cols];
+                let non_improving = match func {
+                    AggFunc::Min => candidate >= cached,
+                    _ => candidate <= cached,
+                };
+                if non_improving {
+                    return Merged::Old;
                 }
             }
-        }
-    }
-
-    /// Probes the relation on `col == key` (index join).
-    pub fn probe(&self, col: usize, key: u64) -> &[Tuple] {
-        if let Some(set) = &self.set {
-            if set.key_col() == col {
-                return set.probe(key);
+            let merged = self.rel.merge(row);
+            if let Merged::New(logical) = &merged {
+                cache.record(&group, logical.values()[*group_cols]);
             }
+            return merged;
         }
-        self.secondary
-            .iter()
-            .find(|s| s.col == col)
-            .map(|s| s.probe(key))
-            .unwrap_or_else(|| panic!("no index on column {col}"))
+        self.rel.merge(row)
     }
 
-    /// All current logical rows (scan).
-    pub fn rows(&self) -> Vec<Tuple> {
-        match (&self.set, &self.agg) {
-            (Some(s), _) => s.iter().cloned().collect(),
-            (_, Some(a)) => a.rows(),
-            _ => Vec::new(),
-        }
+    /// The current logical rows (one stored copy each) and their row-id
+    /// indexes.
+    pub fn relation(&self) -> &RowStore {
+        &self.rel
     }
 
-    /// Streams the current logical rows without materializing a `Vec` —
-    /// the evaluator's in-place IDB scan. Set rows are borrowed straight
-    /// from the index; aggregate rows are assembled lazily.
-    pub fn scan(&self) -> RecScan<'_> {
-        match (&self.set, &self.agg) {
-            (Some(s), _) => RecScan::Set(s.scan()),
-            (_, Some(a)) => RecScan::Agg(a.scan()),
-            _ => RecScan::Empty,
-        }
+    /// All current logical rows.
+    pub fn rows(&self) -> &[Tuple] {
+        self.rel.rows()
     }
 
     /// Existence-cache `(hits, misses)` for this relation, summed over the
@@ -274,31 +147,6 @@ impl RecStore {
             m += c.misses();
         }
         (h, m)
-    }
-}
-
-/// Streaming scan over a [`RecStore`]'s logical rows. `Cow` items let set
-/// relations lend their rows borrow-only while aggregate relations yield
-/// the `(group…, value)` rows they assemble on the fly.
-pub enum RecScan<'a> {
-    /// Borrowed rows from a set relation.
-    Set(dcd_storage::SetScan<'a>),
-    /// Assembled rows from an aggregate relation.
-    Agg(dcd_storage::AggScan<'a>),
-    /// Defensive arm for a store with no backing relation.
-    Empty,
-}
-
-impl<'a> Iterator for RecScan<'a> {
-    type Item = std::borrow::Cow<'a, Tuple>;
-
-    #[inline]
-    fn next(&mut self) -> Option<Self::Item> {
-        match self {
-            RecScan::Set(s) => s.next().map(std::borrow::Cow::Borrowed),
-            RecScan::Agg(a) => a.next().map(std::borrow::Cow::Owned),
-            RecScan::Empty => None,
-        }
     }
 }
 
@@ -356,6 +204,15 @@ impl WorkerStore {
         self.idb[rel].as_ref().expect("IDB relation present")
     }
 
+    /// The rows and row-id indexes a join step reads: the base relation
+    /// or this worker's derived store.
+    pub fn relation(&self, target: Target) -> &RowStore {
+        match target {
+            Target::Edb(rel) => self.base(rel),
+            Target::Idb { rel, .. } => self.rec(rel).relation(),
+        }
+    }
+
     /// Mutable derived store `rel`.
     pub fn rec_mut(&mut self, rel: RelId) -> &mut RecStore {
         self.idb[rel].as_mut().expect("IDB relation present")
@@ -399,7 +256,7 @@ mod tests {
     }
 
     #[test]
-    fn set_store_merges_and_probes() {
+    fn set_store_merges_and_dedups() {
         let p = tc_plan();
         let tc = p.rel_by_name("tc").unwrap();
         let mut s = RecStore::new(&p, tc, true, 64);
@@ -408,9 +265,7 @@ mod tests {
             Merged::New(Tuple::from_ints(&[1, 2]))
         );
         assert_eq!(s.merge(&Tuple::from_ints(&[1, 2])), Merged::Old);
-        // tc is keyed on column 1 (its join column).
-        let hits = s.probe(1, Tuple::from_ints(&[0, 2]).key(1));
-        assert_eq!(hits.len(), 1);
+        assert_eq!(s.rows(), &[Tuple::from_ints(&[1, 2])]);
         assert_eq!(s.len(), 1);
     }
 
@@ -449,40 +304,12 @@ mod tests {
                 "divergence on {t:?}"
             );
         }
-        let mut fr = fast.rows();
-        let mut sr = slow.rows();
-        fr.sort();
-        sr.sort();
-        assert_eq!(fr, sr);
-    }
-
-    #[test]
-    fn scan_streams_the_same_rows_as_rows() {
-        let p = tc_plan();
-        let tc = p.rel_by_name("tc").unwrap();
-        let mut s = RecStore::new(&p, tc, true, 64);
-        for i in 0..50i64 {
-            s.merge(&Tuple::from_ints(&[i % 7, i]));
-        }
-        let a = s.rows();
-        let b: Vec<Tuple> = s.scan().map(|c| c.into_owned()).collect();
-        assert_eq!(a, b);
-
-        let p = cc_plan();
-        let cc2 = p.rel_by_name("cc2").unwrap();
-        let mut s = RecStore::new(&p, cc2, true, 64);
-        for i in 0..50i64 {
-            s.merge(&Tuple::from_ints(&[i % 7, i]));
-        }
-        let a = s.rows();
-        let b: Vec<Tuple> = s.scan().map(|c| c.into_owned()).collect();
-        assert_eq!(a, b);
+        assert_eq!(fast.rows(), slow.rows());
     }
 
     #[test]
     fn worker_store_partitions_edb() {
         use dcd_common::Partitioner;
-        use dcd_storage::EdbRead;
         let p = tc_plan();
         let arc = p.rel_by_name("arc").unwrap();
         let rows: Vec<Tuple> = (0..100).map(|i| Tuple::from_ints(&[i, i + 1])).collect();

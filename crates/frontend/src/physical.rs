@@ -184,7 +184,7 @@ pub enum Probe {
 pub enum JoinKind {
     /// Probe of a base relation's hash index.
     Hash,
-    /// Probe of a recursive relation's B+-tree index.
+    /// Probe of a recursive relation's row-id hash index.
     Index,
     /// Fallback scan.
     NestedLoop,

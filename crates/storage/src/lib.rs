@@ -1,31 +1,27 @@
 #![warn(missing_docs)]
 //! Storage layer for DCDatalog (paper §3 "Storage Layer", §6.2).
 //!
-//! Provides the per-worker stores used during parallel semi-naive
-//! evaluation:
+//! Every relation, base or derived, has one layout:
 //!
-//! * [`bptree::BPlusTree`] — the from-scratch B+-tree index on the
-//!   partition/join key of every recursive relation.
+//! * [`rows::RowStore`] — each row stored once in a `Vec<Tuple>`, plus
+//!   per-column hash indexes whose buckets hold `u32` row ids, read through
+//!   `probe_ids(col, key)`.
 //! * [`sealed::SealedRelation`] — immutable, index-complete EDB relations
-//!   built exactly once (Algorithm 1, line 3) and shared across workers;
-//!   the [`sealed::EdbRead`] trait keeps evaluator probes backend-agnostic.
-//! * [`set::SetRelation`] — recursive relations without aggregates
-//!   (`tc`, `sg`, `attend`): exact-duplicate elimination plus an ordered
-//!   probe index.
-//! * [`aggregate`] — recursive relations with `min`/`max`/`sum`/`count`
-//!   heads, storing the aggregate state inside the index (§6.2.1) with the
-//!   per-contributor second index for `sum`/`count`.
-//! * [`cache`] — the constant-time existence-check cache consulted before
-//!   the B+-tree (§6.2.2).
+//!   built exactly once (Algorithm 1, line 3) and shared across workers.
+//! * [`derived::DerivedRelation`] — recursive relations. Set relations
+//!   (`tc`, `sg`) add a dedup table from row hash to row id; aggregate
+//!   relations (`min`/`max`/`sum`/`count` heads) key that table by the
+//!   group prefix and update the aggregate in the stored row (§6.2.1),
+//!   with a per-contributor side table for `sum`/`count`.
+//! * [`cache`] — the constant-time existence-check caches consulted before
+//!   the dedup table (§6.2.2).
 
-pub mod aggregate;
-pub mod bptree;
 pub mod cache;
+pub mod derived;
+pub mod rows;
 pub mod sealed;
-pub mod set;
 
-pub use aggregate::{AggFunc, AggRelation, AggScan, AggState};
-pub use bptree::BPlusTree;
 pub use cache::{AggCache, TupleCache};
-pub use sealed::{EdbRead, SealedRelation};
-pub use set::{SetRelation, SetScan};
+pub use derived::{AggFunc, DerivedRelation, Merged};
+pub use rows::RowStore;
+pub use sealed::SealedRelation;

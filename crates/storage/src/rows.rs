@@ -1,0 +1,176 @@
+//! The one row layout shared by base and derived relations.
+//!
+//! A [`RowStore`] keeps every row of a relation exactly once, in a
+//! `Vec<Tuple>`, and answers point lookups through per-column hash indexes
+//! whose buckets hold row *ids* (`u32` positions in that vector), never row
+//! copies. The evaluator resolves a probe as `probe_ids(col, key)` followed
+//! by `rows()[id]`, whether the target is an immutable base relation
+//! ([`SealedRelation`](crate::SealedRelation)) or a derived relation
+//! ([`DerivedRelation`](crate::DerivedRelation)) that grows during the
+//! fixpoint.
+//!
+//! Because an index entry is an id, a row whose aggregate value is updated
+//! in place stays where it is in every index — except an index on the
+//! updated column itself, where [`RowStore::set_value`] moves the id to the
+//! bucket of its new key.
+
+use dcd_common::hash::FastMap;
+use dcd_common::{Tuple, Value};
+
+/// Rows plus `u32` row-id hash indexes on selected columns.
+pub struct RowStore {
+    rows: Vec<Tuple>,
+    /// `(col, key bits of column col → ids of the rows holding that key)`.
+    indexes: Vec<(usize, FastMap<u64, Vec<u32>>)>,
+}
+
+impl RowStore {
+    /// An empty store indexed on each of `index_cols` (duplicates ignored).
+    pub(crate) fn new(index_cols: &[usize]) -> Self {
+        let mut indexes: Vec<(usize, FastMap<u64, Vec<u32>>)> = Vec::new();
+        for &col in index_cols {
+            if !indexes.iter().any(|(c, _)| *c == col) {
+                indexes.push((col, FastMap::default()));
+            }
+        }
+        RowStore {
+            rows: Vec::new(),
+            indexes,
+        }
+    }
+
+    /// Appends `row`, indexes it, and returns its id.
+    pub(crate) fn push(&mut self, row: Tuple) -> u32 {
+        let id = u32::try_from(self.rows.len()).expect("row store exceeds u32 row ids");
+        for (col, idx) in &mut self.indexes {
+            idx.entry(row.key(*col)).or_default().push(id);
+        }
+        self.rows.push(row);
+        id
+    }
+
+    /// Overwrites column `col` of row `id` with `value`. Indexes on other
+    /// columns are untouched; an index on `col` moves the id to the bucket
+    /// of the new key (and drops the old bucket once it is empty).
+    pub(crate) fn set_value(&mut self, id: u32, col: usize, value: Value) {
+        let row = &mut self.rows[id as usize];
+        let (old, new) = (row.key(col), value.key_bits());
+        row.values_mut()[col] = value;
+        if old == new {
+            return;
+        }
+        if let Some((_, idx)) = self.indexes.iter_mut().find(|(c, _)| *c == col) {
+            if let Some(bucket) = idx.get_mut(&old) {
+                if let Some(pos) = bucket.iter().position(|&i| i == id) {
+                    bucket.swap_remove(pos);
+                }
+                if bucket.is_empty() {
+                    idx.remove(&old);
+                }
+            }
+            idx.entry(new).or_default().push(id);
+        }
+    }
+
+    /// All rows; a row's id is its position here.
+    #[inline]
+    pub fn rows(&self) -> &[Tuple] {
+        &self.rows
+    }
+
+    /// Number of rows.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether the store holds no rows.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// Whether an index exists on `col`.
+    pub fn has_index(&self, col: usize) -> bool {
+        self.indexes.iter().any(|(c, _)| *c == col)
+    }
+
+    /// The ids of the rows whose column `col` has key bits `key` (empty
+    /// when the key is absent). Callers probing a run of equal keys can
+    /// hold the slice across rows and resolve ids against
+    /// [`RowStore::rows`]. Panics if no index covers `col` (a planner bug,
+    /// not a user error).
+    #[inline]
+    pub fn probe_ids(&self, col: usize, key: u64) -> &[u32] {
+        self.indexes
+            .iter()
+            .find(|(c, _)| *c == col)
+            .unwrap_or_else(|| panic!("probe on unindexed column {col}"))
+            .1
+            .get(&key)
+            .map(|v| v.as_slice())
+            .unwrap_or(&[])
+    }
+
+    /// Approximate resident heap size in bytes: the row storage (including
+    /// spilled values) plus every index's buckets.
+    pub fn resident_bytes(&self) -> u64 {
+        let tuple_sz = std::mem::size_of::<Tuple>() as u64;
+        let value_sz = std::mem::size_of::<Value>() as u64;
+        let mut bytes = self.rows.capacity() as u64 * tuple_sz;
+        for row in &self.rows {
+            if row.arity() > dcd_common::tuple::INLINE_ARITY {
+                bytes += row.arity() as u64 * value_sz;
+            }
+        }
+        for (_, idx) in &self.indexes {
+            // Key + bucket header per entry, plus the row-id payloads.
+            bytes += idx.len() as u64
+                * (std::mem::size_of::<u64>() + std::mem::size_of::<Vec<u32>>()) as u64;
+            for bucket in idx.values() {
+                bytes += bucket.capacity() as u64 * std::mem::size_of::<u32>() as u64;
+            }
+        }
+        bytes
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn probe(s: &RowStore, col: usize, v: i64) -> Vec<Tuple> {
+        s.probe_ids(col, Value::Int(v).key_bits())
+            .iter()
+            .map(|&i| s.rows()[i as usize].clone())
+            .collect()
+    }
+
+    #[test]
+    fn push_assigns_sequential_ids_and_indexes() {
+        let mut s = RowStore::new(&[0, 1, 0]);
+        assert_eq!(s.push(Tuple::from_ints(&[1, 2])), 0);
+        assert_eq!(s.push(Tuple::from_ints(&[1, 3])), 1);
+        assert_eq!(probe(&s, 0, 1).len(), 2);
+        assert_eq!(probe(&s, 1, 3), vec![Tuple::from_ints(&[1, 3])]);
+        assert!(probe(&s, 1, 9).is_empty());
+        assert_eq!(s.len(), 2);
+    }
+
+    #[test]
+    fn set_value_moves_the_id_only_in_the_updated_columns_index() {
+        let mut s = RowStore::new(&[0, 1]);
+        let id = s.push(Tuple::from_ints(&[7, 5]));
+        s.set_value(id, 1, Value::Int(3));
+        assert_eq!(s.rows()[0], Tuple::from_ints(&[7, 3]));
+        assert!(probe(&s, 1, 5).is_empty(), "old key must not keep the id");
+        assert_eq!(probe(&s, 1, 3), vec![Tuple::from_ints(&[7, 3])]);
+        assert_eq!(probe(&s, 0, 7), vec![Tuple::from_ints(&[7, 3])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unindexed column")]
+    fn probe_on_unindexed_column_panics() {
+        RowStore::new(&[0]).probe_ids(1, 0);
+    }
+}

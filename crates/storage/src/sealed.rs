@@ -7,101 +7,31 @@
 //! immutable and freely shareable across worker threads (`&SealedRelation`
 //! / `Arc<SealedRelation>` are `Sync`). Replicated relations are built once
 //! for the whole engine and shared; partitioned relations are built once
-//! per worker from that worker's slice. Both sit behind the [`EdbRead`]
-//! trait so the evaluator's probe/scan code is backend-agnostic.
+//! per worker from that worker's slice. Reads go through the
+//! [`RowStore`] layout that derived relations use too.
 
-use dcd_common::hash::FastMap;
+use crate::rows::RowStore;
 use dcd_common::{Partitioner, Tuple};
-
-/// Read-only access to a base relation: what the evaluator needs.
-pub trait EdbRead {
-    /// All rows.
-    fn rows(&self) -> &[Tuple];
-
-    /// Matching rows for `col == key` via the prebuilt hash index.
-    /// Panics if no index covers `col` (a planner bug, not a user error).
-    fn probe(&self, col: usize, key: u64) -> EdbProbe<'_>;
-
-    /// Number of rows.
-    fn len(&self) -> usize {
-        self.rows().len()
-    }
-
-    /// Whether the relation holds no rows.
-    fn is_empty(&self) -> bool {
-        self.rows().is_empty()
-    }
-}
+use std::ops::Deref;
 
 /// An immutable EDB relation (or partition slice) with its hash indexes.
-#[derive(Default)]
+///
+/// Derefs to its [`RowStore`] for reads; there is no `DerefMut`, so a
+/// sealed relation never changes after [`SealedRelation::build`].
 pub struct SealedRelation {
-    rows: Vec<Tuple>,
-    /// `indexes[col]` maps key bits of column `col` to row ids.
-    indexes: FastMap<usize, FastMap<u64, Vec<u32>>>,
+    store: RowStore,
 }
 
 impl SealedRelation {
-    /// Builds the relation and every requested hash index in one pass per
-    /// column. This is the only constructor: a sealed relation is never
-    /// observable in a partially-indexed state.
+    /// Builds the relation and every requested hash index. This is the
+    /// only constructor: a sealed relation is never observable in a
+    /// partially-indexed state.
     pub fn build(rows: Vec<Tuple>, index_cols: &[usize]) -> Self {
-        let mut indexes: FastMap<usize, FastMap<u64, Vec<u32>>> = FastMap::default();
-        for &col in index_cols {
-            if indexes.contains_key(&col) {
-                continue;
-            }
-            let mut idx: FastMap<u64, Vec<u32>> = FastMap::default();
-            for (i, row) in rows.iter().enumerate() {
-                idx.entry(row.key(col)).or_default().push(i as u32);
-            }
-            indexes.insert(col, idx);
+        let mut store = RowStore::new(index_cols);
+        for row in rows {
+            store.push(row);
         }
-        SealedRelation { rows, indexes }
-    }
-
-    /// Whether an index exists on `col`.
-    pub fn has_index(&self, col: usize) -> bool {
-        self.indexes.contains_key(&col)
-    }
-
-    /// The raw row-id bucket for `col == key` (empty when the key is
-    /// absent). Callers probing a run of equal keys can hold the bucket
-    /// across rows and resolve ids against [`EdbRead::rows`], skipping the
-    /// repeated index lookup. Panics if no index covers `col` (a planner
-    /// bug, not a user error).
-    #[inline]
-    pub fn probe_ids(&self, col: usize, key: u64) -> &[u32] {
-        self.indexes
-            .get(&col)
-            .expect("probe on unindexed column")
-            .get(&key)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
-    }
-
-    /// Approximate resident heap size in bytes: the row storage (including
-    /// spilled values) plus every index's buckets. Used by the
-    /// observability layer to show that replicated relations are resident
-    /// once, not once per worker.
-    pub fn resident_bytes(&self) -> u64 {
-        let tuple_sz = std::mem::size_of::<Tuple>() as u64;
-        let value_sz = std::mem::size_of::<dcd_common::Value>() as u64;
-        let mut bytes = self.rows.capacity() as u64 * tuple_sz;
-        for row in &self.rows {
-            if row.arity() > dcd_common::tuple::INLINE_ARITY {
-                bytes += row.arity() as u64 * value_sz;
-            }
-        }
-        for idx in self.indexes.values() {
-            // Key + bucket header per entry, plus the row-id payloads.
-            bytes += idx.len() as u64
-                * (std::mem::size_of::<u64>() + std::mem::size_of::<Vec<u32>>()) as u64;
-            for bucket in idx.values() {
-                bytes += bucket.capacity() as u64 * std::mem::size_of::<u32>() as u64;
-            }
-        }
-        bytes
+        SealedRelation { store }
     }
 
     /// Splits `rows` into per-worker row slices by `H(row[col])`
@@ -116,39 +46,12 @@ impl SealedRelation {
     }
 }
 
-/// Iterator over probe hits (row ids resolved against the row store).
-pub struct EdbProbe<'a> {
-    rows: &'a [Tuple],
-    ids: std::slice::Iter<'a, u32>,
-}
-
-impl<'a> Iterator for EdbProbe<'a> {
-    type Item = &'a Tuple;
+impl Deref for SealedRelation {
+    type Target = RowStore;
 
     #[inline]
-    fn next(&mut self) -> Option<&'a Tuple> {
-        self.ids.next().map(|&i| &self.rows[i as usize])
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.ids.size_hint()
-    }
-}
-
-impl ExactSizeIterator for EdbProbe<'_> {}
-
-impl EdbRead for SealedRelation {
-    #[inline]
-    fn rows(&self) -> &[Tuple] {
-        &self.rows
-    }
-
-    #[inline]
-    fn probe(&self, col: usize, key: u64) -> EdbProbe<'_> {
-        EdbProbe {
-            rows: &self.rows,
-            ids: self.probe_ids(col, key).iter(),
-        }
+    fn deref(&self) -> &RowStore {
+        &self.store
     }
 }
 
@@ -165,10 +68,17 @@ mod tests {
         ]
     }
 
+    fn probe(r: &SealedRelation, col: usize, key: u64) -> Vec<&Tuple> {
+        r.probe_ids(col, key)
+            .iter()
+            .map(|&i| &r.rows()[i as usize])
+            .collect()
+    }
+
     #[test]
     fn probe_finds_all_matches() {
         let r = SealedRelation::build(edges(), &[0]);
-        let hits: Vec<&Tuple> = r.probe(0, Tuple::from_ints(&[1]).key(0)).collect();
+        let hits = probe(&r, 0, Tuple::from_ints(&[1]).key(0));
         assert_eq!(hits.len(), 2);
         assert!(hits.iter().all(|t| t[0].expect_int() == 1));
     }
@@ -176,35 +86,21 @@ mod tests {
     #[test]
     fn probe_missing_key_is_empty() {
         let r = SealedRelation::build(edges(), &[1]);
-        assert_eq!(r.probe(1, 99).count(), 0);
+        assert!(r.probe_ids(1, 99).is_empty());
     }
 
     #[test]
     fn duplicate_index_cols_build_once() {
         let r = SealedRelation::build(edges(), &[0, 0]);
         assert!(r.has_index(0));
-        assert_eq!(r.probe(0, Tuple::from_ints(&[2]).key(0)).count(), 1);
+        assert_eq!(probe(&r, 0, Tuple::from_ints(&[2]).key(0)).len(), 1);
     }
 
     #[test]
     fn multiple_indexes_coexist() {
         let r = SealedRelation::build(edges(), &[0, 1]);
-        assert_eq!(r.probe(1, Tuple::from_ints(&[0, 3]).key(1)).count(), 2);
-        assert_eq!(r.probe(0, Tuple::from_ints(&[3]).key(0)).count(), 1);
-    }
-
-    #[test]
-    fn probe_ids_resolve_to_probe_rows() {
-        let r = SealedRelation::build(edges(), &[0]);
-        let key = Tuple::from_ints(&[1]).key(0);
-        let via_ids: Vec<&Tuple> = r
-            .probe_ids(0, key)
-            .iter()
-            .map(|&i| &r.rows()[i as usize])
-            .collect();
-        let via_probe: Vec<&Tuple> = r.probe(0, key).collect();
-        assert_eq!(via_ids, via_probe);
-        assert!(r.probe_ids(0, 999).is_empty());
+        assert_eq!(probe(&r, 1, Tuple::from_ints(&[0, 3]).key(1)).len(), 2);
+        assert_eq!(probe(&r, 0, Tuple::from_ints(&[3]).key(0)).len(), 1);
     }
 
     #[test]
@@ -226,7 +122,7 @@ mod tests {
     fn empty_relation() {
         let r = SealedRelation::build(vec![], &[0]);
         assert!(r.is_empty());
-        assert_eq!(r.probe(0, 0).count(), 0);
+        assert!(r.probe_ids(0, 0).is_empty());
     }
 
     #[test]

@@ -1,0 +1,184 @@
+//! Property tests: a `DerivedRelation` must behave exactly like a naive
+//! hash-map model under arbitrary merge sequences, for set semantics and
+//! for each aggregate function, and its row-id indexes must agree with a
+//! filter over its rows at every step — including an index on the
+//! aggregate column, whose ids move when a value is updated in place.
+
+use dcd_common::hash::{FastMap, FastSet};
+use dcd_common::proptest;
+use dcd_common::proptest::prelude::*;
+use dcd_common::{Tuple, Value};
+use dcd_storage::{AggFunc, DerivedRelation, Merged};
+
+/// Semantics under test; `None` is a set relation.
+type Kind = Option<AggFunc>;
+
+/// Model state per group (or per row, for sets).
+#[derive(Default)]
+struct Group {
+    /// min/max: the extremum; sum: the total; count: the count.
+    value: f64,
+    contribs: FastMap<i64, f64>,
+    emitted: f64,
+}
+
+const EPSILON: f64 = 0.3;
+
+/// The incoming merge-layout row for one `(a, b, c)` draw: `(a, b)` for
+/// sets, `(a, b)` = (group, value) for min/max, `(a, b)` = (group,
+/// contributor) for count and `(a, b, c/4)` for sum.
+fn incoming(kind: Kind, (a, b, c): (i64, i64, i64)) -> Tuple {
+    match kind {
+        Some(AggFunc::Sum) => {
+            Tuple::new(&[Value::Int(a), Value::Int(b), Value::Float(c as f64 / 4.0)])
+        }
+        _ => Tuple::from_ints(&[a, b]),
+    }
+}
+
+/// Applies one merge to the model; returns whether it is new/improved.
+fn model_merge(
+    kind: Kind,
+    model: &mut FastMap<i64, Group>,
+    set: &mut FastSet<(i64, i64)>,
+    (a, b, c): (i64, i64, i64),
+) -> bool {
+    let Some(func) = kind else {
+        return set.insert((a, b));
+    };
+    let fresh = !model.contains_key(&a);
+    let g = model.entry(a).or_insert_with(|| Group {
+        value: match func {
+            AggFunc::Min | AggFunc::Max => b as f64,
+            _ => 0.0,
+        },
+        emitted: f64::NEG_INFINITY,
+        ..Group::default()
+    });
+    match func {
+        AggFunc::Min | AggFunc::Max => {
+            let better = match func {
+                AggFunc::Min => (b as f64) < g.value,
+                _ => (b as f64) > g.value,
+            };
+            if better {
+                g.value = b as f64;
+            }
+            fresh || better
+        }
+        AggFunc::Count => {
+            if g.contribs.insert(b, 1.0).is_some() {
+                return false;
+            }
+            g.value = g.contribs.len() as f64;
+            true
+        }
+        AggFunc::Sum => {
+            let val = c as f64 / 4.0;
+            let old = g.contribs.insert(b, val).unwrap_or(0.0);
+            g.value += val - old;
+            if (g.value - g.emitted).abs() <= EPSILON {
+                return false;
+            }
+            g.emitted = g.value;
+            true
+        }
+    }
+}
+
+/// The model's logical rows, sorted.
+fn model_rows(kind: Kind, model: &FastMap<i64, Group>, set: &FastSet<(i64, i64)>) -> Vec<Tuple> {
+    let mut rows: Vec<Tuple> = match kind {
+        None => set
+            .iter()
+            .map(|&(a, b)| Tuple::from_ints(&[a, b]))
+            .collect(),
+        Some(func) => model
+            .iter()
+            .map(|(&a, g)| {
+                let v = match func {
+                    AggFunc::Sum => Value::Float(g.value),
+                    _ => Value::Int(g.value as i64),
+                };
+                Tuple::new(&[Value::Int(a), v])
+            })
+            .collect(),
+    };
+    rows.sort();
+    rows
+}
+
+fn check(kind: Kind, ops: &[(i64, i64, i64)], linear: bool) {
+    // Both logical columns are indexed; for aggregates column 1 is the
+    // aggregate column itself.
+    let mut rel = match kind {
+        None => DerivedRelation::set(&[0, 1]),
+        Some(func) => DerivedRelation::aggregate(func, 1, EPSILON, &[0, 1]),
+    };
+    if linear {
+        rel = rel.with_linear_lookup();
+    }
+    let mut model: FastMap<i64, Group> = FastMap::default();
+    let mut set: FastSet<(i64, i64)> = FastSet::default();
+    for &op in ops {
+        let got = rel.merge(&incoming(kind, op));
+        let want = model_merge(kind, &mut model, &mut set, op);
+        prop_assert_eq!(matches!(got, Merged::New(_)), want, "merge {:?}", op);
+        if let Merged::New(row) = &got {
+            prop_assert!(rel.rows().contains(row), "emitted row is stored");
+        }
+
+        let mut rows = rel.rows().to_vec();
+        rows.sort();
+        prop_assert_eq!(rows, model_rows(kind, &model, &set));
+
+        for col in 0..2 {
+            let keys: FastSet<u64> = rel.rows().iter().map(|r| r.key(col)).collect();
+            for key in keys {
+                let mut via_index: Vec<&Tuple> = rel
+                    .probe_ids(col, key)
+                    .iter()
+                    .map(|&i| &rel.rows()[i as usize])
+                    .collect();
+                let mut via_filter: Vec<&Tuple> =
+                    rel.rows().iter().filter(|r| r.key(col) == key).collect();
+                via_index.sort();
+                via_filter.sort();
+                prop_assert_eq!(via_index, via_filter, "col {} key {}", col, key);
+            }
+        }
+    }
+}
+
+fn ops() -> impl Strategy<Value = Vec<(i64, i64, i64)>> {
+    proptest::collection::vec((0..6i64, 0..8i64, 0..8i64), 1..120)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn set_matches_model(ops in ops()) {
+        check(None, &ops, false);
+    }
+
+    #[test]
+    fn min_matches_model(ops in ops(), linear in any::<bool>()) {
+        check(Some(AggFunc::Min), &ops, linear);
+    }
+
+    #[test]
+    fn max_matches_model(ops in ops(), linear in any::<bool>()) {
+        check(Some(AggFunc::Max), &ops, linear);
+    }
+
+    #[test]
+    fn sum_matches_model(ops in ops(), linear in any::<bool>()) {
+        check(Some(AggFunc::Sum), &ops, linear);
+    }
+
+    #[test]
+    fn count_matches_model(ops in ops(), linear in any::<bool>()) {
+        check(Some(AggFunc::Count), &ops, linear);
+    }
+}

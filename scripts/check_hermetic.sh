@@ -9,6 +9,9 @@
 #   2. no Cargo.toml may declare a dependency that is not a path /
 #      workspace dependency.
 #
+# It also keeps `unsafe` confined to the one module that needs it, the
+# SPSC ring buffer (crates/runtime/src/spsc.rs).
+#
 # Run from anywhere inside the repo: scripts/check_hermetic.sh
 
 set -euo pipefail
@@ -60,8 +63,17 @@ if [ -f Cargo.lock ] && grep -q 'source = "registry' Cargo.lock; then
     fail=1
 fi
 
+# ---- Layer 4: `unsafe` appears only in the SPSC ring buffer ----
+unsafe_hits=$(grep -rnw --include='*.rs' 'unsafe' crates \
+    | grep -v '^crates/runtime/src/spsc\.rs:' || true)
+if [ -n "$unsafe_hits" ]; then
+    echo "FAIL: \`unsafe\` outside crates/runtime/src/spsc.rs:" >&2
+    echo "$unsafe_hits" | sed 's/^/  /' >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
-    echo "hermetic check FAILED — the workspace must build with zero external crates" >&2
+    echo "hermetic check FAILED — the workspace must build with zero external crates and keep unsafe in spsc.rs" >&2
     exit 1
 fi
-echo "hermetic check OK: dependency graph is workspace-only"
+echo "hermetic check OK: dependency graph is workspace-only, unsafe only in spsc.rs"
