@@ -191,8 +191,9 @@ impl Engine {
         let coord = Coordination::new(&self.plan, &self.cfg);
         // Seal the EDB once, before any worker spawns: replicated relations
         // become a single Arc-shared copy (rows + indexes), partitioned
-        // relations one sealed slice per worker. Catalog construction is
-        // off the evaluation clock, like the paper's load phase.
+        // relations one sealed slice per worker. The seal is part of
+        // `Engine::run`'s wall time but starts before the fixpoint clock
+        // (`RunStats::elapsed`), like the paper's load phase.
         let catalog = EdbCatalog::build(&self.plan, &self.edb_data, &coord.part);
         let start = Instant::now();
         let n = self.cfg.workers;

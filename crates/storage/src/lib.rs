@@ -7,7 +7,9 @@
 //!   per-column hash indexes whose buckets hold `u32` row ids, read through
 //!   `probe_ids(col, key)`.
 //! * [`sealed::SealedRelation`] — immutable, index-complete EDB relations
-//!   built exactly once (Algorithm 1, line 3) and shared across workers.
+//!   built exactly once (Algorithm 1, line 3) and shared across workers,
+//!   stored clustered on one index column with CSR indexes (a flat id
+//!   array plus a map of `(start, end)` runs per column).
 //! * [`derived::DerivedRelation`] — recursive relations. Set relations
 //!   (`tc`, `sg`) add a dedup table from row hash to row id; aggregate
 //!   relations (`min`/`max`/`sum`/`count` heads) key that table by the

@@ -2,12 +2,17 @@
 //!
 //! A [`RowStore`] keeps every row of a relation exactly once, in a
 //! `Vec<Tuple>`, and answers point lookups through per-column hash indexes
-//! whose buckets hold row *ids* (`u32` positions in that vector), never row
+//! that map a key to row *ids* (`u32` positions in that vector), never row
 //! copies. The evaluator resolves a probe as `probe_ids(col, key)` followed
 //! by `rows()[id]`, whether the target is an immutable base relation
 //! ([`SealedRelation`](crate::SealedRelation)) or a derived relation
 //! ([`DerivedRelation`](crate::DerivedRelation)) that grows during the
 //! fixpoint.
+//!
+//! The two differ only in how an index holds its ids. A derived relation
+//! keeps a growable bucket per key. A sealed relation is built in one go,
+//! so each index is CSR: one flat id array per column plus a map from key
+//! to the `(start, end)` run of that key's ids in it.
 //!
 //! Because an index entry is an id, a row whose aggregate value is updated
 //! in place stays where it is in every index — except an index on the
@@ -20,30 +25,104 @@ use dcd_common::{Tuple, Value};
 /// Rows plus `u32` row-id hash indexes on selected columns.
 pub struct RowStore {
     rows: Vec<Tuple>,
-    /// `(col, key bits of column col → ids of the rows holding that key)`.
-    indexes: Vec<(usize, FastMap<u64, Vec<u32>>)>,
+    /// `(col, index on the key bits of column col)`.
+    indexes: Vec<(usize, Index)>,
 }
 
-impl RowStore {
-    /// An empty store indexed on each of `index_cols` (duplicates ignored).
-    pub(crate) fn new(index_cols: &[usize]) -> Self {
-        let mut indexes: Vec<(usize, FastMap<u64, Vec<u32>>)> = Vec::new();
-        for &col in index_cols {
-            if !indexes.iter().any(|(c, _)| *c == col) {
-                indexes.push((col, FastMap::default()));
-            }
+/// One column's key → row-ids index.
+pub(crate) enum Index {
+    /// A growable bucket of ids per key (derived relations).
+    Buckets(FastMap<u64, Vec<u32>>),
+    /// Compressed sparse rows (sealed relations): key `k`'s ids are
+    /// `ids[start..end]` for `runs[k] = (start, end)`.
+    Csr {
+        runs: FastMap<u64, (u32, u32)>,
+        ids: Vec<u32>,
+    },
+}
+
+impl Index {
+    /// A CSR index over `entries`' `(key, id)` pairs; each run lists its
+    /// ids in the order `entries` yields them. `entries` is walked twice:
+    /// once to size the runs, once to fill them.
+    pub(crate) fn csr<I: Iterator<Item = (u64, u32)>>(entries: impl Fn() -> I) -> Self {
+        let mut runs: FastMap<u64, (u32, u32)> = FastMap::default();
+        for (key, _) in entries() {
+            runs.entry(key).or_insert((0, 0)).1 += 1;
         }
-        RowStore {
-            rows: Vec::new(),
-            indexes,
+        let mut next = 0;
+        for run in runs.values_mut() {
+            let count = run.1;
+            *run = (next, next);
+            next += count;
+        }
+        let mut ids = vec![0; next as usize];
+        for (key, id) in entries() {
+            let run = runs.get_mut(&key).expect("key counted in the sizing pass");
+            ids[run.1 as usize] = id;
+            run.1 += 1;
+        }
+        Index::Csr { runs, ids }
+    }
+
+    /// A CSR index on the column the rows are sorted by: `sorted[id]`
+    /// holds row `id`'s key (first field), so every run is a range of
+    /// consecutive ids and the id array is the identity.
+    pub(crate) fn clustered(sorted: &[(u64, u32)]) -> Self {
+        let mut runs: FastMap<u64, (u32, u32)> = FastMap::default();
+        let mut start = 0;
+        for run in sorted.chunk_by(|a, b| a.0 == b.0) {
+            let end = start + run.len() as u32;
+            debug_assert!(!runs.contains_key(&run[0].0), "keys must arrive sorted");
+            runs.insert(run[0].0, (start, end));
+            start = end;
+        }
+        let ids = (0..start).collect();
+        Index::Csr { runs, ids }
+    }
+
+    /// The ids stored under `key` (empty when absent).
+    #[inline]
+    fn ids(&self, key: u64) -> &[u32] {
+        match self {
+            Index::Buckets(map) => map.get(&key).map_or(&[], |b| b.as_slice()),
+            Index::Csr { runs, ids } => runs
+                .get(&key)
+                .map_or(&[], |&(start, end)| &ids[start as usize..end as usize]),
         }
     }
 
-    /// Appends `row`, indexes it, and returns its id.
+    fn buckets_mut(&mut self) -> &mut FastMap<u64, Vec<u32>> {
+        match self {
+            Index::Buckets(map) => map,
+            Index::Csr { .. } => panic!("a sealed row store is immutable"),
+        }
+    }
+}
+
+impl RowStore {
+    /// An empty store with growable buckets on each of `index_cols`
+    /// (duplicates ignored).
+    pub(crate) fn new(index_cols: &[usize]) -> Self {
+        let indexes = distinct(index_cols)
+            .into_iter()
+            .map(|col| (col, Index::Buckets(FastMap::default())))
+            .collect();
+        RowStore::from_parts(Vec::new(), indexes)
+    }
+
+    /// A store over `rows` with prebuilt `indexes`, whose ids must point
+    /// into `rows`.
+    pub(crate) fn from_parts(rows: Vec<Tuple>, indexes: Vec<(usize, Index)>) -> Self {
+        RowStore { rows, indexes }
+    }
+
+    /// Appends `row`, indexes it, and returns its id. Panics on a sealed
+    /// (CSR-indexed) store.
     pub(crate) fn push(&mut self, row: Tuple) -> u32 {
         let id = u32::try_from(self.rows.len()).expect("row store exceeds u32 row ids");
         for (col, idx) in &mut self.indexes {
-            idx.entry(row.key(*col)).or_default().push(id);
+            idx.buckets_mut().entry(row.key(*col)).or_default().push(id);
         }
         self.rows.push(row);
         id
@@ -51,7 +130,8 @@ impl RowStore {
 
     /// Overwrites column `col` of row `id` with `value`. Indexes on other
     /// columns are untouched; an index on `col` moves the id to the bucket
-    /// of the new key (and drops the old bucket once it is empty).
+    /// of the new key (and drops the old bucket once it is empty). Panics
+    /// if that index is a sealed (CSR) one.
     pub(crate) fn set_value(&mut self, id: u32, col: usize, value: Value) {
         let row = &mut self.rows[id as usize];
         let (old, new) = (row.key(col), value.key_bits());
@@ -60,6 +140,7 @@ impl RowStore {
             return;
         }
         if let Some((_, idx)) = self.indexes.iter_mut().find(|(c, _)| *c == col) {
+            let idx = idx.buckets_mut();
             if let Some(bucket) = idx.get_mut(&old) {
                 if let Some(pos) = bucket.iter().position(|&i| i == id) {
                     bucket.swap_remove(pos);
@@ -107,13 +188,12 @@ impl RowStore {
             .find(|(c, _)| *c == col)
             .unwrap_or_else(|| panic!("probe on unindexed column {col}"))
             .1
-            .get(&key)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+            .ids(key)
     }
 
     /// Approximate resident heap size in bytes: the row storage (including
-    /// spilled values) plus every index's buckets.
+    /// spilled values) plus every index — a key and its bucket header or
+    /// run per map entry, plus the id payloads.
     pub fn resident_bytes(&self) -> u64 {
         let tuple_sz = std::mem::size_of::<Tuple>() as u64;
         let value_sz = std::mem::size_of::<Value>() as u64;
@@ -123,16 +203,34 @@ impl RowStore {
                 bytes += row.arity() as u64 * value_sz;
             }
         }
+        let id_sz = std::mem::size_of::<u32>() as u64;
+        let key_sz = std::mem::size_of::<u64>();
         for (_, idx) in &self.indexes {
-            // Key + bucket header per entry, plus the row-id payloads.
-            bytes += idx.len() as u64
-                * (std::mem::size_of::<u64>() + std::mem::size_of::<Vec<u32>>()) as u64;
-            for bucket in idx.values() {
-                bytes += bucket.capacity() as u64 * std::mem::size_of::<u32>() as u64;
-            }
+            bytes += match idx {
+                Index::Buckets(map) => {
+                    let entry = (key_sz + std::mem::size_of::<Vec<u32>>()) as u64;
+                    map.len() as u64 * entry
+                        + map.values().map(|b| b.capacity() as u64).sum::<u64>() * id_sz
+                }
+                Index::Csr { runs, ids } => {
+                    let entry = (key_sz + std::mem::size_of::<(u32, u32)>()) as u64;
+                    runs.len() as u64 * entry + ids.capacity() as u64 * id_sz
+                }
+            };
         }
         bytes
     }
+}
+
+/// `cols` without repeats, in first-seen order.
+pub(crate) fn distinct(cols: &[usize]) -> Vec<usize> {
+    let mut out: Vec<usize> = Vec::with_capacity(cols.len());
+    for &col in cols {
+        if !out.contains(&col) {
+            out.push(col);
+        }
+    }
+    out
 }
 
 #[cfg(test)]

@@ -3,12 +3,17 @@
 //! for each aggregate function, and its row-id indexes must agree with a
 //! filter over its rows at every step — including an index on the
 //! aggregate column, whose ids move when a value is updated in place.
+//!
+//! A `SealedRelation` must store its input clustered on its first index
+//! column, and every CSR index must hand back exactly the rows a linear
+//! filter over the input finds, in input order, with each row id in
+//! exactly one bucket per index.
 
 use dcd_common::hash::{FastMap, FastSet};
 use dcd_common::proptest;
 use dcd_common::proptest::prelude::*;
 use dcd_common::{Tuple, Value};
-use dcd_storage::{AggFunc, DerivedRelation, Merged};
+use dcd_storage::{AggFunc, DerivedRelation, Merged, SealedRelation};
 
 /// Semantics under test; `None` is a set relation.
 type Kind = Option<AggFunc>;
@@ -154,8 +159,93 @@ fn ops() -> impl Strategy<Value = Vec<(i64, i64, i64)>> {
     proptest::collection::vec((0..6i64, 0..8i64, 0..8i64), 1..120)
 }
 
+/// A value from a small domain, so keys repeat: an int in `-4..4`, the
+/// same number as an integral float (`Int(7)` and `Float(7.0)` share key
+/// bits), or a non-integral float.
+fn value((v, kind): (i64, u8)) -> Value {
+    match kind {
+        0 => Value::Int(v),
+        1 => Value::Float(v as f64),
+        _ => Value::Float(v as f64 + 0.5),
+    }
+}
+
+/// A row as exact bits, telling `Int(7)` from `Float(7.0)` (which `==`
+/// does not).
+fn bits(t: &Tuple) -> Vec<(bool, u64)> {
+    t.values()
+        .iter()
+        .map(|v| match *v {
+            Value::Int(i) => (false, i as u64),
+            Value::Float(f) => (true, f.to_bits()),
+        })
+        .collect()
+}
+
+fn check_sealed(input: &[Tuple], index_cols: &[usize]) {
+    let rel = SealedRelation::build(input.to_vec(), index_cols);
+    let mut cols: Vec<usize> = Vec::new();
+    for &c in index_cols {
+        if !cols.contains(&c) {
+            cols.push(c);
+        }
+    }
+
+    // Stored order: stable-sorted by the first index column's key.
+    let mut want: Vec<&Tuple> = input.iter().collect();
+    if let Some(&c) = cols.first() {
+        want.sort_by_key(|r| r.key(c));
+    }
+    let stored: Vec<_> = rel.rows().iter().map(bits).collect();
+    let want: Vec<_> = want.into_iter().map(bits).collect();
+    prop_assert_eq!(stored, want, "clustered row order");
+
+    for &col in &cols {
+        let mut keys: Vec<u64> = input.iter().map(|r| r.key(col)).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let mut seen: Vec<u32> = Vec::new();
+        for &key in &keys {
+            let ids = rel.probe_ids(col, key);
+            seen.extend_from_slice(ids);
+            let via_index: Vec<_> = ids.iter().map(|&i| bits(&rel.rows()[i as usize])).collect();
+            let via_filter: Vec<_> = input
+                .iter()
+                .filter(|r| r.key(col) == key)
+                .map(bits)
+                .collect();
+            prop_assert_eq!(via_index, via_filter, "col {} key {}", col, key);
+        }
+        seen.sort_unstable();
+        prop_assert_eq!(
+            seen,
+            (0..input.len() as u32).collect::<Vec<_>>(),
+            "col {} ids",
+            col
+        );
+        prop_assert!(rel.probe_ids(col, Value::Int(99).key_bits()).is_empty());
+    }
+}
+
+fn sealed_rows() -> impl Strategy<Value = Vec<Tuple>> {
+    let cell = || (-4..4i64, 0..3u8);
+    proptest::collection::vec((cell(), cell(), cell()), 0..40).prop_map(|rows| {
+        rows.into_iter()
+            .map(|(a, b, c)| Tuple::new(&[value(a), value(b), value(c)]))
+            .collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn sealed_probes_match_a_linear_filter_in_input_order(
+        rows in sealed_rows(),
+        index_cols in proptest::collection::vec(0..3usize, 0..4),
+    ) {
+        check_sealed(&rows, &index_cols);
+    }
 
     #[test]
     fn set_matches_model(ops in ops()) {

@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
-# Memory smoke check (see DESIGN.md §7): replicated EDB residency must be
-# flat in the worker count.
+# Memory smoke check (see DESIGN.md §7): EDB residency must be flat in the
+# worker count.
 #
 # The shared-catalog data plane builds every replicated base relation
 # exactly once and hands each worker an Arc to the same sealed copy, so
 # the report's run-level `edb_replicated_bytes` at 4 workers must be
 # within 1.1x of the 1-worker run. SG exercises this path (its `arc` is
 # probed on both columns, so the planner replicates it); TC partitions
-# its EDB and must report zero replicated bytes while its per-worker
-# partitioned slices (`edb_resident_bytes`) stay roughly flat in total.
+# its EDB and must report zero replicated bytes, and the sum of its
+# per-worker partitioned slices (`edb_resident_bytes`) at 4 workers must
+# also stay within 1.1x of the 1-worker sum.
 #
 # Run from anywhere inside the repo: scripts/check_memory_smoke.sh
 # Pass a prebuilt binary path as $1 to skip the cargo build.
@@ -79,6 +80,10 @@ for q in sg tc; do
                 echo "FAIL(tc): no partitioned EDB residency reported" >&2
                 fail=1
             fi
+            if [ $((10 * res4)) -gt $((11 * res1)) ]; then
+                echo "FAIL(tc): partitioned residency grew with workers: ${res1}B -> ${res4}B" >&2
+                fail=1
+            fi
             ;;
     esac
 done
@@ -87,4 +92,4 @@ if [ "$fail" -ne 0 ]; then
     echo "memory smoke FAILED" >&2
     exit 1
 fi
-echo "memory smoke OK: replicated EDB residency is flat in the worker count"
+echo "memory smoke OK: EDB residency is flat in the worker count"
