@@ -25,7 +25,8 @@ pub struct Cli {
     pub print: Vec<String>,
     /// `--limit N` rows printed per relation (default 20; 0 = all).
     pub limit: usize,
-    /// `--no-optimizations` (Table-4 ablation switch).
+    /// `--no-optimizations` (Table-4 ablation switch: aggregate index +
+    /// Distribute sent-filter).
     pub optimized: bool,
     /// `--stats-json PATH` writes the per-worker observability report
     /// (`-` = stdout).
@@ -61,8 +62,8 @@ options:
   --timeout SECS        abort evaluation after SECS seconds
   --print REL           print only this relation (repeatable; default all)
   --limit N             max rows printed per relation (default 20; 0 = all)
-  --no-optimizations    disable the aggregate-index and existence-cache
-                        optimizations (the paper's Table-4 ablation)
+  --no-optimizations    disable the aggregate index + Distribute sent-filter
+                        (the paper's Table-4 ablation)
   --stats-json PATH     write the per-worker observability report (counters,
                         time splits, DWS ω/τ samples, per-iteration series)
                         as JSON; '-' = stdout

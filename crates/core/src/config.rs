@@ -10,10 +10,10 @@ pub struct EngineConfig {
     pub workers: usize,
     /// Coordination strategy (§4): Global, SSP(s) or DWS.
     pub strategy: Strategy,
-    /// Enable the §6.2 optimizations (aggregate-aware index lookups and
-    /// the existence-check cache). Disabled for the Table-4 ablation.
+    /// Enable the §6.2 optimizations: aggregate index + Distribute
+    /// sent-filter. Disabled for the Table-4 ablation.
     pub optimized: bool,
-    /// Existence-cache slots per worker per relation.
+    /// Slots of the Distribute sent-filter, per worker per set relation.
     pub cache_slots: usize,
     /// ε for `sum` aggregate convergence (PageRank).
     pub sum_epsilon: f64,
@@ -49,7 +49,7 @@ impl Default for EngineConfig {
                 .unwrap_or(4),
             strategy: Strategy::Dws,
             optimized: true,
-            cache_slots: 1 << 15,
+            cache_slots: 1 << 17,
             sum_epsilon: 1e-9,
             queue_capacity: 1 << 10,
             batch_size: 4096,

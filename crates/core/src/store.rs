@@ -5,41 +5,40 @@
 //! taken from the shared [`EdbCatalog`](crate::catalog::EdbCatalog)
 //! (replicated relations point at the *same* sealed allocation on every
 //! worker; partitioned relations at this worker's slice) and a [`RecStore`]
-//! per derived relation combining the Gather merge logic (§5.2.2), the
-//! aggregate-aware index (§6.2.1) and the existence-check cache (§6.2.2).
+//! per derived relation. A `RecStore` combines the Gather merge logic
+//! (§5.2.2) over the O(1) dedup table with the aggregate-aware index
+//! (§6.2.1). The only existence-check cache (§6.2.2) is the set
+//! relation's Distribute sent-filter, which sits on the exchange, not on
+//! the merge path.
 
 use crate::catalog::EdbCatalog;
 use dcd_common::{Tuple, WorkerId};
 use dcd_frontend::ast::AggFunc;
 use dcd_frontend::physical::{PhysicalPlan, RelId, StorageKind, Target};
-use dcd_storage::{
-    AggCache, AggFunc as StAggFunc, DerivedRelation, RowStore, SealedRelation, TupleCache,
-};
+use dcd_storage::{AggFunc as StAggFunc, DerivedRelation, RowStore, SealedRelation, TupleCache};
 use std::sync::Arc;
 
 pub use dcd_storage::Merged;
 
 /// Store for one derived relation on one worker.
 pub struct RecStore {
-    kind: StorageKind,
     rel: DerivedRelation,
-    tuple_cache: Option<TupleCache>,
-    agg_cache: Option<AggCache>,
+    /// Slot count of the sent-filter; 0 when the relation has none.
+    filter_slots: usize,
+    /// Distribute's exact-duplicate filter, allocated on first use.
+    sent_filter: Option<TupleCache>,
 }
 
 impl RecStore {
-    /// Creates the store for `rel` as declared in `plan`. With
-    /// `optimized` off (the Table 4 ablation) the §6.2.2 caches are
-    /// bypassed and aggregate merges locate their group by a linear scan
-    /// of the stored rows instead of the §6.2.1 index.
+    /// Creates the store for `rel` as declared in `plan`. A set relation
+    /// gets a sent-filter of `cache_slots` slots. With `optimized` off
+    /// (the Table 4 ablation) there is no filter, and aggregate merges
+    /// locate their group by a linear scan of the stored rows instead of
+    /// the §6.2.1 index.
     pub fn new(plan: &PhysicalPlan, rel: RelId, optimized: bool, cache_slots: usize) -> Self {
         let decl = plan.idb[rel].as_ref().expect("IDB relation");
-        let (rel, tuple_cache, agg_cache) = match &decl.kind {
-            StorageKind::Set => (
-                DerivedRelation::set(&decl.index_cols),
-                optimized.then(|| TupleCache::new(cache_slots)),
-                None,
-            ),
+        let rel = match &decl.kind {
+            StorageKind::Set => DerivedRelation::set(&decl.index_cols),
             StorageKind::Agg {
                 func,
                 group_cols,
@@ -51,29 +50,19 @@ impl RecStore {
                     *epsilon,
                     &decl.index_cols,
                 );
-                (
-                    if optimized {
-                        rel
-                    } else {
-                        rel.with_linear_lookup()
-                    },
-                    None,
-                    (optimized && matches!(func, AggFunc::Min | AggFunc::Max))
-                        .then(|| AggCache::new(cache_slots)),
-                )
+                if optimized {
+                    rel
+                } else {
+                    rel.with_linear_lookup()
+                }
             }
         };
+        let filtered = optimized && matches!(decl.kind, StorageKind::Set);
         RecStore {
-            kind: decl.kind.clone(),
             rel,
-            tuple_cache,
-            agg_cache,
+            filter_slots: if filtered { cache_slots } else { 0 },
+            sent_filter: None,
         }
-    }
-
-    /// Storage semantics.
-    pub fn kind(&self) -> &StorageKind {
-        &self.kind
     }
 
     /// Number of logical rows / groups.
@@ -88,39 +77,24 @@ impl RecStore {
 
     /// Merges one incoming merge-layout row (the Gather operator).
     pub fn merge(&mut self, row: &Tuple) -> Merged {
-        // Cache pre-checks prune duplicates (set) and non-improving rows
-        // (min/max) without touching the dedup table.
-        if let Some(cache) = &mut self.tuple_cache {
-            if cache.check(row) {
-                return Merged::Old;
-            }
-            cache.record(row);
-        }
-        if let (
-            Some(cache),
-            StorageKind::Agg {
-                func, group_cols, ..
-            },
-        ) = (&mut self.agg_cache, &self.kind)
-        {
-            let group = row.prefix(*group_cols);
-            if let Some(cached) = cache.get(&group) {
-                let candidate = row.values()[*group_cols];
-                let non_improving = match func {
-                    AggFunc::Min => candidate >= cached,
-                    _ => candidate <= cached,
-                };
-                if non_improving {
-                    return Merged::Old;
-                }
-            }
-            let merged = self.rel.merge(row);
-            if let Merged::New(logical) = &merged {
-                cache.record(&group, logical.values()[*group_cols]);
-            }
-            return merged;
-        }
         self.rel.merge(row)
+    }
+
+    /// Distribute's sent-filter: whether this worker already routed `row`
+    /// (a sound but lossy check), recording it if not. Always `false` for
+    /// aggregate relations, whose rows evolve, and with optimizations off.
+    pub fn already_sent(&mut self, row: &Tuple) -> bool {
+        if self.filter_slots == 0 {
+            return false;
+        }
+        let filter = self
+            .sent_filter
+            .get_or_insert_with(|| TupleCache::new(self.filter_slots));
+        if filter.check(row) {
+            return true;
+        }
+        filter.record(row);
+        false
     }
 
     /// The current logical rows (one stored copy each) and their row-id
@@ -134,19 +108,10 @@ impl RecStore {
         self.rel.rows()
     }
 
-    /// Existence-cache `(hits, misses)` for this relation, summed over the
-    /// tuple and aggregate caches (both zero when optimizations are off).
+    /// Sent-filter `(hits, misses)` for this relation (zero when the
+    /// filter was never consulted).
     pub fn cache_stats(&self) -> (u64, u64) {
-        let (mut h, mut m) = (0, 0);
-        if let Some(c) = &self.tuple_cache {
-            h += c.hits();
-            m += c.misses();
-        }
-        if let Some(c) = &self.agg_cache {
-            h += c.hits();
-            m += c.misses();
-        }
-        (h, m)
+        self.sent_filter.as_ref().map_or((0, 0), TupleCache::stats)
     }
 }
 
@@ -218,7 +183,7 @@ impl WorkerStore {
         self.idb[rel].as_mut().expect("IDB relation present")
     }
 
-    /// Existence-cache `(hits, misses)` totals over every derived store.
+    /// Sent-filter `(hits, misses)` totals over every derived store.
     pub fn cache_totals(&self) -> (u64, u64) {
         self.idb
             .iter()
@@ -305,6 +270,29 @@ mod tests {
             );
         }
         assert_eq!(fast.rows(), slow.rows());
+    }
+
+    #[test]
+    fn sent_filter_only_on_optimized_set_stores() {
+        let (tc, cc) = (tc_plan(), cc_plan());
+        let row = Tuple::from_ints(&[1, 2]);
+        let mut set = RecStore::new(&tc, tc.rel_by_name("tc").unwrap(), true, 64);
+        set.merge(&row);
+        assert!(
+            set.sent_filter.is_none(),
+            "merging never touches the filter"
+        );
+        assert!(!set.already_sent(&row));
+        assert!(set.already_sent(&row));
+        assert_eq!(set.cache_stats(), (1, 1));
+        let mut off = RecStore::new(&tc, tc.rel_by_name("tc").unwrap(), false, 64);
+        let mut agg = RecStore::new(&cc, cc.rel_by_name("cc2").unwrap(), true, 64);
+        for s in [&mut off, &mut agg] {
+            assert!(!s.already_sent(&row));
+            assert!(!s.already_sent(&row));
+            assert_eq!(s.cache_stats(), (0, 0));
+            assert!(s.sent_filter.is_none());
+        }
     }
 
     #[test]

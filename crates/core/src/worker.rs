@@ -25,7 +25,6 @@ use dcd_runtime::{
     Batch, BufferMatrix, DwsController, IdleOutcome, Recorder, RoundBarrier, SspClock, Strategy,
     Termination, WorkerEndpoints,
 };
-use dcd_storage::TupleCache;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -190,29 +189,6 @@ impl PartialAgg {
     }
 }
 
-/// Pending delta rows: `(relation, route, logical row)`.
-struct DeltaSet {
-    rows: Vec<DeltaRow>,
-}
-
-impl DeltaSet {
-    fn new() -> Self {
-        DeltaSet { rows: Vec::new() }
-    }
-
-    fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    fn take(&mut self) -> Vec<DeltaRow> {
-        std::mem::take(&mut self.rows)
-    }
-}
-
 /// The worker context bundling everything one thread needs.
 pub struct Worker<'a> {
     plan: &'a PhysicalPlan,
@@ -223,16 +199,6 @@ pub struct Worker<'a> {
     evaluator: Evaluator<'a>,
     /// Persistent register file + probe counters for the batched kernel.
     scratch: EvalScratch,
-    /// Per-relation exact-duplicate filter for Distribute — the §6.2
-    /// existence-check cache applied to the *exchange*: a head row
-    /// identical to one this worker already routed is dropped before it
-    /// is serialized. Merging an identical row is a no-op, so
-    /// suppression can never change the fixpoint; it only saves the
-    /// serialize → queue → deserialize → reject round-trip duplicates
-    /// otherwise pay. `None` for aggregate relations (their rows evolve,
-    /// so exact repeats are rare) and for single-worker or unoptimized
-    /// runs.
-    sent_filter: Vec<Option<TupleCache>>,
     /// This worker's counters and trace; returned by [`Worker::run`].
     rec: Recorder,
 }
@@ -245,22 +211,6 @@ impl<'a> Worker<'a> {
         coord: &'a Coordination,
         me: WorkerId,
     ) -> Self {
-        use dcd_frontend::physical::StorageKind;
-        let sent_filter: Vec<Option<TupleCache>> = plan
-            .idb
-            .iter()
-            .map(|decl| match decl {
-                Some(d)
-                    if cfg.optimized && cfg.workers > 1 && matches!(d.kind, StorageKind::Set) =>
-                {
-                    // 4× the merge-side cache: this filter guards the
-                    // whole relation's row universe, not just recency,
-                    // and every eviction turns into a wasted remote send.
-                    Some(TupleCache::new(cfg.cache_slots * 4))
-                }
-                _ => None,
-            })
-            .collect();
         Worker {
             plan,
             cfg,
@@ -273,7 +223,6 @@ impl<'a> Worker<'a> {
                 workers: cfg.workers,
             },
             scratch: EvalScratch::new(),
-            sent_filter,
             rec: Recorder::new(coord.epoch, cfg.trace.then_some(cfg.trace_capacity)),
         }
     }
@@ -284,17 +233,10 @@ impl<'a> Worker<'a> {
         for si in 0..self.plan.strata.len() {
             self.run_stratum(si, &mut store)?;
         }
-        // Fold the storage layer's cache counters and the kernel's probe
-        // counters into the recorder so the report carries them.
+        // Fold the sent-filter counters and the kernel's probe counters
+        // into the recorder so the report carries them.
         let m = &mut self.rec.counters;
-        let (hits, misses) = store.cache_totals();
-        m.cache_hits += hits;
-        m.cache_misses += misses;
-        for f in self.sent_filter.iter().flatten() {
-            let (h, mi) = f.stats();
-            m.cache_hits += h;
-            m.cache_misses += mi;
-        }
+        (m.cache_hits, m.cache_misses) = store.cache_totals();
         m.probe_hits += self.scratch.probe_hits;
         m.probe_reuse += self.scratch.probe_reuse;
         Ok((store, self.rec))
@@ -327,7 +269,7 @@ impl<'a> Worker<'a> {
                 }
             }
         }
-        let mut delta = DeltaSet::new();
+        let mut delta = Vec::new();
         self.distribute(si, store, acc, &mut delta, &mut None)?;
         let tp = Instant::now();
         sc.post_init.wait();
@@ -350,7 +292,7 @@ impl<'a> Worker<'a> {
         &mut self,
         si: usize,
         store: &mut WorkerStore,
-        mut delta: DeltaSet,
+        mut delta: Vec<DeltaRow>,
     ) -> Result<()> {
         // Initial new-tuple count: what init distributed locally + remotely
         // is already in `delta`/queues; the first round drains and counts.
@@ -384,7 +326,7 @@ impl<'a> Worker<'a> {
         &mut self,
         si: usize,
         store: &mut WorkerStore,
-        mut delta: DeltaSet,
+        mut delta: Vec<DeltaRow>,
         mut dws: Option<DwsController>,
     ) -> Result<()> {
         let sc = &self.coord.strata[si];
@@ -506,10 +448,10 @@ impl<'a> Worker<'a> {
     /// aggregation of §5.2.3 ("the Distribute operators also perform some
     /// partial aggregation"), so the returned list is bounded by the
     /// number of distinct output groups, not raw join results.
-    fn iterate(&mut self, si: usize, store: &WorkerStore, delta: &mut DeltaSet) -> PartialAgg {
+    fn iterate(&mut self, si: usize, store: &WorkerStore, delta: &mut Vec<DeltaRow>) -> PartialAgg {
         let t0 = Instant::now();
         let stratum = &self.plan.strata[si];
-        let mut rows = self.coalesce(delta.take());
+        let mut rows = self.coalesce(std::mem::take(delta));
         let nrows = rows.len() as u64;
         self.rec.counters.tuples_processed += nrows;
         let mut acc = PartialAgg::default();
@@ -557,7 +499,7 @@ impl<'a> Worker<'a> {
         si: usize,
         store: &mut WorkerStore,
         outs: PartialAgg,
-        delta: &mut DeltaSet,
+        delta: &mut Vec<DeltaRow>,
         dws: &mut Option<&mut DwsController>,
     ) -> Result<(u64, u64)> {
         let t0 = Instant::now();
@@ -571,18 +513,14 @@ impl<'a> Worker<'a> {
         // the remote path.
         let mut staged: FastMap<(WorkerId, RelId), Frame> = FastMap::default();
         let mut dests: Vec<WorkerId> = Vec::with_capacity(2);
-        // Taken (not borrowed) so the filter can be consulted while
-        // `merge_local` borrows `self`; restored right after the loop.
-        let mut filters = std::mem::take(&mut self.sent_filter);
         for (rel, row) in outs.drain() {
-            // A row this worker already routed went to the same
-            // (deterministic) destinations then; re-merging it anywhere
-            // is a no-op, so the whole row can be dropped.
-            if let Some(filter) = &mut filters[rel] {
-                if filter.check(&row) {
-                    continue;
-                }
-                filter.record(&row);
+            // The sent-filter: a row this worker already routed went to
+            // the same (deterministic) destinations then; re-merging it
+            // anywhere is a no-op, so the whole row can be dropped before
+            // it is serialized. On one worker every row merges locally,
+            // where the dedup table is the check, so no filter is used.
+            if n > 1 && store.rec_mut(rel).already_sent(&row) {
+                continue;
             }
             let decl = self.plan.idb[rel].as_ref().expect("IDB head");
             dests.clear();
@@ -607,7 +545,6 @@ impl<'a> Worker<'a> {
                 }
             }
         }
-        self.sent_filter = filters;
         // Flush batches. When a queue is full we drain our own inbox while
         // retrying, which breaks producer/consumer cycles (two workers
         // flooding each other would otherwise deadlock).
@@ -665,7 +602,7 @@ impl<'a> Worker<'a> {
         store: &mut WorkerStore,
         rel: RelId,
         row: &Tuple,
-        delta: &mut DeltaSet,
+        delta: &mut Vec<DeltaRow>,
     ) -> u64 {
         let decl = self.plan.idb[rel].as_ref().expect("IDB");
         match store.rec_mut(rel).merge(row) {
@@ -673,12 +610,12 @@ impl<'a> Worker<'a> {
                 if decl.broadcast {
                     // Broadcast relations run every variant everywhere.
                     for r in 0..decl.partition_cols.len().max(1) {
-                        delta.rows.push((rel, r as u8, logical.clone()));
+                        delta.push((rel, r as u8, logical.clone()));
                     }
                 } else {
                     for (ri, &c) in decl.partition_cols.iter().enumerate() {
                         if self.coord.part.of_key(logical.key(c)) == self.me {
-                            delta.rows.push((rel, ri as u8, logical.clone()));
+                            delta.push((rel, ri as u8, logical.clone()));
                         }
                     }
                 }
@@ -694,7 +631,7 @@ impl<'a> Worker<'a> {
         &mut self,
         si: usize,
         store: &mut WorkerStore,
-        delta: &mut DeltaSet,
+        delta: &mut Vec<DeltaRow>,
         dws: &mut Option<&mut DwsController>,
     ) {
         let termination = &self.coord.strata[si].termination;
@@ -784,17 +721,6 @@ mod tests {
         }
         acc.push(&p, tc, Tuple::from_ints(&[1, 3]));
         assert_eq!(acc.drain().count(), 6);
-    }
-
-    #[test]
-    fn delta_set_take_empties() {
-        let mut d = DeltaSet::new();
-        assert!(d.is_empty());
-        d.rows.push((0, 0, Tuple::from_ints(&[1])));
-        d.rows.push((0, 1, Tuple::from_ints(&[2])));
-        assert_eq!(d.len(), 2);
-        assert_eq!(d.take().len(), 2);
-        assert!(d.is_empty());
     }
 
     #[test]

@@ -485,4 +485,21 @@ fn sent_filter_suppresses_duplicate_sends() {
         p_opt < p_abl,
         "optimized run must exchange fewer tuples: {p_opt} vs {p_abl}"
     );
+
+    // On one worker every row merges locally and the dedup table is the
+    // only existence check: no cache is consulted, for sets (TC) or
+    // min aggregates (CC), under any strategy.
+    for s in strategies() {
+        for program in [queries::tc().unwrap(), queries::cc().unwrap()] {
+            let cfg = EngineConfig::with_workers(1).strategy(s.clone());
+            let mut e = Engine::new(program, cfg).unwrap();
+            e.load_edges("arc", &edges).unwrap();
+            let report = e.run().unwrap().stats.report;
+            let (hits, misses) = (
+                report.total(|w| w.cache_hits),
+                report.total(|w| w.cache_misses),
+            );
+            assert_eq!((hits, misses), (0, 0), "{} x1", s.name());
+        }
+    }
 }

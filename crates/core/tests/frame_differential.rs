@@ -66,9 +66,8 @@ fn differential(
         compare(&name, rels, &reference, &got, exact);
     }
     // Table-4 ablation path: with the §6.2 optimizations off there is no
-    // merge-side existence cache and no Distribute sent-filter, so every
-    // duplicate derivation travels the exchange and must be rejected by
-    // the idempotent merge alone.
+    // Distribute sent-filter, so every duplicate derivation travels the
+    // exchange and must be rejected by the idempotent merge alone.
     let cfg = EngineConfig::with_workers(4).optimizations(false);
     let got = run_once(make(), cfg, load, rels);
     compare("unoptimized x4", rels, &reference, &got, exact);

@@ -56,9 +56,9 @@ pub struct MetricsSnapshot {
     pub iterate_ns: u64,
     /// Nanoseconds routing/merging derived tuples (Distribute).
     pub distribute_ns: u64,
-    /// Existence-cache hits across this worker's relation stores.
+    /// Distribute sent-filter hits (rows dropped as already routed).
     pub cache_hits: u64,
-    /// Existence-cache misses across this worker's relation stores.
+    /// Distribute sent-filter misses (rows routed).
     pub cache_misses: u64,
     /// Index descents performed by the batched kernel's first probes.
     pub probe_hits: u64,
@@ -72,7 +72,7 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Existence-cache hit rate in `[0, 1]` (0 when the caches were idle).
+    /// Sent-filter hit rate in `[0, 1]` (0 when the filter was idle).
     pub fn cache_hit_rate(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;
         if total == 0 {

@@ -1,27 +1,26 @@
-//! Existence-check caches (§6.2.2).
+//! The existence-check cache of §6.2.2, applied to the exchange.
 //!
-//! Every semi-naive iteration performs set union/difference against the
-//! recursive table, each requiring an index probe (logarithmic). The paper
-//! puts a constant-time cache in front: "when checking the tuples, we first
-//! look up the cache in constant time. If the key is already there, we
-//! ignore the tuple; otherwise, we proceed to check the index."
+//! The paper puts a constant-time cache in front of a logarithmic index:
+//! "when checking the tuples, we first look up the cache in constant time.
+//! If the key is already there, we ignore the tuple; otherwise, we proceed
+//! to check the index." Here the dedup table of
+//! [`DerivedRelation`](crate::DerivedRelation) is already O(1), so the
+//! merge path has no cache. The one cache left is Distribute's sent-filter,
+//! where a hit saves what the table cannot: serializing a duplicate row,
+//! queueing it to a peer and deserializing it there.
 //!
-//! Both caches here are direct-mapped arrays of exact entries, so a hit is
-//! always *sound* (it proves the tuple is duplicate/non-improving); a miss
-//! falls through to the index. Collisions simply evict.
+//! [`TupleCache`] is a direct-mapped array of exact entries, so a hit is
+//! always *sound* (it proves the tuple was recorded); a miss says nothing.
+//! Collisions simply evict.
 
-use dcd_common::hash::combine;
-use dcd_common::{Tuple, Value};
+use dcd_common::Tuple;
 use std::hash::BuildHasher;
-
-/// Default number of slots (tuned so the cache stays L2-resident).
-pub const DEFAULT_SLOTS: usize = 1 << 15;
 
 fn tuple_hash(t: &Tuple) -> u64 {
     dcd_common::hash::FxBuild::default().hash_one(t)
 }
 
-/// Cache for set-semantics relations: remembers recently seen tuples.
+/// Lossy set of recently recorded tuples.
 pub struct TupleCache {
     slots: Vec<Option<Tuple>>,
     mask: usize,
@@ -62,86 +61,6 @@ impl TupleCache {
     /// (hits, misses) since construction.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
-    }
-
-    /// Hits since construction.
-    #[inline]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Misses since construction.
-    #[inline]
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-}
-
-/// Cache for aggregate relations: remembers `(group key, aggregate value)`
-/// pairs so non-improving partials are pruned without an index probe.
-pub struct AggCache {
-    slots: Vec<Option<(Tuple, Value)>>,
-    mask: usize,
-    hits: u64,
-    misses: u64,
-}
-
-impl AggCache {
-    /// Creates a cache with `slots` entries (rounded up to a power of two).
-    pub fn new(slots: usize) -> Self {
-        let n = slots.next_power_of_two().max(2);
-        AggCache {
-            slots: vec![None; n],
-            mask: n - 1,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    fn slot_of(&self, group: &Tuple) -> usize {
-        let mut h = 0x9e37_79b9_7f4a_7c15u64;
-        for v in group.values() {
-            h = combine(h, v.key_bits());
-        }
-        (h as usize) & self.mask
-    }
-
-    /// Returns the cached aggregate value for `group`, if present.
-    pub fn get(&mut self, group: &Tuple) -> Option<Value> {
-        let idx = self.slot_of(group);
-        match &self.slots[idx] {
-            Some((g, v)) if g == group => {
-                self.hits += 1;
-                Some(*v)
-            }
-            _ => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Records the group's current aggregate value.
-    pub fn record(&mut self, group: &Tuple, value: Value) {
-        let idx = self.slot_of(group);
-        self.slots[idx] = Some((group.clone(), value));
-    }
-
-    /// (hits, misses) since construction.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Hits since construction.
-    #[inline]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Misses since construction.
-    #[inline]
-    pub fn misses(&self) -> u64 {
-        self.misses
     }
 }
 
@@ -185,50 +104,10 @@ mod tests {
     }
 
     #[test]
-    fn agg_cache_roundtrip() {
-        let mut c = AggCache::new(64);
-        let g = Tuple::from_ints(&[5]);
-        assert_eq!(c.get(&g), None);
-        c.record(&g, Value::Int(42));
-        assert_eq!(c.get(&g), Some(Value::Int(42)));
-        c.record(&g, Value::Int(40));
-        assert_eq!(c.get(&g), Some(Value::Int(40)));
-    }
-
-    #[test]
-    fn agg_cache_distinguishes_groups_exactly() {
-        let mut c = AggCache::new(2);
-        let g1 = Tuple::from_ints(&[1]);
-        let g2 = Tuple::from_ints(&[2]);
-        c.record(&g1, Value::Int(1));
-        // Whatever slot g2 maps to, an exact group comparison protects us.
-        assert_eq!(c.get(&g2), None);
-    }
-
-    #[test]
-    fn hit_miss_accessors_match_stats() {
-        let mut t = TupleCache::new(16);
-        let x = Tuple::from_ints(&[3]);
-        t.check(&x);
-        t.record(&x);
-        t.check(&x);
-        assert_eq!((t.hits(), t.misses()), t.stats());
-        assert_eq!((t.hits(), t.misses()), (1, 1));
-
-        let mut a = AggCache::new(16);
-        let g = Tuple::from_ints(&[1]);
-        a.get(&g);
-        a.record(&g, Value::Int(7));
-        a.get(&g);
-        assert_eq!((a.hits(), a.misses()), a.stats());
-        assert_eq!((a.hits(), a.misses()), (1, 1));
-    }
-
-    #[test]
     fn sizes_round_to_power_of_two() {
         let c = TupleCache::new(100);
         assert_eq!(c.slots.len(), 128);
-        let c = AggCache::new(1);
+        let c = TupleCache::new(1);
         assert_eq!(c.slots.len(), 2);
     }
 }

@@ -15,15 +15,16 @@
 //!   relations (`min`/`max`/`sum`/`count` heads) key that table by the
 //!   group prefix and update the aggregate in the stored row (§6.2.1),
 //!   with a per-contributor side table for `sum`/`count`.
-//! * [`cache`] — the constant-time existence-check caches consulted before
-//!   the dedup table (§6.2.2).
+//! * [`cache`] — the constant-time existence-check cache (§6.2.2). The
+//!   dedup table needs none in front of it; Distribute uses one as its
+//!   sent-filter, so a row already routed is not serialized again.
 
 pub mod cache;
 pub mod derived;
 pub mod rows;
 pub mod sealed;
 
-pub use cache::{AggCache, TupleCache};
+pub use cache::TupleCache;
 pub use derived::{AggFunc, DerivedRelation, Merged};
 pub use rows::RowStore;
 pub use sealed::SealedRelation;

@@ -8,7 +8,12 @@
 #   2. the report carries exactly --workers per_worker entries,
 #   3. produced == consumed (the fixpoint/reconciliation invariant),
 #   4. the traced DWS run carries a non-empty iteration_series, whose
-#      omega/tau columns are the controller's trajectory.
+#      omega/tau columns are the controller's trajectory,
+#   5. the sent-filter engages: Σ cache_hits over per_worker is > 0.
+#
+# A final 1-worker TC run must report cache_hits == cache_misses == 0 on
+# every worker: the only existence cache is the sent-filter on the
+# exchange, and one worker routes nothing.
 #
 # Run from anywhere inside the repo: scripts/check_stats_json.sh
 # Pass a prebuilt binary path as $1 to skip the cargo build.
@@ -107,8 +112,28 @@ for strategy in global ssp:2 dws; do
         fi
     fi
 
-    echo "ok($strategy): produced=$produced consumed=$consumed workers=$nworkers"
+    # -- The sent-filter engages at 4 workers ----------------------------
+    hits=$(grep -o '"cache_hits":[0-9]*' "$out" | awk -F: '{s += $2} END {print s + 0}')
+    if [ "$hits" -eq 0 ]; then
+        echo "FAIL($strategy): sum of per_worker cache_hits is 0 (sent-filter never hit)" >&2
+        fail=1
+    fi
+
+    echo "ok($strategy): produced=$produced consumed=$consumed workers=$nworkers cache_hits=$hits"
 done
+
+# -- One worker: no cache is consulted -----------------------------------
+out="$workdir/stats_1w.json"
+"$BIN" run programs/tc.dl --edb arc="$workdir/edges.csv" \
+    --workers 1 --limit 1 --stats-json "$out" > /dev/null
+nonzero=$(grep -o '"cache_\(hits\|misses\)":[0-9]*' "$out" | grep -vc ':0$' || true)
+counted=$(grep -c '"cache_hits":[0-9]*,"cache_misses":[0-9]*' "$out" || true)
+if [ "$counted" -ne 1 ] || [ "$nonzero" -ne 0 ]; then
+    echo "FAIL(1 worker): expected one per_worker entry with cache_hits == cache_misses == 0" >&2
+    fail=1
+else
+    echo "ok(1 worker): cache_hits == cache_misses == 0"
+fi
 
 if [ "$fail" -ne 0 ]; then
     echo "stats-json check FAILED" >&2

@@ -123,25 +123,43 @@ fn tab3_broadcast_exchanges_more() {
     }
 }
 
-/// Table 4 shape: disabling the §6.2 optimizations removes the
-/// existence-check cache without changing results. The cache's hit count
-/// is the work the ablation gives up; timing shapes live in `repro`.
+/// Table 4 shape: disabling the §6.2 optimizations removes Distribute's
+/// sent-filter without changing results. The filter's hit count is the
+/// exchange work the ablation gives up; timing shapes live in `repro`.
+///
+/// Both facts hold on any schedule. The fan 0 → {1..=5} → 6 derives
+/// tc(0, 6) once per middle vertex, all in the same round. Each
+/// derivation happens on the worker that owns its delta row, and five
+/// middles over at most four workers put two on one worker. That worker
+/// routes tc(0, 6) twice, so its filter hits.
 #[test]
 fn tab4_optimizations_speed_shape() {
-    let edges = datagen::symmetrize(&datagen::rmat(3_000, 7));
-    let run = |optimized: bool| {
-        let mut e = Engine::new(
-            queries::cc().unwrap(),
-            EngineConfig::with_workers(1).optimizations(optimized),
-        )
-        .unwrap();
-        e.load_edges("arc", &edges).unwrap();
-        let r = e.run().unwrap();
-        (r.stats.report.total(|w| w.cache_hits), r.sorted("cc"))
-    };
-    let (hits_on, rows_on) = run(true);
-    let (hits_off, rows_off) = run(false);
-    assert_eq!(rows_on, rows_off);
-    assert_eq!(hits_off, 0, "w/o optimizations there is no cache to hit");
-    assert!(hits_on > 0, "w/ optimizations the existence cache must hit");
+    let mut edges = datagen::rmat(150, 7);
+    let fan = |v: i64| 1_000 + v;
+    for m in 1..=5 {
+        edges.push((fan(0), fan(m)));
+        edges.push((fan(m), fan(6)));
+    }
+    for workers in [2, 4] {
+        let run = |optimized: bool| {
+            let cfg = EngineConfig::with_workers(workers)
+                .strategy(Strategy::Global)
+                .optimizations(optimized);
+            let mut e = Engine::new(queries::tc().unwrap(), cfg).unwrap();
+            e.load_edges("arc", &edges).unwrap();
+            let r = e.run().unwrap();
+            (r.stats.report.total(|w| w.cache_hits), r.sorted("tc"))
+        };
+        let (hits_on, rows_on) = run(true);
+        let (hits_off, rows_off) = run(false);
+        assert_eq!(rows_on, rows_off, "x{workers}");
+        assert_eq!(
+            hits_off, 0,
+            "x{workers}: w/o optimizations there is no filter"
+        );
+        assert!(
+            hits_on > 0,
+            "x{workers}: w/ optimizations the sent-filter must hit"
+        );
+    }
 }
