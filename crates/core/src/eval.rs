@@ -14,8 +14,12 @@
 //! single persistent register file (no per-row allocation) and, when the
 //! rule opens with an index probe, the rows sorted by their probe key so
 //! runs of equal keys descend the index once and reuse the bucket
-//! (probe memoization). [`Evaluator::eval_delta`] is the tuple-at-a-time
-//! reference the differential tests pin the kernel against.
+//! (probe memoization). It runs in two passes — sort the group
+//! ([`Evaluator::sort_batch`]), then evaluate a range of the sorted order
+//! ([`Evaluator::eval_sorted`]) — so the worker can evaluate in slices
+//! and flush head rows between them. [`Evaluator::eval_delta`] is the
+//! tuple-at-a-time reference the differential tests pin the kernel
+//! against.
 
 use crate::store::WorkerStore;
 use dcd_common::{Tuple, Value, WorkerId};
@@ -134,19 +138,69 @@ impl Evaluator<'_> {
 
     /// The batched delta-join kernel: runs `rule` over a whole
     /// `(rel, route)` group of delta rows, feeding head rows to `sink`.
-    /// Returns the number of rows emitted.
-    ///
-    /// The register file lives in `scratch` and is sized once per rule, so
-    /// the per-row cost is pure binding work. When the rule opens with an
-    /// index probe, the surviving rows are sorted by their probe key
-    /// (stably, preserving arrival order within a key) and runs of equal
-    /// keys reuse one index descent — `scratch` counts descents
-    /// (`probe_hits`) and reuses (`probe_reuse`).
+    /// Returns the number of rows emitted. This is
+    /// [`Evaluator::sort_batch`] followed by [`Evaluator::eval_sorted`]
+    /// over everything it sorted; the worker runs the second pass in
+    /// slices instead, so it can hand buffered rows to Distribute between
+    /// them.
     pub fn eval_delta_batch(
         &self,
         rule: &CompiledRule,
         store: &WorkerStore,
         batch: &[DeltaRow],
+        scratch: &mut EvalScratch,
+        sink: &mut impl FnMut(Tuple),
+    ) -> u64 {
+        let n = self.sort_batch(rule, batch, scratch);
+        self.eval_sorted(rule, store, batch, 0..n, scratch, sink)
+    }
+
+    /// Pass 1 of the kernel: fills `scratch`'s visiting order for `batch`
+    /// and returns its length. When the rule opens with an index probe,
+    /// only rows that pass the prelude are kept, sorted by their
+    /// first-probe key (stably, preserving arrival order within a key) so
+    /// pass 2 can reuse one index descent per run of equal keys. Otherwise
+    /// every row is kept, in arrival order.
+    pub fn sort_batch(
+        &self,
+        rule: &CompiledRule,
+        batch: &[DeltaRow],
+        scratch: &mut EvalScratch,
+    ) -> usize {
+        let EvalScratch { regs, order, .. } = scratch;
+        regs.clear();
+        regs.resize(rule.nregs, Value::Int(0));
+        order.clear();
+        let Some(Step {
+            probe: Probe::Index { key, .. },
+            ..
+        }) = rule.steps.first()
+        else {
+            order.extend((0..batch.len() as u32).map(|i| (0, i)));
+            return order.len();
+        };
+        for (i, (_, _, row)) in batch.iter().enumerate() {
+            if bind_prelude(rule, row, regs) {
+                order.push((key.eval(regs).key_bits(), i as u32));
+            }
+        }
+        order.sort_by_key(|&(k, _)| k);
+        order.len()
+    }
+
+    /// Pass 2 of the kernel over `range` of the order
+    /// [`Evaluator::sort_batch`] left in `scratch` for `batch`. The
+    /// register file lives in `scratch`, so the per-row cost is pure
+    /// binding work; with a leading index probe, runs of equal keys
+    /// descend the index once (`scratch` counts descents as `probe_hits`
+    /// and reuses as `probe_reuse`). Probe targets are fetched from
+    /// `store` on every call, so `store` may grow between slices.
+    pub fn eval_sorted(
+        &self,
+        rule: &CompiledRule,
+        store: &WorkerStore,
+        batch: &[DeltaRow],
+        range: std::ops::Range<usize>,
         scratch: &mut EvalScratch,
         sink: &mut impl FnMut(Tuple),
     ) -> u64 {
@@ -156,55 +210,37 @@ impl Evaluator<'_> {
             probe_hits,
             probe_reuse,
         } = scratch;
-        regs.clear();
-        regs.resize(rule.nregs, Value::Int(0));
         let mut emitted = 0u64;
         let mut counting = |t: Tuple| {
             emitted += 1;
             sink(t)
         };
+        let order = &order[range];
 
-        let first_index = matches!(
-            rule.steps.first(),
-            Some(Step {
-                probe: Probe::Index { .. },
+        let Some(
+            step @ Step {
+                probe: Probe::Index { col, .. },
                 ..
-            })
-        );
-        if !first_index || batch.len() == 1 {
-            // No leading index probe (or nothing to cluster): run the
-            // chain per row, still sharing the one register file.
-            for (_, _, row) in batch {
-                if bind_prelude(rule, row, regs) {
+            },
+        ) = rule.steps.first()
+        else {
+            // No leading index probe: run the chain per row, still
+            // sharing the one register file.
+            for &(_, i) in order {
+                if bind_prelude(rule, &batch[i as usize].2, regs) {
                     self.run_steps(rule, store, 0, regs, &mut counting);
                 }
             }
             return emitted;
-        }
-
-        let step = &rule.steps[0];
-        let Probe::Index { col, key } = &step.probe else {
-            unreachable!("first_index checked above")
         };
 
-        // Pass 1: prelude every row; survivors record their first-probe
-        // key. The stable sort clusters equal keys without reordering
-        // rows within a key.
-        order.clear();
-        for (i, (_, _, row)) in batch.iter().enumerate() {
-            if bind_prelude(rule, row, regs) {
-                order.push((key.eval(regs).key_bits(), i as u32));
-            }
-        }
-        order.sort_by_key(|&(k, _)| k);
-
-        // Pass 2: walk the clustered rows; descend the index only when the
-        // key changes. The store is immutable for the whole local
-        // iteration, so the bucket borrow stays valid across rows.
+        // Walk the clustered rows; descend the index only when the key
+        // changes. The store is immutable for this call, so the bucket
+        // borrow stays valid across rows.
         let target = store.relation(step.target);
         let rows = target.rows();
         let mut cached: Option<(u64, &[u32])> = None;
-        for &(key_bits, i) in order.iter() {
+        for &(key_bits, i) in order {
             let (_, _, row) = &batch[i as usize];
             // Re-run the prelude: it passed in pass 1 (it is deterministic)
             // but the shared registers now hold the previous row's state.
@@ -279,10 +315,10 @@ impl Evaluator<'_> {
             return;
         }
         let step = &rule.steps[k];
-        // The store is immutable for the whole local iteration (derived
-        // rows are buffered and merged afterwards), so rows are borrowed
-        // straight from the target relation; binds re-verify the probe
-        // column exactly.
+        // The store is immutable while a slice of the kernel runs (derived
+        // rows are buffered and merged between slices), so rows are
+        // borrowed straight from the target relation; binds re-verify the
+        // probe column exactly.
         let target = store.relation(step.target);
         let rows = target.rows();
         match &step.probe {

@@ -124,14 +124,26 @@ impl Coordination {
     }
 }
 
-/// Pre-Distribute partial aggregation (§5.2.3): merge-layout rows derived
-/// within one local iteration collapse per key before routing — min/max
-/// keep the best row per group, sum/count keep the latest row per
-/// (group, contributor). Set-relation rows skip the map entirely: their
-/// only collapse is exact-duplicate elimination, which Distribute's
-/// sent-filter (and, ultimately, the idempotent merge) already performs
-/// — hashing every head row into a per-round map just to drop dupes a
-/// later stage drops anyway was pure round-trip cost.
+/// Set rows evaluated but not yet distributed: once an evaluation slice
+/// leaves this many buffered, Iterate hands them to Distribute before the
+/// next slice, so the buffer between the kernel and Distribute stays
+/// bounded however large one iteration's output is. The flush tests in
+/// `tests/engine_e2e.rs` and `scripts/check_trace_smoke.sh` size their
+/// inputs to more than twice this.
+const FLUSH_ROWS: usize = 1 << 14;
+
+/// Delta rows per evaluation slice: how often Iterate checks the buffer
+/// against [`FLUSH_ROWS`].
+const SLICE_ROWS: usize = 256;
+
+/// Head rows between the kernel and Distribute, with the pre-Distribute
+/// partial aggregation of §5.2.3. Aggregate rows collapse per key for the
+/// whole local iteration — min/max keep the best row per group, sum/count
+/// keep the latest row per (group, contributor) — and reach Distribute
+/// only when the iteration ends. Set rows skip the map: their only
+/// collapse is exact-duplicate elimination, which Distribute's
+/// sent-filter and the idempotent merge already perform, so they queue
+/// in `rows`, which Iterate flushes every [`FLUSH_ROWS`].
 #[derive(Default)]
 struct PartialAgg {
     best: FastMap<(RelId, Tuple), Tuple>,
@@ -181,7 +193,8 @@ impl PartialAgg {
     }
 
     /// Consumes the accumulator, yielding `(head relation, row)` pairs
-    /// straight into Distribute — no intermediate `Vec` round-trip.
+    /// for Distribute: the set rows still buffered, then every aggregate
+    /// row.
     fn drain(self) -> impl Iterator<Item = (RelId, Tuple)> {
         self.rows
             .into_iter()
@@ -250,6 +263,7 @@ impl<'a> Worker<'a> {
         self.coord.check_deadline()?;
 
         // ---- Init phase: base rules + inline facts ----
+        let ti = Instant::now();
         let stratum = &self.plan.strata[si];
         let mut acc = PartialAgg::default();
         {
@@ -269,8 +283,9 @@ impl<'a> Worker<'a> {
                 }
             }
         }
+        self.rec.close(Phase::EvalDelta, ti, 0, 0, 0);
         let mut delta = Vec::new();
-        self.distribute(si, store, acc, &mut delta, &mut None)?;
+        self.distribute(si, store, acc.drain(), &mut delta, &mut None)?;
         let tp = Instant::now();
         sc.post_init.wait();
         self.rec.close(Phase::Idle, tp, 0, 0, 0);
@@ -302,9 +317,7 @@ impl<'a> Worker<'a> {
             self.drain_into(si, store, &mut delta, &mut None);
             self.rec.close(Phase::Gather, tg, 0, 0, 0);
             let processed = delta.len() as u64;
-            let outs = self.iterate(si, store, &mut delta);
-            let (local_new, remote_sent) =
-                self.distribute(si, store, outs, &mut delta, &mut None)?;
+            let (local_new, remote_sent) = self.iterate(si, store, &mut delta, &mut None)?;
             let produced = remote_sent + local_new;
             let queue_depth = self.coord.buffers.inbound_len(self.me) as u64;
             self.rec.end_iteration(processed, produced, queue_depth);
@@ -403,9 +416,8 @@ impl<'a> Worker<'a> {
 
             let t0 = Instant::now();
             let processed = delta.len();
-            let outs = self.iterate(si, store, &mut delta);
             let (local_new, remote_sent) =
-                self.distribute(si, store, outs, &mut delta, &mut dws.as_mut())?;
+                self.iterate(si, store, &mut delta, &mut dws.as_mut())?;
             if let Some(ctrl) = dws.as_mut() {
                 ctrl.on_iteration(processed, t0.elapsed());
             }
@@ -443,54 +455,75 @@ impl<'a> Worker<'a> {
             .collect()
     }
 
-    /// One local semi-naive iteration: runs every matching delta variant
-    /// over the pending delta rows. Outputs pass through the partial
+    /// One local semi-naive iteration and its Distribute: runs every
+    /// matching delta variant over the pending delta rows, which become
+    /// empty and collect the next delta. Head rows pass through the partial
     /// aggregation of §5.2.3 ("the Distribute operators also perform some
-    /// partial aggregation"), so the returned list is bounded by the
-    /// number of distinct output groups, not raw join results.
-    fn iterate(&mut self, si: usize, store: &WorkerStore, delta: &mut Vec<DeltaRow>) -> PartialAgg {
-        let t0 = Instant::now();
-        let stratum = &self.plan.strata[si];
+    /// partial aggregation"). Each kernel call's second pass runs in slices
+    /// of [`SLICE_ROWS`]; whenever [`FLUSH_ROWS`] set rows are buffered
+    /// after a slice, they go to Distribute before the next slice, so later
+    /// slices probe stores those rows may have grown (monotone rules only
+    /// derive more from them). Aggregate rows are distributed once, at the
+    /// end. Returns `(new local merges, tuples sent to peers)`.
+    fn iterate(
+        &mut self,
+        si: usize,
+        store: &mut WorkerStore,
+        delta: &mut Vec<DeltaRow>,
+        dws: &mut Option<&mut DwsController>,
+    ) -> Result<(u64, u64)> {
+        let mut t0 = Instant::now();
+        let plan = self.plan;
+        let stratum = &plan.strata[si];
         let mut rows = self.coalesce(std::mem::take(delta));
         let nrows = rows.len() as u64;
         self.rec.counters.tuples_processed += nrows;
         let mut acc = PartialAgg::default();
+        let (mut local_new, mut remote_sent) = (0, 0);
         // Cluster the delta by (rel, route): each cluster runs as one
         // batch per matching rule. The sort is stable, so rows keep their
         // arrival order within a cluster.
         rows.sort_by_key(|r| (r.0, r.1));
-        let plan = self.plan;
-        let evaluator = &self.evaluator;
-        let scratch = &mut self.scratch;
-        let m = &mut self.rec.counters;
-        let mut start = 0;
-        while start < rows.len() {
-            let (rel, route) = (rows[start].0, rows[start].1);
-            let mut end = start + 1;
-            while end < rows.len() && rows[end].0 == rel && rows[end].1 == route {
-                end += 1;
-            }
-            let group = &rows[start..end];
+        for group in rows.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let (rel, route) = (group[0].0, group[0].1);
             for rule in &stratum.delta_rules {
                 let spec = rule.delta.as_ref().expect("delta rule");
                 if spec.rel != rel || spec.route != route as usize {
                     continue;
                 }
                 let head = rule.head_rel;
-                evaluator.eval_delta_batch(rule, store, group, scratch, &mut |t| {
-                    acc.push(plan, head, t)
-                });
+                let n = self.evaluator.sort_batch(rule, group, &mut self.scratch);
+                for lo in (0..n).step_by(SLICE_ROWS) {
+                    let slice = lo..n.min(lo + SLICE_ROWS);
+                    self.evaluator.eval_sorted(
+                        rule,
+                        store,
+                        group,
+                        slice,
+                        &mut self.scratch,
+                        &mut |t| acc.push(plan, head, t),
+                    );
+                    if acc.rows.len() >= FLUSH_ROWS {
+                        self.rec.close(Phase::EvalDelta, t0, 0, 0, 0);
+                        let (l, r) = self.distribute(si, store, acc.rows.drain(..), delta, dws)?;
+                        local_new += l;
+                        remote_sent += r;
+                        t0 = Instant::now();
+                    }
+                }
+                let m = &mut self.rec.counters;
                 m.kernel_batches += 1;
                 m.kernel_rows += group.len() as u64;
             }
-            start = end;
         }
         self.rec.close(Phase::EvalDelta, t0, nrows, 0, 0);
-        acc
+        let (l, r) = self.distribute(si, store, acc.drain(), delta, dws)?;
+        Ok((local_new + l, remote_sent + r))
     }
 
-    /// Routes derived tuples (Distribute): local merges feed the next
-    /// delta immediately, remote rows are batched into the SPSC buffers.
+    /// Routes `(head relation, row)` pairs (Distribute): local merges feed
+    /// the next delta immediately, remote rows are batched into the SPSC
+    /// buffers.
     /// Returns `(new local merges, tuples sent to peers)`. The DWS
     /// controller (when present) must observe any batches consumed during
     /// backpressure retries, or λ is underestimated.
@@ -498,7 +531,7 @@ impl<'a> Worker<'a> {
         &mut self,
         si: usize,
         store: &mut WorkerStore,
-        outs: PartialAgg,
+        outs: impl Iterator<Item = (RelId, Tuple)>,
         delta: &mut Vec<DeltaRow>,
         dws: &mut Option<&mut DwsController>,
     ) -> Result<(u64, u64)> {
@@ -508,12 +541,11 @@ impl<'a> Worker<'a> {
         let mut local_new = 0u64;
         let mut remote_sent = 0u64;
         // Staging area: (dest, rel) → a flat frame builder. Head rows flow
-        // from the partial-aggregation map straight into the frames; no
-        // intermediate Vec<(RelId, Tuple)> and no per-row Tuple clone on
-        // the remote path.
+        // from Iterate's buffer straight into the frames, with no per-row
+        // Tuple clone on the remote path.
         let mut staged: FastMap<(WorkerId, RelId), Frame> = FastMap::default();
         let mut dests: Vec<WorkerId> = Vec::with_capacity(2);
-        for (rel, row) in outs.drain() {
+        for (rel, row) in outs {
             // The sent-filter: a row this worker already routed went to
             // the same (deterministic) destinations then; re-merging it
             // anywhere is a no-op, so the whole row can be dropped before

@@ -9,7 +9,9 @@
 //! sorted `(head_rel, row)` emissions after each round, on randomized
 //! EDBs over the paper's query pool: linear recursion (TC), non-linear
 //! with two routes (APSP, SG), `min` inside recursion (CC, SSSP with
-//! arithmetic) and `count` with a threshold filter (Attend).
+//! arithmetic) and `count` with a threshold filter (Attend). The kernel
+//! split into its two passes (`sort_batch`, then `eval_sorted` over small
+//! slices of the sorted order) must emit the same rows in the same order.
 
 use dcd_common::proptest;
 use dcd_common::proptest::prelude::*;
@@ -108,6 +110,7 @@ fn differential_fixpoint(p: &PhysicalPlan, store: &mut WorkerStore) -> usize {
             // Batched: cluster by (rel, route), one kernel call per rule,
             // exactly as `Worker::iterate` does.
             let mut batched: Vec<(RelId, Tuple)> = Vec::new();
+            let mut sliced: Vec<(RelId, Tuple)> = Vec::new();
             let mut start = 0;
             while start < rows.len() {
                 let (rel, route) = (rows[start].0, rows[start].1);
@@ -130,9 +133,22 @@ fn differential_fixpoint(p: &PhysicalPlan, store: &mut WorkerStore) -> usize {
                         &mut |t| batched.push((head, t)),
                     );
                     assert_eq!(n, batched.len() as u64 - before, "kernel emission count");
+
+                    // Sliced: pass 1 once, then pass 2 over ranges of 3
+                    // sorted rows, as `Worker::iterate` runs it around
+                    // flushes; same rows, same order.
+                    let group = &rows[start..end];
+                    let n = ev.sort_batch(rule, group, &mut scratch);
+                    for lo in (0..n).step_by(3) {
+                        let slice = lo..n.min(lo + 3);
+                        ev.eval_sorted(rule, store, group, slice, &mut scratch, &mut |t| {
+                            sliced.push((head, t))
+                        });
+                    }
                 }
                 start = end;
             }
+            assert_eq!(sliced, batched, "sliced kernel diverged");
 
             let mut want = reference.clone();
             want.sort();

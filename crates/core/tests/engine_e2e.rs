@@ -2,7 +2,8 @@
 //! hand-computable answers, all three coordination strategies, and 1, 2
 //! and 4 workers.
 
-use dcd_runtime::trace::{EventKind, Mark};
+use dcd_baselines::Reference;
+use dcd_runtime::trace::{EventKind, Mark, Phase};
 use dcdatalog::{queries, Engine, EngineConfig, Program, Strategy, Tuple, Value};
 
 fn strategies() -> Vec<Strategy> {
@@ -501,5 +502,79 @@ fn sent_filter_suppresses_duplicate_sends() {
             );
             assert_eq!((hits, misses), (0, 0), "{} x1", s.name());
         }
+    }
+}
+
+/// A three-layer complete DAG on `3n` nodes: every node of layer 0 points
+/// to every node of layer 1, and every node of layer 1 to every node of
+/// layer 2.
+fn layered_dag(n: i64) -> Vec<(i64, i64)> {
+    let (l0, l1, l2) = (0..n, n..2 * n, 2 * n..3 * n);
+    let first = l0.flat_map(|a| l1.clone().map(move |b| (a, b)));
+    let second = l1.clone().flat_map(|b| l2.clone().map(move |c| (b, c)));
+    first.chain(second).collect()
+}
+
+/// The transitive closure of [`layered_dag`]: its arcs plus every
+/// layer-0 → layer-2 pair, sorted.
+fn layered_closure(n: i64) -> Vec<Tuple> {
+    let mut rows: Vec<Tuple> = layered_dag(n)
+        .into_iter()
+        .chain((0..n).flat_map(|a| (2 * n..3 * n).map(move |c| (a, c))))
+        .map(|(a, b)| Tuple::from_ints(&[a, b]))
+        .collect();
+    rows.sort();
+    rows
+}
+
+#[test]
+fn set_rows_flush_in_the_middle_of_an_iteration() {
+    // One iteration derives tc(a, c) once per middle node: n³ = 64 000 set
+    // rows for linear TC and twice that for nonlinear TC, more than twice
+    // Iterate's flush budget (2^14 rows). Distribute therefore runs before
+    // the iteration ends, and nonlinear TC, which probes its own head,
+    // reads a relation that those flushes grew.
+    let n = 40;
+    let edges = layered_dag(n);
+    let linear = "tc(X, Y) <- arc(X, Y). tc(X, Y) <- tc(X, Z), arc(Z, Y).";
+    let nonlinear = "tc(X, Y) <- arc(X, Y). tc(X, Y) <- tc(X, Z), tc(Z, Y).";
+    for (qname, src) in [("linear", linear), ("nonlinear", nonlinear)] {
+        // The nested-loop `Reference` takes tens of seconds at n = 40 in a
+        // debug build, so it pins the closed form on a small instance and
+        // the closed form is the oracle at full size.
+        let mut reference = Reference::new(src).unwrap();
+        reference.load_edges("arc", &layered_dag(4));
+        let mut small = reference.run().unwrap().remove("tc").unwrap();
+        small.sort();
+        assert_eq!(small, layered_closure(4), "{qname}: Reference");
+        let want = layered_closure(n);
+        for cfg in configs() {
+            let name = format!("{qname} {} x{}", cfg.strategy.name(), cfg.workers);
+            let mut e = Engine::new(Program::parse(src).unwrap(), cfg).unwrap();
+            e.load_edges("arc", &edges).unwrap();
+            let r = e.run().unwrap();
+            assert_eq!(r.sorted("tc"), want, "{name}");
+            assert!(r.stats.report.reconciles(), "{name}: report must reconcile");
+        }
+
+        // On one worker every Distribute is local and runs once after the
+        // init rules and once at the end of each iteration — unless
+        // Iterate flushed in between, which these counts prove
+        // independently of the thread schedule.
+        let cfg = EngineConfig::with_workers(1)
+            .strategy(Strategy::Global)
+            .tracing(true);
+        let mut e = Engine::new(Program::parse(src).unwrap(), cfg).unwrap();
+        e.load_edges("arc", &edges).unwrap();
+        let r = e.run().unwrap();
+        assert_eq!(r.sorted("tc"), want, "{qname} traced");
+        let events = &r.stats.report.traces[0].events;
+        let count = |kind: EventKind| events.iter().filter(|e| e.kind == kind).count();
+        let distributes = count(EventKind::Span(Phase::Distribute));
+        let iterations = count(EventKind::Instant(Mark::Iteration));
+        assert!(
+            distributes > iterations + 1,
+            "{qname}: {distributes} Distribute spans for {iterations} iterations"
+        );
     }
 }

@@ -50,7 +50,8 @@ pub const DEFAULT_TRACE_CAP: usize = 1 << 16;
 pub enum Phase {
     /// Draining inbound queues at the top of the loop.
     Gather,
-    /// Evaluating delta rules (the Iterate operator).
+    /// Evaluating rules: a stratum's init rules once, then its delta
+    /// rules (the Iterate operator).
     EvalDelta,
     /// Routing/staging/flushing derived tuples.
     Distribute,

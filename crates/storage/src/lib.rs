@@ -11,10 +11,11 @@
 //!   stored clustered on one index column with CSR indexes (a flat id
 //!   array plus a map of `(start, end)` runs per column).
 //! * [`derived::DerivedRelation`] — recursive relations. Set relations
-//!   (`tc`, `sg`) add a dedup table from row hash to row id; aggregate
-//!   relations (`min`/`max`/`sum`/`count` heads) key that table by the
-//!   group prefix and update the aggregate in the stored row (§6.2.1),
-//!   with a per-contributor side table for `sum`/`count`.
+//!   (`tc`, `sg`) add a dedup table from row to row id, an open-addressing
+//!   array that holds each key's bits inline; aggregate relations
+//!   (`min`/`max`/`sum`/`count` heads) key that table by the group prefix
+//!   and update the aggregate in the stored row (§6.2.1), with a
+//!   per-contributor side table for `sum`/`count`.
 //! * [`cache`] — the constant-time existence-check cache (§6.2.2). The
 //!   dedup table needs none in front of it; Distribute uses one as its
 //!   sent-filter, so a row already routed is not serialized again.

@@ -4,6 +4,10 @@
 //! filter over its rows at every step — including an index on the
 //! aggregate column, whose ids move when a value is updated in place.
 //!
+//! Keys drawn from mixed `Int`/`Float` values pin the dedup table's
+//! exact-comparison fallback, where equal key bits do not mean equal
+//! values.
+//!
 //! A `SealedRelation` must store its input clustered on its first index
 //! column, and every CSR index must hand back exactly the rows a linear
 //! filter over the input finds, in input order, with each row id in
@@ -182,6 +186,87 @@ fn bits(t: &Tuple) -> Vec<(bool, u64)> {
         .collect()
 }
 
+/// Set or `min` merges with keys drawn from mixed values, against a model
+/// that finds a key by `==` over every stored row. Key bits do not decide
+/// equality here: `Int(7) == Float(7.0)` share them, `Float(-0.0)`,
+/// `Float(0.0)` and `Int(0)` share them with only the last two equal, and
+/// `Int(b)` shares them with the float whose IEEE bits are `b`. A set row
+/// is `(a, b)`; a `min` row is `(a, value b)` with group key `a`.
+fn check_mixed(kind: Kind, ops: &[(Value, Value)], linear: bool) {
+    let mut rel = match kind {
+        None => DerivedRelation::set(&[0, 1]),
+        Some(func) => DerivedRelation::aggregate(func, 1, EPSILON, &[0, 1]),
+    };
+    if linear {
+        rel = rel.with_linear_lookup();
+    }
+    let mut model: Vec<Tuple> = Vec::new();
+    for &(a, b) in ops {
+        let row = Tuple::new(&[a, b]);
+        let key = if kind.is_some() { 1 } else { 2 };
+        let want = match model
+            .iter_mut()
+            .find(|r| r.values()[..key] == row.values()[..key])
+        {
+            None => {
+                model.push(row.clone());
+                true
+            }
+            Some(_) if kind.is_none() => false,
+            Some(r) => {
+                let better = b < r[1];
+                if better {
+                    r.values_mut()[1] = b;
+                }
+                better
+            }
+        };
+        let got = rel.merge(&row);
+        prop_assert_eq!(matches!(got, Merged::New(_)), want, "merge {:?}", row);
+        let mut stored: Vec<_> = rel.rows().iter().map(bits).collect();
+        let mut expected: Vec<_> = model.iter().map(bits).collect();
+        stored.sort();
+        expected.sort();
+        prop_assert_eq!(stored, expected, "after merging {:?}", row);
+    }
+}
+
+fn mixed_ops() -> impl Strategy<Value = Vec<(Value, Value)>> {
+    let cell = || (-4..4i64, 0..3u8);
+    proptest::collection::vec((cell(), cell()), 1..80)
+        .prop_map(|ops| ops.into_iter().map(|(a, b)| (value(a), value(b))).collect())
+}
+
+#[test]
+fn mixed_keys_fixed_cases() {
+    let (i, f) = (Value::Int, Value::Float);
+    let one = i(1);
+    let cases: [&[Value]; 3] = [
+        &[i(7), f(7.0)],
+        &[f(-0.0), f(0.0), i(0)],
+        &[i(1.5f64.to_bits() as i64), f(1.5)],
+    ];
+    for kind in [None, Some(AggFunc::Min)] {
+        for linear in [false, true] {
+            for keys in cases {
+                // Each case in both orders, as set rows `(k, 1)` and as
+                // `min` rows `(k, 1)` with group key `k`.
+                let forward: Vec<_> = keys.iter().map(|&k| (k, one)).collect();
+                let backward: Vec<_> = forward.iter().rev().copied().collect();
+                check_mixed(kind, &forward, linear);
+                check_mixed(kind, &backward, linear);
+            }
+            // Both key columns mixed at once.
+            let pairs: Vec<_> = cases
+                .iter()
+                .flat_map(|a| cases.iter().flat_map(move |b| a.iter().zip(b.iter())))
+                .map(|(&a, &b)| (a, b))
+                .collect();
+            check_mixed(kind, &pairs, linear);
+        }
+    }
+}
+
 fn check_sealed(input: &[Tuple], index_cols: &[usize]) {
     let rel = SealedRelation::build(input.to_vec(), index_cols);
     let mut cols: Vec<usize> = Vec::new();
@@ -250,6 +335,16 @@ proptest! {
     #[test]
     fn set_matches_model(ops in ops()) {
         check(None, &ops, false);
+    }
+
+    #[test]
+    fn set_matches_model_on_mixed_keys(ops in mixed_ops(), linear in any::<bool>()) {
+        check_mixed(None, &ops, linear);
+    }
+
+    #[test]
+    fn min_matches_model_on_mixed_keys(ops in mixed_ops(), linear in any::<bool>()) {
+        check_mixed(Some(AggFunc::Min), &ops, linear);
     }
 
     #[test]

@@ -15,7 +15,13 @@
 #   5. the engine export uses the ns clock, the simulator the tick
 #      clock — same schema, comparable side by side,
 #   6. the stats JSON of the traced run carries a non-empty
-#      iteration_series table.
+#      iteration_series table,
+#   7. Iterate flushes set rows to Distribute in the middle of an
+#      iteration: 1-worker TC on a three-layer complete DAG, whose first
+#      iteration derives n^3 rows, must close more Distribute spans than
+#      one per iteration plus the init one, its stats JSON must count the
+#      trace's iterations, and it must still derive the closed form's 3n^2
+#      rows.
 #
 # Run from anywhere inside the repo: scripts/check_trace_smoke.sh
 # Pass a prebuilt binary path as $1 to skip the cargo build.
@@ -110,6 +116,39 @@ for col in rows_in rows_out queue_depth omega tau; do
         fail=1
     fi
 done
+
+# -- Iterate flushes mid-iteration ---------------------------------------
+# Layers of n = 40 nodes: one iteration derives n^3 = 64 000 tc rows, well
+# over twice the engine's 2^14-row flush budget.
+n=40
+awk -v n="$n" 'BEGIN {
+    for (a = 0; a < n; a++) for (b = n; b < 2 * n; b++) print a, b
+    for (b = n; b < 2 * n; b++) for (c = 2 * n; c < 3 * n; c++) print b, c
+}' > "$workdir/dag.csv"
+"$BIN" run programs/tc.dl \
+    --edb arc="$workdir/dag.csv" \
+    --workers 1 --strategy global --limit 1 \
+    --stats-json "$workdir/dag_stats.json" \
+    --trace-json "$workdir/dag_trace.json" > "$workdir/dag_out.txt"
+distributes=$(grep -c '"name":"Distribute".*"tid":0,' "$workdir/dag_trace.json" || true)
+iterations=$(grep -c '"name":"iteration".*"tid":0,' "$workdir/dag_trace.json" || true)
+if [ "$distributes" -le $((iterations + 1)) ]; then
+    echo "FAIL(flush): worker 0 closed $distributes Distribute spans for" \
+         "$iterations iterations; no mid-iteration flush" >&2
+    fail=1
+fi
+rows=$(grep -o '^tc ([0-9]* rows' "$workdir/dag_out.txt" | grep -o '[0-9][0-9]*' || true)
+if [ "$rows" != $((3 * n * n)) ]; then
+    echo "FAIL(flush): tc has ${rows:-no} rows, closed form $((3 * n * n))" >&2
+    fail=1
+fi
+stats_iterations=$(grep -o '"iterations":[0-9]*' "$workdir/dag_stats.json" | head -1 | grep -o '[0-9][0-9]*' || true)
+if [ "$stats_iterations" != "$iterations" ]; then
+    echo "FAIL(flush): stats JSON counts ${stats_iterations:-no} iterations," \
+         "the trace $iterations" >&2
+    fail=1
+fi
+echo "ok(flush): $distributes Distribute spans, $iterations iterations, $rows rows"
 
 if [ "$fail" -ne 0 ]; then
     echo "trace smoke FAILED" >&2
