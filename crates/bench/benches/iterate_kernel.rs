@@ -4,9 +4,11 @@
 //! Workload: one TC delta group of 10 000 rows whose join keys are
 //! skewed (~80% land in an 8-key hot set), the shape where the kernel's
 //! key-sorted probe memoization pays — runs of equal keys descend the
-//! arc index once instead of once per row. Both paths evaluate the same
-//! delta against the same immutable store, and their emission counts
-//! are asserted equal before anything is timed.
+//! arc index once instead of once per row. The delta rows are merged into
+//! the store's `tc` relation first, since a delta entry is a stored row's
+//! id. Both paths evaluate the same delta against the same immutable
+//! store, and their emission counts are asserted equal before anything is
+//! timed.
 //!
 //! Run with `cargo bench -p dcd-bench --bench iterate_kernel`; pass
 //! `--json PATH` for machine-readable results.
@@ -19,7 +21,7 @@ use dcd_frontend::{analyze, parse_program};
 use dcdatalog::catalog::EdbCatalog;
 use dcdatalog::eval::{DeltaRow, EvalScratch, Evaluator};
 use dcdatalog::queries;
-use dcdatalog::store::WorkerStore;
+use dcdatalog::store::{Merged, WorkerStore};
 
 const VERTICES: i64 = 256;
 const DELTA_ROWS: usize = 10_000;
@@ -45,26 +47,32 @@ fn build_tc() -> (PhysicalPlan, WorkerStore) {
 }
 
 /// A 10k-row tc delta with a skewed join column: 80% of rows carry one
-/// of `HOT_KEYS` keys, the rest spread over the whole vertex domain.
-fn skewed_delta(p: &PhysicalPlan) -> Vec<DeltaRow> {
+/// of `HOT_KEYS` keys, the rest spread over the whole vertex domain. The
+/// first column is the row number, so every row is distinct; each is
+/// merged into `store` and the delta holds their ids.
+fn skewed_delta(p: &PhysicalPlan, store: &mut WorkerStore) -> Vec<DeltaRow> {
     let tc = p.rel_by_name("tc").expect("tc");
     let mut rng = Rng::seed_from_u64(0xD1CE);
-    (0..DELTA_ROWS)
-        .map(|i| {
-            let z = if rng.gen_bool(0.8) {
-                rng.gen_below(HOT_KEYS as u64) as i64
-            } else {
-                rng.gen_below(VERTICES as u64) as i64
-            };
-            (tc, 0u8, Tuple::from_ints(&[i as i64 % 512, z]))
-        })
-        .collect()
+    let mut delta = Vec::with_capacity(DELTA_ROWS);
+    for i in 0..DELTA_ROWS {
+        let z = if rng.gen_bool(0.8) {
+            rng.gen_below(HOT_KEYS as u64) as i64
+        } else {
+            rng.gen_below(VERTICES as u64) as i64
+        };
+        let row = Tuple::from_ints(&[i as i64, z]);
+        let Merged::New(id) = store.rec_mut(tc).merge(&row) else {
+            unreachable!("delta rows are distinct");
+        };
+        delta.push((tc, 0u8, id));
+    }
+    delta
 }
 
 fn main() {
     let mut h = Harness::from_args();
-    let (p, store) = build_tc();
-    let delta = skewed_delta(&p);
+    let (p, mut store) = build_tc();
+    let delta = skewed_delta(&p, &mut store);
     let ev = Evaluator {
         plan: &p,
         me: 0,
@@ -89,10 +97,11 @@ fn main() {
             std::hint::black_box(&t);
         });
     }
+    let tc_rows = store.rec(tc).rows();
     let mut reference = Vec::new();
-    for (_, _, row) in &delta {
+    for &(_, _, id) in &delta {
         for rule in &rules {
-            ev.eval_delta(rule, &store, row, &mut reference);
+            ev.eval_delta(rule, &store, &tc_rows[id as usize], &mut reference);
         }
     }
     assert_eq!(
@@ -119,9 +128,9 @@ fn main() {
 
     h.bench("iterate_kernel", "tuple_at_a_time_10k_skew", || {
         let mut out = Vec::new();
-        for (_, _, row) in &delta {
+        for &(_, _, id) in &delta {
             for rule in &rules {
-                ev.eval_delta(rule, &store, row, &mut out);
+                ev.eval_delta(rule, &store, &tc_rows[id as usize], &mut out);
             }
         }
         std::hint::black_box(out.len());

@@ -3,7 +3,6 @@
 use dcd_common::Tuple;
 use dcdatalog::{DcdError, Engine, EngineConfig, Program};
 use std::fmt;
-use std::time::Duration;
 
 /// Outcome of one timed run, mirroring the paper's table cells.
 #[derive(Clone, Debug, PartialEq)]
@@ -89,26 +88,6 @@ impl Run {
     }
 }
 
-/// Default per-run timeout for the repro harness.
-pub fn default_timeout() -> Duration {
-    Duration::from_secs(120)
-}
-
-/// Pretty-prints one table row: a label plus one cell per system/column.
-pub fn print_row(label: &str, cells: &[String]) {
-    print!("{label:<26}");
-    for c in cells {
-        print!(" {c:>12}");
-    }
-    println!();
-}
-
-/// Prints a table header.
-pub fn print_header(title: &str, cols: &[&str]) {
-    println!("\n== {title} ==");
-    print_row("", &cols.iter().map(|c| c.to_string()).collect::<Vec<_>>());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,7 +127,7 @@ mod tests {
     #[test]
     fn timeout_is_reported_as_to() {
         let mut config = EngineConfig::with_workers(2);
-        config.timeout = Some(Duration::from_nanos(1));
+        config.timeout = Some(std::time::Duration::from_nanos(1));
         let edges: Vec<Tuple> = (0..200)
             .map(|i| Tuple::from_ints(&[i, (i + 1) % 200]))
             .collect();

@@ -19,7 +19,7 @@
 //! * [`rng`] — first-party seedable PRNGs (SplitMix64, xoshiro256++) so the
 //!   workspace needs no external `rand`: every dataset and test input is
 //!   bit-for-bit reproducible from a seed.
-//! * [`proptest`] — a first-party property-testing harness (generators,
+//! * [`proptest`](mod@proptest) — a first-party property-testing harness (generators,
 //!   runner, counterexample shrinking) replacing the external `proptest`
 //!   crate; see DESIGN.md §"Hermetic build".
 //! * [`json`] — a minimal first-party JSON parser, the read side of the

@@ -9,6 +9,11 @@
 //! (strided across workers for replicated tables so no derivation is
 //! duplicated).
 //!
+//! A delta entry ([`DeltaRow`]) names its row by id in the worker's own
+//! derived store rather than carrying a copy, so each derived row is
+//! stored once. The kernel resolves the id when it reads the row, and an
+//! aggregate group's id always reads the group's newest value.
+//!
 //! The hot path is the *batched* kernel [`Evaluator::eval_delta_batch`]:
 //! one `(rel, route)` group of delta rows runs against one rule with a
 //! single persistent register file (no per-row allocation) and, when the
@@ -27,8 +32,9 @@ use dcd_frontend::physical::{
     BindAction, CompiledRule, PhysicalPlan, Placement, Probe, RelId, Step, Target,
 };
 
-/// A pending delta row: `(relation, route, logical row)`.
-pub type DeltaRow = (RelId, u8, Tuple);
+/// A pending delta row: `(relation, route, row id)`, the id indexing the
+/// relation's rows in this worker's store.
+pub type DeltaRow = (RelId, u8, u32);
 
 /// Applies a bind list to `row`, updating `regs`; returns `false` when a
 /// check fails (candidate rejected).
@@ -53,6 +59,14 @@ fn apply_binds(row: &Tuple, binds: &[BindAction], regs: &mut [Value]) -> bool {
         }
     }
     true
+}
+
+/// The stored rows of `rule`'s delta relation, which its delta ids index.
+#[inline]
+fn delta_rows<'s>(rule: &CompiledRule, store: &'s WorkerStore) -> &'s [Tuple] {
+    store
+        .rec(rule.delta.as_ref().expect("delta rule").rel)
+        .rows()
 }
 
 /// Applies a step's assignments then filters.
@@ -151,19 +165,21 @@ impl Evaluator<'_> {
         scratch: &mut EvalScratch,
         sink: &mut impl FnMut(Tuple),
     ) -> u64 {
-        let n = self.sort_batch(rule, batch, scratch);
+        let n = self.sort_batch(rule, store, batch, scratch);
         self.eval_sorted(rule, store, batch, 0..n, scratch, sink)
     }
 
     /// Pass 1 of the kernel: fills `scratch`'s visiting order for `batch`
-    /// and returns its length. When the rule opens with an index probe,
-    /// only rows that pass the prelude are kept, sorted by their
-    /// first-probe key (stably, preserving arrival order within a key) so
-    /// pass 2 can reuse one index descent per run of equal keys. Otherwise
-    /// every row is kept, in arrival order.
+    /// (whose ids index `store`'s rows of the rule's delta relation) and
+    /// returns its length. When the rule opens with an index probe, only
+    /// rows that pass the prelude are kept, sorted by their first-probe
+    /// key (stably, preserving batch order within a key) so pass 2 can
+    /// reuse one index descent per run of equal keys. Otherwise every row
+    /// is kept, in batch order.
     pub fn sort_batch(
         &self,
         rule: &CompiledRule,
+        store: &WorkerStore,
         batch: &[DeltaRow],
         scratch: &mut EvalScratch,
     ) -> usize {
@@ -179,8 +195,9 @@ impl Evaluator<'_> {
             order.extend((0..batch.len() as u32).map(|i| (0, i)));
             return order.len();
         };
-        for (i, (_, _, row)) in batch.iter().enumerate() {
-            if bind_prelude(rule, row, regs) {
+        let rows = delta_rows(rule, store);
+        for (i, &(_, _, id)) in batch.iter().enumerate() {
+            if bind_prelude(rule, &rows[id as usize], regs) {
                 order.push((key.eval(regs).key_bits(), i as u32));
             }
         }
@@ -193,8 +210,18 @@ impl Evaluator<'_> {
     /// register file lives in `scratch`, so the per-row cost is pure
     /// binding work; with a leading index probe, runs of equal keys
     /// descend the index once (`scratch` counts descents as `probe_hits`
-    /// and reuses as `probe_reuse`). Probe targets are fetched from
-    /// `store` on every call, so `store` may grow between slices.
+    /// and reuses as `probe_reuse`). Delta rows and probe targets are
+    /// fetched from `store` on every call, so `store` may grow between
+    /// slices.
+    ///
+    /// A stored aggregate row can improve between the passes (a
+    /// backpressure drain inside a mid-iteration flush merges into the
+    /// store), so its prelude, re-run here on the newest value, may now
+    /// fail; the row is then skipped. That is sound: the merge that
+    /// improved it queued its id for the next iteration. If the prelude
+    /// passes, the row is evaluated with its newest value under the key
+    /// pass 1 sorted it by; the binds re-check the probe column, so a
+    /// stale bucket cannot emit a wrong row.
     pub fn eval_sorted(
         &self,
         rule: &CompiledRule,
@@ -216,6 +243,7 @@ impl Evaluator<'_> {
             sink(t)
         };
         let order = &order[range];
+        let delta = delta_rows(rule, store);
 
         let Some(
             step @ Step {
@@ -227,7 +255,7 @@ impl Evaluator<'_> {
             // No leading index probe: run the chain per row, still
             // sharing the one register file.
             for &(_, i) in order {
-                if bind_prelude(rule, &batch[i as usize].2, regs) {
+                if bind_prelude(rule, &delta[batch[i as usize].2 as usize], regs) {
                     self.run_steps(rule, store, 0, regs, &mut counting);
                 }
             }
@@ -241,12 +269,9 @@ impl Evaluator<'_> {
         let rows = target.rows();
         let mut cached: Option<(u64, &[u32])> = None;
         for &(key_bits, i) in order {
-            let (_, _, row) = &batch[i as usize];
-            // Re-run the prelude: it passed in pass 1 (it is deterministic)
-            // but the shared registers now hold the previous row's state.
-            let ok = bind_prelude(rule, row, regs);
-            debug_assert!(ok, "prelude re-run diverged");
-            if !ok {
+            // Re-run the prelude: the shared registers hold the previous
+            // row's state, and the row may have improved since pass 1.
+            if !bind_prelude(rule, &delta[batch[i as usize].2 as usize], regs) {
                 continue;
             }
             let ids = match cached {
@@ -398,8 +423,8 @@ mod tests {
         assert_eq!(out.len(), 2);
         let mut delta = Vec::new();
         for row in &out {
-            if let Merged::New(l) = store.rec_mut(tc).merge(row) {
-                delta.push(l);
+            if let Merged::New(id) = store.rec_mut(tc).merge(row) {
+                delta.push(store.rec(tc).rows()[id as usize].clone());
             }
         }
         // One delta step: (1,2) ⋈ arc → (1,3).
@@ -464,8 +489,8 @@ mod tests {
         }
         assert_eq!(out, vec![Tuple::from_ints(&[1, 0])]);
         let mut delta = Vec::new();
-        if let Merged::New(l) = store.rec_mut(sp).merge(&out[0]) {
-            delta.push(l);
+        if let Merged::New(id) = store.rec_mut(sp).merge(&out[0]) {
+            delta.push(store.rec(sp).rows()[id as usize].clone());
         }
         let mut out2 = Vec::new();
         for d in &delta {
@@ -575,14 +600,14 @@ mod tests {
         }
         let mut batch: Vec<DeltaRow> = Vec::new();
         for row in &init {
-            if let Merged::New(l) = store.rec_mut(tc).merge(row) {
-                batch.push((tc, 0, l));
+            if let Merged::New(id) = store.rec_mut(tc).merge(row) {
+                batch.push((tc, 0, id));
             }
         }
         let rule = &p.strata[0].delta_rules[0];
         let mut want = Vec::new();
-        for (_, _, row) in &batch {
-            ev.eval_delta(rule, &store, row, &mut want);
+        for &(_, _, id) in &batch {
+            ev.eval_delta(rule, &store, &store.rec(tc).rows()[id as usize], &mut want);
         }
         let mut got = Vec::new();
         let mut scratch = EvalScratch::new();
@@ -625,14 +650,14 @@ mod tests {
         }
         let mut batch: Vec<DeltaRow> = Vec::new();
         for row in &init {
-            if let Merged::New(l) = store.rec_mut(sp).merge(row) {
-                batch.push((sp, 0, l));
+            if let Merged::New(id) = store.rec_mut(sp).merge(row) {
+                batch.push((sp, 0, id));
             }
         }
         let rule = &p.strata[0].delta_rules[0];
         let mut want = Vec::new();
-        for (_, _, row) in &batch {
-            ev.eval_delta(rule, &store, row, &mut want);
+        for &(_, _, id) in &batch {
+            ev.eval_delta(rule, &store, &store.rec(sp).rows()[id as usize], &mut want);
         }
         let mut got = Vec::new();
         let mut scratch = EvalScratch::new();
@@ -642,6 +667,54 @@ mod tests {
         assert_eq!(got, want);
         // The C < 100 filter prunes (1 → 3, 200) in both paths.
         assert_eq!(got.len(), 2);
+    }
+
+    #[test]
+    fn row_improved_between_passes_is_skipped_or_read_at_its_newest_value() {
+        // A `min` improvement can only fail a lower-bound pre-filter, so
+        // `C1 > 2` is the filter an improved row can start to fail.
+        let src = "sp(To, min<C>) <- src(To, C).
+                   sp(To2, min<C>) <- sp(To1, C1), C1 > 2, warc(To1, To2, C2), C = C1 + C2.";
+        for improved in [1, 4] {
+            let (p, mut store) = build(
+                src,
+                &[
+                    ("src", vec![]),
+                    (
+                        "warc",
+                        vec![Tuple::from_ints(&[1, 2, 10]), Tuple::from_ints(&[1, 3, 5])],
+                    ),
+                ],
+            );
+            let ev = Evaluator {
+                plan: &p,
+                me: 0,
+                workers: 1,
+            };
+            let sp = p.rel_by_name("sp").unwrap();
+            let rule = &p.strata[0].delta_rules[0];
+            assert_eq!(rule.pre_filters.len(), 1, "C1 > 2 is a pre-filter");
+            let Merged::New(id) = store.rec_mut(sp).merge(&Tuple::from_ints(&[1, 9])) else {
+                panic!("first row is new");
+            };
+            let batch = [(sp, 0, id)];
+            let mut scratch = EvalScratch::new();
+            let n = ev.sort_batch(rule, &store, &batch, &mut scratch);
+            assert_eq!(n, 1, "9 passes the pre-filter");
+            // What a backpressure drain between the passes can do.
+            let better = Tuple::from_ints(&[1, improved]);
+            assert_eq!(store.rec_mut(sp).merge(&better), Merged::New(id));
+            let mut got = Vec::new();
+            ev.eval_sorted(rule, &store, &batch, 0..n, &mut scratch, &mut |t| {
+                got.push(t)
+            });
+            let mut want = Vec::new();
+            ev.eval_delta(rule, &store, &store.rec(sp).rows()[id as usize], &mut want);
+            got.sort();
+            want.sort();
+            assert_eq!(got, want, "improved to {improved}");
+            assert_eq!(got.len(), if improved > 2 { 2 } else { 0 });
+        }
     }
 
     #[test]
@@ -665,8 +738,8 @@ mod tests {
         }
         assert_eq!(out, vec![Tuple::from_ints(&[1])]);
         let mut delta = Vec::new();
-        if let Merged::New(l) = store.rec_mut(loopy).merge(&out[0]) {
-            delta.push(l);
+        if let Merged::New(id) = store.rec_mut(loopy).merge(&out[0]) {
+            delta.push(store.rec(loopy).rows()[id as usize].clone());
         }
         let mut out2 = Vec::new();
         for d in &delta {

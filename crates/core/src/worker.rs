@@ -9,6 +9,12 @@
 //! (Distribute). Termination is per-strategy: the round barrier's all-zero
 //! round for Global, the produced/consumed counter protocol for SSP/DWS.
 //!
+//! A delta row is the id of a row in this worker's store, not a copy of
+//! it. An aggregate group keeps one id while its value improves in place,
+//! so Gather's rule that a group updated several times keeps only its
+//! newest row (§5.2.2) is a sort and dedup of the pending ids: the one id
+//! left reads the newest value.
+//!
 //! Routing note: a derived tuple is *sent* once per distinct destination
 //! worker, and every receiver re-derives locally which of the relation's
 //! routes (§4.3) apply to it — this keeps multi-route relations (APSP)
@@ -430,31 +436,6 @@ impl<'a> Worker<'a> {
         }
     }
 
-    /// Coalesces pending delta rows (the Gather semantics of §5.2.2): an
-    /// aggregate group that updated several times since the last local
-    /// iteration keeps only its newest logical row. Without this, `sum`
-    /// relations fragment convergence into O(total-change/ε) micro-deltas.
-    fn coalesce(&self, rows: Vec<DeltaRow>) -> Vec<DeltaRow> {
-        use dcd_frontend::physical::StorageKind;
-        // (rel, route, group prefix) → index of the newest row.
-        let mut latest: FastMap<(RelId, u8, Tuple), usize> = FastMap::default();
-        let mut keep = vec![true; rows.len()];
-        for (i, (rel, route, row)) in rows.iter().enumerate() {
-            let decl = self.plan.idb[*rel].as_ref().expect("IDB");
-            let StorageKind::Agg { group_cols, .. } = &decl.kind else {
-                continue; // set relations never duplicate
-            };
-            let key = (*rel, *route, row.prefix(*group_cols));
-            if let Some(prev) = latest.insert(key, i) {
-                keep[prev] = false;
-            }
-        }
-        rows.into_iter()
-            .zip(keep)
-            .filter_map(|(r, k)| k.then_some(r))
-            .collect()
-    }
-
     /// One local semi-naive iteration and its Distribute: runs every
     /// matching delta variant over the pending delta rows, which become
     /// empty and collect the next delta. Head rows pass through the partial
@@ -475,15 +456,20 @@ impl<'a> Worker<'a> {
         let mut t0 = Instant::now();
         let plan = self.plan;
         let stratum = &plan.strata[si];
-        let mut rows = self.coalesce(std::mem::take(delta));
+        // Gather (§5.2.2): an aggregate group updated several times since
+        // the last iteration has one id, which reads its newest value, so
+        // dropping repeated ids keeps only the newest row. Without this,
+        // `sum` relations fragment convergence into O(total-change/ε)
+        // micro-deltas. The sort also clusters the delta by (rel, route):
+        // each cluster runs as one batch per matching rule, a set
+        // relation's rows in merge (= id) order.
+        let mut rows = std::mem::take(delta);
+        rows.sort_unstable();
+        rows.dedup();
         let nrows = rows.len() as u64;
         self.rec.counters.tuples_processed += nrows;
         let mut acc = PartialAgg::default();
         let (mut local_new, mut remote_sent) = (0, 0);
-        // Cluster the delta by (rel, route): each cluster runs as one
-        // batch per matching rule. The sort is stable, so rows keep their
-        // arrival order within a cluster.
-        rows.sort_by_key(|r| (r.0, r.1));
         for group in rows.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
             let (rel, route) = (group[0].0, group[0].1);
             for rule in &stratum.delta_rules {
@@ -492,7 +478,9 @@ impl<'a> Worker<'a> {
                     continue;
                 }
                 let head = rule.head_rel;
-                let n = self.evaluator.sort_batch(rule, group, &mut self.scratch);
+                let n = self
+                    .evaluator
+                    .sort_batch(rule, store, group, &mut self.scratch);
                 for lo in (0..n).step_by(SLICE_ROWS) {
                     let slice = lo..n.min(lo + SLICE_ROWS);
                     self.evaluator.eval_sorted(
@@ -591,7 +579,6 @@ impl<'a> Worker<'a> {
                 m.bytes_sent += piece.payload_bytes();
                 let mut batch = Batch {
                     rel: rel as u32,
-                    route: 0, // receivers re-derive applicable routes
                     frame: piece,
                     sent_at: Instant::now(),
                     from: self.me,
@@ -628,7 +615,8 @@ impl<'a> Worker<'a> {
     }
 
     /// Merges one merge-layout row into the local store; on success, adds
-    /// a delta entry for every route of the relation that maps here.
+    /// the stored row's id to the delta once for every route of the
+    /// relation that maps here.
     fn merge_local(
         &self,
         store: &mut WorkerStore,
@@ -637,24 +625,24 @@ impl<'a> Worker<'a> {
         delta: &mut Vec<DeltaRow>,
     ) -> u64 {
         let decl = self.plan.idb[rel].as_ref().expect("IDB");
-        match store.rec_mut(rel).merge(row) {
-            Merged::New(logical) => {
-                if decl.broadcast {
-                    // Broadcast relations run every variant everywhere.
-                    for r in 0..decl.partition_cols.len().max(1) {
-                        delta.push((rel, r as u8, logical.clone()));
-                    }
-                } else {
-                    for (ri, &c) in decl.partition_cols.iter().enumerate() {
-                        if self.coord.part.of_key(logical.key(c)) == self.me {
-                            delta.push((rel, ri as u8, logical.clone()));
-                        }
-                    }
-                }
-                1
+        let Merged::New(id) = store.rec_mut(rel).merge(row) else {
+            return 0;
+        };
+        if decl.broadcast {
+            // Broadcast relations run every variant everywhere.
+            for r in 0..decl.partition_cols.len().max(1) {
+                delta.push((rel, r as u8, id));
             }
-            Merged::Old => 0,
+        } else {
+            // Route columns are group columns, so the incoming row routes
+            // exactly as the stored one.
+            for (ri, &c) in decl.partition_cols.iter().enumerate() {
+                if self.coord.part.of_key(row.key(c)) == self.me {
+                    delta.push((rel, ri as u8, id));
+                }
+            }
         }
+        1
     }
 
     /// Drains every inbound queue into the store/delta (Gather, and the

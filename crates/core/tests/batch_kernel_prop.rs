@@ -12,6 +12,8 @@
 //! arithmetic) and `count` with a threshold filter (Attend). The kernel
 //! split into its two passes (`sort_batch`, then `eval_sorted` over small
 //! slices of the sorted order) must emit the same rows in the same order.
+//! Delta entries name stored rows by id, as in `Worker::iterate`, so each
+//! round's delta is sorted and deduplicated before either path reads it.
 
 use dcd_common::proptest;
 use dcd_common::proptest::prelude::*;
@@ -46,9 +48,10 @@ fn build(
     (p, store)
 }
 
-/// Merges pending `(rel, row)` emissions into the store; new rows become
-/// delta entries for every route of their relation (a single worker owns
-/// every partition, mirroring `Worker::merge_local`).
+/// Merges pending `(rel, row)` emissions into the store; the ids of new
+/// or improved rows become delta entries for every route of their
+/// relation (a single worker owns every partition, mirroring
+/// `Worker::merge_local`).
 fn merge_pending(
     p: &PhysicalPlan,
     store: &mut WorkerStore,
@@ -56,10 +59,10 @@ fn merge_pending(
     delta: &mut Vec<DeltaRow>,
 ) {
     for (rel, row) in pending {
-        if let Merged::New(logical) = store.rec_mut(rel).merge(&row) {
+        if let Merged::New(id) = store.rec_mut(rel).merge(&row) {
             let decl = p.idb[rel].as_ref().expect("IDB");
             for route in 0..decl.partition_cols.len().max(1) {
-                delta.push((rel, route as u8, logical.clone()));
+                delta.push((rel, route as u8, id));
             }
         }
     }
@@ -91,17 +94,19 @@ fn differential_fixpoint(p: &PhysicalPlan, store: &mut WorkerStore) -> usize {
             rounds += 1;
             assert!(rounds < 10_000, "runaway fixpoint");
             let mut rows = std::mem::take(&mut delta);
-            rows.sort();
+            rows.sort_unstable();
+            rows.dedup();
 
             // Reference: every row through `eval_delta`, one at a time.
             let mut reference: Vec<(RelId, Tuple)> = Vec::new();
-            for (rel, route, row) in &rows {
+            for &(rel, route, id) in &rows {
                 for rule in &stratum.delta_rules {
                     let spec = rule.delta.as_ref().expect("delta rule");
-                    if spec.rel != *rel || spec.route != *route as usize {
+                    if spec.rel != rel || spec.route != route as usize {
                         continue;
                     }
                     let mut out = Vec::new();
+                    let row = &store.rec(rel).rows()[id as usize];
                     ev.eval_delta(rule, store, row, &mut out);
                     reference.extend(out.into_iter().map(|t| (rule.head_rel, t)));
                 }
@@ -138,7 +143,7 @@ fn differential_fixpoint(p: &PhysicalPlan, store: &mut WorkerStore) -> usize {
                     // sorted rows, as `Worker::iterate` runs it around
                     // flushes; same rows, same order.
                     let group = &rows[start..end];
-                    let n = ev.sort_batch(rule, group, &mut scratch);
+                    let n = ev.sort_batch(rule, store, group, &mut scratch);
                     for lo in (0..n).step_by(3) {
                         let slice = lo..n.min(lo + 3);
                         ev.eval_sorted(rule, store, group, slice, &mut scratch, &mut |t| {

@@ -7,14 +7,11 @@
 //! Batches carry their rows as a flat [`Frame`] — one contiguous `Vec` of
 //! values with a fixed arity stride — instead of a `Vec<Tuple>`, so the
 //! exchange path moves one allocation per batch rather than one per row.
-//! The matrix also accounts exchanged *bytes*, not just batches: every
-//! successful [`WorkerEndpoints::send`] adds the frame's payload size to
-//! the producer's byte counter, every [`WorkerEndpoints::recv`] to the
-//! consumer's.
+//! Exchanged bytes are counted by each worker's `Recorder`, not here.
 
 use crate::spsc::{Consumer, Producer, SpscQueue};
 use dcd_common::{Frame, WorkerId};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 /// A batch of derived rows for one recursive relation, stamped with its
@@ -22,9 +19,6 @@ use std::time::Instant;
 pub struct Batch {
     /// Which recursive relation the rows belong to (catalog id).
     pub rel: u32,
-    /// Which of the relation's partition columns routed these rows
-    /// (index into the physical plan's `partition_cols`, §4.3).
-    pub route: u8,
     /// The rows, flat and arity-strided.
     pub frame: Frame,
     /// When the producer finished the iteration that derived these rows.
@@ -59,10 +53,6 @@ impl Batch {
 pub struct BufferMatrix {
     queues: Vec<Vec<SpscQueue<Batch>>>,
     claimed: Vec<AtomicBool>,
-    /// Bytes pushed by each producer (indexed by producer id).
-    sent_bytes: Vec<AtomicU64>,
-    /// Bytes drained by each consumer (indexed by consumer id).
-    recv_bytes: Vec<AtomicU64>,
     n: usize,
 }
 
@@ -76,8 +66,6 @@ pub struct WorkerEndpoints<'a> {
     pub from_peer: Vec<Consumer<'a, Batch>>,
     /// This worker's id.
     pub me: WorkerId,
-    sent_bytes: &'a AtomicU64,
-    recv_bytes: &'a AtomicU64,
 }
 
 impl BufferMatrix {
@@ -91,16 +79,8 @@ impl BufferMatrix {
         BufferMatrix {
             queues,
             claimed: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            sent_bytes: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            recv_bytes: (0..n).map(|_| AtomicU64::new(0)).collect(),
             n,
         }
-    }
-
-    /// Number of workers.
-    #[inline]
-    pub fn workers(&self) -> usize {
-        self.n
     }
 
     /// Claims the endpoints for worker `me`. Panics on double-claim — each
@@ -129,38 +109,12 @@ impl BufferMatrix {
             to_peer,
             from_peer,
             me,
-            sent_bytes: &self.sent_bytes[me],
-            recv_bytes: &self.recv_bytes[me],
         }
-    }
-
-    /// Whether every queue destined for worker `i` is currently empty
-    /// (used by idle checks; approximate under concurrency).
-    pub fn inbound_empty(&self, i: WorkerId) -> bool {
-        self.queues[i].iter().all(|q| q.is_empty())
     }
 
     /// Total queued batches destined for worker `i` (approximate).
     pub fn inbound_len(&self, i: WorkerId) -> usize {
         self.queues[i].iter().map(|q| q.len()).sum()
-    }
-
-    /// Payload bytes pushed by worker `j` so far.
-    pub fn sent_bytes(&self, j: WorkerId) -> u64 {
-        self.sent_bytes[j].load(Ordering::Relaxed)
-    }
-
-    /// Payload bytes drained by worker `i` so far.
-    pub fn recv_bytes(&self, i: WorkerId) -> u64 {
-        self.recv_bytes[i].load(Ordering::Relaxed)
-    }
-
-    /// Total payload bytes exchanged (sum over producers).
-    pub fn exchanged_bytes(&self) -> u64 {
-        self.sent_bytes
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .sum()
     }
 }
 
@@ -170,22 +124,15 @@ impl WorkerEndpoints<'_> {
         self.from_peer.iter().any(|c| !c.is_empty())
     }
 
-    /// Pushes `batch` towards `dest`, accounting its bytes on success.
-    /// On a full queue the batch is handed back, exactly like
-    /// [`Producer::push`].
+    /// Pushes `batch` towards `dest`. On a full queue the batch is handed
+    /// back, exactly like [`Producer::push`].
     pub fn send(&mut self, dest: WorkerId, batch: Batch) -> Result<(), Batch> {
-        let bytes = batch.payload_bytes();
-        self.to_peer[dest].push(batch)?;
-        self.sent_bytes.fetch_add(bytes, Ordering::Relaxed);
-        Ok(())
+        self.to_peer[dest].push(batch)
     }
 
-    /// Pops the next batch produced by worker `from`, accounting its bytes.
+    /// Pops the next batch produced by worker `from`.
     pub fn recv(&mut self, from: WorkerId) -> Option<Batch> {
-        let batch = self.from_peer[from].pop()?;
-        self.recv_bytes
-            .fetch_add(batch.payload_bytes(), Ordering::Relaxed);
-        Some(batch)
+        self.from_peer[from].pop()
     }
 }
 
@@ -198,7 +145,6 @@ mod tests {
         let tuples: Vec<Tuple> = vals.iter().map(|&v| Tuple::from_ints(&[v])).collect();
         Batch {
             rel,
-            route: 0,
             frame: Frame::from_tuples(1, &tuples),
             sent_at: Instant::now(),
             from,
@@ -240,27 +186,10 @@ mod tests {
     fn inbound_accounting() {
         let m = BufferMatrix::new(3, 8);
         let mut e2 = m.claim(2);
-        assert!(m.inbound_empty(0));
+        assert_eq!(m.inbound_len(0), 0);
         e2.send(0, batch(0, 2, &[1])).ok().unwrap();
-        assert!(!m.inbound_empty(0));
         assert_eq!(m.inbound_len(0), 1);
-        assert!(m.inbound_empty(1));
-    }
-
-    #[test]
-    fn byte_accounting_tracks_payloads() {
-        let m = BufferMatrix::new(2, 8);
-        let mut e0 = m.claim(0);
-        let mut e1 = m.claim(1);
-        let b = batch(0, 0, &[1, 2, 3]);
-        let bytes = b.payload_bytes();
-        assert!(bytes > 0);
-        e0.send(1, b).ok().unwrap();
-        assert_eq!(m.sent_bytes(0), bytes);
-        assert_eq!(m.exchanged_bytes(), bytes);
-        assert_eq!(m.recv_bytes(1), 0, "not drained yet");
-        e1.recv(0).unwrap();
-        assert_eq!(m.recv_bytes(1), bytes);
+        assert_eq!(m.inbound_len(1), 0);
     }
 
     #[test]
@@ -290,6 +219,5 @@ mod tests {
                 }
             });
         });
-        assert_eq!(m.exchanged_bytes(), m.recv_bytes(1));
     }
 }

@@ -46,10 +46,13 @@ pub enum AggFunc {
 }
 
 /// Outcome of merging one incoming row.
-#[derive(Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Merged {
-    /// The logical row is new/improved: feed it to the next delta.
-    New(Tuple),
+    /// The logical row with this id is new/improved: feed it to the next
+    /// delta. A set row's id is its append position; an aggregate group
+    /// keeps the id it got at insertion for its whole life, so its id
+    /// always reads the group's newest value.
+    New(u32),
     /// Duplicate / non-improving.
     Old,
 }
@@ -329,10 +332,7 @@ impl DerivedRelation {
         let Some(agg) = self.agg else {
             return match self.find(t.values()) {
                 Ok(_) => Merged::Old,
-                Err(at) => {
-                    self.insert(at, t.clone());
-                    Merged::New(t.clone())
-                }
+                Err(at) => Merged::New(self.insert(at, t.clone())),
             };
         };
         let g = agg.group_cols;
@@ -342,10 +342,7 @@ impl DerivedRelation {
                 let new = t[g];
                 let id = match found {
                     Ok(id) => id,
-                    Err(at) => {
-                        self.insert(at, t.clone());
-                        return Merged::New(t.clone());
-                    }
+                    Err(at) => return Merged::New(self.insert(at, t.clone())),
                 };
                 let cur = self.store.rows()[id as usize][g];
                 let better = match agg.func {
@@ -393,7 +390,7 @@ impl DerivedRelation {
                 id
             }
         };
-        Merged::New(self.store.rows()[id as usize].clone())
+        Merged::New(id)
     }
 }
 
@@ -421,9 +418,9 @@ mod tests {
     #[test]
     fn set_dedups_and_stores_each_row_once() {
         let mut r = DerivedRelation::set(&[1]);
-        assert_eq!(r.merge(&ints(&[1, 2])), Merged::New(ints(&[1, 2])));
+        assert_eq!(r.merge(&ints(&[1, 2])), Merged::New(0));
         assert_eq!(r.merge(&ints(&[1, 2])), Merged::Old);
-        assert!(matches!(r.merge(&ints(&[3, 2])), Merged::New(_)));
+        assert_eq!(r.merge(&ints(&[3, 2])), Merged::New(1));
         assert_eq!(r.rows(), &[ints(&[1, 2]), ints(&[3, 2])]);
         assert_eq!(r.probe_ids(1, Value::Int(2).key_bits()), &[0, 1]);
     }
@@ -431,9 +428,9 @@ mod tests {
     #[test]
     fn min_keeps_smallest_and_reports_updates() {
         let mut r = DerivedRelation::aggregate(AggFunc::Min, 1, 0.0, &[]);
-        assert_eq!(r.merge(&ints(&[1, 10])), Merged::New(ints(&[1, 10])));
+        assert_eq!(r.merge(&ints(&[1, 10])), Merged::New(0));
         assert_eq!(r.merge(&ints(&[1, 12])), Merged::Old);
-        assert_eq!(r.merge(&ints(&[1, 7])), Merged::New(ints(&[1, 7])));
+        assert_eq!(r.merge(&ints(&[1, 7])), Merged::New(0));
         assert_eq!(r.rows(), &[ints(&[1, 7])]);
     }
 
@@ -444,7 +441,7 @@ mod tests {
         r.merge(&ints(&[1, 2, 30]));
         r.merge(&ints(&[1, 3, 40]));
         assert_eq!(r.merge(&ints(&[1, 2, 25])), Merged::Old);
-        assert_eq!(r.merge(&ints(&[1, 2, 35])), Merged::New(ints(&[1, 2, 35])));
+        assert_eq!(r.merge(&ints(&[1, 2, 35])), Merged::New(0));
         assert_eq!(r.rows(), &[ints(&[1, 2, 35]), ints(&[1, 3, 40])]);
     }
 
@@ -452,21 +449,23 @@ mod tests {
     fn count_counts_distinct_contributors() {
         // Attend: cnt(Y, count<X>).
         let mut r = DerivedRelation::aggregate(AggFunc::Count, 1, 0.0, &[]);
-        assert_eq!(r.merge(&ints(&[1, 100])), Merged::New(ints(&[1, 1])));
+        assert_eq!(r.merge(&ints(&[1, 100])), Merged::New(0));
+        assert_eq!(r.rows(), &[ints(&[1, 1])]);
         assert_eq!(r.merge(&ints(&[1, 100])), Merged::Old);
-        assert_eq!(r.merge(&ints(&[1, 101])), Merged::New(ints(&[1, 2])));
+        assert_eq!(r.merge(&ints(&[1, 101])), Merged::New(0));
+        assert_eq!(r.rows(), &[ints(&[1, 2])]);
     }
 
     #[test]
     fn sum_replaces_contributions_and_respects_epsilon() {
         let mut r = DerivedRelation::aggregate(AggFunc::Sum, 1, 0.1, &[]);
-        assert!(matches!(r.merge(&floats(1, 7, 0.5)), Merged::New(_)));
-        assert!(matches!(r.merge(&floats(1, 8, 0.25)), Merged::New(_)));
+        assert_eq!(r.merge(&floats(1, 7, 0.5)), Merged::New(0));
+        assert_eq!(r.merge(&floats(1, 8, 0.25)), Merged::New(0));
         // Contributor 7 revises 0.5 → 0.45: replaced, not added, and the
         // 0.05 move stays under ε (but the stored total still moves).
         assert_eq!(r.merge(&floats(1, 7, 0.45)), Merged::Old);
         assert!((r.rows()[0][1].as_f64() - 0.7).abs() < 1e-12);
-        assert!(matches!(r.merge(&floats(1, 7, 1.0)), Merged::New(_)));
+        assert_eq!(r.merge(&floats(1, 7, 1.0)), Merged::New(0));
     }
 
     #[test]
@@ -550,7 +549,8 @@ mod tests {
         for i in 0..n {
             assert_eq!(r.merge(&ints(&[i, -i, 10])), Merged::Old);
         }
-        assert_eq!(r.merge(&ints(&[7, -7, 1])), Merged::New(ints(&[7, -7, 1])));
+        assert_eq!(r.merge(&ints(&[7, -7, 1])), Merged::New(7));
+        assert_eq!(r.rows()[7], ints(&[7, -7, 1]));
         assert_eq!(r.len(), n as usize);
     }
 }

@@ -16,7 +16,7 @@
 //!
 //! Because an index entry is an id, a row whose aggregate value is updated
 //! in place stays where it is in every index — except an index on the
-//! updated column itself, where [`RowStore::set_value`] moves the id to the
+//! updated column itself, where an in-place update moves the id to the
 //! bucket of its new key.
 
 use dcd_common::hash::FastMap;

@@ -3,6 +3,9 @@
 //! for each aggregate function, and its row-id indexes must agree with a
 //! filter over its rows at every step — including an index on the
 //! aggregate column, whose ids move when a value is updated in place.
+//! Every `Merged::New(id)` must name the stored row of the incoming row's
+//! key: a set insert is the last row appended, and an aggregate group
+//! keeps the id of its first merge through every improvement.
 //!
 //! Keys drawn from mixed `Int`/`Float` values pin the dedup table's
 //! exact-comparison fallback, where equal key bits do not mean equal
@@ -129,12 +132,29 @@ fn check(kind: Kind, ops: &[(i64, i64, i64)], linear: bool) {
     }
     let mut model: FastMap<i64, Group> = FastMap::default();
     let mut set: FastSet<(i64, i64)> = FastSet::default();
+    // Aggregate group → the id of its first merge.
+    let mut group_ids: FastMap<i64, u32> = FastMap::default();
+    // The incoming row's key: the group prefix, or the whole set row.
+    let key_len = if kind.is_some() { 1 } else { 2 };
     for &op in ops {
-        let got = rel.merge(&incoming(kind, op));
+        let row = incoming(kind, op);
+        let got = rel.merge(&row);
         let want = model_merge(kind, &mut model, &mut set, op);
         prop_assert_eq!(matches!(got, Merged::New(_)), want, "merge {:?}", op);
-        if let Merged::New(row) = &got {
-            prop_assert!(rel.rows().contains(row), "emitted row is stored");
+        if let Merged::New(id) = got {
+            let stored = &rel.rows()[id as usize];
+            prop_assert_eq!(
+                &stored.values()[..key_len],
+                &row.values()[..key_len],
+                "id {} names the incoming row's key",
+                id
+            );
+            if kind.is_none() {
+                prop_assert_eq!(id as usize, rel.len() - 1, "a set insert appends");
+            } else {
+                let first = *group_ids.entry(op.0).or_insert(id);
+                prop_assert_eq!(id, first, "group {} keeps its id", op.0);
+            }
         }
 
         let mut rows = rel.rows().to_vec();
@@ -333,8 +353,8 @@ proptest! {
     }
 
     #[test]
-    fn set_matches_model(ops in ops()) {
-        check(None, &ops, false);
+    fn set_matches_model(ops in ops(), linear in any::<bool>()) {
+        check(None, &ops, linear);
     }
 
     #[test]
