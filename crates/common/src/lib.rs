@@ -5,6 +5,8 @@
 //!
 //! * [`Value`] — a compact, copyable, totally-ordered scalar (integer or
 //!   float) used for every term in a Datalog fact.
+//! * [`AggFunc`] — the aggregate functions of rule heads (`min`, `max`,
+//!   `sum`, `count`), one type from the parser to the storage layer.
 //! * [`Tuple`] — a small fixed-arity row of values with inline storage for
 //!   the arities that dominate Datalog workloads.
 //! * [`Frame`] — a flat, arity-strided block of rows: the allocation-free
@@ -26,6 +28,7 @@
 //!   workspace's hand-rolled emitters (stats reports, trace exports);
 //!   used by tests and tooling to validate those documents.
 
+pub mod agg;
 pub mod error;
 pub mod frame;
 pub mod hash;
@@ -37,6 +40,7 @@ pub mod stats;
 pub mod tuple;
 pub mod value;
 
+pub use agg::AggFunc;
 pub use error::{DcdError, Result};
 pub use frame::Frame;
 pub use json::Json;

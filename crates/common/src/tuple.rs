@@ -117,15 +117,6 @@ impl Tuple {
         }
     }
 
-    /// The leading `n` values as a new tuple — the common "group-by
-    /// prefix" projection. Unlike [`Tuple::project`] it needs no column
-    /// index list, so callers on hot paths avoid building a `Vec<usize>`
-    /// per row.
-    #[inline]
-    pub fn prefix(&self, n: usize) -> Tuple {
-        Tuple::new(&self.values()[..n])
-    }
-
     /// The leading `n` values as a borrowed slice (the group-by key of an
     /// aggregate row). No allocation at all: use this when the caller only
     /// compares or hashes the prefix.

@@ -30,7 +30,6 @@ enum CatalogEntry {
 /// All base relations of one evaluation, sealed and placement-resolved.
 pub struct EdbCatalog {
     rels: Vec<Option<CatalogEntry>>,
-    workers: usize,
 }
 
 impl EdbCatalog {
@@ -56,15 +55,7 @@ impl EdbCatalog {
                 })
             })
             .collect();
-        EdbCatalog {
-            rels,
-            workers: part.partitions(),
-        }
-    }
-
-    /// Number of worker slots the catalog was partitioned for.
-    pub fn workers(&self) -> usize {
-        self.workers
+        EdbCatalog { rels }
     }
 
     /// The sealed relation worker `me` reads for `rel` (`None` for IDB

@@ -5,9 +5,8 @@ use crate::config::EngineConfig;
 use crate::report::EvalReport;
 use crate::store::WorkerStore;
 use crate::worker::{Coordination, Worker};
-use dcd_common::hash::{FastMap, FastSet};
-use dcd_common::{DcdError, Result, Tuple, Value};
-use dcd_frontend::ast::AggFunc;
+use dcd_common::hash::FastMap;
+use dcd_common::{AggFunc, DcdError, Partitioner, Result, Tuple, Value};
 use dcd_frontend::physical::{plan, PhysicalPlan, PlannerConfig, StorageKind};
 use dcd_frontend::{analyze, parse_program, AnalyzedProgram};
 use dcd_runtime::Recorder;
@@ -46,8 +45,9 @@ impl Program {
 /// Evaluation statistics.
 #[derive(Clone, Debug, Default)]
 pub struct RunStats {
-    /// Wall-clock evaluation time (excludes loading, includes planning-free
-    /// execution only).
+    /// The fixpoint clock: wall time from the workers' start to their
+    /// last finish. It excludes loading, the EDB seal before it and the
+    /// result collection after it.
     pub elapsed: Duration,
     /// The full observability report (per-worker counters, time splits,
     /// traces, termination totals).
@@ -258,64 +258,43 @@ impl Engine {
             per_worker,
             traces,
         };
-        let relations = self.collect(stores);
+        let relations = self.collect(stores, &coord.part);
         Ok(EvalResult {
             relations,
             stats: RunStats { elapsed, report },
         })
     }
 
-    /// Merges per-worker stores into global relations. Multi-route and
-    /// broadcast relations hold replicas that have converged to identical
-    /// values, so grouping dedup is safe.
-    fn collect(&self, stores: Vec<WorkerStore>) -> FastMap<String, Vec<Tuple>> {
-        let mut out: FastMap<String, Vec<Tuple>> = FastMap::default();
-        for decl in self.plan.idb.iter().flatten() {
-            let mut rows: Vec<Tuple> = Vec::new();
-            match &decl.kind {
-                StorageKind::Set => {
-                    let mut seen: FastSet<Tuple> = FastSet::default();
-                    for st in &stores {
-                        for row in st.rec(decl.id).rows() {
-                            if seen.insert(row.clone()) {
-                                rows.push(row.clone());
-                            }
-                        }
-                    }
-                }
-                StorageKind::Agg {
-                    func, group_cols, ..
-                } => {
-                    let mut best: FastMap<Vec<Value>, Value> = FastMap::default();
-                    for st in &stores {
-                        for row in st.rec(decl.id).rows() {
-                            let group = row.values()[..*group_cols].to_vec();
-                            let val = row.values()[*group_cols];
-                            best.entry(group)
-                                .and_modify(|cur| {
-                                    let replace = match func {
-                                        AggFunc::Min => val < *cur,
-                                        AggFunc::Max => val > *cur,
-                                        // Converged replicas are equal;
-                                        // keep the first.
-                                        AggFunc::Sum | AggFunc::Count => false,
-                                    };
-                                    if replace {
-                                        *cur = val;
-                                    }
-                                })
-                                .or_insert(val);
-                        }
-                    }
-                    rows.extend(best.into_iter().map(|(mut g, v)| {
-                        g.push(v);
-                        Tuple::new(&g)
-                    }));
-                }
+    /// Moves every derived row out of the worker stores into the result,
+    /// one copy per row, taken from the worker that owns it: worker `me`
+    /// keeps a row of relation `r` only if `H(row[partition_cols[0]])`
+    /// is `me`. That worker holds the row's final value, because
+    /// Distribute sends every row, and every aggregate improvement, to
+    /// the owner of each of the relation's routes, and a route column is a
+    /// group column, so an aggregate row's owner never changes. (The
+    /// planner always gives a relation at least one route, defaulting to
+    /// column 0.) A single-route relation stores each row at its owner
+    /// only, so every row passes; the other replicas of a multi-route
+    /// relation (APSP's `path`) or a broadcast one (every row on every
+    /// worker) are dropped, not reconciled.
+    fn collect(&self, stores: Vec<WorkerStore>, part: &Partitioner) -> FastMap<String, Vec<Tuple>> {
+        let mut rels: Vec<Vec<Tuple>> = vec![Vec::new(); self.plan.idb.len()];
+        for (me, store) in stores.into_iter().enumerate() {
+            for (decl, rec) in self.plan.idb.iter().zip(store.idb) {
+                let (Some(decl), Some(rec)) = (decl, rec) else {
+                    continue;
+                };
+                let home = decl.partition_cols[0];
+                let owned = rec.into_rows().into_iter();
+                rels[decl.id].extend(owned.filter(|row| part.of_key(row.key(home)) == me));
             }
-            out.insert(decl.name.clone(), rows);
         }
-        out
+        self.plan
+            .idb
+            .iter()
+            .zip(rels)
+            .filter_map(|(decl, rows)| Some((decl.as_ref()?.name.clone(), rows)))
+            .collect()
     }
 }
 

@@ -214,14 +214,20 @@ impl Evaluator<'_> {
     /// fetched from `store` on every call, so `store` may grow between
     /// slices.
     ///
-    /// A stored aggregate row can improve between the passes (a
-    /// backpressure drain inside a mid-iteration flush merges into the
-    /// store), so its prelude, re-run here on the newest value, may now
-    /// fail; the row is then skipped. That is sound: the merge that
-    /// improved it queued its id for the next iteration. If the prelude
-    /// passes, the row is evaluated with its newest value under the key
-    /// pass 1 sorted it by; the binds re-check the probe column, so a
-    /// stale bucket cannot emit a wrong row.
+    /// A stored aggregate row can change between the passes, because a
+    /// mid-iteration flush merges into the store: its local merges rewrite
+    /// `sum`/`count` rows whenever the rule's head is its delta relation
+    /// (PageRank's `rank`), and a backpressure drain inside the flush can
+    /// improve a `min`/`max` row. The prelude is therefore re-run here on
+    /// the newest value. If it now fails, the row is skipped, which is what
+    /// evaluating the newest value derives; if it passes, the row is
+    /// evaluated with its newest value under the key pass 1 sorted it by
+    /// (the binds re-check the probe column, so a stale bucket cannot emit
+    /// a wrong row). A change the merge reported as `Merged::New` also
+    /// queued the id for the next iteration. A `sum` move of at most the
+    /// relation's ε reports `Merged::Old` and queues nothing: that is the
+    /// ε cut-off every `sum` merge applies, so the value a row was last
+    /// evaluated at stays within 2ε of its final value.
     pub fn eval_sorted(
         &self,
         rule: &CompiledRule,

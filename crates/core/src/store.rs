@@ -13,9 +13,8 @@
 
 use crate::catalog::EdbCatalog;
 use dcd_common::{Tuple, WorkerId};
-use dcd_frontend::ast::AggFunc;
 use dcd_frontend::physical::{PhysicalPlan, RelId, StorageKind, Target};
-use dcd_storage::{AggFunc as StAggFunc, DerivedRelation, RowStore, SealedRelation, TupleCache};
+use dcd_storage::{DerivedRelation, RowStore, SealedRelation, TupleCache};
 use std::sync::Arc;
 
 pub use dcd_storage::Merged;
@@ -44,12 +43,8 @@ impl RecStore {
                 group_cols,
                 epsilon,
             } => {
-                let rel = DerivedRelation::aggregate(
-                    to_storage_func(*func),
-                    *group_cols,
-                    *epsilon,
-                    &decl.index_cols,
-                );
+                let rel =
+                    DerivedRelation::aggregate(*func, *group_cols, *epsilon, &decl.index_cols);
                 if optimized {
                     rel
                 } else {
@@ -108,19 +103,16 @@ impl RecStore {
         self.rel.rows()
     }
 
+    /// Consumes the store, returning its logical rows without copying
+    /// them.
+    pub fn into_rows(self) -> Vec<Tuple> {
+        self.rel.into_rows()
+    }
+
     /// Sent-filter `(hits, misses)` for this relation (zero when the
     /// filter was never consulted).
     pub fn cache_stats(&self) -> (u64, u64) {
         self.sent_filter.as_ref().map_or((0, 0), TupleCache::stats)
-    }
-}
-
-fn to_storage_func(f: AggFunc) -> StAggFunc {
-    match f {
-        AggFunc::Min => StAggFunc::Min,
-        AggFunc::Max => StAggFunc::Max,
-        AggFunc::Sum => StAggFunc::Sum,
-        AggFunc::Count => StAggFunc::Count,
     }
 }
 

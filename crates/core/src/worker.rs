@@ -24,13 +24,14 @@ use crate::config::EngineConfig;
 use crate::eval::{DeltaRow, EvalScratch, Evaluator};
 use crate::store::{Merged, WorkerStore};
 use dcd_common::hash::FastMap;
-use dcd_common::{DcdError, Frame, Partitioner, Result, Tuple, WorkerId};
-use dcd_frontend::physical::{PhysicalPlan, RelId};
+use dcd_common::{AggFunc, DcdError, Frame, Partitioner, Result, Tuple, WorkerId};
+use dcd_frontend::physical::{PhysicalPlan, RelId, StorageKind};
 use dcd_runtime::trace::{Mark, Phase};
 use dcd_runtime::{
-    Batch, BufferMatrix, DwsController, IdleOutcome, Recorder, RoundBarrier, SspClock, Strategy,
-    Termination, WorkerEndpoints,
+    Batch, BufferMatrix, DwsConfig, DwsController, IdleOutcome, Recorder, RoundBarrier, SspClock,
+    Strategy, Termination, WorkerEndpoints,
 };
+use dcd_storage::DerivedRelation;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -130,12 +131,13 @@ impl Coordination {
     }
 }
 
-/// Set rows evaluated but not yet distributed: once an evaluation slice
-/// leaves this many buffered, Iterate hands them to Distribute before the
-/// next slice, so the buffer between the kernel and Distribute stays
-/// bounded however large one iteration's output is. The flush tests in
-/// `tests/engine_e2e.rs` and `scripts/check_trace_smoke.sh` size their
-/// inputs to more than twice this.
+/// Set and `sum`/`count` rows evaluated but not yet distributed: once an
+/// evaluation slice leaves this many buffered, Iterate hands them to
+/// Distribute before the next slice, so the buffer between the kernel and
+/// Distribute stays bounded however large one iteration's output is. The
+/// flush tests in `tests/engine_e2e.rs` (set and `sum` rows) and
+/// `scripts/check_trace_smoke.sh` size their inputs to more than twice
+/// this.
 const FLUSH_ROWS: usize = 1 << 14;
 
 /// Delta rows per evaluation slice: how often Iterate checks the buffer
@@ -143,68 +145,57 @@ const FLUSH_ROWS: usize = 1 << 14;
 const SLICE_ROWS: usize = 256;
 
 /// Head rows between the kernel and Distribute, with the pre-Distribute
-/// partial aggregation of §5.2.3. Aggregate rows collapse per key for the
-/// whole local iteration — min/max keep the best row per group, sum/count
-/// keep the latest row per (group, contributor) — and reach Distribute
-/// only when the iteration ends. Set rows skip the map: their only
-/// collapse is exact-duplicate elimination, which Distribute's
-/// sent-filter and the idempotent merge already perform, so they queue
-/// in `rows`, which Iterate flushes every [`FLUSH_ROWS`].
+/// partial aggregation of §5.2.3. A `min`/`max` head relation's rows
+/// collapse for the whole local iteration in a storage aggregate relation,
+/// created at the relation's first row, so "same group" and "better" mean
+/// exactly what they mean at the merge; its best row per group reaches
+/// Distribute when the iteration ends. Every other row queues in `rows`,
+/// which Iterate flushes every [`FLUSH_ROWS`]: a set row's only collapse is
+/// exact-duplicate elimination, which Distribute's sent-filter and the
+/// idempotent merge already perform. A `sum`/`count` merge replaces the
+/// contributor's previous value, so a group ends with the total it would
+/// have had from the latest contribution alone: an exact duplicate merges
+/// as `Merged::Old`, and a superseded contribution delivered first still
+/// moves the total (and can queue the group for the next iteration) until
+/// its successor overwrites it, which costs work but not correctness.
 #[derive(Default)]
 struct PartialAgg {
-    best: FastMap<(RelId, Tuple), Tuple>,
+    best: Vec<(RelId, DerivedRelation)>,
     rows: Vec<(RelId, Tuple)>,
 }
 
 impl PartialAgg {
     fn push(&mut self, plan: &PhysicalPlan, rel: RelId, row: Tuple) {
-        use dcd_frontend::ast::AggFunc;
-        use dcd_frontend::physical::StorageKind;
         let decl = plan.idb[rel].as_ref().expect("IDB head");
-        match &decl.kind {
-            StorageKind::Set => {
-                self.rows.push((rel, row));
+        let StorageKind::Agg {
+            func: func @ (AggFunc::Min | AggFunc::Max),
+            group_cols,
+            ..
+        } = decl.kind
+        else {
+            self.rows.push((rel, row));
+            return;
+        };
+        let at = match self.best.iter().position(|(r, _)| *r == rel) {
+            Some(at) => at,
+            None => {
+                let acc = DerivedRelation::aggregate(func, group_cols, 0.0, &[]);
+                self.best.push((rel, acc));
+                self.best.len() - 1
             }
-            StorageKind::Agg {
-                func, group_cols, ..
-            } => {
-                let (key_cols, keep_better): (usize, Option<AggFunc>) = match func {
-                    AggFunc::Min | AggFunc::Max => (*group_cols, Some(*func)),
-                    // Contributor is part of the key; later rows replace.
-                    AggFunc::Sum | AggFunc::Count => (*group_cols + 1, None),
-                };
-                let key = row.prefix(key_cols);
-                match self.best.entry((rel, key)) {
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        v.insert(row);
-                    }
-                    std::collections::hash_map::Entry::Occupied(mut o) => match keep_better {
-                        Some(AggFunc::Min) => {
-                            if row.values()[key_cols] < o.get().values()[key_cols] {
-                                o.insert(row);
-                            }
-                        }
-                        Some(AggFunc::Max) => {
-                            if row.values()[key_cols] > o.get().values()[key_cols] {
-                                o.insert(row);
-                            }
-                        }
-                        _ => {
-                            o.insert(row); // sum: latest contribution wins
-                        }
-                    },
-                }
-            }
-        }
+        };
+        self.best[at].1.merge(&row);
     }
 
     /// Consumes the accumulator, yielding `(head relation, row)` pairs
-    /// for Distribute: the set rows still buffered, then every aggregate
-    /// row.
+    /// for Distribute: the rows still queued, then each `min`/`max`
+    /// relation's best rows.
     fn drain(self) -> impl Iterator<Item = (RelId, Tuple)> {
-        self.rows
+        let best = self
+            .best
             .into_iter()
-            .chain(self.best.into_iter().map(|((rel, _), row)| (rel, row)))
+            .flat_map(|(rel, acc)| acc.into_rows().into_iter().map(move |row| (rel, row)));
+        self.rows.into_iter().chain(best)
     }
 }
 
@@ -300,9 +291,8 @@ impl<'a> Worker<'a> {
         match &self.cfg.strategy {
             Strategy::Global => self.global_loop(si, store, delta),
             Strategy::Ssp { .. } => self.async_loop(si, store, delta, None),
-            Strategy::Dws | Strategy::DwsWith(_) => {
-                let dws_cfg = self.cfg.strategy.dws_config().expect("dws strategy");
-                let controller = DwsController::new(self.cfg.workers, dws_cfg);
+            Strategy::Dws => {
+                let controller = DwsController::new(self.cfg.workers, DwsConfig::default());
                 self.async_loop(si, store, delta, Some(controller))
             }
         }
@@ -441,11 +431,11 @@ impl<'a> Worker<'a> {
     /// empty and collect the next delta. Head rows pass through the partial
     /// aggregation of §5.2.3 ("the Distribute operators also perform some
     /// partial aggregation"). Each kernel call's second pass runs in slices
-    /// of [`SLICE_ROWS`]; whenever [`FLUSH_ROWS`] set rows are buffered
+    /// of [`SLICE_ROWS`]; whenever [`FLUSH_ROWS`] queued rows are buffered
     /// after a slice, they go to Distribute before the next slice, so later
     /// slices probe stores those rows may have grown (monotone rules only
-    /// derive more from them). Aggregate rows are distributed once, at the
-    /// end. Returns `(new local merges, tuples sent to peers)`.
+    /// derive more from them). `min`/`max` rows are distributed once, at
+    /// the end. Returns `(new local merges, tuples sent to peers)`.
     fn iterate(
         &mut self,
         si: usize,
@@ -688,44 +678,54 @@ impl<'a> Worker<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcd_common::Value;
     use dcd_frontend::physical::{plan, PlannerConfig};
     use dcd_frontend::{analyze, parse_program};
 
-    fn cc_plan() -> PhysicalPlan {
-        let a = analyze(
-            parse_program(
-                "cc2(Y, min<Y>) <- arc(Y, _).
-                 cc2(Y, min<Z>) <- cc2(X, Z), arc(X, Y).",
-            )
-            .unwrap(),
-        )
-        .unwrap();
+    fn plan_of(src: &str) -> PhysicalPlan {
+        let a = analyze(parse_program(src).unwrap()).unwrap();
         plan(&a, &PlannerConfig::default()).unwrap()
     }
 
     fn tc_plan() -> PhysicalPlan {
-        let a = analyze(
-            parse_program("tc(X, Y) <- arc(X, Y). tc(X, Y) <- tc(X, Z), arc(Z, Y).").unwrap(),
-        )
-        .unwrap();
-        plan(&a, &PlannerConfig::default()).unwrap()
+        plan_of("tc(X, Y) <- arc(X, Y). tc(X, Y) <- tc(X, Z), arc(Z, Y).")
+    }
+
+    fn rows(v: &[[i64; 2]]) -> Vec<Tuple> {
+        v.iter().map(|r| Tuple::from_ints(r)).collect()
     }
 
     #[test]
     fn partial_agg_collapses_min_groups() {
-        let p = cc_plan();
-        let cc2 = p.rel_by_name("cc2").unwrap();
-        let mut acc = PartialAgg::default();
-        acc.push(&p, cc2, Tuple::from_ints(&[1, 9]));
-        acc.push(&p, cc2, Tuple::from_ints(&[1, 3]));
-        acc.push(&p, cc2, Tuple::from_ints(&[1, 7]));
-        acc.push(&p, cc2, Tuple::from_ints(&[2, 5]));
-        let mut rows: Vec<(RelId, Tuple)> = acc.drain().collect();
-        rows.sort_by(|a, b| a.1.cmp(&b.1));
-        assert_eq!(
-            rows.iter().map(|(_, t)| t.clone()).collect::<Vec<_>>(),
-            vec![Tuple::from_ints(&[1, 3]), Tuple::from_ints(&[2, 5])]
-        );
+        let cases = [
+            (
+                "cc2(Y, min<Y>) <- arc(Y, _). cc2(Y, min<Z>) <- cc2(X, Z), arc(X, Y).",
+                "cc2",
+                [[1, 3], [2, 5]],
+            ),
+            (
+                "d(P, max<D>) <- basic(P, D). d(P, max<D>) <- assbl(P, S), d(S, D).",
+                "d",
+                [[1, 9], [2, 5]],
+            ),
+        ];
+        for (src, name, want) in cases {
+            let p = plan_of(src);
+            let rel = p.rel_by_name(name).unwrap();
+            let mut acc = PartialAgg::default();
+            for row in rows(&[[1, 9], [1, 3], [1, 7], [2, 5]]) {
+                acc.push(&p, rel, row);
+            }
+            let mut got: Vec<Tuple> = acc
+                .drain()
+                .map(|(r, t)| {
+                    assert_eq!(r, rel);
+                    t
+                })
+                .collect();
+            got.sort();
+            assert_eq!(got, rows(&want), "{name}");
+        }
     }
 
     #[test]
@@ -741,6 +741,38 @@ mod tests {
         }
         acc.push(&p, tc, Tuple::from_ints(&[1, 3]));
         assert_eq!(acc.drain().count(), 6);
+    }
+
+    #[test]
+    fn partial_agg_passes_sum_and_count_rows_through() {
+        // The merge replaces a contributor's previous value, so sum/count
+        // rows queue with set rows: every one comes out, in push order,
+        // duplicates and superseded contributions included.
+        let p = plan_of(
+            "rank(X, sum<(X, K)>) <- seed(X, K).
+             rank(X, sum<(Y, K)>) <- rank(Y, C), arc(Y, X), K = C / 2.
+             cnt(Y, count<X>) <- arc(X, Y).",
+        );
+        let (rank, cnt) = (
+            p.rel_by_name("rank").unwrap(),
+            p.rel_by_name("cnt").unwrap(),
+        );
+        let float = |g, c, v| Tuple::new(&[Value::Int(g), Value::Int(c), Value::Float(v)]);
+        let pushed = vec![
+            (rank, float(1, 1, 0.5)),
+            (cnt, Tuple::from_ints(&[4, 7])),
+            (rank, float(1, 1, 0.5)),
+            (rank, float(1, 2, 0.25)),
+            (cnt, Tuple::from_ints(&[4, 7])),
+            (rank, float(1, 2, 0.75)),
+            (cnt, Tuple::from_ints(&[4, 8])),
+        ];
+        let mut acc = PartialAgg::default();
+        for (rel, row) in pushed.clone() {
+            acc.push(&p, rel, row);
+        }
+        assert_eq!(acc.rows.len(), pushed.len(), "queued for the flush");
+        assert_eq!(acc.drain().collect::<Vec<_>>(), pushed);
     }
 
     #[test]

@@ -578,3 +578,119 @@ fn set_rows_flush_in_the_middle_of_an_iteration() {
         );
     }
 }
+
+/// PageRank's `matrix(X, Y, D)` for a graph on `n` nodes without self-loops
+/// or parallel edges: node `x` has out-degree `min + x % spread` and points
+/// to `(x + 1 + 17j) % n` for each `j` below it, so in-degrees, and hence
+/// ranks, differ between nodes.
+fn pagerank_matrix(n: i64, min: i64, spread: i64) -> Vec<Tuple> {
+    // The largest offset, 1 + 17 * (max degree - 1), stays below n.
+    assert!(
+        1 + 17 * (min + spread - 2) < n,
+        "targets must be distinct and not the source"
+    );
+    (0..n)
+        .flat_map(|x| {
+            let d = min + x % spread;
+            (0..d).map(move |j| Tuple::from_ints(&[x, (x + 1 + 17 * j) % n, d]))
+        })
+        .collect()
+}
+
+/// The fixpoint of `queries::pagerank` over `matrix`, by power iteration in
+/// plain `f64`: `r(x) = (1 - alpha) / n + alpha * Σ r(y) / d(y)` over the
+/// edges `y → x`.
+fn pagerank_by_power_iteration(n: usize, matrix: &[Tuple], alpha: f64) -> Vec<f64> {
+    let base = (1.0 - alpha) / n as f64;
+    let mut rank = vec![base; n];
+    for _ in 0..10_000 {
+        let mut next = vec![base; n];
+        for e in matrix {
+            let v = e.values();
+            let (y, x) = (v[0].as_f64() as usize, v[1].as_f64() as usize);
+            next[x] += alpha * rank[y] / v[2].as_f64();
+        }
+        let moved = next
+            .iter()
+            .zip(&rank)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0, f64::max);
+        rank = next;
+        if moved < 1e-15 {
+            return rank;
+        }
+    }
+    panic!("power iteration did not converge");
+}
+
+fn assert_ranks(name: &str, rows: &[Tuple], want: &[f64]) {
+    assert_eq!(rows.len(), want.len(), "{name}: rank rows");
+    for row in rows {
+        let v = row.values();
+        let (x, r) = (v[0].as_f64() as usize, v[1].as_f64());
+        assert!(
+            (r - want[x]).abs() < 1e-6,
+            "{name}: rank({x}) = {r}, want {}",
+            want[x]
+        );
+    }
+}
+
+#[test]
+fn sum_rows_flush_in_the_middle_of_an_iteration() {
+    // `rank` is both PageRank's `sum` head and its delta relation. The
+    // first iteration derives one contribution per edge — 39 500 rows,
+    // more than twice Iterate's flush budget (2^14 rows) — so Distribute
+    // merges into `rank` while delta rows of that iteration still wait for
+    // pass 2, which then reads them at their newest value.
+    let alpha = 0.5;
+    let n = 1000;
+    let matrix = pagerank_matrix(n, 20, 40);
+    assert!(matrix.len() > 2 << 14, "{} edges", matrix.len());
+    let want = pagerank_by_power_iteration(n as usize, &matrix, alpha);
+
+    // The interpreted `Reference` is too slow at this size in a debug
+    // build, so it pins the power iteration on a small instance and the
+    // power iteration is the oracle at full size.
+    let small = pagerank_matrix(100, 2, 3);
+    let mut reference = Reference::new(queries::PAGERANK)
+        .unwrap()
+        .with_param("alpha", alpha)
+        .with_param("vnum", 100.0);
+    reference.load("matrix", small.clone());
+    let got = reference.run().unwrap().remove("rank").unwrap();
+    assert_ranks(
+        "Reference",
+        &got,
+        &pagerank_by_power_iteration(100, &small, alpha),
+    );
+
+    // Each run takes ~20 iterations of ~40 k rows, so this test skips
+    // the 2-worker configurations that the set-row flush test covers.
+    for cfg in configs().into_iter().filter(|c| c.workers != 2) {
+        let name = format!("{} x{}", cfg.strategy.name(), cfg.workers);
+        let mut e = Engine::new(queries::pagerank(alpha, n as usize).unwrap(), cfg).unwrap();
+        e.load_edb("matrix", matrix.clone()).unwrap();
+        let r = e.run().unwrap();
+        assert_ranks(&name, &r.sorted("rank"), &want);
+        assert!(r.stats.report.reconciles(), "{name}: report must reconcile");
+    }
+
+    // As in the set-row flush test: more Distribute spans than iterations
+    // + 1 on one worker prove that Iterate flushed mid-iteration.
+    let cfg = EngineConfig::with_workers(1)
+        .strategy(Strategy::Global)
+        .tracing(true);
+    let mut e = Engine::new(queries::pagerank(alpha, n as usize).unwrap(), cfg).unwrap();
+    e.load_edb("matrix", matrix).unwrap();
+    let r = e.run().unwrap();
+    assert_ranks("traced", &r.sorted("rank"), &want);
+    let events = &r.stats.report.traces[0].events;
+    let count = |kind: EventKind| events.iter().filter(|e| e.kind == kind).count();
+    let distributes = count(EventKind::Span(Phase::Distribute));
+    let iterations = count(EventKind::Instant(Mark::Iteration));
+    assert!(
+        distributes > iterations + 1,
+        "{distributes} Distribute spans for {iterations} iterations"
+    );
+}

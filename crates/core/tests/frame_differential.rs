@@ -1,5 +1,5 @@
 //! Differential tests for the frame-based data plane: every paper query,
-//! across Global/SSP/DWS × 1/2/4 workers, must produce exactly the rows of
+//! across Global/SSP/DWS × 1/2/3/4 workers, must produce exactly the rows of
 //! the single-worker reference run — and every result relation must
 //! survive a `Frame::from_tuples` → `to_tuples` round-trip byte-identical.
 //! The first check pins the flat-frame exchange against the Tuple
@@ -10,7 +10,7 @@ use dcdatalog::{queries, Engine, EngineConfig, Program, Strategy, Tuple};
 
 fn configs() -> Vec<EngineConfig> {
     let mut out = Vec::new();
-    for w in [1usize, 2, 4] {
+    for w in [1usize, 2, 3, 4] {
         for s in [Strategy::Global, Strategy::Ssp { s: 2 }, Strategy::Dws] {
             out.push(EngineConfig::with_workers(w).strategy(s));
         }
@@ -49,6 +49,18 @@ fn differential(
     rels: &[&str],
     exact: bool,
 ) {
+    differential_with(make, load, rels, rels, exact);
+}
+
+/// [`differential`], with the broadcast-routing leg comparing only
+/// `broadcast_rels`.
+fn differential_with(
+    make: &dyn Fn() -> Program,
+    load: &dyn Fn(&mut Engine),
+    rels: &[&str],
+    broadcast_rels: &[&str],
+    exact: bool,
+) {
     let reference = run_once(
         make(),
         EngineConfig::with_workers(1).strategy(Strategy::Global),
@@ -71,6 +83,16 @@ fn differential(
     let cfg = EngineConfig::with_workers(4).optimizations(false);
     let got = run_once(make(), cfg, load, rels);
     compare("unoptimized x4", rels, &reference, &got, exact);
+    // Broadcast routing: every worker holds every row, so collect keeps
+    // only the home copy of each and skips the most replicas.
+    let mut cfg = EngineConfig::with_workers(3);
+    cfg.broadcast_routing = true;
+    let want: Vec<Vec<Tuple>> = (rels.iter().zip(reference))
+        .filter(|(rel, _)| broadcast_rels.contains(rel))
+        .map(|(_, rows)| rows)
+        .collect();
+    let got = run_once(make(), cfg, load, broadcast_rels);
+    compare("broadcast_routing x3", broadcast_rels, &want, &got, exact);
 }
 
 /// Asserts `got` matches `want` relation by relation — bit-exact, or
@@ -146,7 +168,7 @@ fn apsp_differential() {
     differential(
         &|| queries::apsp().unwrap(),
         &|e| e.load_weighted_edges("warc", &warc).unwrap(),
-        &["apsp"],
+        &["path", "apsp"],
         true,
     );
 }
@@ -234,10 +256,18 @@ fn pagerank_differential() {
             ]
         })
         .collect();
-    differential(
+    // Under broadcast routing every worker keeps its own `rank` replica,
+    // summed in its own arrival order, so replicas can differ in
+    // rounding. `results`, a set, is derived on every worker from that
+    // worker's replica and can then hold one row per variant, whichever
+    // worker's copy is collected. The broadcast leg therefore checks the
+    // `sum` relation `rank` itself, which collect takes from each group's
+    // home worker.
+    differential_with(
         &|| queries::pagerank(0.85, n).unwrap(),
         &|e| e.load_edb("matrix", rows.clone()).unwrap(),
-        &["results"],
+        &["rank", "results"],
+        &["rank"],
         false, // float sums: tolerance compare
     );
 }

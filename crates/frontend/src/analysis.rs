@@ -68,14 +68,6 @@ impl Catalog {
         self.preds.is_empty()
     }
 
-    /// EDB predicate ids.
-    pub fn edb_ids(&self) -> Vec<PredicateId> {
-        self.iter()
-            .filter(|(_, p)| p.is_edb)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     fn intern(&mut self, name: &str, arity: usize) -> Result<PredicateId> {
         if let Some(&id) = self.by_name.get(name) {
             let known = self.preds[id].arity;

@@ -14,33 +14,9 @@
 //! identifiers are predicate names in atom position and *parameters*
 //! (engine-supplied constants such as `start` or `alpha`) in term position.
 
+pub use dcd_common::AggFunc;
 use dcd_common::Value;
 use std::fmt;
-
-/// Aggregate functions allowed in rule heads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum AggFunc {
-    /// `min<V>`.
-    Min,
-    /// `max<V>`.
-    Max,
-    /// `sum<(Contributor, V)>`.
-    Sum,
-    /// `count<Contributor>`.
-    Count,
-}
-
-impl fmt::Display for AggFunc {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            AggFunc::Min => "min",
-            AggFunc::Max => "max",
-            AggFunc::Sum => "sum",
-            AggFunc::Count => "count",
-        };
-        f.write_str(s)
-    }
-}
 
 /// A term in an atom.
 #[derive(Clone, Debug, PartialEq)]

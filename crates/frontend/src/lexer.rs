@@ -1,6 +1,6 @@
 //! Tokenizer for the Datalog surface syntax.
 
-use dcd_common::{DcdError, Result, Value};
+use dcd_common::{DcdError, Result};
 
 /// A lexical token with its source position.
 #[derive(Clone, Debug, PartialEq)]
@@ -255,15 +255,6 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>> {
         col,
     });
     Ok(out)
-}
-
-/// Parses a literal token payload into a [`Value`] (used by the parser).
-pub fn literal_value(kind: &TokenKind) -> Option<Value> {
-    match kind {
-        TokenKind::Int(v) => Some(Value::Int(*v)),
-        TokenKind::Float(v) => Some(Value::Float(*v)),
-        _ => None,
-    }
 }
 
 #[cfg(test)]

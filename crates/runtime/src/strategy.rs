@@ -1,7 +1,5 @@
 //! Coordination strategy selection (§4).
 
-use crate::dws::DwsConfig;
-
 /// How workers coordinate between local iterations of the parallel
 /// semi-naive evaluation.
 #[derive(Clone, Debug, Default)]
@@ -19,8 +17,6 @@ pub enum Strategy {
     /// on-the-fly `ω_i`/`τ_i` from queueing theory (§4.2).
     #[default]
     Dws,
-    /// DWS with explicit tuning.
-    DwsWith(DwsConfig),
 }
 
 impl Strategy {
@@ -29,16 +25,7 @@ impl Strategy {
         match self {
             Strategy::Global => "Global",
             Strategy::Ssp { .. } => "SSP",
-            Strategy::Dws | Strategy::DwsWith(_) => "DWS",
-        }
-    }
-
-    /// DWS configuration if this strategy is DWS-based.
-    pub fn dws_config(&self) -> Option<DwsConfig> {
-        match self {
-            Strategy::Dws => Some(DwsConfig::default()),
-            Strategy::DwsWith(cfg) => Some(cfg.clone()),
-            _ => None,
+            Strategy::Dws => "DWS",
         }
     }
 }
@@ -52,14 +39,6 @@ mod tests {
         assert_eq!(Strategy::Global.name(), "Global");
         assert_eq!(Strategy::Ssp { s: 5 }.name(), "SSP");
         assert_eq!(Strategy::Dws.name(), "DWS");
-        assert_eq!(Strategy::DwsWith(DwsConfig::default()).name(), "DWS");
-    }
-
-    #[test]
-    fn dws_config_only_for_dws() {
-        assert!(Strategy::Global.dws_config().is_none());
-        assert!(Strategy::Ssp { s: 1 }.dws_config().is_none());
-        assert!(Strategy::Dws.dws_config().is_some());
     }
 
     #[test]

@@ -28,22 +28,8 @@
 
 use crate::rows::RowStore;
 use dcd_common::hash::{combine, FastMap};
-use dcd_common::{Tuple, Value};
+use dcd_common::{AggFunc, Tuple, Value};
 use std::ops::Deref;
-
-/// The four aggregate functions supported in recursive rule heads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum AggFunc {
-    /// Monotonically decreasing extremum.
-    Min,
-    /// Monotonically increasing extremum.
-    Max,
-    /// Monotonic sum over distinct contributors (contributions may be
-    /// revised; the total converges under damping).
-    Sum,
-    /// Count of distinct contributors.
-    Count,
-}
 
 /// Outcome of merging one incoming row.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -325,6 +311,12 @@ impl DerivedRelation {
             table.fill(at, self.store.len() as u32, row.values());
         }
         self.store.push(row)
+    }
+
+    /// Consumes the relation, returning its logical rows (in id order)
+    /// without copying them.
+    pub fn into_rows(self) -> Vec<Tuple> {
+        self.store.into_rows()
     }
 
     /// Merges one incoming merge-layout row.

@@ -15,7 +15,11 @@
 //!   array that holds each key's bits inline; aggregate relations
 //!   (`min`/`max`/`sum`/`count` heads) key that table by the group prefix
 //!   and update the aggregate in the stored row (§6.2.1), with a
-//!   per-contributor side table for `sum`/`count`.
+//!   per-contributor side table for `sum`/`count`. This is the one
+//!   implementation of the aggregates ([`AggFunc`], defined in
+//!   `dcd-common`): the engine also uses a `min`/`max` relation as its
+//!   pre-Distribute partial-aggregation accumulator, and moves the final
+//!   rows out with `into_rows` when it collects the result.
 //! * [`cache`] — the constant-time existence-check cache (§6.2.2). The
 //!   dedup table needs none in front of it; Distribute uses one as its
 //!   sent-filter, so a row already routed is not serialized again.
@@ -26,6 +30,7 @@ pub mod rows;
 pub mod sealed;
 
 pub use cache::TupleCache;
-pub use derived::{AggFunc, DerivedRelation, Merged};
+pub use dcd_common::AggFunc;
+pub use derived::{DerivedRelation, Merged};
 pub use rows::RowStore;
 pub use sealed::SealedRelation;

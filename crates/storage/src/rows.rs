@@ -159,6 +159,12 @@ impl RowStore {
         &self.rows
     }
 
+    /// Consumes the store, returning its rows (in id order) without
+    /// copying them.
+    pub fn into_rows(self) -> Vec<Tuple> {
+        self.rows
+    }
+
     /// Number of rows.
     #[inline]
     pub fn len(&self) -> usize {

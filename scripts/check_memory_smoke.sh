@@ -11,6 +11,16 @@
 # per-worker partitioned slices (`edb_resident_bytes`) at 4 workers must
 # also stay within 1.1x of the 1-worker sum.
 #
+# A second leg pins the stored-once invariant that result collection
+# relies on: Distribute stores each row of a single-route relation on one
+# worker only, its owner, so Engine::collect can take every row from its
+# owner without reconciling copies. For TC and SG (set relations, one
+# route each) at 4 workers, and for TC under every strategy, the sum over
+# workers of `local_new` (rows newly stored on that worker) must equal
+# the row count the CLI prints. A row stored on two workers counts twice
+# and fails the leg. (At 1 worker every row merges locally, so the sum
+# equals the row count by construction; those runs are left out.)
+#
 # Run from anywhere inside the repo: scripts/check_memory_smoke.sh
 # Pass a prebuilt binary path as $1 to skip the cargo build.
 
@@ -88,8 +98,26 @@ for q in sg tc; do
     esac
 done
 
+for run in "tc 4 dws" "sg 4 dws" "tc 4 global" "tc 4 ssp:2"; do
+    read -r q w strategy <<< "$run"
+    case "$q" in
+        sg) edb="arc=$workdir/tree.csv" ;;
+        tc) edb="arc=$workdir/edges.csv" ;;
+    esac
+    out="$workdir/once.json"
+    rows=$("$BIN" run "programs/$q.dl" --edb "$edb" \
+        --workers "$w" --strategy "$strategy" --limit 1 \
+        --stats-json "$out" | sed -n "s/^$q (\([0-9]*\) rows):\$/\1/p")
+    stored=$(sum_field local_new "$out")
+    echo "$q@${w}w $strategy: stored ${stored} rows, result ${rows:-?} rows"
+    if [ -z "$rows" ] || [ "$stored" -ne "$rows" ]; then
+        echo "FAIL($q@${w}w $strategy): rows stored ${stored} times for ${rows:-?} result rows" >&2
+        fail=1
+    fi
+done
+
 if [ "$fail" -ne 0 ]; then
     echo "memory smoke FAILED" >&2
     exit 1
 fi
-echo "memory smoke OK: EDB residency is flat in the worker count"
+echo "memory smoke OK: EDB residency is flat in the worker count, each derived row is stored once"
