@@ -203,6 +203,73 @@ fn tc_on_rmat_graph_matches_reference() {
     }
 }
 
+/// Runs `program` under Global, SSP and DWS at 1, 2 and 4 workers and
+/// checks relation `name` against `expected`.
+fn assert_matches_everywhere(
+    program: impl Fn() -> dcdatalog::Program,
+    loads: &[(&str, Vec<Tuple>)],
+    name: &str,
+    expected: &[Tuple],
+) {
+    for workers in [1, 2, 4] {
+        for strat in [Strategy::Global, Strategy::Ssp { s: 2 }, Strategy::Dws] {
+            let label = format!("{name} {} x{workers}", strat.name());
+            let got = run_engine(program(), loads, workers, strat);
+            let rel = got.iter().find(|(n, _)| n == name).unwrap();
+            assert_eq!(rel.1, expected, "{label}");
+        }
+    }
+}
+
+/// The best-first `min`/`max` groups at multi-slice scale: each result
+/// below has more than four slices (4 × 256 rows) of pending rows, so
+/// slice boundaries and in-loop requeueing are exercised, not just one
+/// slice holding the whole delta.
+#[test]
+fn sssp_on_web_graph_matches_reference() {
+    let edges = dcd_datagen::livejournal_like(3500, 7);
+    let rows: Vec<Tuple> = dcd_datagen::weighted(&edges, 100, 7)
+        .iter()
+        .map(|&(a, b, w)| Tuple::from_ints(&[a, b, w]))
+        .collect();
+    let mut reference = Reference::new(queries::SSSP)
+        .unwrap()
+        .with_param("start", 0i64);
+    reference.load("warc", rows.clone());
+    let expected = reference.run().unwrap();
+    assert!(expected["results"].len() > 4 * 256);
+    let program = || queries::sssp(0).unwrap();
+    assert_matches_everywhere(program, &[("warc", rows)], "results", &expected["results"]);
+}
+
+#[test]
+fn cc_on_rmat_graph_matches_reference() {
+    let sym = dcd_datagen::symmetrize(&dcd_datagen::rmat_with(8192, 2000, 5));
+    let mut reference = Reference::new(queries::CC).unwrap();
+    reference.load_edges("arc", &sym);
+    let expected = reference.run().unwrap();
+    assert!(expected["cc"].len() > 4 * 256);
+    let program = || queries::cc().unwrap();
+    assert_matches_everywhere(program, &[("arc", to_tuples(&sym))], "cc", &expected["cc"]);
+}
+
+#[test]
+fn delivery_on_n_tree_matches_reference() {
+    let assbl = dcd_datagen::n_tree(2000, 3);
+    let basic: Vec<Tuple> = dcd_datagen::trees::leaf_days(&assbl, 30, 3)
+        .iter()
+        .map(|&(p, d)| Tuple::from_ints(&[p, d]))
+        .collect();
+    let mut reference = Reference::new(queries::DELIVERY).unwrap();
+    reference.load_edges("assbl", &assbl);
+    reference.load("basic", basic.clone());
+    let expected = reference.run().unwrap();
+    assert!(expected["results"].len() > 4 * 256);
+    let loads = [("assbl", to_tuples(&assbl)), ("basic", basic)];
+    let program = || queries::delivery().unwrap();
+    assert_matches_everywhere(program, &loads, "results", &expected["results"]);
+}
+
 /// Sum coalescing (§5.2.2) under maximal interleaving: a star graph routes
 /// every leaf's contribution into the hub's single group, and
 /// `batch_size = 1` ships each contribution in its own batch, so several

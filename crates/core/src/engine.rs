@@ -231,15 +231,17 @@ impl Engine {
         let mut stores = Vec::with_capacity(n);
         let mut per_worker = Vec::with_capacity(n);
         let mut traces = Vec::with_capacity(n);
+        let mut dws_models = Vec::with_capacity(n);
         let mut errors = Vec::new();
         for (me, r) in results.into_iter().enumerate() {
             match r {
                 Ok((store, rec)) => {
-                    let (mut counters, trace) = rec.finish(me);
+                    let (mut counters, trace, models) = rec.finish(me);
                     counters.edb_resident_bytes = catalog.partitioned_bytes(me);
                     stores.push(store);
                     per_worker.push(counters);
                     traces.push(trace);
+                    dws_models.push(models);
                 }
                 Err(e) => errors.push(e),
             }
@@ -257,6 +259,7 @@ impl Engine {
             edb_replicated_bytes: catalog.replicated_bytes(),
             per_worker,
             traces,
+            dws_models,
         };
         let relations = self.collect(stores, &coord.part);
         Ok(EvalResult {

@@ -16,7 +16,7 @@
 //! the per-worker recorders. [`EvalReport::reconciles`] checks all four.
 
 use dcd_runtime::trace::{iteration_series, IterationPoint};
-use dcd_runtime::{chrome_trace_json, MetricsSnapshot, TraceMeta, WorkerTrace};
+use dcd_runtime::{chrome_trace_json, DwsModel, MetricsSnapshot, TraceMeta, WorkerTrace};
 
 /// Current `schema` field value of the JSON document.
 ///
@@ -50,6 +50,9 @@ pub struct EvalReport {
     /// One event trace per worker (empty event lists when tracing was
     /// disabled, so overflow accounting and the JSON shape stay uniform).
     pub traces: Vec<WorkerTrace>,
+    /// Per worker, the DWS controller's model behind each `DwsDecision`
+    /// instant of its trace, in order (empty unless a traced DWS run).
+    pub dws_models: Vec<Vec<DwsModel>>,
 }
 
 impl EvalReport {
@@ -114,6 +117,7 @@ impl EvalReport {
     pub fn trace_json(&self) -> String {
         chrome_trace_json(
             &self.traces,
+            &self.dws_models,
             &TraceMeta {
                 strategy: self.strategy.clone(),
                 workers: self.workers,
@@ -287,6 +291,7 @@ mod tests {
             edb_replicated_bytes: 4096,
             per_worker: vec![a, b],
             traces: vec![t0, t1],
+            dws_models: vec![vec![DwsModel::default()], vec![]],
         }
     }
 
@@ -369,6 +374,10 @@ mod tests {
         assert!(json.contains("\"name\":\"EvalDelta\""));
         // The decision instant lands on the controller tid (= workers).
         assert!(json.contains("\"name\":\"dws-decision\",\"cat\":\"controller\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":2"));
+        assert!(
+            json.contains("\"gate\":\"none\""),
+            "the decision carries its model"
+        );
         assert_eq!(r.dropped_events(0), 2);
         assert_eq!(r.dropped_events(1), 0);
         assert_eq!(r.dropped_events(9), 0, "out of range is 0");

@@ -15,6 +15,21 @@
 //! newest row (§5.2.2) is a sort and dedup of the pending ids: the one id
 //! left reads the newest value.
 //!
+//! A `min`/`max` relation whose every consuming delta rule is linear (its
+//! join steps probe only base relations) is evaluated *best-first*: its
+//! pending ids wait in a worker-local order by stored value (ascending for
+//! `min`, descending for `max`), and Iterate takes the best 256
+//! (`SLICE_ROWS`) at a time. After each slice it merges the slice's local
+//! head rows and sends the remote ones; every id a merge improves goes
+//! back into the order instead of the next iteration's delta, and under
+//! SSP and DWS inbound batches are drained into it between slices. One
+//! Iterate thus runs until the worker's order is empty: label-correcting
+//! shortest paths turned toward label-setting, as in Δ-stepping, so a row
+//! is rarely evaluated at a value it is about to improve on. A relation
+//! consumed by a non-linear rule (APSP's `path`) keeps semi-naive rounds:
+//! there a row's derivations depend on the other rows of the store, and
+//! ordering it sent ~8× more tuples.
+//!
 //! Routing note: a derived tuple is *sent* once per distinct destination
 //! worker, and every receiver re-derives locally which of the relation's
 //! routes (§4.3) apply to it — this keeps multi-route relations (APSP)
@@ -24,7 +39,7 @@ use crate::config::EngineConfig;
 use crate::eval::{DeltaRow, EvalScratch, Evaluator};
 use crate::store::{Merged, WorkerStore};
 use dcd_common::hash::FastMap;
-use dcd_common::{AggFunc, DcdError, Frame, Partitioner, Result, Tuple, WorkerId};
+use dcd_common::{AggFunc, DcdError, Frame, Partitioner, Result, Tuple, Value, WorkerId};
 use dcd_frontend::physical::{PhysicalPlan, RelId, StorageKind};
 use dcd_runtime::trace::{Mark, Phase};
 use dcd_runtime::{
@@ -32,6 +47,8 @@ use dcd_runtime::{
     Strategy, Termination, WorkerEndpoints,
 };
 use dcd_storage::DerivedRelation;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -141,16 +158,19 @@ impl Coordination {
 const FLUSH_ROWS: usize = 1 << 14;
 
 /// Delta rows per evaluation slice: how often Iterate checks the buffer
-/// against [`FLUSH_ROWS`].
+/// against [`FLUSH_ROWS`], and how many of the best pending rows a
+/// best-first group evaluates before its head rows are merged.
 const SLICE_ROWS: usize = 256;
 
 /// Head rows between the kernel and Distribute, with the pre-Distribute
 /// partial aggregation of §5.2.3. A `min`/`max` head relation's rows
-/// collapse for the whole local iteration in a storage aggregate relation,
-/// created at the relation's first row, so "same group" and "better" mean
-/// exactly what they mean at the merge; its best row per group reaches
-/// Distribute when the iteration ends. Every other row queues in `rows`,
-/// which Iterate flushes every [`FLUSH_ROWS`]: a set row's only collapse is
+/// collapse in a storage aggregate relation, created at the relation's
+/// first row, so "same group" and "better" mean exactly what they mean at
+/// the merge; its best row per group reaches Distribute when the
+/// iteration ends, or, while a best-first group is evaluated, after each
+/// slice ([`PartialAgg::flush`] keeps the tables, so no slice zeroes a
+/// fresh one). Every other row queues in `rows`, which Iterate flushes
+/// every [`FLUSH_ROWS`]: a set row's only collapse is
 /// exact-duplicate elimination, which Distribute's sent-filter and the
 /// idempotent merge already perform. A `sum`/`count` merge replaces the
 /// contributor's previous value, so a group ends with the total it would
@@ -189,13 +209,82 @@ impl PartialAgg {
 
     /// Consumes the accumulator, yielding `(head relation, row)` pairs
     /// for Distribute: the rows still queued, then each `min`/`max`
-    /// relation's best rows.
+    /// relation's best rows. Each table is freed before its rows merge.
     fn drain(self) -> impl Iterator<Item = (RelId, Tuple)> {
         let best = self
             .best
             .into_iter()
             .flat_map(|(rel, acc)| acc.into_rows().into_iter().map(move |row| (rel, row)));
         self.rows.into_iter().chain(best)
+    }
+
+    /// Like [`PartialAgg::drain`], but empties the accumulator in place
+    /// and keeps its tables for the next best-first slice.
+    fn flush(&mut self) -> impl Iterator<Item = (RelId, Tuple)> + '_ {
+        let best = self.best.iter_mut().flat_map(|(rel, acc)| {
+            let rel = *rel;
+            acc.drain().map(move |row| (rel, row))
+        });
+        self.rows.drain(..).chain(best)
+    }
+}
+
+/// The pending ids of one best-first relation, in a worker-local order
+/// by stored value.
+struct BestFirst {
+    /// The aggregate column.
+    col: usize,
+    /// Larger values are better (a `max` relation).
+    max: bool,
+    /// One heap per route of `(priority, id)` entries, where `priority`
+    /// is [`BestFirst::priority`] of the value the id was queued at; the
+    /// greatest entry is taken first, so the lowest id breaks ties.
+    routes: Vec<BinaryHeap<(u64, Reverse<u32>)>>,
+}
+
+impl BestFirst {
+    /// The order for `plan`'s relation `rel` when its pending rows are
+    /// evaluated best-first, that is, it is a `min`/`max` relation and
+    /// every delta rule consuming it is linear; `None` otherwise.
+    fn of(plan: &PhysicalPlan, rel: RelId) -> Option<BestFirst> {
+        let decl = plan.idb[rel].as_ref()?;
+        let StorageKind::Agg {
+            func: func @ (AggFunc::Min | AggFunc::Max),
+            group_cols,
+            ..
+        } = decl.kind
+        else {
+            return None;
+        };
+        let mut consumers = plan.strata.iter().flat_map(|s| &s.delta_rules);
+        consumers
+            .all(|r| !matches!(&r.delta, Some(d) if d.rel == rel) || r.is_linear())
+            .then(|| BestFirst {
+                col: group_cols,
+                max: func == AggFunc::Max,
+                routes: (0..decl.partition_cols.len().max(1))
+                    .map(|_| BinaryHeap::new())
+                    .collect(),
+            })
+    }
+
+    /// `v`'s place in the order, best greatest: the total order of `v`
+    /// as an `f64`, flipped for `min`. It is exact, and one-to-one on
+    /// distinct values, for integers of magnitude up to 2^53; above that
+    /// neighbouring integers may tie, which can only make the order
+    /// coarser or evaluate a row again, never change a result.
+    fn priority(&self, v: Value) -> u64 {
+        let bits = v.as_f64().to_bits();
+        let rank = if bits >> 63 == 1 {
+            !bits
+        } else {
+            bits | 1 << 63
+        };
+        if self.max {
+            rank
+        } else {
+            !rank
+        }
     }
 }
 
@@ -209,6 +298,9 @@ pub struct Worker<'a> {
     evaluator: Evaluator<'a>,
     /// Persistent register file + probe counters for the batched kernel.
     scratch: EvalScratch,
+    /// `best_first[rel]`: relation `rel`'s order when it is evaluated
+    /// best-first.
+    best_first: Vec<Option<BestFirst>>,
     /// This worker's counters and trace; returned by [`Worker::run`].
     rec: Recorder,
 }
@@ -233,6 +325,9 @@ impl<'a> Worker<'a> {
                 workers: cfg.workers,
             },
             scratch: EvalScratch::new(),
+            best_first: (0..plan.idb.len())
+                .map(|rel| BestFirst::of(plan, rel))
+                .collect(),
             rec: Recorder::new(coord.epoch, cfg.trace.then_some(cfg.trace_capacity)),
         }
     }
@@ -312,8 +407,8 @@ impl<'a> Worker<'a> {
             let tg = Instant::now();
             self.drain_into(si, store, &mut delta, &mut None);
             self.rec.close(Phase::Gather, tg, 0, 0, 0);
-            let processed = delta.len() as u64;
-            let (local_new, remote_sent) = self.iterate(si, store, &mut delta, &mut None)?;
+            let (processed, local_new, remote_sent) =
+                self.iterate(si, store, &mut delta, &mut None)?;
             let produced = remote_sent + local_new;
             let queue_depth = self.coord.buffers.inbound_len(self.me) as u64;
             self.rec.end_iteration(processed, produced, queue_depth);
@@ -396,11 +491,11 @@ impl<'a> Worker<'a> {
                     self.rec.close(Phase::OmegaWait, tw, 0, 0, 0);
                 }
                 ctrl.update_params();
-                self.rec.mark(
-                    Mark::DwsDecision,
+                self.rec.dws_decision(
                     ctrl.omega() as u64,
                     ctrl.tau().as_nanos() as u64,
                     delta.len() as u64,
+                    ctrl.model(),
                 );
             }
 
@@ -411,15 +506,14 @@ impl<'a> Worker<'a> {
             }
 
             let t0 = Instant::now();
-            let processed = delta.len();
-            let (local_new, remote_sent) =
+            let (processed, local_new, remote_sent) =
                 self.iterate(si, store, &mut delta, &mut dws.as_mut())?;
             if let Some(ctrl) = dws.as_mut() {
-                ctrl.on_iteration(processed, t0.elapsed());
+                ctrl.on_iteration(processed as usize, t0.elapsed());
             }
             let queue_depth = self.coord.buffers.inbound_len(self.me) as u64;
             self.rec
-                .end_iteration(processed as u64, local_new + remote_sent, queue_depth);
+                .end_iteration(processed, local_new + remote_sent, queue_depth);
             if is_ssp {
                 sc.ssp.advance(self.me);
             }
@@ -434,18 +528,26 @@ impl<'a> Worker<'a> {
     /// of [`SLICE_ROWS`]; whenever [`FLUSH_ROWS`] queued rows are buffered
     /// after a slice, they go to Distribute before the next slice, so later
     /// slices probe stores those rows may have grown (monotone rules only
-    /// derive more from them). `min`/`max` rows are distributed once, at
-    /// the end. Returns `(new local merges, tuples sent to peers)`.
+    /// derive more from them). Their `min`/`max` rows are distributed
+    /// once, at the end.
+    ///
+    /// Best-first groups (see the module docs) instead join the worker's
+    /// order, and after every other group Iterate evaluates that order one
+    /// slice of the best [`SLICE_ROWS`] pending ids at a time until it is
+    /// empty. Each slice checks the deadline, is distributed whole, and
+    /// requeues the ids its local merges improve; under SSP and DWS
+    /// Iterate drains inbound batches between slices (Global's rounds
+    /// still end at the barrier, so it leaves them to the next Gather).
+    /// Returns `(delta rows evaluated, new local merges, tuples sent to
+    /// peers)`; the first counts rows requeued and evaluated again.
     fn iterate(
         &mut self,
         si: usize,
         store: &mut WorkerStore,
         delta: &mut Vec<DeltaRow>,
         dws: &mut Option<&mut DwsController>,
-    ) -> Result<(u64, u64)> {
+    ) -> Result<(u64, u64, u64)> {
         let mut t0 = Instant::now();
-        let plan = self.plan;
-        let stratum = &plan.strata[si];
         // Gather (§5.2.2): an aggregate group updated several times since
         // the last iteration has one id, which reads its newest value, so
         // dropping repeated ids keeps only the newest row. Without this,
@@ -456,47 +558,190 @@ impl<'a> Worker<'a> {
         let mut rows = std::mem::take(delta);
         rows.sort_unstable();
         rows.dedup();
-        let nrows = rows.len() as u64;
-        self.rec.counters.tuples_processed += nrows;
         let mut acc = PartialAgg::default();
-        let (mut local_new, mut remote_sent) = (0, 0);
+        let (mut evaluated, mut local_new, mut remote_sent) = (0, 0, 0);
         for group in rows.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
-            let (rel, route) = (group[0].0, group[0].1);
-            for rule in &stratum.delta_rules {
-                let spec = rule.delta.as_ref().expect("delta rule");
-                if spec.rel != rel || spec.route != route as usize {
-                    continue;
+            if self.best_first[group[0].0].is_some() {
+                for &row in group {
+                    self.enqueue(store, row);
                 }
-                let head = rule.head_rel;
-                let n = self
-                    .evaluator
-                    .sort_batch(rule, store, group, &mut self.scratch);
-                for lo in (0..n).step_by(SLICE_ROWS) {
-                    let slice = lo..n.min(lo + SLICE_ROWS);
-                    self.evaluator.eval_sorted(
-                        rule,
-                        store,
-                        group,
-                        slice,
-                        &mut self.scratch,
-                        &mut |t| acc.push(plan, head, t),
-                    );
-                    if acc.rows.len() >= FLUSH_ROWS {
-                        self.rec.close(Phase::EvalDelta, t0, 0, 0, 0);
-                        let (l, r) = self.distribute(si, store, acc.rows.drain(..), delta, dws)?;
-                        local_new += l;
-                        remote_sent += r;
-                        t0 = Instant::now();
-                    }
+                continue;
+            }
+            evaluated += group.len() as u64;
+            let (l, r) = self.eval_group(si, store, group, &mut acc, delta, dws, &mut t0)?;
+            local_new += l;
+            remote_sent += r;
+        }
+        let rels = &self.plan.strata[si].rels;
+        if rels.iter().any(|&rel| self.best_first[rel].is_some()) {
+            let (e, l, r) = self.eval_best_first(si, store, &mut acc, delta, dws, &mut t0)?;
+            evaluated += e;
+            local_new += l;
+            remote_sent += r;
+        }
+        self.rec.counters.tuples_processed += evaluated;
+        self.rec.close(Phase::EvalDelta, t0, evaluated, 0, 0);
+        let (l, r) = self.distribute(si, store, acc.drain(), delta, dws)?;
+        Ok((evaluated, local_new + l, remote_sent + r))
+    }
+
+    /// Iterate's best-first part: moves the best-first rows that `delta`
+    /// gained so far into their orders, then evaluates the orders one
+    /// slice at a time until they are empty, distributing each slice and
+    /// requeueing what it improves. Returns `(delta rows evaluated, new
+    /// local merges, tuples sent to peers)`.
+    fn eval_best_first(
+        &mut self,
+        si: usize,
+        store: &mut WorkerStore,
+        acc: &mut PartialAgg,
+        delta: &mut Vec<DeltaRow>,
+        dws: &mut Option<&mut DwsController>,
+        t0: &mut Instant,
+    ) -> Result<(u64, u64, u64)> {
+        let global = matches!(self.cfg.strategy, Strategy::Global);
+        let mut slice = Vec::with_capacity(SLICE_ROWS);
+        let (mut evaluated, mut local_new, mut remote_sent) = (0, 0, 0);
+        let mut requeued = 0;
+        loop {
+            self.requeue(store, delta, requeued);
+            requeued = delta.len();
+            if !self.next_slice(store, &mut slice) {
+                break;
+            }
+            self.coord.check_deadline()?;
+            evaluated += slice.len() as u64;
+            let (l, r) = self.eval_group(si, store, &slice, acc, delta, dws, t0)?;
+            self.rec.close(Phase::EvalDelta, *t0, 0, 0, 0);
+            let (l2, r2) = self.distribute(si, store, acc.flush(), delta, dws)?;
+            local_new += l + l2;
+            remote_sent += r + r2;
+            if !global && self.endpoints.has_inbound() {
+                let tg = Instant::now();
+                self.drain_into(si, store, delta, dws);
+                self.rec.close(Phase::Gather, tg, 0, 0, 0);
+            }
+            *t0 = Instant::now();
+        }
+        // Every order is empty now; free its heaps. Kept until the next
+        // Iterate, they raised `sssp-web`'s peak RSS by 1.5–3 MB.
+        for order in self.best_first.iter_mut().flatten() {
+            order.routes.fill_with(BinaryHeap::new);
+        }
+        Ok((evaluated, local_new, remote_sent))
+    }
+
+    /// Runs every delta rule of stratum `si` that consumes `group`'s
+    /// `(rel, route)` over it, feeding head rows to `acc`; buffered rows
+    /// go to Distribute whenever a slice leaves [`FLUSH_ROWS`] of them,
+    /// which splits the `EvalDelta` span that began at `t0`. Returns what
+    /// those flushes merged and sent.
+    #[allow(clippy::too_many_arguments)]
+    fn eval_group(
+        &mut self,
+        si: usize,
+        store: &mut WorkerStore,
+        group: &[DeltaRow],
+        acc: &mut PartialAgg,
+        delta: &mut Vec<DeltaRow>,
+        dws: &mut Option<&mut DwsController>,
+        t0: &mut Instant,
+    ) -> Result<(u64, u64)> {
+        let plan = self.plan;
+        let (rel, route) = (group[0].0, group[0].1);
+        let (mut local_new, mut remote_sent) = (0, 0);
+        for rule in &plan.strata[si].delta_rules {
+            let spec = rule.delta.as_ref().expect("delta rule");
+            if spec.rel != rel || spec.route != route as usize {
+                continue;
+            }
+            let head = rule.head_rel;
+            let n = self
+                .evaluator
+                .sort_batch(rule, store, group, &mut self.scratch);
+            for lo in (0..n).step_by(SLICE_ROWS) {
+                let slice = lo..n.min(lo + SLICE_ROWS);
+                self.evaluator.eval_sorted(
+                    rule,
+                    store,
+                    group,
+                    slice,
+                    &mut self.scratch,
+                    &mut |t| acc.push(plan, head, t),
+                );
+                if acc.rows.len() >= FLUSH_ROWS {
+                    self.rec.close(Phase::EvalDelta, *t0, 0, 0, 0);
+                    let (l, r) = self.distribute(si, store, acc.rows.drain(..), delta, dws)?;
+                    local_new += l;
+                    remote_sent += r;
+                    *t0 = Instant::now();
                 }
-                let m = &mut self.rec.counters;
-                m.kernel_batches += 1;
-                m.kernel_rows += group.len() as u64;
+            }
+            let m = &mut self.rec.counters;
+            m.kernel_batches += 1;
+            m.kernel_rows += group.len() as u64;
+        }
+        Ok((local_new, remote_sent))
+    }
+
+    /// Queues best-first delta row `row` at its stored value; `false`
+    /// (and nothing queued) for a row of any other relation.
+    fn enqueue(&mut self, store: &WorkerStore, (rel, route, id): DeltaRow) -> bool {
+        let Some(order) = &mut self.best_first[rel] else {
+            return false;
+        };
+        let priority = order.priority(store.rec(rel).rows()[id as usize][order.col]);
+        order.routes[route as usize].push((priority, Reverse(id)));
+        true
+    }
+
+    /// Moves the best-first rows of `delta[from..]` into their orders, and
+    /// keeps the others in `delta` for the next iteration.
+    fn requeue(&mut self, store: &WorkerStore, delta: &mut Vec<DeltaRow>, from: usize) {
+        let mut keep = from;
+        for i in from..delta.len() {
+            if !self.enqueue(store, delta[i]) {
+                delta[keep] = delta[i];
+                keep += 1;
             }
         }
-        self.rec.close(Phase::EvalDelta, t0, nrows, 0, 0);
-        let (l, r) = self.distribute(si, store, acc.drain(), delta, dws)?;
-        Ok((local_new + l, remote_sent + r))
+        delta.truncate(keep);
+    }
+
+    /// Fills `slice` with the best [`SLICE_ROWS`] pending ids of the first
+    /// `(rel, route)` with any, skipping stale entries; `false` once every
+    /// order is empty. A `min` value only falls and a `max` value only
+    /// rises, so an entry queued at another value than its row's stored
+    /// one was queued again at the better value, and is stale. An id
+    /// queued twice at one value (merged from a slice and from an inbound
+    /// batch before it was requeued) has equal entries, which pop
+    /// together and are taken once.
+    fn next_slice(&mut self, store: &WorkerStore, slice: &mut Vec<DeltaRow>) -> bool {
+        slice.clear();
+        for (rel, order) in self.best_first.iter_mut().enumerate() {
+            let Some(order) = order else {
+                continue;
+            };
+            let rows = store.rec(rel).rows();
+            for route in 0..order.routes.len() {
+                while slice.len() < SLICE_ROWS {
+                    let heap = &mut order.routes[route];
+                    let Some(entry @ (priority, Reverse(id))) = heap.pop() else {
+                        break;
+                    };
+                    while heap.peek() == Some(&entry) {
+                        heap.pop();
+                    }
+                    if order.priority(rows[id as usize][order.col]) == priority {
+                        slice.push((rel, route as u8, id));
+                    }
+                }
+                if !slice.is_empty() {
+                    return true;
+                }
+            }
+        }
+        false
     }
 
     /// Routes `(head relation, row)` pairs (Distribute): local merges feed
@@ -717,7 +962,7 @@ mod tests {
                 acc.push(&p, rel, row);
             }
             let mut got: Vec<Tuple> = acc
-                .drain()
+                .flush()
                 .map(|(r, t)| {
                     assert_eq!(r, rel);
                     t
@@ -725,6 +970,14 @@ mod tests {
                 .collect();
             got.sort();
             assert_eq!(got, rows(&want), "{name}");
+            // A flushed accumulator starts over: a row worse than the
+            // flushed best is new again.
+            for row in rows(&[[1, 20], [3, 4]]) {
+                acc.push(&p, rel, row);
+            }
+            let mut got: Vec<Tuple> = acc.drain().map(|(_, t)| t).collect();
+            got.sort();
+            assert_eq!(got, rows(&[[1, 20], [3, 4]]), "{name}");
         }
     }
 
@@ -773,6 +1026,115 @@ mod tests {
         }
         assert_eq!(acc.rows.len(), pushed.len(), "queued for the flush");
         assert_eq!(acc.drain().collect::<Vec<_>>(), pushed);
+    }
+
+    /// A 1-worker store for `p` with base relation `edb` holding `rows`.
+    fn one_worker_store(p: &PhysicalPlan, edb: &str, rows: Vec<Tuple>) -> WorkerStore {
+        let mut data: Vec<Option<Vec<Tuple>>> = vec![None; p.edb.len()];
+        data[p.rel_by_name(edb).unwrap()] = Some(rows);
+        let catalog = crate::catalog::EdbCatalog::build(p, &data, &Partitioner::new(1));
+        WorkerStore::build(p, &catalog, 0, true, 64)
+    }
+
+    #[test]
+    fn only_linear_min_max_relations_are_best_first() {
+        let cfg = EngineConfig::with_workers(1);
+        for (src, name, best_first) in [
+            (
+                "sp(To, min<C>) <- src(To), C = 0.
+                 sp(To2, min<C>) <- sp(To1, C1), warc(To1, To2, C2), C = C1 + C2.",
+                "sp",
+                true,
+            ),
+            (crate::queries::CC, "cc2", true),
+            (crate::queries::DELIVERY, "delivery", true),
+            (crate::queries::APSP, "path", false),
+            (crate::queries::TC, "tc", false),
+            (
+                "rank(X, sum<(X, K)>) <- seed(X, K).
+                 rank(X, sum<(Y, K)>) <- rank(Y, C), arc(Y, X), K = C / 2.",
+                "rank",
+                false,
+            ),
+        ] {
+            let p = plan_of(src);
+            let coord = Coordination::new(&p, &cfg);
+            let w = Worker::new(&p, &cfg, &coord, 0);
+            let rel = p.rel_by_name(name).unwrap();
+            assert_eq!(w.best_first[rel].is_some(), best_first, "{name}");
+        }
+    }
+
+    #[test]
+    fn stale_entry_is_skipped_and_the_row_evaluated_once_at_its_best() {
+        let p = plan_of(
+            "sp(To, min<C>) <- src(To, C).
+             sp(To2, min<C>) <- sp(To1, C1), warc(To1, To2, C2), C = C1 + C2.",
+        );
+        let cfg = EngineConfig::with_workers(1);
+        let coord = Coordination::new(&p, &cfg);
+        let mut store = one_worker_store(&p, "warc", vec![Tuple::from_ints(&[1, 2, 10])]);
+        let mut w = Worker::new(&p, &cfg, &coord, 0);
+        let sp = p.rel_by_name("sp").unwrap();
+        let mut delta = Vec::new();
+        for (value, merged) in [(9, Merged::New(0)), (4, Merged::New(0))] {
+            let row = Tuple::from_ints(&[1, value]);
+            assert_eq!(store.rec_mut(sp).merge(&row), merged);
+            delta.push((sp, 0, 0));
+            w.requeue(&store, &mut delta, 0);
+            assert!(delta.is_empty(), "queued in the order, not the delta");
+        }
+        // Merged locally and from a peer before one requeue: twice at 4.
+        delta.push((sp, 0, 0));
+        w.requeue(&store, &mut delta, 0);
+        assert_eq!(w.best_first[sp].as_ref().unwrap().routes[0].len(), 3);
+        let (evaluated, ..) = w.iterate(0, &mut store, &mut delta, &mut None).unwrap();
+        // Row 1 once, at 4 (its stale entry at 9 is skipped and its second
+        // entry at 4 taken with the first), then the row it derived, (2, 14).
+        assert_eq!(evaluated, 2);
+        assert_eq!(w.rec.counters.kernel_rows, 2);
+        let mut got = store.rec(sp).rows().to_vec();
+        got.sort();
+        assert_eq!(got, rows(&[[1, 4], [2, 14]]));
+        assert!(delta.is_empty());
+    }
+
+    #[test]
+    fn max_groups_are_taken_in_descending_order_one_slice_at_a_time() {
+        let p = plan_of(crate::queries::DELIVERY);
+        let cfg = EngineConfig::with_workers(1);
+        let coord = Coordination::new(&p, &cfg);
+        let mut store = one_worker_store(&p, "basic", vec![]);
+        let mut w = Worker::new(&p, &cfg, &coord, 0);
+        let d = p.rel_by_name("delivery").unwrap();
+        // Group g holds value (g * 7) % 300: a permutation of 0..300.
+        let mut delta = Vec::new();
+        for g in 0..300 {
+            let Merged::New(id) = store.rec_mut(d).merge(&Tuple::from_ints(&[g, g * 7 % 300]))
+            else {
+                panic!("new group");
+            };
+            delta.push((d, 0, id));
+        }
+        w.requeue(&store, &mut delta, 0);
+        let value = |store: &WorkerStore, &(_, _, id): &DeltaRow| {
+            store.rec(d).rows()[id as usize][1].expect_int()
+        };
+        let mut slice = Vec::new();
+        let mut taken = Vec::new();
+        while w.next_slice(&store, &mut slice) {
+            taken.push(
+                slice
+                    .iter()
+                    .map(|row| value(&store, row))
+                    .collect::<Vec<_>>(),
+            );
+        }
+        let want: Vec<i64> = (0..300).rev().collect();
+        assert_eq!(
+            taken,
+            [want[..SLICE_ROWS].to_vec(), want[SLICE_ROWS..].to_vec()]
+        );
     }
 
     #[test]

@@ -694,3 +694,55 @@ fn sum_rows_flush_in_the_middle_of_an_iteration() {
         "{distributes} Distribute spans for {iterations} iterations"
     );
 }
+
+#[test]
+fn diverging_min_program_times_out() {
+    // `C1 - 1` around the cycle 0 → 1 → 2 → 0 improves every group
+    // forever. A best-first order never empties here, so only a deadline
+    // check inside it can stop the run. The runs happen on a watchdog
+    // thread, so a run that ignores the timeout fails the test instead of
+    // hanging it.
+    let src = "d(X, min<C>) <- src(X), C = 0.
+               d(Y, min<C>) <- d(X, C1), arc(X, Y), C = C1 - 1.";
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        for mut cfg in configs().into_iter().filter(|c| c.workers < 4) {
+            let name = format!("{} x{}", cfg.strategy.name(), cfg.workers);
+            cfg.timeout = Some(std::time::Duration::from_millis(300));
+            let mut e = Engine::new(Program::parse(src).unwrap(), cfg).unwrap();
+            e.load_edb("src", vec![Tuple::from_ints(&[0])]).unwrap();
+            e.load_edges("arc", &[(0, 1), (1, 2), (2, 0)]).unwrap();
+            let started = std::time::Instant::now();
+            let err = e.run().unwrap_err();
+            done.send((name, err, started.elapsed())).unwrap();
+        }
+    });
+    for _ in 0..6 {
+        let (name, err, took) = finished
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("a diverging run ignored its 300 ms timeout for 5 s");
+        assert_eq!(err, dcdatalog::DcdError::Timeout, "{name}");
+        assert!(took < std::time::Duration::from_secs(5), "{name}: {took:?}");
+    }
+}
+
+#[test]
+fn best_first_sssp_evaluates_few_delta_rows() {
+    // At one worker nothing arrives from outside, so the kernel's row
+    // count depends only on the evaluation order. Evaluated best-first,
+    // this graph's 1 998 results take 2 466 kernel rows; semi-naive
+    // rounds took 5 623. The bound is the best-first count plus 10%.
+    let edges = dcd_datagen::livejournal_like(2000, 7);
+    let warc = dcd_datagen::weighted(&edges, 100, 7);
+    for strategy in strategies() {
+        let cfg = EngineConfig::with_workers(1).strategy(strategy);
+        let name = cfg.strategy.name();
+        let mut e = Engine::new(queries::sssp(0).unwrap(), cfg).unwrap();
+        e.load_weighted_edges("warc", &warc).unwrap();
+        let r = e.run().unwrap();
+        assert_eq!(r.relation("results").len(), 1998, "{name}");
+        let kernel_rows = r.stats.report.total(|w| w.kernel_rows);
+        assert!(kernel_rows <= 2713, "{name}: {kernel_rows} kernel rows");
+        assert!(r.stats.report.reconciles(), "{name}");
+    }
+}

@@ -245,6 +245,17 @@ pub struct CompiledRule {
     pub rule_idx: usize,
 }
 
+impl CompiledRule {
+    /// Whether every join step reads a base relation, so the rule's
+    /// output depends on its delta row alone and not on the derived
+    /// stores (SSSP, CC, Delivery; not APSP, whose steps probe `path`).
+    pub fn is_linear(&self) -> bool {
+        self.steps
+            .iter()
+            .all(|s| matches!(s.target, Target::Edb(_)))
+    }
+}
+
 /// Storage semantics of a derived relation (the Gather spec).
 #[derive(Clone, Debug, PartialEq)]
 pub enum StorageKind {
@@ -1050,6 +1061,22 @@ mod tests {
         // Head of the delta rule emits (Y, Z): group + value.
         let dr = &p.strata[0].delta_rules[0];
         assert_eq!(dr.head_exprs.len(), 2);
+    }
+
+    #[test]
+    fn linear_rules_probe_only_base_relations() {
+        let sssp = plan_src(
+            "sp(To, min<C>) <- src(To), C = 0.
+             sp(To2, min<C>) <- sp(To1, C1), warc(To1, To2, C2), C = C1 + C2.",
+        );
+        assert!(sssp.strata[0].delta_rules.iter().all(|r| r.is_linear()));
+        let apsp = plan_src(
+            "path(A, B, min<D>) <- warc(A, B, D).
+             path(A, B, min<D>) <- path(A, C, D1), path(C, B, D2), D = D1 + D2.",
+        );
+        let rules = &apsp.strata[0].delta_rules;
+        assert!(!rules.is_empty());
+        assert!(rules.iter().all(|r| !r.is_linear()));
     }
 
     #[test]

@@ -45,6 +45,48 @@ impl Default for DwsConfig {
     }
 }
 
+/// Which gate, if any, held `ω` at 0 in the controller's last update.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum OmegaGate {
+    /// No gate: `ω` is Kingman's `L_q`, rounded (which may be 0).
+    #[default]
+    None,
+    /// No arrival track or the service estimator had `min_samples`
+    /// samples yet (or nothing arrived since the last update).
+    MinSamples,
+    /// `ρ ≥ 1`: the queue is saturated, so waiting cannot pay off.
+    Saturated,
+}
+
+impl OmegaGate {
+    /// Label for the trace export.
+    pub fn name(self) -> &'static str {
+        match self {
+            OmegaGate::None => "none",
+            OmegaGate::MinSamples => "min_samples",
+            OmegaGate::Saturated => "rho>=1",
+        }
+    }
+}
+
+/// What the controller saw at its last update: the queueing model behind
+/// `ω` and `τ`. A rate the samples could not yet estimate is 0, and so
+/// are `ρ` and `L_q` when either rate is.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct DwsModel {
+    /// Utilization `ρ = λ / μ`.
+    pub rho: f64,
+    /// Aggregate arrival rate `λ` (Eq. 1), tuples per second.
+    pub lambda: f64,
+    /// Service rate `μ`, tuples per second.
+    pub mu: f64,
+    /// Kingman's mean queue length `L_q` (Eq. 2), before rounding and
+    /// the `max_omega` cap.
+    pub lq: f64,
+    /// The gate that held `ω` at 0, if any.
+    pub gate: OmegaGate,
+}
+
 /// Per-source arrival tracker: `λ_j` and `σ_a,j` from batch timestamps.
 struct ArrivalTrack {
     /// EWMA of per-tuple inter-arrival time (seconds).
@@ -73,6 +115,7 @@ pub struct DwsController {
     service: Ewma,
     omega: usize,
     tau: Duration,
+    model: DwsModel,
 }
 
 impl DwsController {
@@ -84,6 +127,7 @@ impl DwsController {
             service: Ewma::new(alpha),
             omega: 0,
             tau: Duration::ZERO,
+            model: DwsModel::default(),
             cfg,
         }
     }
@@ -134,21 +178,41 @@ impl DwsController {
             // Exponential decay of window counts between updates.
             t.recent /= 2;
         }
-        if weight_sum == 0.0 || self.service.count() < min_samples || self.service.mean() <= 0.0 {
+        let served = self.service.count() >= min_samples && self.service.mean() > 0.0;
+        let inv_lambda = inv_rate_weighted / weight_sum; // 1/λ
+        let lambda = if weight_sum > 0.0 {
+            1.0 / inv_lambda
+        } else {
+            0.0
+        };
+        let mu = if served {
+            1.0 / self.service.mean()
+        } else {
+            0.0
+        };
+        let rho = if lambda > 0.0 && mu > 0.0 {
+            lambda / mu
+        } else {
+            0.0
+        };
+        self.model = DwsModel {
+            rho,
+            lambda,
+            mu,
+            lq: 0.0,
+            gate: OmegaGate::MinSamples,
+        };
+        if weight_sum == 0.0 || !served {
             self.omega = 0;
             self.tau = Duration::ZERO;
             return;
         }
-        let inv_lambda = inv_rate_weighted / weight_sum; // 1/λ
-        let lambda = 1.0 / inv_lambda;
         let sigma_a2 = (var_weighted / weight_sum - inv_lambda * inv_lambda).max(0.0);
-
-        let mu = 1.0 / self.service.mean();
         let sigma_s2 = self.service.variance();
 
-        let rho = lambda / mu;
         if rho >= 1.0 {
             // Saturated queue: waiting cannot pay off — proceed immediately.
+            self.model.gate = OmegaGate::Saturated;
             self.omega = 0;
             self.tau = Duration::ZERO;
             return;
@@ -157,6 +221,8 @@ impl DwsController {
         let ca2 = lambda * lambda * sigma_a2;
         let cs2 = mu * mu * sigma_s2;
         let lq = rho * rho * (ca2 + cs2) / (2.0 * (1.0 - rho));
+        self.model.lq = lq;
+        self.model.gate = OmegaGate::None;
         let omega = lq.round().max(0.0) as usize;
         self.omega = omega.min(self.cfg.max_omega);
         let tau = Duration::from_secs_f64((self.omega as f64 * inv_lambda).max(0.0));
@@ -174,6 +240,11 @@ impl DwsController {
     #[inline]
     pub fn tau(&self) -> Duration {
         self.tau
+    }
+
+    /// The model behind the current `ω_i` and `τ_i`.
+    pub fn model(&self) -> DwsModel {
+        self.model
     }
 }
 
@@ -206,6 +277,9 @@ mod tests {
         }
         c.update_params();
         assert_eq!(c.omega(), 0, "ρ ≥ 1 must disable waiting");
+        let m = c.model();
+        assert_eq!(m.gate, OmegaGate::Saturated);
+        assert!(m.rho >= 1.0 && (m.rho - m.lambda / m.mu).abs() < 1e-9 * m.rho);
     }
 
     #[test]
@@ -227,6 +301,10 @@ mod tests {
         // With ρ near 1 and high arrival variability, Kingman predicts a
         // positive queue.
         assert!(c.omega() >= 1, "omega = {}", c.omega());
+        let m = c.model();
+        assert_eq!(m.gate, OmegaGate::None);
+        assert!(m.rho > 0.0 && m.rho < 1.0, "rho = {}", m.rho);
+        assert_eq!(c.omega(), m.lq.round() as usize);
         assert!(c.tau() > Duration::ZERO);
         assert!(c.tau() <= DwsConfig::default().max_wait);
     }
@@ -289,6 +367,7 @@ mod tests {
         c.update_params();
         assert_eq!(c.omega(), 0, "one sample per estimator must not prime");
         assert_eq!(c.tau(), Duration::ZERO);
+        assert_eq!(c.model().gate, OmegaGate::MinSamples);
 
         // Once both estimators cross min_samples with a stable-but-bursty
         // pattern, the controller may produce parameters again.

@@ -13,6 +13,7 @@
 //! counters are plain `u64` fields and the trace is a plain `Vec`: no
 //! atomics and no locks.
 
+use crate::dws::DwsModel;
 use crate::trace::{EventKind, Mark, Phase, TraceEvent, WorkerTrace};
 use std::time::Instant;
 
@@ -112,6 +113,9 @@ pub struct Recorder {
     cap: usize,
     /// Events discarded on a full buffer.
     dropped: u64,
+    /// The controller's model at each recorded [`Mark::DwsDecision`], in
+    /// order (a side list, because an event has only three arguments).
+    dws_models: Vec<DwsModel>,
 }
 
 impl Recorder {
@@ -127,6 +131,7 @@ impl Recorder {
             events: Vec::with_capacity(cap),
             cap,
             dropped: 0,
+            dws_models: Vec::new(),
         }
     }
 
@@ -167,6 +172,15 @@ impl Recorder {
         }
     }
 
+    /// Records a [`Mark::DwsDecision`] (`ω`, `τ` in clock units, pending
+    /// delta size) and, when the event is kept, the `model` behind it.
+    pub fn dws_decision(&mut self, omega: u64, tau: u64, delta_len: u64, model: DwsModel) {
+        if self.tracing && self.events.len() < self.cap {
+            self.dws_models.push(model);
+        }
+        self.mark(Mark::DwsDecision, omega, tau, delta_len);
+    }
+
     /// Closes one local iteration: records its [`Mark::Iteration`]
     /// (`rows_in`, `rows_out`, inbound `queue_depth`) and advances the
     /// iteration counter.
@@ -195,14 +209,15 @@ impl Recorder {
         }
     }
 
-    /// Consumes the recorder into worker `worker`'s counters and trace.
-    pub fn finish(self, worker: usize) -> (MetricsSnapshot, WorkerTrace) {
+    /// Consumes the recorder into worker `worker`'s counters, trace, and
+    /// the models behind the trace's DWS decisions.
+    pub fn finish(self, worker: usize) -> (MetricsSnapshot, WorkerTrace, Vec<DwsModel>) {
         let trace = WorkerTrace {
             worker,
             events: self.events,
             dropped: self.dropped,
         };
-        (self.counters, trace)
+        (self.counters, trace, self.dws_models)
     }
 }
 
@@ -237,7 +252,7 @@ mod tests {
             std::thread::sleep(Duration::from_micros(50 * (i as u64 + 1)));
             r.close(p, started, i as u64, 0, 0);
         }
-        let (s, tr) = r.finish(3);
+        let (s, tr, _) = r.finish(3);
         assert_eq!(tr.worker, 3);
         assert_eq!(tr.events.len(), 5);
         let durs: Vec<u64> = tr.events.iter().map(|e| e.dur).collect();
@@ -252,7 +267,7 @@ mod tests {
         let mut r = Recorder::new(Instant::now(), Some(8));
         r.close(Phase::Merge, Instant::now(), 2, 1, 0);
         r.close(Phase::Backpressure, Instant::now(), 0, 0, 0);
-        let (s, tr) = r.finish(0);
+        let (s, tr, _) = r.finish(0);
         assert_eq!(s, MetricsSnapshot::default());
         assert_eq!(tr.events.len(), 2);
     }
@@ -264,7 +279,7 @@ mod tests {
         r.end_iteration(10, 4, 1);
         r.close(Phase::Idle, Instant::now(), 0, 0, 0);
         r.mark(Mark::TerminationRound, 1, 0, 0);
-        let (s, tr) = r.finish(0);
+        let (s, tr, _) = r.finish(0);
         assert_eq!(s.iterations, 1);
         let stamps: Vec<u64> = tr.events.iter().map(|e| e.iteration).collect();
         assert_eq!(stamps, vec![0, 0, 1, 1]);
@@ -275,12 +290,33 @@ mod tests {
     }
 
     #[test]
+    fn dws_models_follow_the_decisions_the_trace_keeps() {
+        use crate::dws::OmegaGate;
+        let model = |rho| DwsModel {
+            rho,
+            gate: OmegaGate::Saturated,
+            ..DwsModel::default()
+        };
+        let mut r = Recorder::new(Instant::now(), Some(2));
+        for i in 0..3 {
+            r.dws_decision(0, 0, i, model(1.0 + i as f64));
+        }
+        let (_, tr, models) = r.finish(0);
+        assert_eq!(tr.events.len(), 2);
+        assert_eq!(tr.dropped, 1);
+        assert_eq!(models, [model(1.0), model(2.0)]);
+        let mut off = Recorder::new(Instant::now(), None);
+        off.dws_decision(0, 0, 0, model(1.0));
+        assert!(off.finish(0).2.is_empty());
+    }
+
+    #[test]
     fn overflow_keeps_prefix_and_counts_drops() {
         let mut r = Recorder::new(Instant::now(), Some(4));
         for _ in 0..10 {
             r.end_iteration(0, 0, 0);
         }
-        let (s, tr) = r.finish(7);
+        let (s, tr, _) = r.finish(7);
         assert_eq!(s.iterations, 10, "counters keep counting past a full trace");
         assert_eq!(tr.dropped, 6);
         let iters: Vec<u64> = tr.events.iter().map(|e| e.iteration).collect();
@@ -296,7 +332,7 @@ mod tests {
         r.close(Phase::Gather, started, 0, 0, 0);
         r.mark(Mark::DwsDecision, 8, 1000, 3);
         r.end_iteration(5, 5, 0);
-        let (s, tr) = r.finish(0);
+        let (s, tr, _) = r.finish(0);
         assert!(s.gather_ns >= 100_000);
         assert_eq!(s.iterations, 1);
         assert!(tr.events.is_empty());

@@ -194,6 +194,7 @@ impl SimReport {
     pub fn trace_json(&self) -> String {
         chrome_trace_json(
             &self.traces,
+            &[],
             &TraceMeta {
                 strategy: self.strategy.to_string(),
                 workers: self.iterations.len(),

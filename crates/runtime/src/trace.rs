@@ -21,7 +21,9 @@
 //!   monotonic clock and the worker's local iteration counter.
 //! * [`chrome_trace_json`] — serializes traces in the Chrome
 //!   trace-event format, which Perfetto (`ui.perfetto.dev`) loads
-//!   directly: one track per worker plus one for the DWS controller.
+//!   directly: one track per worker plus one for the DWS controller,
+//!   whose decisions carry the queueing model behind them (ρ, λ, μ, L_q
+//!   and the gate that held ω at 0, if any) when the run recorded it.
 //!   The deterministic simulator emits the *same* schema in abstract
 //!   time units, so a real DWS run and its simulated schedule open
 //!   side-by-side in the same viewer.
@@ -36,6 +38,8 @@
 //! span **end** time; a nested span (e.g. a Merge inside an ω-wait)
 //! precedes its parent in the buffer. Spans on one track are always
 //! either disjoint or properly nested — never partially overlapping.
+
+use crate::dws::DwsModel;
 
 /// Version stamp of the trace schema (the JSON export carries it).
 pub const TRACE_SCHEMA: u32 = 1;
@@ -265,10 +269,17 @@ pub fn iteration_series(traces: &[WorkerTrace]) -> Vec<IterationPoint> {
 /// Serializes traces as a Chrome trace-event JSON document that Perfetto
 /// loads directly: one `tid` per worker plus `tid = workers` for the DWS
 /// controller track (every [`Mark::DwsDecision`] lands there, annotated
-/// with the deciding worker). Timestamps are exported in microseconds
-/// (the format's unit) from the clock in `meta`; one simulator tick maps
-/// to one microsecond so abstract schedules render at a readable scale.
-pub fn chrome_trace_json(traces: &[WorkerTrace], meta: &TraceMeta) -> String {
+/// with the deciding worker). `models[i]`, when present, holds the model
+/// behind each decision of `traces[i]` in order, and each decision then
+/// also carries `rho`, `lambda`, `mu`, `lq` and `gate`. Timestamps are
+/// exported in microseconds (the format's unit) from the clock in `meta`;
+/// one simulator tick maps to one microsecond so abstract schedules render
+/// at a readable scale.
+pub fn chrome_trace_json(
+    traces: &[WorkerTrace],
+    models: &[Vec<DwsModel>],
+    meta: &TraceMeta,
+) -> String {
     let pid = 1;
     let controller_tid = meta.workers;
     // ns → µs with fractional part; ticks map 1:1 to µs.
@@ -292,10 +303,19 @@ pub fn chrome_trace_json(traces: &[WorkerTrace], meta: &TraceMeta) -> String {
     events.push(format!(
         r#"{{"name":"thread_name","ph":"M","pid":{pid},"tid":{controller_tid},"args":{{"name":"dws-controller"}}}}"#
     ));
+    // Rates in 1/s span many magnitudes; a non-finite one is not JSON.
+    let num = |v: f64| {
+        if v.is_finite() {
+            format!("{v:e}")
+        } else {
+            "null".into()
+        }
+    };
     let mut total_dropped = 0u64;
-    for tr in traces {
+    for (i, tr) in traces.iter().enumerate() {
         total_dropped += tr.dropped;
         let tid = tr.worker;
+        let mut decision_models = models.get(i).into_iter().flatten();
         for ev in &tr.events {
             match ev.kind {
                 EventKind::Span(phase) => events.push(format!(
@@ -308,14 +328,26 @@ pub fn chrome_trace_json(traces: &[WorkerTrace], meta: &TraceMeta) -> String {
                     ev.b,
                     ev.c
                 )),
-                EventKind::Instant(Mark::DwsDecision) => events.push(format!(
-                    r#"{{"name":"dws-decision","cat":"controller","ph":"i","s":"t","pid":{pid},"tid":{controller_tid},"ts":{},"dur":0,"args":{{"worker":{tid},"iteration":{},"omega":{},"tau":{},"delta_len":{}}}}}"#,
-                    scale(ev.ts),
-                    ev.iteration,
-                    ev.a,
-                    ev.b,
-                    ev.c
-                )),
+                EventKind::Instant(Mark::DwsDecision) => {
+                    let model = decision_models.next().map_or(String::new(), |m| {
+                        format!(
+                            r#","rho":{},"lambda":{},"mu":{},"lq":{},"gate":"{}""#,
+                            num(m.rho),
+                            num(m.lambda),
+                            num(m.mu),
+                            num(m.lq),
+                            m.gate.name()
+                        )
+                    });
+                    events.push(format!(
+                        r#"{{"name":"dws-decision","cat":"controller","ph":"i","s":"t","pid":{pid},"tid":{controller_tid},"ts":{},"dur":0,"args":{{"worker":{tid},"iteration":{},"omega":{},"tau":{},"delta_len":{}{model}}}}}"#,
+                        scale(ev.ts),
+                        ev.iteration,
+                        ev.a,
+                        ev.b,
+                        ev.c
+                    ))
+                }
                 EventKind::Instant(mark) => events.push(format!(
                     r#"{{"name":"{}","cat":"mark","ph":"i","s":"t","pid":{pid},"tid":{tid},"ts":{},"dur":0,"args":{{"iteration":{},"a":{},"b":{},"c":{}}}}}"#,
                     mark.name(),
@@ -439,7 +471,7 @@ mod tests {
             workers: 2,
             clock: "ns",
         };
-        let json = chrome_trace_json(&traces, &meta);
+        let json = chrome_trace_json(&traces, &[], &meta);
         assert!(json.contains("\"schema\": 1"), "{json}");
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains(r#""name":"worker 0""#));
@@ -451,8 +483,24 @@ mod tests {
         ));
         assert!(json.contains(r#""name":"Gather","cat":"phase","ph":"X""#));
         assert!(json.contains(r#""dropped_events": 0"#));
+        assert!(!json.contains("\"gate\""), "no model recorded");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+
+        let model = DwsModel {
+            rho: 0.5,
+            lambda: 2000.0,
+            mu: 4000.0,
+            lq: 0.25,
+            gate: crate::dws::OmegaGate::None,
+        };
+        let json = chrome_trace_json(&traces, &[vec![model]], &meta);
+        assert!(
+            json.contains(
+                r#""delta_len":3,"rho":5e-1,"lambda":2e3,"mu":4e3,"lq":2.5e-1,"gate":"none"}"#
+            ),
+            "{json}"
+        );
     }
 
     #[test]
@@ -467,7 +515,7 @@ mod tests {
             workers: 1,
             clock: "ticks",
         };
-        let json = chrome_trace_json(&traces, &meta);
+        let json = chrome_trace_json(&traces, &[], &meta);
         assert!(json.contains(r#""ts":7,"dur":3"#), "{json}");
         assert!(json.contains(r#""clock": "ticks""#));
     }

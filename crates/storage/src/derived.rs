@@ -193,6 +193,22 @@ impl KeyTable {
         self.len += 1;
     }
 
+    /// Frees every slot and keeps the allocation, its size and its lane
+    /// width. Only occupied slots are written (a free slot is one whose
+    /// id is 0), so pages of the zeroed allocation no key reached stay
+    /// untouched and out of the resident set.
+    fn clear(&mut self) {
+        if self.len > 0 {
+            for slot in self.lanes.chunks_exact_mut(self.stride) {
+                if slot[1] != 0 {
+                    slot[1] = 0;
+                }
+            }
+            self.len = 0;
+        }
+        self.exact = false;
+    }
+
     /// Re-places every slot, by its tag, into a fresh table of `slots`
     /// slots with `wide` lanes; no key is rehashed and no stored row read.
     fn rebuild(&mut self, slots: usize, wide: bool) {
@@ -319,6 +335,16 @@ impl DerivedRelation {
         self.store.into_rows()
     }
 
+    /// Empties the relation, yielding its rows in id order, and keeps
+    /// every allocation: refilling it allocates and zeroes no new table.
+    pub fn drain(&mut self) -> std::vec::Drain<'_, Tuple> {
+        if let Some(table) = &mut self.table {
+            table.clear();
+        }
+        self.contribs.clear();
+        self.store.drain()
+    }
+
     /// Merges one incoming merge-layout row.
     pub fn merge(&mut self, t: &Tuple) -> Merged {
         let Some(agg) = self.agg else {
@@ -424,6 +450,26 @@ mod tests {
         assert_eq!(r.merge(&ints(&[1, 12])), Merged::Old);
         assert_eq!(r.merge(&ints(&[1, 7])), Merged::New(0));
         assert_eq!(r.rows(), &[ints(&[1, 7])]);
+    }
+
+    #[test]
+    fn drain_empties_and_the_relation_refills() {
+        let mut r = DerivedRelation::aggregate(AggFunc::Min, 1, 0.0, &[1]);
+        r.merge(&ints(&[1, 10]));
+        r.merge(&ints(&[2, 4]));
+        r.merge(&ints(&[1, 7]));
+        let lanes = r.table.as_ref().map(|t| t.lanes.len());
+        assert_eq!(
+            r.drain().collect::<Vec<_>>(),
+            [ints(&[1, 7]), ints(&[2, 4])]
+        );
+        assert!(r.is_empty());
+        assert!(r.probe_ids(1, Value::Int(7).key_bits()).is_empty());
+        // The old groups are gone: 12 is new, not worse than 7.
+        assert_eq!(r.merge(&ints(&[1, 12])), Merged::New(0));
+        assert_eq!(r.merge(&ints(&[1, 9])), Merged::New(0));
+        assert_eq!(r.rows(), &[ints(&[1, 9])]);
+        assert_eq!(r.table.as_ref().map(|t| t.lanes.len()), lanes, "kept");
     }
 
     #[test]

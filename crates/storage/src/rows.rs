@@ -165,6 +165,16 @@ impl RowStore {
         self.rows
     }
 
+    /// Empties a growable store, yielding its rows in id order; the row
+    /// vector and the index maps keep their capacity. Panics on a sealed
+    /// (CSR-indexed) store.
+    pub(crate) fn drain(&mut self) -> std::vec::Drain<'_, Tuple> {
+        for (_, idx) in &mut self.indexes {
+            idx.buckets_mut().clear();
+        }
+        self.rows.drain(..)
+    }
+
     /// Number of rows.
     #[inline]
     pub fn len(&self) -> usize {

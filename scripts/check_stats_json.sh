@@ -15,6 +15,14 @@
 # every worker: the only existence cache is the sent-filter on the
 # exchange, and one worker routes nothing.
 #
+# An SSSP leg runs programs/sssp.dl from vertex 0 over a generated
+# weighted graph (1 500 vertices: a ring plus four pseudo-random out-edges
+# each) under global, ssp:2 and dws at 1 and 4 workers. All six must
+# print the same relations, each must reconcile (produced == consumed),
+# and the 1-worker runs must stay under a kernel_rows bound: evaluating
+# the `min` delta best-first takes 1 816 kernel rows there, semi-naive
+# rounds took 2 638, and the bound is the former plus 10%.
+#
 # Run from anywhere inside the repo: scripts/check_stats_json.sh
 # Pass a prebuilt binary path as $1 to skip the cargo build.
 
@@ -133,6 +141,50 @@ if [ "$counted" -ne 1 ] || [ "$nonzero" -ne 0 ]; then
     fail=1
 else
     echo "ok(1 worker): cache_hits == cache_misses == 0"
+fi
+
+# -- SSSP: every strategy and worker count agrees; best-first stays lean --
+# A 16-bit LCG (exact in awk's doubles) picks the chords and weights.
+awk 'BEGIN {
+    n = 1500; x = 1
+    for (i = 0; i < n; i++) {
+        print i, (i + 1) % n, 50
+        for (j = 1; j < 5; j++) {
+            x = (x * 75 + 74) % 65537; y = (x * 75 + 74) % 65537; x = y
+            print i, x % n, y % 100 + 1
+        }
+    }
+}' > "$workdir/warc.csv"
+kernel_bound=1998
+for strategy in global ssp:2 dws; do
+    for workers in 1 4; do
+        label="sssp $strategy x$workers"
+        out="$workdir/sssp_${strategy%%:*}_$workers"
+        "$BIN" run programs/sssp.dl --edb warc="$workdir/warc.csv" \
+            --param start=0 --workers "$workers" --strategy "$strategy" \
+            --limit 0 --stats-json "$out.json" \
+            | grep -v '^done in\|^wrote stats' > "$out.txt"
+        if ! cmp -s "$out.txt" "$workdir/sssp_global_1.txt"; then
+            echo "FAIL($label): results differ from global x1" >&2
+            fail=1
+        fi
+        produced=$(grep -o '"produced": [0-9]*' "$out.json" | awk '{print $2}')
+        consumed=$(grep -o '"consumed": [0-9]*' "$out.json" | awk '{print $2}')
+        if [ -z "$produced" ] || [ "$produced" != "$consumed" ]; then
+            echo "FAIL($label): produced ($produced) != consumed ($consumed)" >&2
+            fail=1
+        fi
+        kernel_rows=$(grep -o '"kernel_rows":[0-9]*' "$out.json" | awk -F: '{s += $2} END {print s + 0}')
+        if [ "$workers" -eq 1 ] && [ "$kernel_rows" -gt "$kernel_bound" ]; then
+            echo "FAIL($label): $kernel_rows kernel rows, bound $kernel_bound" >&2
+            fail=1
+        fi
+        echo "ok($label): produced=$produced consumed=$consumed kernel_rows=$kernel_rows"
+    done
+done
+if ! grep -q '^results (1500 rows):$' "$workdir/sssp_global_1.txt"; then
+    echo "FAIL(sssp): expected 1500 results rows" >&2
+    fail=1
 fi
 
 if [ "$fail" -ne 0 ]; then

@@ -16,6 +16,9 @@
 #      clock — same schema, comparable side by side,
 #   6. the stats JSON of the traced run carries a non-empty
 #      iteration_series table,
+#   6b. every dws-decision of the engine's DWS run carries the model the
+#      controller saw (rho, lambda, mu, lq) and the gate that held omega
+#      at 0: "rho>=1", "min_samples" or "none",
 #   7. Iterate flushes set rows to Distribute in the middle of an
 #      iteration: 1-worker TC on a three-layer complete DAG, whose first
 #      iteration derives n^3 rows, must close more Distribute spans than
@@ -116,6 +119,17 @@ for col in rows_in rows_out queue_depth omega tau; do
         fail=1
     fi
 done
+
+# -- DWS decisions carry the controller's model --------------------------
+decisions=$(grep -c '"name":"dws-decision"' "$workdir/trace.json" || true)
+modelled=$(grep -c '"name":"dws-decision".*"rho":[^,]*,"lambda":[^,]*,"mu":[^,]*,"lq":[^,]*,"gate":"\(rho>=1\|min_samples\|none\)"' \
+    "$workdir/trace.json" || true)
+if [ "$decisions" -eq 0 ] || [ "$modelled" -ne "$decisions" ]; then
+    echo "FAIL(dws): $modelled of $decisions dws-decision events carry rho/lambda/mu/lq/gate" >&2
+    fail=1
+fi
+echo "ok(dws): $decisions decisions, gates:" \
+     "$(grep -o '"gate":"[^"]*"' "$workdir/trace.json" | sort | uniq -c | tr -s ' \n' ' ')"
 
 # -- Iterate flushes mid-iteration ---------------------------------------
 # Layers of n = 40 nodes: one iteration derives n^3 = 64 000 tc rows, well
