@@ -246,7 +246,7 @@ mod tests {
         let mut out = Vec::new();
         run_cli(&c, &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("\"schema\": 5"), "{text}");
+        assert!(text.contains("\"schema\": 6"), "{text}");
         assert!(text.contains("\"per_worker\""), "{text}");
         assert!(text.contains("\"exchanged_bytes\""), "{text}");
         assert!(text.contains("\"edb_resident_bytes\""), "{text}");

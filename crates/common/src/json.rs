@@ -315,14 +315,14 @@ mod tests {
     fn roundtrips_the_report_shape() {
         // The exact shape check_stats_json.sh greps for.
         let doc = r#"{
-  "schema": 5,
+  "schema": 6,
   "per_worker": [
     {"worker":0,"dropped_events":0,"rows_per_batch":4.500}
   ],
   "iteration_series": []
 }"#;
         let v = Json::parse(doc).unwrap();
-        assert_eq!(v.get("schema").unwrap().as_u64(), Some(5));
+        assert_eq!(v.get("schema").unwrap().as_u64(), Some(6));
         let w0 = &v.get("per_worker").unwrap().items().unwrap()[0];
         assert_eq!(w0.get("dropped_events").unwrap().as_u64(), Some(0));
         assert!(v

@@ -7,15 +7,15 @@
 //! This replaces the seed design where each worker copied every replicated
 //! relation (`rows.to_vec()`) and rebuilt its indexes privately, which made
 //! replicated-EDB residency O(workers); with the catalog it is O(1).
-//! The seal runs inside `Engine::run` (it counts in `run_s`) but before
-//! the fixpoint starts.
+//! The seal runs inside `Engine::run` (it counts in `run_s` and the
+//! report's `seal_ns`) on the calling thread, before the fixpoint starts.
 //!
 //! Each relation is sealed clustered on one of its index columns (see
-//! [`SealedRelation::build`]): the partition column when it is indexed,
-//! else the lowest index column.
+//! [`SealedRelation::partitioned`]): the partition column when it is
+//! indexed, else the lowest index column.
 
 use dcd_common::{Partitioner, Tuple, WorkerId};
-use dcd_frontend::physical::{EdbDecl, PhysicalPlan, Placement, RelId};
+use dcd_frontend::physical::{PhysicalPlan, Placement, RelId};
 use dcd_storage::SealedRelation;
 use std::sync::Arc;
 
@@ -41,15 +41,16 @@ impl EdbCatalog {
             .map(|decl| {
                 let d = decl.as_ref()?;
                 let rows = edb_data[d.id].as_deref().unwrap_or(&[]);
-                let cols = cluster_first(d);
+                let mut cols = d.index_cols.clone();
+                cols.sort_unstable();
                 Some(match d.placement {
-                    Placement::Replicated => CatalogEntry::Replicated(Arc::new(
-                        SealedRelation::build(rows.to_vec(), &cols),
-                    )),
+                    Placement::Replicated => {
+                        CatalogEntry::Replicated(Arc::new(SealedRelation::build(rows, &cols)))
+                    }
                     Placement::Partitioned(c) => CatalogEntry::Partitioned(
-                        SealedRelation::partition_rows(rows, part, c)
+                        SealedRelation::partitioned(rows, &cols, part, c)
                             .into_iter()
-                            .map(|slice| Arc::new(SealedRelation::build(slice, &cols)))
+                            .map(Arc::new)
                             .collect(),
                     ),
                 })
@@ -92,20 +93,6 @@ impl EdbCatalog {
             })
             .sum()
     }
-}
-
-/// `d`'s index columns, lowest first, except that the partition column
-/// leads when it is indexed: [`SealedRelation::build`] clusters the rows on
-/// the first one.
-fn cluster_first(d: &EdbDecl) -> Vec<usize> {
-    let mut cols = d.index_cols.clone();
-    cols.sort_unstable();
-    if let Placement::Partitioned(c) = d.placement {
-        if let Some(i) = cols.iter().position(|&col| col == c) {
-            cols[..=i].rotate_right(1);
-        }
-    }
-    cols
 }
 
 #[cfg(test)]
@@ -175,26 +162,6 @@ mod tests {
         }
         assert_eq!(total, 100);
         assert_eq!(cat.replicated_bytes(), 0);
-    }
-
-    #[test]
-    fn partition_column_leads_the_seal_order_when_indexed() {
-        let decl = |placement, index_cols: &[usize]| EdbDecl {
-            id: 0,
-            name: "r".into(),
-            arity: 3,
-            placement,
-            index_cols: index_cols.to_vec(),
-        };
-        let part = |c| decl(Placement::Partitioned(c), &[2, 0, 1]);
-        assert_eq!(cluster_first(&part(1)), [1, 0, 2]);
-        assert_eq!(cluster_first(&part(0)), [0, 1, 2]);
-        assert_eq!(
-            cluster_first(&decl(Placement::Partitioned(2), &[1, 0])),
-            [0, 1]
-        );
-        assert_eq!(cluster_first(&decl(Placement::Replicated, &[1, 0])), [0, 1]);
-        assert!(cluster_first(&decl(Placement::Replicated, &[])).is_empty());
     }
 
     #[test]

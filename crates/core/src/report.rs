@@ -24,8 +24,9 @@ use dcd_runtime::{chrome_trace_json, DwsModel, MetricsSnapshot, TraceMeta, Worke
 /// overflow accounting) and the top-level `iteration_series` table (empty
 /// arrays when tracing was disabled). Schema 5 drops the per-worker
 /// `dws_samples` and `samples_dropped`: the ω/τ trajectory is the
-/// `omega`/`tau` columns of `iteration_series`.
-pub const REPORT_SCHEMA: u32 = 5;
+/// `omega`/`tau` columns of `iteration_series`. Schema 6 adds `seal_ns`
+/// and `collect_ns`, which with `elapsed_ns` account for `Engine::run`.
+pub const REPORT_SCHEMA: u32 = 6;
 
 /// A full per-run observability report.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -34,8 +35,12 @@ pub struct EvalReport {
     pub strategy: String,
     /// Number of workers.
     pub workers: usize,
-    /// Wall-clock evaluation time in nanoseconds.
+    /// Wall time of the EDB seal, before any worker starts, in ns.
+    pub seal_ns: u64,
+    /// Wall-clock fixpoint time (workers' start to last finish) in ns.
     pub elapsed_ns: u64,
+    /// Wall time from the workers' last finish to the result, in ns.
+    pub collect_ns: u64,
     /// Total tuples announced to the termination protocol as produced.
     pub produced: u64,
     /// Total tuples announced as consumed.
@@ -159,13 +164,16 @@ impl EvalReport {
         };
         format!(
             "{{\n  \"schema\": {},\n  \"strategy\": {},\n  \"workers\": {},\n  \
-             \"elapsed_ns\": {},\n  \"produced\": {},\n  \"consumed\": {},\n  \
+             \"seal_ns\": {},\n  \"elapsed_ns\": {},\n  \"collect_ns\": {},\n  \
+             \"produced\": {},\n  \"consumed\": {},\n  \
              \"exchanged_bytes\": {},\n  \"edb_replicated_bytes\": {},\n  \
              \"per_worker\": [\n{}\n  ],\n  \"iteration_series\": {}\n}}\n",
             REPORT_SCHEMA,
             json_string(&self.strategy),
             self.workers,
+            self.seal_ns,
             self.elapsed_ns,
+            self.collect_ns,
             self.produced,
             self.consumed,
             self.exchanged_bytes(),
@@ -285,7 +293,9 @@ mod tests {
         EvalReport {
             strategy: "DWS".into(),
             workers: 2,
+            seal_ns: 300,
             elapsed_ns: 1_000,
+            collect_ns: 200,
             produced: 14,
             consumed: 14,
             edb_replicated_bytes: 4096,
@@ -321,7 +331,8 @@ mod tests {
     fn json_is_wellformed_and_complete() {
         let r = sample_report();
         let json = r.to_json();
-        assert!(json.contains("\"schema\": 5"));
+        assert!(json.contains("\"schema\": 6"));
+        assert!(json.contains("\"seal_ns\": 300,\n  \"elapsed_ns\": 1000,\n  \"collect_ns\": 200,"));
         assert!(json.contains("\"strategy\": \"DWS\""));
         assert!(json.contains("\"exchanged_bytes\": 224"));
         assert!(json.contains("\"edb_replicated_bytes\": 4096"));

@@ -300,6 +300,21 @@ fn stats_are_populated() {
 }
 
 #[test]
+fn seal_fixpoint_and_collect_clocks_fit_inside_the_run() {
+    let mut e = Engine::new(queries::tc().unwrap(), EngineConfig::with_workers(2)).unwrap();
+    e.load_edges("arc", &[(1, 2), (2, 3), (3, 4)]).unwrap();
+    let wall = std::time::Instant::now();
+    let r = e.run().unwrap();
+    let wall = wall.elapsed().as_nanos() as u64;
+    let rep = &r.stats.report;
+    assert!(rep.seal_ns > 0 && rep.collect_ns > 0, "{rep:?}");
+    assert_eq!(rep.elapsed_ns, r.stats.elapsed.as_nanos() as u64);
+    // The three clocks are disjoint, so they cannot add up to more than
+    // the call they sit in.
+    assert!(rep.seal_ns + rep.elapsed_ns + rep.collect_ns <= wall);
+}
+
+#[test]
 fn float_values_survive_round_trip() {
     let program = Program::parse(
         "halved(X, V) <- weight(X, W), V = W / 2.
@@ -442,7 +457,7 @@ fn dws_report_carries_omega_tau_samples() {
     assert!(decisions > 0, "DWS must record ω/τ decisions");
     assert!(!rep.iteration_series().is_empty());
     let json = rep.to_json();
-    assert!(json.contains("\"schema\": 5"));
+    assert!(json.contains("\"schema\": 6"));
     assert!(!json.contains("dws_samples"));
     assert!(json.contains("\"omega\":"));
 }

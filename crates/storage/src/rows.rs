@@ -42,42 +42,18 @@ pub(crate) enum Index {
 }
 
 impl Index {
-    /// A CSR index over `entries`' `(key, id)` pairs; each run lists its
-    /// ids in the order `entries` yields them. `entries` is walked twice:
-    /// once to size the runs, once to fill them.
-    pub(crate) fn csr<I: Iterator<Item = (u64, u32)>>(entries: impl Fn() -> I) -> Self {
-        let mut runs: FastMap<u64, (u32, u32)> = FastMap::default();
-        for (key, _) in entries() {
-            runs.entry(key).or_insert((0, 0)).1 += 1;
-        }
-        let mut next = 0;
-        for run in runs.values_mut() {
-            let count = run.1;
-            *run = (next, next);
-            next += count;
-        }
-        let mut ids = vec![0; next as usize];
-        for (key, id) in entries() {
-            let run = runs.get_mut(&key).expect("key counted in the sizing pass");
-            ids[run.1 as usize] = id;
-            run.1 += 1;
-        }
-        Index::Csr { runs, ids }
-    }
-
-    /// A CSR index on the column the rows are sorted by: `sorted[id]`
-    /// holds row `id`'s key (first field), so every run is a range of
-    /// consecutive ids and the id array is the identity.
-    pub(crate) fn clustered(sorted: &[(u64, u32)]) -> Self {
-        let mut runs: FastMap<u64, (u32, u32)> = FastMap::default();
+    /// A CSR index over keys in sorted order: the `i`-th of `ids` is the
+    /// row whose key is `sorted[i]`, so each key's run is one range of ids.
+    pub(crate) fn sorted(sorted: &[u64], ids: impl Iterator<Item = u32>) -> Self {
+        let distinct = sorted.chunk_by(|a, b| a == b).count();
+        let mut runs = FastMap::with_capacity_and_hasher(distinct, Default::default());
         let mut start = 0;
-        for run in sorted.chunk_by(|a, b| a.0 == b.0) {
-            let end = start + run.len() as u32;
-            debug_assert!(!runs.contains_key(&run[0].0), "keys must arrive sorted");
-            runs.insert(run[0].0, (start, end));
-            start = end;
+        for run in sorted.chunk_by(|a, b| a == b) {
+            debug_assert!(!runs.contains_key(&run[0]), "keys must arrive sorted");
+            runs.insert(run[0], (start, start + run.len() as u32));
+            start += run.len() as u32;
         }
-        let ids = (0..start).collect();
+        let ids = ids.collect();
         Index::Csr { runs, ids }
     }
 

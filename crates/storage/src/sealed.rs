@@ -1,112 +1,137 @@
 //! Immutable, index-complete base (EDB) relations.
 //!
-//! Algorithm 1 line 3: "Construct Index for each partition of B on the
-//! partition key". Base relations never change during evaluation, so all
-//! their rows *and* all their hash indexes are built exactly once, up
-//! front, by [`SealedRelation::build`] — after which the relation is
-//! immutable and freely shareable across worker threads (`&SealedRelation`
-//! / `Arc<SealedRelation>` are `Sync`). Replicated relations are built once
-//! for the whole engine and shared; partitioned relations are built once
-//! per worker from that worker's slice. Reads go through the
-//! [`RowStore`] layout that derived relations use too.
-//!
-//! The seal clusters the rows: they are stored sorted by the key bits of
-//! one indexed column, with ties kept in input order, so a probe on that
-//! column reads one contiguous run of rows. Every index is CSR (see
-//! [`RowStore`]), and each bucket lists its rows in input order.
+//! Algorithm 1 lines 2–3 partition each base relation and index every
+//! partition before the loop starts. [`SealedRelation::partitioned`] does
+//! both in one pass: it reads each row's clustering key once, radix-sorts
+//! the `u32` input positions by it and then by owner, builds every index
+//! from those positions, frees the sort buffers, and only then copies each
+//! row, once, into its worker's slice, which never changes after. A slice
+//! stores its rows sorted by one indexed column's key bits, ties in input
+//! order, so a probe on that column reads one contiguous run of rows.
+//! Every index is CSR (see [`RowStore`]); each bucket lists its rows in
+//! input order.
 
 use crate::rows::{distinct, Index, RowStore};
 use dcd_common::{Partitioner, Tuple};
-use std::ops::Deref;
+use std::mem::replace;
+use std::ops::{Deref, Range};
 
 /// An immutable EDB relation (or partition slice) with its hash indexes.
 ///
 /// Derefs to its [`RowStore`] for reads; there is no `DerefMut`, so a
-/// sealed relation never changes after [`SealedRelation::build`].
-pub struct SealedRelation {
-    store: RowStore,
-}
+/// sealed relation never changes after it is built.
+pub struct SealedRelation(RowStore);
 
 impl SealedRelation {
-    /// Builds the relation and every requested hash index. This is the
-    /// only constructor: a sealed relation is never observable in a
-    /// partially-indexed state.
-    ///
-    /// Rows are stored sorted by `(key bits of the clustering column,
-    /// input position)`; the clustering column is the first of
-    /// `index_cols`. With no index the rows keep their input order.
-    pub fn build(mut rows: Vec<Tuple>, index_cols: &[usize]) -> Self {
-        let cols = distinct(index_cols);
-        let Some(&c) = cols.first() else {
-            return SealedRelation {
-                store: RowStore::from_parts(rows, Vec::new()),
-            };
-        };
-        let len = rows.len();
-        let n = u32::try_from(len).expect("sealed relation exceeds u32 row ids");
-        // order[id] = (clustering key, input position) of the row that
-        // gets id `id`; positions are unique, so the sort is total.
-        let mut order: Vec<(u64, u32)> = rows.iter().map(|r| r.key(c)).zip(0..n).collect();
-        order.sort_unstable();
-        let mut id_of = vec![0u32; len];
-        for (id, &(_, pos)) in (0..n).zip(&order) {
-            id_of[pos as usize] = id;
-        }
-        // Other columns are indexed while `rows` is still in input order,
-        // so their runs list ids in input order too.
-        let indexes = cols
-            .iter()
-            .map(|&col| {
-                let idx = if col == c {
-                    Index::clustered(&order)
-                } else {
-                    Index::csr(|| {
-                        rows.iter()
-                            .map(move |r| r.key(col))
-                            .zip(id_of.iter().copied())
-                    })
-                };
-                (col, idx)
-            })
-            .collect();
-        permute(&mut rows, order.into_iter().map(|(_, pos)| pos).collect());
-        SealedRelation {
-            store: RowStore::from_parts(rows, indexes),
-        }
+    /// Seals all of `rows` as one relation clustered on `index_cols[0]`:
+    /// the one-slice case of [`SealedRelation::partitioned`].
+    pub fn build(rows: &[Tuple], index_cols: &[usize]) -> Self {
+        let cluster = index_cols.first().copied().unwrap_or(0);
+        let mut slices = Self::partitioned(rows, index_cols, &Partitioner::new(1), cluster);
+        slices.pop().expect("one partition yields one slice")
     }
 
-    /// Splits `rows` into per-worker row slices by `H(row[col])`
-    /// (Algorithm 1, line 2). Each slice is allocated at its exact size.
-    pub fn partition_rows(rows: &[Tuple], part: &Partitioner, col: usize) -> Vec<Vec<Tuple>> {
-        let n = part.partitions();
-        let mut sizes = vec![0usize; n];
-        for row in rows {
-            sizes[part.of_key(row.key(col))] += 1;
+    /// Splits `rows` into one slice per partition of `part` by
+    /// `H(row[col])` and seals each with a hash index on every column of
+    /// `index_cols`: the only constructor, so no slice is ever partly
+    /// indexed. Each slice stores its rows sorted by the key bits of `col`
+    /// if it is indexed, else of `index_cols[0]`, ties in input order.
+    pub fn partitioned(
+        rows: &[Tuple],
+        index_cols: &[usize],
+        part: &Partitioner,
+        col: usize,
+    ) -> Vec<Self> {
+        let (mut cols, slices) = (distinct(index_cols), part.partitions());
+        if let Some(i) = cols.iter().position(|&c| c == col) {
+            cols[..=i].rotate_right(1);
         }
-        let mut out: Vec<Vec<Tuple>> = sizes.into_iter().map(Vec::with_capacity).collect();
-        for row in rows {
-            out[part.of_key(row.key(col))].push(row.clone());
+        let first = cols.first().copied();
+        // The clustering sort reads a row's owner off its key when that
+        // is the partition key; every other sort needs the owner array.
+        let owner_of = |r: &Tuple| part.of_key(r.key(col)) as u32;
+        let owners: Vec<u32> = match slices == 1 || (first == Some(col) && cols.len() == 1) {
+            true => Vec::new(),
+            false => rows.iter().map(owner_of).collect(),
+        };
+        let owner = |k, p: u32| match owners.get(p as usize) {
+            Some(&o) => o as usize,
+            None => part.of_key(k),
+        };
+        // Without an index every key is 0, so the rows keep input order.
+        let (keys, pos, ranges) = sort(rows, |r| first.map_or(0, |c| r.key(c)), slices, owner);
+        let clustered = |r: &Range<usize>| {
+            Vec::from_iter(first.map(|c| (c, Index::sorted(&keys[r.clone()], 0..r.len() as u32))))
+        };
+        let mut indexes: Vec<Vec<(usize, Index)>> = ranges.iter().map(clustered).collect();
+        drop(keys);
+        if cols.len() > 1 {
+            let mut id_of = vec![0u32; rows.len()];
+            let ids = ranges.iter().flat_map(|r| (0..).zip(&pos[r.clone()]));
+            ids.for_each(|(id, &p)| id_of[p as usize] = id);
+            // A stable sort, so each run lists its ids in input order.
+            for &c in &cols[1..] {
+                let (keys, order, _) = sort(rows, |r| r.key(c), slices, owner);
+                for (slice, r) in indexes.iter_mut().zip(&ranges) {
+                    let ids = order[r.clone()].iter().map(|&p| id_of[p as usize]);
+                    slice.push((c, Index::sorted(&keys[r.clone()], ids)));
+                }
+            }
         }
-        out
+        drop(owners);
+        let slice = |r: Range<usize>| pos[r].iter().map(|&p| rows[p as usize].clone()).collect();
+        let seal = |(r, idx)| SealedRelation(RowStore::from_parts(slice(r), idx));
+        ranges.into_iter().zip(indexes).map(seal).collect()
     }
 }
 
-/// Reorders `rows` in place so that `rows[i]` becomes the old
-/// `rows[perm[i]]`, walking each cycle of the permutation once (no second
-/// copy of the rows). `perm` is consumed as the visited marks.
-fn permute(rows: &mut [Tuple], mut perm: Vec<u32>) {
-    for start in 0..perm.len() {
-        let mut i = start;
-        loop {
-            let from = perm[i] as usize;
-            perm[i] = i as u32;
-            if from == start {
-                break;
-            }
-            rows.swap(i, from);
-            i = from;
-        }
+/// Reads `key` of every row once, then returns the keys and row positions
+/// sorted stably by it (LSD radix, skipping bytes all keys share), then by
+/// `owner(key, position)`, with each of the `owners` runs in them.
+fn sort(
+    rows: &[Tuple],
+    key: impl Fn(&Tuple) -> u64,
+    owners: usize,
+    owner: impl Fn(u64, u32) -> usize,
+) -> (Vec<u64>, Vec<u32>, Vec<Range<usize>>) {
+    let n = u32::try_from(rows.len()).expect("sealed relation exceeds u32 row ids");
+    let (mut keys, mut pos) = (Vec::from_iter(rows.iter().map(key)), Vec::from_iter(0..n));
+    let mut tmp = (vec![0; rows.len()], vec![0; rows.len()]);
+    let varying = keys.iter().fold(0, |acc, &k| acc | (k ^ keys[0]));
+    for shift in (0..64).step_by(8).filter(|s| (varying >> s) & 0xff != 0) {
+        let byte = |k, _| (k >> shift) as usize & 0xff;
+        counting_pass(&mut keys, &mut pos, &mut tmp, 256, byte);
     }
+    let runs = match owners {
+        1 => std::iter::once(0..rows.len()).collect(),
+        _ => counting_pass(&mut keys, &mut pos, &mut tmp, owners, owner),
+    };
+    (keys, pos, runs)
+}
+
+/// One stable counting-sort pass of `(keys, pos)` by `digit`, through the
+/// scratch arrays `tmp`; returns each digit's run.
+fn counting_pass(
+    keys: &mut Vec<u64>,
+    pos: &mut Vec<u32>,
+    tmp: &mut (Vec<u64>, Vec<u32>),
+    digits: usize,
+    digit: impl Fn(u64, u32) -> usize,
+) -> Vec<Range<usize>> {
+    let mut count = vec![0; digits];
+    for (&k, &p) in keys.iter().zip(pos.iter()) {
+        count[digit(k, p)] += 1;
+    }
+    let starts = Vec::from_iter(count.iter().scan(0, |s, &c| Some(replace(s, *s + c))));
+    let mut next = starts.clone();
+    for (&k, &p) in keys.iter().zip(pos.iter()) {
+        let slot = &mut next[digit(k, p)];
+        (tmp.0[*slot], tmp.1[*slot]) = (k, p);
+        *slot += 1;
+    }
+    std::mem::swap(keys, &mut tmp.0);
+    std::mem::swap(pos, &mut tmp.1);
+    starts.into_iter().zip(next).map(|(a, b)| a..b).collect()
 }
 
 impl Deref for SealedRelation {
@@ -114,7 +139,7 @@ impl Deref for SealedRelation {
 
     #[inline]
     fn deref(&self) -> &RowStore {
-        &self.store
+        &self.0
     }
 }
 
@@ -140,7 +165,7 @@ mod tests {
 
     #[test]
     fn probe_finds_all_matches() {
-        let r = SealedRelation::build(edges(), &[0]);
+        let r = SealedRelation::build(&edges(), &[0]);
         let hits = probe(&r, 0, Tuple::from_ints(&[1]).key(0));
         assert_eq!(hits.len(), 2);
         assert!(hits.iter().all(|t| t[0].expect_int() == 1));
@@ -148,34 +173,34 @@ mod tests {
 
     #[test]
     fn probe_missing_key_is_empty() {
-        let r = SealedRelation::build(edges(), &[1]);
+        let r = SealedRelation::build(&edges(), &[1]);
         assert!(r.probe_ids(1, 99).is_empty());
     }
 
     #[test]
     fn duplicate_index_cols_build_once() {
-        let r = SealedRelation::build(edges(), &[0, 0]);
+        let r = SealedRelation::build(&edges(), &[0, 0]);
         assert!(r.has_index(0));
         assert_eq!(probe(&r, 0, Tuple::from_ints(&[2]).key(0)).len(), 1);
     }
 
     #[test]
     fn multiple_indexes_coexist() {
-        let r = SealedRelation::build(edges(), &[0, 1]);
+        let r = SealedRelation::build(&edges(), &[0, 1]);
         assert_eq!(probe(&r, 1, Tuple::from_ints(&[0, 3]).key(1)).len(), 2);
         assert_eq!(probe(&r, 0, Tuple::from_ints(&[3]).key(0)).len(), 1);
     }
 
     #[test]
-    fn partition_rows_is_exhaustive_and_disjoint() {
+    fn partitioned_slices_are_exhaustive_and_disjoint() {
         let rows = edges();
         let part = Partitioner::new(3);
-        let parts = SealedRelation::partition_rows(&rows, &part, 0);
+        let parts = SealedRelation::partitioned(&rows, &[0], &part, 0);
         assert_eq!(parts.len(), 3);
         let total: usize = parts.iter().map(|p| p.len()).sum();
         assert_eq!(total, rows.len());
         for (w, p) in parts.iter().enumerate() {
-            for row in p {
+            for row in p.rows() {
                 assert_eq!(part.of_key(row.key(0)), w);
             }
         }
@@ -183,7 +208,7 @@ mod tests {
 
     #[test]
     fn empty_relation() {
-        let r = SealedRelation::build(vec![], &[0]);
+        let r = SealedRelation::build(&[], &[0]);
         assert!(r.is_empty());
         assert!(r.probe_ids(0, 0).is_empty());
     }
@@ -197,7 +222,7 @@ mod tests {
             Tuple::from_ints(&[1, 4]),
             Tuple::from_ints(&[3, 7]),
         ];
-        let r = SealedRelation::build(input, &[0, 1]);
+        let r = SealedRelation::build(&input, &[0, 1]);
         let firsts: Vec<i64> = r.rows().iter().map(|t| t[0].expect_int()).collect();
         assert_eq!(firsts, [1, 1, 2, 3, 3]);
         // Equal keys keep their input order, on the clustering column and
@@ -216,20 +241,68 @@ mod tests {
     }
 
     #[test]
-    fn resident_bytes_counts_rows_runs_and_ids_exactly() {
+    fn partition_column_leads_the_clustering_when_indexed() {
+        // Column 1 falls as column 0 rises and column 2 cycles, so each
+        // clustering column gives a different stored order.
+        let rows: Vec<Tuple> = (0..30)
+            .map(|i| Tuple::from_ints(&[i, 29 - i, i % 4]))
+            .collect();
+        let part = Partitioner::new(2);
+        let on = |slices: &[SealedRelation], c: usize| {
+            slices
+                .iter()
+                .all(|s| s.rows().is_sorted_by_key(|r| r.key(c)))
+        };
+        let sealed = |cols: &[usize], col| SealedRelation::partitioned(&rows, cols, &part, col);
+        assert!(on(&sealed(&[0, 1, 2], 1), 1));
+        assert!(!on(&sealed(&[0, 1, 2], 1), 0));
+        assert!(on(&sealed(&[0, 1, 2], 0), 0));
+        // An unindexed partition column leaves the first index column.
+        assert!(on(&sealed(&[0, 1], 2), 0));
+        assert!(on(&[SealedRelation::build(&rows, &[1, 0])], 1));
+        assert_eq!(SealedRelation::build(&rows, &[]).rows(), &rows[..]);
+    }
+
+    /// Rows, runs and ids of a sealed store with `rows` rows and `runs`
+    /// distinct keys summed over its indexes, allocated at exact size.
+    fn exact_bytes(rows: usize, runs: usize, indexes: usize) -> u64 {
         use std::mem::size_of;
+        let rows_b = rows * size_of::<Tuple>();
+        let runs_b = runs * (size_of::<u64>() + size_of::<(u32, u32)>());
+        let ids_b = indexes * rows * size_of::<u32>();
+        (rows_b + runs_b + ids_b) as u64
+    }
+
+    #[test]
+    fn resident_bytes_counts_rows_runs_and_ids_exactly() {
         // Three distinct keys in each column, four rows.
-        let r = SealedRelation::build(edges(), &[0, 1]);
-        let rows = 4 * size_of::<Tuple>();
-        let runs = (3 + 3) * (size_of::<u64>() + size_of::<(u32, u32)>());
-        let ids = (4 + 4) * size_of::<u32>();
-        assert_eq!(r.resident_bytes(), (rows + runs + ids) as u64);
+        let r = SealedRelation::build(&edges(), &[0, 1]);
+        assert_eq!(r.resident_bytes(), exact_bytes(4, 3 + 3, 2));
+    }
+
+    #[test]
+    fn partitioned_slices_are_allocated_at_their_exact_size() {
+        // Enough rows that a vector grown by doubling would show slack.
+        let rows: Vec<Tuple> = (0..1000).map(|i| Tuple::from_ints(&[i % 37, i])).collect();
+        let part = Partitioner::new(3);
+        for col in [0, 1] {
+            for slice in SealedRelation::partitioned(&rows, &[0, 1], &part, col) {
+                let distinct = |c: usize| {
+                    let mut keys: Vec<u64> = slice.rows().iter().map(|r| r.key(c)).collect();
+                    keys.sort_unstable();
+                    keys.dedup();
+                    keys.len()
+                };
+                let want = exact_bytes(slice.len(), distinct(0) + distinct(1), 2);
+                assert_eq!(slice.resident_bytes(), want, "partition column {col}");
+            }
+        }
     }
 
     #[test]
     fn resident_bytes_grows_with_rows_and_indexes() {
-        let bare = SealedRelation::build(edges(), &[]);
-        let indexed = SealedRelation::build(edges(), &[0, 1]);
+        let bare = SealedRelation::build(&edges(), &[]);
+        let indexed = SealedRelation::build(&edges(), &[0, 1]);
         assert!(bare.resident_bytes() > 0);
         assert!(indexed.resident_bytes() > bare.resident_bytes());
     }

@@ -14,12 +14,15 @@
 //! A `SealedRelation` must store its input clustered on its first index
 //! column, and every CSR index must hand back exactly the rows a linear
 //! filter over the input finds, in input order, with each row id in
-//! exactly one bucket per index.
+//! exactly one bucket per index. Sealed partitioned, each slice must be
+//! exactly that relation over the rows the `Partitioner` gives its
+//! worker, whichever column the rows are partitioned on (clustered on the
+//! partition column when it is indexed).
 
 use dcd_common::hash::{FastMap, FastSet};
 use dcd_common::proptest;
 use dcd_common::proptest::prelude::*;
-use dcd_common::{Tuple, Value};
+use dcd_common::{Partitioner, Tuple, Value};
 use dcd_storage::{AggFunc, DerivedRelation, Merged, SealedRelation};
 
 /// Semantics under test; `None` is a set relation.
@@ -287,17 +290,12 @@ fn mixed_keys_fixed_cases() {
     }
 }
 
-fn check_sealed(input: &[Tuple], index_cols: &[usize]) {
-    let rel = SealedRelation::build(input.to_vec(), index_cols);
-    let mut cols: Vec<usize> = Vec::new();
-    for &c in index_cols {
-        if !cols.contains(&c) {
-            cols.push(c);
-        }
-    }
-
-    // Stored order: stable-sorted by the first index column's key.
-    let mut want: Vec<&Tuple> = input.iter().collect();
+/// `rel` must hold exactly `input` (one slice's rows, in input order),
+/// stably sorted by the first of `cols`, and each index must list, per
+/// key, the rows a linear filter over `input` finds, in input order, with
+/// every row id in exactly one bucket.
+fn check_slice(rel: &SealedRelation, input: &[&Tuple], cols: &[usize]) {
+    let mut want: Vec<&Tuple> = input.to_vec();
     if let Some(&c) = cols.first() {
         want.sort_by_key(|r| r.key(c));
     }
@@ -305,7 +303,7 @@ fn check_sealed(input: &[Tuple], index_cols: &[usize]) {
     let want: Vec<_> = want.into_iter().map(bits).collect();
     prop_assert_eq!(stored, want, "clustered row order");
 
-    for &col in &cols {
+    for &col in cols {
         let mut keys: Vec<u64> = input.iter().map(|r| r.key(col)).collect();
         keys.sort_unstable();
         keys.dedup();
@@ -317,7 +315,7 @@ fn check_sealed(input: &[Tuple], index_cols: &[usize]) {
             let via_filter: Vec<_> = input
                 .iter()
                 .filter(|r| r.key(col) == key)
-                .map(bits)
+                .map(|r| bits(r))
                 .collect();
             prop_assert_eq!(via_index, via_filter, "col {} key {}", col, key);
         }
@@ -332,11 +330,66 @@ fn check_sealed(input: &[Tuple], index_cols: &[usize]) {
     }
 }
 
+fn distinct(index_cols: &[usize]) -> Vec<usize> {
+    let mut cols: Vec<usize> = Vec::new();
+    for &c in index_cols {
+        if !cols.contains(&c) {
+            cols.push(c);
+        }
+    }
+    cols
+}
+
+fn check_sealed(input: &[Tuple], index_cols: &[usize]) {
+    let rel = SealedRelation::build(input, index_cols);
+    let input: Vec<&Tuple> = input.iter().collect();
+    check_slice(&rel, &input, &distinct(index_cols));
+}
+
+/// Partitioned on `col` into `parts` slices, slice `w` must be sealed
+/// from exactly the rows the `Partitioner` gives worker `w`, in input
+/// order, clustered on `col` if it is indexed, and the slices together
+/// must hold the input multiset.
+fn check_partitioned(input: &[Tuple], index_cols: &[usize], parts: usize, col: usize) {
+    let part = Partitioner::new(parts);
+    let slices = SealedRelation::partitioned(input, index_cols, &part, col);
+    prop_assert_eq!(slices.len(), parts);
+    // The partition column leads the clustering when it is indexed.
+    let mut cols = distinct(index_cols);
+    if let Some(i) = cols.iter().position(|&c| c == col) {
+        cols[..=i].rotate_right(1);
+    }
+    for (w, slice) in slices.iter().enumerate() {
+        let mine: Vec<&Tuple> = input
+            .iter()
+            .filter(|r| part.of_key(r.key(col)) == w)
+            .collect();
+        check_slice(slice, &mine, &cols);
+    }
+    let mut held: Vec<_> = slices
+        .iter()
+        .flat_map(|s| s.rows().iter().map(bits))
+        .collect();
+    let mut want: Vec<_> = input.iter().map(bits).collect();
+    held.sort();
+    want.sort();
+    prop_assert_eq!(held, want, "slices hold the input multiset");
+}
+
+/// A sealed-row value: [`value`]'s small mixed domain, or (kind 3) an
+/// integer key of magnitude ≥ 2^32, negative half the time.
+fn sealed_value((v, kind): (i64, u8)) -> Value {
+    match kind {
+        3 => Value::Int((2 * v + 1) << 33),
+        _ => value((v, kind)),
+    }
+}
+
 fn sealed_rows() -> impl Strategy<Value = Vec<Tuple>> {
-    let cell = || (-4..4i64, 0..3u8);
+    let cell = || (-4..4i64, 0..4u8);
     proptest::collection::vec((cell(), cell(), cell()), 0..40).prop_map(|rows| {
         rows.into_iter()
-            .map(|(a, b, c)| Tuple::new(&[value(a), value(b), value(c)]))
+            .map(|(a, b, c)| Tuple::new(&[sealed_value(a), sealed_value(b), sealed_value(c)]))
             .collect()
     })
 }
@@ -350,6 +403,21 @@ proptest! {
         index_cols in proptest::collection::vec(0..3usize, 0..4),
     ) {
         check_sealed(&rows, &index_cols);
+    }
+
+    #[test]
+    fn partitioned_slices_match_a_per_worker_model(
+        rows in sealed_rows(),
+        index_cols in proptest::collection::vec(0..3usize, 1..3),
+        parts in 1..5usize,
+    ) {
+        // Rows have three columns, so the partition column is in turn
+        // the clustering column, another index column when there is
+        // one, and an unindexed column when one is left.
+        for col in 0..3 {
+            check_partitioned(&rows, &index_cols, parts, col);
+        }
+        check_partitioned(&rows, &[], parts, 0);
     }
 
     #[test]

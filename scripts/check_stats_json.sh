@@ -9,7 +9,12 @@
 #   3. produced == consumed (the fixpoint/reconciliation invariant),
 #   4. the traced DWS run carries a non-empty iteration_series, whose
 #      omega/tau columns are the controller's trajectory,
-#   5. the sent-filter engages: Σ cache_hits over per_worker is > 0.
+#   5. the sent-filter engages: Σ cache_hits over per_worker is > 0,
+#   6. the run-level clocks: seal_ns > 0 (the EDB is not empty),
+#      collect_ns is present, and seal_ns + elapsed_ns + collect_ns is at
+#      most the CLI call's wall time (timed with `date +%s%N`). The three
+#      clocks are disjoint parts of `Engine::run`, so a larger sum means a
+#      phase is counted twice, whatever the schedule.
 #
 # A final 1-worker TC run must report cache_hits == cache_misses == 0 on
 # every worker: the only existence cache is the sent-filter on the
@@ -45,19 +50,44 @@ awk 'BEGIN { for (i = 0; i < 120; i++) print i % 40, (i * 7 + 1) % 40 }' \
     > "$workdir/edges.csv"
 
 fail=0
+
+# check_clocks LABEL STATS_FILE WALL_NS: item 6 above.
+check_clocks() {
+    local label=$1 out=$2 wall=$3 seal elapsed collect
+    seal=$(grep -o '"seal_ns": [0-9]*' "$out" | awk '{print $2}')
+    elapsed=$(grep -o '"elapsed_ns": [0-9]*' "$out" | awk '{print $2}')
+    collect=$(grep -o '"collect_ns": [0-9]*' "$out" | awk '{print $2}')
+    if [ -z "$seal" ] || [ -z "$elapsed" ] || [ -z "$collect" ]; then
+        echo "FAIL($label): seal_ns, elapsed_ns or collect_ns missing" >&2
+        fail=1
+        return
+    fi
+    if [ "$seal" -eq 0 ]; then
+        echo "FAIL($label): seal_ns is 0 on a non-empty EDB" >&2
+        fail=1
+    fi
+    if [ $((seal + elapsed + collect)) -gt "$wall" ]; then
+        echo "FAIL($label): seal_ns + elapsed_ns + collect_ns = $((seal + elapsed + collect)) > wall $wall ns" >&2
+        fail=1
+    fi
+}
+
 for strategy in global ssp:2 dws; do
     out="$workdir/stats_${strategy%%:*}.json"
     trace=()
     if [ "$strategy" = dws ]; then
         trace=(--trace-json "$workdir/trace_dws.json")
     fi
+    t0=$(date +%s%N)
     "$BIN" run programs/tc.dl \
         --edb arc="$workdir/edges.csv" \
         --workers 4 --strategy "$strategy" \
         --limit 1 --stats-json "$out" "${trace[@]}" > /dev/null
+    wall=$(($(date +%s%N) - t0))
 
     # -- Field presence --------------------------------------------------
-    for field in schema strategy workers elapsed_ns produced consumed \
+    for field in schema strategy workers seal_ns elapsed_ns collect_ns \
+                 produced consumed \
                  exchanged_bytes edb_replicated_bytes \
                  per_worker worker iterations tuples_processed tuples_sent \
                  batches_out batches_in tuples_in bytes_sent bytes_in \
@@ -72,11 +102,12 @@ for strategy in global ssp:2 dws; do
         fi
     done
 
-    # -- Schema version (5 = ω/τ read from the trace) -------------------
-    if ! grep -q '"schema": 5' "$out"; then
-        echo "FAIL($strategy): report schema is not 5 in $out" >&2
+    # -- Schema version (6 = run-level seal_ns and collect_ns) -----------
+    if ! grep -q '"schema": 6' "$out"; then
+        echo "FAIL($strategy): report schema is not 6 in $out" >&2
         fail=1
     fi
+    check_clocks "$strategy" "$out" "$wall"
     for gone in dws_samples samples_dropped; do
         if grep -q "\"$gone\"" "$out"; then
             echo "FAIL($strategy): schema-4 field \"$gone\" still emitted" >&2
@@ -160,10 +191,12 @@ for strategy in global ssp:2 dws; do
     for workers in 1 4; do
         label="sssp $strategy x$workers"
         out="$workdir/sssp_${strategy%%:*}_$workers"
+        t0=$(date +%s%N)
         "$BIN" run programs/sssp.dl --edb warc="$workdir/warc.csv" \
             --param start=0 --workers "$workers" --strategy "$strategy" \
             --limit 0 --stats-json "$out.json" \
             | grep -v '^done in\|^wrote stats' > "$out.txt"
+        check_clocks "$label" "$out.json" $(($(date +%s%N) - t0))
         if ! cmp -s "$out.txt" "$workdir/sssp_global_1.txt"; then
             echo "FAIL($label): results differ from global x1" >&2
             fail=1
