@@ -15,7 +15,7 @@
 
 use dcd_bench::microbench::Harness;
 use dcd_common::rng::Rng;
-use dcd_common::{Partitioner, Tuple};
+use dcd_common::{Frame, Partitioner, Tuple};
 use dcd_frontend::physical::{plan, PhysicalPlan, PlannerConfig};
 use dcd_frontend::{analyze, parse_program};
 use dcdatalog::catalog::EdbCatalog;
@@ -98,10 +98,10 @@ fn main() {
         });
     }
     let tc_rows = store.rec(tc).rows();
-    let mut reference = Vec::new();
+    let mut reference = Frame::default();
     for &(_, _, id) in &delta {
         for rule in &rules {
-            ev.eval_delta(rule, &store, &tc_rows[id as usize], &mut reference);
+            ev.eval_delta(rule, &store, tc_rows.row(id as usize), &mut reference);
         }
     }
     assert_eq!(
@@ -127,10 +127,10 @@ fn main() {
     });
 
     h.bench("iterate_kernel", "tuple_at_a_time_10k_skew", || {
-        let mut out = Vec::new();
+        let mut out = Frame::default();
         for &(_, _, id) in &delta {
             for rule in &rules {
-                ev.eval_delta(rule, &store, &tc_rows[id as usize], &mut out);
+                ev.eval_delta(rule, &store, tc_rows.row(id as usize), &mut out);
             }
         }
         std::hint::black_box(out.len());

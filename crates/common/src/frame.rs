@@ -1,31 +1,154 @@
-//! Flat, arity-strided row frames: the wire format of the exchange path.
+//! Flat, arity-strided rows of `u64` lanes: the one row layout of the
+//! engine, from a rule head to the store and across the exchange.
 //!
-//! A [`Frame`] stores `len` rows of a fixed arity contiguously in one
-//! `Vec<Value>`. Compared to a `Vec<Tuple>` it has no per-row enum tag, no
-//! per-row heap spill for arity > [`INLINE_ARITY`](crate::tuple::INLINE_ARITY),
-//! and no per-row allocation when building: appending a row is a bounds
-//! check plus a memcpy of `arity` values into one growing buffer. Reading a
-//! row is a slice view, so receivers can merge without materializing a
-//! `Tuple` until (and unless) storage requires one.
+//! A [`Frame`] stores rows of one arity contiguously in one `Vec<u64>`,
+//! one 8-byte lane per cell: an `Int` is its `i64` bits and a `Float` its
+//! `f64` bits. Per-cell float tags stay empty (and unallocated) until the
+//! frame stores its first `Float`, so an all-integer relation (every
+//! relation of the paper's queries except PageRank's) pays nothing for
+//! them. A [`Row`] view gives cells back as [`Value`]s with `Value`'s
+//! exact semantics (`Int(1) == Float(1.0)`, `Float(-0.0) != Float(0.0)`,
+//! [`Row::key`] equal to [`Value::key_bits`], so routing and partitioning
+//! are unchanged); a row with no float compares and hashes by its lanes.
 //!
-//! The arity is a property of the frame, not of each row; an empty frame
-//! created with [`Frame::new`] pins it up front, while
-//! [`Frame::for_rel`] leaves it to be learned from the first row pushed
-//! (relations have a fixed merge-layout arity, but the sender does not
-//! always know it statically). Arity-0 rows (propositional facts) are
-//! legal: the row count is tracked explicitly, not derived from
-//! `values.len() / arity`.
+//! [`Frame::new`] pins the arity; a default frame learns it from its first
+//! row. Arity-0 rows are legal: the row count is tracked explicitly.
 
-use crate::tuple::Tuple;
+use crate::tuple::{Tuple, INLINE_ARITY};
 use crate::value::Value;
 use std::fmt;
 
+/// One row of a [`Frame`]: its lanes, plus one float tag per lane when
+/// the frame holds any float (empty otherwise).
+#[derive(Clone, Copy)]
+pub struct Row<'a> {
+    lanes: &'a [u64],
+    floats: &'a [bool],
+}
+
+impl<'a> Row<'a> {
+    /// Number of cells.
+    #[inline]
+    pub fn arity(&self) -> usize {
+        self.lanes.len()
+    }
+
+    /// The raw lanes.
+    #[inline]
+    pub fn lanes(&self) -> &'a [u64] {
+        self.lanes
+    }
+
+    /// Whether cell `col` holds a float.
+    #[inline]
+    pub fn is_float(&self, col: usize) -> bool {
+        self.floats.get(col).is_some_and(|&f| f)
+    }
+
+    /// Whether every cell holds an integer, so the lanes alone decide
+    /// equality and key bits.
+    #[inline]
+    pub fn all_ints(&self) -> bool {
+        !self.floats.contains(&true)
+    }
+
+    /// Cell `col` as a [`Value`].
+    #[inline]
+    pub fn get(&self, col: usize) -> Value {
+        let lane = self.lanes[col];
+        if self.is_float(col) {
+            Value::Float(f64::from_bits(lane))
+        } else {
+            Value::Int(lane as i64)
+        }
+    }
+
+    /// The 64-bit key of cell `col`: [`Value::key_bits`] of
+    /// [`Row::get`], which for an integer is its lane.
+    #[inline]
+    pub fn key(&self, col: usize) -> u64 {
+        if self.is_float(col) {
+            self.get(col).key_bits()
+        } else {
+            self.lanes[col]
+        }
+    }
+
+    /// The cells as values, in column order.
+    pub fn values(&self) -> impl ExactSizeIterator<Item = Value> + 'a {
+        let row = *self;
+        (0..row.arity()).map(move |c| row.get(c))
+    }
+
+    /// Whether the leading `n` cells of `self` and `other` are equal as
+    /// values (lanes alone when neither holds a float).
+    #[inline]
+    pub fn prefix_eq(&self, other: &Row<'_>, n: usize) -> bool {
+        if self.floats.is_empty() && other.floats.is_empty() {
+            self.lanes[..n] == other.lanes[..n]
+        } else {
+            (0..n).all(|c| self.get(c) == other.get(c))
+        }
+    }
+
+    /// The row as a [`Tuple`], for the API edge (results, tests).
+    pub fn to_tuple(&self) -> Tuple {
+        Tuple::from_exact_iter(self.arity(), self.values())
+    }
+}
+
+impl PartialEq for Row<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.arity() == other.arity() && self.prefix_eq(other, self.arity())
+    }
+}
+
+impl fmt::Debug for Row<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.to_tuple(), f)
+    }
+}
+
+impl Tuple {
+    /// Runs `f` on this tuple encoded as a [`Row`]: lanes on the stack for
+    /// inline arities, so the adapter from the `Tuple` API (loading,
+    /// inline facts, `RecStore::merge`) allocates nothing.
+    pub fn with_row<R>(&self, f: impl FnOnce(Row<'_>) -> R) -> R {
+        let (vals, n) = (self.values(), self.arity());
+        let (mut lanes, mut floats) = ([0; INLINE_ARITY], [false; INLINE_ARITY]);
+        let mut spilled: (Vec<u64>, Vec<bool>);
+        let (lanes, floats) = if n <= INLINE_ARITY {
+            (&mut lanes[..n], &mut floats[..n])
+        } else {
+            spilled = (vec![0; n], vec![false; n]);
+            (&mut spilled.0[..], &mut spilled.1[..])
+        };
+        for (i, v) in vals.iter().enumerate() {
+            (lanes[i], floats[i]) = lane(*v);
+        }
+        let floats: &[bool] = if floats.contains(&true) { floats } else { &[] };
+        f(Row { lanes, floats })
+    }
+}
+
+/// A value's lane and whether it is a float.
+#[inline]
+fn lane(v: Value) -> (u64, bool) {
+    match v {
+        Value::Int(i) => (i as u64, false),
+        Value::Float(f) => (f.to_bits(), true),
+    }
+}
+
 /// A flat block of fixed-arity rows.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Frame {
-    /// Values of all rows, concatenated: row `i` is
-    /// `values[i * arity .. (i + 1) * arity]`.
-    values: Vec<Value>,
+    /// Lanes of all rows, concatenated: row `i` is
+    /// `lanes[i * arity .. (i + 1) * arity]`.
+    lanes: Vec<u64>,
+    /// Empty while every stored cell is an `Int`; from the first `Float`
+    /// on, one tag per lane (`true` for a float).
+    floats: Vec<bool>,
     /// The fixed row width. `None` until the first row is pushed.
     arity: Option<usize>,
     /// Number of rows (explicit so arity-0 frames can count rows).
@@ -36,27 +159,30 @@ impl Frame {
     /// An empty frame with a pinned arity.
     pub fn new(arity: usize) -> Self {
         Frame {
-            values: Vec::new(),
             arity: Some(arity),
-            rows: 0,
+            ..Frame::default()
         }
     }
 
-    /// An empty frame whose arity is learned from the first pushed row.
-    pub fn for_rel() -> Self {
-        Frame::default()
-    }
-
-    /// An empty frame with a pinned arity and room for `rows` rows.
+    /// An empty frame with a pinned arity and room for exactly `rows`
+    /// integer rows.
     pub fn with_capacity(arity: usize, rows: usize) -> Self {
         Frame {
-            values: Vec::with_capacity(arity * rows),
-            arity: Some(arity),
-            rows: 0,
+            lanes: Vec::with_capacity(arity * rows),
+            ..Frame::new(arity)
         }
     }
 
-    /// The row width, or `None` for a fresh [`Frame::for_rel`] frame.
+    /// `rows` all-zero integer rows in one zeroed allocation.
+    pub fn zeroed(arity: usize, rows: usize) -> Self {
+        Frame {
+            lanes: vec![0; arity * rows],
+            rows,
+            ..Frame::new(arity)
+        }
+    }
+
+    /// The row width, or `None` for a fresh default frame.
     #[inline]
     pub fn arity(&self) -> Option<usize> {
         self.arity
@@ -74,64 +200,113 @@ impl Frame {
         self.rows == 0
     }
 
-    /// Payload size in bytes (what actually crosses the exchange).
+    /// Payload bytes (what crosses the exchange): lanes plus any tags.
     #[inline]
     pub fn payload_bytes(&self) -> u64 {
-        (self.values.len() * std::mem::size_of::<Value>()) as u64
+        (self.lanes.len() * std::mem::size_of::<u64>() + self.floats.len()) as u64
     }
 
-    /// Appends one row. Panics if the slice width disagrees with the
-    /// frame's arity (a routing bug, not a data error).
+    /// Allocated heap bytes: lane and tag capacity.
+    pub fn resident_bytes(&self) -> u64 {
+        (self.lanes.capacity() * std::mem::size_of::<u64>() + self.floats.capacity()) as u64
+    }
+
+    /// Pins the arity to `n` on the first row; panics if a later row's
+    /// width disagrees (a routing bug, not a data error).
     #[inline]
-    pub fn push_row(&mut self, row: &[Value]) {
+    fn start_row(&mut self, n: usize) {
         match self.arity {
-            Some(a) => assert_eq!(a, row.len(), "frame arity mismatch"),
-            None => self.arity = Some(row.len()),
+            Some(a) => assert_eq!(a, n, "frame arity mismatch"),
+            None => self.arity = Some(n),
         }
-        self.values.extend_from_slice(row);
         self.rows += 1;
     }
 
-    /// Appends one tuple (encode).
+    /// Appends a copy of `row`.
     #[inline]
-    pub fn push_tuple(&mut self, t: &Tuple) {
-        self.push_row(t.values());
+    pub fn push(&mut self, row: Row<'_>) {
+        self.start_row(row.arity());
+        if !self.floats.is_empty() || !row.all_ints() {
+            self.floats.resize(self.lanes.len(), false);
+            match row.floats.is_empty() {
+                true => self.floats.resize(self.lanes.len() + row.arity(), false),
+                false => self.floats.extend_from_slice(row.floats),
+            }
+        }
+        self.lanes.extend_from_slice(row.lanes);
     }
 
-    /// Row `i` as a value slice.
+    /// Appends one row given as values (encode).
     #[inline]
-    pub fn row(&self, i: usize) -> &[Value] {
+    pub fn push_values(&mut self, vals: impl ExactSizeIterator<Item = Value>) {
+        self.start_row(vals.len());
+        for v in vals {
+            let (bits, float) = lane(v);
+            if float || !self.floats.is_empty() {
+                self.floats.resize(self.lanes.len(), false);
+                self.floats.push(float);
+            }
+            self.lanes.push(bits);
+        }
+    }
+
+    /// Row `i`.
+    #[inline]
+    pub fn row(&self, i: usize) -> Row<'_> {
         let a = self.arity.unwrap_or(0);
         debug_assert!(i < self.rows, "row index out of range");
-        &self.values[i * a..(i + 1) * a]
-    }
-
-    /// Iterates over the rows as value slices.
-    pub fn iter(&self) -> FrameRows<'_> {
-        FrameRows {
-            frame: self,
-            next: 0,
+        let cells = i * a..(i + 1) * a;
+        let floats = match self.floats.is_empty() {
+            true => &[][..],
+            false => &self.floats[cells.clone()],
+        };
+        Row {
+            lanes: &self.lanes[cells],
+            floats,
         }
     }
 
-    /// Decodes row `i` into a [`Tuple`].
-    #[inline]
-    pub fn tuple(&self, i: usize) -> Tuple {
-        Tuple::new(self.row(i))
-    }
-
-    /// Encodes a slice of tuples (all of the frame's arity) into a frame.
-    pub fn from_tuples(arity: usize, tuples: &[Tuple]) -> Self {
-        let mut f = Frame::with_capacity(arity, tuples.len());
-        for t in tuples {
-            f.push_tuple(t);
+    /// Overwrites row `i` with a copy of `row`, which must have the
+    /// frame's arity.
+    pub fn overwrite(&mut self, i: usize, row: Row<'_>) {
+        let a = self.arity.unwrap_or(0);
+        assert_eq!(a, row.arity(), "frame arity mismatch");
+        let cells = i * a..(i + 1) * a;
+        self.lanes[cells.clone()].copy_from_slice(row.lanes);
+        if !self.floats.is_empty() || !row.all_ints() {
+            self.floats.resize(self.lanes.len(), false);
+            match row.floats.is_empty() {
+                true => self.floats[cells].fill(false),
+                false => self.floats[cells].copy_from_slice(row.floats),
+            }
         }
-        f
     }
 
-    /// Decodes every row back into tuples (the reference roundtrip).
-    pub fn to_tuples(&self) -> Vec<Tuple> {
-        (0..self.rows).map(|i| self.tuple(i)).collect()
+    /// Overwrites cell `col` of row `i` with `v`.
+    pub fn set(&mut self, i: usize, col: usize, v: Value) {
+        let cell = i * self.arity.unwrap_or(0) + col;
+        let (bits, float) = lane(v);
+        if float && self.floats.is_empty() {
+            self.floats.resize(self.lanes.len(), false);
+        }
+        if let Some(tag) = self.floats.get_mut(cell) {
+            *tag = float;
+        }
+        self.lanes[cell] = bits;
+    }
+
+    /// Removes every row (and the arity and float tags, so a refilled
+    /// frame starts over) and keeps the allocations.
+    pub fn clear(&mut self) {
+        self.lanes.clear();
+        self.floats.clear();
+        self.arity = None;
+        self.rows = 0;
+    }
+
+    /// Iterates over the rows.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Row<'_>> {
+        (0..self.rows).map(|i| self.row(i))
     }
 
     /// Splits the frame into frames of at most `max_rows` rows each. The
@@ -143,60 +318,21 @@ impl Frame {
         }
         let a = self.arity.unwrap_or(0);
         let mut out = Vec::with_capacity(self.rows.div_ceil(max_rows));
-        let mut start = 0;
-        while start < self.rows {
+        for start in (0..self.rows).step_by(max_rows) {
             let end = (start + max_rows).min(self.rows);
-            let mut chunk = Frame::with_capacity(a, end - start);
-            chunk
-                .values
-                .extend_from_slice(&self.values[start * a..end * a]);
-            chunk.rows = end - start;
-            out.push(chunk);
-            start = end;
+            let cells = start * a..end * a;
+            let floats = match self.floats.is_empty() {
+                true => Vec::new(),
+                false => self.floats[cells.clone()].to_vec(),
+            };
+            out.push(Frame {
+                lanes: self.lanes[cells].to_vec(),
+                floats,
+                arity: self.arity,
+                rows: end - start,
+            });
         }
         out
-    }
-}
-
-/// Iterator over a frame's rows as `&[Value]` slices.
-pub struct FrameRows<'a> {
-    frame: &'a Frame,
-    next: usize,
-}
-
-impl<'a> Iterator for FrameRows<'a> {
-    type Item = &'a [Value];
-
-    #[inline]
-    fn next(&mut self) -> Option<&'a [Value]> {
-        if self.next >= self.frame.rows {
-            return None;
-        }
-        let row = self.frame.row(self.next);
-        self.next += 1;
-        Some(row)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.frame.rows - self.next;
-        (n, Some(n))
-    }
-}
-
-impl ExactSizeIterator for FrameRows<'_> {}
-
-impl<'a> IntoIterator for &'a Frame {
-    type Item = &'a [Value];
-    type IntoIter = FrameRows<'a>;
-
-    fn into_iter(self) -> FrameRows<'a> {
-        self.iter()
-    }
-}
-
-impl fmt::Display for Frame {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Frame[{} x {:?}]", self.rows, self.arity)
     }
 }
 
@@ -204,37 +340,47 @@ impl fmt::Display for Frame {
 mod tests {
     use super::*;
 
+    fn frame(arity: usize, rows: &[Tuple]) -> Frame {
+        let mut f = Frame::new(arity);
+        for t in rows {
+            f.push_values(t.values().iter().copied());
+        }
+        f
+    }
+
+    fn tuples(f: &Frame) -> Vec<Tuple> {
+        f.iter().map(|r| r.to_tuple()).collect()
+    }
+
     #[test]
     fn encode_decode_roundtrip() {
-        let tuples = vec![
+        let rows = vec![
             Tuple::from_ints(&[1, 2]),
             Tuple::from_ints(&[3, 4]),
             Tuple::from_ints(&[5, 6]),
         ];
-        let f = Frame::from_tuples(2, &tuples);
+        let f = frame(2, &rows);
         assert_eq!(f.len(), 3);
         assert_eq!(f.arity(), Some(2));
-        assert_eq!(f.to_tuples(), tuples);
-        assert_eq!(f.row(1), &[Value::Int(3), Value::Int(4)]);
+        assert_eq!(tuples(&f), rows);
+        assert_eq!(f.row(1).lanes(), &[3, 4]);
     }
 
     #[test]
     fn arity_zero_counts_rows() {
-        let mut f = Frame::new(0);
-        f.push_tuple(&Tuple::unit());
-        f.push_tuple(&Tuple::unit());
+        let f = frame(0, &[Tuple::new(&[]), Tuple::new(&[])]);
         assert_eq!(f.len(), 2);
         assert_eq!(f.payload_bytes(), 0);
-        assert_eq!(f.to_tuples(), vec![Tuple::unit(), Tuple::unit()]);
+        assert_eq!(tuples(&f), vec![Tuple::new(&[]), Tuple::new(&[])]);
     }
 
     #[test]
     fn for_rel_learns_arity_from_first_row() {
-        let mut f = Frame::for_rel();
+        let mut f = Frame::default();
         assert_eq!(f.arity(), None);
-        f.push_row(&[Value::Int(7), Value::Int(8), Value::Int(9)]);
+        f.push_values([7, 8, 9].map(Value::Int).into_iter());
         assert_eq!(f.arity(), Some(3));
-        f.push_tuple(&Tuple::from_ints(&[1, 2, 3]));
+        Tuple::from_ints(&[1, 2, 3]).with_row(|r| f.push(r));
         assert_eq!(f.len(), 2);
     }
 
@@ -242,43 +388,78 @@ mod tests {
     #[should_panic(expected = "arity mismatch")]
     fn mixed_arities_panic() {
         let mut f = Frame::new(2);
-        f.push_row(&[Value::Int(1)]);
+        f.push_values([Value::Int(1)].into_iter());
     }
 
     #[test]
     fn iterator_yields_all_rows_in_order() {
-        let f = Frame::from_tuples(
+        let f = frame(
             1,
             &(0..10).map(|i| Tuple::from_ints(&[i])).collect::<Vec<_>>(),
         );
-        let seen: Vec<i64> = f.iter().map(|r| r[0].expect_int()).collect();
+        let seen: Vec<i64> = f.iter().map(|r| r.get(0).expect_int()).collect();
         assert_eq!(seen, (0..10).collect::<Vec<_>>());
         assert_eq!(f.iter().len(), 10);
     }
 
     #[test]
     fn into_batches_moves_small_frames() {
-        let f = Frame::from_tuples(2, &[Tuple::from_ints(&[1, 2])]);
+        let f = frame(2, &[Tuple::from_ints(&[1, 2])]);
         let batches = f.clone().into_batches(10);
         assert_eq!(batches, vec![f]);
     }
 
     #[test]
     fn into_batches_splits_and_preserves_rows() {
-        let tuples: Vec<Tuple> = (0..7).map(|i| Tuple::from_ints(&[i, i + 1])).collect();
-        let f = Frame::from_tuples(2, &tuples);
-        let batches = f.into_batches(3);
+        let rows: Vec<Tuple> = (0..7).map(|i| Tuple::from_ints(&[i, i + 1])).collect();
+        let batches = frame(2, &rows).into_batches(3);
         assert_eq!(
             batches.iter().map(Frame::len).collect::<Vec<_>>(),
             vec![3, 3, 1]
         );
-        let back: Vec<Tuple> = batches.iter().flat_map(Frame::to_tuples).collect();
-        assert_eq!(back, tuples);
+        let back: Vec<Tuple> = batches.iter().flat_map(tuples).collect();
+        assert_eq!(back, rows);
     }
 
     #[test]
-    fn payload_bytes_counts_values() {
-        let f = Frame::from_tuples(3, &[Tuple::from_ints(&[1, 2, 3])]);
-        assert_eq!(f.payload_bytes(), (3 * std::mem::size_of::<Value>()) as u64);
+    fn payload_bytes_counts_lanes_and_only_needed_tags() {
+        let f = frame(3, &[Tuple::from_ints(&[1, 2, 3])]);
+        assert_eq!(f.payload_bytes(), 3 * 8);
+        let mixed = Tuple::new(&[Value::Int(1), Value::Float(0.5)]);
+        let f = frame(2, &[Tuple::from_ints(&[1, 2]), mixed.clone()]);
+        assert_eq!(f.payload_bytes(), 2 * 2 * 8 + 2 * 2);
+        assert_eq!(tuples(&f), [Tuple::from_ints(&[1, 2]), mixed]);
+    }
+
+    #[test]
+    fn rows_keep_value_semantics() {
+        let (i, fl) = (Value::Int, Value::Float);
+        let f = frame(
+            1,
+            &[i(1), fl(1.0), fl(-0.0), fl(0.0), i(0)].map(|v| Tuple::new(&[v])),
+        );
+        let r: Vec<Row> = f.iter().collect();
+        assert_eq!(r[0], r[1], "Int(1) == Float(1.0)");
+        assert_ne!(r[2], r[3], "-0.0 != 0.0");
+        assert_eq!(r[3], r[4]);
+        for row in &r {
+            assert_eq!(row.key(0), row.get(0).key_bits());
+        }
+        assert!(f.row(0).all_ints() && !f.row(1).all_ints());
+    }
+
+    #[test]
+    fn set_tags_a_float_into_an_integer_frame() {
+        let mut f = frame(2, &[Tuple::from_ints(&[1, 2]), Tuple::from_ints(&[3, 4])]);
+        f.set(1, 1, Value::Float(0.5));
+        assert_eq!(
+            f.row(1).to_tuple(),
+            Tuple::new(&[Value::Int(3), Value::Float(0.5)])
+        );
+        assert_eq!(f.row(0).to_tuple(), Tuple::from_ints(&[1, 2]));
+        f.set(1, 1, Value::Int(9));
+        assert_eq!(f.row(1).to_tuple(), Tuple::from_ints(&[3, 9]));
+        f.clear();
+        assert_eq!((f.len(), f.payload_bytes()), (0, 0));
     }
 }

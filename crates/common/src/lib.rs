@@ -42,7 +42,7 @@ pub mod value;
 
 pub use agg::AggFunc;
 pub use error::{DcdError, Result};
-pub use frame::Frame;
+pub use frame::{Frame, Row};
 pub use json::Json;
 pub use partition::Partitioner;
 pub use tuple::Tuple;

@@ -42,11 +42,6 @@ impl Tuple {
         }
     }
 
-    /// An empty (arity-0) tuple; used for propositional facts.
-    pub fn unit() -> Self {
-        Tuple::new(&[])
-    }
-
     /// Convenience constructor from integers.
     pub fn from_ints(vals: &[i64]) -> Self {
         Tuple::from_exact_iter(vals.len(), vals.iter().map(|&v| Value::Int(v)))
@@ -89,67 +84,6 @@ impl Tuple {
             Tuple::Inline { len, vals } => &vals[..*len as usize],
             Tuple::Spilled(v) => v,
         }
-    }
-
-    /// The values as a mutable slice (in-place aggregate updates).
-    #[inline]
-    pub fn values_mut(&mut self) -> &mut [Value] {
-        match self {
-            Tuple::Inline { len, vals } => &mut vals[..*len as usize],
-            Tuple::Spilled(v) => v,
-        }
-    }
-
-    /// Projects the tuple onto the given column indices.
-    pub fn project(&self, cols: &[usize]) -> Tuple {
-        let vals = self.values();
-        if cols.len() <= INLINE_ARITY {
-            let mut arr = [Value::Int(0); INLINE_ARITY];
-            for (i, &c) in cols.iter().enumerate() {
-                arr[i] = vals[c];
-            }
-            Tuple::Inline {
-                len: cols.len() as u8,
-                vals: arr,
-            }
-        } else {
-            Tuple::Spilled(cols.iter().map(|&c| vals[c]).collect())
-        }
-    }
-
-    /// The leading `n` values as a borrowed slice (the group-by key of an
-    /// aggregate row). No allocation at all: use this when the caller only
-    /// compares or hashes the prefix.
-    #[inline]
-    pub fn group_key(&self, n: usize) -> &[Value] {
-        &self.values()[..n]
-    }
-
-    /// Concatenates two tuples (used when joining).
-    pub fn concat(&self, other: &Tuple) -> Tuple {
-        let a = self.values();
-        let b = other.values();
-        let total = a.len() + b.len();
-        if total <= INLINE_ARITY {
-            let mut arr = [Value::Int(0); INLINE_ARITY];
-            arr[..a.len()].copy_from_slice(a);
-            arr[a.len()..total].copy_from_slice(b);
-            Tuple::Inline {
-                len: total as u8,
-                vals: arr,
-            }
-        } else {
-            let mut v = Vec::with_capacity(total);
-            v.extend_from_slice(a);
-            v.extend_from_slice(b);
-            Tuple::Spilled(v.into_boxed_slice())
-        }
-    }
-
-    /// The 64-bit key of column `col`, used for hashing/partitioning.
-    #[inline]
-    pub fn key(&self, col: usize) -> u64 {
-        self.values()[col].key_bits()
     }
 }
 
@@ -219,25 +153,6 @@ mod tests {
         let b = Tuple::new(&[Value::Int(1), Value::Int(2)]);
         assert_eq!(a, b);
         assert_ne!(a, Tuple::from_ints(&[1, 2, 0]));
-    }
-
-    #[test]
-    fn projection_reorders_and_duplicates() {
-        let t = Tuple::from_ints(&[10, 20, 30]);
-        assert_eq!(t.project(&[2, 0]), Tuple::from_ints(&[30, 10]));
-        assert_eq!(t.project(&[1, 1]), Tuple::from_ints(&[20, 20]));
-        assert_eq!(t.project(&[]), Tuple::unit());
-    }
-
-    #[test]
-    fn concat_spills_when_needed() {
-        let a = Tuple::from_ints(&[1, 2, 3]);
-        let b = Tuple::from_ints(&[4, 5]);
-        let c = a.concat(&b);
-        assert_eq!(c.arity(), 5);
-        assert_eq!(c.values()[4], Value::Int(5));
-        let d = Tuple::from_ints(&[1]).concat(&Tuple::from_ints(&[2]));
-        assert!(matches!(d, Tuple::Inline { .. }));
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Property tests for the flat [`Frame`] wire format: encode/decode
+//! Property tests for the flat [`Frame`] row layout: encode/decode
 //! round-trips against [`Tuple`] at arities 0–6, which brackets the
 //! `INLINE_ARITY` (= 4) boundary where tuples switch from inline to
-//! spilled storage.
+//! spilled storage, over mixed `Int`/`Float` cells.
 
 use dcd_common::proptest;
 use dcd_common::proptest::prelude::*;
@@ -27,44 +27,57 @@ fn frame_input() -> impl Strategy<Value = (usize, Vec<Vec<Value>>)> {
     (0usize..=6).prop_flat_map(|a| rows_strategy(a).prop_map(move |rows| (a, rows)))
 }
 
+/// Values as exact bits, telling `Int(7)` from `Float(7.0)` (which `==`
+/// does not).
+fn bits(vals: impl IntoIterator<Item = Value>) -> Vec<(bool, u64)> {
+    vals.into_iter()
+        .map(|v| match v {
+            Value::Int(i) => (false, i as u64),
+            Value::Float(f) => (true, f.to_bits()),
+        })
+        .collect()
+}
+
+fn encode(arity: usize, rows: &[Vec<Value>]) -> Frame {
+    let mut frame = Frame::new(arity);
+    for r in rows {
+        frame.push_values(r.iter().copied());
+    }
+    frame
+}
+
+fn decode(frame: &Frame) -> Vec<Vec<(bool, u64)>> {
+    frame.iter().map(|r| bits(r.values())).collect()
+}
+
 proptest! {
     #[test]
     fn tuple_roundtrip_via_frame((arity, rows) in frame_input()) {
-        let tuples: Vec<Tuple> = rows.iter().map(|r| Tuple::new(r)).collect();
-        let frame = Frame::from_tuples(arity, &tuples);
-        prop_assert_eq!(frame.len(), tuples.len());
-        if !tuples.is_empty() {
-            prop_assert_eq!(frame.arity(), Some(arity));
-        }
-        // Decode back: byte-identical tuples, in order.
-        prop_assert_eq!(frame.to_tuples(), tuples);
-    }
-
-    #[test]
-    fn row_views_match_pushed_rows((_arity, rows) in frame_input()) {
-        let mut frame = Frame::for_rel();
-        for r in &rows {
-            frame.push_row(r);
-        }
+        let frame = encode(arity, &rows);
         prop_assert_eq!(frame.len(), rows.len());
+        prop_assert_eq!(frame.arity(), Some(arity));
+        // Decode back: bit-identical values, in order.
+        let want: Vec<_> = rows.iter().map(|r| bits(r.iter().copied())).collect();
+        prop_assert_eq!(decode(&frame), want);
         for (i, r) in rows.iter().enumerate() {
-            prop_assert_eq!(frame.row(i), r.as_slice());
-            prop_assert_eq!(&frame.tuple(i), &Tuple::new(r));
+            prop_assert_eq!(&frame.row(i).to_tuple(), &Tuple::new(r));
         }
-        let collected: Vec<Vec<Value>> = frame.iter().map(|r| r.to_vec()).collect();
-        prop_assert_eq!(collected, rows);
     }
 
     #[test]
-    fn push_tuple_and_push_row_agree((arity, rows) in frame_input()) {
-        let mut by_row = Frame::new(arity);
-        let mut by_tuple = Frame::new(arity);
+    fn push_row_and_push_values_agree((arity, rows) in frame_input()) {
+        let by_values = encode(arity, &rows);
+        let mut by_row = Frame::default();
         for r in &rows {
-            by_row.push_row(r);
-            by_tuple.push_tuple(&Tuple::new(r));
+            Tuple::new(r).with_row(|row| by_row.push(row));
         }
-        prop_assert_eq!(by_row.to_tuples(), by_tuple.to_tuples());
-        prop_assert_eq!(by_row.payload_bytes(), by_tuple.payload_bytes());
+        let mut copied = Frame::new(arity);
+        for row in by_values.iter() {
+            copied.push(row);
+        }
+        prop_assert_eq!(decode(&by_row), decode(&by_values));
+        prop_assert_eq!(decode(&copied), decode(&by_values));
+        prop_assert_eq!(by_row.payload_bytes(), by_values.payload_bytes());
     }
 
     #[test]
@@ -72,36 +85,30 @@ proptest! {
         (arity, rows) in frame_input(),
         max_rows in 1usize..8,
     ) {
-        let tuples: Vec<Tuple> = rows.iter().map(|r| Tuple::new(r)).collect();
-        let frame = Frame::from_tuples(arity, &tuples);
+        let frame = encode(arity, &rows);
+        let want = decode(&frame);
         let total_bytes = frame.payload_bytes();
         let pieces = frame.into_batches(max_rows);
         let mut reassembled = Vec::new();
         let mut bytes = 0;
         for p in &pieces {
             prop_assert!(p.len() <= max_rows);
-            prop_assert!(!p.is_empty() || tuples.is_empty());
+            prop_assert!(!p.is_empty() || rows.is_empty());
             bytes += p.payload_bytes();
-            reassembled.extend(p.to_tuples());
+            reassembled.extend(decode(p));
         }
-        prop_assert_eq!(reassembled, tuples);
+        prop_assert_eq!(reassembled, want);
         prop_assert_eq!(bytes, total_bytes);
     }
 
     #[test]
-    fn payload_bytes_is_value_stride(
+    fn payload_bytes_is_the_lane_stride(
         arity in 0usize..=6,
         n in 0usize..50,
     ) {
-        let mut frame = Frame::new(arity);
         let row: Vec<Value> = (0..arity as i64).map(Value::Int).collect();
-        for _ in 0..n {
-            frame.push_row(&row);
-        }
-        prop_assert_eq!(
-            frame.payload_bytes(),
-            (n * arity * std::mem::size_of::<Value>()) as u64
-        );
+        let frame = encode(arity, &vec![row; n]);
+        prop_assert_eq!(frame.payload_bytes(), (n * arity * 8) as u64);
     }
 }
 
@@ -116,7 +123,11 @@ fn inline_boundary_roundtrip() {
                 Tuple::from_ints(&vals)
             })
             .collect();
-        let frame = Frame::from_tuples(arity, &rows);
-        assert_eq!(frame.to_tuples(), rows, "arity {arity}");
+        let mut frame = Frame::new(arity);
+        for t in &rows {
+            t.with_row(|r| frame.push(r));
+        }
+        let back: Vec<Tuple> = frame.iter().map(|r| r.to_tuple()).collect();
+        assert_eq!(back, rows, "arity {arity}");
     }
 }

@@ -45,31 +45,6 @@ proptest! {
     }
 
     #[test]
-    fn tuple_concat_preserves_contents(
-        a in proptest::collection::vec(any::<i64>(), 0..5),
-        b in proptest::collection::vec(any::<i64>(), 0..5),
-    ) {
-        let t = Tuple::from_ints(&a).concat(&Tuple::from_ints(&b));
-        let mut want = a.clone();
-        want.extend(&b);
-        prop_assert_eq!(t, Tuple::from_ints(&want));
-    }
-
-    #[test]
-    fn tuple_projection_selects(
-        vals in proptest::collection::vec(any::<i64>(), 1..6),
-        picks in proptest::collection::vec(any::<proptest::sample::Index>(), 0..6),
-    ) {
-        let cols: Vec<usize> = picks.iter().map(|p| p.index(vals.len())).collect();
-        let t = Tuple::from_ints(&vals);
-        let p = t.project(&cols);
-        prop_assert_eq!(p.arity(), cols.len());
-        for (i, &c) in cols.iter().enumerate() {
-            prop_assert_eq!(p[i], t[c]);
-        }
-    }
-
-    #[test]
     fn partitioner_is_stable_and_in_range(
         n in 1usize..64,
         keys in proptest::collection::vec(any::<u64>(), 1..100),

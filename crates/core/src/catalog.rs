@@ -14,7 +14,7 @@
 //! [`SealedRelation::partitioned`]): the partition column when it is
 //! indexed, else the lowest index column.
 
-use dcd_common::{Partitioner, Tuple, WorkerId};
+use dcd_common::{DcdError, Partitioner, Result, Tuple, WorkerId};
 use dcd_frontend::physical::{PhysicalPlan, Placement, RelId};
 use dcd_storage::SealedRelation;
 use std::sync::Arc;
@@ -33,30 +33,54 @@ pub struct EdbCatalog {
 }
 
 impl EdbCatalog {
-    /// Seals every loaded base relation per the plan's placement.
+    /// Seals every loaded base relation per the plan's placement. A row
+    /// whose arity is not its relation's is an error, found by the seal's
+    /// row copy (`Engine::load_edb` does not scan the rows).
+    pub fn try_build(
+        plan: &PhysicalPlan,
+        edb_data: &[Option<Vec<Tuple>>],
+        part: &Partitioner,
+    ) -> Result<Self> {
+        let mut rels = Vec::with_capacity(plan.edb.len());
+        for decl in &plan.edb {
+            let Some(d) = decl else {
+                rels.push(None);
+                continue;
+            };
+            let rows = edb_data[d.id].as_deref().unwrap_or(&[]);
+            let mut cols = d.index_cols.clone();
+            cols.sort_unstable();
+            let (slices, col) = match d.placement {
+                Placement::Replicated => (&Partitioner::new(1), cols.first().copied().unwrap_or(0)),
+                Placement::Partitioned(c) => (part, c),
+            };
+            let sealed = SealedRelation::partitioned(rows, d.arity, &cols, slices, col);
+            let mut sealed = sealed.map_err(|i| {
+                let (row, name) = (&rows[i], &d.name);
+                let msg = format!(
+                    "row {row:?} has arity {} but '{name}' expects {}",
+                    row.arity(),
+                    d.arity
+                );
+                DcdError::Execution(msg)
+            })?;
+            rels.push(Some(match d.placement {
+                Placement::Replicated => {
+                    let one = sealed.pop().expect("one partition yields one slice");
+                    CatalogEntry::Replicated(Arc::new(one))
+                }
+                Placement::Partitioned(_) => {
+                    CatalogEntry::Partitioned(sealed.into_iter().map(Arc::new).collect())
+                }
+            }));
+        }
+        Ok(EdbCatalog { rels })
+    }
+
+    /// [`EdbCatalog::try_build`] for rows known to have their relations'
+    /// arities; panics otherwise.
     pub fn build(plan: &PhysicalPlan, edb_data: &[Option<Vec<Tuple>>], part: &Partitioner) -> Self {
-        let rels = plan
-            .edb
-            .iter()
-            .map(|decl| {
-                let d = decl.as_ref()?;
-                let rows = edb_data[d.id].as_deref().unwrap_or(&[]);
-                let mut cols = d.index_cols.clone();
-                cols.sort_unstable();
-                Some(match d.placement {
-                    Placement::Replicated => {
-                        CatalogEntry::Replicated(Arc::new(SealedRelation::build(rows, &cols)))
-                    }
-                    Placement::Partitioned(c) => CatalogEntry::Partitioned(
-                        SealedRelation::partitioned(rows, &cols, part, c)
-                            .into_iter()
-                            .map(Arc::new)
-                            .collect(),
-                    ),
-                })
-            })
-            .collect();
-        EdbCatalog { rels }
+        Self::try_build(plan, edb_data, part).expect("every row has its relation's arity")
     }
 
     /// The sealed relation worker `me` reads for `rel` (`None` for IDB
@@ -155,7 +179,7 @@ mod tests {
         for w in 0..4 {
             let slice = cat.for_worker(arc, w).unwrap();
             total += slice.len();
-            for row in slice.rows() {
+            for row in slice.rows().iter() {
                 assert_eq!(part.of_key(row.key(0)), w);
             }
             assert!(cat.partitioned_bytes(w) > 0 || slice.is_empty());

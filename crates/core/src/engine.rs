@@ -136,22 +136,18 @@ impl Engine {
     }
 
     /// Loads rows for base relation `name`, replacing any previous load.
+    /// The rows are not read here: [`Engine::run`] reports a row whose
+    /// arity is not the relation's, from the seal, which reads every row
+    /// once anyway.
     pub fn load_edb(&mut self, name: &str, rows: Vec<Tuple>) -> Result<()> {
         let rel = self
             .plan
             .rel_by_name(name)
             .ok_or_else(|| DcdError::MissingRelation(name.to_string()))?;
-        let decl = self.plan.edb[rel]
-            .as_ref()
-            .ok_or_else(|| DcdError::Planning(format!("'{name}' is a derived relation")))?;
-        for t in &rows {
-            if t.arity() != decl.arity {
-                return Err(DcdError::Execution(format!(
-                    "row {t:?} has arity {} but '{name}' expects {}",
-                    t.arity(),
-                    decl.arity
-                )));
-            }
+        if self.plan.edb[rel].is_none() {
+            return Err(DcdError::Planning(format!(
+                "'{name}' is a derived relation"
+            )));
         }
         self.edb_data[rel] = Some(rows);
         Ok(())
@@ -192,7 +188,7 @@ impl Engine {
         // Seal the EDB once, before any worker spawns, like the paper's load
         // phase: on `Engine::run`'s clock (`seal_ns`), not the fixpoint's.
         let seal = Instant::now();
-        let catalog = EdbCatalog::build(&self.plan, &self.edb_data, &coord.part);
+        let catalog = EdbCatalog::try_build(&self.plan, &self.edb_data, &coord.part)?;
         let start = Instant::now();
         let n = self.cfg.workers;
 
@@ -270,10 +266,11 @@ impl Engine {
         })
     }
 
-    /// Moves every derived row out of the worker stores into the result,
-    /// one copy per row, taken from the worker that owns it: worker `me`
-    /// keeps a row of relation `r` only if `H(row[partition_cols[0]])`
-    /// is `me`. That worker holds the row's final value, because
+    /// Decodes every derived row out of the worker stores into the
+    /// result's `Tuple`s, one copy per row, taken from the worker that
+    /// owns it: worker `me` keeps a row of relation `r` only if
+    /// `H(row[partition_cols[0]])` is `me`. Each store is freed once its
+    /// rows are decoded. That worker holds the row's final value, because
     /// Distribute sends every row, and every aggregate improvement, to
     /// the owner of each of the relation's routes, and a route column is a
     /// group column, so an aggregate row's owner never changes. (The
@@ -290,8 +287,9 @@ impl Engine {
                     continue;
                 };
                 let home = decl.partition_cols[0];
-                let owned = rec.into_rows().into_iter();
-                rels[decl.id].extend(owned.filter(|row| part.of_key(row.key(home)) == me));
+                let rows = rec.into_rows();
+                let owned = rows.iter().filter(|row| part.of_key(row.key(home)) == me);
+                rels[decl.id].extend(owned.map(|row| row.to_tuple()));
             }
         }
         self.plan

@@ -5,9 +5,17 @@
 //! chain (index probes of base/recursive relations, nested-loop scans as
 //! fallback), applying assignments and filters at their compiled levels,
 //! and emits one merge-layout head row per complete binding.
-//! Initialization rules instead drive the chain from a leading scan
-//! (strided across workers for replicated tables so no derivation is
-//! duplicated).
+//! Initialization rules instead drive the chain from a leading scan, which
+//! visits each row on one worker only, so no derivation is duplicated: a
+//! replicated base relation is strided across workers, and a broadcast
+//! derived relation (every row on every worker) is read only where each
+//! row is owned, `H(row[partition_cols[0]]) == me`.
+//!
+//! Rows are read and written as `u64` lanes ([`Row`] views of the stores'
+//! [`Frame`]s). Registers are [`Value`]s: a bind reads a cell straight
+//! from its lane, and the kernel writes each head row's lanes into one
+//! reusable one-row frame that it hands to the sink, so no `Tuple` is
+//! built on the way from a rule to the store.
 //!
 //! A delta entry ([`DeltaRow`]) names its row by id in the worker's own
 //! derived store rather than carrying a copy, so each derived row is
@@ -27,7 +35,7 @@
 //! against.
 
 use crate::store::WorkerStore;
-use dcd_common::{Tuple, Value, WorkerId};
+use dcd_common::{Frame, Partitioner, Row, Value, WorkerId};
 use dcd_frontend::physical::{
     BindAction, CompiledRule, PhysicalPlan, Placement, Probe, RelId, Step, Target,
 };
@@ -39,19 +47,18 @@ pub type DeltaRow = (RelId, u8, u32);
 /// Applies a bind list to `row`, updating `regs`; returns `false` when a
 /// check fails (candidate rejected).
 #[inline]
-fn apply_binds(row: &Tuple, binds: &[BindAction], regs: &mut [Value]) -> bool {
-    let vals = row.values();
-    debug_assert_eq!(vals.len(), binds.len(), "arity mismatch");
-    for (v, b) in vals.iter().zip(binds) {
+fn apply_binds(row: Row<'_>, binds: &[BindAction], regs: &mut [Value]) -> bool {
+    debug_assert_eq!(row.arity(), binds.len(), "arity mismatch");
+    for (c, b) in binds.iter().enumerate() {
         match b {
-            BindAction::Bind(r) => regs[*r as usize] = *v,
+            BindAction::Bind(r) => regs[*r as usize] = row.get(c),
             BindAction::Check(r) => {
-                if regs[*r as usize] != *v {
+                if regs[*r as usize] != row.get(c) {
                     return false;
                 }
             }
-            BindAction::CheckConst(c) => {
-                if v != c {
+            BindAction::CheckConst(v) => {
+                if row.get(c) != *v {
                     return false;
                 }
             }
@@ -63,7 +70,7 @@ fn apply_binds(row: &Tuple, binds: &[BindAction], regs: &mut [Value]) -> bool {
 
 /// The stored rows of `rule`'s delta relation, which its delta ids index.
 #[inline]
-fn delta_rows<'s>(rule: &CompiledRule, store: &'s WorkerStore) -> &'s [Tuple] {
+fn delta_rows<'s>(rule: &CompiledRule, store: &'s WorkerStore) -> &'s Frame {
     store
         .rec(rule.delta.as_ref().expect("delta rule").rel)
         .rows()
@@ -82,7 +89,7 @@ fn apply_level(step: &Step, regs: &mut [Value]) -> bool {
 /// rule's pre-assignments and pre-filters. Returns `false` when the row is
 /// rejected before the join chain starts.
 #[inline]
-fn bind_prelude(rule: &CompiledRule, row: &Tuple, regs: &mut [Value]) -> bool {
+fn bind_prelude(rule: &CompiledRule, row: Row<'_>, regs: &mut [Value]) -> bool {
     let spec = rule.delta.as_ref().expect("delta rule");
     if !apply_binds(row, &spec.binds, regs) {
         return false;
@@ -95,13 +102,14 @@ fn bind_prelude(rule: &CompiledRule, row: &Tuple, regs: &mut [Value]) -> bool {
 
 /// Reusable per-worker evaluation state for the batched kernel: one
 /// register file (resized per rule, never reallocated per row), the
-/// first-probe sort buffer, and the probe-memoization counters. A worker
-/// allocates one of these and threads it through every
-/// [`Evaluator::eval_delta_batch`] call, so the steady-state hot loop
-/// performs zero allocations per delta row.
+/// one-row frame head rows are written into, the first-probe sort buffer,
+/// and the probe-memoization counters. A worker allocates one of these and
+/// threads it through every [`Evaluator::eval_delta_batch`] call, so the
+/// steady-state hot loop performs zero allocations per delta row.
 #[derive(Default)]
 pub struct EvalScratch {
     regs: Vec<Value>,
+    head: Frame,
     /// `(first-probe key, batch row index)` pairs, sorted to cluster rows
     /// that probe the same key.
     order: Vec<(u64, u32)>,
@@ -129,24 +137,25 @@ pub struct Evaluator<'a> {
 }
 
 impl Evaluator<'_> {
-    /// Runs a delta rule for one delta tuple, appending merge-layout head
+    /// Runs a delta rule for one delta row, appending merge-layout head
     /// rows to `out`. Returns the number of rows emitted. The engine
-    /// always runs [`Evaluator::eval_delta_batch`]; this tuple-at-a-time
+    /// always runs [`Evaluator::eval_delta_batch`]; this row-at-a-time
     /// path is the reference the kernel's tests and microbenchmark compare
     /// against.
     pub fn eval_delta(
         &self,
         rule: &CompiledRule,
         store: &WorkerStore,
-        delta_row: &Tuple,
-        out: &mut Vec<Tuple>,
+        delta_row: Row<'_>,
+        out: &mut Frame,
     ) -> usize {
         let mut regs = vec![Value::Int(0); rule.nregs];
         if !bind_prelude(rule, delta_row, &mut regs) {
             return 0;
         }
         let before = out.len();
-        self.run_steps(rule, store, 0, &mut regs, &mut |t| out.push(t));
+        let mut head = Frame::default();
+        self.run_steps(rule, store, 0, &mut regs, &mut head, &mut |r| out.push(r));
         out.len() - before
     }
 
@@ -163,7 +172,7 @@ impl Evaluator<'_> {
         store: &WorkerStore,
         batch: &[DeltaRow],
         scratch: &mut EvalScratch,
-        sink: &mut impl FnMut(Tuple),
+        sink: &mut impl FnMut(Row<'_>),
     ) -> u64 {
         let n = self.sort_batch(rule, store, batch, scratch);
         self.eval_sorted(rule, store, batch, 0..n, scratch, sink)
@@ -197,7 +206,7 @@ impl Evaluator<'_> {
         };
         let rows = delta_rows(rule, store);
         for (i, &(_, _, id)) in batch.iter().enumerate() {
-            if bind_prelude(rule, &rows[id as usize], regs) {
+            if bind_prelude(rule, rows.row(id as usize), regs) {
                 order.push((key.eval(regs).key_bits(), i as u32));
             }
         }
@@ -235,18 +244,19 @@ impl Evaluator<'_> {
         batch: &[DeltaRow],
         range: std::ops::Range<usize>,
         scratch: &mut EvalScratch,
-        sink: &mut impl FnMut(Tuple),
+        sink: &mut impl FnMut(Row<'_>),
     ) -> u64 {
         let EvalScratch {
             regs,
+            head,
             order,
             probe_hits,
             probe_reuse,
         } = scratch;
         let mut emitted = 0u64;
-        let mut counting = |t: Tuple| {
+        let mut counting = |r: Row<'_>| {
             emitted += 1;
-            sink(t)
+            sink(r)
         };
         let order = &order[range];
         let delta = delta_rows(rule, store);
@@ -261,8 +271,8 @@ impl Evaluator<'_> {
             // No leading index probe: run the chain per row, still
             // sharing the one register file.
             for &(_, i) in order {
-                if bind_prelude(rule, &delta[batch[i as usize].2 as usize], regs) {
-                    self.run_steps(rule, store, 0, regs, &mut counting);
+                if bind_prelude(rule, delta.row(batch[i as usize].2 as usize), regs) {
+                    self.run_steps(rule, store, 0, regs, head, &mut counting);
                 }
             }
             return emitted;
@@ -277,7 +287,7 @@ impl Evaluator<'_> {
         for &(key_bits, i) in order {
             // Re-run the prelude: the shared registers hold the previous
             // row's state, and the row may have improved since pass 1.
-            if !bind_prelude(rule, &delta[batch[i as usize].2 as usize], regs) {
+            if !bind_prelude(rule, delta.row(batch[i as usize].2 as usize), regs) {
                 continue;
             }
             let ids = match cached {
@@ -293,9 +303,9 @@ impl Evaluator<'_> {
                 }
             };
             for &id in ids {
-                let cand = &rows[id as usize];
+                let cand = rows.row(id as usize);
                 if apply_binds(cand, &step.binds, regs) && apply_level(step, regs) {
-                    self.run_steps(rule, store, 1, regs, &mut counting);
+                    self.run_steps(rule, store, 1, regs, head, &mut counting);
                 }
             }
         }
@@ -303,10 +313,16 @@ impl Evaluator<'_> {
     }
 
     /// Runs an initialization rule (leading scan / constant rule),
-    /// appending merge-layout head rows to `out`.
-    pub fn eval_init(&self, rule: &CompiledRule, store: &WorkerStore, out: &mut Vec<Tuple>) {
+    /// feeding merge-layout head rows to `sink`.
+    pub fn eval_init(
+        &self,
+        rule: &CompiledRule,
+        store: &WorkerStore,
+        sink: &mut impl FnMut(Row<'_>),
+    ) {
         debug_assert!(rule.delta.is_none());
         let mut regs = vec![Value::Int(0); rule.nregs];
+        let mut head = Frame::default();
         if rule.steps.is_empty() {
             // Constant rule (`sp(To, min<C>) <- To = start, C = 0.`):
             // evaluated on worker 0 only.
@@ -317,20 +333,39 @@ impl Evaluator<'_> {
                 regs[a.reg as usize] = a.expr.eval(&regs);
             }
             if rule.pre_filters.iter().all(|f| f.eval(&regs)) {
-                out.push(self.emit(rule, &regs));
+                sink(self.emit(rule, &regs, &mut head));
             }
             return;
         }
-        self.run_steps(rule, store, 0, &mut regs, &mut |t| out.push(t));
+        self.run_steps(rule, store, 0, &mut regs, &mut head, sink);
     }
 
-    fn emit(&self, rule: &CompiledRule, regs: &[Value]) -> Tuple {
-        // Evaluates head expressions straight into the tuple's inline
-        // storage — no intermediate Vec on the emit hot path.
-        Tuple::from_exact_iter(
-            rule.head_exprs.len(),
-            rule.head_exprs.iter().map(|e| e.eval(regs)),
-        )
+    /// Evaluates the head expressions straight into `head`'s lanes, a
+    /// one-row frame reused for every head row.
+    #[inline]
+    fn emit<'h>(&self, rule: &CompiledRule, regs: &[Value], head: &'h mut Frame) -> Row<'h> {
+        head.clear();
+        head.push_values(rule.head_exprs.iter().map(|e| e.eval(regs)));
+        head.row(0)
+    }
+
+    /// Whether an init rule's leading scan of `target` visits its row
+    /// `i`, `row`, on this worker (see the module docs): each row is
+    /// visited on exactly one worker.
+    #[inline]
+    fn visits(&self, target: Target, i: usize, row: Row<'_>) -> bool {
+        match target {
+            Target::Edb(rel) => {
+                let placement = self.plan.edb[rel].as_ref().map(|d| d.placement);
+                placement != Some(Placement::Replicated) || i % self.workers == self.me
+            }
+            Target::Idb { rel, .. } => match self.plan.idb[rel].as_ref() {
+                Some(d) if d.broadcast => {
+                    Partitioner::new(self.workers).of_key(row.key(d.partition_cols[0])) == self.me
+                }
+                _ => true,
+            },
+        }
     }
 
     fn run_steps(
@@ -339,10 +374,11 @@ impl Evaluator<'_> {
         store: &WorkerStore,
         k: usize,
         regs: &mut [Value],
-        sink: &mut impl FnMut(Tuple),
+        head: &mut Frame,
+        sink: &mut impl FnMut(Row<'_>),
     ) {
         if k == rule.steps.len() {
-            sink(self.emit(rule, regs));
+            sink(self.emit(rule, regs, head));
             return;
         }
         let step = &rule.steps[k];
@@ -356,28 +392,20 @@ impl Evaluator<'_> {
             Probe::Index { col, key } => {
                 let key_bits = key.eval(regs).key_bits();
                 for &id in target.probe_ids(*col, key_bits) {
-                    let row = &rows[id as usize];
+                    let row = rows.row(id as usize);
                     if apply_binds(row, &step.binds, regs) && apply_level(step, regs) {
-                        self.run_steps(rule, store, k + 1, regs, sink);
+                        self.run_steps(rule, store, k + 1, regs, head, sink);
                     }
                 }
             }
             Probe::Scan => {
-                // A leading scan of a replicated base relation in an init
-                // rule is strided across workers so no derivation repeats.
-                let strided = k == 0
-                    && rule.delta.is_none()
-                    && matches!(step.target, Target::Edb(rel)
-                    if matches!(
-                        self.plan.edb[rel].as_ref().map(|d| d.placement),
-                        Some(Placement::Replicated)
-                    ));
+                let leading = k == 0 && rule.delta.is_none();
                 for (i, row) in rows.iter().enumerate() {
-                    if strided && i % self.workers != self.me {
+                    if leading && !self.visits(step.target, i, row) {
                         continue;
                     }
                     if apply_binds(row, &step.binds, regs) && apply_level(step, regs) {
-                        self.run_steps(rule, store, k + 1, regs, sink);
+                        self.run_steps(rule, store, k + 1, regs, head, sink);
                     }
                 }
             }
@@ -389,7 +417,25 @@ impl Evaluator<'_> {
 mod tests {
     use super::*;
     use crate::store::{Merged, WorkerStore};
-    use dcd_common::Partitioner;
+    use dcd_common::{Partitioner, Tuple};
+
+    /// Runs init rule `rule`, decoding its head rows.
+    fn run_init(ev: &Evaluator, rule: &CompiledRule, store: &WorkerStore, out: &mut Vec<Tuple>) {
+        ev.eval_init(rule, store, &mut |r| out.push(r.to_tuple()));
+    }
+
+    /// Runs delta rule `rule` for `row`, decoding its head rows.
+    fn delta_of(
+        ev: &Evaluator,
+        rule: &CompiledRule,
+        store: &WorkerStore,
+        row: &Tuple,
+        out: &mut Vec<Tuple>,
+    ) {
+        let mut heads = Frame::default();
+        row.with_row(|r| ev.eval_delta(rule, store, r, &mut heads));
+        out.extend(heads.iter().map(|r| r.to_tuple()));
+    }
     use dcd_frontend::physical::{plan, PlannerConfig};
     use dcd_frontend::{analyze, parse_program};
 
@@ -424,20 +470,20 @@ mod tests {
         // Init: tc := arc.
         let mut out = Vec::new();
         for r in &p.strata[0].init_rules {
-            ev.eval_init(r, &store, &mut out);
+            run_init(&ev, r, &store, &mut out);
         }
         assert_eq!(out.len(), 2);
         let mut delta = Vec::new();
         for row in &out {
             if let Merged::New(id) = store.rec_mut(tc).merge(row) {
-                delta.push(store.rec(tc).rows()[id as usize].clone());
+                delta.push(store.rec(tc).rows().row(id as usize).to_tuple());
             }
         }
         // One delta step: (1,2) ⋈ arc → (1,3).
         let mut out2 = Vec::new();
         for d in &delta {
             for r in &p.strata[0].delta_rules {
-                ev.eval_delta(r, &store, d, &mut out2);
+                delta_of(&ev, r, &store, d, &mut out2);
             }
         }
         assert!(out2.contains(&Tuple::from_ints(&[1, 3])));
@@ -460,7 +506,7 @@ mod tests {
         };
         let mut out = Vec::new();
         for r in &p.strata[0].init_rules {
-            ev.eval_init(r, &store, &mut out);
+            run_init(&ev, r, &store, &mut out);
         }
         out.sort();
         // (1,2) and (2,1); (1,1) and (2,2) removed by X != Y.
@@ -491,17 +537,17 @@ mod tests {
         let sp = p.rel_by_name("sp").unwrap();
         let mut out = Vec::new();
         for r in &p.strata[0].init_rules {
-            ev.eval_init(r, &store, &mut out);
+            run_init(&ev, r, &store, &mut out);
         }
         assert_eq!(out, vec![Tuple::from_ints(&[1, 0])]);
         let mut delta = Vec::new();
         if let Merged::New(id) = store.rec_mut(sp).merge(&out[0]) {
-            delta.push(store.rec(sp).rows()[id as usize].clone());
+            delta.push(store.rec(sp).rows().row(id as usize).to_tuple());
         }
         let mut out2 = Vec::new();
         for d in &delta {
             for r in &p.strata[0].delta_rules {
-                ev.eval_delta(r, &store, d, &mut out2);
+                delta_of(&ev, r, &store, d, &mut out2);
             }
         }
         assert_eq!(out2, vec![Tuple::from_ints(&[2, 10])]);
@@ -536,7 +582,7 @@ mod tests {
             };
             let mut out = Vec::new();
             for r in &p.strata[0].init_rules {
-                ev.eval_init(r, &store, &mut out);
+                run_init(&ev, r, &store, &mut out);
             }
             all.extend(out);
         }
@@ -567,7 +613,7 @@ mod tests {
             };
             let mut out = Vec::new();
             for r in &p.strata[0].init_rules {
-                ev.eval_init(r, &store, &mut out);
+                run_init(&ev, r, &store, &mut out);
             }
             if me == 0 {
                 assert_eq!(out, vec![Tuple::from_ints(&[7, 0])]);
@@ -602,7 +648,7 @@ mod tests {
         let tc = p.rel_by_name("tc").unwrap();
         let mut init = Vec::new();
         for r in &p.strata[0].init_rules {
-            ev.eval_init(r, &store, &mut init);
+            run_init(&ev, r, &store, &mut init);
         }
         let mut batch: Vec<DeltaRow> = Vec::new();
         for row in &init {
@@ -613,11 +659,19 @@ mod tests {
         let rule = &p.strata[0].delta_rules[0];
         let mut want = Vec::new();
         for &(_, _, id) in &batch {
-            ev.eval_delta(rule, &store, &store.rec(tc).rows()[id as usize], &mut want);
+            delta_of(
+                &ev,
+                rule,
+                &store,
+                &store.rec(tc).rows().row(id as usize).to_tuple(),
+                &mut want,
+            );
         }
         let mut got = Vec::new();
         let mut scratch = EvalScratch::new();
-        let n = ev.eval_delta_batch(rule, &store, &batch, &mut scratch, &mut |t| got.push(t));
+        let n = ev.eval_delta_batch(rule, &store, &batch, &mut scratch, &mut |r| {
+            got.push(r.to_tuple())
+        });
         assert_eq!(n as usize, got.len());
         want.sort();
         got.sort();
@@ -652,7 +706,7 @@ mod tests {
         let sp = p.rel_by_name("sp").unwrap();
         let mut init = Vec::new();
         for r in &p.strata[0].init_rules {
-            ev.eval_init(r, &store, &mut init);
+            run_init(&ev, r, &store, &mut init);
         }
         let mut batch: Vec<DeltaRow> = Vec::new();
         for row in &init {
@@ -663,11 +717,19 @@ mod tests {
         let rule = &p.strata[0].delta_rules[0];
         let mut want = Vec::new();
         for &(_, _, id) in &batch {
-            ev.eval_delta(rule, &store, &store.rec(sp).rows()[id as usize], &mut want);
+            delta_of(
+                &ev,
+                rule,
+                &store,
+                &store.rec(sp).rows().row(id as usize).to_tuple(),
+                &mut want,
+            );
         }
         let mut got = Vec::new();
         let mut scratch = EvalScratch::new();
-        ev.eval_delta_batch(rule, &store, &batch, &mut scratch, &mut |t| got.push(t));
+        ev.eval_delta_batch(rule, &store, &batch, &mut scratch, &mut |r| {
+            got.push(r.to_tuple())
+        });
         want.sort();
         got.sort();
         assert_eq!(got, want);
@@ -711,11 +773,17 @@ mod tests {
             let better = Tuple::from_ints(&[1, improved]);
             assert_eq!(store.rec_mut(sp).merge(&better), Merged::New(id));
             let mut got = Vec::new();
-            ev.eval_sorted(rule, &store, &batch, 0..n, &mut scratch, &mut |t| {
-                got.push(t)
+            ev.eval_sorted(rule, &store, &batch, 0..n, &mut scratch, &mut |r| {
+                got.push(r.to_tuple())
             });
             let mut want = Vec::new();
-            ev.eval_delta(rule, &store, &store.rec(sp).rows()[id as usize], &mut want);
+            delta_of(
+                &ev,
+                rule,
+                &store,
+                &store.rec(sp).rows().row(id as usize).to_tuple(),
+                &mut want,
+            );
             got.sort();
             want.sort();
             assert_eq!(got, want, "improved to {improved}");
@@ -740,17 +808,17 @@ mod tests {
         let loopy = p.rel_by_name("loopy").unwrap();
         let mut out = Vec::new();
         for r in &p.strata[0].init_rules {
-            ev.eval_init(r, &store, &mut out);
+            run_init(&ev, r, &store, &mut out);
         }
         assert_eq!(out, vec![Tuple::from_ints(&[1])]);
         let mut delta = Vec::new();
         if let Merged::New(id) = store.rec_mut(loopy).merge(&out[0]) {
-            delta.push(store.rec(loopy).rows()[id as usize].clone());
+            delta.push(store.rec(loopy).rows().row(id as usize).to_tuple());
         }
         let mut out2 = Vec::new();
         for d in &delta {
             for r in &p.strata[0].delta_rules {
-                ev.eval_delta(r, &store, d, &mut out2);
+                delta_of(&ev, r, &store, d, &mut out2);
             }
         }
         assert_eq!(out2, vec![Tuple::from_ints(&[1])]);

@@ -12,7 +12,7 @@
 //! the merge path.
 
 use crate::catalog::EdbCatalog;
-use dcd_common::{Tuple, WorkerId};
+use dcd_common::{Frame, Row, Tuple, WorkerId};
 use dcd_frontend::physical::{PhysicalPlan, RelId, StorageKind, Target};
 use dcd_storage::{DerivedRelation, RowStore, SealedRelation, TupleCache};
 use std::sync::Arc;
@@ -71,25 +71,38 @@ impl RecStore {
     }
 
     /// Merges one incoming merge-layout row (the Gather operator).
-    pub fn merge(&mut self, row: &Tuple) -> Merged {
+    #[inline]
+    pub fn merge_row(&mut self, row: Row<'_>) -> Merged {
         self.rel.merge(row)
+    }
+
+    /// [`RecStore::merge_row`] for a row given as a [`Tuple`], encoded on
+    /// the stack: the adapter for callers outside the engine (store
+    /// replays in benchmarks and tests).
+    pub fn merge(&mut self, row: &Tuple) -> Merged {
+        row.with_row(|r| self.rel.merge(r))
+    }
+
+    /// Whether this set relation already stores `row`, so re-merging it
+    /// anywhere is a no-op: the existence check a head row meets before it
+    /// is buffered for Distribute. Always `false` for aggregate relations
+    /// and with optimizations off.
+    #[inline]
+    pub fn already_stored(&self, row: Row<'_>) -> bool {
+        self.filter_slots != 0 && self.rel.contains(row)
     }
 
     /// Distribute's sent-filter: whether this worker already routed `row`
     /// (a sound but lossy check), recording it if not. Always `false` for
     /// aggregate relations, whose rows evolve, and with optimizations off.
-    pub fn already_sent(&mut self, row: &Tuple) -> bool {
+    pub fn already_sent(&mut self, row: Row<'_>) -> bool {
         if self.filter_slots == 0 {
             return false;
         }
         let filter = self
             .sent_filter
             .get_or_insert_with(|| TupleCache::new(self.filter_slots));
-        if filter.check(row) {
-            return true;
-        }
-        filter.record(row);
-        false
+        filter.seen(row)
     }
 
     /// The current logical rows (one stored copy each) and their row-id
@@ -99,13 +112,13 @@ impl RecStore {
     }
 
     /// All current logical rows.
-    pub fn rows(&self) -> &[Tuple] {
+    pub fn rows(&self) -> &Frame {
         self.rel.rows()
     }
 
     /// Consumes the store, returning its logical rows without copying
     /// them.
-    pub fn into_rows(self) -> Vec<Tuple> {
+    pub fn into_rows(self) -> Frame {
         self.rel.into_rows()
     }
 
@@ -191,6 +204,10 @@ mod tests {
     use dcd_frontend::physical::{plan, PlannerConfig};
     use dcd_frontend::{analyze, parse_program};
 
+    fn tuples(rows: &Frame) -> Vec<Tuple> {
+        rows.iter().map(|r| r.to_tuple()).collect()
+    }
+
     fn tc_plan() -> PhysicalPlan {
         let a = analyze(
             parse_program("tc(X, Y) <- arc(X, Y). tc(X, Y) <- tc(X, Z), arc(Z, Y).").unwrap(),
@@ -219,7 +236,7 @@ mod tests {
         let mut s = RecStore::new(&p, tc, true, 64);
         assert_eq!(s.merge(&Tuple::from_ints(&[1, 2])), Merged::New(0));
         assert_eq!(s.merge(&Tuple::from_ints(&[1, 2])), Merged::Old);
-        assert_eq!(s.rows(), &[Tuple::from_ints(&[1, 2])]);
+        assert_eq!(tuples(s.rows()), [Tuple::from_ints(&[1, 2])]);
         assert_eq!(s.len(), 1);
     }
 
@@ -233,7 +250,7 @@ mod tests {
         assert_eq!(s.merge(&Tuple::from_ints(&[5, 10])), Merged::Old);
         // The improvement keeps the group's id.
         assert_eq!(s.merge(&Tuple::from_ints(&[5, 3])), Merged::New(0));
-        assert_eq!(s.rows(), vec![Tuple::from_ints(&[5, 3])]);
+        assert_eq!(tuples(s.rows()), vec![Tuple::from_ints(&[5, 3])]);
     }
 
     #[test]
@@ -247,27 +264,28 @@ mod tests {
             let t = Tuple::from_ints(&r);
             assert_eq!(fast.merge(&t), slow.merge(&t), "divergence on {t:?}");
         }
-        assert_eq!(fast.rows(), slow.rows());
+        assert_eq!(tuples(fast.rows()), tuples(slow.rows()));
     }
 
     #[test]
     fn sent_filter_only_on_optimized_set_stores() {
         let (tc, cc) = (tc_plan(), cc_plan());
         let row = Tuple::from_ints(&[1, 2]);
+        let sent = |s: &mut RecStore| row.with_row(|r| s.already_sent(r));
         let mut set = RecStore::new(&tc, tc.rel_by_name("tc").unwrap(), true, 64);
         set.merge(&row);
         assert!(
             set.sent_filter.is_none(),
             "merging never touches the filter"
         );
-        assert!(!set.already_sent(&row));
-        assert!(set.already_sent(&row));
+        assert!(!sent(&mut set));
+        assert!(sent(&mut set));
         assert_eq!(set.cache_stats(), (1, 1));
         let mut off = RecStore::new(&tc, tc.rel_by_name("tc").unwrap(), false, 64);
         let mut agg = RecStore::new(&cc, cc.rel_by_name("cc2").unwrap(), true, 64);
         for s in [&mut off, &mut agg] {
-            assert!(!s.already_sent(&row));
-            assert!(!s.already_sent(&row));
+            assert!(!sent(s));
+            assert!(!sent(s));
             assert_eq!(s.cache_stats(), (0, 0));
             assert!(s.sent_filter.is_none());
         }
@@ -289,7 +307,7 @@ mod tests {
             total += ws.base(arc).len();
             // Index on column 0 was built (tc's rule probes arc on col 0).
             assert!(ws.base(arc).has_index(0));
-            for r in ws.base(arc).rows() {
+            for r in ws.base(arc).rows().iter() {
                 assert_eq!(part.of_key(r.key(0)), w);
             }
         }

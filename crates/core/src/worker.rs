@@ -38,8 +38,7 @@
 use crate::config::EngineConfig;
 use crate::eval::{DeltaRow, EvalScratch, Evaluator};
 use crate::store::{Merged, WorkerStore};
-use dcd_common::hash::FastMap;
-use dcd_common::{AggFunc, DcdError, Frame, Partitioner, Result, Tuple, Value, WorkerId};
+use dcd_common::{AggFunc, DcdError, Frame, Partitioner, Result, Row, Value, WorkerId};
 use dcd_frontend::physical::{PhysicalPlan, RelId, StorageKind};
 use dcd_runtime::trace::{Mark, Phase};
 use dcd_runtime::{
@@ -168,24 +167,28 @@ const SLICE_ROWS: usize = 256;
 /// first row, so "same group" and "better" mean exactly what they mean at
 /// the merge; its best row per group reaches Distribute when the
 /// iteration ends, or, while a best-first group is evaluated, after each
-/// slice ([`PartialAgg::flush`] keeps the tables, so no slice zeroes a
-/// fresh one). Every other row queues in `rows`, which Iterate flushes
-/// every [`FLUSH_ROWS`]: a set row's only collapse is
-/// exact-duplicate elimination, which Distribute's sent-filter and the
-/// idempotent merge already perform. A `sum`/`count` merge replaces the
-/// contributor's previous value, so a group ends with the total it would
-/// have had from the latest contribution alone: an exact duplicate merges
-/// as `Merged::Old`, and a superseded contribution delivered first still
-/// moves the total (and can queue the group for the next iteration) until
-/// its successor overwrites it, which costs work but not correctness.
+/// slice ([`PartialAgg::clear`] keeps the tables, so no slice zeroes a
+/// fresh one). Every other row is copied, as lanes, into its head
+/// relation's queue frame, which Iterate flushes every [`FLUSH_ROWS`]
+/// queued rows: a set row's only collapse is exact-duplicate elimination,
+/// which the stored-row check before the queue, Distribute's sent-filter
+/// and the idempotent merge already perform. A `sum`/`count` merge
+/// replaces the contributor's previous value, so a group ends with the
+/// total it would have had from the latest contribution alone: an exact
+/// duplicate merges as `Merged::Old`, and a superseded contribution
+/// delivered first still moves the total (and can queue the group for the
+/// next iteration) until its successor, queued after it in the same
+/// frame, overwrites it, which costs work but not correctness.
 #[derive(Default)]
 struct PartialAgg {
     best: Vec<(RelId, DerivedRelation)>,
-    rows: Vec<(RelId, Tuple)>,
+    queued: Vec<(RelId, Frame)>,
+    /// Rows in `queued`.
+    queued_rows: usize,
 }
 
 impl PartialAgg {
-    fn push(&mut self, plan: &PhysicalPlan, rel: RelId, row: Tuple) {
+    fn push(&mut self, plan: &PhysicalPlan, rel: RelId, row: Row<'_>) {
         let decl = plan.idb[rel].as_ref().expect("IDB head");
         let StorageKind::Agg {
             func: func @ (AggFunc::Min | AggFunc::Max),
@@ -193,39 +196,57 @@ impl PartialAgg {
             ..
         } = decl.kind
         else {
-            self.rows.push((rel, row));
+            let at = self.queued.iter().position(|(r, _)| *r == rel);
+            let at = at.unwrap_or_else(|| {
+                self.queued.push((rel, Frame::default()));
+                self.queued.len() - 1
+            });
+            self.queued[at].1.push(row);
+            self.queued_rows += 1;
             return;
         };
-        let at = match self.best.iter().position(|(r, _)| *r == rel) {
-            Some(at) => at,
-            None => {
-                let acc = DerivedRelation::aggregate(func, group_cols, 0.0, &[]);
-                self.best.push((rel, acc));
-                self.best.len() - 1
-            }
-        };
-        self.best[at].1.merge(&row);
+        let at = self.best.iter().position(|(r, _)| *r == rel);
+        let at = at.unwrap_or_else(|| {
+            let acc = DerivedRelation::aggregate(func, group_cols, 0.0, &[]);
+            self.best.push((rel, acc));
+            self.best.len() - 1
+        });
+        self.best[at].1.merge(row);
     }
 
-    /// Consumes the accumulator, yielding `(head relation, row)` pairs
-    /// for Distribute: the rows still queued, then each `min`/`max`
+    /// Consumes the accumulator, returning `(head relation, rows)` for
+    /// Distribute: the rows still queued, then each `min`/`max`
     /// relation's best rows. Each table is freed before its rows merge.
-    fn drain(self) -> impl Iterator<Item = (RelId, Tuple)> {
+    fn drain(self) -> Vec<(RelId, Frame)> {
         let best = self
             .best
             .into_iter()
-            .flat_map(|(rel, acc)| acc.into_rows().into_iter().map(move |row| (rel, row)));
-        self.rows.into_iter().chain(best)
+            .map(|(rel, acc)| (rel, acc.into_rows()));
+        self.queued.into_iter().chain(best).collect()
     }
 
-    /// Like [`PartialAgg::drain`], but empties the accumulator in place
-    /// and keeps its tables for the next best-first slice.
-    fn flush(&mut self) -> impl Iterator<Item = (RelId, Tuple)> + '_ {
-        let best = self.best.iter_mut().flat_map(|(rel, acc)| {
-            let rel = *rel;
-            acc.drain().map(move |row| (rel, row))
-        });
-        self.rows.drain(..).chain(best)
+    /// Every buffered row, as [`PartialAgg::drain`] orders it, without
+    /// consuming the accumulator.
+    fn frames(&self) -> impl Iterator<Item = (RelId, &Frame)> {
+        let best = self.best.iter().map(|(rel, acc)| (*rel, acc.rows()));
+        self.queued.iter().map(|(rel, f)| (*rel, f)).chain(best)
+    }
+
+    /// Empties the queues, keeping their buffers.
+    fn clear_queued(&mut self) {
+        for (_, f) in &mut self.queued {
+            f.clear();
+        }
+        self.queued_rows = 0;
+    }
+
+    /// Empties the accumulator in place and keeps its tables for the next
+    /// best-first slice.
+    fn clear(&mut self) {
+        self.clear_queued();
+        for (_, acc) in &mut self.best {
+            acc.clear();
+        }
     }
 }
 
@@ -357,27 +378,25 @@ impl<'a> Worker<'a> {
         // ---- Init phase: base rules + inline facts ----
         let ti = Instant::now();
         let stratum = &self.plan.strata[si];
+        let plan = self.plan;
         let mut acc = PartialAgg::default();
-        {
-            let mut rows = Vec::new();
-            for rule in &stratum.init_rules {
-                rows.clear();
-                self.evaluator.eval_init(rule, store, &mut rows);
-                for t in rows.drain(..) {
-                    acc.push(self.plan, rule.head_rel, t);
-                }
-            }
+        for rule in &stratum.init_rules {
+            let head = rule.head_rel;
+            let mut sink = |row: Row<'_>| acc.push(plan, head, row);
+            self.evaluator.eval_init(rule, store, &mut sink);
         }
         if self.me == 0 {
-            for (rel, t) in &self.plan.facts {
+            for (rel, t) in &plan.facts {
                 if stratum.rels.contains(rel) {
-                    acc.push(self.plan, *rel, t.clone());
+                    t.with_row(|row| acc.push(plan, *rel, row));
                 }
             }
         }
         self.rec.close(Phase::EvalDelta, ti, 0, 0, 0);
         let mut delta = Vec::new();
-        self.distribute(si, store, acc.drain(), &mut delta, &mut None)?;
+        let out = acc.drain();
+        let out = out.iter().map(|(rel, rows)| (*rel, rows));
+        self.distribute(si, store, out, &mut delta, &mut None)?;
         let tp = Instant::now();
         sc.post_init.wait();
         self.rec.close(Phase::Idle, tp, 0, 0, 0);
@@ -581,7 +600,9 @@ impl<'a> Worker<'a> {
         }
         self.rec.counters.tuples_processed += evaluated;
         self.rec.close(Phase::EvalDelta, t0, evaluated, 0, 0);
-        let (l, r) = self.distribute(si, store, acc.drain(), delta, dws)?;
+        let out = acc.drain();
+        let out = out.iter().map(|(rel, rows)| (*rel, rows));
+        let (l, r) = self.distribute(si, store, out, delta, dws)?;
         Ok((evaluated, local_new + l, remote_sent + r))
     }
 
@@ -613,7 +634,8 @@ impl<'a> Worker<'a> {
             evaluated += slice.len() as u64;
             let (l, r) = self.eval_group(si, store, &slice, acc, delta, dws, t0)?;
             self.rec.close(Phase::EvalDelta, *t0, 0, 0, 0);
-            let (l2, r2) = self.distribute(si, store, acc.flush(), delta, dws)?;
+            let (l2, r2) = self.distribute(si, store, acc.frames(), delta, dws)?;
+            acc.clear();
             local_new += l + l2;
             remote_sent += r + r2;
             if !global && self.endpoints.has_inbound() {
@@ -632,10 +654,13 @@ impl<'a> Worker<'a> {
     }
 
     /// Runs every delta rule of stratum `si` that consumes `group`'s
-    /// `(rel, route)` over it, feeding head rows to `acc`; buffered rows
-    /// go to Distribute whenever a slice leaves [`FLUSH_ROWS`] of them,
-    /// which splits the `EvalDelta` span that began at `t0`. Returns what
-    /// those flushes merged and sent.
+    /// `(rel, route)` over it, feeding head rows to `acc` unless this
+    /// worker already stores them (`RecStore::already_stored`: such a row
+    /// was routed to every destination when it was first stored, so it
+    /// would merge as `Old` everywhere); buffered rows go to Distribute
+    /// whenever a slice leaves [`FLUSH_ROWS`] of them, which splits the
+    /// `EvalDelta` span that began at `t0`. Returns what those flushes
+    /// merged and sent.
     #[allow(clippy::too_many_arguments)]
     fn eval_group(
         &mut self,
@@ -661,17 +686,25 @@ impl<'a> Worker<'a> {
                 .sort_batch(rule, store, group, &mut self.scratch);
             for lo in (0..n).step_by(SLICE_ROWS) {
                 let slice = lo..n.min(lo + SLICE_ROWS);
+                let shared: &WorkerStore = store;
+                let stored = shared.rec(head);
                 self.evaluator.eval_sorted(
                     rule,
-                    store,
+                    shared,
                     group,
                     slice,
                     &mut self.scratch,
-                    &mut |t| acc.push(plan, head, t),
+                    &mut |row| {
+                        if !stored.already_stored(row) {
+                            acc.push(plan, head, row)
+                        }
+                    },
                 );
-                if acc.rows.len() >= FLUSH_ROWS {
+                if acc.queued_rows >= FLUSH_ROWS {
                     self.rec.close(Phase::EvalDelta, *t0, 0, 0, 0);
-                    let (l, r) = self.distribute(si, store, acc.rows.drain(..), delta, dws)?;
+                    let queued = acc.queued.iter().map(|(rel, rows)| (*rel, rows));
+                    let (l, r) = self.distribute(si, store, queued, delta, dws)?;
+                    acc.clear_queued();
                     local_new += l;
                     remote_sent += r;
                     *t0 = Instant::now();
@@ -690,7 +723,7 @@ impl<'a> Worker<'a> {
         let Some(order) = &mut self.best_first[rel] else {
             return false;
         };
-        let priority = order.priority(store.rec(rel).rows()[id as usize][order.col]);
+        let priority = order.priority(store.rec(rel).rows().row(id as usize).get(order.col));
         order.routes[route as usize].push((priority, Reverse(id)));
         true
     }
@@ -732,7 +765,7 @@ impl<'a> Worker<'a> {
                     while heap.peek() == Some(&entry) {
                         heap.pop();
                     }
-                    if order.priority(rows[id as usize][order.col]) == priority {
+                    if order.priority(rows.row(id as usize).get(order.col)) == priority {
                         slice.push((rel, route as u8, id));
                     }
                 }
@@ -744,102 +777,62 @@ impl<'a> Worker<'a> {
         false
     }
 
-    /// Routes `(head relation, row)` pairs (Distribute): local merges feed
-    /// the next delta immediately, remote rows are batched into the SPSC
-    /// buffers.
+    /// Routes `(head relation, rows)` frames (Distribute): local merges
+    /// feed the next delta immediately, remote rows are copied, as lanes,
+    /// into one frame per destination and sent in batches through the
+    /// SPSC buffers once the relation's rows are routed.
     /// Returns `(new local merges, tuples sent to peers)`. The DWS
     /// controller (when present) must observe any batches consumed during
     /// backpressure retries, or λ is underestimated.
-    fn distribute(
+    fn distribute<'r>(
         &mut self,
         si: usize,
         store: &mut WorkerStore,
-        outs: impl Iterator<Item = (RelId, Tuple)>,
+        outs: impl IntoIterator<Item = (RelId, &'r Frame)>,
         delta: &mut Vec<DeltaRow>,
         dws: &mut Option<&mut DwsController>,
     ) -> Result<(u64, u64)> {
         let t0 = Instant::now();
         let n = self.cfg.workers;
-        let termination = &self.coord.strata[si].termination;
         let mut local_new = 0u64;
         let mut remote_sent = 0u64;
-        // Staging area: (dest, rel) → a flat frame builder. Head rows flow
-        // from Iterate's buffer straight into the frames, with no per-row
-        // Tuple clone on the remote path.
-        let mut staged: FastMap<(WorkerId, RelId), Frame> = FastMap::default();
+        let mut staged: Vec<Frame> = (0..n).map(|_| Frame::default()).collect();
         let mut dests: Vec<WorkerId> = Vec::with_capacity(2);
-        for (rel, row) in outs {
-            // The sent-filter: a row this worker already routed went to
-            // the same (deterministic) destinations then; re-merging it
-            // anywhere is a no-op, so the whole row can be dropped before
-            // it is serialized. On one worker every row merges locally,
-            // where the dedup table is the check, so no filter is used.
-            if n > 1 && store.rec_mut(rel).already_sent(&row) {
-                continue;
-            }
+        for (rel, rows) in outs {
             let decl = self.plan.idb[rel].as_ref().expect("IDB head");
-            dests.clear();
-            if decl.broadcast {
-                dests.extend(0..n);
-            } else {
-                for &c in &decl.partition_cols {
-                    let d = self.coord.part.of_key(row.key(c));
-                    if !dests.contains(&d) {
-                        dests.push(d);
-                    }
+            for row in rows.iter() {
+                // The sent-filter: a row this worker already routed went to
+                // the same (deterministic) destinations then; re-merging it
+                // anywhere is a no-op, so the whole row can be dropped
+                // before it is serialized. On one worker every row merges
+                // locally, where the dedup table is the check, so no filter
+                // is used.
+                if n > 1 && store.rec_mut(rel).already_sent(row) {
+                    continue;
                 }
-            }
-            for &d in &dests {
-                if d == self.me {
-                    local_new += self.merge_local(store, rel, &row, delta);
+                dests.clear();
+                if decl.broadcast {
+                    dests.extend(0..n);
                 } else {
-                    staged
-                        .entry((d, rel))
-                        .or_insert_with(Frame::for_rel)
-                        .push_row(row.values());
-                }
-            }
-        }
-        // Flush batches. When a queue is full we drain our own inbox while
-        // retrying, which breaks producer/consumer cycles (two workers
-        // flooding each other would otherwise deadlock).
-        for ((dest, rel), frame) in staged {
-            for piece in frame.into_batches(self.cfg.batch_size) {
-                let k = piece.len() as u64;
-                termination.note_produced(k);
-                remote_sent += k;
-                let m = &mut self.rec.counters;
-                m.batches_out += 1;
-                m.tuples_sent += k;
-                m.bytes_sent += piece.payload_bytes();
-                let mut batch = Batch {
-                    rel: rel as u32,
-                    frame: piece,
-                    sent_at: Instant::now(),
-                    from: self.me,
-                };
-                let mut tbp: Option<Instant> = None;
-                loop {
-                    match self.endpoints.send(dest, batch) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            batch = back;
-                            if self.coord.abort.load(Ordering::SeqCst) {
-                                return Err(DcdError::Execution("evaluation aborted".into()));
-                            }
-                            if self.rec.is_tracing() && tbp.is_none() {
-                                tbp = Some(Instant::now());
-                            }
-                            self.rec.counters.backpressure_retries += 1;
-                            self.drain_into(si, store, delta, dws);
-                            std::thread::yield_now();
+                    for &c in &decl.partition_cols {
+                        let d = self.coord.part.of_key(row.key(c));
+                        if !dests.contains(&d) {
+                            dests.push(d);
                         }
                     }
                 }
-                if let Some(t) = tbp {
-                    // One span per batch that hit a full queue, covering
-                    // the whole retry window (nests inside Distribute).
-                    self.rec.close(Phase::Backpressure, t, 0, 0, 0);
+                for &d in &dests {
+                    if d == self.me {
+                        local_new += self.merge_local(store, rel, row, delta);
+                    } else {
+                        staged[d].push(row);
+                    }
+                }
+            }
+            for (dest, rows) in staged.iter_mut().enumerate() {
+                if !rows.is_empty() {
+                    let rows = std::mem::take(rows);
+                    remote_sent += self.send(si, store, dest, rel, rows, delta, dws)?;
                 }
             }
         }
@@ -849,6 +842,63 @@ impl<'a> Worker<'a> {
         Ok((local_new, remote_sent))
     }
 
+    /// Sends `frame`'s rows of `rel` to worker `dest` in batches; returns
+    /// the rows sent. A full queue drains this worker's own inbox while it
+    /// retries, so two workers flooding each other cannot deadlock.
+    #[allow(clippy::too_many_arguments)]
+    fn send(
+        &mut self,
+        si: usize,
+        store: &mut WorkerStore,
+        dest: WorkerId,
+        rel: RelId,
+        frame: Frame,
+        delta: &mut Vec<DeltaRow>,
+        dws: &mut Option<&mut DwsController>,
+    ) -> Result<u64> {
+        let termination = &self.coord.strata[si].termination;
+        let mut sent = 0;
+        for piece in frame.into_batches(self.cfg.batch_size) {
+            let k = piece.len() as u64;
+            termination.note_produced(k);
+            sent += k;
+            let m = &mut self.rec.counters;
+            m.batches_out += 1;
+            m.tuples_sent += k;
+            m.bytes_sent += piece.payload_bytes();
+            let mut batch = Batch {
+                rel: rel as u32,
+                frame: piece,
+                sent_at: Instant::now(),
+                from: self.me,
+            };
+            let mut tbp: Option<Instant> = None;
+            loop {
+                match self.endpoints.send(dest, batch) {
+                    Ok(()) => break,
+                    Err(back) => {
+                        batch = back;
+                        if self.coord.abort.load(Ordering::SeqCst) {
+                            return Err(DcdError::Execution("evaluation aborted".into()));
+                        }
+                        if self.rec.is_tracing() && tbp.is_none() {
+                            tbp = Some(Instant::now());
+                        }
+                        self.rec.counters.backpressure_retries += 1;
+                        self.drain_into(si, store, delta, dws);
+                        std::thread::yield_now();
+                    }
+                }
+            }
+            if let Some(t) = tbp {
+                // One span per batch that hit a full queue, covering the
+                // whole retry window (nests inside Distribute).
+                self.rec.close(Phase::Backpressure, t, 0, 0, 0);
+            }
+        }
+        Ok(sent)
+    }
+
     /// Merges one merge-layout row into the local store; on success, adds
     /// the stored row's id to the delta once for every route of the
     /// relation that maps here.
@@ -856,11 +906,11 @@ impl<'a> Worker<'a> {
         &self,
         store: &mut WorkerStore,
         rel: RelId,
-        row: &Tuple,
+        row: Row<'_>,
         delta: &mut Vec<DeltaRow>,
     ) -> u64 {
         let decl = self.plan.idb[rel].as_ref().expect("IDB");
-        let Merged::New(id) = store.rec_mut(rel).merge(row) else {
+        let Merged::New(id) = store.rec_mut(rel).merge_row(row) else {
             return 0;
         };
         if decl.broadcast {
@@ -905,8 +955,8 @@ impl<'a> Worker<'a> {
                 }
                 batches += 1;
                 let rel = batch.rel as usize;
-                for i in 0..batch.frame.len() {
-                    new += self.merge_local(store, rel, &batch.frame.tuple(i), delta);
+                for row in batch.frame.iter() {
+                    new += self.merge_local(store, rel, row, delta);
                 }
                 termination.note_consumed(k);
             }
@@ -923,7 +973,7 @@ impl<'a> Worker<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcd_common::Value;
+    use dcd_common::{Tuple, Value};
     use dcd_frontend::physical::{plan, PlannerConfig};
     use dcd_frontend::{analyze, parse_program};
 
@@ -938,6 +988,17 @@ mod tests {
 
     fn rows(v: &[[i64; 2]]) -> Vec<Tuple> {
         v.iter().map(|r| Tuple::from_ints(r)).collect()
+    }
+
+    fn push(acc: &mut PartialAgg, p: &PhysicalPlan, rel: RelId, row: &Tuple) {
+        row.with_row(|r| acc.push(p, rel, r));
+    }
+
+    /// `(relation, row)` for every row of `frames`, decoded.
+    fn decode<'f>(frames: impl Iterator<Item = (RelId, &'f Frame)>) -> Vec<(RelId, Tuple)> {
+        frames
+            .flat_map(|(rel, f)| f.iter().map(move |r| (rel, r.to_tuple())))
+            .collect()
     }
 
     #[test]
@@ -959,23 +1020,28 @@ mod tests {
             let rel = p.rel_by_name(name).unwrap();
             let mut acc = PartialAgg::default();
             for row in rows(&[[1, 9], [1, 3], [1, 7], [2, 5]]) {
-                acc.push(&p, rel, row);
+                push(&mut acc, &p, rel, &row);
             }
-            let mut got: Vec<Tuple> = acc
-                .flush()
+            let mut got: Vec<Tuple> = decode(acc.frames())
+                .into_iter()
                 .map(|(r, t)| {
                     assert_eq!(r, rel);
                     t
                 })
                 .collect();
+            acc.clear();
             got.sort();
             assert_eq!(got, rows(&want), "{name}");
             // A flushed accumulator starts over: a row worse than the
             // flushed best is new again.
             for row in rows(&[[1, 20], [3, 4]]) {
-                acc.push(&p, rel, row);
+                push(&mut acc, &p, rel, &row);
             }
-            let mut got: Vec<Tuple> = acc.drain().map(|(_, t)| t).collect();
+            let out = acc.drain();
+            let mut got: Vec<Tuple> = decode(out.iter().map(|(r, f)| (*r, f)))
+                .into_iter()
+                .map(|(_, t)| t)
+                .collect();
             got.sort();
             assert_eq!(got, rows(&[[1, 20], [3, 4]]), "{name}");
         }
@@ -990,17 +1056,19 @@ mod tests {
         let tc = p.rel_by_name("tc").unwrap();
         let mut acc = PartialAgg::default();
         for _ in 0..5 {
-            acc.push(&p, tc, Tuple::from_ints(&[1, 2]));
+            push(&mut acc, &p, tc, &Tuple::from_ints(&[1, 2]));
         }
-        acc.push(&p, tc, Tuple::from_ints(&[1, 3]));
-        assert_eq!(acc.drain().count(), 6);
+        push(&mut acc, &p, tc, &Tuple::from_ints(&[1, 3]));
+        assert_eq!(acc.queued_rows, 6);
+        assert_eq!(acc.drain().iter().map(|(_, f)| f.len()).sum::<usize>(), 6);
     }
 
     #[test]
     fn partial_agg_passes_sum_and_count_rows_through() {
         // The merge replaces a contributor's previous value, so sum/count
-        // rows queue with set rows: every one comes out, in push order,
-        // duplicates and superseded contributions included.
+        // rows queue with set rows: every one comes out, in push order
+        // within its relation, duplicates and superseded contributions
+        // included.
         let p = plan_of(
             "rank(X, sum<(X, K)>) <- seed(X, K).
              rank(X, sum<(Y, K)>) <- rank(Y, C), arc(Y, X), K = C / 2.
@@ -1021,11 +1089,22 @@ mod tests {
             (cnt, Tuple::from_ints(&[4, 8])),
         ];
         let mut acc = PartialAgg::default();
-        for (rel, row) in pushed.clone() {
-            acc.push(&p, rel, row);
+        for (rel, row) in &pushed {
+            push(&mut acc, &p, *rel, row);
         }
-        assert_eq!(acc.rows.len(), pushed.len(), "queued for the flush");
-        assert_eq!(acc.drain().collect::<Vec<_>>(), pushed);
+        assert_eq!(acc.queued_rows, pushed.len(), "queued for the flush");
+        let out = acc.drain();
+        let got = decode(out.iter().map(|(r, f)| (*r, f)));
+        for rel in [rank, cnt] {
+            let of = |rows: &[(RelId, Tuple)]| -> Vec<Tuple> {
+                rows.iter()
+                    .filter(|(r, _)| *r == rel)
+                    .map(|(_, t)| t.clone())
+                    .collect()
+            };
+            assert_eq!(of(&got), of(&pushed));
+        }
+        assert_eq!(got.len(), pushed.len());
     }
 
     /// A 1-worker store for `p` with base relation `edb` holding `rows`.
@@ -1093,7 +1172,7 @@ mod tests {
         // entry at 4 taken with the first), then the row it derived, (2, 14).
         assert_eq!(evaluated, 2);
         assert_eq!(w.rec.counters.kernel_rows, 2);
-        let mut got = store.rec(sp).rows().to_vec();
+        let mut got: Vec<Tuple> = store.rec(sp).rows().iter().map(|r| r.to_tuple()).collect();
         got.sort();
         assert_eq!(got, rows(&[[1, 4], [2, 14]]));
         assert!(delta.is_empty());
@@ -1118,7 +1197,7 @@ mod tests {
         }
         w.requeue(&store, &mut delta, 0);
         let value = |store: &WorkerStore, &(_, _, id): &DeltaRow| {
-            store.rec(d).rows()[id as usize][1].expect_int()
+            store.rec(d).rows().row(id as usize).get(1).expect_int()
         };
         let mut slice = Vec::new();
         let mut taken = Vec::new();

@@ -17,7 +17,7 @@
 
 use dcd_common::proptest;
 use dcd_common::proptest::prelude::*;
-use dcd_common::{Partitioner, Tuple, Value};
+use dcd_common::{Frame, Partitioner, Tuple, Value};
 use dcd_frontend::physical::{plan, PhysicalPlan, PlannerConfig, RelId};
 use dcd_frontend::{analyze, parse_program};
 use dcdatalog::catalog::EdbCatalog;
@@ -84,9 +84,8 @@ fn differential_fixpoint(p: &PhysicalPlan, store: &mut WorkerStore) -> usize {
         let mut delta: Vec<DeltaRow> = Vec::new();
         let mut pending: Vec<(RelId, Tuple)> = Vec::new();
         for rule in &stratum.init_rules {
-            let mut out = Vec::new();
-            ev.eval_init(rule, store, &mut out);
-            pending.extend(out.into_iter().map(|t| (rule.head_rel, t)));
+            let head = rule.head_rel;
+            ev.eval_init(rule, store, &mut |r| pending.push((head, r.to_tuple())));
         }
         merge_pending(p, store, pending, &mut delta);
 
@@ -105,10 +104,10 @@ fn differential_fixpoint(p: &PhysicalPlan, store: &mut WorkerStore) -> usize {
                     if spec.rel != rel || spec.route != route as usize {
                         continue;
                     }
-                    let mut out = Vec::new();
-                    let row = &store.rec(rel).rows()[id as usize];
+                    let mut out = Frame::default();
+                    let row = store.rec(rel).rows().row(id as usize);
                     ev.eval_delta(rule, store, row, &mut out);
-                    reference.extend(out.into_iter().map(|t| (rule.head_rel, t)));
+                    reference.extend(out.iter().map(|r| (rule.head_rel, r.to_tuple())));
                 }
             }
 
@@ -135,7 +134,7 @@ fn differential_fixpoint(p: &PhysicalPlan, store: &mut WorkerStore) -> usize {
                         store,
                         &rows[start..end],
                         &mut scratch,
-                        &mut |t| batched.push((head, t)),
+                        &mut |r| batched.push((head, r.to_tuple())),
                     );
                     assert_eq!(n, batched.len() as u64 - before, "kernel emission count");
 
@@ -146,8 +145,8 @@ fn differential_fixpoint(p: &PhysicalPlan, store: &mut WorkerStore) -> usize {
                     let n = ev.sort_batch(rule, store, group, &mut scratch);
                     for lo in (0..n).step_by(3) {
                         let slice = lo..n.min(lo + 3);
-                        ev.eval_sorted(rule, store, group, slice, &mut scratch, &mut |t| {
-                            sliced.push((head, t))
+                        ev.eval_sorted(rule, store, group, slice, &mut scratch, &mut |r| {
+                            sliced.push((head, r.to_tuple()))
                         });
                     }
                 }

@@ -257,6 +257,24 @@ fn empty_edb_yields_empty_results() {
 }
 
 #[test]
+fn a_row_of_the_wrong_arity_fails_the_run_with_a_typed_error() {
+    // `load_edb` does not read the rows; the seal checks each row's arity
+    // as it copies it, on every placement and worker count.
+    for (program, rel, workers) in [(queries::tc(), "arc", 1), (queries::sg(), "arc", 3)] {
+        let mut e = Engine::new(program.unwrap(), EngineConfig::with_workers(workers)).unwrap();
+        let rows = vec![Tuple::from_ints(&[1, 2]), Tuple::from_ints(&[2, 3, 4])];
+        e.load_edb(rel, rows).unwrap();
+        let err = e.run().unwrap_err();
+        assert!(
+            err.to_string().contains("has arity 3 but 'arc' expects 2"),
+            "{err}"
+        );
+        e.load_edges(rel, &[(1, 2), (2, 3)]).unwrap();
+        assert!(e.run().is_ok(), "the engine stays usable");
+    }
+}
+
+#[test]
 fn missing_edb_is_reported() {
     let e = Engine::new(queries::tc().unwrap(), EngineConfig::with_workers(1)).unwrap();
     let err = e.run().unwrap_err();

@@ -1,7 +1,8 @@
 //! Differential tests for the frame-based data plane: every paper query,
 //! across Global/SSP/DWS × 1/2/3/4 workers, must produce exactly the rows of
 //! the single-worker reference run — and every result relation must
-//! survive a `Frame::from_tuples` → `to_tuples` round-trip byte-identical.
+//! survive a round-trip through a `Frame`'s lanes (encoded with
+//! `Tuple::with_row`, decoded with `Row::to_tuple`) unchanged.
 //! The first check pins the flat-frame exchange against the Tuple
 //! semantics it replaced; the second pins the wire encoding itself.
 
@@ -49,18 +50,6 @@ fn differential(
     rels: &[&str],
     exact: bool,
 ) {
-    differential_with(make, load, rels, rels, exact);
-}
-
-/// [`differential`], with the broadcast-routing leg comparing only
-/// `broadcast_rels`.
-fn differential_with(
-    make: &dyn Fn() -> Program,
-    load: &dyn Fn(&mut Engine),
-    rels: &[&str],
-    broadcast_rels: &[&str],
-    exact: bool,
-) {
     let reference = run_once(
         make(),
         EngineConfig::with_workers(1).strategy(Strategy::Global),
@@ -69,7 +58,11 @@ fn differential_with(
     );
     for (rel, rows) in rels.iter().zip(&reference) {
         let arity = rows.first().map(|t| t.arity()).unwrap_or(0);
-        let round = Frame::from_tuples(arity, rows).to_tuples();
+        let mut frame = Frame::new(arity);
+        for t in rows {
+            t.with_row(|r| frame.push(r));
+        }
+        let round: Vec<Tuple> = frame.iter().map(|r| r.to_tuple()).collect();
         assert_eq!(&round, rows, "frame round-trip of '{rel}'");
     }
     for cfg in configs() {
@@ -87,12 +80,8 @@ fn differential_with(
     // only the home copy of each and skips the most replicas.
     let mut cfg = EngineConfig::with_workers(3);
     cfg.broadcast_routing = true;
-    let want: Vec<Vec<Tuple>> = (rels.iter().zip(reference))
-        .filter(|(rel, _)| broadcast_rels.contains(rel))
-        .map(|(_, rows)| rows)
-        .collect();
-    let got = run_once(make(), cfg, load, broadcast_rels);
-    compare("broadcast_routing x3", broadcast_rels, &want, &got, exact);
+    let got = run_once(make(), cfg, load, rels);
+    compare("broadcast_routing x3", rels, &reference, &got, exact);
 }
 
 /// Asserts `got` matches `want` relation by relation — bit-exact, or
@@ -258,16 +247,13 @@ fn pagerank_differential() {
         .collect();
     // Under broadcast routing every worker keeps its own `rank` replica,
     // summed in its own arrival order, so replicas can differ in
-    // rounding. `results`, a set, is derived on every worker from that
-    // worker's replica and can then hold one row per variant, whichever
-    // worker's copy is collected. The broadcast leg therefore checks the
-    // `sum` relation `rank` itself, which collect takes from each group's
-    // home worker.
-    differential_with(
+    // rounding. `results(X, V) <- rank(X, V)` scans `rank` only where
+    // each row is owned, so it derives one row per `X`, from the replica
+    // collect also takes `rank` from; the broadcast leg checks both.
+    differential(
         &|| queries::pagerank(0.85, n).unwrap(),
         &|e| e.load_edb("matrix", rows.clone()).unwrap(),
         &["rank", "results"],
-        &["rank"],
         false, // float sums: tolerance compare
     );
 }

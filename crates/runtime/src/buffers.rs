@@ -5,7 +5,7 @@
 //! dedicated [`SpscQueue`], so races stay pairwise and lock-free (§6.1).
 //!
 //! Batches carry their rows as a flat [`Frame`] — one contiguous `Vec` of
-//! values with a fixed arity stride — instead of a `Vec<Tuple>`, so the
+//! `u64` lanes with a fixed arity stride — instead of a `Vec<Tuple>`, so the
 //! exchange path moves one allocation per batch rather than one per row.
 //! Exchanged bytes are counted by each worker's `Recorder`, not here.
 
@@ -139,13 +139,16 @@ impl WorkerEndpoints<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcd_common::Tuple;
+    use dcd_common::Value;
 
     fn batch(rel: u32, from: WorkerId, vals: &[i64]) -> Batch {
-        let tuples: Vec<Tuple> = vals.iter().map(|&v| Tuple::from_ints(&[v])).collect();
+        let mut frame = Frame::new(1);
+        for &v in vals {
+            frame.push_values([Value::Int(v)].into_iter());
+        }
         Batch {
             rel,
-            frame: Frame::from_tuples(1, &tuples),
+            frame,
             sent_at: Instant::now(),
             from,
         }
@@ -211,7 +214,7 @@ mod tests {
                 let mut seen = 0;
                 while seen < 100 {
                     if let Some(b) = e1.recv(0) {
-                        assert_eq!(b.frame.tuple(0), Tuple::from_ints(&[seen]));
+                        assert_eq!(b.frame.row(0).get(0), Value::Int(seen));
                         seen += 1;
                     } else {
                         std::thread::yield_now();

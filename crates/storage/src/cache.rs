@@ -9,20 +9,29 @@
 //! where a hit saves what the table cannot: serializing a duplicate row,
 //! queueing it to a peer and deserializing it there.
 //!
-//! [`TupleCache`] is a direct-mapped array of exact entries, so a hit is
-//! always *sound* (it proves the tuple was recorded); a miss says nothing.
-//! Collisions simply evict.
+//! [`TupleCache`] is a direct-mapped array of exact entries, held as one
+//! flat [`Frame`] of slots (8 bytes a cell), so a hit is always *sound*
+//! (it proves the row was recorded); a miss says nothing. Collisions
+//! simply evict.
 
-use dcd_common::Tuple;
-use std::hash::BuildHasher;
+use dcd_common::hash::FxStyleHasher;
+use dcd_common::{Frame, Row};
+use std::hash::Hasher;
 
-fn tuple_hash(t: &Tuple) -> u64 {
-    dcd_common::hash::FxBuild::default().hash_one(t)
+fn row_hash(row: Row<'_>) -> u64 {
+    let mut h = FxStyleHasher::default();
+    for c in 0..row.arity() {
+        h.write_u64(row.key(c));
+    }
+    h.finish()
 }
 
-/// Lossy set of recently recorded tuples.
+/// Lossy set of recently recorded rows.
 pub struct TupleCache {
-    slots: Vec<Option<Tuple>>,
+    /// Slot `i` is `slots.row(i)` when `filled[i]`; both are allocated,
+    /// zeroed, at the first row, whose arity sizes the slots.
+    slots: Frame,
+    filled: Vec<bool>,
     mask: usize,
     hits: u64,
     misses: u64,
@@ -33,29 +42,30 @@ impl TupleCache {
     pub fn new(slots: usize) -> Self {
         let n = slots.next_power_of_two().max(2);
         TupleCache {
-            slots: vec![None; n],
+            slots: Frame::default(),
+            filled: Vec::new(),
             mask: n - 1,
             hits: 0,
             misses: 0,
         }
     }
 
-    /// Whether `t` was definitely seen before (a sound duplicate check).
-    pub fn check(&mut self, t: &Tuple) -> bool {
-        let idx = (tuple_hash(t) as usize) & self.mask;
-        if self.slots[idx].as_ref() == Some(t) {
-            self.hits += 1;
-            true
-        } else {
-            self.misses += 1;
-            false
+    /// Whether `row` was definitely recorded before (a sound duplicate
+    /// check); records it if not.
+    pub fn seen(&mut self, row: Row<'_>) -> bool {
+        if self.filled.is_empty() {
+            self.slots = Frame::zeroed(row.arity(), self.mask + 1);
+            self.filled = vec![false; self.mask + 1];
         }
-    }
-
-    /// Records `t` as seen.
-    pub fn record(&mut self, t: &Tuple) {
-        let idx = (tuple_hash(t) as usize) & self.mask;
-        self.slots[idx] = Some(t.clone());
+        let idx = (row_hash(row) as usize) & self.mask;
+        if self.filled[idx] && self.slots.row(idx) == row {
+            self.hits += 1;
+            return true;
+        }
+        self.misses += 1;
+        self.slots.overwrite(idx, row);
+        self.filled[idx] = true;
+        false
     }
 
     /// (hits, misses) since construction.
@@ -67,14 +77,18 @@ impl TupleCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcd_common::{Tuple, Value};
+
+    fn seen(c: &mut TupleCache, t: &Tuple) -> bool {
+        t.with_row(|r| c.seen(r))
+    }
 
     #[test]
     fn tuple_cache_hit_after_record() {
         let mut c = TupleCache::new(64);
         let t = Tuple::from_ints(&[1, 2]);
-        assert!(!c.check(&t));
-        c.record(&t);
-        assert!(c.check(&t));
+        assert!(!seen(&mut c, &t));
+        assert!(seen(&mut c, &t));
         let (h, m) = c.stats();
         assert_eq!((h, m), (1, 1));
     }
@@ -83,31 +97,45 @@ mod tests {
     fn tuple_cache_never_false_positive() {
         let mut c = TupleCache::new(4); // tiny, lots of collisions
         for i in 0..1000 {
-            let t = Tuple::from_ints(&[i]);
-            // A hit must mean the exact tuple was recorded and not evicted —
-            // and we only record AFTER checking, so first sight is a miss.
-            assert!(!c.check(&t), "false positive for {i}");
-            c.record(&t);
+            // A hit must mean the exact row was recorded and not evicted;
+            // every row here is new, so each is a miss.
+            assert!(
+                !seen(&mut c, &Tuple::from_ints(&[i])),
+                "false positive for {i}"
+            );
         }
+        // An all-zero row is not mistaken for an empty (zeroed) slot.
+        let mut c = TupleCache::new(4);
+        assert!(!seen(&mut c, &Tuple::from_ints(&[0, 0])));
+    }
+
+    #[test]
+    fn tuple_cache_keeps_value_semantics() {
+        let mut c = TupleCache::new(64);
+        let float = |v| Tuple::new(&[Value::Float(v)]);
+        assert!(!seen(&mut c, &float(-0.0)));
+        assert!(!seen(&mut c, &float(0.0)), "-0.0 and 0.0 differ");
+        assert!(
+            seen(&mut c, &Tuple::from_ints(&[0])),
+            "Int(0) == Float(0.0)"
+        );
     }
 
     #[test]
     fn tuple_cache_eviction_is_harmless() {
         let mut c = TupleCache::new(2);
         let a = Tuple::from_ints(&[1]);
-        c.record(&a);
+        seen(&mut c, &a);
         for i in 2..100 {
-            c.record(&Tuple::from_ints(&[i]));
+            seen(&mut c, &Tuple::from_ints(&[i]));
         }
-        // `a` may or may not still be cached; check() just returns a bool.
-        let _ = c.check(&a);
+        // `a` may or may not still be cached; seen() just returns a bool.
+        let _ = seen(&mut c, &a);
     }
 
     #[test]
     fn sizes_round_to_power_of_two() {
-        let c = TupleCache::new(100);
-        assert_eq!(c.slots.len(), 128);
-        let c = TupleCache::new(1);
-        assert_eq!(c.slots.len(), 2);
+        assert_eq!(TupleCache::new(100).mask + 1, 128);
+        assert_eq!(TupleCache::new(1).mask + 1, 2);
     }
 }

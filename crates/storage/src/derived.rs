@@ -7,13 +7,14 @@
 //!   a set relation, the group-by prefix for an aggregate relation (so the
 //!   table *is* the paper's group index). It is one flat open-addressing
 //!   array with linear probing; each slot holds a hash tag, the row id and
-//!   the key's `key_bits()` inline (in 32-bit lanes while every key fits
-//!   them), so a lookup reads one contiguous run of slots and, while every
-//!   key value seen is an `Int`, never touches the stored rows. Once a
-//!   `Float` key value has been stored or probed, key bits no longer
-//!   decide equality (`Float(-0.0)` and `Float(0.0)` share them, as do a
-//!   float and the integer holding its IEEE bits), so every bits match is
-//!   then confirmed against the stored row with `==`.
+//!   the key's bits inline (in 32-bit lanes while every key fits them), so
+//!   a lookup reads one contiguous run of slots and, while every key value
+//!   seen is an `Int`, never touches the stored rows: an integer's key
+//!   bits are its lane, hashed and compared in place. Once a `Float` key
+//!   value has been stored or probed, key bits no longer decide equality
+//!   (`Float(-0.0)` and `Float(0.0)` share them, as do a float and the
+//!   integer holding its IEEE bits), so every bits match is then confirmed
+//!   against the stored row by value.
 //! * aggregate values updated in place in the stored row, plus — for
 //!   `sum`/`count` — a side table of per-contributor values (the paper's
 //!   second index "on the attribute value that is incrementally
@@ -27,8 +28,8 @@
 //! of distinct contributors grows.
 
 use crate::rows::RowStore;
-use dcd_common::hash::{combine, FastMap};
-use dcd_common::{AggFunc, Tuple, Value};
+use dcd_common::hash::FastMap;
+use dcd_common::{AggFunc, Frame, Row, Value};
 use std::ops::Deref;
 
 /// Outcome of merging one incoming row.
@@ -55,6 +56,10 @@ const FIRST_SLOTS: usize = 1 << 13;
 /// `MAX_LOAD_NUM / MAX_LOAD_DEN` of its slots.
 const MAX_LOAD_NUM: usize = 3;
 const MAX_LOAD_DEN: usize = 4;
+
+/// The key hash's odd multiplier: one multiply per key value, Fx-style;
+/// the high half (the tag, whose top bits are the home slot) mixes all.
+const HASH_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// Whether key bits `b` survive a round trip through one `u32` lane
 /// (sign-extended, so small negative integers fit too).
@@ -123,51 +128,79 @@ struct KeyTable {
     exact: bool,
 }
 
+/// One pass over the leading `width` cells of `key`: its tag (the high
+/// half of its hash), whether its bits fit narrow lanes, and whether it
+/// holds a float.
+#[inline]
+fn hash(key: Row<'_>, width: usize) -> (u32, bool, bool) {
+    let float = !key.all_ints() && (0..width).any(|c| key.is_float(c));
+    let (mut h, mut fits) = (0u64, true);
+    for (c, &lane) in key.lanes()[..width].iter().enumerate() {
+        let b = if float { key.key(c) } else { lane };
+        h = (h.rotate_left(26) ^ b).wrapping_mul(HASH_MUL);
+        fits &= narrow(b);
+    }
+    ((h >> 32) as u32, fits, float)
+}
+
 impl KeyTable {
-    /// The id of the row in `rows` whose leading `key.len()` values equal
-    /// `key`, or the vacancy where `key` goes. First grows the table if an
-    /// insert could overfill it, and widens it if `key` needs wide lanes,
-    /// so the vacancy stays valid until [`KeyTable::fill`].
-    fn find(&mut self, key: &[Value], rows: &[Tuple]) -> Result<u32, Vacancy> {
-        // One pass over the key: its hash, whether its bits fit narrow
-        // lanes, and whether it holds a float.
-        let (mut h, mut fits, mut float) = (0xcbf2_9ce4_8422_2325, true, false);
-        for v in key {
-            let b = v.key_bits();
-            h = combine(h, b);
-            fits &= narrow(b);
-            float |= matches!(v, Value::Float(_));
-        }
+    /// The id of the row in `rows` whose leading `width` cells equal
+    /// those of `key`, or the vacancy where `key` goes. First grows the
+    /// table if an insert could overfill it, and widens it if `key` needs
+    /// wide lanes, so the vacancy stays valid until [`KeyTable::fill`].
+    #[inline]
+    fn find(&mut self, key: Row<'_>, width: usize, rows: &Frame) -> Result<u32, Vacancy> {
+        let (tag, fits, float) = hash(key, width);
         if self.lanes.is_empty() {
-            self.width = key.len();
+            self.width = width;
             self.rebuild(FIRST_SLOTS, false);
         }
-        debug_assert_eq!(key.len(), self.width, "key width changed");
+        debug_assert_eq!(width, self.width, "key width changed");
         let grow = (self.len + 1) * MAX_LOAD_DEN > (self.mask + 1) * MAX_LOAD_NUM;
         if grow || !(fits || self.wide) {
             self.rebuild((self.mask + 1) << grow as u32, !fits || self.wide);
         }
         self.exact |= float;
-        self.probe((h >> 32) as u32, key, rows)
+        self.probe(tag, key, rows, self.exact)
     }
 
-    /// Walks the probe sequence of `tag` for `key`.
-    fn probe(&self, tag: u32, key: &[Value], rows: &[Tuple]) -> Result<u32, Vacancy> {
-        let stride = self.stride;
+    /// The id of the row in `rows` whose leading cells equal those of
+    /// `key`, if any; unlike [`KeyTable::find`] it changes nothing.
+    #[inline]
+    fn lookup(&self, key: Row<'_>, rows: &Frame) -> Option<u32> {
+        if self.len == 0 {
+            return None;
+        }
+        let (tag, fits, float) = hash(key, self.width);
+        // Equal values have equal key bits, so a key whose bits fit no
+        // stored lane equals no stored key.
+        if !(fits || self.wide) {
+            return None;
+        }
+        self.probe(tag, key, rows, self.exact || float).ok()
+    }
+
+    /// Walks the probe sequence of `tag` for `key`; `exact` confirms a
+    /// bits match against the stored row.
+    #[inline]
+    fn probe(&self, tag: u32, key: Row<'_>, rows: &Frame, exact: bool) -> Result<u32, Vacancy> {
+        let (stride, wide) = (self.stride, self.wide);
+        // An integer's key bits are its lane.
+        let lanes = &key.lanes()[..self.width];
+        let ints = !exact || key.all_ints();
+        let bits_match = |slot: &[u32]| {
+            let mut cells = lanes.iter().enumerate();
+            cells.all(|(i, &l)| lane_bits(slot, i, wide) == if ints { l } else { key.key(i) })
+        };
         let mut s = self.home(tag);
         loop {
             let slot = &self.lanes[s * stride..s * stride + stride];
             if slot[1] == 0 {
                 return Err(Vacancy { slot: s, tag });
             }
-            let wide = self.wide;
-            let bits_match = || {
-                let mut values = key.iter().enumerate();
-                values.all(|(i, v)| lane_bits(slot, i, wide) == v.key_bits())
-            };
-            if slot[0] == tag && bits_match() {
+            if slot[0] == tag && bits_match(slot) {
                 let id = slot[1] - 1;
-                if !self.exact || rows[id as usize].values()[..key.len()] == *key {
+                if !exact || rows.row(id as usize).prefix_eq(&key, self.width) {
                     return Ok(id);
                 }
             }
@@ -180,15 +213,15 @@ impl KeyTable {
         (tag >> self.shift) as usize
     }
 
-    /// Stores row `id`, whose leading values are the key `find` missed,
+    /// Stores row `id`, whose leading cells are the key `find` missed,
     /// in the vacancy `find` returned.
-    fn fill(&mut self, at: Vacancy, id: u32, row: &[Value]) {
+    fn fill(&mut self, at: Vacancy, id: u32, row: Row<'_>) {
         let (stride, wide) = (self.stride, self.wide);
         let slot = &mut self.lanes[at.slot * stride..][..stride];
         slot[0] = at.tag;
         slot[1] = id.checked_add(1).expect("row id below u32::MAX");
-        for (i, v) in row[..self.width].iter().enumerate() {
-            set_lane_bits(slot, i, wide, v.key_bits());
+        for i in 0..self.width {
+            set_lane_bits(slot, i, wide, row.key(i));
         }
         self.len += 1;
     }
@@ -211,6 +244,8 @@ impl KeyTable {
 
     /// Re-places every slot, by its tag, into a fresh table of `slots`
     /// slots with `wide` lanes; no key is rehashed and no stored row read.
+    #[cold]
+    #[inline(never)]
     fn rebuild(&mut self, slots: usize, wide: bool) {
         assert!(
             slots.trailing_zeros() <= 32,
@@ -309,60 +344,73 @@ impl DerivedRelation {
         self
     }
 
-    /// The id of the stored row whose leading `key.len()` values equal
-    /// `key`, or where to insert it.
-    fn find(&mut self, key: &[Value]) -> Result<u32, Vacancy> {
+    /// The id of the stored row whose leading `width` cells equal those
+    /// of `key`, or where to insert it.
+    #[inline]
+    fn find(&mut self, key: Row<'_>, width: usize) -> Result<u32, Vacancy> {
         let rows = self.store.rows();
         match &mut self.table {
-            Some(table) => table.find(key, rows),
+            Some(table) => table.find(key, width, rows),
             None => (0..rows.len() as u32)
-                .find(|&id| rows[id as usize].values()[..key.len()] == *key)
+                .find(|&id| rows.row(id as usize).prefix_eq(&key, width))
                 .ok_or(Vacancy::default()),
         }
     }
 
-    /// Stores `row`, whose key `find` placed at `at`, and returns its id.
-    fn insert(&mut self, at: Vacancy, row: Tuple) -> u32 {
+    /// Stores a copy of `row`, whose key `find` placed at `at`, and
+    /// returns its id.
+    fn insert(&mut self, at: Vacancy, row: Row<'_>) -> u32 {
         if let Some(table) = &mut self.table {
-            table.fill(at, self.store.len() as u32, row.values());
+            table.fill(at, self.store.len() as u32, row);
         }
         self.store.push(row)
     }
 
     /// Consumes the relation, returning its logical rows (in id order)
     /// without copying them.
-    pub fn into_rows(self) -> Vec<Tuple> {
+    pub fn into_rows(self) -> Frame {
         self.store.into_rows()
     }
 
-    /// Empties the relation, yielding its rows in id order, and keeps
-    /// every allocation: refilling it allocates and zeroes no new table.
-    pub fn drain(&mut self) -> std::vec::Drain<'_, Tuple> {
+    /// Empties the relation and keeps every allocation: refilling it
+    /// allocates and zeroes no new table.
+    pub fn clear(&mut self) {
         if let Some(table) = &mut self.table {
             table.clear();
         }
         self.contribs.clear();
-        self.store.drain()
+        self.store.clear();
+    }
+
+    /// Whether a set relation already stores `row` (always `false` for
+    /// an aggregate relation, or under linear lookup). Reads only: the
+    /// evaluator calls it while it holds the relation borrowed.
+    #[inline]
+    pub fn contains(&self, row: Row<'_>) -> bool {
+        match (&self.table, self.agg) {
+            (Some(table), None) => table.lookup(row, self.store.rows()).is_some(),
+            _ => false,
+        }
     }
 
     /// Merges one incoming merge-layout row.
-    pub fn merge(&mut self, t: &Tuple) -> Merged {
+    pub fn merge(&mut self, t: Row<'_>) -> Merged {
         let Some(agg) = self.agg else {
-            return match self.find(t.values()) {
+            return match self.find(t, t.arity()) {
                 Ok(_) => Merged::Old,
-                Err(at) => Merged::New(self.insert(at, t.clone())),
+                Err(at) => Merged::New(self.insert(at, t)),
             };
         };
         let g = agg.group_cols;
-        let found = self.find(t.group_key(g));
+        let found = self.find(t, g);
         let id = match agg.func {
             AggFunc::Min | AggFunc::Max => {
-                let new = t[g];
+                let new = t.get(g);
                 let id = match found {
                     Ok(id) => id,
-                    Err(at) => return Merged::New(self.insert(at, t.clone())),
+                    Err(at) => return Merged::New(self.insert(at, t)),
                 };
-                let cur = self.store.rows()[id as usize][g];
+                let cur = self.store.rows().row(id as usize).get(g);
                 let better = match agg.func {
                     AggFunc::Min => new < cur,
                     _ => new > cur,
@@ -379,16 +427,17 @@ impl DerivedRelation {
                         AggFunc::Count => Value::Int(0),
                         _ => Value::Float(0.0),
                     };
-                    let group = t.group_key(g).iter().copied();
-                    let row = Tuple::from_exact_iter(g + 1, group.chain([zero]));
+                    let mut row = Frame::new(g + 1);
+                    let group: Vec<Value> = t.values().take(g).chain([zero]).collect();
+                    row.push_values(group.into_iter());
                     self.contribs.push(Contributions {
                         by_source: FastMap::default(),
                         emitted: f64::NEG_INFINITY,
                     });
-                    self.insert(at, row)
+                    self.insert(at, row.row(0))
                 });
                 let state = &mut self.contribs[id as usize];
-                let contributor = t[g].key_bits();
+                let contributor = t.key(g);
                 if agg.func == AggFunc::Count {
                     if state.by_source.insert(contributor, 1.0).is_some() {
                         return Merged::Old;
@@ -396,9 +445,10 @@ impl DerivedRelation {
                     let total = Value::Int(state.by_source.len() as i64);
                     self.store.set_value(id, g, total);
                 } else {
-                    let val = t[g + 1].as_f64();
+                    let val = t.get(g + 1).as_f64();
                     let old = state.by_source.insert(contributor, val).unwrap_or(0.0);
-                    let total = self.store.rows()[id as usize][g].as_f64() + (val - old);
+                    let stored = self.store.rows().row(id as usize).get(g);
+                    let total = stored.as_f64() + (val - old);
                     self.store.set_value(id, g, Value::Float(total));
                     if (total - state.emitted).abs() <= agg.epsilon {
                         return Merged::Old;
@@ -424,6 +474,18 @@ impl Deref for DerivedRelation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcd_common::Tuple;
+
+    /// The `Tuple` side of the tests: merge a tuple, read rows back.
+    impl DerivedRelation {
+        fn merge_t(&mut self, t: &Tuple) -> Merged {
+            t.with_row(|row| self.merge(row))
+        }
+
+        fn tuples(&self) -> Vec<Tuple> {
+            self.rows().iter().map(|r| r.to_tuple()).collect()
+        }
+    }
 
     fn ints(v: &[i64]) -> Tuple {
         Tuple::from_ints(v)
@@ -436,39 +498,37 @@ mod tests {
     #[test]
     fn set_dedups_and_stores_each_row_once() {
         let mut r = DerivedRelation::set(&[1]);
-        assert_eq!(r.merge(&ints(&[1, 2])), Merged::New(0));
-        assert_eq!(r.merge(&ints(&[1, 2])), Merged::Old);
-        assert_eq!(r.merge(&ints(&[3, 2])), Merged::New(1));
-        assert_eq!(r.rows(), &[ints(&[1, 2]), ints(&[3, 2])]);
+        assert_eq!(r.merge_t(&ints(&[1, 2])), Merged::New(0));
+        assert_eq!(r.merge_t(&ints(&[1, 2])), Merged::Old);
+        assert_eq!(r.merge_t(&ints(&[3, 2])), Merged::New(1));
+        assert_eq!(r.tuples(), [ints(&[1, 2]), ints(&[3, 2])]);
         assert_eq!(r.probe_ids(1, Value::Int(2).key_bits()), &[0, 1]);
     }
 
     #[test]
     fn min_keeps_smallest_and_reports_updates() {
         let mut r = DerivedRelation::aggregate(AggFunc::Min, 1, 0.0, &[]);
-        assert_eq!(r.merge(&ints(&[1, 10])), Merged::New(0));
-        assert_eq!(r.merge(&ints(&[1, 12])), Merged::Old);
-        assert_eq!(r.merge(&ints(&[1, 7])), Merged::New(0));
-        assert_eq!(r.rows(), &[ints(&[1, 7])]);
+        assert_eq!(r.merge_t(&ints(&[1, 10])), Merged::New(0));
+        assert_eq!(r.merge_t(&ints(&[1, 12])), Merged::Old);
+        assert_eq!(r.merge_t(&ints(&[1, 7])), Merged::New(0));
+        assert_eq!(r.tuples(), [ints(&[1, 7])]);
     }
 
     #[test]
-    fn drain_empties_and_the_relation_refills() {
+    fn clear_empties_and_the_relation_refills() {
         let mut r = DerivedRelation::aggregate(AggFunc::Min, 1, 0.0, &[1]);
-        r.merge(&ints(&[1, 10]));
-        r.merge(&ints(&[2, 4]));
-        r.merge(&ints(&[1, 7]));
+        r.merge_t(&ints(&[1, 10]));
+        r.merge_t(&ints(&[2, 4]));
+        r.merge_t(&ints(&[1, 7]));
         let lanes = r.table.as_ref().map(|t| t.lanes.len());
-        assert_eq!(
-            r.drain().collect::<Vec<_>>(),
-            [ints(&[1, 7]), ints(&[2, 4])]
-        );
+        assert_eq!(r.tuples(), [ints(&[1, 7]), ints(&[2, 4])]);
+        r.clear();
         assert!(r.is_empty());
         assert!(r.probe_ids(1, Value::Int(7).key_bits()).is_empty());
         // The old groups are gone: 12 is new, not worse than 7.
-        assert_eq!(r.merge(&ints(&[1, 12])), Merged::New(0));
-        assert_eq!(r.merge(&ints(&[1, 9])), Merged::New(0));
-        assert_eq!(r.rows(), &[ints(&[1, 9])]);
+        assert_eq!(r.merge_t(&ints(&[1, 12])), Merged::New(0));
+        assert_eq!(r.merge_t(&ints(&[1, 9])), Merged::New(0));
+        assert_eq!(r.tuples(), [ints(&[1, 9])]);
         assert_eq!(r.table.as_ref().map(|t| t.lanes.len()), lanes, "kept");
     }
 
@@ -476,34 +536,34 @@ mod tests {
     fn max_multi_column_groups() {
         // APSP-shaped: group = (A, B).
         let mut r = DerivedRelation::aggregate(AggFunc::Max, 2, 0.0, &[]);
-        r.merge(&ints(&[1, 2, 30]));
-        r.merge(&ints(&[1, 3, 40]));
-        assert_eq!(r.merge(&ints(&[1, 2, 25])), Merged::Old);
-        assert_eq!(r.merge(&ints(&[1, 2, 35])), Merged::New(0));
-        assert_eq!(r.rows(), &[ints(&[1, 2, 35]), ints(&[1, 3, 40])]);
+        r.merge_t(&ints(&[1, 2, 30]));
+        r.merge_t(&ints(&[1, 3, 40]));
+        assert_eq!(r.merge_t(&ints(&[1, 2, 25])), Merged::Old);
+        assert_eq!(r.merge_t(&ints(&[1, 2, 35])), Merged::New(0));
+        assert_eq!(r.tuples(), [ints(&[1, 2, 35]), ints(&[1, 3, 40])]);
     }
 
     #[test]
     fn count_counts_distinct_contributors() {
         // Attend: cnt(Y, count<X>).
         let mut r = DerivedRelation::aggregate(AggFunc::Count, 1, 0.0, &[]);
-        assert_eq!(r.merge(&ints(&[1, 100])), Merged::New(0));
-        assert_eq!(r.rows(), &[ints(&[1, 1])]);
-        assert_eq!(r.merge(&ints(&[1, 100])), Merged::Old);
-        assert_eq!(r.merge(&ints(&[1, 101])), Merged::New(0));
-        assert_eq!(r.rows(), &[ints(&[1, 2])]);
+        assert_eq!(r.merge_t(&ints(&[1, 100])), Merged::New(0));
+        assert_eq!(r.tuples(), [ints(&[1, 1])]);
+        assert_eq!(r.merge_t(&ints(&[1, 100])), Merged::Old);
+        assert_eq!(r.merge_t(&ints(&[1, 101])), Merged::New(0));
+        assert_eq!(r.tuples(), [ints(&[1, 2])]);
     }
 
     #[test]
     fn sum_replaces_contributions_and_respects_epsilon() {
         let mut r = DerivedRelation::aggregate(AggFunc::Sum, 1, 0.1, &[]);
-        assert_eq!(r.merge(&floats(1, 7, 0.5)), Merged::New(0));
-        assert_eq!(r.merge(&floats(1, 8, 0.25)), Merged::New(0));
+        assert_eq!(r.merge_t(&floats(1, 7, 0.5)), Merged::New(0));
+        assert_eq!(r.merge_t(&floats(1, 8, 0.25)), Merged::New(0));
         // Contributor 7 revises 0.5 → 0.45: replaced, not added, and the
         // 0.05 move stays under ε (but the stored total still moves).
-        assert_eq!(r.merge(&floats(1, 7, 0.45)), Merged::Old);
-        assert!((r.rows()[0][1].as_f64() - 0.7).abs() < 1e-12);
-        assert_eq!(r.merge(&floats(1, 7, 1.0)), Merged::New(0));
+        assert_eq!(r.merge_t(&floats(1, 7, 0.45)), Merged::Old);
+        assert!((r.rows().row(0).get(1).as_f64() - 0.7).abs() < 1e-12);
+        assert_eq!(r.merge_t(&floats(1, 7, 1.0)), Merged::New(0));
     }
 
     #[test]
@@ -511,9 +571,9 @@ mod tests {
         let mut fast = DerivedRelation::aggregate(AggFunc::Min, 1, 0.0, &[1]);
         let mut slow = DerivedRelation::aggregate(AggFunc::Min, 1, 0.0, &[1]).with_linear_lookup();
         for r in [[1i64, 7], [2, 5], [1, 3], [1, 9], [2, 2], [3, 3]] {
-            assert_eq!(fast.merge(&ints(&r)), slow.merge(&ints(&r)));
+            assert_eq!(fast.merge_t(&ints(&r)), slow.merge_t(&ints(&r)));
         }
-        assert_eq!(fast.rows(), slow.rows());
+        assert_eq!(fast.tuples(), slow.tuples());
     }
 
     #[test]
@@ -521,20 +581,24 @@ mod tests {
         // Forge a collision: two keys placed under one (fake) hash share a
         // probe sequence and a tag, so only their inline bits tell them
         // apart.
-        let rows = [ints(&[1]), ints(&[2])];
-        let mut t = KeyTable::default();
-        assert!(t.find(&[Value::Int(0)], &[]).is_err()); // sizes the table
-        for (id, row) in rows.iter().enumerate() {
-            let at = t.probe(42, row.values(), &rows).unwrap_err();
-            t.fill(at, id as u32, row.values());
+        let mut rows = Frame::new(1);
+        for v in 1..=3 {
+            rows.push_values([Value::Int(v)].into_iter());
         }
-        assert_eq!(t.probe(42, &[Value::Int(1)], &rows), Ok(0));
-        assert_eq!(t.probe(42, &[Value::Int(2)], &rows), Ok(1));
-        assert!(t.probe(42, &[Value::Int(3)], &rows).is_err());
+        let (one, two, three) = (rows.row(0), rows.row(1), rows.row(2));
+        let mut t = KeyTable::default();
+        assert!(t.find(one, 1, &Frame::new(1)).is_err()); // sizes the table
+        for (id, row) in [one, two].into_iter().enumerate() {
+            let at = t.probe(42, row, &rows, false).unwrap_err();
+            t.fill(at, id as u32, row);
+        }
+        assert_eq!(t.probe(42, one, &rows, false), Ok(0));
+        assert_eq!(t.probe(42, two, &rows, false), Ok(1));
+        assert!(t.probe(42, three, &rows, false).is_err());
         // Growing re-places both by their (shared) tag; they stay findable.
         t.rebuild(4 * FIRST_SLOTS, true);
-        assert_eq!(t.probe(42, &[Value::Int(2)], &rows), Ok(1));
-        assert_eq!(t.probe(42, &[Value::Int(1)], &rows), Ok(0));
+        assert_eq!(t.probe(42, two, &rows, false), Ok(1));
+        assert_eq!(t.probe(42, one, &rows, false), Ok(0));
     }
 
     #[test]
@@ -542,20 +606,20 @@ mod tests {
         // These keys share key bits, hence hash and tag, but not values.
         let mut r = DerivedRelation::set(&[]);
         let bits = Value::Int(1.5f64.to_bits() as i64);
-        assert!(matches!(r.merge(&Tuple::new(&[bits])), Merged::New(_)));
+        assert!(matches!(r.merge_t(&Tuple::new(&[bits])), Merged::New(_)));
         assert!(matches!(
-            r.merge(&Tuple::new(&[Value::Float(1.5)])),
+            r.merge_t(&Tuple::new(&[Value::Float(1.5)])),
             Merged::New(_)
         ));
-        assert_eq!(r.merge(&Tuple::new(&[bits])), Merged::Old);
+        assert_eq!(r.merge_t(&Tuple::new(&[bits])), Merged::Old);
         for v in [-0.0, 0.0] {
             assert!(matches!(
-                r.merge(&Tuple::new(&[Value::Float(v)])),
+                r.merge_t(&Tuple::new(&[Value::Float(v)])),
                 Merged::New(_)
             ));
         }
-        assert_eq!(r.merge(&Tuple::new(&[Value::Int(0)])), Merged::Old);
-        assert_eq!(r.merge(&Tuple::new(&[Value::Float(-0.0)])), Merged::Old);
+        assert_eq!(r.merge_t(&Tuple::new(&[Value::Int(0)])), Merged::Old);
+        assert_eq!(r.merge_t(&Tuple::new(&[Value::Float(-0.0)])), Merged::Old);
         assert_eq!(r.len(), 4);
     }
 
@@ -566,13 +630,13 @@ mod tests {
         // with 64-bit lanes, keeping the narrow keys findable.
         let mut r = DerivedRelation::set(&[]);
         for v in [5, -1, 7] {
-            assert!(matches!(r.merge(&ints(&[v, 1])), Merged::New(_)));
+            assert!(matches!(r.merge_t(&ints(&[v, 1])), Merged::New(_)));
         }
         for v in [5 + (1 << 32), u32::MAX as i64, i64::MIN + 7] {
-            assert!(matches!(r.merge(&ints(&[v, 1])), Merged::New(_)));
+            assert!(matches!(r.merge_t(&ints(&[v, 1])), Merged::New(_)));
         }
         for v in [5, -1, 7, 5 + (1 << 32), u32::MAX as i64, i64::MIN + 7] {
-            assert_eq!(r.merge(&ints(&[v, 1])), Merged::Old, "{v}");
+            assert_eq!(r.merge_t(&ints(&[v, 1])), Merged::Old, "{v}");
         }
         assert_eq!(r.len(), 6);
     }
@@ -582,13 +646,13 @@ mod tests {
         let mut r = DerivedRelation::aggregate(AggFunc::Min, 2, 0.0, &[]);
         let n = 5 * FIRST_SLOTS as i64;
         for i in 0..n {
-            assert!(matches!(r.merge(&ints(&[i, -i, 9])), Merged::New(_)));
+            assert!(matches!(r.merge_t(&ints(&[i, -i, 9])), Merged::New(_)));
         }
         for i in 0..n {
-            assert_eq!(r.merge(&ints(&[i, -i, 10])), Merged::Old);
+            assert_eq!(r.merge_t(&ints(&[i, -i, 10])), Merged::Old);
         }
-        assert_eq!(r.merge(&ints(&[7, -7, 1])), Merged::New(7));
-        assert_eq!(r.rows()[7], ints(&[7, -7, 1]));
+        assert_eq!(r.merge_t(&ints(&[7, -7, 1])), Merged::New(7));
+        assert_eq!(r.rows().row(7).to_tuple(), ints(&[7, -7, 1]));
         assert_eq!(r.len(), n as usize);
     }
 }

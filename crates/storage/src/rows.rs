@@ -1,10 +1,12 @@
 //! The one row layout shared by base and derived relations.
 //!
-//! A [`RowStore`] keeps every row of a relation exactly once, in a
-//! `Vec<Tuple>`, and answers point lookups through per-column hash indexes
-//! that map a key to row *ids* (`u32` positions in that vector), never row
-//! copies. The evaluator resolves a probe as `probe_ids(col, key)` followed
-//! by `rows()[id]`, whether the target is an immutable base relation
+//! A [`RowStore`] keeps every row of a relation exactly once, in one flat
+//! [`Frame`] of `u64` lanes (an arity-strided buffer, with per-cell float
+//! tags only once the relation has stored a `Float`), and answers point
+//! lookups through per-column hash indexes that map a key to row *ids*
+//! (`u32` row positions in that frame), never row copies. The evaluator
+//! resolves a probe as `probe_ids(col, key)` followed by `rows().row(id)`,
+//! whether the target is an immutable base relation
 //! ([`SealedRelation`](crate::SealedRelation)) or a derived relation
 //! ([`DerivedRelation`](crate::DerivedRelation)) that grows during the
 //! fixpoint.
@@ -20,11 +22,11 @@
 //! bucket of its new key.
 
 use dcd_common::hash::FastMap;
-use dcd_common::{Tuple, Value};
+use dcd_common::{Frame, Row, Value};
 
 /// Rows plus `u32` row-id hash indexes on selected columns.
 pub struct RowStore {
-    rows: Vec<Tuple>,
+    rows: Frame,
     /// `(col, index on the key bits of column col)`.
     indexes: Vec<(usize, Index)>,
 }
@@ -84,18 +86,18 @@ impl RowStore {
             .into_iter()
             .map(|col| (col, Index::Buckets(FastMap::default())))
             .collect();
-        RowStore::from_parts(Vec::new(), indexes)
+        RowStore::from_parts(Frame::default(), indexes)
     }
 
     /// A store over `rows` with prebuilt `indexes`, whose ids must point
     /// into `rows`.
-    pub(crate) fn from_parts(rows: Vec<Tuple>, indexes: Vec<(usize, Index)>) -> Self {
+    pub(crate) fn from_parts(rows: Frame, indexes: Vec<(usize, Index)>) -> Self {
         RowStore { rows, indexes }
     }
 
-    /// Appends `row`, indexes it, and returns its id. Panics on a sealed
-    /// (CSR-indexed) store.
-    pub(crate) fn push(&mut self, row: Tuple) -> u32 {
+    /// Appends a copy of `row`, indexes it, and returns its id. Panics on
+    /// a sealed (CSR-indexed) store.
+    pub(crate) fn push(&mut self, row: Row<'_>) -> u32 {
         let id = u32::try_from(self.rows.len()).expect("row store exceeds u32 row ids");
         for (col, idx) in &mut self.indexes {
             idx.buckets_mut().entry(row.key(*col)).or_default().push(id);
@@ -109,9 +111,8 @@ impl RowStore {
     /// of the new key (and drops the old bucket once it is empty). Panics
     /// if that index is a sealed (CSR) one.
     pub(crate) fn set_value(&mut self, id: u32, col: usize, value: Value) {
-        let row = &mut self.rows[id as usize];
-        let (old, new) = (row.key(col), value.key_bits());
-        row.values_mut()[col] = value;
+        let (old, new) = (self.rows.row(id as usize).key(col), value.key_bits());
+        self.rows.set(id as usize, col, value);
         if old == new {
             return;
         }
@@ -131,24 +132,23 @@ impl RowStore {
 
     /// All rows; a row's id is its position here.
     #[inline]
-    pub fn rows(&self) -> &[Tuple] {
+    pub fn rows(&self) -> &Frame {
         &self.rows
     }
 
     /// Consumes the store, returning its rows (in id order) without
     /// copying them.
-    pub fn into_rows(self) -> Vec<Tuple> {
+    pub fn into_rows(self) -> Frame {
         self.rows
     }
 
-    /// Empties a growable store, yielding its rows in id order; the row
-    /// vector and the index maps keep their capacity. Panics on a sealed
-    /// (CSR-indexed) store.
-    pub(crate) fn drain(&mut self) -> std::vec::Drain<'_, Tuple> {
+    /// Empties a growable store; the row buffer and the index maps keep
+    /// their capacity. Panics on a sealed (CSR-indexed) store.
+    pub(crate) fn clear(&mut self) {
         for (_, idx) in &mut self.indexes {
             idx.buckets_mut().clear();
         }
-        self.rows.drain(..)
+        self.rows.clear();
     }
 
     /// Number of rows.
@@ -183,18 +183,11 @@ impl RowStore {
             .ids(key)
     }
 
-    /// Approximate resident heap size in bytes: the row storage (including
-    /// spilled values) plus every index — a key and its bucket header or
-    /// run per map entry, plus the id payloads.
+    /// Resident heap size in bytes: the row lanes and float tags
+    /// allocated, plus every index — a key and its bucket header or run
+    /// per map entry, plus the id payloads.
     pub fn resident_bytes(&self) -> u64 {
-        let tuple_sz = std::mem::size_of::<Tuple>() as u64;
-        let value_sz = std::mem::size_of::<Value>() as u64;
-        let mut bytes = self.rows.capacity() as u64 * tuple_sz;
-        for row in &self.rows {
-            if row.arity() > dcd_common::tuple::INLINE_ARITY {
-                bytes += row.arity() as u64 * value_sz;
-            }
-        }
+        let mut bytes = self.rows.resident_bytes();
         let id_sz = std::mem::size_of::<u32>() as u64;
         let key_sz = std::mem::size_of::<u64>();
         for (_, idx) in &self.indexes {
@@ -229,18 +222,24 @@ pub(crate) fn distinct(cols: &[usize]) -> Vec<usize> {
 mod tests {
     use super::*;
 
+    use dcd_common::Tuple;
+
     fn probe(s: &RowStore, col: usize, v: i64) -> Vec<Tuple> {
         s.probe_ids(col, Value::Int(v).key_bits())
             .iter()
-            .map(|&i| s.rows()[i as usize].clone())
+            .map(|&i| s.rows().row(i as usize).to_tuple())
             .collect()
+    }
+
+    fn push(s: &mut RowStore, row: &[i64]) -> u32 {
+        Tuple::from_ints(row).with_row(|r| s.push(r))
     }
 
     #[test]
     fn push_assigns_sequential_ids_and_indexes() {
         let mut s = RowStore::new(&[0, 1, 0]);
-        assert_eq!(s.push(Tuple::from_ints(&[1, 2])), 0);
-        assert_eq!(s.push(Tuple::from_ints(&[1, 3])), 1);
+        assert_eq!(push(&mut s, &[1, 2]), 0);
+        assert_eq!(push(&mut s, &[1, 3]), 1);
         assert_eq!(probe(&s, 0, 1).len(), 2);
         assert_eq!(probe(&s, 1, 3), vec![Tuple::from_ints(&[1, 3])]);
         assert!(probe(&s, 1, 9).is_empty());
@@ -250,9 +249,9 @@ mod tests {
     #[test]
     fn set_value_moves_the_id_only_in_the_updated_columns_index() {
         let mut s = RowStore::new(&[0, 1]);
-        let id = s.push(Tuple::from_ints(&[7, 5]));
+        let id = push(&mut s, &[7, 5]);
         s.set_value(id, 1, Value::Int(3));
-        assert_eq!(s.rows()[0], Tuple::from_ints(&[7, 3]));
+        assert_eq!(s.rows().row(0).to_tuple(), Tuple::from_ints(&[7, 3]));
         assert!(probe(&s, 1, 5).is_empty(), "old key must not keep the id");
         assert_eq!(probe(&s, 1, 3), vec![Tuple::from_ints(&[7, 3])]);
         assert_eq!(probe(&s, 0, 7), vec![Tuple::from_ints(&[7, 3])]);

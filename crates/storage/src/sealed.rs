@@ -7,12 +7,14 @@
 //! from those positions, frees the sort buffers, and only then copies each
 //! row, once, into its worker's slice, which never changes after. A slice
 //! stores its rows sorted by one indexed column's key bits, ties in input
-//! order, so a probe on that column reads one contiguous run of rows.
+//! order, so a probe on that column reads one contiguous run of rows. The
+//! copy encodes each input `Tuple` as `u64` lanes (see [`Frame`]), 8 bytes
+//! a cell, into a buffer allocated at its exact size.
 //! Every index is CSR (see [`RowStore`]); each bucket lists its rows in
 //! input order.
 
 use crate::rows::{distinct, Index, RowStore};
-use dcd_common::{Partitioner, Tuple};
+use dcd_common::{Frame, Partitioner, Tuple};
 use std::mem::replace;
 use std::ops::{Deref, Range};
 
@@ -23,11 +25,14 @@ use std::ops::{Deref, Range};
 pub struct SealedRelation(RowStore);
 
 impl SealedRelation {
-    /// Seals all of `rows` as one relation clustered on `index_cols[0]`:
-    /// the one-slice case of [`SealedRelation::partitioned`].
+    /// Seals all of `rows`, which must share one arity, as one relation
+    /// clustered on `index_cols[0]`: the one-slice case of
+    /// [`SealedRelation::partitioned`].
     pub fn build(rows: &[Tuple], index_cols: &[usize]) -> Self {
         let cluster = index_cols.first().copied().unwrap_or(0);
-        let mut slices = Self::partitioned(rows, index_cols, &Partitioner::new(1), cluster);
+        let arity = rows.first().map_or(0, Tuple::arity);
+        let slices = Self::partitioned(rows, arity, index_cols, &Partitioner::new(1), cluster);
+        let mut slices = slices.expect("rows of one arity");
         slices.pop().expect("one partition yields one slice")
     }
 
@@ -36,12 +41,18 @@ impl SealedRelation {
     /// `index_cols`: the only constructor, so no slice is ever partly
     /// indexed. Each slice stores its rows sorted by the key bits of `col`
     /// if it is indexed, else of `index_cols[0]`, ties in input order.
+    ///
+    /// Every row must have `arity` values; otherwise `Err` names the
+    /// position in `rows` of one that does not. The check rides on the row
+    /// copy, the one pass that reads whole rows, so a relation is read
+    /// once however it was loaded.
     pub fn partitioned(
         rows: &[Tuple],
+        arity: usize,
         index_cols: &[usize],
         part: &Partitioner,
         col: usize,
-    ) -> Vec<Self> {
+    ) -> Result<Vec<Self>, usize> {
         let (mut cols, slices) = (distinct(index_cols), part.partitions());
         if let Some(i) = cols.iter().position(|&c| c == col) {
             cols[..=i].rotate_right(1);
@@ -49,7 +60,7 @@ impl SealedRelation {
         let first = cols.first().copied();
         // The clustering sort reads a row's owner off its key when that
         // is the partition key; every other sort needs the owner array.
-        let owner_of = |r: &Tuple| part.of_key(r.key(col)) as u32;
+        let owner_of = |r: &Tuple| part.of_key(key(r, col)) as u32;
         let owners: Vec<u32> = match slices == 1 || (first == Some(col) && cols.len() == 1) {
             true => Vec::new(),
             false => rows.iter().map(owner_of).collect(),
@@ -59,7 +70,7 @@ impl SealedRelation {
             None => part.of_key(k),
         };
         // Without an index every key is 0, so the rows keep input order.
-        let (keys, pos, ranges) = sort(rows, |r| first.map_or(0, |c| r.key(c)), slices, owner);
+        let (keys, pos, ranges) = sort(rows, |r| first.map_or(0, |c| key(r, c)), slices, owner);
         let clustered = |r: &Range<usize>| {
             Vec::from_iter(first.map(|c| (c, Index::sorted(&keys[r.clone()], 0..r.len() as u32))))
         };
@@ -71,7 +82,7 @@ impl SealedRelation {
             ids.for_each(|(id, &p)| id_of[p as usize] = id);
             // A stable sort, so each run lists its ids in input order.
             for &c in &cols[1..] {
-                let (keys, order, _) = sort(rows, |r| r.key(c), slices, owner);
+                let (keys, order, _) = sort(rows, |r| key(r, c), slices, owner);
                 for (slice, r) in indexes.iter_mut().zip(&ranges) {
                     let ids = order[r.clone()].iter().map(|&p| id_of[p as usize]);
                     slice.push((c, Index::sorted(&keys[r.clone()], ids)));
@@ -79,10 +90,27 @@ impl SealedRelation {
             }
         }
         drop(owners);
-        let slice = |r: Range<usize>| pos[r].iter().map(|&p| rows[p as usize].clone()).collect();
-        let seal = |(r, idx)| SealedRelation(RowStore::from_parts(slice(r), idx));
+        let slice = |r: Range<usize>| {
+            let mut lanes = Frame::with_capacity(arity, r.len());
+            for &p in &pos[r] {
+                let row = rows[p as usize].values();
+                if row.len() != arity {
+                    return Err(p as usize);
+                }
+                lanes.push_values(row.iter().copied());
+            }
+            Ok(lanes)
+        };
+        let seal = |(r, idx)| Ok(SealedRelation(RowStore::from_parts(slice(r)?, idx)));
         ranges.into_iter().zip(indexes).map(seal).collect()
     }
+}
+
+/// The key bits of `row[col]`, or 0 for a row too short to have it (which
+/// the row copy then reports).
+#[inline]
+fn key(row: &Tuple, col: usize) -> u64 {
+    row.values().get(col).map_or(0, |v| v.key_bits())
 }
 
 /// Reads `key` of every row once, then returns the keys and row positions
@@ -146,6 +174,7 @@ impl Deref for SealedRelation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcd_common::Value;
 
     fn edges() -> Vec<Tuple> {
         vec![
@@ -156,17 +185,21 @@ mod tests {
         ]
     }
 
-    fn probe(r: &SealedRelation, col: usize, key: u64) -> Vec<&Tuple> {
+    fn probe(r: &SealedRelation, col: usize, key: u64) -> Vec<Tuple> {
         r.probe_ids(col, key)
             .iter()
-            .map(|&i| &r.rows()[i as usize])
+            .map(|&i| r.rows().row(i as usize).to_tuple())
             .collect()
+    }
+
+    fn tuples(r: &SealedRelation) -> Vec<Tuple> {
+        r.rows().iter().map(|row| row.to_tuple()).collect()
     }
 
     #[test]
     fn probe_finds_all_matches() {
         let r = SealedRelation::build(&edges(), &[0]);
-        let hits = probe(&r, 0, Tuple::from_ints(&[1]).key(0));
+        let hits = probe(&r, 0, Value::Int(1).key_bits());
         assert_eq!(hits.len(), 2);
         assert!(hits.iter().all(|t| t[0].expect_int() == 1));
     }
@@ -181,29 +214,46 @@ mod tests {
     fn duplicate_index_cols_build_once() {
         let r = SealedRelation::build(&edges(), &[0, 0]);
         assert!(r.has_index(0));
-        assert_eq!(probe(&r, 0, Tuple::from_ints(&[2]).key(0)).len(), 1);
+        assert_eq!(probe(&r, 0, Value::Int(2).key_bits()).len(), 1);
     }
 
     #[test]
     fn multiple_indexes_coexist() {
         let r = SealedRelation::build(&edges(), &[0, 1]);
-        assert_eq!(probe(&r, 1, Tuple::from_ints(&[0, 3]).key(1)).len(), 2);
-        assert_eq!(probe(&r, 0, Tuple::from_ints(&[3]).key(0)).len(), 1);
+        assert_eq!(probe(&r, 1, Value::Int(3).key_bits()).len(), 2);
+        assert_eq!(probe(&r, 0, Value::Int(3).key_bits()).len(), 1);
     }
 
     #[test]
     fn partitioned_slices_are_exhaustive_and_disjoint() {
         let rows = edges();
         let part = Partitioner::new(3);
-        let parts = SealedRelation::partitioned(&rows, &[0], &part, 0);
+        let parts = SealedRelation::partitioned(&rows, 2, &[0], &part, 0).unwrap();
         assert_eq!(parts.len(), 3);
         let total: usize = parts.iter().map(|p| p.len()).sum();
         assert_eq!(total, rows.len());
         for (w, p) in parts.iter().enumerate() {
-            for row in p.rows() {
+            for row in p.rows().iter() {
                 assert_eq!(part.of_key(row.key(0)), w);
             }
         }
+    }
+
+    #[test]
+    fn a_row_of_another_arity_is_reported_not_sealed() {
+        let mut rows = edges();
+        rows.insert(2, Tuple::from_ints(&[7]));
+        rows.push(Tuple::from_ints(&[1, 2, 3]));
+        for parts in [1, 3] {
+            let part = Partitioner::new(parts);
+            for col in [0, 1] {
+                let sealed = SealedRelation::partitioned(&rows, 2, &[0, 1], &part, col);
+                let bad = sealed.err().expect("a row of another arity");
+                assert!([2, rows.len() - 1].contains(&bad), "{bad}");
+            }
+        }
+        let part = Partitioner::new(2);
+        assert!(SealedRelation::partitioned(&rows, 1, &[0], &part, 0).is_err());
     }
 
     #[test]
@@ -223,20 +273,17 @@ mod tests {
             Tuple::from_ints(&[3, 7]),
         ];
         let r = SealedRelation::build(&input, &[0, 1]);
-        let firsts: Vec<i64> = r.rows().iter().map(|t| t[0].expect_int()).collect();
+        let firsts: Vec<i64> = r.rows().iter().map(|t| t.get(0).expect_int()).collect();
         assert_eq!(firsts, [1, 1, 2, 3, 3]);
         // Equal keys keep their input order, on the clustering column and
         // on the other index alike.
-        let ones = probe(&r, 0, Tuple::from_ints(&[1]).key(0));
-        assert_eq!(
-            ones,
-            [&Tuple::from_ints(&[1, 9]), &Tuple::from_ints(&[1, 4])]
-        );
-        assert_eq!(r.probe_ids(0, Tuple::from_ints(&[1]).key(0)), &[0, 1]);
-        let by_second = probe(&r, 1, Tuple::from_ints(&[1]).key(0));
+        let ones = probe(&r, 0, Value::Int(1).key_bits());
+        assert_eq!(ones, [Tuple::from_ints(&[1, 9]), Tuple::from_ints(&[1, 4])]);
+        assert_eq!(r.probe_ids(0, Value::Int(1).key_bits()), &[0, 1]);
+        let by_second = probe(&r, 1, Value::Int(1).key_bits());
         assert_eq!(
             by_second,
-            [&Tuple::from_ints(&[3, 1]), &Tuple::from_ints(&[2, 1])]
+            [Tuple::from_ints(&[3, 1]), Tuple::from_ints(&[2, 1])]
         );
     }
 
@@ -251,23 +298,25 @@ mod tests {
         let on = |slices: &[SealedRelation], c: usize| {
             slices
                 .iter()
-                .all(|s| s.rows().is_sorted_by_key(|r| r.key(c)))
+                .all(|s| s.rows().iter().is_sorted_by_key(|r| r.key(c)))
         };
-        let sealed = |cols: &[usize], col| SealedRelation::partitioned(&rows, cols, &part, col);
+        let sealed =
+            |cols: &[usize], col| SealedRelation::partitioned(&rows, 3, cols, &part, col).unwrap();
         assert!(on(&sealed(&[0, 1, 2], 1), 1));
         assert!(!on(&sealed(&[0, 1, 2], 1), 0));
         assert!(on(&sealed(&[0, 1, 2], 0), 0));
         // An unindexed partition column leaves the first index column.
         assert!(on(&sealed(&[0, 1], 2), 0));
         assert!(on(&[SealedRelation::build(&rows, &[1, 0])], 1));
-        assert_eq!(SealedRelation::build(&rows, &[]).rows(), &rows[..]);
+        assert_eq!(tuples(&SealedRelation::build(&rows, &[])), rows);
     }
 
-    /// Rows, runs and ids of a sealed store with `rows` rows and `runs`
-    /// distinct keys summed over its indexes, allocated at exact size.
-    fn exact_bytes(rows: usize, runs: usize, indexes: usize) -> u64 {
+    /// Rows, runs and ids of a sealed store with `rows` integer rows of
+    /// `arity` 8-byte lanes and `runs` distinct keys summed over its
+    /// indexes, allocated at exact size.
+    fn exact_bytes(rows: usize, arity: usize, runs: usize, indexes: usize) -> u64 {
         use std::mem::size_of;
-        let rows_b = rows * size_of::<Tuple>();
+        let rows_b = rows * arity * size_of::<u64>();
         let runs_b = runs * (size_of::<u64>() + size_of::<(u32, u32)>());
         let ids_b = indexes * rows * size_of::<u32>();
         (rows_b + runs_b + ids_b) as u64
@@ -277,7 +326,7 @@ mod tests {
     fn resident_bytes_counts_rows_runs_and_ids_exactly() {
         // Three distinct keys in each column, four rows.
         let r = SealedRelation::build(&edges(), &[0, 1]);
-        assert_eq!(r.resident_bytes(), exact_bytes(4, 3 + 3, 2));
+        assert_eq!(r.resident_bytes(), exact_bytes(4, 2, 3 + 3, 2));
     }
 
     #[test]
@@ -286,14 +335,14 @@ mod tests {
         let rows: Vec<Tuple> = (0..1000).map(|i| Tuple::from_ints(&[i % 37, i])).collect();
         let part = Partitioner::new(3);
         for col in [0, 1] {
-            for slice in SealedRelation::partitioned(&rows, &[0, 1], &part, col) {
+            for slice in SealedRelation::partitioned(&rows, 2, &[0, 1], &part, col).unwrap() {
                 let distinct = |c: usize| {
                     let mut keys: Vec<u64> = slice.rows().iter().map(|r| r.key(c)).collect();
                     keys.sort_unstable();
                     keys.dedup();
                     keys.len()
                 };
-                let want = exact_bytes(slice.len(), distinct(0) + distinct(1), 2);
+                let want = exact_bytes(slice.len(), 2, distinct(0) + distinct(1), 2);
                 assert_eq!(slice.resident_bytes(), want, "partition column {col}");
             }
         }

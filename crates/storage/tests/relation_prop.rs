@@ -22,7 +22,7 @@
 use dcd_common::hash::{FastMap, FastSet};
 use dcd_common::proptest;
 use dcd_common::proptest::prelude::*;
-use dcd_common::{Partitioner, Tuple, Value};
+use dcd_common::{Frame, Partitioner, Tuple, Value};
 use dcd_storage::{AggFunc, DerivedRelation, Merged, SealedRelation};
 
 /// Semantics under test; `None` is a set relation.
@@ -38,6 +38,16 @@ struct Group {
 }
 
 const EPSILON: f64 = 0.3;
+
+/// Merges `row` through its lane encoding.
+fn merge(rel: &mut DerivedRelation, row: &Tuple) -> Merged {
+    row.with_row(|r| rel.merge(r))
+}
+
+/// Every row of `rows`, decoded.
+fn tuples(rows: &Frame) -> Vec<Tuple> {
+    rows.iter().map(|r| r.to_tuple()).collect()
+}
 
 /// The incoming merge-layout row for one `(a, b, c)` draw: `(a, b)` for
 /// sets, `(a, b)` = (group, value) for min/max, `(a, b)` = (group,
@@ -141,11 +151,11 @@ fn check(kind: Kind, ops: &[(i64, i64, i64)], linear: bool) {
     let key_len = if kind.is_some() { 1 } else { 2 };
     for &op in ops {
         let row = incoming(kind, op);
-        let got = rel.merge(&row);
+        let got = merge(&mut rel, &row);
         let want = model_merge(kind, &mut model, &mut set, op);
         prop_assert_eq!(matches!(got, Merged::New(_)), want, "merge {:?}", op);
         if let Merged::New(id) = got {
-            let stored = &rel.rows()[id as usize];
+            let stored = rel.rows().row(id as usize).to_tuple();
             prop_assert_eq!(
                 &stored.values()[..key_len],
                 &row.values()[..key_len],
@@ -160,20 +170,22 @@ fn check(kind: Kind, ops: &[(i64, i64, i64)], linear: bool) {
             }
         }
 
-        let mut rows = rel.rows().to_vec();
+        let mut rows = tuples(rel.rows());
         rows.sort();
         prop_assert_eq!(rows, model_rows(kind, &model, &set));
 
         for col in 0..2 {
             let keys: FastSet<u64> = rel.rows().iter().map(|r| r.key(col)).collect();
             for key in keys {
-                let mut via_index: Vec<&Tuple> = rel
+                let mut via_index: Vec<Tuple> = rel
                     .probe_ids(col, key)
                     .iter()
-                    .map(|&i| &rel.rows()[i as usize])
+                    .map(|&i| rel.rows().row(i as usize).to_tuple())
                     .collect();
-                let mut via_filter: Vec<&Tuple> =
-                    rel.rows().iter().filter(|r| r.key(col) == key).collect();
+                let mut via_filter: Vec<Tuple> = tuples(rel.rows())
+                    .into_iter()
+                    .filter(|r| r[col].key_bits() == key)
+                    .collect();
                 via_index.sort();
                 via_filter.sort();
                 prop_assert_eq!(via_index, via_filter, "col {} key {}", col, key);
@@ -239,14 +251,14 @@ fn check_mixed(kind: Kind, ops: &[(Value, Value)], linear: bool) {
             Some(r) => {
                 let better = b < r[1];
                 if better {
-                    r.values_mut()[1] = b;
+                    *r = Tuple::new(&[r[0], b]);
                 }
                 better
             }
         };
-        let got = rel.merge(&row);
+        let got = merge(&mut rel, &row);
         prop_assert_eq!(matches!(got, Merged::New(_)), want, "merge {:?}", row);
-        let mut stored: Vec<_> = rel.rows().iter().map(bits).collect();
+        let mut stored: Vec<_> = tuples(rel.rows()).iter().map(bits).collect();
         let mut expected: Vec<_> = model.iter().map(bits).collect();
         stored.sort();
         expected.sort();
@@ -297,24 +309,27 @@ fn mixed_keys_fixed_cases() {
 fn check_slice(rel: &SealedRelation, input: &[&Tuple], cols: &[usize]) {
     let mut want: Vec<&Tuple> = input.to_vec();
     if let Some(&c) = cols.first() {
-        want.sort_by_key(|r| r.key(c));
+        want.sort_by_key(|r| r[c].key_bits());
     }
-    let stored: Vec<_> = rel.rows().iter().map(bits).collect();
+    let stored: Vec<_> = tuples(rel.rows()).iter().map(bits).collect();
     let want: Vec<_> = want.into_iter().map(bits).collect();
     prop_assert_eq!(stored, want, "clustered row order");
 
     for &col in cols {
-        let mut keys: Vec<u64> = input.iter().map(|r| r.key(col)).collect();
+        let mut keys: Vec<u64> = input.iter().map(|r| r[col].key_bits()).collect();
         keys.sort_unstable();
         keys.dedup();
         let mut seen: Vec<u32> = Vec::new();
         for &key in &keys {
             let ids = rel.probe_ids(col, key);
             seen.extend_from_slice(ids);
-            let via_index: Vec<_> = ids.iter().map(|&i| bits(&rel.rows()[i as usize])).collect();
+            let via_index: Vec<_> = ids
+                .iter()
+                .map(|&i| bits(&rel.rows().row(i as usize).to_tuple()))
+                .collect();
             let via_filter: Vec<_> = input
                 .iter()
-                .filter(|r| r.key(col) == key)
+                .filter(|r| r[col].key_bits() == key)
                 .map(|r| bits(r))
                 .collect();
             prop_assert_eq!(via_index, via_filter, "col {} key {}", col, key);
@@ -352,7 +367,7 @@ fn check_sealed(input: &[Tuple], index_cols: &[usize]) {
 /// must hold the input multiset.
 fn check_partitioned(input: &[Tuple], index_cols: &[usize], parts: usize, col: usize) {
     let part = Partitioner::new(parts);
-    let slices = SealedRelation::partitioned(input, index_cols, &part, col);
+    let slices = SealedRelation::partitioned(input, 3, index_cols, &part, col).unwrap();
     prop_assert_eq!(slices.len(), parts);
     // The partition column leads the clustering when it is indexed.
     let mut cols = distinct(index_cols);
@@ -362,13 +377,13 @@ fn check_partitioned(input: &[Tuple], index_cols: &[usize], parts: usize, col: u
     for (w, slice) in slices.iter().enumerate() {
         let mine: Vec<&Tuple> = input
             .iter()
-            .filter(|r| part.of_key(r.key(col)) == w)
+            .filter(|r| part.of_key(r[col].key_bits()) == w)
             .collect();
         check_slice(slice, &mine, &cols);
     }
     let mut held: Vec<_> = slices
         .iter()
-        .flat_map(|s| s.rows().iter().map(bits))
+        .flat_map(|s| tuples(s.rows()).iter().map(bits).collect::<Vec<_>>())
         .collect();
     let mut want: Vec<_> = input.iter().map(bits).collect();
     held.sort();

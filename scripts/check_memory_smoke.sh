@@ -94,9 +94,17 @@ for q in sg tc; do
                 echo "FAIL(tc): partitioned residency grew with workers: ${res1}B -> ${res4}B" >&2
                 fail=1
             fi
+            tc_res1=$res1
             ;;
     esac
 done
+
+base_rows=$(wc -l < "$workdir/edges.csv")
+echo "tc: ${tc_res1}B resident for ${base_rows} base rows at 1w, $((tc_res1 / base_rows))B a row"
+if [ "$tc_res1" -ge $((40 * base_rows)) ]; then
+    echo "FAIL(tc): sealed rows take $((tc_res1 / base_rows))B each, not under 40B" >&2
+    fail=1
+fi
 
 for run in "tc 4 dws" "sg 4 dws" "tc 4 global" "tc 4 ssp:2"; do
     read -r q w strategy <<< "$run"
@@ -120,4 +128,4 @@ if [ "$fail" -ne 0 ]; then
     echo "memory smoke FAILED" >&2
     exit 1
 fi
-echo "memory smoke OK: EDB residency is flat in the worker count, each derived row is stored once"
+echo "memory smoke OK: EDB residency is flat in the worker count and under 40B a base row, each derived row is stored once"
