@@ -345,8 +345,8 @@ pub fn tab4(opts: &Opts) -> Report {
 /// Parallel coordination effects cannot be observed with real threads on
 /// a single-core host, so the primary columns replay the schedules in the
 /// deterministic scheduler simulator with `opts.sim_workers` workers; the
-/// last column grounds the table with the real engine's wall time under
-/// DWS.
+/// last three columns ground the table with the real engine's wall time
+/// under each strategy at `opts.workers` threads.
 pub fn fig8(opts: &Opts) -> Report {
     use dcd_runtime::simulator::SimWorkload;
     let sim_cfg = SimConfig::realistic();
@@ -355,9 +355,10 @@ pub fn fig8(opts: &Opts) -> Report {
         ("SSP(5)", SimStrategy::Ssp(5)),
         ("DWS", SimStrategy::DwsAuto),
     ];
+    let real = [Strategy::Global, Strategy::Ssp { s: 5 }, Strategy::Dws];
     let mut rows = Vec::new();
     for (name, edges) in datasets::webgraphs(opts.scale) {
-        // CC row: simulated schedule lengths + real DWS seconds.
+        // CC row: simulated schedule lengths + real seconds.
         let sym: Vec<(u64, u64)> = dcd_datagen::symmetrize(&edges)
             .iter()
             .map(|&(a, b)| (a as u64, b as u64))
@@ -379,16 +380,10 @@ pub fn fig8(opts: &Opts) -> Report {
                     .collect(),
             )],
         };
-        cells.push(
-            run_cell(
-                &queries::cc().unwrap(),
-                &ds,
-                "cc",
-                cfg(opts, Strategy::Dws),
-                opts.reps,
-            )
-            .to_string(),
-        );
+        let program = queries::cc().unwrap();
+        cells.extend(real.iter().map(|strat| {
+            run_cell(&program, &ds, "cc", cfg(opts, strat.clone()), opts.reps).to_string()
+        }));
         rows.push((format!("CC/{name}"), cells));
     }
     for (name, edges) in datasets::webgraphs(opts.scale) {
@@ -414,28 +409,31 @@ pub fn fig8(opts: &Opts) -> Report {
                     .collect(),
             )],
         };
-        cells.push(
+        let program = queries::sssp(source as i64).unwrap();
+        cells.extend(real.iter().map(|strat| {
             run_cell(
-                &queries::sssp(source as i64).unwrap(),
+                &program,
                 &ds,
                 "results",
-                cfg(opts, Strategy::Dws),
+                cfg(opts, strat.clone()),
                 opts.reps,
             )
-            .to_string(),
-        );
+            .to_string()
+        }));
         rows.push((format!("SSSP/{name}"), cells));
     }
     let (g, s, d) = paper::FIG8_SSSP_LJ;
     Report {
         title: format!(
-            "Figure 8: coordination strategies — simulated ticks ({} workers) + real DWS seconds",
-            opts.sim_workers
+            "Figure 8: coordination strategies — simulated ticks ({} workers) + real seconds ({} threads)",
+            opts.sim_workers, opts.workers
         ),
         columns: vec![
             "Global-sim".into(),
             "SSP-sim".into(),
             "DWS-sim".into(),
+            "Global-real(s)".into(),
+            "SSP-real(s)".into(),
             "DWS-real(s)".into(),
         ],
         rows,
@@ -446,8 +444,8 @@ pub fn fig8(opts: &Opts) -> Report {
 /// Figure 9(a) — thread scaling.
 ///
 /// Simulated makespans over a worker ladder (real threads cannot speed up
-/// on a single-core host), plus the real single-host Delivery seconds for
-/// grounding.
+/// on a single-core host), plus the real single-host CC and Delivery
+/// seconds for grounding.
 pub fn fig9a(opts: &Opts) -> Report {
     use dcd_runtime::simulator::SimWorkload;
     let threads: Vec<usize> = [1usize, 2, 4, 8, 16, 32]
@@ -497,21 +495,35 @@ pub fn fig9a(opts: &Opts) -> Report {
         .collect();
     rows.push(("SSSP/Arabic (sim)".into(), sssp_cells));
 
-    // Real engine row: Delivery on the largest N-tree, across real thread
-    // counts (flat on a single-core host — recorded for honesty).
-    let ds = datasets::delivery_datasets(opts.scale)
+    // Real engine rows: CC on LiveJournal and Delivery on the largest
+    // N-tree, across real thread counts (flat on a single-core host —
+    // recorded for honesty).
+    let real_cells = |program: &Program, ds: &Dataset, probe: &str| -> Vec<String> {
+        threads
+            .iter()
+            .map(|&t| {
+                let mut c = EngineConfig::with_workers(t).strategy(Strategy::Dws);
+                c.timeout = Some(opts.timeout);
+                run_cell(program, ds, probe, c, opts.reps).to_string()
+            })
+            .collect()
+    };
+    let cc = datasets::cc_datasets(opts.scale)
+        .into_iter()
+        .next()
+        .expect("LiveJournal dataset");
+    rows.push((
+        "CC/LiveJournal (real s)".into(),
+        real_cells(&queries::cc().unwrap(), &cc, "cc"),
+    ));
+    let delivery = datasets::delivery_datasets(opts.scale)
         .into_iter()
         .nth(3)
         .expect("N-300M dataset");
-    let delivery_cells: Vec<String> = threads
-        .iter()
-        .map(|&t| {
-            let mut c = EngineConfig::with_workers(t).strategy(Strategy::Dws);
-            c.timeout = Some(opts.timeout);
-            run_cell(&queries::delivery().unwrap(), &ds, "results", c, opts.reps).to_string()
-        })
-        .collect();
-    rows.push(("Delivery/N-300M (real s)".into(), delivery_cells));
+    rows.push((
+        "Delivery/N-300M (real s)".into(),
+        real_cells(&queries::delivery().unwrap(), &delivery, "results"),
+    ));
 
     Report {
         title: "Figure 9(a): worker scaling — simulated makespan (speedup)".into(),

@@ -21,8 +21,6 @@ pub struct EngineConfig {
     pub queue_capacity: usize,
     /// Max tuples per outgoing batch.
     pub batch_size: usize,
-    /// Idle poll interval for termination detection.
-    pub idle_poll: Duration,
     /// Wall-clock evaluation timeout (`None` = unbounded). On expiry the
     /// run aborts with `DcdError::Timeout`, mirroring the paper's 10-hour
     /// cap (`TO` entries).
@@ -53,7 +51,6 @@ impl Default for EngineConfig {
             sum_epsilon: 1e-9,
             queue_capacity: 1 << 10,
             batch_size: 4096,
-            idle_poll: Duration::from_micros(100),
             timeout: None,
             broadcast_routing: false,
             trace: false,

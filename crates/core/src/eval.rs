@@ -140,8 +140,7 @@ impl Evaluator<'_> {
     /// Runs a delta rule for one delta row, appending merge-layout head
     /// rows to `out`. Returns the number of rows emitted. The engine
     /// always runs [`Evaluator::eval_delta_batch`]; this row-at-a-time
-    /// path is the reference the kernel's tests and microbenchmark compare
-    /// against.
+    /// path is the reference the kernel's tests compare against.
     pub fn eval_delta(
         &self,
         rule: &CompiledRule,

@@ -96,7 +96,7 @@ impl Coordination {
             .map(|_| StratumCoord {
                 entry: RoundBarrier::new(n),
                 post_init: RoundBarrier::new(n),
-                termination: Termination::new(n, cfg.idle_poll),
+                termination: Termination::new(n),
                 round: RoundBarrier::new(n),
                 ssp: SspClock::new(n, ssp_s),
             })

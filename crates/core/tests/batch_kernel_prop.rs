@@ -263,3 +263,68 @@ fn tc_skewed_hub_runs_to_fixpoint() {
     // 14 arcs + {i→13, i→14 : i < 12} + 12→14 = 14 + 24 + 1.
     assert_eq!(store.rec(p.rel_by_name("tc").unwrap()).len(), 39);
 }
+
+/// A skewed delta, the shape probe memoization is for: 2 000 distinct
+/// `tc` rows whose join keys land 80% in an 8-key hot set over a
+/// 256-vertex graph with four out-edges per vertex. The kernel must
+/// emit what the row-at-a-time reference emits, and reuse a probe more
+/// often than it descends the index.
+#[test]
+fn skewed_delta_matches_reference_and_reuses_probes() {
+    use dcd_common::rng::Rng;
+    const VERTICES: i64 = 256;
+    let arcs: Vec<(i64, i64)> = (0..VERTICES)
+        .flat_map(|z| (0..4).map(move |k| (z, (z * 7 + k + 1) % VERTICES)))
+        .collect();
+    let (p, mut store) = build(queries::TC, &[], &[("arc", to_tuples(&arcs))]);
+    let tc = p.rel_by_name("tc").unwrap();
+    let mut rng = Rng::seed_from_u64(0xD1CE);
+    let mut delta: Vec<DeltaRow> = Vec::new();
+    for i in 0..2_000i64 {
+        let z = if rng.gen_bool(0.8) {
+            rng.gen_below(8) as i64
+        } else {
+            rng.gen_below(VERTICES as u64) as i64
+        };
+        let Merged::New(id) = store.rec_mut(tc).merge(&Tuple::from_ints(&[i, z])) else {
+            unreachable!("delta rows are distinct");
+        };
+        delta.push((tc, 0, id));
+    }
+    let ev = Evaluator {
+        plan: &p,
+        me: 0,
+        workers: 1,
+    };
+    let rule = &p.strata[0].delta_rules[0];
+    let mut scratch = EvalScratch::new();
+    let mut got = Vec::new();
+    ev.eval_delta_batch(rule, &store, &delta, &mut scratch, &mut |r| {
+        got.push(r.to_tuple())
+    });
+    let mut want = Vec::new();
+    for &(_, _, id) in &delta {
+        let mut out = Frame::default();
+        ev.eval_delta(
+            rule,
+            &store,
+            store.rec(tc).rows().row(id as usize),
+            &mut out,
+        );
+        want.extend(out.iter().map(|r| r.to_tuple()));
+    }
+    got.sort();
+    want.sort();
+    assert_eq!(got, want);
+    assert_eq!(
+        got.len(),
+        4 * delta.len(),
+        "every delta row joins four arcs"
+    );
+    assert!(
+        scratch.probe_reuse > scratch.probe_hits,
+        "hits={}, reuse={}",
+        scratch.probe_hits,
+        scratch.probe_reuse
+    );
+}

@@ -94,7 +94,7 @@ fn derived_attributes_are_seed_deterministic() {
 
 /// Pinned FNV-1a digests of every family for `SEED`. A failure here
 /// means the generated datasets changed relative to what previous runs
-/// (and the committed BENCH_baseline.json) were measured on.
+/// (and the committed `BENCH_*.json` files) were measured on.
 #[test]
 fn generator_checksums_are_pinned() {
     let checks: Vec<(&str, u64, u64)> = vec![

@@ -17,6 +17,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
+/// How long an idle worker sleeps between inbox checks: a missed
+/// notification costs at most one interval.
+const IDLE_POLL: Duration = Duration::from_micros(100);
+
 /// Outcome of [`Termination::idle_wait`].
 #[derive(Debug, PartialEq, Eq, Clone, Copy)]
 pub enum IdleOutcome {
@@ -34,14 +38,11 @@ pub struct Termination {
     idle: Mutex<usize>,
     cv: Condvar,
     n: usize,
-    poll: Duration,
 }
 
 impl Termination {
-    /// Creates a detector for `n` workers. `poll` bounds how long an idle
-    /// worker sleeps between inbox checks (missed notifications cost at
-    /// most one poll interval).
-    pub fn new(n: usize, poll: Duration) -> Self {
+    /// Creates a detector for `n` workers.
+    pub fn new(n: usize) -> Self {
         Termination {
             produced: AtomicU64::new(0),
             consumed: AtomicU64::new(0),
@@ -49,7 +50,6 @@ impl Termination {
             idle: Mutex::new(0),
             cv: Condvar::new(),
             n,
-            poll,
         }
     }
 
@@ -118,7 +118,7 @@ impl Termination {
                 *idle -= 1;
                 return IdleOutcome::Work;
             }
-            idle = self.cv.wait_timeout(idle, self.poll).unwrap().0;
+            idle = self.cv.wait_timeout(idle, IDLE_POLL).unwrap().0;
         }
     }
 }
@@ -128,20 +128,16 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    fn det(n: usize) -> Termination {
-        Termination::new(n, Duration::from_micros(100))
-    }
-
     #[test]
     fn single_worker_terminates_immediately_when_quiescent() {
-        let t = det(1);
+        let t = Termination::new(1);
         assert_eq!(t.idle_wait(|| false), IdleOutcome::Done);
         assert!(t.is_done());
     }
 
     #[test]
     fn unbalanced_counters_block_termination() {
-        let t = det(1);
+        let t = Termination::new(1);
         t.note_produced(3);
         t.note_consumed(2);
         // Work appears (simulating the in-flight tuple) so we return Work.
@@ -157,7 +153,7 @@ mod tests {
 
     #[test]
     fn cancel_wakes_idlers() {
-        let t = Arc::new(det(2));
+        let t = Arc::new(Termination::new(2));
         let t2 = Arc::clone(&t);
         let h = std::thread::spawn(move || t2.idle_wait(|| false));
         std::thread::sleep(Duration::from_millis(5));
@@ -167,7 +163,7 @@ mod tests {
 
     #[test]
     fn n_workers_all_quiescent_terminate() {
-        let t = Arc::new(det(4));
+        let t = Arc::new(Termination::new(4));
         let mut handles = Vec::new();
         for _ in 0..4 {
             let t = Arc::clone(&t);
@@ -183,7 +179,7 @@ mod tests {
         // Worker 0 produces 100 tuples into a small SPSC ring; worker 1
         // consumes them while repeatedly going idle; both must terminate
         // exactly once all tuples are consumed.
-        let t = det(2);
+        let t = Termination::new(2);
         let queue = crate::SpscQueue::new(8);
         let (mut tx, mut rx) = queue.split();
         let mut consumed_total = 0;
@@ -216,7 +212,7 @@ mod tests {
 
     #[test]
     fn counters_snapshot() {
-        let t = det(1);
+        let t = Termination::new(1);
         t.note_produced(5);
         t.note_consumed(3);
         assert_eq!(t.counters(), (5, 3));
