@@ -4,20 +4,7 @@
 //! * [`reference::Reference`] — an independent single-threaded naive
 //!   interpreter used as the correctness oracle throughout the test suite
 //!   and as the "single-node engine" row in the benchmark tables.
-//! * [`broadcast_config`] — configures the parallel engine to broadcast
-//!   every derived tuple to all workers, emulating the routing behaviour
-//!   the paper attributes to SociaLite/DDlog on non-linear queries
-//!   (Table 3).
 
 pub mod reference;
 
 pub use reference::Reference;
-
-use dcdatalog::EngineConfig;
-
-/// An [`EngineConfig`] with broadcast routing (the Table-3 comparator).
-pub fn broadcast_config(workers: usize) -> EngineConfig {
-    let mut cfg = EngineConfig::with_workers(workers);
-    cfg.broadcast_routing = true;
-    cfg
-}

@@ -271,15 +271,6 @@ pub const FIG8_SSSP_LJ: (f64, f64, f64) = (131.68, 34.45, 11.82);
 /// units under Global / SSP / DWS.
 pub const FIG3_UNITS: (u64, u64, u64) = (128, 88, 67);
 
-/// Figure 9(b) — CC seconds on RMAT-10M…160M (quoted in §7.4's text).
-pub const FIG9B_CC: &[(&str, f64)] = &[
-    ("RMAT-10M", 12.39),
-    ("RMAT-20M", 27.08),
-    ("RMAT-40M", 47.76),
-    ("RMAT-80M", 96.61),
-    ("RMAT-160M", 158.82),
-];
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,15 +291,6 @@ mod tests {
                     other
                 );
             }
-        }
-    }
-
-    #[test]
-    fn fig9b_scales_roughly_linearly() {
-        // Doubling data should roughly double the time (paper's claim).
-        for w in FIG9B_CC.windows(2) {
-            let ratio = w[1].1 / w[0].1;
-            assert!((1.5..3.0).contains(&ratio), "ratio {ratio}");
         }
     }
 }

@@ -291,11 +291,9 @@ pub fn any<T: Arbitrary>() -> Any<T> {
     Any(PhantomData)
 }
 
-/// Collection strategies (`vec`, `btree_set`), mirroring
-/// `proptest::collection`.
+/// Collection strategies (`vec`), mirroring `proptest::collection`.
 pub mod collection {
     use super::{DataSource, Strategy};
-    use std::collections::BTreeSet;
 
     /// An inclusive size bound for generated collections.
     #[derive(Clone, Copy, Debug)]
@@ -355,43 +353,6 @@ pub mod collection {
     /// Vectors of `elem` values with a length in `size`.
     pub fn vec<S: Strategy>(elem: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
         VecStrategy {
-            elem,
-            size: size.into(),
-        }
-    }
-
-    /// The strategy returned by [`btree_set`].
-    pub struct BTreeSetStrategy<S> {
-        elem: S,
-        size: SizeRange,
-    }
-
-    impl<S: Strategy> Strategy for BTreeSetStrategy<S>
-    where
-        S::Value: Ord,
-    {
-        type Value = BTreeSet<S::Value>;
-
-        fn generate(&self, src: &mut DataSource) -> Self::Value {
-            let target = self.size.sample(src);
-            let mut set = BTreeSet::new();
-            // Duplicates don't grow the set; cap the attempts so small
-            // element domains cannot loop forever.
-            let mut attempts = 10 * target + 20;
-            while set.len() < target && attempts > 0 {
-                set.insert(self.elem.generate(src));
-                attempts -= 1;
-            }
-            set
-        }
-    }
-
-    /// Sets of `elem` values with (up to) `size` distinct elements.
-    pub fn btree_set<S: Strategy>(elem: S, size: impl Into<SizeRange>) -> BTreeSetStrategy<S>
-    where
-        S::Value: Ord,
-    {
-        BTreeSetStrategy {
             elem,
             size: size.into(),
         }
@@ -506,15 +467,6 @@ mod tests {
             seen[s.generate(&mut src).len()] = true;
         }
         assert!(!seen[0] && seen[1] && seen[2] && seen[3] && seen[4]);
-    }
-
-    #[test]
-    fn btree_set_hits_target_sizes() {
-        let mut src = fresh();
-        let s = collection::btree_set(0u64..500, 10..11);
-        let set = s.generate(&mut src);
-        assert_eq!(set.len(), 10);
-        assert!(set.iter().all(|&x| x < 500));
     }
 
     #[test]

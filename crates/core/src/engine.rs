@@ -206,7 +206,7 @@ impl Engine {
                     let out = catch_unwind(AssertUnwindSafe(|| {
                         let store =
                             WorkerStore::build(plan, catalog, me, cfg.optimized, cfg.cache_slots);
-                        Worker::new(plan, cfg, coord, me).run(store)
+                        Worker::new(plan, cfg, coord, me, store).run()
                     }))
                     .unwrap_or_else(|payload| Err(panic_error(me, payload.as_ref())));
                     if out.is_err() {

@@ -22,17 +22,16 @@
 //! stored once. The kernel resolves the id when it reads the row, and an
 //! aggregate group's id always reads the group's newest value.
 //!
-//! The hot path is the *batched* kernel [`Evaluator::eval_delta_batch`]:
-//! one `(rel, route)` group of delta rows runs against one rule with a
-//! single persistent register file (no per-row allocation) and, when the
-//! rule opens with an index probe, the rows sorted by their probe key so
-//! runs of equal keys descend the index once and reuse the bucket
-//! (probe memoization). It runs in two passes — sort the group
-//! ([`Evaluator::sort_batch`]), then evaluate a range of the sorted order
-//! ([`Evaluator::eval_sorted`]) — so the worker can evaluate in slices
-//! and flush head rows between them. [`Evaluator::eval_delta`] is the
-//! tuple-at-a-time reference the differential tests pin the kernel
-//! against.
+//! The hot path is the *batched* kernel: one `(rel, route)` group of
+//! delta rows runs against one rule with a single persistent register
+//! file (no per-row allocation) and, when the rule opens with an index
+//! probe, the rows sorted by their probe key so runs of equal keys
+//! descend the index once and reuse the bucket (probe memoization). It
+//! runs in two passes — sort the group ([`Evaluator::sort_batch`]), then
+//! evaluate a range of the sorted order ([`Evaluator::eval_sorted`]) — so
+//! the worker can evaluate in slices and flush head rows between them.
+//! [`Evaluator::eval_delta`] is the tuple-at-a-time reference the
+//! differential tests pin the kernel against.
 
 use crate::store::WorkerStore;
 use dcd_common::{Frame, Partitioner, Row, Value, WorkerId};
@@ -104,8 +103,9 @@ fn bind_prelude(rule: &CompiledRule, row: Row<'_>, regs: &mut [Value]) -> bool {
 /// register file (resized per rule, never reallocated per row), the
 /// one-row frame head rows are written into, the first-probe sort buffer,
 /// and the probe-memoization counters. A worker allocates one of these and
-/// threads it through every [`Evaluator::eval_delta_batch`] call, so the
-/// steady-state hot loop performs zero allocations per delta row.
+/// threads it through every [`Evaluator::sort_batch`] and
+/// [`Evaluator::eval_sorted`] call, so the steady-state hot loop performs
+/// zero allocations per delta row.
 #[derive(Default)]
 pub struct EvalScratch {
     regs: Vec<Value>,
@@ -139,8 +139,9 @@ pub struct Evaluator<'a> {
 impl Evaluator<'_> {
     /// Runs a delta rule for one delta row, appending merge-layout head
     /// rows to `out`. Returns the number of rows emitted. The engine
-    /// always runs [`Evaluator::eval_delta_batch`]; this row-at-a-time
-    /// path is the reference the kernel's tests compare against.
+    /// always runs the batched kernel ([`Evaluator::sort_batch`], then
+    /// [`Evaluator::eval_sorted`]); this row-at-a-time path is the
+    /// reference the kernel's tests compare against.
     pub fn eval_delta(
         &self,
         rule: &CompiledRule,
@@ -156,25 +157,6 @@ impl Evaluator<'_> {
         let mut head = Frame::default();
         self.run_steps(rule, store, 0, &mut regs, &mut head, &mut |r| out.push(r));
         out.len() - before
-    }
-
-    /// The batched delta-join kernel: runs `rule` over a whole
-    /// `(rel, route)` group of delta rows, feeding head rows to `sink`.
-    /// Returns the number of rows emitted. This is
-    /// [`Evaluator::sort_batch`] followed by [`Evaluator::eval_sorted`]
-    /// over everything it sorted; the worker runs the second pass in
-    /// slices instead, so it can hand buffered rows to Distribute between
-    /// them.
-    pub fn eval_delta_batch(
-        &self,
-        rule: &CompiledRule,
-        store: &WorkerStore,
-        batch: &[DeltaRow],
-        scratch: &mut EvalScratch,
-        sink: &mut impl FnMut(Row<'_>),
-    ) -> u64 {
-        let n = self.sort_batch(rule, store, batch, scratch);
-        self.eval_sorted(rule, store, batch, 0..n, scratch, sink)
     }
 
     /// Pass 1 of the kernel: fills `scratch`'s visiting order for `batch`
@@ -668,7 +650,8 @@ mod tests {
         }
         let mut got = Vec::new();
         let mut scratch = EvalScratch::new();
-        let n = ev.eval_delta_batch(rule, &store, &batch, &mut scratch, &mut |r| {
+        let n = ev.sort_batch(rule, &store, &batch, &mut scratch);
+        let n = ev.eval_sorted(rule, &store, &batch, 0..n, &mut scratch, &mut |r| {
             got.push(r.to_tuple())
         });
         assert_eq!(n as usize, got.len());
@@ -726,7 +709,8 @@ mod tests {
         }
         let mut got = Vec::new();
         let mut scratch = EvalScratch::new();
-        ev.eval_delta_batch(rule, &store, &batch, &mut scratch, &mut |r| {
+        let n = ev.sort_batch(rule, &store, &batch, &mut scratch);
+        ev.eval_sorted(rule, &store, &batch, 0..n, &mut scratch, &mut |r| {
             got.push(r.to_tuple())
         });
         want.sort();

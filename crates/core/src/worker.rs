@@ -1,13 +1,18 @@
 //! The per-worker evaluation loop: Algorithm 1 (Global), its SSP
 //! relaxation, and Algorithm 2 (DWS).
 //!
-//! Every worker runs the strata in order, synchronizing at stratum entry.
-//! Within a recursive stratum it repeatedly: drains its message buffers
-//! (Gather), merges the arrivals into its local stores (emitting delta
-//! rows), decides per its strategy whether to wait or proceed, evaluates
-//! one local semi-naive iteration, and distributes the derived tuples
-//! (Distribute). Termination is per-strategy: the round barrier's all-zero
-//! round for Global, the produced/consumed counter protocol for SSP/DWS.
+//! A [`Worker`] owns its state: its store, its pending delta, the index of
+//! the stratum it evaluates and, under DWS, that stratum's controller. It
+//! runs the strata in order, meeting the other workers at the run-wide
+//! sync barrier before and after each stratum's init phase. All three
+//! strategies then run one fixpoint loop: drain the message buffers into
+//! the local stores, emitting delta rows (Gather); evaluate one local
+//! semi-naive iteration (Iterate); route the derived rows (Distribute).
+//! They differ only in where a worker waits: Global at the round barrier
+//! after every iteration, whose all-zero round is its fixpoint; SSP at its
+//! staleness bound and DWS for up to τ while fewer than ω rows are pending,
+//! both parking at a local fixpoint until work arrives or the
+//! produced/consumed counters show the global one.
 //!
 //! A delta row is the id of a row in this worker's store, not a copy of
 //! it. An aggregate group keeps one id while its value improves in place,
@@ -42,8 +47,8 @@ use dcd_common::{AggFunc, DcdError, Frame, Partitioner, Result, Row, Value, Work
 use dcd_frontend::physical::{PhysicalPlan, RelId, StorageKind};
 use dcd_runtime::trace::{Mark, Phase};
 use dcd_runtime::{
-    Batch, BufferMatrix, DwsConfig, DwsController, IdleOutcome, Recorder, RoundBarrier, SspClock,
-    Strategy, Termination, WorkerEndpoints,
+    Batch, BufferMatrix, DwsController, IdleOutcome, Recorder, RoundBarrier, SspClock, Strategy,
+    Termination, WorkerEndpoints,
 };
 use dcd_storage::DerivedRelation;
 use std::cmp::Reverse;
@@ -53,10 +58,6 @@ use std::time::{Duration, Instant};
 
 /// Per-stratum coordination objects (shared by all workers).
 pub struct StratumCoord {
-    /// Entry synchronization (also separates init sends from round 1).
-    pub entry: RoundBarrier,
-    /// Post-init synchronization.
-    pub post_init: RoundBarrier,
     /// Counter-based fixpoint detection (SSP/DWS).
     pub termination: Termination,
     /// Per-global-iteration barrier (Global).
@@ -73,6 +74,11 @@ pub struct Coordination {
     pub part: Partitioner,
     /// Per-stratum coordination.
     pub strata: Vec<StratumCoord>,
+    /// Every worker waits here before and after each stratum's init
+    /// phase: no worker sends a stratum's rows while another still drains
+    /// the previous stratum, and none enters the fixpoint before every
+    /// init row was sent.
+    pub sync: RoundBarrier,
     /// The run clock's zero: every worker's [`Recorder`] stamps its
     /// events relative to it, so the exported tracks align.
     pub epoch: Instant,
@@ -94,8 +100,6 @@ impl Coordination {
             .strata
             .iter()
             .map(|_| StratumCoord {
-                entry: RoundBarrier::new(n),
-                post_init: RoundBarrier::new(n),
                 termination: Termination::new(n),
                 round: RoundBarrier::new(n),
                 ssp: SspClock::new(n, ssp_s),
@@ -105,6 +109,7 @@ impl Coordination {
             buffers: BufferMatrix::new(n, cfg.queue_capacity),
             part: Partitioner::new(n),
             strata,
+            sync: RoundBarrier::new(n),
             epoch: Instant::now(),
             abort: AtomicBool::new(false),
             deadline: cfg.timeout.map(|t| Instant::now() + t),
@@ -125,18 +130,24 @@ impl Coordination {
     /// Flags an abort and releases everything blocked.
     pub fn cancel(&self) {
         self.abort.store(true, Ordering::SeqCst);
+        self.sync.cancel();
         for s in &self.strata {
-            s.entry.cancel();
-            s.post_init.cancel();
             s.termination.cancel();
             s.round.cancel();
         }
     }
 
-    fn check_deadline(&self) -> Result<()> {
+    /// `Err` once the evaluation was aborted: a worker failed, or the
+    /// deadline passed.
+    fn aborted(&self) -> Result<()> {
         if self.abort.load(Ordering::SeqCst) {
             return Err(DcdError::Execution("evaluation aborted".into()));
         }
+        Ok(())
+    }
+
+    fn check_deadline(&self) -> Result<()> {
+        self.aborted()?;
         if let Some(d) = self.deadline {
             if Instant::now() > d {
                 self.cancel();
@@ -309,7 +320,8 @@ impl BestFirst {
     }
 }
 
-/// The worker context bundling everything one thread needs.
+/// The worker context: everything one thread needs, and the state of the
+/// stratum it evaluates.
 pub struct Worker<'a> {
     plan: &'a PhysicalPlan,
     cfg: &'a EngineConfig,
@@ -324,15 +336,27 @@ pub struct Worker<'a> {
     best_first: Vec<Option<BestFirst>>,
     /// This worker's counters and trace; returned by [`Worker::run`].
     rec: Recorder,
+    /// This worker's partition of every relation; returned by
+    /// [`Worker::run`].
+    store: WorkerStore,
+    /// The stratum being evaluated.
+    si: usize,
+    /// Pending delta rows: ids merged since the last Iterate.
+    delta: Vec<DeltaRow>,
+    /// The stratum's DWS controller: `None` under Global and SSP, and
+    /// during a stratum's init phase, so it sees only fixpoint batches.
+    dws: Option<DwsController>,
 }
 
 impl<'a> Worker<'a> {
-    /// Claims worker `me`'s endpoints and builds its context.
+    /// Claims worker `me`'s endpoints and builds its context around its
+    /// store.
     pub fn new(
         plan: &'a PhysicalPlan,
         cfg: &'a EngineConfig,
         coord: &'a Coordination,
         me: WorkerId,
+        store: WorkerStore,
     ) -> Self {
         Worker {
             plan,
@@ -350,40 +374,43 @@ impl<'a> Worker<'a> {
                 .map(|rel| BestFirst::of(plan, rel))
                 .collect(),
             rec: Recorder::new(coord.epoch, cfg.trace.then_some(cfg.trace_capacity)),
+            store,
+            si: 0,
+            delta: Vec::new(),
+            dws: None,
         }
     }
 
     /// Runs the full evaluation for this worker; returns the final local
     /// store and the worker's recorder.
-    pub fn run(mut self, mut store: WorkerStore) -> Result<(WorkerStore, Recorder)> {
+    pub fn run(mut self) -> Result<(WorkerStore, Recorder)> {
         for si in 0..self.plan.strata.len() {
-            self.run_stratum(si, &mut store)?;
+            self.run_stratum(si)?;
         }
         // Fold the sent-filter counters and the kernel's probe counters
         // into the recorder so the report carries them.
         let m = &mut self.rec.counters;
-        (m.cache_hits, m.cache_misses) = store.cache_totals();
+        (m.cache_hits, m.cache_misses) = self.store.cache_totals();
         m.probe_hits += self.scratch.probe_hits;
         m.probe_reuse += self.scratch.probe_reuse;
-        Ok((store, self.rec))
+        Ok((self.store, self.rec))
     }
 
-    fn run_stratum(&mut self, si: usize, store: &mut WorkerStore) -> Result<()> {
-        let sc = &self.coord.strata[si];
-        let te = Instant::now();
-        sc.entry.wait();
-        self.rec.close(Phase::Idle, te, 0, 0, 0);
+    fn run_stratum(&mut self, si: usize) -> Result<()> {
+        self.si = si;
+        self.dws = None;
+        self.sync();
         self.coord.check_deadline()?;
 
         // ---- Init phase: base rules + inline facts ----
         let ti = Instant::now();
-        let stratum = &self.plan.strata[si];
         let plan = self.plan;
+        let stratum = &plan.strata[si];
         let mut acc = PartialAgg::default();
         for rule in &stratum.init_rules {
             let head = rule.head_rel;
             let mut sink = |row: Row<'_>| acc.push(plan, head, row);
-            self.evaluator.eval_init(rule, store, &mut sink);
+            self.evaluator.eval_init(rule, &self.store, &mut sink);
         }
         if self.me == 0 {
             for (rel, t) in &plan.facts {
@@ -393,76 +420,44 @@ impl<'a> Worker<'a> {
             }
         }
         self.rec.close(Phase::EvalDelta, ti, 0, 0, 0);
-        let mut delta = Vec::new();
         let out = acc.drain();
-        let out = out.iter().map(|(rel, rows)| (*rel, rows));
-        self.distribute(si, store, out, &mut delta, &mut None)?;
-        let tp = Instant::now();
-        sc.post_init.wait();
-        self.rec.close(Phase::Idle, tp, 0, 0, 0);
-
-        // ---- Fixpoint phase ----
-        match &self.cfg.strategy {
-            Strategy::Global => self.global_loop(si, store, delta),
-            Strategy::Ssp { .. } => self.async_loop(si, store, delta, None),
-            Strategy::Dws => {
-                let controller = DwsController::new(self.cfg.workers, DwsConfig::default());
-                self.async_loop(si, store, delta, Some(controller))
-            }
+        self.distribute(out.iter().map(|(rel, rows)| (*rel, rows)))?;
+        self.sync();
+        if matches!(self.cfg.strategy, Strategy::Dws) {
+            self.dws = Some(DwsController::new(self.cfg.workers));
         }
+        self.fixpoint()
     }
 
-    /// Algorithm 1: a global barrier after every iteration.
-    fn global_loop(
-        &mut self,
-        si: usize,
-        store: &mut WorkerStore,
-        mut delta: Vec<DeltaRow>,
-    ) -> Result<()> {
-        // Initial new-tuple count: what init distributed locally + remotely
-        // is already in `delta`/queues; the first round drains and counts.
-        loop {
-            self.coord.check_deadline()?;
-            let tg = Instant::now();
-            self.drain_into(si, store, &mut delta, &mut None);
-            self.rec.close(Phase::Gather, tg, 0, 0, 0);
-            let (processed, local_new, remote_sent) =
-                self.iterate(si, store, &mut delta, &mut None)?;
-            let produced = remote_sent + local_new;
-            let queue_depth = self.coord.buffers.inbound_len(self.me) as u64;
-            self.rec.end_iteration(processed, produced, queue_depth);
-            let tb = Instant::now();
-            let cont = self.coord.strata[si].round.arrive(produced);
-            self.rec.close(Phase::Idle, tb, 0, 0, 0);
-            self.rec.mark(Mark::TerminationRound, cont as u64, 0, 0);
-            if !cont {
-                if self.coord.abort.load(Ordering::SeqCst) {
-                    return Err(DcdError::Execution("evaluation aborted".into()));
-                }
-                return Ok(());
-            }
-        }
+    /// Waits at the run-wide sync barrier (an `Idle` span).
+    fn sync(&mut self) {
+        let t = Instant::now();
+        self.coord.sync.wait();
+        self.rec.close(Phase::Idle, t, 0, 0, 0);
     }
 
-    /// Algorithm 2 (DWS) and the SSP relaxation: no global barrier.
-    fn async_loop(
-        &mut self,
-        si: usize,
-        store: &mut WorkerStore,
-        mut delta: Vec<DeltaRow>,
-        mut dws: Option<DwsController>,
-    ) -> Result<()> {
-        let sc = &self.coord.strata[si];
-        let is_ssp = matches!(self.cfg.strategy, Strategy::Ssp { .. });
+    /// The stratum's fixpoint, one loop for all three strategies: Gather,
+    /// the strategy's wait, Iterate (with its Distribute). Global meets
+    /// the others at the round barrier after every iteration and stops
+    /// after an all-zero round. SSP and DWS park at a local fixpoint until
+    /// work arrives or the global fixpoint is declared; before Iterate,
+    /// SSP stays within `s` iterations of the slowest active worker and
+    /// DWS waits for ω rows for at most τ. Each exit leaves one
+    /// `TerminationRound` mark with `a == 0`.
+    fn fixpoint(&mut self) -> Result<()> {
+        let coord = self.coord;
+        let sc = &coord.strata[self.si];
+        let global = matches!(self.cfg.strategy, Strategy::Global);
+        let ssp = matches!(self.cfg.strategy, Strategy::Ssp { .. });
         loop {
-            self.coord.check_deadline()?;
+            coord.check_deadline()?;
             let tg = Instant::now();
-            self.drain_into(si, store, &mut delta, &mut dws.as_mut());
+            self.drain_into();
             self.rec.close(Phase::Gather, tg, 0, 0, 0);
 
-            if delta.is_empty() {
+            if !global && self.delta.is_empty() {
                 // Local fixpoint: park until new work or global fixpoint.
-                if is_ssp {
+                if ssp {
                     sc.ssp.finish(self.me);
                 }
                 let ti = Instant::now();
@@ -470,73 +465,74 @@ impl<'a> Worker<'a> {
                 self.rec.close(Phase::Idle, ti, 0, 0, 0);
                 let work = outcome == IdleOutcome::Work;
                 self.rec.mark(Mark::TerminationRound, work as u64, 0, 0);
-                match outcome {
-                    IdleOutcome::Done => {
-                        if self.coord.abort.load(Ordering::SeqCst) {
-                            return Err(DcdError::Execution("evaluation aborted".into()));
-                        }
-                        return Ok(());
-                    }
-                    IdleOutcome::Work => {
-                        if is_ssp {
-                            sc.ssp.rejoin(self.me);
-                        }
-                        continue;
-                    }
+                if !work {
+                    return coord.aborted();
                 }
-            }
-
-            // DWS: wait up to τ while the delta is smaller than ω
-            // (Algorithm 2 lines 5–8), collecting more tuples meanwhile.
-            if let Some(ctrl) = dws.as_mut() {
-                let omega = ctrl.omega();
-                if delta.len() < omega {
-                    let tw = Instant::now();
-                    let deadline = tw + ctrl.tau();
-                    while delta.len() < omega
-                        && Instant::now() < deadline
-                        && !sc.termination.is_done()
-                    {
-                        if self.endpoints.has_inbound() {
-                            // The controller must see these batches too:
-                            // dropping them here systematically
-                            // underestimated λ (arrival-stat loss).
-                            let mut ctrl_opt = Some(&mut *ctrl);
-                            self.drain_into(si, store, &mut delta, &mut ctrl_opt);
-                        } else {
-                            std::thread::sleep(Duration::from_micros(5));
-                        }
-                    }
-                    self.rec.close(Phase::OmegaWait, tw, 0, 0, 0);
+                if ssp {
+                    sc.ssp.rejoin(self.me);
                 }
-                ctrl.update_params();
-                self.rec.dws_decision(
-                    ctrl.omega() as u64,
-                    ctrl.tau().as_nanos() as u64,
-                    delta.len() as u64,
-                    ctrl.model(),
-                );
+                continue;
             }
-
-            // SSP: stay within `s` iterations of the frontier.
-            if is_ssp {
-                let abort = || self.coord.abort.load(Ordering::SeqCst) || sc.termination.is_done();
+            self.omega_wait();
+            if ssp {
+                let abort = || coord.abort.load(Ordering::SeqCst) || sc.termination.is_done();
                 sc.ssp.wait_if_ahead(self.me, abort);
             }
 
             let t0 = Instant::now();
-            let (processed, local_new, remote_sent) =
-                self.iterate(si, store, &mut delta, &mut dws.as_mut())?;
-            if let Some(ctrl) = dws.as_mut() {
+            let (processed, local_new, remote_sent) = self.iterate()?;
+            if let Some(ctrl) = &mut self.dws {
                 ctrl.on_iteration(processed as usize, t0.elapsed());
             }
-            let queue_depth = self.coord.buffers.inbound_len(self.me) as u64;
-            self.rec
-                .end_iteration(processed, local_new + remote_sent, queue_depth);
-            if is_ssp {
+            let produced = local_new + remote_sent;
+            let queue_depth = coord.buffers.inbound_len(self.me) as u64;
+            self.rec.end_iteration(processed, produced, queue_depth);
+            if ssp {
                 sc.ssp.advance(self.me);
             }
+            if global {
+                let tb = Instant::now();
+                let cont = sc.round.arrive(produced);
+                self.rec.close(Phase::Idle, tb, 0, 0, 0);
+                self.rec.mark(Mark::TerminationRound, cont as u64, 0, 0);
+                if !cont {
+                    return coord.aborted();
+                }
+            }
         }
+    }
+
+    /// DWS only: waits up to τ while the delta is smaller than ω
+    /// (Algorithm 2 lines 5–8), draining arrivals meanwhile, then updates
+    /// ω and τ and records the decision.
+    fn omega_wait(&mut self) {
+        let Some(ctrl) = &self.dws else {
+            return;
+        };
+        let omega = ctrl.omega();
+        if self.delta.len() < omega {
+            let termination = &self.coord.strata[self.si].termination;
+            let tw = Instant::now();
+            let deadline = tw + ctrl.tau();
+            while self.delta.len() < omega && Instant::now() < deadline && !termination.is_done() {
+                if self.endpoints.has_inbound() {
+                    self.drain_into();
+                } else {
+                    std::thread::sleep(Duration::from_micros(5));
+                }
+            }
+            self.rec.close(Phase::OmegaWait, tw, 0, 0, 0);
+        }
+        let Some(ctrl) = &mut self.dws else {
+            return;
+        };
+        ctrl.update_params();
+        self.rec.dws_decision(
+            ctrl.omega() as u64,
+            ctrl.tau().as_nanos() as u64,
+            self.delta.len() as u64,
+            ctrl.model(),
+        );
     }
 
     /// One local semi-naive iteration and its Distribute: runs every
@@ -559,13 +555,7 @@ impl<'a> Worker<'a> {
     /// still end at the barrier, so it leaves them to the next Gather).
     /// Returns `(delta rows evaluated, new local merges, tuples sent to
     /// peers)`; the first counts rows requeued and evaluated again.
-    fn iterate(
-        &mut self,
-        si: usize,
-        store: &mut WorkerStore,
-        delta: &mut Vec<DeltaRow>,
-        dws: &mut Option<&mut DwsController>,
-    ) -> Result<(u64, u64, u64)> {
+    fn iterate(&mut self) -> Result<(u64, u64, u64)> {
         let mut t0 = Instant::now();
         // Gather (§5.2.2): an aggregate group updated several times since
         // the last iteration has one id, which reads its newest value, so
@@ -574,7 +564,7 @@ impl<'a> Worker<'a> {
         // micro-deltas. The sort also clusters the delta by (rel, route):
         // each cluster runs as one batch per matching rule, a set
         // relation's rows in merge (= id) order.
-        let mut rows = std::mem::take(delta);
+        let mut rows = std::mem::take(&mut self.delta);
         rows.sort_unstable();
         rows.dedup();
         let mut acc = PartialAgg::default();
@@ -582,18 +572,18 @@ impl<'a> Worker<'a> {
         for group in rows.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
             if self.best_first[group[0].0].is_some() {
                 for &row in group {
-                    self.enqueue(store, row);
+                    self.enqueue(row);
                 }
                 continue;
             }
             evaluated += group.len() as u64;
-            let (l, r) = self.eval_group(si, store, group, &mut acc, delta, dws, &mut t0)?;
+            let (l, r) = self.eval_group(group, &mut acc, &mut t0)?;
             local_new += l;
             remote_sent += r;
         }
-        let rels = &self.plan.strata[si].rels;
+        let rels = &self.plan.strata[self.si].rels;
         if rels.iter().any(|&rel| self.best_first[rel].is_some()) {
-            let (e, l, r) = self.eval_best_first(si, store, &mut acc, delta, dws, &mut t0)?;
+            let (e, l, r) = self.eval_best_first(&mut acc, &mut t0)?;
             evaluated += e;
             local_new += l;
             remote_sent += r;
@@ -601,23 +591,18 @@ impl<'a> Worker<'a> {
         self.rec.counters.tuples_processed += evaluated;
         self.rec.close(Phase::EvalDelta, t0, evaluated, 0, 0);
         let out = acc.drain();
-        let out = out.iter().map(|(rel, rows)| (*rel, rows));
-        let (l, r) = self.distribute(si, store, out, delta, dws)?;
+        let (l, r) = self.distribute(out.iter().map(|(rel, rows)| (*rel, rows)))?;
         Ok((evaluated, local_new + l, remote_sent + r))
     }
 
-    /// Iterate's best-first part: moves the best-first rows that `delta`
+    /// Iterate's best-first part: moves the best-first rows that the delta
     /// gained so far into their orders, then evaluates the orders one
     /// slice at a time until they are empty, distributing each slice and
     /// requeueing what it improves. Returns `(delta rows evaluated, new
     /// local merges, tuples sent to peers)`.
     fn eval_best_first(
         &mut self,
-        si: usize,
-        store: &mut WorkerStore,
         acc: &mut PartialAgg,
-        delta: &mut Vec<DeltaRow>,
-        dws: &mut Option<&mut DwsController>,
         t0: &mut Instant,
     ) -> Result<(u64, u64, u64)> {
         let global = matches!(self.cfg.strategy, Strategy::Global);
@@ -625,22 +610,22 @@ impl<'a> Worker<'a> {
         let (mut evaluated, mut local_new, mut remote_sent) = (0, 0, 0);
         let mut requeued = 0;
         loop {
-            self.requeue(store, delta, requeued);
-            requeued = delta.len();
-            if !self.next_slice(store, &mut slice) {
+            self.requeue(requeued);
+            requeued = self.delta.len();
+            if !self.next_slice(&mut slice) {
                 break;
             }
             self.coord.check_deadline()?;
             evaluated += slice.len() as u64;
-            let (l, r) = self.eval_group(si, store, &slice, acc, delta, dws, t0)?;
+            let (l, r) = self.eval_group(&slice, acc, t0)?;
             self.rec.close(Phase::EvalDelta, *t0, 0, 0, 0);
-            let (l2, r2) = self.distribute(si, store, acc.frames(), delta, dws)?;
+            let (l2, r2) = self.distribute(acc.frames())?;
             acc.clear();
             local_new += l + l2;
             remote_sent += r + r2;
             if !global && self.endpoints.has_inbound() {
                 let tg = Instant::now();
-                self.drain_into(si, store, delta, dws);
+                self.drain_into();
                 self.rec.close(Phase::Gather, tg, 0, 0, 0);
             }
             *t0 = Instant::now();
@@ -653,7 +638,7 @@ impl<'a> Worker<'a> {
         Ok((evaluated, local_new, remote_sent))
     }
 
-    /// Runs every delta rule of stratum `si` that consumes `group`'s
+    /// Runs every delta rule of the stratum that consumes `group`'s
     /// `(rel, route)` over it, feeding head rows to `acc` unless this
     /// worker already stores them (`RecStore::already_stored`: such a row
     /// was routed to every destination when it was first stored, so it
@@ -661,21 +646,16 @@ impl<'a> Worker<'a> {
     /// whenever a slice leaves [`FLUSH_ROWS`] of them, which splits the
     /// `EvalDelta` span that began at `t0`. Returns what those flushes
     /// merged and sent.
-    #[allow(clippy::too_many_arguments)]
     fn eval_group(
         &mut self,
-        si: usize,
-        store: &mut WorkerStore,
         group: &[DeltaRow],
         acc: &mut PartialAgg,
-        delta: &mut Vec<DeltaRow>,
-        dws: &mut Option<&mut DwsController>,
         t0: &mut Instant,
     ) -> Result<(u64, u64)> {
         let plan = self.plan;
         let (rel, route) = (group[0].0, group[0].1);
         let (mut local_new, mut remote_sent) = (0, 0);
-        for rule in &plan.strata[si].delta_rules {
+        for rule in &plan.strata[self.si].delta_rules {
             let spec = rule.delta.as_ref().expect("delta rule");
             if spec.rel != rel || spec.route != route as usize {
                 continue;
@@ -683,14 +663,13 @@ impl<'a> Worker<'a> {
             let head = rule.head_rel;
             let n = self
                 .evaluator
-                .sort_batch(rule, store, group, &mut self.scratch);
+                .sort_batch(rule, &self.store, group, &mut self.scratch);
             for lo in (0..n).step_by(SLICE_ROWS) {
                 let slice = lo..n.min(lo + SLICE_ROWS);
-                let shared: &WorkerStore = store;
-                let stored = shared.rec(head);
+                let stored = self.store.rec(head);
                 self.evaluator.eval_sorted(
                     rule,
-                    shared,
+                    &self.store,
                     group,
                     slice,
                     &mut self.scratch,
@@ -703,7 +682,7 @@ impl<'a> Worker<'a> {
                 if acc.queued_rows >= FLUSH_ROWS {
                     self.rec.close(Phase::EvalDelta, *t0, 0, 0, 0);
                     let queued = acc.queued.iter().map(|(rel, rows)| (*rel, rows));
-                    let (l, r) = self.distribute(si, store, queued, delta, dws)?;
+                    let (l, r) = self.distribute(queued)?;
                     acc.clear_queued();
                     local_new += l;
                     remote_sent += r;
@@ -719,26 +698,27 @@ impl<'a> Worker<'a> {
 
     /// Queues best-first delta row `row` at its stored value; `false`
     /// (and nothing queued) for a row of any other relation.
-    fn enqueue(&mut self, store: &WorkerStore, (rel, route, id): DeltaRow) -> bool {
+    fn enqueue(&mut self, (rel, route, id): DeltaRow) -> bool {
         let Some(order) = &mut self.best_first[rel] else {
             return false;
         };
-        let priority = order.priority(store.rec(rel).rows().row(id as usize).get(order.col));
+        let priority = order.priority(self.store.rec(rel).rows().row(id as usize).get(order.col));
         order.routes[route as usize].push((priority, Reverse(id)));
         true
     }
 
     /// Moves the best-first rows of `delta[from..]` into their orders, and
-    /// keeps the others in `delta` for the next iteration.
-    fn requeue(&mut self, store: &WorkerStore, delta: &mut Vec<DeltaRow>, from: usize) {
+    /// keeps the others in the delta for the next iteration.
+    fn requeue(&mut self, from: usize) {
         let mut keep = from;
-        for i in from..delta.len() {
-            if !self.enqueue(store, delta[i]) {
-                delta[keep] = delta[i];
+        for i in from..self.delta.len() {
+            let row = self.delta[i];
+            if !self.enqueue(row) {
+                self.delta[keep] = row;
                 keep += 1;
             }
         }
-        delta.truncate(keep);
+        self.delta.truncate(keep);
     }
 
     /// Fills `slice` with the best [`SLICE_ROWS`] pending ids of the first
@@ -749,13 +729,13 @@ impl<'a> Worker<'a> {
     /// queued twice at one value (merged from a slice and from an inbound
     /// batch before it was requeued) has equal entries, which pop
     /// together and are taken once.
-    fn next_slice(&mut self, store: &WorkerStore, slice: &mut Vec<DeltaRow>) -> bool {
+    fn next_slice(&mut self, slice: &mut Vec<DeltaRow>) -> bool {
         slice.clear();
         for (rel, order) in self.best_first.iter_mut().enumerate() {
             let Some(order) = order else {
                 continue;
             };
-            let rows = store.rec(rel).rows();
+            let rows = self.store.rec(rel).rows();
             for route in 0..order.routes.len() {
                 while slice.len() < SLICE_ROWS {
                     let heap = &mut order.routes[route];
@@ -781,25 +761,19 @@ impl<'a> Worker<'a> {
     /// feed the next delta immediately, remote rows are copied, as lanes,
     /// into one frame per destination and sent in batches through the
     /// SPSC buffers once the relation's rows are routed.
-    /// Returns `(new local merges, tuples sent to peers)`. The DWS
-    /// controller (when present) must observe any batches consumed during
-    /// backpressure retries, or λ is underestimated.
+    /// Returns `(new local merges, tuples sent to peers)`.
     fn distribute<'r>(
         &mut self,
-        si: usize,
-        store: &mut WorkerStore,
         outs: impl IntoIterator<Item = (RelId, &'r Frame)>,
-        delta: &mut Vec<DeltaRow>,
-        dws: &mut Option<&mut DwsController>,
     ) -> Result<(u64, u64)> {
         let t0 = Instant::now();
-        let n = self.cfg.workers;
+        let (plan, n) = (self.plan, self.cfg.workers);
         let mut local_new = 0u64;
         let mut remote_sent = 0u64;
         let mut staged: Vec<Frame> = (0..n).map(|_| Frame::default()).collect();
         let mut dests: Vec<WorkerId> = Vec::with_capacity(2);
         for (rel, rows) in outs {
-            let decl = self.plan.idb[rel].as_ref().expect("IDB head");
+            let decl = plan.idb[rel].as_ref().expect("IDB head");
             for row in rows.iter() {
                 // The sent-filter: a row this worker already routed went to
                 // the same (deterministic) destinations then; re-merging it
@@ -807,7 +781,7 @@ impl<'a> Worker<'a> {
                 // before it is serialized. On one worker every row merges
                 // locally, where the dedup table is the check, so no filter
                 // is used.
-                if n > 1 && store.rec_mut(rel).already_sent(row) {
+                if n > 1 && self.store.rec_mut(rel).already_sent(row) {
                     continue;
                 }
                 dests.clear();
@@ -823,7 +797,7 @@ impl<'a> Worker<'a> {
                 }
                 for &d in &dests {
                     if d == self.me {
-                        local_new += self.merge_local(store, rel, row, delta);
+                        local_new += self.merge_local(rel, row);
                     } else {
                         staged[d].push(row);
                     }
@@ -831,8 +805,7 @@ impl<'a> Worker<'a> {
             }
             for (dest, rows) in staged.iter_mut().enumerate() {
                 if !rows.is_empty() {
-                    let rows = std::mem::take(rows);
-                    remote_sent += self.send(si, store, dest, rel, rows, delta, dws)?;
+                    remote_sent += self.send(dest, rel, std::mem::take(rows))?;
                 }
             }
         }
@@ -845,18 +818,8 @@ impl<'a> Worker<'a> {
     /// Sends `frame`'s rows of `rel` to worker `dest` in batches; returns
     /// the rows sent. A full queue drains this worker's own inbox while it
     /// retries, so two workers flooding each other cannot deadlock.
-    #[allow(clippy::too_many_arguments)]
-    fn send(
-        &mut self,
-        si: usize,
-        store: &mut WorkerStore,
-        dest: WorkerId,
-        rel: RelId,
-        frame: Frame,
-        delta: &mut Vec<DeltaRow>,
-        dws: &mut Option<&mut DwsController>,
-    ) -> Result<u64> {
-        let termination = &self.coord.strata[si].termination;
+    fn send(&mut self, dest: WorkerId, rel: RelId, frame: Frame) -> Result<u64> {
+        let termination = &self.coord.strata[self.si].termination;
         let mut sent = 0;
         for piece in frame.into_batches(self.cfg.batch_size) {
             let k = piece.len() as u64;
@@ -878,14 +841,12 @@ impl<'a> Worker<'a> {
                     Ok(()) => break,
                     Err(back) => {
                         batch = back;
-                        if self.coord.abort.load(Ordering::SeqCst) {
-                            return Err(DcdError::Execution("evaluation aborted".into()));
-                        }
+                        self.coord.aborted()?;
                         if self.rec.is_tracing() && tbp.is_none() {
                             tbp = Some(Instant::now());
                         }
                         self.rec.counters.backpressure_retries += 1;
-                        self.drain_into(si, store, delta, dws);
+                        self.drain_into();
                         std::thread::yield_now();
                     }
                 }
@@ -902,28 +863,22 @@ impl<'a> Worker<'a> {
     /// Merges one merge-layout row into the local store; on success, adds
     /// the stored row's id to the delta once for every route of the
     /// relation that maps here.
-    fn merge_local(
-        &self,
-        store: &mut WorkerStore,
-        rel: RelId,
-        row: Row<'_>,
-        delta: &mut Vec<DeltaRow>,
-    ) -> u64 {
+    fn merge_local(&mut self, rel: RelId, row: Row<'_>) -> u64 {
         let decl = self.plan.idb[rel].as_ref().expect("IDB");
-        let Merged::New(id) = store.rec_mut(rel).merge_row(row) else {
+        let Merged::New(id) = self.store.rec_mut(rel).merge_row(row) else {
             return 0;
         };
         if decl.broadcast {
             // Broadcast relations run every variant everywhere.
             for r in 0..decl.partition_cols.len().max(1) {
-                delta.push((rel, r as u8, id));
+                self.delta.push((rel, r as u8, id));
             }
         } else {
             // Route columns are group columns, so the incoming row routes
             // exactly as the stored one.
             for (ri, &c) in decl.partition_cols.iter().enumerate() {
                 if self.coord.part.of_key(row.key(c)) == self.me {
-                    delta.push((rel, ri as u8, id));
+                    self.delta.push((rel, ri as u8, id));
                 }
             }
         }
@@ -931,15 +886,11 @@ impl<'a> Worker<'a> {
     }
 
     /// Drains every inbound queue into the store/delta (Gather, and the
-    /// ω-wait and backpressure loops).
-    fn drain_into(
-        &mut self,
-        si: usize,
-        store: &mut WorkerStore,
-        delta: &mut Vec<DeltaRow>,
-        dws: &mut Option<&mut DwsController>,
-    ) {
-        let termination = &self.coord.strata[si].termination;
+    /// ω-wait and backpressure loops). The DWS controller, when present,
+    /// observes every batch drained, wherever it is drained: batches it
+    /// missed would underestimate λ.
+    fn drain_into(&mut self) {
+        let termination = &self.coord.strata[self.si].termination;
         let tm = self.rec.is_tracing().then(Instant::now);
         let mut batches = 0u64;
         let mut new = 0u64;
@@ -950,13 +901,13 @@ impl<'a> Worker<'a> {
                 m.batches_in += 1;
                 m.tuples_in += k;
                 m.bytes_in += batch.payload_bytes();
-                if let Some(ctrl) = dws.as_deref_mut() {
+                if let Some(ctrl) = &mut self.dws {
                     ctrl.on_batch(batch.from, batch.len(), batch.sent_at);
                 }
                 batches += 1;
                 let rel = batch.rel as usize;
                 for row in batch.frame.iter() {
-                    new += self.merge_local(store, rel, row, delta);
+                    new += self.merge_local(rel, row);
                 }
                 termination.note_consumed(k);
             }
@@ -1107,12 +1058,20 @@ mod tests {
         assert_eq!(got.len(), pushed.len());
     }
 
-    /// A 1-worker store for `p` with base relation `edb` holding `rows`.
-    fn one_worker_store(p: &PhysicalPlan, edb: &str, rows: Vec<Tuple>) -> WorkerStore {
+    /// Worker 0 of 1 for `p`, whose base relation `edb` holds `rows`.
+    fn one_worker<'a>(
+        p: &'a PhysicalPlan,
+        cfg: &'a EngineConfig,
+        coord: &'a Coordination,
+        edb: &[(&str, Vec<Tuple>)],
+    ) -> Worker<'a> {
         let mut data: Vec<Option<Vec<Tuple>>> = vec![None; p.edb.len()];
-        data[p.rel_by_name(edb).unwrap()] = Some(rows);
+        for (name, rows) in edb {
+            data[p.rel_by_name(name).unwrap()] = Some(rows.clone());
+        }
         let catalog = crate::catalog::EdbCatalog::build(p, &data, &Partitioner::new(1));
-        WorkerStore::build(p, &catalog, 0, true, 64)
+        let store = WorkerStore::build(p, &catalog, 0, true, 64);
+        Worker::new(p, cfg, coord, 0, store)
     }
 
     #[test]
@@ -1138,7 +1097,7 @@ mod tests {
         ] {
             let p = plan_of(src);
             let coord = Coordination::new(&p, &cfg);
-            let w = Worker::new(&p, &cfg, &coord, 0);
+            let w = one_worker(&p, &cfg, &coord, &[]);
             let rel = p.rel_by_name(name).unwrap();
             assert_eq!(w.best_first[rel].is_some(), best_first, "{name}");
         }
@@ -1152,30 +1111,30 @@ mod tests {
         );
         let cfg = EngineConfig::with_workers(1);
         let coord = Coordination::new(&p, &cfg);
-        let mut store = one_worker_store(&p, "warc", vec![Tuple::from_ints(&[1, 2, 10])]);
-        let mut w = Worker::new(&p, &cfg, &coord, 0);
+        let warc = vec![Tuple::from_ints(&[1, 2, 10])];
+        let mut w = one_worker(&p, &cfg, &coord, &[("warc", warc)]);
         let sp = p.rel_by_name("sp").unwrap();
-        let mut delta = Vec::new();
         for (value, merged) in [(9, Merged::New(0)), (4, Merged::New(0))] {
             let row = Tuple::from_ints(&[1, value]);
-            assert_eq!(store.rec_mut(sp).merge(&row), merged);
-            delta.push((sp, 0, 0));
-            w.requeue(&store, &mut delta, 0);
-            assert!(delta.is_empty(), "queued in the order, not the delta");
+            assert_eq!(w.store.rec_mut(sp).merge(&row), merged);
+            w.delta.push((sp, 0, 0));
+            w.requeue(0);
+            assert!(w.delta.is_empty(), "queued in the order, not the delta");
         }
         // Merged locally and from a peer before one requeue: twice at 4.
-        delta.push((sp, 0, 0));
-        w.requeue(&store, &mut delta, 0);
+        w.delta.push((sp, 0, 0));
+        w.requeue(0);
         assert_eq!(w.best_first[sp].as_ref().unwrap().routes[0].len(), 3);
-        let (evaluated, ..) = w.iterate(0, &mut store, &mut delta, &mut None).unwrap();
+        let (evaluated, ..) = w.iterate().unwrap();
         // Row 1 once, at 4 (its stale entry at 9 is skipped and its second
         // entry at 4 taken with the first), then the row it derived, (2, 14).
         assert_eq!(evaluated, 2);
         assert_eq!(w.rec.counters.kernel_rows, 2);
-        let mut got: Vec<Tuple> = store.rec(sp).rows().iter().map(|r| r.to_tuple()).collect();
+        let stored = w.store.rec(sp).rows();
+        let mut got: Vec<Tuple> = stored.iter().map(|r| r.to_tuple()).collect();
         got.sort();
         assert_eq!(got, rows(&[[1, 4], [2, 14]]));
-        assert!(delta.is_empty());
+        assert!(w.delta.is_empty());
     }
 
     #[test]
@@ -1183,31 +1142,23 @@ mod tests {
         let p = plan_of(crate::queries::DELIVERY);
         let cfg = EngineConfig::with_workers(1);
         let coord = Coordination::new(&p, &cfg);
-        let mut store = one_worker_store(&p, "basic", vec![]);
-        let mut w = Worker::new(&p, &cfg, &coord, 0);
+        let mut w = one_worker(&p, &cfg, &coord, &[]);
         let d = p.rel_by_name("delivery").unwrap();
         // Group g holds value (g * 7) % 300: a permutation of 0..300.
-        let mut delta = Vec::new();
         for g in 0..300 {
-            let Merged::New(id) = store.rec_mut(d).merge(&Tuple::from_ints(&[g, g * 7 % 300]))
-            else {
+            let row = Tuple::from_ints(&[g, g * 7 % 300]);
+            let Merged::New(id) = w.store.rec_mut(d).merge(&row) else {
                 panic!("new group");
             };
-            delta.push((d, 0, id));
+            w.delta.push((d, 0, id));
         }
-        w.requeue(&store, &mut delta, 0);
-        let value = |store: &WorkerStore, &(_, _, id): &DeltaRow| {
-            store.rec(d).rows().row(id as usize).get(1).expect_int()
-        };
+        w.requeue(0);
         let mut slice = Vec::new();
         let mut taken = Vec::new();
-        while w.next_slice(&store, &mut slice) {
-            taken.push(
-                slice
-                    .iter()
-                    .map(|row| value(&store, row))
-                    .collect::<Vec<_>>(),
-            );
+        while w.next_slice(&mut slice) {
+            let rows = w.store.rec(d).rows();
+            let value = |&(_, _, id): &DeltaRow| rows.row(id as usize).get(1).expect_int();
+            taken.push(slice.iter().map(value).collect::<Vec<_>>());
         }
         let want: Vec<i64> = (0..300).rev().collect();
         assert_eq!(

@@ -1,6 +1,7 @@
 //! Differential property tests for the batched delta-join kernel.
 //!
-//! `Evaluator::eval_delta_batch` must emit *exactly* the rows the
+//! The batched kernel (`Evaluator::sort_batch`, then
+//! `Evaluator::eval_sorted`) must emit *exactly* the rows the
 //! tuple-at-a-time reference `eval_delta` emits for the same delta and
 //! store state — batching, shared registers and probe memoization are
 //! pure mechanics, not semantics. This harness drives both paths
@@ -9,9 +10,9 @@
 //! sorted `(head_rel, row)` emissions after each round, on randomized
 //! EDBs over the paper's query pool: linear recursion (TC), non-linear
 //! with two routes (APSP, SG), `min` inside recursion (CC, SSSP with
-//! arithmetic) and `count` with a threshold filter (Attend). The kernel
-//! split into its two passes (`sort_batch`, then `eval_sorted` over small
-//! slices of the sorted order) must emit the same rows in the same order.
+//! arithmetic) and `count` with a threshold filter (Attend). Running
+//! `eval_sorted` over small slices of the sorted order instead of all of
+//! it must emit the same rows in the same order.
 //! Delta entries name stored rows by id, as in `Worker::iterate`, so each
 //! round's delta is sorted and deduplicated before either path reads it.
 
@@ -129,19 +130,16 @@ fn differential_fixpoint(p: &PhysicalPlan, store: &mut WorkerStore) -> usize {
                     }
                     let head = rule.head_rel;
                     let before = batched.len() as u64;
-                    let n = ev.eval_delta_batch(
-                        rule,
-                        store,
-                        &rows[start..end],
-                        &mut scratch,
-                        &mut |r| batched.push((head, r.to_tuple())),
-                    );
+                    let group = &rows[start..end];
+                    let n = ev.sort_batch(rule, store, group, &mut scratch);
+                    let n = ev.eval_sorted(rule, store, group, 0..n, &mut scratch, &mut |r| {
+                        batched.push((head, r.to_tuple()))
+                    });
                     assert_eq!(n, batched.len() as u64 - before, "kernel emission count");
 
                     // Sliced: pass 1 once, then pass 2 over ranges of 3
                     // sorted rows, as `Worker::iterate` runs it around
                     // flushes; same rows, same order.
-                    let group = &rows[start..end];
                     let n = ev.sort_batch(rule, store, group, &mut scratch);
                     for lo in (0..n).step_by(3) {
                         let slice = lo..n.min(lo + 3);
@@ -299,7 +297,8 @@ fn skewed_delta_matches_reference_and_reuses_probes() {
     let rule = &p.strata[0].delta_rules[0];
     let mut scratch = EvalScratch::new();
     let mut got = Vec::new();
-    ev.eval_delta_batch(rule, &store, &delta, &mut scratch, &mut |r| {
+    let n = ev.sort_batch(rule, &store, &delta, &mut scratch);
+    ev.eval_sorted(rule, &store, &delta, 0..n, &mut scratch, &mut |r| {
         got.push(r.to_tuple())
     });
     let mut want = Vec::new();

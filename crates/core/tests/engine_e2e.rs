@@ -454,6 +454,69 @@ fn report_reconciles_with_termination_counters() {
 }
 
 #[test]
+fn every_worker_leaves_every_stratum_once() {
+    // However the threads interleave, each worker's fixpoint loop exits
+    // each stratum exactly once: Global after its all-zero round, SSP and
+    // DWS when the termination protocol declares the fixpoint. That exit
+    // is the stratum's one `TerminationRound` mark with `a == 0`.
+    let chain = Program::parse(
+        "fwd(X, Y) <- arc(X, Y).
+         fwd(X, Y) <- fwd(X, Z), arc(Z, Y).
+         back(X, Y) <- fwd(Y, X).
+         back2(X, Y) <- back(X, Y).
+         back2(X, Y) <- back2(X, Z), back(Z, Y).",
+    )
+    .unwrap();
+    let edges: Vec<(i64, i64)> = (0..60).map(|i| (i % 20, (i * 7 + 1) % 20)).collect();
+    let weighted: Vec<(i64, i64, i64)> = edges.iter().map(|&(a, b)| (a, b, a % 5 + 1)).collect();
+    let programs = [
+        ("TC", queries::tc().unwrap(), "arc"),
+        ("SSSP", queries::sssp(1).unwrap(), "warc"),
+        ("APSP", queries::apsp().unwrap(), "warc"),
+        ("chain", chain, "arc"),
+    ];
+    for (query, program, edb) in programs {
+        let strata = program.analyzed().strata.len();
+        for workers in [2, 4] {
+            for strategy in strategies() {
+                let name = format!("{query} {} x{workers}", strategy.name());
+                let global = matches!(strategy, Strategy::Global);
+                let cfg = EngineConfig::with_workers(workers)
+                    .strategy(strategy)
+                    .tracing(true);
+                let mut e = Engine::new(program.clone(), cfg).unwrap();
+                if edb == "arc" {
+                    e.load_edges(edb, &edges).unwrap();
+                } else {
+                    e.load_weighted_edges(edb, &weighted).unwrap();
+                }
+                let r = e.run().unwrap();
+                let rep = &r.stats.report;
+                assert_eq!(rep.traces.len(), workers, "{name}");
+                for t in &rep.traces {
+                    assert_eq!(t.dropped, 0, "{name}: worker {} dropped events", t.worker);
+                    let exits = t
+                        .events
+                        .iter()
+                        .filter(|e| e.kind == EventKind::Instant(Mark::TerminationRound))
+                        .filter(|e| e.a == 0)
+                        .count();
+                    assert_eq!(exits, strata, "{name}: worker {} exits", t.worker);
+                }
+                if global {
+                    let iterations = rep.per_worker[0].iterations;
+                    assert!(
+                        rep.per_worker.iter().all(|w| w.iterations == iterations),
+                        "{name}: Global workers ran different rounds"
+                    );
+                }
+                assert!(rep.reconciles(), "{name}");
+            }
+        }
+    }
+}
+
+#[test]
 fn dws_report_carries_omega_tau_samples() {
     // The ω/τ trajectory lives in the trace: one DwsDecision instant per
     // controller update, folded into the report's iteration series.

@@ -17,7 +17,6 @@
 //! * [`weighted`] / [`pagerank_matrix`] / [`symmetrize`] — adapters that
 //!   turn an edge list into SSSP/APSP/PageRank inputs.
 
-pub mod export;
 pub mod random;
 pub mod rmat;
 pub mod trees;

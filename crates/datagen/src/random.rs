@@ -29,11 +29,6 @@ pub fn gnp(n: usize, p: f64, seed: u64) -> Edges {
     out
 }
 
-/// The paper's G-10K: 10 000 vertices, p = 0.001.
-pub fn g10k(seed: u64) -> Edges {
-    gnp(10_000, 0.001, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -52,12 +47,5 @@ mod tests {
     #[test]
     fn no_self_loops() {
         assert!(gnp(50, 0.1, 3).iter().all(|&(a, b)| a != b));
-    }
-
-    #[test]
-    fn g10k_scale() {
-        let g = g10k(1);
-        // ~ 10k·9999·0.001 ≈ 100k edges.
-        assert!((99_000..101_000).contains(&g.len()), "got {}", g.len());
     }
 }

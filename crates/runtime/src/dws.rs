@@ -16,34 +16,19 @@
 use dcd_common::stats::Ewma;
 use std::time::{Duration, Instant};
 
-/// Tuning for the DWS controller.
-#[derive(Clone, Debug)]
-pub struct DwsConfig {
-    /// EWMA weight for arrival/service samples (non-stationary workload ⇒
-    /// favour recent samples).
-    pub ewma_alpha: f64,
-    /// Hard cap on `τ_i` — the deadlock-avoidance timeout of Alg. 2 l.7.
-    pub max_wait: Duration,
-    /// Cap on `ω_i` so a near-saturated queue (ρ → 1) cannot demand an
-    /// unbounded batch.
-    pub max_omega: usize,
-    /// Minimum EWMA samples before an arrival track or the service
-    /// estimator is trusted. A single sample carries variance 0, which
-    /// lets Kingman's formula compute ρ and L_q from one observation —
-    /// wildly unstable at the start of a stratum.
-    pub min_samples: u64,
-}
-
-impl Default for DwsConfig {
-    fn default() -> Self {
-        DwsConfig {
-            ewma_alpha: 0.25,
-            max_wait: Duration::from_millis(2),
-            max_omega: 1 << 16,
-            min_samples: 8,
-        }
-    }
-}
+/// EWMA weight for arrival/service samples (non-stationary workload ⇒
+/// favour recent samples).
+const EWMA_ALPHA: f64 = 0.25;
+/// Hard cap on `τ_i` — the deadlock-avoidance timeout of Alg. 2 l.7.
+const MAX_WAIT: Duration = Duration::from_millis(2);
+/// Cap on `ω_i` so a near-saturated queue (ρ → 1) cannot demand an
+/// unbounded batch.
+const MAX_OMEGA: usize = 1 << 16;
+/// Minimum EWMA samples before an arrival track or the service estimator
+/// is trusted. A single sample carries variance 0, which lets Kingman's
+/// formula compute ρ and L_q from one observation — wildly unstable at
+/// the start of a stratum.
+const MIN_SAMPLES: u64 = 8;
 
 /// Which gate, if any, held `ω` at 0 in the controller's last update.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -51,7 +36,7 @@ pub enum OmegaGate {
     /// No gate: `ω` is Kingman's `L_q`, rounded (which may be 0).
     #[default]
     None,
-    /// No arrival track or the service estimator had `min_samples`
+    /// No arrival track or the service estimator had `MIN_SAMPLES`
     /// samples yet (or nothing arrived since the last update).
     MinSamples,
     /// `ρ ≥ 1`: the queue is saturated, so waiting cannot pay off.
@@ -81,7 +66,7 @@ pub struct DwsModel {
     /// Service rate `μ`, tuples per second.
     pub mu: f64,
     /// Kingman's mean queue length `L_q` (Eq. 2), before rounding and
-    /// the `max_omega` cap.
+    /// the `MAX_OMEGA` cap.
     pub lq: f64,
     /// The gate that held `ω` at 0, if any.
     pub gate: OmegaGate,
@@ -98,9 +83,9 @@ struct ArrivalTrack {
 }
 
 impl ArrivalTrack {
-    fn new(alpha: f64) -> Self {
+    fn new() -> Self {
         ArrivalTrack {
-            inter: Ewma::new(alpha),
+            inter: Ewma::new(EWMA_ALPHA),
             last: None,
             recent: 0,
         }
@@ -109,7 +94,6 @@ impl ArrivalTrack {
 
 /// The per-worker DWS parameter estimator.
 pub struct DwsController {
-    cfg: DwsConfig,
     arrivals: Vec<ArrivalTrack>,
     /// EWMA of per-tuple service time (seconds).
     service: Ewma,
@@ -120,15 +104,13 @@ pub struct DwsController {
 
 impl DwsController {
     /// Creates a controller for a worker receiving from `sources` peers.
-    pub fn new(sources: usize, cfg: DwsConfig) -> Self {
-        let alpha = cfg.ewma_alpha;
+    pub fn new(sources: usize) -> Self {
         DwsController {
-            arrivals: (0..sources).map(|_| ArrivalTrack::new(alpha)).collect(),
-            service: Ewma::new(alpha),
+            arrivals: (0..sources).map(|_| ArrivalTrack::new()).collect(),
+            service: Ewma::new(EWMA_ALPHA),
             omega: 0,
             tau: Duration::ZERO,
             model: DwsModel::default(),
-            cfg,
         }
     }
 
@@ -164,9 +146,8 @@ impl DwsController {
         let mut weight_sum = 0.0;
         let mut inv_rate_weighted = 0.0;
         let mut var_weighted = 0.0;
-        let min_samples = self.cfg.min_samples;
         for t in &mut self.arrivals {
-            if t.recent == 0 || t.inter.count() < min_samples || t.inter.mean() <= 0.0 {
+            if t.recent == 0 || t.inter.count() < MIN_SAMPLES || t.inter.mean() <= 0.0 {
                 t.recent = 0;
                 continue;
             }
@@ -178,7 +159,7 @@ impl DwsController {
             // Exponential decay of window counts between updates.
             t.recent /= 2;
         }
-        let served = self.service.count() >= min_samples && self.service.mean() > 0.0;
+        let served = self.service.count() >= MIN_SAMPLES && self.service.mean() > 0.0;
         let inv_lambda = inv_rate_weighted / weight_sum; // 1/λ
         let lambda = if weight_sum > 0.0 {
             1.0 / inv_lambda
@@ -224,9 +205,9 @@ impl DwsController {
         self.model.lq = lq;
         self.model.gate = OmegaGate::None;
         let omega = lq.round().max(0.0) as usize;
-        self.omega = omega.min(self.cfg.max_omega);
+        self.omega = omega.min(MAX_OMEGA);
         let tau = Duration::from_secs_f64((self.omega as f64 * inv_lambda).max(0.0));
-        self.tau = tau.min(self.cfg.max_wait);
+        self.tau = tau.min(MAX_WAIT);
     }
 
     /// Current threshold `ω_i`: proceed when the delta holds at least this
@@ -258,7 +239,7 @@ mod tests {
 
     #[test]
     fn cold_controller_never_waits() {
-        let mut c = DwsController::new(3, DwsConfig::default());
+        let mut c = DwsController::new(3);
         c.update_params();
         assert_eq!(c.omega(), 0);
         assert_eq!(c.tau(), Duration::ZERO);
@@ -266,7 +247,7 @@ mod tests {
 
     #[test]
     fn saturated_queue_disables_waiting() {
-        let mut c = DwsController::new(1, DwsConfig::default());
+        let mut c = DwsController::new(1);
         let base = t0();
         // Arrivals every 1 µs per tuple, service 1 ms per tuple ⇒ ρ ≫ 1.
         for i in 1..20 {
@@ -284,7 +265,7 @@ mod tests {
 
     #[test]
     fn stable_queue_yields_positive_params() {
-        let mut c = DwsController::new(1, DwsConfig::default());
+        let mut c = DwsController::new(1);
         let base = t0();
         // Bursty arrivals (alternating 100 µs / 1900 µs gaps ⇒ mean 1 ms,
         // high C_a²) with service at 0.9 ms/tuple ⇒ ρ = 0.9: Kingman
@@ -306,12 +287,12 @@ mod tests {
         assert!(m.rho > 0.0 && m.rho < 1.0, "rho = {}", m.rho);
         assert_eq!(c.omega(), m.lq.round() as usize);
         assert!(c.tau() > Duration::ZERO);
-        assert!(c.tau() <= DwsConfig::default().max_wait);
+        assert!(c.tau() <= MAX_WAIT);
     }
 
     #[test]
     fn low_utilization_queue_predicts_no_waiting() {
-        let mut c = DwsController::new(1, DwsConfig::default());
+        let mut c = DwsController::new(1);
         let base = t0();
         // Steady arrivals every 1 ms, service 0.4 ms ⇒ ρ = 0.4, low
         // variability: L_q ≈ 0 ⇒ proceed immediately.
@@ -329,23 +310,32 @@ mod tests {
 
     #[test]
     fn tau_capped_by_max_wait() {
-        let cfg = DwsConfig {
-            max_wait: Duration::from_micros(50),
-            ..DwsConfig::default()
-        };
-        let mut c = DwsController::new(1, cfg);
+        let mut c = DwsController::new(1);
         let base = t0();
+        // Bursty arrivals (alternating 1 ms / 19 ms gaps, high C_a²; the
+        // EWMA, ending on a long gap, reads a mean of ~11.3 ms) with
+        // service at 10 ms/tuple ⇒ ρ ≈ 0.9: Kingman predicts a queue of a
+        // few tuples, and waiting for them at ~11 ms each would take far
+        // longer than `MAX_WAIT`.
         let mut ts = base;
-        for i in 0..100 {
-            // Slow, bursty arrivals: 10 ms apart ⇒ τ would be large.
-            ts += Duration::from_millis(10);
+        for i in 0..200 {
+            ts += Duration::from_millis(if i % 2 == 0 { 1 } else { 19 });
             c.on_batch(0, 1, ts);
-            if i % 10 == 0 {
-                c.on_iteration(10, Duration::from_millis(5));
+            if i % 5 == 0 {
+                c.on_iteration(5, Duration::from_millis(50));
             }
         }
         c.update_params();
-        assert!(c.tau() <= Duration::from_micros(50));
+        let m = c.model();
+        assert_eq!(m.gate, OmegaGate::None);
+        assert!(m.rho > 0.8 && m.rho < 1.0, "rho = {}", m.rho);
+        assert!(c.omega() >= 1, "omega = {}", c.omega());
+        let uncapped = c.omega() as f64 / m.lambda;
+        assert!(
+            uncapped > MAX_WAIT.as_secs_f64(),
+            "uncapped tau = {uncapped}"
+        );
+        assert_eq!(c.tau(), MAX_WAIT);
     }
 
     #[test]
@@ -353,12 +343,8 @@ mod tests {
         // Regression: `Ewma::is_primed()` is true after one sample with
         // variance 0, which used to let Kingman's formula compute ρ and
         // L_q from a single observation. The controller must not trust
-        // λ/μ until `min_samples` observations exist on both sides.
-        let cfg = DwsConfig {
-            min_samples: 8,
-            ..DwsConfig::default()
-        };
-        let mut c = DwsController::new(1, cfg);
+        // λ/μ until `MIN_SAMPLES` observations exist on both sides.
+        let mut c = DwsController::new(1);
         let base = t0();
         // Two batches ⇒ one inter-arrival sample; one service sample.
         c.on_batch(0, 1, base + Duration::from_micros(100));
@@ -369,7 +355,7 @@ mod tests {
         assert_eq!(c.tau(), Duration::ZERO);
         assert_eq!(c.model().gate, OmegaGate::MinSamples);
 
-        // Once both estimators cross min_samples with a stable-but-bursty
+        // Once both estimators cross `MIN_SAMPLES` with a stable-but-bursty
         // pattern, the controller may produce parameters again.
         let mut ts = base + Duration::from_micros(2000);
         for i in 0..200 {
@@ -385,7 +371,7 @@ mod tests {
 
     #[test]
     fn empty_batches_ignored() {
-        let mut c = DwsController::new(2, DwsConfig::default());
+        let mut c = DwsController::new(2);
         c.on_batch(0, 0, t0());
         c.on_iteration(0, Duration::from_millis(1));
         c.update_params();
@@ -394,7 +380,7 @@ mod tests {
 
     #[test]
     fn multi_source_weights_by_volume() {
-        let mut c = DwsController::new(2, DwsConfig::default());
+        let mut c = DwsController::new(2);
         let base = t0();
         let mut ts = base;
         // Source 0: high volume, steady. Source 1: trickle.
@@ -408,6 +394,6 @@ mod tests {
         c.on_iteration(1000, Duration::from_micros(500));
         c.update_params();
         // Should produce a finite, bounded configuration.
-        assert!(c.omega() <= DwsConfig::default().max_omega);
+        assert!(c.omega() <= MAX_OMEGA);
     }
 }

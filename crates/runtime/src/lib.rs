@@ -36,7 +36,7 @@ pub mod trace;
 
 pub use barrier::RoundBarrier;
 pub use buffers::{Batch, BufferMatrix, WorkerEndpoints};
-pub use dws::{DwsConfig, DwsController, DwsModel, OmegaGate};
+pub use dws::{DwsController, DwsModel, OmegaGate};
 pub use metrics::{MetricsSnapshot, Recorder};
 pub use spsc::SpscQueue;
 pub use ssp::SspClock;

@@ -130,23 +130,6 @@ impl<T> Producer<'_, T> {
     pub fn push(&mut self, value: T) -> Result<(), T> {
         self.q.push_inner(value)
     }
-
-    /// Pushes, spinning (with `yield_now`) until space frees up or
-    /// `should_abort` returns true. Returns `false` on abort.
-    pub fn push_blocking(&mut self, mut value: T, mut should_abort: impl FnMut() -> bool) -> bool {
-        loop {
-            match self.q.push_inner(value) {
-                Ok(()) => return true,
-                Err(v) => {
-                    if should_abort() {
-                        return false;
-                    }
-                    value = v;
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
 }
 
 /// Consumer handle: `pop` only.
@@ -299,37 +282,6 @@ mod tests {
                 }
             }
             stop.store(true, Ordering::Relaxed);
-        });
-    }
-
-    #[test]
-    fn push_blocking_aborts() {
-        let q = SpscQueue::new(2);
-        let (mut p, _c) = q.split();
-        p.push(1).unwrap();
-        p.push(2).unwrap();
-        let abort = AtomicBool::new(true);
-        assert!(!p.push_blocking(3, || abort.load(Ordering::Relaxed)));
-    }
-
-    #[test]
-    fn push_blocking_succeeds_when_consumer_drains() {
-        let q = SpscQueue::new(2);
-        let (mut p, mut c) = q.split();
-        p.push(1).unwrap();
-        p.push(2).unwrap();
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                assert!(p.push_blocking(3, || false));
-            });
-            s.spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(10));
-                assert_eq!(c.pop(), Some(1));
-                // Give the producer room; it will complete.
-                while c.pop().is_none() {
-                    std::hint::spin_loop();
-                }
-            });
         });
     }
 }

@@ -187,7 +187,11 @@ mod tests {
             let producer = s.spawn(|| {
                 for i in 0..100u64 {
                     t.note_produced(1);
-                    assert!(tx.push_blocking(i, || false));
+                    let mut v = i;
+                    while let Err(back) = tx.push(v) {
+                        v = back;
+                        std::thread::yield_now();
+                    }
                     if i % 10 == 0 {
                         std::thread::yield_now();
                     }

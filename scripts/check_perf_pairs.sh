@@ -7,11 +7,14 @@
 #      event carries, also means HEAD~1) is checked out in a temporary
 #      git worktree;
 #   2. perfbench is built there and in the working tree;
-#   3. PAIRS pairs of `perfbench --workload tc-rmat --trace 0 --seconds 2`
-#      run, alternating which side goes first, so drift in the host's
-#      speed lands on both sides alike;
-#   4. the gate fails when the change's median `run_s` or `run_s.1w` is
-#      more than BUDGET_PCT% of the base's.
+#   3. for each workload in WORKLOADS (`tc-rmat`, whose time goes to
+#      local merge, dedup and exchange, and `sssp-web`, whose many small
+#      iterations stress the fixpoint loop's coordination), PAIRS pairs
+#      of `perfbench --workload W --trace 0 --seconds 2` run, alternating
+#      which side goes first, so drift in the host's speed lands on both
+#      sides alike;
+#   4. the gate fails when, on any workload, the change's median `run_s`
+#      or `run_s.1w` is more than BUDGET_PCT% of the base's.
 #
 # It fails closed, naming the side and the reason, when the base cannot
 # be checked out or either side cannot be built, when perfbench exits
@@ -23,7 +26,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-WORKLOAD=tc-rmat
+WORKLOADS=(tc-rmat sssp-web)
 PAIRS=6
 RUN_SECONDS=2
 BUDGET_PCT=125 # the change's median may be at most 125% of the base's
@@ -65,46 +68,49 @@ build() {
 build base "$worktree"
 build change "$PWD"
 
-# measure SIDE DIR PAIR: runs perfbench once in DIR, checks its final
-# JSON line and appends each metric's value to $workdir/SIDE.METRIC.
+# measure SIDE DIR WORKLOAD PAIR: runs perfbench once in DIR, checks
+# its final JSON line and appends each metric's value to
+# $workdir/WORKLOAD.SIDE.METRIC.
 measure() {
-    local side=$1 dir=$2 pair=$3 out status line m v
-    out="$workdir/$side.$pair.out"
+    local side=$1 dir=$2 w=$3 pair=$4 out status line m v
+    out="$workdir/$w.$side.$pair.out"
     status=0
     (cd "$dir" && perfbench/target/release/perfbench \
-        --workload "$WORKLOAD" --trace 0 --seconds "$RUN_SECONDS") >"$out" || status=$?
+        --workload "$w" --trace 0 --seconds "$RUN_SECONDS") >"$out" || status=$?
     if [ "$status" -ne 0 ]; then
-        fail "$side (pair $pair): perfbench exited with status $status"
+        fail "$side ($w, pair $pair): perfbench exited with status $status"
     fi
     line=$(tail -n 1 "$out")
     case "$line" in
         '{"correct": '*) ;;
-        *) fail "$side (pair $pair): perfbench printed no final JSON line" ;;
+        *) fail "$side ($w, pair $pair): perfbench printed no final JSON line" ;;
     esac
     if ! grep -q '"correct": true' <<<"$line"; then
-        fail "$side (pair $pair): perfbench reports \"correct\": false"
+        fail "$side ($w, pair $pair): perfbench reports \"correct\": false"
     fi
     v=$(grep -o '"failed": [0-9]*' <<<"$line" | awk '{print $2}')
     if [ "$v" != 0 ]; then
-        fail "$side (pair $pair): perfbench reports \"failed\": ${v:-missing}"
+        fail "$side ($w, pair $pair): perfbench reports \"failed\": ${v:-missing}"
     fi
     for m in "${METRICS[@]}"; do
         v=$(grep -o "\"$m\": {\"value\": [-0-9.e]*" <<<"$line" | awk '{print $NF}')
         if [ -z "$v" ]; then
-            fail "$side (pair $pair): metric $m missing from the final JSON line"
+            fail "$side ($w, pair $pair): metric $m missing from the final JSON line"
         fi
-        echo "$v" >>"$workdir/$side.$m"
+        echo "$v" >>"$workdir/$w.$side.$m"
     done
 }
 
-for pair in $(seq 1 "$PAIRS"); do
-    if [ $((pair % 2)) -eq 1 ]; then
-        measure base "$worktree" "$pair"
-        measure change "$PWD" "$pair"
-    else
-        measure change "$PWD" "$pair"
-        measure base "$worktree" "$pair"
-    fi
+for w in "${WORKLOADS[@]}"; do
+    for pair in $(seq 1 "$PAIRS"); do
+        if [ $((pair % 2)) -eq 1 ]; then
+            measure base "$worktree" "$w" "$pair"
+            measure change "$PWD" "$w" "$pair"
+        else
+            measure change "$PWD" "$w" "$pair"
+            measure base "$worktree" "$w" "$pair"
+        fi
+    done
 done
 
 median() {
@@ -112,15 +118,17 @@ median() {
 }
 
 verdict=0
-for m in "${METRICS[@]}"; do
-    b=$(median "$workdir/base.$m")
-    c=$(median "$workdir/change.$m")
-    ratio=$(awk -v b="$b" -v c="$c" 'BEGIN { printf "%.3f", c / b }')
-    echo "perf pairs: $WORKLOAD $m median over $PAIRS pairs: base ${b}s ($base = ${sha:0:12}) change ${c}s ratio ${ratio}"
-    if awk -v b="$b" -v c="$c" -v p="$BUDGET_PCT" 'BEGIN { exit !(c * 100 > b * p) }'; then
-        echo "perf pairs FAILED: change's median $m is ${ratio}x the base's (budget ${BUDGET_PCT}%)" >&2
-        verdict=1
-    fi
+for w in "${WORKLOADS[@]}"; do
+    for m in "${METRICS[@]}"; do
+        b=$(median "$workdir/$w.base.$m")
+        c=$(median "$workdir/$w.change.$m")
+        ratio=$(awk -v b="$b" -v c="$c" 'BEGIN { printf "%.3f", c / b }')
+        echo "perf pairs: $w $m median over $PAIRS pairs: base ${b}s ($base = ${sha:0:12}) change ${c}s ratio ${ratio}"
+        if awk -v b="$b" -v c="$c" -v p="$BUDGET_PCT" 'BEGIN { exit !(c * 100 > b * p) }'; then
+            echo "perf pairs FAILED: $w: change's median $m is ${ratio}x the base's (budget ${BUDGET_PCT}%)" >&2
+            verdict=1
+        fi
+    done
 done
 [ "$verdict" -eq 0 ] || exit 1
 echo "perf pairs OK: within budget"
