@@ -3,7 +3,7 @@
 //!
 //! This is the first half of the paper's Query Processor (§3, §5): it turns
 //! a parsed [`ProgramAst`] into an [`AnalyzedProgram`] whose strata are
-//! ready for logical/physical planning. Aggregates are allowed in
+//! ready for physical planning. Aggregates are allowed in
 //! recursion (the whole point of DCDatalog); negation is not part of the
 //! language (the paper leaves negation-in-recursion as an open problem).
 
@@ -97,8 +97,6 @@ pub struct RuleInfo {
     pub rule_idx: usize,
     /// Head predicate.
     pub head: PredicateId,
-    /// Body atom predicate ids, in body order.
-    pub body_preds: Vec<PredicateId>,
     /// Indices (into the rule's *atom list*) of atoms whose predicate is in
     /// the same SCC as the head — the recursive atoms.
     pub recursive_atoms: Vec<usize>,
@@ -240,14 +238,11 @@ pub fn analyze(ast: ProgramAst) -> Result<AnalyzedProgram> {
             if !members.contains(&head_id) {
                 continue;
             }
-            let body_preds: Vec<PredicateId> = rule
+            let recursive_atoms: Vec<usize> = rule
                 .body_atoms()
                 .map(|a| catalog.id(&a.pred).expect("interned"))
-                .collect();
-            let recursive_atoms: Vec<usize> = body_preds
-                .iter()
                 .enumerate()
-                .filter(|(_, &p)| scc_of[p] == scc_of[head_id] && !catalog.preds[p].is_edb)
+                .filter(|&(_, p)| scc_of[p] == scc_of[head_id] && !catalog.preds[p].is_edb)
                 .map(|(i, _)| i)
                 .collect();
             if !recursive_atoms.is_empty() {
@@ -256,7 +251,6 @@ pub fn analyze(ast: ProgramAst) -> Result<AnalyzedProgram> {
             rules.push(RuleInfo {
                 rule_idx: idx,
                 head: head_id,
-                body_preds,
                 recursive_atoms,
             });
         }
@@ -385,24 +379,16 @@ fn check_safety(rule: &Rule) -> Result<()> {
             break;
         }
     }
-    // All comparison variables must be bound.
+    // All comparison variables must be bound, the one an `=` defines
+    // included: the fixpoint binds it only if the other side does not
+    // mention it, so `Y = Y + 1` and `Z = Z` can never run.
     for l in &rule.body {
-        if let BodyLit::Compare { lhs, rhs, op } = l {
+        if let BodyLit::Compare { lhs, rhs, .. } = l {
             let mut vs = Vec::new();
             lhs.vars(&mut vs);
             rhs.vars(&mut vs);
-            // For `=`, one side may be the variable being defined.
-            let defined: Option<&str> = if *op == CmpOp::Eq {
-                match (lhs, rhs) {
-                    (Expr::Term(Term::Var(v)), _) => Some(v.as_str()),
-                    (_, Expr::Term(Term::Var(v))) => Some(v.as_str()),
-                    _ => None,
-                }
-            } else {
-                None
-            };
             for v in vs {
-                if !bound.contains(v) && defined != Some(v) {
+                if !bound.contains(v) {
                     return Err(DcdError::Analysis(format!(
                         "variable '{v}' in constraint '{l}' is never bound (rule: {rule})"
                     )));
@@ -645,6 +631,19 @@ mod tests {
     fn unbound_constraint_variable_rejected() {
         let e = analyze(parse_program("p(X) <- q(X), Y > 3.").unwrap()).unwrap_err();
         assert!(e.to_string().contains("never bound"));
+    }
+
+    #[test]
+    fn self_referencing_assignment_rejected() {
+        // `=` defines a variable only if the other side does not mention
+        // it: neither rule can ever bind `Y` / `Z`.
+        for src in ["p(X) <- q(X), Y = Y + 1.", "p(X) <- q(X), Z = Z."] {
+            let e = analyze(parse_program(src).unwrap()).unwrap_err();
+            assert!(matches!(e, DcdError::Analysis(_)), "{src}: {e}");
+            assert!(e.to_string().contains("never bound"), "{src}: {e}");
+        }
+        // A bound variable may still be compared with itself.
+        analyze_src("p(X) <- q(X), X = X.");
     }
 
     #[test]

@@ -1,13 +1,18 @@
-//! Physical planning (§5.2, §4.3).
+//! Physical planning (§5.1, §5.2, §4.3).
 //!
-//! Compiles the logical plan into register machines that the engine's
-//! workers interpret directly:
+//! Compiles each analyzed rule straight into register machines that the
+//! engine's workers interpret directly:
 //!
-//! * Each rule variant becomes a [`CompiledRule`]: bind the delta tuple
-//!   into registers, then run a chain of [`Step`]s, each probing a base or
+//! * Each rule variant becomes a [`CompiledRule`] in one walk over its
+//!   body, which is where the paper's §5.1 rewrites happen: the delta
+//!   (recursive) atom binds first, the other atoms follow in connected
+//!   order so each one is an index probe on a bound term where possible,
+//!   and each constraint or `=` assignment runs right after the step
+//!   that binds its last variable. A rule with `k` recursive atoms
+//!   becomes `k` delta variants. The variant binds the delta tuple into
+//!   registers, then runs a chain of [`Step`]s, each probing a base or
 //!   recursive relation (index join / hash join) or scanning it (nested
-//!   loop), with constraints and `=` assignments evaluated at their
-//!   earliest level.
+//!   loop).
 //! * The planner derives the **Distribute** routing spec: every recursive
 //!   relation's `partition_cols` (two columns — replication — for
 //!   non-linear rules like APSP, §4.3), and every EDB's placement
@@ -18,7 +23,6 @@
 
 use crate::analysis::AnalyzedProgram;
 use crate::ast::{AggFunc, ArithOp, Atom, BodyLit, CmpOp, Expr, HeadTerm, Rule, Term};
-use crate::logical::{logical_plan, RuleVariant};
 use dcd_common::hash::FastMap;
 use dcd_common::{DcdError, PredicateId, Result, Value};
 use std::collections::BTreeSet;
@@ -417,7 +421,6 @@ pub fn plan(prog: &AnalyzedProgram, cfg: &PlannerConfig) -> Result<PhysicalPlan>
             )));
         }
     }
-    let lp = logical_plan(prog)?;
     let npreds = prog.catalog.len();
     let mut compiler = PlanCompiler {
         prog,
@@ -429,29 +432,21 @@ pub fn plan(prog: &AnalyzedProgram, cfg: &PlannerConfig) -> Result<PhysicalPlan>
         route_requirements: vec![BTreeSet::new(); npreds],
     };
 
-    // First pass: compile every variant, collecting probe/route facts.
+    // First pass: compile every variant, collecting probe/route facts. A
+    // rule with no same-stratum atom runs once, as an initialization
+    // rule; a rule with `k` of them becomes `k` delta variants (`δR ⋈ R`,
+    // `R ⋈ δR`, …), the semi-naive rewrite APSP needs (§4.3).
     let mut strata = Vec::new();
-    for (ls, s) in lp.strata.iter().zip(&prog.strata) {
+    for s in &prog.strata {
         let mut init_rules = Vec::new();
         let mut delta_rules = Vec::new();
-        for lr in &ls.init_rules {
-            for v in &lr.variants {
-                init_rules.push(compiler.compile_variant(
-                    &prog.ast.rules[lr.rule_idx],
-                    lr.rule_idx,
-                    lr.head,
-                    v,
-                )?);
+        for ri in &s.rules {
+            let rule = &prog.ast.rules[ri.rule_idx];
+            if ri.recursive_atoms.is_empty() {
+                init_rules.push(compiler.compile_variant(rule, ri.rule_idx, ri.head, None)?);
             }
-        }
-        for lr in &ls.delta_rules {
-            for v in &lr.variants {
-                delta_rules.push(compiler.compile_variant(
-                    &prog.ast.rules[lr.rule_idx],
-                    lr.rule_idx,
-                    lr.head,
-                    v,
-                )?);
+            for &a in &ri.recursive_atoms {
+                delta_rules.push(compiler.compile_variant(rule, ri.rule_idx, ri.head, Some(a))?);
             }
         }
         strata.push(PhysStratum {
@@ -472,6 +467,40 @@ pub fn plan(prog: &AnalyzedProgram, cfg: &PlannerConfig) -> Result<PhysicalPlan>
         facts: prog.facts.clone(),
         names: prog.catalog.iter().map(|(_, p)| p.name.clone()).collect(),
     })
+}
+
+/// A rule variant's registers: register `r` holds variable `self.0[r]`,
+/// numbered in the order the walk binds them.
+#[derive(Default)]
+struct Regs<'r>(Vec<&'r str>);
+
+impl<'r> Regs<'r> {
+    fn get(&self, var: &str) -> Option<u16> {
+        self.0.iter().position(|v| *v == var).map(|r| r as u16)
+    }
+
+    /// Allocates the next register for the unbound `var`.
+    fn alloc(&mut self, var: &'r str) -> u16 {
+        self.0.push(var);
+        (self.0.len() - 1) as u16
+    }
+
+    /// Whether a step can probe on `t`: a bound variable, a constant or a
+    /// parameter.
+    fn is_bound(&self, t: &Term) -> bool {
+        match t {
+            Term::Var(v) => self.get(v).is_some(),
+            Term::Const(_) | Term::Param(_) => true,
+            Term::Wildcard => false,
+        }
+    }
+}
+
+/// A body constraint not yet placed: `(op, lhs, rhs)`.
+type Pending<'r> = (CmpOp, &'r Expr, &'r Expr);
+
+fn is_var(e: &Expr, var: &str) -> bool {
+    matches!(e, Expr::Term(Term::Var(x)) if x == var)
 }
 
 struct PlanCompiler<'a> {
@@ -495,248 +524,207 @@ impl PlanCompiler<'_> {
         self.prog.catalog.info(id).is_edb
     }
 
+    /// Compiles one variant of `rule` (the delta variant on atom `delta`,
+    /// or the initialization rule when `None`) in one walk. The delta
+    /// atom binds first (recursive table leftmost, §5.1). Then the walk
+    /// repeatedly joins the first unused atom with a bound term, as an
+    /// index probe, or else the first unused atom, as a nested loop. After
+    /// each step's binds it places every constraint the bound registers
+    /// can now evaluate (selection pushdown).
     fn compile_variant(
         &mut self,
         rule: &Rule,
         rule_idx: usize,
         head_rel: RelId,
-        v: &RuleVariant,
+        delta: Option<usize>,
     ) -> Result<CompiledRule> {
         let atoms: Vec<&Atom> = rule.body_atoms().collect();
-        let mut regs: FastMap<String, u16> = FastMap::default();
-        let mut nregs: u16 = 0;
-        let alloc = |name: &str, regs: &mut FastMap<String, u16>, nregs: &mut u16| -> u16 {
-            if let Some(&r) = regs.get(name) {
-                return r;
-            }
-            let r = *nregs;
-            *nregs += 1;
-            regs.insert(name.to_string(), r);
-            r
-        };
+        let mut pending: Vec<Pending> = rule
+            .body
+            .iter()
+            .filter_map(|l| match l {
+                BodyLit::Compare { op, lhs, rhs } => Some((*op, lhs, rhs)),
+                BodyLit::Atom(_) => None,
+            })
+            .collect();
+        let mut used = vec![false; atoms.len()];
+        let mut regs = Regs::default();
 
-        // Delta binding.
-        let mut delta_reg_cols: FastMap<u16, usize> = FastMap::default();
-        let delta = match v.delta_atom {
+        let delta_binds = match delta {
             Some(d) => {
-                let atom = atoms[d];
-                let mut binds = Vec::with_capacity(atom.terms.len());
-                for (col, t) in atom.terms.iter().enumerate() {
-                    binds.push(match t {
-                        Term::Var(name) => {
-                            if let Some(&r) = regs.get(name) {
-                                BindAction::Check(r)
-                            } else {
-                                let r = alloc(name, &mut regs, &mut nregs);
-                                delta_reg_cols.insert(r, col);
-                                BindAction::Bind(r)
-                            }
-                        }
-                        Term::Const(c) => BindAction::CheckConst(*c),
-                        Term::Param(p) => BindAction::CheckConst(self.param(p)?),
-                        Term::Wildcard => BindAction::Skip,
-                    });
-                }
-                Some((d, binds))
+                used[d] = true;
+                Some(self.binds(atoms[d], &mut regs)?)
             }
             None => None,
         };
-
-        // Constraint compilation helper: splits a literal list into
-        // assignments + filters given currently bound registers.
-        let compile_constraints = |this: &Self,
-                                   lits: &[usize],
-                                   regs: &mut FastMap<String, u16>,
-                                   nregs: &mut u16|
-         -> Result<(Vec<CAssign>, Vec<CCond>)> {
-            let mut assigns = Vec::new();
-            let mut filters = Vec::new();
-            for &ci in lits {
-                let BodyLit::Compare { op, lhs, rhs } = &rule.body[ci] else {
-                    continue;
-                };
-                if *op == CmpOp::Eq {
-                    // Binding form? Exactly when one side is an unbound var.
-                    let l_unbound =
-                        matches!(lhs, Expr::Term(Term::Var(x)) if !regs.contains_key(x));
-                    let r_unbound =
-                        matches!(rhs, Expr::Term(Term::Var(x)) if !regs.contains_key(x));
-                    if l_unbound || r_unbound {
-                        let (var_side, expr_side) = if l_unbound { (lhs, rhs) } else { (rhs, lhs) };
-                        let Expr::Term(Term::Var(name)) = var_side else {
-                            unreachable!()
-                        };
-                        let expr = this.compile_expr(expr_side, regs)?;
-                        let r = if let Some(&r) = regs.get(name) {
-                            r
-                        } else {
-                            let r = *nregs;
-                            *nregs += 1;
-                            regs.insert(name.clone(), r);
-                            r
-                        };
-                        assigns.push(CAssign { reg: r, expr });
-                        continue;
-                    }
-                }
-                filters.push(CCond {
-                    op: *op,
-                    l: this.compile_expr(lhs, regs)?,
-                    r: this.compile_expr(rhs, regs)?,
-                });
-            }
-            Ok((assigns, filters))
-        };
-
-        // Pre-step constraints (level 0 for delta variants or constraint-only
-        // rules).
         let (mut pre_assigns, mut pre_filters) = (Vec::new(), Vec::new());
-        let level0_is_pre = delta.is_some() || v.atom_order.is_empty();
-        if level0_is_pre && !v.constraints_at.is_empty() {
-            let (a, f) = compile_constraints(self, &v.constraints_at[0], &mut regs, &mut nregs)?;
-            pre_assigns = a;
-            pre_filters = f;
+        if delta.is_some() || atoms.is_empty() {
+            self.place(&mut pending, &mut regs, &mut pre_assigns, &mut pre_filters)?;
         }
 
-        // Join steps.
-        let mut steps = Vec::new();
-        let step_atoms: &[usize] = if delta.is_some() {
-            &v.atom_order[1..]
-        } else {
-            &v.atom_order[..]
-        };
-        for (k, &ai) in step_atoms.iter().enumerate() {
+        let mut steps: Vec<Step> = Vec::new();
+        while let Some(ai) = (0..atoms.len())
+            .find(|&i| !used[i] && atoms[i].terms.iter().any(|t| regs.is_bound(t)))
+            .or_else(|| used.iter().position(|u| !u))
+        {
+            used[ai] = true;
             let atom = atoms[ai];
             let rel = self.prog.catalog.id(&atom.pred).expect("catalog complete");
             // Probe column: first column whose term is already bound.
-            let mut probe: Option<(usize, CExpr)> = None;
-            for (col, t) in atom.terms.iter().enumerate() {
-                let key = match t {
-                    Term::Var(name) => regs.get(name).map(|&r| CExpr::Reg(r)),
-                    Term::Const(c) => Some(CExpr::Const(*c)),
-                    Term::Param(p) => Some(CExpr::Const(self.param(p)?)),
-                    Term::Wildcard => None,
-                };
-                if let Some(key) = key {
-                    probe = Some((col, key));
-                    break;
-                }
-            }
+            let key_col = atom.terms.iter().position(|t| regs.is_bound(t));
+            let probe = match key_col {
+                Some(col) => Probe::Index {
+                    col,
+                    key: self.compile_term(&atom.terms[col], &regs)?,
+                },
+                None => Probe::Scan,
+            };
             // Binds (probe column still checked: key-bit equality on the
             // index is necessary but we re-verify exact value equality).
-            let mut binds = Vec::with_capacity(atom.terms.len());
-            for t in &atom.terms {
-                binds.push(match t {
-                    Term::Var(name) => {
-                        if let Some(&r) = regs.get(name) {
-                            BindAction::Check(r)
-                        } else {
-                            BindAction::Bind(alloc(name, &mut regs, &mut nregs))
-                        }
-                    }
-                    Term::Const(c) => BindAction::CheckConst(*c),
-                    Term::Param(p) => BindAction::CheckConst(self.param(p)?),
-                    Term::Wildcard => BindAction::Skip,
-                });
-            }
+            let binds = self.binds(atom, &mut regs)?;
             // Record probe/scan facts for placement resolution.
-            let (probe_enum, join_kind, target) = match probe {
-                Some((col, key)) => {
-                    if self.is_edb(rel) {
-                        self.edb_probes[rel].insert(col);
-                        (Probe::Index { col, key }, JoinKind::Hash, Target::Edb(rel))
-                    } else {
-                        self.idb_probe_cols[rel].insert(col);
-                        self.route_requirements[rel].insert(col);
-                        (
-                            Probe::Index { col, key },
-                            JoinKind::Index,
-                            Target::Idb {
-                                rel,
-                                index_col: col,
-                            },
-                        )
-                    }
+            let leading = steps.is_empty() && delta.is_none();
+            let (join_kind, target) = match (key_col, self.is_edb(rel)) {
+                (Some(col), true) => {
+                    self.edb_probes[rel].insert(col);
+                    (JoinKind::Hash, Target::Edb(rel))
                 }
-                None => {
-                    let leading = k == 0 && delta.is_none();
-                    if self.is_edb(rel) {
-                        if !leading {
-                            self.edb_needs_full[rel] = true;
-                        }
-                        (Probe::Scan, JoinKind::NestedLoop, Target::Edb(rel))
-                    } else {
-                        if !leading {
-                            self.idb_needs_broadcast[rel] = true;
-                        }
-                        (
-                            Probe::Scan,
-                            JoinKind::NestedLoop,
-                            Target::Idb { rel, index_col: 0 },
-                        )
-                    }
+                (Some(col), false) => {
+                    self.idb_probe_cols[rel].insert(col);
+                    self.route_requirements[rel].insert(col);
+                    (
+                        JoinKind::Index,
+                        Target::Idb {
+                            rel,
+                            index_col: col,
+                        },
+                    )
+                }
+                (None, true) => {
+                    self.edb_needs_full[rel] |= !leading;
+                    (JoinKind::NestedLoop, Target::Edb(rel))
+                }
+                (None, false) => {
+                    self.idb_needs_broadcast[rel] |= !leading;
+                    (JoinKind::NestedLoop, Target::Idb { rel, index_col: 0 })
                 }
             };
-            // Constraints at this level.
-            let level = if delta.is_some() { k + 1 } else { k };
-            let (assigns, filters) = if level < v.constraints_at.len() {
-                compile_constraints(self, &v.constraints_at[level], &mut regs, &mut nregs)?
-            } else {
-                (Vec::new(), Vec::new())
-            };
+            let (mut assigns, mut filters) = (Vec::new(), Vec::new());
+            self.place(&mut pending, &mut regs, &mut assigns, &mut filters)?;
             steps.push(Step {
                 target,
-                probe: probe_enum,
+                probe,
                 binds,
                 filters,
                 assigns,
                 join_kind,
             });
         }
+        debug_assert!(pending.is_empty(), "unplaceable constraint in {rule}");
 
         // Head expressions (merge layout).
         let head_exprs = self.compile_head(rule, &regs)?;
 
-        // Delta route requirement: the first index-probe whose key register
-        // was bound from a delta column pins the route to that column.
-        let delta_spec = if let Some((d, binds)) = delta {
-            let atom = atoms[d];
-            let rel = self.prog.catalog.id(&atom.pred).expect("catalog");
-            let mut route_col: Option<usize> = None;
-            for st in &steps {
-                if let Probe::Index { key, .. } = &st.probe {
-                    if let Some(r) = key.as_reg() {
-                        if let Some(&col) = delta_reg_cols.get(&r) {
-                            route_col = Some(col);
-                            break;
-                        }
-                    }
-                }
-            }
+        // Delta route: the first index probe keyed by a register the delta
+        // tuple binds pins the route to that register's delta column.
+        let delta = delta.zip(delta_binds).map(|(d, binds)| {
+            let rel = self.prog.catalog.id(&atoms[d].pred).expect("catalog");
+            let route_col = steps.iter().find_map(|st| match &st.probe {
+                Probe::Index {
+                    key: CExpr::Reg(r), ..
+                } => binds.iter().position(|b| *b == BindAction::Bind(*r)),
+                _ => None,
+            });
             if let Some(c) = route_col {
                 self.route_requirements[rel].insert(c);
             }
-            Some((rel, route_col, binds))
-        } else {
-            None
-        };
+            DeltaSpec {
+                rel,
+                // Resolved to a route *index* in resolve_declarations;
+                // stash the column here temporarily (usize::MAX =
+                // unconstrained).
+                route: route_col.unwrap_or(usize::MAX),
+                binds,
+            }
+        });
 
         Ok(CompiledRule {
             head_rel,
-            delta: delta_spec.map(|(rel, route_col, binds)| DeltaSpec {
-                rel,
-                // Resolved to a route *index* in resolve_declarations; stash
-                // the column here temporarily (usize::MAX = unconstrained).
-                route: route_col.unwrap_or(usize::MAX),
-                binds,
-            }),
+            delta,
             pre_assigns,
             pre_filters,
             steps,
             head_exprs,
-            nregs: nregs as usize,
+            nregs: regs.0.len(),
             rule_idx,
         })
+    }
+
+    /// Per-column actions for matching `atom`'s rows, allocating a
+    /// register for each variable's first occurrence.
+    fn binds<'r>(&self, atom: &'r Atom, regs: &mut Regs<'r>) -> Result<Vec<BindAction>> {
+        atom.terms
+            .iter()
+            .map(|t| {
+                Ok(match t {
+                    Term::Var(v) => match regs.get(v) {
+                        Some(r) => BindAction::Check(r),
+                        None => BindAction::Bind(regs.alloc(v)),
+                    },
+                    Term::Const(c) => BindAction::CheckConst(*c),
+                    Term::Param(p) => BindAction::CheckConst(self.param(p)?),
+                    Term::Wildcard => BindAction::Skip,
+                })
+            })
+            .collect()
+    }
+
+    /// Compiles every pending constraint that `regs` can evaluate, in
+    /// body order, until none is left that can: all variables bound makes
+    /// a filter; an `=` whose one side is the only unbound variable
+    /// assigns it, which may make later constraints evaluable.
+    fn place<'r>(
+        &self,
+        pending: &mut Vec<Pending<'r>>,
+        regs: &mut Regs<'r>,
+        assigns: &mut Vec<CAssign>,
+        filters: &mut Vec<CCond>,
+    ) -> Result<()> {
+        loop {
+            let mut changed = false;
+            let mut i = 0;
+            while i < pending.len() {
+                let (op, lhs, rhs) = pending[i];
+                let mut vs = Vec::new();
+                lhs.vars(&mut vs);
+                rhs.vars(&mut vs);
+                vs.retain(|v| regs.get(v).is_none());
+                match vs[..] {
+                    [] => filters.push(CCond {
+                        op,
+                        l: self.compile_expr(lhs, regs)?,
+                        r: self.compile_expr(rhs, regs)?,
+                    }),
+                    [v] if op == CmpOp::Eq && (is_var(lhs, v) || is_var(rhs, v)) => {
+                        let expr_side = if is_var(lhs, v) { rhs } else { lhs };
+                        let expr = self.compile_expr(expr_side, regs)?;
+                        assigns.push(CAssign {
+                            reg: regs.alloc(v),
+                            expr,
+                        });
+                    }
+                    _ => {
+                        i += 1;
+                        continue;
+                    }
+                }
+                pending.remove(i);
+                changed = true;
+            }
+            if !changed {
+                return Ok(());
+            }
+        }
     }
 
     fn param(&self, name: &str) -> Result<Value> {
@@ -747,18 +735,24 @@ impl PlanCompiler<'_> {
             .ok_or_else(|| DcdError::Planning(format!("parameter '{name}' not supplied")))
     }
 
-    fn compile_expr(&self, e: &Expr, regs: &FastMap<String, u16>) -> Result<CExpr> {
-        Ok(match e {
-            Expr::Term(Term::Var(v)) => CExpr::Reg(*regs.get(v).ok_or_else(|| {
+    fn compile_term(&self, t: &Term, regs: &Regs) -> Result<CExpr> {
+        Ok(match t {
+            Term::Var(v) => CExpr::Reg(regs.get(v).ok_or_else(|| {
                 DcdError::Planning(format!("variable '{v}' used before it is bound"))
             })?),
-            Expr::Term(Term::Const(c)) => CExpr::Const(*c),
-            Expr::Term(Term::Param(p)) => CExpr::Const(self.param(p)?),
-            Expr::Term(Term::Wildcard) => {
+            Term::Const(c) => CExpr::Const(*c),
+            Term::Param(p) => CExpr::Const(self.param(p)?),
+            Term::Wildcard => {
                 return Err(DcdError::Planning(
                     "wildcard cannot appear in an expression".into(),
                 ))
             }
+        })
+    }
+
+    fn compile_expr(&self, e: &Expr, regs: &Regs) -> Result<CExpr> {
+        Ok(match e {
+            Expr::Term(t) => self.compile_term(t, regs)?,
             Expr::Binary { op, lhs, rhs } => CExpr::Bin {
                 op: *op,
                 l: Box::new(self.compile_expr(lhs, regs)?),
@@ -767,33 +761,16 @@ impl PlanCompiler<'_> {
         })
     }
 
-    fn compile_head(&self, rule: &Rule, regs: &FastMap<String, u16>) -> Result<Vec<CExpr>> {
-        let term_expr =
-            |t: &Term| -> Result<CExpr> {
-                Ok(match t {
-                    Term::Var(v) => CExpr::Reg(*regs.get(v).ok_or_else(|| {
-                        DcdError::Planning(format!("head variable '{v}' unbound"))
-                    })?),
-                    Term::Const(c) => CExpr::Const(*c),
-                    Term::Param(p) => CExpr::Const(self.param(p)?),
-                    Term::Wildcard => return Err(DcdError::Planning("wildcard in head".into())),
-                })
-            };
+    fn compile_head(&self, rule: &Rule, regs: &Regs) -> Result<Vec<CExpr>> {
         let mut out = Vec::with_capacity(rule.head.terms.len() + 1);
         for t in &rule.head.terms {
             match t {
-                HeadTerm::Plain(t) => out.push(term_expr(t)?),
-                HeadTerm::Agg { func, args } => {
-                    // Merge layout: min/max → value; count → contributor;
-                    // sum → contributor, value.
-                    match func {
-                        AggFunc::Min | AggFunc::Max | AggFunc::Count => {
-                            out.push(self.compile_expr(&args[0], regs)?);
-                        }
-                        AggFunc::Sum => {
-                            out.push(self.compile_expr(&args[0], regs)?);
-                            out.push(self.compile_expr(&args[1], regs)?);
-                        }
+                HeadTerm::Plain(t) => out.push(self.compile_term(t, regs)?),
+                // Merge layout: min/max → value; count → contributor;
+                // sum → contributor, value.
+                HeadTerm::Agg { args, .. } => {
+                    for a in args {
+                        out.push(self.compile_expr(a, regs)?);
                     }
                 }
             }
@@ -1037,7 +1014,19 @@ mod tests {
         let dr = &s.delta_rules[0];
         assert_eq!(dr.steps.len(), 1);
         assert_eq!(dr.steps[0].join_kind, JoinKind::Hash);
-        assert_eq!(dr.delta.as_ref().unwrap().route, 0);
+        // δtc binds X, Z into registers 0, 1; arc is probed on Z.
+        let d = dr.delta.as_ref().unwrap();
+        assert_eq!(d.rel, tc);
+        assert_eq!(d.route, 0);
+        assert_eq!(d.binds, vec![BindAction::Bind(0), BindAction::Bind(1)]);
+        assert_eq!(dr.steps[0].target, Target::Edb(arc));
+        assert_eq!(
+            dr.steps[0].probe,
+            Probe::Index {
+                col: 0,
+                key: CExpr::Reg(1)
+            }
+        );
     }
 
     #[test]
@@ -1093,6 +1082,15 @@ mod tests {
         );
         let sg = p.rel_by_name("sg").unwrap();
         assert!(!p.idb[sg].as_ref().unwrap().broadcast);
+        // Source order is arc, sg, arc; the delta variant starts from sg
+        // (recursive table leftmost, §5.1) and index-probes both arcs.
+        let dr = &p.strata[0].delta_rules[0];
+        assert_eq!(dr.delta.as_ref().unwrap().rel, sg);
+        assert_eq!(dr.steps.len(), 2);
+        for st in &dr.steps {
+            assert_eq!(st.target, Target::Edb(arc));
+            assert!(matches!(st.probe, Probe::Index { .. }), "{st:?}");
+        }
     }
 
     #[test]
@@ -1119,6 +1117,23 @@ mod tests {
         for r in &s.delta_rules {
             assert_eq!(r.steps[0].join_kind, JoinKind::Index);
         }
+        // δ on atom 0, path(A, C, D1), binds C into register 1 and probes
+        // atom 1 on its column 0; δ on atom 1, path(C, B, D2), binds C
+        // into register 0 and probes atom 0 on its column 1.
+        let probes: Vec<&Probe> = s.delta_rules.iter().map(|r| &r.steps[0].probe).collect();
+        assert_eq!(
+            probes,
+            [
+                &Probe::Index {
+                    col: 0,
+                    key: CExpr::Reg(1)
+                },
+                &Probe::Index {
+                    col: 1,
+                    key: CExpr::Reg(0)
+                }
+            ]
+        );
     }
 
     #[test]
@@ -1135,7 +1150,19 @@ mod tests {
         // Constraint-only init rule: no steps, two pre-assignments.
         let init = &s.init_rules[0];
         assert!(init.steps.is_empty());
-        assert_eq!(init.pre_assigns.len(), 2);
+        assert_eq!(
+            init.pre_assigns,
+            vec![
+                CAssign {
+                    reg: 0,
+                    expr: CExpr::Const(Value::Int(1))
+                },
+                CAssign {
+                    reg: 1,
+                    expr: CExpr::Const(Value::Int(0))
+                }
+            ]
+        );
         // Delta rule: assignment C = C1 + C2 on the warc step.
         let dr = &s.delta_rules[0];
         assert_eq!(dr.steps.len(), 1);
@@ -1231,8 +1258,68 @@ mod tests {
             p.edb[q].as_ref().unwrap().placement,
             Placement::Partitioned(0)
         );
+        // r(Y) shares no variable with q(X): a nested-loop scan.
         let rule = &p.strata[0].init_rules[0];
+        assert_eq!(rule.steps[1].target, Target::Edb(r));
+        assert_eq!(rule.steps[1].probe, Probe::Scan);
         assert_eq!(rule.steps[1].join_kind, JoinKind::NestedLoop);
+    }
+
+    #[test]
+    fn constraints_run_after_the_step_that_binds_them() {
+        // X != Y needs the second arc's Y: step 1, not step 0.
+        let sg = plan_src("sg(X, Y) <- arc(P, X), arc(P, Y), X != Y.");
+        let r = &sg.strata[0].init_rules[0];
+        assert!(r.steps[0].filters.is_empty());
+        assert_eq!(r.steps[1].filters.len(), 1);
+        assert_eq!(r.steps[1].filters[0].op, CmpOp::Ne);
+
+        let sssp = plan_src(
+            "sp(To2, min<C>) <- sp(To1, C1), warc(To1, To2, C2), C = C1 + C2.
+             sp(To, min<C>) <- seed(To), C = 0.",
+        );
+        let s = &sssp.strata[0];
+        // C = C1 + C2 needs warc's C2 (register 3): an assignment on the
+        // warc step, into the next free register.
+        let dr = &s.delta_rules[0];
+        assert!(dr.pre_assigns.is_empty());
+        assert_eq!(
+            dr.steps[0].assigns,
+            vec![CAssign {
+                reg: 4,
+                expr: CExpr::Bin {
+                    op: ArithOp::Add,
+                    l: Box::new(CExpr::Reg(1)),
+                    r: Box::new(CExpr::Reg(3)),
+                },
+            }]
+        );
+        // C = 0 runs right after the first atom, seed(To).
+        let ir = &s.init_rules[0];
+        assert!(ir.pre_assigns.is_empty());
+        assert_eq!(
+            ir.steps[0].assigns,
+            vec![CAssign {
+                reg: 1,
+                expr: CExpr::Const(Value::Int(0))
+            }]
+        );
+    }
+
+    #[test]
+    fn assigned_register_lets_a_later_atom_be_index_probed() {
+        // Y is bound only by `Y = X + 1`, yet r(Y) is probed on it rather
+        // than scanned: the walk picks atoms by bound registers.
+        let p = plan_src("p(X, Y) <- q(X), Y = X + 1, r(Y).");
+        let rule = &p.strata[0].init_rules[0];
+        assert_eq!(rule.steps[0].assigns.len(), 1);
+        assert_eq!(
+            rule.steps[1].probe,
+            Probe::Index {
+                col: 0,
+                key: CExpr::Reg(1)
+            }
+        );
     }
 
     #[test]
