@@ -335,7 +335,7 @@ impl Reference {
                 for row in rows {
                     let mut bound_here: Vec<&str> = Vec::new();
                     let mut ok = true;
-                    for (t, v) in atom.terms.iter().zip(row.values()) {
+                    for (t, v) in atom.terms.iter().zip(row.values().iter()) {
                         match t {
                             Term::Var(name) => match env.get(name) {
                                 Some(b) => {

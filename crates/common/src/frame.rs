@@ -14,7 +14,7 @@
 //! [`Frame::new`] pins the arity; a default frame learns it from its first
 //! row. Arity-0 rows are legal: the row count is tracked explicitly.
 
-use crate::tuple::{Tuple, INLINE_ARITY};
+use crate::tuple::{lane, Tuple};
 use crate::value::Value;
 use std::fmt;
 
@@ -22,8 +22,8 @@ use std::fmt;
 /// the frame holds any float (empty otherwise).
 #[derive(Clone, Copy)]
 pub struct Row<'a> {
-    lanes: &'a [u64],
-    floats: &'a [bool],
+    pub(crate) lanes: &'a [u64],
+    pub(crate) floats: &'a [bool],
 }
 
 impl<'a> Row<'a> {
@@ -91,9 +91,10 @@ impl<'a> Row<'a> {
         }
     }
 
-    /// The row as a [`Tuple`], for the API edge (results, tests).
+    /// The row as a [`Tuple`], for the API edge (results, tests): a
+    /// copy of its lanes.
     pub fn to_tuple(&self) -> Tuple {
-        Tuple::from_exact_iter(self.arity(), self.values())
+        Tuple::from_row(*self)
     }
 }
 
@@ -106,37 +107,6 @@ impl PartialEq for Row<'_> {
 impl fmt::Debug for Row<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(&self.to_tuple(), f)
-    }
-}
-
-impl Tuple {
-    /// Runs `f` on this tuple encoded as a [`Row`]: lanes on the stack for
-    /// inline arities, so the adapter from the `Tuple` API (loading,
-    /// inline facts, `RecStore::merge`) allocates nothing.
-    pub fn with_row<R>(&self, f: impl FnOnce(Row<'_>) -> R) -> R {
-        let (vals, n) = (self.values(), self.arity());
-        let (mut lanes, mut floats) = ([0; INLINE_ARITY], [false; INLINE_ARITY]);
-        let mut spilled: (Vec<u64>, Vec<bool>);
-        let (lanes, floats) = if n <= INLINE_ARITY {
-            (&mut lanes[..n], &mut floats[..n])
-        } else {
-            spilled = (vec![0; n], vec![false; n]);
-            (&mut spilled.0[..], &mut spilled.1[..])
-        };
-        for (i, v) in vals.iter().enumerate() {
-            (lanes[i], floats[i]) = lane(*v);
-        }
-        let floats: &[bool] = if floats.contains(&true) { floats } else { &[] };
-        f(Row { lanes, floats })
-    }
-}
-
-/// A value's lane and whether it is a float.
-#[inline]
-fn lane(v: Value) -> (u64, bool) {
-    match v {
-        Value::Int(i) => (i as u64, false),
-        Value::Float(f) => (f.to_bits(), true),
     }
 }
 
@@ -161,15 +131,6 @@ impl Frame {
         Frame {
             arity: Some(arity),
             ..Frame::default()
-        }
-    }
-
-    /// An empty frame with a pinned arity and room for exactly `rows`
-    /// integer rows.
-    pub fn with_capacity(arity: usize, rows: usize) -> Self {
-        Frame {
-            lanes: Vec::with_capacity(arity * rows),
-            ..Frame::new(arity)
         }
     }
 
@@ -380,7 +341,7 @@ mod tests {
         assert_eq!(f.arity(), None);
         f.push_values([7, 8, 9].map(Value::Int).into_iter());
         assert_eq!(f.arity(), Some(3));
-        Tuple::from_ints(&[1, 2, 3]).with_row(|r| f.push(r));
+        f.push(Tuple::from_ints(&[1, 2, 3]).row());
         assert_eq!(f.len(), 2);
     }
 

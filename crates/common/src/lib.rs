@@ -7,8 +7,9 @@
 //!   float) used for every term in a Datalog fact.
 //! * [`AggFunc`] — the aggregate functions of rule heads (`min`, `max`,
 //!   `sum`, `count`), one type from the parser to the storage layer.
-//! * [`Tuple`] — a small fixed-arity row of values with inline storage for
-//!   the arities that dominate Datalog workloads.
+//! * [`Tuple`] — a small fixed-arity row in the lane layout of a [`Frame`]
+//!   row, stored inline (40 bytes) for the arities that dominate Datalog
+//!   workloads: the row type of the engine's API edge.
 //! * [`Frame`] — a flat, arity-strided block of rows: the allocation-free
 //!   wire format of the delta exchange between workers.
 //! * [`hash`] — the multiply-shift / Fx-style 64-bit hash used everywhere a

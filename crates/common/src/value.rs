@@ -90,7 +90,8 @@ impl Value {
     }
 
     /// Division. Integer division by zero yields `Int(0)` (Datalog engines
-    /// conventionally make arithmetic total); float division follows IEEE.
+    /// conventionally make arithmetic total) and `i64::MIN / -1` wraps to
+    /// `i64::MIN`; float division follows IEEE.
     #[inline]
     pub fn div(self, other: Value) -> Value {
         match (self, other) {
@@ -98,7 +99,7 @@ impl Value {
                 if b == 0 {
                     Value::Int(0)
                 } else {
-                    Value::Int(a / b)
+                    Value::Int(a.wrapping_div(b))
                 }
             }
             _ => Value::Float(self.as_f64() / other.as_f64()),
@@ -330,6 +331,18 @@ mod tests {
         assert_eq!(Value::Int(7).div(Value::Int(2)), Value::Int(3));
         assert_eq!(Value::Int(7).div(Value::Int(0)), Value::Int(0));
         assert_eq!(Value::Float(1.0).div(Value::Int(4)), Value::Float(0.25));
+    }
+
+    #[test]
+    fn integer_division_wraps_instead_of_overflowing() {
+        let min = Value::Int(i64::MIN);
+        assert_eq!(min.div(Value::Int(-1)), min);
+        assert_eq!(min.div(Value::Int(1)), min);
+        assert_eq!(
+            Value::Int(i64::MAX).div(Value::Int(-1)),
+            Value::Int(-i64::MAX)
+        );
+        assert_eq!(Value::Int(-7).div(Value::Int(2)), Value::Int(-3));
     }
 
     #[test]

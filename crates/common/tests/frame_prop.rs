@@ -69,7 +69,7 @@ proptest! {
         let by_values = encode(arity, &rows);
         let mut by_row = Frame::default();
         for r in &rows {
-            Tuple::new(r).with_row(|row| by_row.push(row));
+            by_row.push(Tuple::new(r).row());
         }
         let mut copied = Frame::new(arity);
         for row in by_values.iter() {
@@ -125,7 +125,7 @@ fn inline_boundary_roundtrip() {
             .collect();
         let mut frame = Frame::new(arity);
         for t in &rows {
-            t.with_row(|r| frame.push(r));
+            frame.push(t.row());
         }
         let back: Vec<Tuple> = frame.iter().map(|r| r.to_tuple()).collect();
         assert_eq!(back, rows, "arity {arity}");

@@ -189,6 +189,28 @@ mod tests {
     }
 
     #[test]
+    fn a_row_of_another_arity_is_named_wherever_it_sits() {
+        // TC partitions `arc`, SG replicates it.
+        for (src, workers) in [(TC, 1), (TC, 3), (SG, 3)] {
+            let p = plan_for(src);
+            let arc = p.rel_by_name("arc").unwrap();
+            for (bad, at) in [(&[70][..], 0), (&[70, 71, 72], 5), (&[70, 71, 72], 10)] {
+                let mut rows = arcs(10);
+                rows.insert(at, Tuple::from_ints(bad));
+                let mut data: Vec<Option<Vec<Tuple>>> = vec![None; p.edb.len()];
+                data[arc] = Some(rows);
+                let built = EdbCatalog::try_build(&p, &data, &Partitioner::new(workers));
+                let Some(DcdError::Execution(msg)) = built.err() else {
+                    panic!("a row of arity {} must fail the seal", bad.len());
+                };
+                let want = format!("row {:?} has arity {}", Tuple::from_ints(bad), bad.len());
+                assert!(msg.contains(&want), "{msg}");
+                assert!(msg.ends_with("but 'arc' expects 2"), "{msg}");
+            }
+        }
+    }
+
+    #[test]
     fn idb_slots_are_absent() {
         let (p, cat) = catalog_for(TC, 2, arcs(10));
         let tc = p.rel_by_name("tc").unwrap();

@@ -266,11 +266,11 @@ impl Engine {
         })
     }
 
-    /// Decodes every derived row out of the worker stores into the
-    /// result's `Tuple`s, one copy per row, taken from the worker that
+    /// Copies the lanes of every derived row out of the worker stores into
+    /// the result's `Tuple`s, one copy per row, taken from the worker that
     /// owns it: worker `me` keeps a row of relation `r` only if
     /// `H(row[partition_cols[0]])` is `me`. Each store is freed once its
-    /// rows are decoded. That worker holds the row's final value, because
+    /// rows are copied. That worker holds the row's final value, because
     /// Distribute sends every row, and every aggregate improvement, to
     /// the owner of each of the relation's routes, and a route column is a
     /// group column, so an aggregate row's owner never changes. (The
@@ -289,7 +289,7 @@ impl Engine {
                 let home = decl.partition_cols[0];
                 let rows = rec.into_rows();
                 let owned = rows.iter().filter(|row| part.of_key(row.key(home)) == me);
-                rels[decl.id].extend(owned.map(|row| row.to_tuple()));
+                rels[decl.id].extend(owned.map(Tuple::from_row));
             }
         }
         self.plan

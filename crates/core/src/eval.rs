@@ -414,7 +414,7 @@ mod tests {
         out: &mut Vec<Tuple>,
     ) {
         let mut heads = Frame::default();
-        row.with_row(|r| ev.eval_delta(rule, store, r, &mut heads));
+        ev.eval_delta(rule, store, row.row(), &mut heads);
         out.extend(heads.iter().map(|r| r.to_tuple()));
     }
     use dcd_frontend::physical::{plan, PlannerConfig};

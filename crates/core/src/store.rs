@@ -76,11 +76,11 @@ impl RecStore {
         self.rel.merge(row)
     }
 
-    /// [`RecStore::merge_row`] for a row given as a [`Tuple`], encoded on
-    /// the stack: the adapter for callers outside the engine (store
-    /// replays in benchmarks and tests).
+    /// [`RecStore::merge_row`] for a row given as a [`Tuple`]: the adapter
+    /// for callers outside the engine (store replays in benchmarks and
+    /// tests).
     pub fn merge(&mut self, row: &Tuple) -> Merged {
-        row.with_row(|r| self.rel.merge(r))
+        self.merge_row(row.row())
     }
 
     /// Whether this set relation already stores `row`, so re-merging it
@@ -271,7 +271,7 @@ mod tests {
     fn sent_filter_only_on_optimized_set_stores() {
         let (tc, cc) = (tc_plan(), cc_plan());
         let row = Tuple::from_ints(&[1, 2]);
-        let sent = |s: &mut RecStore| row.with_row(|r| s.already_sent(r));
+        let sent = |s: &mut RecStore| s.already_sent(row.row());
         let mut set = RecStore::new(&tc, tc.rel_by_name("tc").unwrap(), true, 64);
         set.merge(&row);
         assert!(

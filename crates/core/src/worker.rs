@@ -415,7 +415,7 @@ impl<'a> Worker<'a> {
         if self.me == 0 {
             for (rel, t) in &plan.facts {
                 if stratum.rels.contains(rel) {
-                    t.with_row(|row| acc.push(plan, *rel, row));
+                    acc.push(plan, *rel, t.row());
                 }
             }
         }
@@ -942,7 +942,7 @@ mod tests {
     }
 
     fn push(acc: &mut PartialAgg, p: &PhysicalPlan, rel: RelId, row: &Tuple) {
-        row.with_row(|r| acc.push(p, rel, r));
+        acc.push(p, rel, row.row());
     }
 
     /// `(relation, row)` for every row of `frames`, decoded.

@@ -416,6 +416,23 @@ fn constants_in_body_atoms_filter() {
 }
 
 #[test]
+fn integer_division_overflow_wraps_instead_of_failing_the_run() {
+    // M = 0 - i64::MAX - 1 = i64::MIN, and i64::MIN / -1 overflows.
+    let src = "p(Z) <- q(X, Y), M = 0 - X - 1, Z = M / Y.";
+    let rows = || vec![Tuple::from_ints(&[i64::MAX, -1])];
+    let mut reference = Reference::new(src).unwrap();
+    reference.load("q", rows());
+    let want = reference.run().unwrap().remove("p").unwrap();
+    assert_eq!(want, [Tuple::from_ints(&[i64::MIN])]);
+    for workers in [1, 2] {
+        let cfg = EngineConfig::with_workers(workers);
+        let mut e = Engine::new(Program::parse(src).unwrap(), cfg).unwrap();
+        e.load_edb("q", rows()).unwrap();
+        assert_eq!(e.run().unwrap().sorted("p"), want, "{workers} workers");
+    }
+}
+
+#[test]
 fn wildcards_in_recursive_rules() {
     let program = Program::parse(
         "seen(X) <- arc(X, _).

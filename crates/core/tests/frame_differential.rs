@@ -2,7 +2,7 @@
 //! across Global/SSP/DWS × 1/2/3/4 workers, must produce exactly the rows of
 //! the single-worker reference run — and every result relation must
 //! survive a round-trip through a `Frame`'s lanes (encoded with
-//! `Tuple::with_row`, decoded with `Row::to_tuple`) unchanged.
+//! `Tuple::row`, decoded with `Row::to_tuple`) unchanged.
 //! The first check pins the flat-frame exchange against the Tuple
 //! semantics it replaced; the second pins the wire encoding itself.
 
@@ -60,7 +60,7 @@ fn differential(
         let arity = rows.first().map(|t| t.arity()).unwrap_or(0);
         let mut frame = Frame::new(arity);
         for t in rows {
-            t.with_row(|r| frame.push(r));
+            frame.push(t.row());
         }
         let round: Vec<Tuple> = frame.iter().map(|r| r.to_tuple()).collect();
         assert_eq!(&round, rows, "frame round-trip of '{rel}'");
@@ -96,7 +96,7 @@ fn compare(name: &str, rels: &[&str], want: &[Vec<Tuple>], got: &[Vec<Tuple>], e
             assert_eq!(have.len(), want.len(), "{name}: '{rel}' row count");
             for (a, b) in have.iter().zip(want) {
                 assert_eq!(a.arity(), b.arity(), "{name}: '{rel}' arity");
-                for (va, vb) in a.values().iter().zip(b.values()) {
+                for (va, vb) in a.values().iter().zip(b.values().iter()) {
                     let (fa, fb) = (va.as_f64(), vb.as_f64());
                     assert!((fa - fb).abs() < 1e-6, "{name}: '{rel}' {a:?} vs {b:?}");
                 }

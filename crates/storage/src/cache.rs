@@ -80,7 +80,7 @@ mod tests {
     use dcd_common::{Tuple, Value};
 
     fn seen(c: &mut TupleCache, t: &Tuple) -> bool {
-        t.with_row(|r| c.seen(r))
+        c.seen(t.row())
     }
 
     #[test]

@@ -479,7 +479,7 @@ mod tests {
     /// The `Tuple` side of the tests: merge a tuple, read rows back.
     impl DerivedRelation {
         fn merge_t(&mut self, t: &Tuple) -> Merged {
-            t.with_row(|row| self.merge(row))
+            self.merge(t.row())
         }
 
         fn tuples(&self) -> Vec<Tuple> {

@@ -232,7 +232,7 @@ mod tests {
     }
 
     fn push(s: &mut RowStore, row: &[i64]) -> u32 {
-        Tuple::from_ints(row).with_row(|r| s.push(r))
+        s.push(Tuple::from_ints(row).row())
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! row, once, into its worker's slice, which never changes after. A slice
 //! stores its rows sorted by one indexed column's key bits, ties in input
 //! order, so a probe on that column reads one contiguous run of rows. The
-//! copy encodes each input `Tuple` as `u64` lanes (see [`Frame`]), 8 bytes
-//! a cell, into a buffer allocated at its exact size.
+//! copy reads the input in order and writes each `Tuple`'s `u64` lanes
+//! (see [`Frame`]), 8 bytes a cell, into its sorted slot of a zeroed
+//! buffer allocated at its exact size.
 //! Every index is CSR (see [`RowStore`]); each bucket lists its rows in
 //! input order.
 
@@ -43,9 +44,9 @@ impl SealedRelation {
     /// if it is indexed, else of `index_cols[0]`, ties in input order.
     ///
     /// Every row must have `arity` values; otherwise `Err` names the
-    /// position in `rows` of one that does not. The check rides on the row
-    /// copy, the one pass that reads whole rows, so a relation is read
-    /// once however it was loaded.
+    /// position in `rows` of the first that does not. The check rides on
+    /// the row copy, the one pass that reads whole rows, so a relation is
+    /// read once however it was loaded.
     pub fn partitioned(
         rows: &[Tuple],
         arity: usize,
@@ -76,33 +77,32 @@ impl SealedRelation {
         };
         let mut indexes: Vec<Vec<(usize, Index)>> = ranges.iter().map(clustered).collect();
         drop(keys);
-        if cols.len() > 1 {
-            let mut id_of = vec![0u32; rows.len()];
-            let ids = ranges.iter().flat_map(|r| (0..).zip(&pos[r.clone()]));
-            ids.for_each(|(id, &p)| id_of[p as usize] = id);
-            // A stable sort, so each run lists its ids in input order.
-            for &c in &cols[1..] {
-                let (keys, order, _) = sort(rows, |r| key(r, c), slices, owner);
-                for (slice, r) in indexes.iter_mut().zip(&ranges) {
-                    let ids = order[r.clone()].iter().map(|&p| id_of[p as usize]);
-                    slice.push((c, Index::sorted(&keys[r.clone()], ids)));
-                }
+        // Each input row's global sorted position: slice `w` holds the
+        // positions in `ranges[w]`, and a row's id is its offset there.
+        let mut slot = vec![0u32; rows.len()];
+        (0..).zip(&pos).for_each(|(s, &p)| slot[p as usize] = s);
+        drop(pos);
+        // A stable sort, so each run lists its ids in input order.
+        for &c in cols.iter().skip(1) {
+            let (keys, order, _) = sort(rows, |r| key(r, c), slices, owner);
+            for (slice, r) in indexes.iter_mut().zip(&ranges) {
+                let start = r.start as u32;
+                let ids = order[r.clone()].iter().map(|&p| slot[p as usize] - start);
+                slice.push((c, Index::sorted(&keys[r.clone()], ids)));
             }
         }
         drop(owners);
-        let slice = |r: Range<usize>| {
-            let mut lanes = Frame::with_capacity(arity, r.len());
-            for &p in &pos[r] {
-                let row = rows[p as usize].values();
-                if row.len() != arity {
-                    return Err(p as usize);
-                }
-                lanes.push_values(row.iter().copied());
+        // Copy the rows in input order, each straight into its slot.
+        let mut frames = Vec::from_iter(ranges.iter().map(|r| Frame::zeroed(arity, r.len())));
+        for (p, (row, &s)) in rows.iter().zip(&slot).enumerate() {
+            if row.arity() != arity {
+                return Err(p);
             }
-            Ok(lanes)
-        };
-        let seal = |(r, idx)| Ok(SealedRelation(RowStore::from_parts(slice(r)?, idx)));
-        ranges.into_iter().zip(indexes).map(seal).collect()
+            let w = ranges.partition_point(|r| r.end <= s as usize);
+            frames[w].overwrite(s as usize - ranges[w].start, row.row());
+        }
+        let seal = |(lanes, idx)| SealedRelation(RowStore::from_parts(lanes, idx));
+        Ok(frames.into_iter().zip(indexes).map(seal).collect())
     }
 }
 
@@ -110,7 +110,11 @@ impl SealedRelation {
 /// the row copy then reports).
 #[inline]
 fn key(row: &Tuple, col: usize) -> u64 {
-    row.values().get(col).map_or(0, |v| v.key_bits())
+    let row = row.row();
+    match col < row.arity() {
+        true => row.key(col),
+        false => 0,
+    }
 }
 
 /// Reads `key` of every row once, then returns the keys and row positions
@@ -201,7 +205,7 @@ mod tests {
         let r = SealedRelation::build(&edges(), &[0]);
         let hits = probe(&r, 0, Value::Int(1).key_bits());
         assert_eq!(hits.len(), 2);
-        assert!(hits.iter().all(|t| t[0].expect_int() == 1));
+        assert!(hits.iter().all(|t| t.get(0).expect_int() == 1));
     }
 
     #[test]

@@ -79,9 +79,9 @@ fn stored(rel: &DerivedRelation) -> Vec<Vec<(bool, u64)>> {
 /// Every index of `rel` (one per column) against a filter over `model`.
 fn check_probes(rel: &DerivedRelation, model: &[Tuple]) {
     for col in 0..model.first().map_or(0, Tuple::arity) {
-        for key in model.iter().map(|r| r[col].key_bits()) {
+        for key in model.iter().map(|r| r.get(col).key_bits()) {
             let want: Vec<u32> = (0..model.len() as u32)
-                .filter(|&i| model[i as usize][col].key_bits() == key)
+                .filter(|&i| model[i as usize].get(col).key_bits() == key)
                 .collect();
             let mut got = rel.probe_ids(col, key).to_vec();
             got.sort_unstable();
@@ -97,9 +97,9 @@ fn check_set(arity: usize, rows: &[Tuple]) {
     let mut model: Vec<Tuple> = Vec::new();
     for row in rows {
         let present = model.iter().any(|m| m == row);
-        let contains = row.with_row(|r| rel.contains(r));
+        let contains = rel.contains(row.row());
         prop_assert_eq!(contains, present, "contains {:?}", row);
-        let got = row.with_row(|r| rel.merge(r));
+        let got = rel.merge(row.row());
         let want = match present {
             true => Merged::Old,
             false => Merged::New(model.len() as u32),
@@ -130,19 +130,16 @@ fn check_min(arity: usize, rows: &[Tuple]) {
                 model.push(row.clone());
                 Merged::New(model.len() as u32 - 1)
             }
-            Some(id) if row[g] < model[id][g] => {
+            Some(id) if row.get(g) < model[id].get(g) => {
                 let mut vals = model[id].values().to_vec();
-                vals[g] = row[g];
+                vals[g] = row.get(g);
                 model[id] = Tuple::new(&vals);
                 Merged::New(id as u32)
             }
             Some(_) => Merged::Old,
         };
-        prop_assert_eq!(row.with_row(|r| rel.merge(r)), want, "merge {:?}", row);
-        prop_assert!(
-            !row.with_row(|r| rel.contains(r)),
-            "aggregates never pre-check"
-        );
+        prop_assert_eq!(rel.merge(row.row()), want, "merge {:?}", row);
+        prop_assert!(!rel.contains(row.row()), "aggregates never pre-check");
     }
     let want: Vec<_> = model.iter().map(bits).collect();
     prop_assert_eq!(stored(&rel), want);
@@ -157,7 +154,7 @@ fn check_frames(arity: usize, rows: &[Tuple], max_rows: usize) {
     let (mut by_values, mut by_row) = (Frame::new(arity), Frame::default());
     for t in rows {
         by_values.push_values(t.values().iter().copied());
-        t.with_row(|r| by_row.push(r));
+        by_row.push(t.row());
     }
     let mut copied = Frame::new(arity);
     for r in by_values.iter() {
@@ -178,7 +175,7 @@ fn check_frames(arity: usize, rows: &[Tuple], max_rows: usize) {
 fn check_sent_filter(rows: &[Tuple]) {
     let mut filter = TupleCache::new(4);
     for (i, row) in rows.iter().enumerate() {
-        if row.with_row(|r| filter.seen(r)) {
+        if filter.seen(row.row()) {
             prop_assert!(rows[..i].contains(row), "false hit on {:?}", row);
         }
     }

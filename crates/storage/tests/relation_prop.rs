@@ -41,7 +41,7 @@ const EPSILON: f64 = 0.3;
 
 /// Merges `row` through its lane encoding.
 fn merge(rel: &mut DerivedRelation, row: &Tuple) -> Merged {
-    row.with_row(|r| rel.merge(r))
+    rel.merge(row.row())
 }
 
 /// Every row of `rows`, decoded.
@@ -184,7 +184,7 @@ fn check(kind: Kind, ops: &[(i64, i64, i64)], linear: bool) {
                     .collect();
                 let mut via_filter: Vec<Tuple> = tuples(rel.rows())
                     .into_iter()
-                    .filter(|r| r[col].key_bits() == key)
+                    .filter(|r| r.get(col).key_bits() == key)
                     .collect();
                 via_index.sort();
                 via_filter.sort();
@@ -249,9 +249,9 @@ fn check_mixed(kind: Kind, ops: &[(Value, Value)], linear: bool) {
             }
             Some(_) if kind.is_none() => false,
             Some(r) => {
-                let better = b < r[1];
+                let better = b < r.get(1);
                 if better {
-                    *r = Tuple::new(&[r[0], b]);
+                    *r = Tuple::new(&[r.get(0), b]);
                 }
                 better
             }
@@ -309,14 +309,14 @@ fn mixed_keys_fixed_cases() {
 fn check_slice(rel: &SealedRelation, input: &[&Tuple], cols: &[usize]) {
     let mut want: Vec<&Tuple> = input.to_vec();
     if let Some(&c) = cols.first() {
-        want.sort_by_key(|r| r[c].key_bits());
+        want.sort_by_key(|r| r.get(c).key_bits());
     }
     let stored: Vec<_> = tuples(rel.rows()).iter().map(bits).collect();
     let want: Vec<_> = want.into_iter().map(bits).collect();
     prop_assert_eq!(stored, want, "clustered row order");
 
     for &col in cols {
-        let mut keys: Vec<u64> = input.iter().map(|r| r[col].key_bits()).collect();
+        let mut keys: Vec<u64> = input.iter().map(|r| r.get(col).key_bits()).collect();
         keys.sort_unstable();
         keys.dedup();
         let mut seen: Vec<u32> = Vec::new();
@@ -329,7 +329,7 @@ fn check_slice(rel: &SealedRelation, input: &[&Tuple], cols: &[usize]) {
                 .collect();
             let via_filter: Vec<_> = input
                 .iter()
-                .filter(|r| r[col].key_bits() == key)
+                .filter(|r| r.get(col).key_bits() == key)
                 .map(|r| bits(r))
                 .collect();
             prop_assert_eq!(via_index, via_filter, "col {} key {}", col, key);
@@ -377,7 +377,7 @@ fn check_partitioned(input: &[Tuple], index_cols: &[usize], parts: usize, col: u
     for (w, slice) in slices.iter().enumerate() {
         let mine: Vec<&Tuple> = input
             .iter()
-            .filter(|r| part.of_key(r[col].key_bits()) == w)
+            .filter(|r| part.of_key(r.get(col).key_bits()) == w)
             .collect();
         check_slice(slice, &mine, &cols);
     }

@@ -13,8 +13,9 @@
 #      of `perfbench --workload W --trace 0 --seconds 2` run, alternating
 #      which side goes first, so drift in the host's speed lands on both
 #      sides alike;
-#   4. the gate fails when, on any workload, the change's median `run_s`
-#      or `run_s.1w` is more than BUDGET_PCT% of the base's.
+#   4. the gate fails when, on any workload, the change's median `run_s`,
+#      `run_s.1w` or `peak_rss_mb` is more than BUDGET_PCT% of the base's.
+#      Each metric is printed in the unit perfbench reports for it.
 #
 # It fails closed, naming the side and the reason, when the base cannot
 # be checked out or either side cannot be built, when perfbench exits
@@ -30,7 +31,7 @@ WORKLOADS=(tc-rmat sssp-web)
 PAIRS=6
 RUN_SECONDS=2
 BUDGET_PCT=125 # the change's median may be at most 125% of the base's
-METRICS=(run_s run_s.1w)
+METRICS=(run_s run_s.1w peak_rss_mb)
 
 export CARGO_NET_OFFLINE=true
 
@@ -69,10 +70,10 @@ build base "$worktree"
 build change "$PWD"
 
 # measure SIDE DIR WORKLOAD PAIR: runs perfbench once in DIR, checks
-# its final JSON line and appends each metric's value to
-# $workdir/WORKLOAD.SIDE.METRIC.
+# its final JSON line, appends each metric's value to
+# $workdir/WORKLOAD.SIDE.METRIC and records its unit in $workdir/METRIC.unit.
 measure() {
-    local side=$1 dir=$2 w=$3 pair=$4 out status line m v
+    local side=$1 dir=$2 w=$3 pair=$4 out status line m v entry
     out="$workdir/$w.$side.$pair.out"
     status=0
     (cd "$dir" && perfbench/target/release/perfbench \
@@ -93,11 +94,13 @@ measure() {
         fail "$side ($w, pair $pair): perfbench reports \"failed\": ${v:-missing}"
     fi
     for m in "${METRICS[@]}"; do
-        v=$(grep -o "\"$m\": {\"value\": [-0-9.e]*" <<<"$line" | awk '{print $NF}')
+        entry=$(grep -o "\"$m\": {\"value\": [-0-9.e]*, \"unit\": \"[^\"]*\"" <<<"$line" || true)
+        v=$(awk -F'"value": ' '{ split($2, a, ","); print a[1] }' <<<"$entry")
         if [ -z "$v" ]; then
             fail "$side ($w, pair $pair): metric $m missing from the final JSON line"
         fi
         echo "$v" >>"$workdir/$w.$side.$m"
+        awk -F'"unit": "' '{ sub(/"$/, "", $2); print $2 }' <<<"$entry" >"$workdir/$m.unit"
     done
 }
 
@@ -122,8 +125,9 @@ for w in "${WORKLOADS[@]}"; do
     for m in "${METRICS[@]}"; do
         b=$(median "$workdir/$w.base.$m")
         c=$(median "$workdir/$w.change.$m")
+        u=$(cat "$workdir/$m.unit")
         ratio=$(awk -v b="$b" -v c="$c" 'BEGIN { printf "%.3f", c / b }')
-        echo "perf pairs: $w $m median over $PAIRS pairs: base ${b}s ($base = ${sha:0:12}) change ${c}s ratio ${ratio}"
+        echo "perf pairs: $w $m median over $PAIRS pairs: base ${b} ${u} ($base = ${sha:0:12}) change ${c} ${u} ratio ${ratio}"
         if awk -v b="$b" -v c="$c" -v p="$BUDGET_PCT" 'BEGIN { exit !(c * 100 > b * p) }'; then
             echo "perf pairs FAILED: $w: change's median $m is ${ratio}x the base's (budget ${BUDGET_PCT}%)" >&2
             verdict=1
