@@ -404,3 +404,65 @@ fn probe_on_aggregate_column_sees_only_current_values() {
         }
     }
 }
+
+/// A predicate that has only inline facts is a base relation: its rows
+/// are its loaded rows, if any, and its facts, so it needs no load.
+#[test]
+fn inline_facts_of_a_base_relation_join_its_loaded_rows() {
+    const SRC: &str = "start(1). reach(X) <- start(X). reach(Y) <- reach(X), e(X, Y).";
+    let e = to_tuples(&[(1, 2), (2, 3)]);
+    for start in [Some(vec![]), None, Some(vec![Tuple::from_ints(&[5])])] {
+        let mut reference = Reference::new(SRC).unwrap();
+        let mut loads = vec![("e", e.clone())];
+        reference.load("e", e.clone());
+        if let Some(rows) = start.clone() {
+            reference.load("start", rows.clone());
+            loads.push(("start", rows));
+        }
+        let expected = reference.run().unwrap();
+        let reach = if start.is_some_and(|s| !s.is_empty()) {
+            4
+        } else {
+            3
+        };
+        assert_eq!(expected["reach"].len(), reach);
+        for workers in [1, 2] {
+            for strat in [Strategy::Global, Strategy::Dws] {
+                let label = format!("{} x{workers}, {} loaded", strat.name(), loads.len());
+                let program = dcdatalog::Program::parse(SRC).unwrap();
+                let got = run_engine(program, &loads, workers, strat);
+                assert_eq!(
+                    got,
+                    [("reach".to_string(), expected["reach"].clone())],
+                    "{label}"
+                );
+            }
+        }
+    }
+}
+
+/// A weighted relation given only as inline facts feeds SSSP's `min`
+/// recursion.
+#[test]
+fn inline_weighted_facts_feed_a_min_rule() {
+    let src = format!(
+        "warc(1, 2, 7). warc(1, 3, 2). warc(3, 2, 1). warc(2, 4, 5). warc(4, 1, 1).\n{}",
+        queries::SSSP
+    );
+    let expected = Reference::new(&src)
+        .unwrap()
+        .with_param("start", 1i64)
+        .run()
+        .unwrap();
+    assert_eq!(expected["results"].len(), 4);
+    for workers in [1, 2] {
+        for strat in [Strategy::Global, Strategy::Dws] {
+            let program = dcdatalog::Program::parse(&src)
+                .unwrap()
+                .with_param("start", 1i64);
+            for (name, rows) in run_engine(program, &[], workers, strat.clone()) {
+                assert_eq!(rows, expected[&name], "{name}: {} x{workers}", strat.name());
+            }
+        }
+    }
+}

@@ -204,6 +204,34 @@ mod tests {
     }
 
     #[test]
+    fn inline_facts_need_no_edb_file() {
+        let dir = tmpdir();
+        let prog = write(
+            &dir,
+            "reach.dl",
+            "start(1).\nreach(X) <- start(X).\nreach(Y) <- reach(X), e(X, Y).\n",
+        );
+        let edges = write(&dir, "reach_e.csv", "1,2\n2,3\n");
+        for workers in ["1", "2"] {
+            let c = cli(vec![
+                "run".into(),
+                prog.clone(),
+                "--edb".into(),
+                format!("e={edges}"),
+                "--workers".into(),
+                workers.into(),
+            ]);
+            let mut out = Vec::new();
+            run_cli(&c, &mut out).unwrap();
+            let text = String::from_utf8(out).unwrap();
+            assert!(text.contains("reach (3 rows):"), "{text}");
+            for x in 1..=3 {
+                assert!(text.contains(&format!("reach({x})")), "{text}");
+            }
+        }
+    }
+
+    #[test]
     fn limit_truncates_output() {
         let dir = tmpdir();
         let prog = write(&dir, "t.dl", "t(X, Y) <- e(X, Y).");

@@ -269,32 +269,6 @@ impl Frame {
     pub fn iter(&self) -> impl ExactSizeIterator<Item = Row<'_>> {
         (0..self.rows).map(|i| self.row(i))
     }
-
-    /// Splits the frame into frames of at most `max_rows` rows each. The
-    /// common case (`len <= max_rows`) moves the frame without copying.
-    pub fn into_batches(self, max_rows: usize) -> Vec<Frame> {
-        let max_rows = max_rows.max(1);
-        if self.rows <= max_rows {
-            return vec![self];
-        }
-        let a = self.arity.unwrap_or(0);
-        let mut out = Vec::with_capacity(self.rows.div_ceil(max_rows));
-        for start in (0..self.rows).step_by(max_rows) {
-            let end = (start + max_rows).min(self.rows);
-            let cells = start * a..end * a;
-            let floats = match self.floats.is_empty() {
-                true => Vec::new(),
-                false => self.floats[cells.clone()].to_vec(),
-            };
-            out.push(Frame {
-                lanes: self.lanes[cells].to_vec(),
-                floats,
-                arity: self.arity,
-                rows: end - start,
-            });
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -361,25 +335,6 @@ mod tests {
         let seen: Vec<i64> = f.iter().map(|r| r.get(0).expect_int()).collect();
         assert_eq!(seen, (0..10).collect::<Vec<_>>());
         assert_eq!(f.iter().len(), 10);
-    }
-
-    #[test]
-    fn into_batches_moves_small_frames() {
-        let f = frame(2, &[Tuple::from_ints(&[1, 2])]);
-        let batches = f.clone().into_batches(10);
-        assert_eq!(batches, vec![f]);
-    }
-
-    #[test]
-    fn into_batches_splits_and_preserves_rows() {
-        let rows: Vec<Tuple> = (0..7).map(|i| Tuple::from_ints(&[i, i + 1])).collect();
-        let batches = frame(2, &rows).into_batches(3);
-        assert_eq!(
-            batches.iter().map(Frame::len).collect::<Vec<_>>(),
-            vec![3, 3, 1]
-        );
-        let back: Vec<Tuple> = batches.iter().flat_map(tuples).collect();
-        assert_eq!(back, rows);
     }
 
     #[test]

@@ -4,7 +4,6 @@
 //! value of their join key (§2.2); partition `i` is owned by worker `W_i`.
 
 use crate::hash::mix64;
-use crate::value::Value;
 use crate::WorkerId;
 
 /// Maps 64-bit join keys to one of `n` workers.
@@ -35,12 +34,6 @@ impl Partitioner {
     pub fn of_key(&self, k: u64) -> WorkerId {
         // Multiply-shift reduction of the mixed key to [0, n).
         ((mix64(k) as u128 * self.n as u128) >> 64) as usize
-    }
-
-    /// The worker owning `value` (hashes its canonical key bits).
-    #[inline]
-    pub fn of_value(&self, value: Value) -> WorkerId {
-        self.of_key(value.key_bits())
     }
 }
 
@@ -91,16 +84,6 @@ mod tests {
         for k in 0..500 {
             assert_eq!(a.of_key(k), b.of_key(k));
         }
-    }
-
-    #[test]
-    fn value_partitioning_matches_key_partitioning() {
-        let p = Partitioner::new(5);
-        for k in -50i64..50 {
-            assert_eq!(p.of_value(Value::Int(k)), p.of_key(k as u64));
-        }
-        // Int/Float equal values land on the same worker.
-        assert_eq!(p.of_value(Value::Int(7)), p.of_value(Value::Float(7.0)));
     }
 
     #[test]

@@ -53,14 +53,6 @@ impl Ewma {
         self.n
     }
 
-    /// Whether any sample has been observed. One sample carries variance
-    /// 0, so estimators that feed variance-sensitive formulas (Kingman)
-    /// should additionally gate on [`count`](Ewma::count).
-    #[inline]
-    pub fn is_primed(&self) -> bool {
-        self.mean.is_some()
-    }
-
     /// Recency-weighted mean (0 when empty).
     #[inline]
     pub fn mean(&self) -> f64 {
@@ -112,10 +104,8 @@ mod tests {
     fn ewma_counts_samples() {
         let mut e = Ewma::new(0.5);
         assert_eq!(e.count(), 0);
-        assert!(!e.is_primed());
         e.push(1.0);
         assert_eq!(e.count(), 1);
-        assert!(e.is_primed());
         assert_eq!(e.variance(), 0.0, "one sample carries no variance");
         for _ in 0..9 {
             e.push(2.0);

@@ -81,27 +81,6 @@ proptest! {
     }
 
     #[test]
-    fn into_batches_preserves_order_and_bytes(
-        (arity, rows) in frame_input(),
-        max_rows in 1usize..8,
-    ) {
-        let frame = encode(arity, &rows);
-        let want = decode(&frame);
-        let total_bytes = frame.payload_bytes();
-        let pieces = frame.into_batches(max_rows);
-        let mut reassembled = Vec::new();
-        let mut bytes = 0;
-        for p in &pieces {
-            prop_assert!(p.len() <= max_rows);
-            prop_assert!(!p.is_empty() || rows.is_empty());
-            bytes += p.payload_bytes();
-            reassembled.extend(decode(p));
-        }
-        prop_assert_eq!(reassembled, want);
-        prop_assert_eq!(bytes, total_bytes);
-    }
-
-    #[test]
     fn payload_bytes_is_the_lane_stride(
         arity in 0usize..=6,
         n in 0usize..50,

@@ -65,8 +65,8 @@ proptest! {
     ) {
         let p = Partitioner::new(n);
         prop_assert_eq!(
-            p.of_value(Value::Int(v)),
-            p.of_value(Value::Float(v as f64))
+            p.of_key(Value::Int(v).key_bits()),
+            p.of_key(Value::Float(v as f64).key_bits())
         );
     }
 }

@@ -17,6 +17,7 @@
 use dcd_common::{DcdError, Partitioner, Result, Tuple, WorkerId};
 use dcd_frontend::physical::{PhysicalPlan, Placement, RelId};
 use dcd_storage::SealedRelation;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// How one base relation is materialized.
@@ -33,9 +34,11 @@ pub struct EdbCatalog {
 }
 
 impl EdbCatalog {
-    /// Seals every loaded base relation per the plan's placement. A row
-    /// whose arity is not its relation's is an error, found by the seal's
-    /// row copy (`Engine::load_edb` does not scan the rows).
+    /// Seals every base relation per the plan's placement. A base
+    /// relation is its loaded rows and its inline facts; only a relation
+    /// with facts is copied to join them. A row whose arity is not its
+    /// relation's is an error, found by the seal's row copy
+    /// (`Engine::load_edb` does not scan the rows).
     pub fn try_build(
         plan: &PhysicalPlan,
         edb_data: &[Option<Vec<Tuple>>],
@@ -47,14 +50,17 @@ impl EdbCatalog {
                 rels.push(None);
                 continue;
             };
-            let rows = edb_data[d.id].as_deref().unwrap_or(&[]);
+            let mut rows = Cow::Borrowed(edb_data[d.id].as_deref().unwrap_or(&[]));
+            for (_, fact) in plan.facts.iter().filter(|(rel, _)| *rel == d.id) {
+                rows.to_mut().push(fact.clone());
+            }
             let mut cols = d.index_cols.clone();
             cols.sort_unstable();
             let (slices, col) = match d.placement {
                 Placement::Replicated => (&Partitioner::new(1), cols.first().copied().unwrap_or(0)),
                 Placement::Partitioned(c) => (part, c),
             };
-            let sealed = SealedRelation::partitioned(rows, d.arity, &cols, slices, col);
+            let sealed = SealedRelation::partitioned(&rows, d.arity, &cols, slices, col);
             let mut sealed = sealed.map_err(|i| {
                 let (row, name) = (&rows[i], &d.name);
                 let msg = format!(

@@ -138,7 +138,8 @@ impl Engine {
     /// Loads rows for base relation `name`, replacing any previous load.
     /// The rows are not read here: [`Engine::run`] reports a row whose
     /// arity is not the relation's, from the seal, which reads every row
-    /// once anyway.
+    /// once anyway. The relation's inline facts, if the program has any,
+    /// are kept next to the loaded rows.
     pub fn load_edb(&mut self, name: &str, rows: Vec<Tuple>) -> Result<()> {
         let rel = self
             .plan
@@ -178,9 +179,11 @@ impl Engine {
     /// Runs the parallel evaluation to the global fixpoint.
     pub fn run(&self) -> Result<EvalResult> {
         // Every EDB referenced by a rule must be loaded (empty is legal but
-        // must be explicit, guarding against typos in relation names).
+        // must be explicit, guarding against typos in relation names),
+        // unless the program gives it inline facts.
         for decl in self.plan.edb.iter().flatten() {
-            if self.edb_data[decl.id].is_none() {
+            let has_facts = self.plan.facts.iter().any(|(rel, _)| *rel == decl.id);
+            if self.edb_data[decl.id].is_none() && !has_facts {
                 return Err(DcdError::MissingRelation(decl.name.clone()));
             }
         }

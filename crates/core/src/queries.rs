@@ -1,28 +1,19 @@
 //! The paper's eight benchmark programs (Queries 1–8), as ready-to-use
-//! Datalog sources, plus constructors that bind their parameters.
+//! Datalog sources, plus constructors that bind their parameters. Six are
+//! the files under `programs/`, included as they are; `ATTEND` and
+//! `PAGERANK` have no file.
 
 use crate::engine::Program;
 use dcd_common::Result;
 
 /// Query 1 — Transitive Closure.
-pub const TC: &str = "
-tc(X, Y) <- arc(X, Y).
-tc(X, Y) <- tc(X, Z), arc(Z, Y).
-";
+pub const TC: &str = include_str!("../../../programs/tc.dl");
 
 /// Query 2 — Connected Components (min label propagation).
-pub const CC: &str = "
-cc2(Y, min<Y>) <- arc(Y, _).
-cc2(Y, min<Z>) <- cc2(X, Z), arc(X, Y).
-cc(Y, min<Z>) <- cc2(Y, Z).
-";
+pub const CC: &str = include_str!("../../../programs/cc.dl");
 
 /// Query 3 — All Pairs Shortest Path (non-linear recursion).
-pub const APSP: &str = "
-path(A, B, min<D>) <- warc(A, B, D).
-path(A, B, min<D>) <- path(A, C, D1), path(C, B, D2), D = D1 + D2.
-apsp(A, B, min<D>) <- path(A, B, D).
-";
+pub const APSP: &str = include_str!("../../../programs/apsp.dl");
 
 /// Query 4 — Who will attend the party (mutual recursion with count).
 /// The threshold (paper: 3) is the `threshold` parameter.
@@ -33,10 +24,7 @@ attend(X) <- cnt(X, N), N >= threshold.
 ";
 
 /// Query 5 — Same Generation.
-pub const SG: &str = "
-sg(X, Y) <- arc(P, X), arc(P, Y), X != Y.
-sg(X, Y) <- arc(A, X), sg(A, B), arc(B, Y).
-";
+pub const SG: &str = include_str!("../../../programs/sg.dl");
 
 /// Query 6 — PageRank (sum in recursion). Parameters: `alpha` (damping),
 /// `vnum` (vertex count). `matrix(Y, X, D)` is an edge Y→X with D =
@@ -48,18 +36,10 @@ results(X, V) <- rank(X, V).
 ";
 
 /// Query 7 — Single Source Shortest Path. Parameter: `start`.
-pub const SSSP: &str = "
-sp(To, min<C>) <- To = start, C = 0.
-sp(To2, min<C>) <- sp(To1, C1), warc(To1, To2, C2), C = C1 + C2.
-results(To, min<C>) <- sp(To, C).
-";
+pub const SSSP: &str = include_str!("../../../programs/sssp.dl");
 
 /// Query 8 — Bill of Materials / Delivery (max in recursion).
-pub const DELIVERY: &str = "
-delivery(P, max<D>) <- basic(P, D).
-delivery(P, max<D>) <- assbl(P, S), delivery(S, D).
-results(P, max<D>) <- delivery(P, D).
-";
+pub const DELIVERY: &str = include_str!("../../../programs/delivery.dl");
 
 /// Transitive closure program.
 pub fn tc() -> Result<Program> {
@@ -106,6 +86,7 @@ pub fn delivery() -> Result<Program> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcd_frontend::analysis::StratumInfo;
 
     #[test]
     fn all_eight_queries_parse_and_analyze() {
@@ -121,15 +102,17 @@ mod tests {
 
     #[test]
     fn recursion_classification_matches_the_paper() {
+        let nonlinear = |s: &StratumInfo| s.rules.iter().any(|r| r.recursive_atoms.len() > 1);
+        let mutual = |s: &StratumInfo| s.preds.len() > 1;
         let a = apsp().unwrap();
-        assert!(a.analyzed().strata.iter().any(|s| s.is_nonlinear()));
+        assert!(a.analyzed().strata.iter().any(nonlinear));
         let a = attend(3).unwrap();
-        assert!(a.analyzed().strata.iter().any(|s| s.is_mutual()));
+        assert!(a.analyzed().strata.iter().any(mutual));
         let a = tc().unwrap();
         assert!(a
             .analyzed()
             .strata
             .iter()
-            .all(|s| !s.is_nonlinear() && !s.is_mutual()));
+            .all(|s| !nonlinear(s) && !mutual(s)));
     }
 }

@@ -93,16 +93,17 @@ impl RecStore {
     }
 
     /// Distribute's sent-filter: whether this worker already routed `row`
-    /// (a sound but lossy check), recording it if not. Always `false` for
-    /// aggregate relations, whose rows evolve, and with optimizations off.
-    pub fn already_sent(&mut self, row: Row<'_>) -> bool {
+    /// (a sound but lossy check), recording it if not. `None` when the
+    /// relation has no filter: an aggregate relation, whose rows evolve,
+    /// or any relation with optimizations off.
+    pub fn already_sent(&mut self, row: Row<'_>) -> Option<bool> {
         if self.filter_slots == 0 {
-            return false;
+            return None;
         }
         let filter = self
             .sent_filter
             .get_or_insert_with(|| TupleCache::new(self.filter_slots));
-        filter.seen(row)
+        Some(filter.seen(row))
     }
 
     /// The current logical rows (one stored copy each) and their row-id
@@ -120,12 +121,6 @@ impl RecStore {
     /// them.
     pub fn into_rows(self) -> Frame {
         self.rel.into_rows()
-    }
-
-    /// Sent-filter `(hits, misses)` for this relation (zero when the
-    /// filter was never consulted).
-    pub fn cache_stats(&self) -> (u64, u64) {
-        self.sent_filter.as_ref().map_or((0, 0), TupleCache::stats)
     }
 }
 
@@ -186,15 +181,6 @@ impl WorkerStore {
     /// Mutable derived store `rel`.
     pub fn rec_mut(&mut self, rel: RelId) -> &mut RecStore {
         self.idb[rel].as_mut().expect("IDB relation present")
-    }
-
-    /// Sent-filter `(hits, misses)` totals over every derived store.
-    pub fn cache_totals(&self) -> (u64, u64) {
-        self.idb
-            .iter()
-            .flatten()
-            .map(RecStore::cache_stats)
-            .fold((0, 0), |(h, m), (sh, sm)| (h + sh, m + sm))
     }
 }
 
@@ -278,15 +264,13 @@ mod tests {
             set.sent_filter.is_none(),
             "merging never touches the filter"
         );
-        assert!(!sent(&mut set));
-        assert!(sent(&mut set));
-        assert_eq!(set.cache_stats(), (1, 1));
+        assert_eq!(sent(&mut set), Some(false));
+        assert_eq!(sent(&mut set), Some(true));
         let mut off = RecStore::new(&tc, tc.rel_by_name("tc").unwrap(), false, 64);
         let mut agg = RecStore::new(&cc, cc.rel_by_name("cc2").unwrap(), true, 64);
         for s in [&mut off, &mut agg] {
-            assert!(!sent(s));
-            assert!(!sent(s));
-            assert_eq!(s.cache_stats(), (0, 0));
+            assert_eq!(sent(s), None);
+            assert_eq!(sent(s), None);
             assert!(s.sent_filter.is_none());
         }
     }
@@ -305,8 +289,9 @@ mod tests {
         for w in 0..4 {
             let ws = WorkerStore::build(&p, &catalog, w, true, 64);
             total += ws.base(arc).len();
-            // Index on column 0 was built (tc's rule probes arc on col 0).
-            assert!(ws.base(arc).has_index(0));
+            // Index on column 0 was built (tc's rule probes arc on col 0);
+            // probing an unindexed column panics.
+            ws.base(arc).probe_ids(0, 0);
             for r in ws.base(arc).rows().iter() {
                 assert_eq!(part.of_key(r.key(0)), w);
             }

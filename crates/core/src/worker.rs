@@ -180,10 +180,10 @@ const SLICE_ROWS: usize = 256;
 /// iteration ends, or, while a best-first group is evaluated, after each
 /// slice ([`PartialAgg::clear`] keeps the tables, so no slice zeroes a
 /// fresh one). Every other row is copied, as lanes, into its head
-/// relation's queue frame, which Iterate flushes every [`FLUSH_ROWS`]
-/// queued rows: a set row's only collapse is exact-duplicate elimination,
-/// which the stored-row check before the queue, Distribute's sent-filter
-/// and the idempotent merge already perform. A `sum`/`count` merge
+/// relation's queue frame, which [`Worker::flush`] hands on every
+/// [`FLUSH_ROWS`] queued rows: a set row's only collapse is exact-duplicate
+/// elimination, which the stored-row check before the queue, Distribute's
+/// sent-filter and the idempotent merge already perform. A `sum`/`count` merge
 /// replaces the contributor's previous value, so a group ends with the
 /// total it would have had from the latest contribution alone: an exact
 /// duplicate merges as `Merged::Old`, and a superseded contribution
@@ -236,27 +236,26 @@ impl PartialAgg {
         self.queued.into_iter().chain(best).collect()
     }
 
-    /// Every buffered row, as [`PartialAgg::drain`] orders it, without
-    /// consuming the accumulator.
-    fn frames(&self) -> impl Iterator<Item = (RelId, &Frame)> {
-        let best = self.best.iter().map(|(rel, acc)| (*rel, acc.rows()));
+    /// The queued rows and, with `best`, each `min`/`max` relation's best
+    /// rows, as [`PartialAgg::drain`] orders them, without consuming the
+    /// accumulator.
+    fn frames(&self, best: bool) -> impl Iterator<Item = (RelId, &Frame)> {
+        let best = if best { &self.best[..] } else { &[] };
+        let best = best.iter().map(|(rel, acc)| (*rel, acc.rows()));
         self.queued.iter().map(|(rel, f)| (*rel, f)).chain(best)
     }
 
-    /// Empties the queues, keeping their buffers.
-    fn clear_queued(&mut self) {
+    /// Empties, in place, what [`PartialAgg::frames`] returns for `best`,
+    /// keeping the buffers and tables for the next slice.
+    fn clear(&mut self, best: bool) {
         for (_, f) in &mut self.queued {
             f.clear();
         }
         self.queued_rows = 0;
-    }
-
-    /// Empties the accumulator in place and keeps its tables for the next
-    /// best-first slice.
-    fn clear(&mut self) {
-        self.clear_queued();
-        for (_, acc) in &mut self.best {
-            acc.clear();
+        if best {
+            for (_, acc) in &mut self.best {
+                acc.clear();
+            }
         }
     }
 }
@@ -346,6 +345,10 @@ pub struct Worker<'a> {
     /// The stratum's DWS controller: `None` under Global and SSP, and
     /// during a stratum's init phase, so it sees only fixpoint batches.
     dws: Option<DwsController>,
+    /// Start of the open `EvalDelta` span.
+    t_eval: Instant,
+    /// Rows Distribute merged here or sent in the current iteration.
+    produced: u64,
 }
 
 impl<'a> Worker<'a> {
@@ -378,6 +381,8 @@ impl<'a> Worker<'a> {
             si: 0,
             delta: Vec::new(),
             dws: None,
+            t_eval: Instant::now(),
+            produced: 0,
         }
     }
 
@@ -387,10 +392,8 @@ impl<'a> Worker<'a> {
         for si in 0..self.plan.strata.len() {
             self.run_stratum(si)?;
         }
-        // Fold the sent-filter counters and the kernel's probe counters
-        // into the recorder so the report carries them.
+        // The kernel's probe counters go into the report.
         let m = &mut self.rec.counters;
-        (m.cache_hits, m.cache_misses) = self.store.cache_totals();
         m.probe_hits += self.scratch.probe_hits;
         m.probe_reuse += self.scratch.probe_reuse;
         Ok((self.store, self.rec))
@@ -403,7 +406,7 @@ impl<'a> Worker<'a> {
         self.coord.check_deadline()?;
 
         // ---- Init phase: base rules + inline facts ----
-        let ti = Instant::now();
+        self.t_eval = Instant::now();
         let plan = self.plan;
         let stratum = &plan.strata[si];
         let mut acc = PartialAgg::default();
@@ -419,9 +422,7 @@ impl<'a> Worker<'a> {
                 }
             }
         }
-        self.rec.close(Phase::EvalDelta, ti, 0, 0, 0);
-        let out = acc.drain();
-        self.distribute(out.iter().map(|(rel, rows)| (*rel, rows)))?;
+        self.finish(acc, 0)?;
         self.sync();
         if matches!(self.cfg.strategy, Strategy::Dws) {
             self.dws = Some(DwsController::new(self.cfg.workers));
@@ -480,19 +481,18 @@ impl<'a> Worker<'a> {
             }
 
             let t0 = Instant::now();
-            let (processed, local_new, remote_sent) = self.iterate()?;
+            let processed = self.iterate()?;
             if let Some(ctrl) = &mut self.dws {
                 ctrl.on_iteration(processed as usize, t0.elapsed());
             }
-            let produced = local_new + remote_sent;
-            let queue_depth = coord.buffers.inbound_len(self.me) as u64;
-            self.rec.end_iteration(processed, produced, queue_depth);
+            let depth = coord.buffers.inbound_len(self.me) as u64;
+            self.rec.end_iteration(processed, self.produced, depth);
             if ssp {
                 sc.ssp.advance(self.me);
             }
             if global {
                 let tb = Instant::now();
-                let cont = sc.round.arrive(produced);
+                let cont = sc.round.arrive(self.produced);
                 self.rec.close(Phase::Idle, tb, 0, 0, 0);
                 self.rec.mark(Mark::TerminationRound, cont as u64, 0, 0);
                 if !cont {
@@ -541,10 +541,10 @@ impl<'a> Worker<'a> {
     /// aggregation of §5.2.3 ("the Distribute operators also perform some
     /// partial aggregation"). Each kernel call's second pass runs in slices
     /// of [`SLICE_ROWS`]; whenever [`FLUSH_ROWS`] queued rows are buffered
-    /// after a slice, they go to Distribute before the next slice, so later
-    /// slices probe stores those rows may have grown (monotone rules only
-    /// derive more from them). Their `min`/`max` rows are distributed
-    /// once, at the end.
+    /// after a slice, [`Worker::flush`] hands them to Distribute before the
+    /// next slice, so later slices probe stores those rows may have grown
+    /// (monotone rules only derive more from them). Their `min`/`max` rows
+    /// are distributed once, by [`Worker::finish`] at the end.
     ///
     /// Best-first groups (see the module docs) instead join the worker's
     /// order, and after every other group Iterate evaluates that order one
@@ -553,10 +553,12 @@ impl<'a> Worker<'a> {
     /// requeues the ids its local merges improve; under SSP and DWS
     /// Iterate drains inbound batches between slices (Global's rounds
     /// still end at the barrier, so it leaves them to the next Gather).
-    /// Returns `(delta rows evaluated, new local merges, tuples sent to
-    /// peers)`; the first counts rows requeued and evaluated again.
-    fn iterate(&mut self) -> Result<(u64, u64, u64)> {
-        let mut t0 = Instant::now();
+    /// Returns the delta rows evaluated, counting rows requeued and
+    /// evaluated again.
+    fn iterate(&mut self) -> Result<u64> {
+        self.t_eval = Instant::now();
+        self.produced = 0;
+        let before = self.rec.counters.tuples_processed;
         // Gather (§5.2.2): an aggregate group updated several times since
         // the last iteration has one id, which reads its newest value, so
         // dropping repeated ids keeps only the newest row. Without this,
@@ -568,7 +570,6 @@ impl<'a> Worker<'a> {
         rows.sort_unstable();
         rows.dedup();
         let mut acc = PartialAgg::default();
-        let (mut evaluated, mut local_new, mut remote_sent) = (0, 0, 0);
         for group in rows.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
             if self.best_first[group[0].0].is_some() {
                 for &row in group {
@@ -576,38 +577,24 @@ impl<'a> Worker<'a> {
                 }
                 continue;
             }
-            evaluated += group.len() as u64;
-            let (l, r) = self.eval_group(group, &mut acc, &mut t0)?;
-            local_new += l;
-            remote_sent += r;
+            self.eval_group(group, &mut acc)?;
         }
         let rels = &self.plan.strata[self.si].rels;
         if rels.iter().any(|&rel| self.best_first[rel].is_some()) {
-            let (e, l, r) = self.eval_best_first(&mut acc, &mut t0)?;
-            evaluated += e;
-            local_new += l;
-            remote_sent += r;
+            self.eval_best_first(&mut acc)?;
         }
-        self.rec.counters.tuples_processed += evaluated;
-        self.rec.close(Phase::EvalDelta, t0, evaluated, 0, 0);
-        let out = acc.drain();
-        let (l, r) = self.distribute(out.iter().map(|(rel, rows)| (*rel, rows)))?;
-        Ok((evaluated, local_new + l, remote_sent + r))
+        let evaluated = self.rec.counters.tuples_processed - before;
+        self.finish(acc, evaluated)?;
+        Ok(evaluated)
     }
 
     /// Iterate's best-first part: moves the best-first rows that the delta
     /// gained so far into their orders, then evaluates the orders one
     /// slice at a time until they are empty, distributing each slice and
-    /// requeueing what it improves. Returns `(delta rows evaluated, new
-    /// local merges, tuples sent to peers)`.
-    fn eval_best_first(
-        &mut self,
-        acc: &mut PartialAgg,
-        t0: &mut Instant,
-    ) -> Result<(u64, u64, u64)> {
+    /// requeueing what it improves.
+    fn eval_best_first(&mut self, acc: &mut PartialAgg) -> Result<()> {
         let global = matches!(self.cfg.strategy, Strategy::Global);
         let mut slice = Vec::with_capacity(SLICE_ROWS);
-        let (mut evaluated, mut local_new, mut remote_sent) = (0, 0, 0);
         let mut requeued = 0;
         loop {
             self.requeue(requeued);
@@ -616,45 +603,33 @@ impl<'a> Worker<'a> {
                 break;
             }
             self.coord.check_deadline()?;
-            evaluated += slice.len() as u64;
-            let (l, r) = self.eval_group(&slice, acc, t0)?;
-            self.rec.close(Phase::EvalDelta, *t0, 0, 0, 0);
-            let (l2, r2) = self.distribute(acc.frames())?;
-            acc.clear();
-            local_new += l + l2;
-            remote_sent += r + r2;
+            self.eval_group(&slice, acc)?;
+            self.flush(acc, true)?;
             if !global && self.endpoints.has_inbound() {
                 let tg = Instant::now();
                 self.drain_into();
                 self.rec.close(Phase::Gather, tg, 0, 0, 0);
+                self.t_eval = Instant::now();
             }
-            *t0 = Instant::now();
         }
         // Every order is empty now; free its heaps. Kept until the next
         // Iterate, they raised `sssp-web`'s peak RSS by 1.5–3 MB.
         for order in self.best_first.iter_mut().flatten() {
             order.routes.fill_with(BinaryHeap::new);
         }
-        Ok((evaluated, local_new, remote_sent))
+        Ok(())
     }
 
     /// Runs every delta rule of the stratum that consumes `group`'s
     /// `(rel, route)` over it, feeding head rows to `acc` unless this
     /// worker already stores them (`RecStore::already_stored`: such a row
     /// was routed to every destination when it was first stored, so it
-    /// would merge as `Old` everywhere); buffered rows go to Distribute
-    /// whenever a slice leaves [`FLUSH_ROWS`] of them, which splits the
-    /// `EvalDelta` span that began at `t0`. Returns what those flushes
-    /// merged and sent.
-    fn eval_group(
-        &mut self,
-        group: &[DeltaRow],
-        acc: &mut PartialAgg,
-        t0: &mut Instant,
-    ) -> Result<(u64, u64)> {
+    /// would merge as `Old` everywhere), and offers the buffered rows to
+    /// [`Worker::flush`] after every slice.
+    fn eval_group(&mut self, group: &[DeltaRow], acc: &mut PartialAgg) -> Result<()> {
         let plan = self.plan;
         let (rel, route) = (group[0].0, group[0].1);
-        let (mut local_new, mut remote_sent) = (0, 0);
+        self.rec.counters.tuples_processed += group.len() as u64;
         for rule in &plan.strata[self.si].delta_rules {
             let spec = rule.delta.as_ref().expect("delta rule");
             if spec.rel != rel || spec.route != route as usize {
@@ -679,21 +654,36 @@ impl<'a> Worker<'a> {
                         }
                     },
                 );
-                if acc.queued_rows >= FLUSH_ROWS {
-                    self.rec.close(Phase::EvalDelta, *t0, 0, 0, 0);
-                    let queued = acc.queued.iter().map(|(rel, rows)| (*rel, rows));
-                    let (l, r) = self.distribute(queued)?;
-                    acc.clear_queued();
-                    local_new += l;
-                    remote_sent += r;
-                    *t0 = Instant::now();
-                }
+                self.flush(acc, false)?;
             }
             let m = &mut self.rec.counters;
             m.kernel_batches += 1;
             m.kernel_rows += group.len() as u64;
         }
-        Ok((local_new, remote_sent))
+        Ok(())
+    }
+
+    /// Iterate's hand-off to Distribute after a slice, which splits the
+    /// open `EvalDelta` span: with `best`, every buffered row; without,
+    /// the queued rows once [`FLUSH_ROWS`] of them are buffered.
+    fn flush(&mut self, acc: &mut PartialAgg, best: bool) -> Result<()> {
+        if !best && acc.queued_rows < FLUSH_ROWS {
+            return Ok(());
+        }
+        self.rec.close(Phase::EvalDelta, self.t_eval, 0, 0, 0);
+        self.distribute(acc.frames(best))?;
+        acc.clear(best);
+        self.t_eval = Instant::now();
+        Ok(())
+    }
+
+    /// The hand-off that ends the init phase and each iteration: closes
+    /// the `EvalDelta` span, which evaluated `rows` delta rows, and
+    /// distributes every row, freeing each `min`/`max` table first.
+    fn finish(&mut self, acc: PartialAgg, rows: u64) -> Result<()> {
+        self.rec.close(Phase::EvalDelta, self.t_eval, rows, 0, 0);
+        let out = acc.drain();
+        self.distribute(out.iter().map(|(rel, rows)| (*rel, rows)))
     }
 
     /// Queues best-first delta row `row` at its stored value; `false`
@@ -759,17 +749,17 @@ impl<'a> Worker<'a> {
 
     /// Routes `(head relation, rows)` frames (Distribute): local merges
     /// feed the next delta immediately, remote rows are copied, as lanes,
-    /// into one frame per destination and sent in batches through the
-    /// SPSC buffers once the relation's rows are routed.
-    /// Returns `(new local merges, tuples sent to peers)`.
-    fn distribute<'r>(
-        &mut self,
-        outs: impl IntoIterator<Item = (RelId, &'r Frame)>,
-    ) -> Result<(u64, u64)> {
+    /// into one frame per destination, which goes through the SPSC buffers
+    /// as a batch once it holds `batch_size` rows, or once the relation's
+    /// rows are routed. Adds the rows merged here and sent to
+    /// [`Worker::produced`], and the sent-filter's hits and misses to the
+    /// recorder.
+    fn distribute<'r>(&mut self, outs: impl IntoIterator<Item = (RelId, &'r Frame)>) -> Result<()> {
         let t0 = Instant::now();
         let (plan, n) = (self.plan, self.cfg.workers);
+        let batch = self.cfg.batch_size.max(1);
+        let sent_before = self.rec.counters.tuples_sent;
         let mut local_new = 0u64;
-        let mut remote_sent = 0u64;
         let mut staged: Vec<Frame> = (0..n).map(|_| Frame::default()).collect();
         let mut dests: Vec<WorkerId> = Vec::with_capacity(2);
         for (rel, rows) in outs {
@@ -781,8 +771,16 @@ impl<'a> Worker<'a> {
                 // before it is serialized. On one worker every row merges
                 // locally, where the dedup table is the check, so no filter
                 // is used.
-                if n > 1 && self.store.rec_mut(rel).already_sent(row) {
-                    continue;
+                if n > 1 {
+                    let m = &mut self.rec.counters;
+                    match self.store.rec_mut(rel).already_sent(row) {
+                        Some(true) => {
+                            m.cache_hits += 1;
+                            continue;
+                        }
+                        Some(false) => m.cache_misses += 1,
+                        None => {}
+                    }
                 }
                 dests.clear();
                 if decl.broadcast {
@@ -800,64 +798,64 @@ impl<'a> Worker<'a> {
                         local_new += self.merge_local(rel, row);
                     } else {
                         staged[d].push(row);
+                        if staged[d].len() == batch {
+                            self.send(d, rel, std::mem::take(&mut staged[d]))?;
+                        }
                     }
                 }
             }
             for (dest, rows) in staged.iter_mut().enumerate() {
                 if !rows.is_empty() {
-                    remote_sent += self.send(dest, rel, std::mem::take(rows))?;
+                    self.send(dest, rel, std::mem::take(rows))?;
                 }
             }
         }
+        let remote_sent = self.rec.counters.tuples_sent - sent_before;
         self.rec.counters.local_new += local_new;
+        self.produced += local_new + remote_sent;
         self.rec
             .close(Phase::Distribute, t0, local_new, remote_sent, 0);
-        Ok((local_new, remote_sent))
+        Ok(())
     }
 
-    /// Sends `frame`'s rows of `rel` to worker `dest` in batches; returns
-    /// the rows sent. A full queue drains this worker's own inbox while it
-    /// retries, so two workers flooding each other cannot deadlock.
-    fn send(&mut self, dest: WorkerId, rel: RelId, frame: Frame) -> Result<u64> {
-        let termination = &self.coord.strata[self.si].termination;
-        let mut sent = 0;
-        for piece in frame.into_batches(self.cfg.batch_size) {
-            let k = piece.len() as u64;
-            termination.note_produced(k);
-            sent += k;
-            let m = &mut self.rec.counters;
-            m.batches_out += 1;
-            m.tuples_sent += k;
-            m.bytes_sent += piece.payload_bytes();
-            let mut batch = Batch {
-                rel: rel as u32,
-                frame: piece,
-                sent_at: Instant::now(),
-                from: self.me,
-            };
-            let mut tbp: Option<Instant> = None;
-            loop {
-                match self.endpoints.send(dest, batch) {
-                    Ok(()) => break,
-                    Err(back) => {
-                        batch = back;
-                        self.coord.aborted()?;
-                        if self.rec.is_tracing() && tbp.is_none() {
-                            tbp = Some(Instant::now());
-                        }
-                        self.rec.counters.backpressure_retries += 1;
-                        self.drain_into();
-                        std::thread::yield_now();
+    /// Sends `frame`, one batch of `rel`'s rows, to worker `dest`. A full
+    /// queue drains this worker's own inbox while it retries, so two
+    /// workers flooding each other cannot deadlock.
+    fn send(&mut self, dest: WorkerId, rel: RelId, frame: Frame) -> Result<()> {
+        let k = frame.len() as u64;
+        self.coord.strata[self.si].termination.note_produced(k);
+        let m = &mut self.rec.counters;
+        m.batches_out += 1;
+        m.tuples_sent += k;
+        m.bytes_sent += frame.payload_bytes();
+        let mut batch = Batch {
+            rel: rel as u32,
+            frame,
+            sent_at: Instant::now(),
+            from: self.me,
+        };
+        let mut tbp: Option<Instant> = None;
+        loop {
+            match self.endpoints.send(dest, batch) {
+                Ok(()) => break,
+                Err(back) => {
+                    batch = back;
+                    self.coord.aborted()?;
+                    if self.rec.is_tracing() && tbp.is_none() {
+                        tbp = Some(Instant::now());
                     }
+                    self.rec.counters.backpressure_retries += 1;
+                    self.drain_into();
+                    std::thread::yield_now();
                 }
             }
-            if let Some(t) = tbp {
-                // One span per batch that hit a full queue, covering the
-                // whole retry window (nests inside Distribute).
-                self.rec.close(Phase::Backpressure, t, 0, 0, 0);
-            }
         }
-        Ok(sent)
+        if let Some(t) = tbp {
+            // One span per batch that hit a full queue, covering the
+            // whole retry window (nests inside Distribute).
+            self.rec.close(Phase::Backpressure, t, 0, 0, 0);
+        }
+        Ok(())
     }
 
     /// Merges one merge-layout row into the local store; on success, adds
@@ -973,14 +971,14 @@ mod tests {
             for row in rows(&[[1, 9], [1, 3], [1, 7], [2, 5]]) {
                 push(&mut acc, &p, rel, &row);
             }
-            let mut got: Vec<Tuple> = decode(acc.frames())
+            let mut got: Vec<Tuple> = decode(acc.frames(true))
                 .into_iter()
                 .map(|(r, t)| {
                     assert_eq!(r, rel);
                     t
                 })
                 .collect();
-            acc.clear();
+            acc.clear(true);
             got.sort();
             assert_eq!(got, rows(&want), "{name}");
             // A flushed accumulator starts over: a row worse than the
@@ -1125,7 +1123,7 @@ mod tests {
         w.delta.push((sp, 0, 0));
         w.requeue(0);
         assert_eq!(w.best_first[sp].as_ref().unwrap().routes[0].len(), 3);
-        let (evaluated, ..) = w.iterate().unwrap();
+        let evaluated = w.iterate().unwrap();
         // Row 1 once, at 4 (its stale entry at 9 is skipped and its second
         // entry at 4 taken with the first), then the row it derived, (2, 14).
         assert_eq!(evaluated, 2);

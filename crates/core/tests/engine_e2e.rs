@@ -564,17 +564,38 @@ fn dws_report_carries_omega_tau_samples() {
 fn queue_backpressure_with_tiny_capacity() {
     // A 2-slot SPSC queue forces constant backpressure; the drain-while-
     // retrying path must keep the run deadlock-free and correct.
-    let mut cfg = EngineConfig::with_workers(4);
-    cfg.queue_capacity = 2;
-    cfg.batch_size = 8;
-    let edges: Vec<(i64, i64)> = (0..400).map(|i| (i % 100, (i * 7 + 1) % 100)).collect();
-    let mut e = Engine::new(queries::tc().unwrap(), cfg).unwrap();
-    e.load_edges("arc", &edges).unwrap();
-    let r1 = e.run().unwrap();
-    let mut e2 = Engine::new(queries::tc().unwrap(), EngineConfig::with_workers(1)).unwrap();
-    e2.load_edges("arc", &edges).unwrap();
-    let r2 = e2.run().unwrap();
-    assert_eq!(r1.sorted("tc"), r2.sorted("tc"));
+    // Distribute cuts a batch as soon as it holds `batch_size` rows, so no
+    // batch is larger and none is empty; the second, denser graph (four
+    // out-edges a node) gives a relation more rows for one peer than one
+    // batch holds. It runs at the default queue capacity: a worker waiting
+    // at a barrier does not drain its inbox, so at 2 slots a peer sending
+    // it more batches than that can block for good.
+    let sparse: Vec<(i64, i64)> = (0..400).map(|i| (i % 100, (i * 7 + 1) % 100)).collect();
+    let dense: Vec<(i64, i64)> = (0..400)
+        .map(|i| (i % 100, (i * 7 + i / 100 + 1) % 100))
+        .collect();
+    for (edges, queue_capacity) in [(sparse, 2), (dense, 1 << 10)] {
+        let mut cfg = EngineConfig::with_workers(4);
+        cfg.queue_capacity = queue_capacity;
+        cfg.batch_size = 8;
+        let mut e = Engine::new(queries::tc().unwrap(), cfg).unwrap();
+        e.load_edges("arc", &edges).unwrap();
+        let r1 = e.run().unwrap();
+        let mut e2 = Engine::new(queries::tc().unwrap(), EngineConfig::with_workers(1)).unwrap();
+        e2.load_edges("arc", &edges).unwrap();
+        let r2 = e2.run().unwrap();
+        assert_eq!(r1.sorted("tc"), r2.sorted("tc"));
+        let workers = &r1.stats.report.per_worker;
+        assert!(workers.iter().any(|w| w.batches_out > 0), "rows were sent");
+        for (me, w) in workers.iter().enumerate() {
+            let (sent, batches) = (w.tuples_sent, w.batches_out);
+            assert!(
+                sent <= 8 * batches,
+                "worker {me}: {sent} rows in {batches} batches"
+            );
+            assert!(batches <= sent, "worker {me}: an empty batch");
+        }
+    }
 }
 
 #[test]

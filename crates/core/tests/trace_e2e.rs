@@ -20,6 +20,27 @@ fn traced_configs() -> Vec<EngineConfig> {
     out
 }
 
+/// Fraction of `[first span start, last span end]` covered by the
+/// worker's spans; a nested span counts once, inside its parent.
+fn span_coverage(t: &WorkerTrace) -> f64 {
+    let mut spans: Vec<(u64, u64)> = t
+        .events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::Span(_)))
+        .map(|e| (e.ts, e.end()))
+        .collect();
+    spans.sort_unstable();
+    let Some(&(lo, _)) = spans.first() else {
+        return 0.0;
+    };
+    let (mut covered, mut reach) = (0, lo);
+    for (start, end) in spans {
+        covered += end.saturating_sub(start.max(reach));
+        reach = reach.max(end);
+    }
+    covered as f64 / (reach - lo).max(1) as f64
+}
+
 fn run_traced(prog: Program, cfg: EngineConfig) -> dcdatalog::EvalResult {
     let edges: Vec<(i64, i64)> = (0..240).map(|i| (i % 40, (i * 7 + 1) % 40)).collect();
     let mut e = Engine::new(prog, cfg).unwrap();
@@ -158,7 +179,7 @@ fn dws_spans_cover_worker_wall_time() {
         .strategy(Strategy::Dws)
         .tracing(true);
     let r = run_traced(queries::tc().unwrap(), cfg);
-    let cov = r.stats.report.traces[0].span_coverage();
+    let cov = span_coverage(&r.stats.report.traces[0]);
     assert!(
         cov >= 0.95,
         "spans cover only {:.1}% of the timeline",

@@ -114,18 +114,6 @@ pub struct StratumInfo {
     pub rules: Vec<RuleInfo>,
 }
 
-impl StratumInfo {
-    /// Mutual recursion: more than one predicate in the SCC.
-    pub fn is_mutual(&self) -> bool {
-        self.preds.len() > 1
-    }
-
-    /// Non-linear: some rule joins two or more same-SCC atoms.
-    pub fn is_nonlinear(&self) -> bool {
-        self.rules.iter().any(|r| r.recursive_atoms.len() > 1)
-    }
-}
-
 /// The fully analyzed program.
 #[derive(Clone, Debug)]
 pub struct AnalyzedProgram {
@@ -533,8 +521,11 @@ mod tests {
         assert_eq!(a.strata.len(), 1);
         let s = &a.strata[0];
         assert!(s.recursive);
-        assert!(!s.is_mutual());
-        assert!(!s.is_nonlinear());
+        assert_eq!(s.preds.len(), 1, "not mutual");
+        assert!(
+            s.rules.iter().all(|r| r.recursive_atoms.len() <= 1),
+            "linear"
+        );
         let arc = a.catalog.id("arc").unwrap();
         assert!(a.catalog.info(arc).is_edb);
         let tc = a.catalog.id("tc").unwrap();
@@ -551,7 +542,10 @@ mod tests {
         // Two strata: {path} (recursive, nonlinear), then {apsp}.
         assert_eq!(a.strata.len(), 2);
         assert!(a.strata[0].recursive);
-        assert!(a.strata[0].is_nonlinear());
+        assert!(a.strata[0]
+            .rules
+            .iter()
+            .any(|r| r.recursive_atoms.len() > 1));
         assert!(!a.strata[1].recursive);
         let path = a.catalog.id("path").unwrap();
         assert_eq!(
@@ -572,7 +566,6 @@ mod tests {
         );
         let rec: Vec<_> = a.strata.iter().filter(|s| s.recursive).collect();
         assert_eq!(rec.len(), 1);
-        assert!(rec[0].is_mutual());
         assert_eq!(rec[0].preds.len(), 2);
     }
 
@@ -680,7 +673,10 @@ mod tests {
         );
         assert_eq!(a.strata.len(), 2);
         assert!(a.strata[0].recursive);
-        assert!(!a.strata[0].is_nonlinear());
+        assert!(a.strata[0]
+            .rules
+            .iter()
+            .all(|r| r.recursive_atoms.len() <= 1));
         let cc2 = a.catalog.id("cc2").unwrap();
         assert_eq!(a.catalog.info(cc2).agg.as_ref().unwrap().func, AggFunc::Min);
     }

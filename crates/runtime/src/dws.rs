@@ -340,9 +340,8 @@ mod tests {
 
     #[test]
     fn single_sample_does_not_prime_the_estimator() {
-        // Regression: `Ewma::is_primed()` is true after one sample with
-        // variance 0, which used to let Kingman's formula compute ρ and
-        // L_q from a single observation. The controller must not trust
+        // Regression: one sample has variance 0, which used to let
+        // Kingman's formula compute ρ and L_q from a single observation. The controller must not trust
         // λ/μ until `MIN_SAMPLES` observations exist on both sides.
         let mut c = DwsController::new(1);
         let base = t0();

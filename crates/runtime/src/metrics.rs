@@ -73,16 +73,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Sent-filter hit rate in `[0, 1]` (0 when the filter was idle).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
     /// Mean delta rows per kernel batch (0 when the kernel never ran).
     pub fn rows_per_batch(&self) -> f64 {
         if self.kernel_batches == 0 {
@@ -342,16 +332,12 @@ mod tests {
     #[test]
     fn rates_of_an_empty_snapshot_are_zero() {
         let s = MetricsSnapshot::default();
-        assert_eq!(s.cache_hit_rate(), 0.0);
         assert_eq!(s.rows_per_batch(), 0.0);
         let s = MetricsSnapshot {
-            cache_hits: 9,
-            cache_misses: 1,
             kernel_batches: 2,
             kernel_rows: 12,
             ..MetricsSnapshot::default()
         };
-        assert!((s.cache_hit_rate() - 0.9).abs() < 1e-12);
         assert!((s.rows_per_batch() - 6.0).abs() < 1e-12);
     }
 }

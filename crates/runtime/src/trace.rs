@@ -164,43 +164,6 @@ pub struct WorkerTrace {
     pub dropped: u64,
 }
 
-impl WorkerTrace {
-    /// Fraction of `[first ts, last end]` covered by *top-level* spans
-    /// (nested spans are contained in their parents and would double
-    /// count). 0.0 for an empty trace.
-    pub fn span_coverage(&self) -> f64 {
-        let spans: Vec<&TraceEvent> = self
-            .events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::Span(_)))
-            .collect();
-        if spans.is_empty() {
-            return 0.0;
-        }
-        let lo = spans.iter().map(|e| e.ts).min().expect("non-empty");
-        let hi = spans.iter().map(|e| e.end()).max().expect("non-empty");
-        if hi == lo {
-            return 1.0;
-        }
-        // Merge intervals (sorted by start) so nesting does not double
-        // count.
-        let mut ivals: Vec<(u64, u64)> = spans.iter().map(|e| (e.ts, e.end())).collect();
-        ivals.sort_unstable();
-        let mut covered = 0u64;
-        let mut cur = (ivals[0].0, ivals[0].0);
-        for (s, e) in ivals {
-            if s > cur.1 {
-                covered += cur.1 - cur.0;
-                cur = (s, e);
-            } else {
-                cur.1 = cur.1.max(e);
-            }
-        }
-        covered += cur.1 - cur.0;
-        covered as f64 / (hi - lo) as f64
-    }
-}
-
 /// Run-level context for the JSON export.
 #[derive(Clone, Debug)]
 pub struct TraceMeta {
@@ -385,28 +348,6 @@ mod tests {
             b: 0,
             c: 0,
         }
-    }
-
-    #[test]
-    fn span_coverage_merges_nested_intervals() {
-        let tr = WorkerTrace {
-            worker: 0,
-            // Top-level [0,10] and [10,20]; [2,5] is nested in the first.
-            events: vec![
-                span_ev(Phase::Merge, 2, 3),
-                span_ev(Phase::Gather, 0, 10),
-                span_ev(Phase::EvalDelta, 10, 10),
-            ],
-            dropped: 0,
-        };
-        assert!((tr.span_coverage() - 1.0).abs() < 1e-12);
-        let gap = WorkerTrace {
-            worker: 0,
-            events: vec![span_ev(Phase::Gather, 0, 5), span_ev(Phase::Idle, 15, 5)],
-            dropped: 0,
-        };
-        assert!((gap.span_coverage() - 0.5).abs() < 1e-12);
-        assert_eq!(WorkerTrace::default().span_coverage(), 0.0);
     }
 
     #[test]

@@ -33,8 +33,6 @@ pub struct TupleCache {
     slots: Frame,
     filled: Vec<bool>,
     mask: usize,
-    hits: u64,
-    misses: u64,
 }
 
 impl TupleCache {
@@ -45,8 +43,6 @@ impl TupleCache {
             slots: Frame::default(),
             filled: Vec::new(),
             mask: n - 1,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -59,18 +55,11 @@ impl TupleCache {
         }
         let idx = (row_hash(row) as usize) & self.mask;
         if self.filled[idx] && self.slots.row(idx) == row {
-            self.hits += 1;
             return true;
         }
-        self.misses += 1;
         self.slots.overwrite(idx, row);
         self.filled[idx] = true;
         false
-    }
-
-    /// (hits, misses) since construction.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
     }
 }
 
@@ -89,8 +78,6 @@ mod tests {
         let t = Tuple::from_ints(&[1, 2]);
         assert!(!seen(&mut c, &t));
         assert!(seen(&mut c, &t));
-        let (h, m) = c.stats();
-        assert_eq!((h, m), (1, 1));
     }
 
     #[test]

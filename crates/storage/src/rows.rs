@@ -163,11 +163,6 @@ impl RowStore {
         self.rows.is_empty()
     }
 
-    /// Whether an index exists on `col`.
-    pub fn has_index(&self, col: usize) -> bool {
-        self.indexes.iter().any(|(c, _)| *c == col)
-    }
-
     /// The ids of the rows whose column `col` has key bits `key` (empty
     /// when the key is absent). Callers probing a run of equal keys can
     /// hold the slice across rows and resolve ids against
