@@ -14,6 +14,11 @@
 //! both parking at a local fixpoint until work arrives or the
 //! produced/consumed counters show the global one.
 //!
+//! Every other wait is one loop, `Worker::wait_until`, which drains the
+//! inbox and checks the deadline. SSP and DWS merge what a drain pops;
+//! Global, as Algorithm 1, merges only in Gather and only batches of
+//! earlier rounds, so its runs repeat (DESIGN.md §4, "One fixpoint loop").
+//!
 //! A delta row is the id of a row in this worker's store, not a copy of
 //! it. An aggregate group keeps one id while its value improves in place,
 //! so Gather's rule that a group updated several times keeps only its
@@ -26,8 +31,8 @@
 //! `min`, descending for `max`), and Iterate takes the best 256
 //! (`SLICE_ROWS`) at a time. After each slice it merges the slice's local
 //! head rows and sends the remote ones; every id a merge improves goes
-//! back into the order instead of the next iteration's delta, and under
-//! SSP and DWS inbound batches are drained into it between slices. One
+//! back into the order instead of the next iteration's delta, and inbound
+//! batches are drained between slices. One
 //! Iterate thus runs until the worker's order is empty: label-correcting
 //! shortest paths turned toward label-setting, as in Δ-stepping, so a row
 //! is rarely evaluated at a value it is about to improve on. A relation
@@ -55,6 +60,9 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
+
+/// A [`Worker::wait_until`] turn's sleep when it found the inbox empty.
+const WAIT_SLICE: Duration = Duration::from_micros(5);
 
 /// Per-stratum coordination objects (shared by all workers).
 pub struct StratumCoord {
@@ -127,32 +135,24 @@ impl Coordination {
             .fold((0, 0), |(p, c), (sp, sc)| (p + sp, c + sc))
     }
 
-    /// Flags an abort and releases everything blocked.
+    /// Flags an abort, which every `Worker::wait_until` sees on its next
+    /// turn, and wakes the workers parked in `Termination::idle_wait`.
     pub fn cancel(&self) {
         self.abort.store(true, Ordering::SeqCst);
-        self.sync.cancel();
         for s in &self.strata {
             s.termination.cancel();
-            s.round.cancel();
         }
     }
 
-    /// `Err` once the evaluation was aborted: a worker failed, or the
-    /// deadline passed.
-    fn aborted(&self) -> Result<()> {
+    /// `Err` once the evaluation was aborted (a worker failed) or the
+    /// deadline passed, which aborts it.
+    fn check_deadline(&self) -> Result<()> {
         if self.abort.load(Ordering::SeqCst) {
             return Err(DcdError::Execution("evaluation aborted".into()));
         }
-        Ok(())
-    }
-
-    fn check_deadline(&self) -> Result<()> {
-        self.aborted()?;
-        if let Some(d) = self.deadline {
-            if Instant::now() > d {
-                self.cancel();
-                return Err(DcdError::Timeout);
-            }
+        if self.deadline.is_some_and(|d| Instant::now() > d) {
+            self.cancel();
+            return Err(DcdError::Timeout);
         }
         Ok(())
     }
@@ -349,6 +349,10 @@ pub struct Worker<'a> {
     t_eval: Instant,
     /// Rows Distribute merged here or sent in the current iteration.
     produced: u64,
+    /// The stratum's round (0 in init, +1 per Gather), stamped on batches.
+    round: u64,
+    /// `held[j]`: batches drained from worker `j`, not merged yet.
+    held: Vec<Vec<Batch>>,
 }
 
 impl<'a> Worker<'a> {
@@ -383,6 +387,8 @@ impl<'a> Worker<'a> {
             dws: None,
             t_eval: Instant::now(),
             produced: 0,
+            round: 0,
+            held: (0..cfg.workers).map(|_| Vec::new()).collect(),
         }
     }
 
@@ -402,8 +408,10 @@ impl<'a> Worker<'a> {
     fn run_stratum(&mut self, si: usize) -> Result<()> {
         self.si = si;
         self.dws = None;
-        self.sync();
-        self.coord.check_deadline()?;
+        self.round = 0;
+        let coord = self.coord;
+        self.meet(&coord.sync, 1)?;
+        coord.check_deadline()?;
 
         // ---- Init phase: base rules + inline facts ----
         self.t_eval = Instant::now();
@@ -423,18 +431,48 @@ impl<'a> Worker<'a> {
             }
         }
         self.finish(acc, 0)?;
-        self.sync();
+        self.meet(&coord.sync, 1)?;
+        // Every peer sent its init rows before it arrived: drain them now,
+        // so the DWS controller sees only fixpoint batches.
+        self.gather();
         if matches!(self.cfg.strategy, Strategy::Dws) {
             self.dws = Some(DwsController::new(self.cfg.workers));
         }
         self.fixpoint()
     }
 
-    /// Waits at the run-wide sync barrier (an `Idle` span).
-    fn sync(&mut self) {
+    /// Arrives at `barrier` reporting `rows` and waits (an `Idle` span)
+    /// for the others; `Ok(false)` once an all-zero round ended the stratum.
+    fn meet(&mut self, barrier: &RoundBarrier, rows: u64) -> Result<bool> {
+        let ticket = barrier.arrive(rows);
+        let mut cont = true;
+        self.wait_until(Phase::Idle, |_| {
+            barrier.passed(ticket).map(|c| cont = c).is_some()
+        })?;
+        Ok(cont)
+    }
+
+    /// The one loop in which a worker waits, timed as one `phase` span:
+    /// each turn checks `done`, drains the inbox ([`Worker::drain_into`]),
+    /// checks the deadline and the abort flag, and sleeps [`WAIT_SLICE`]
+    /// when nothing arrived. `Err` once the run is aborted or past its
+    /// deadline.
+    fn wait_until(&mut self, phase: Phase, mut done: impl FnMut(&mut Self) -> bool) -> Result<()> {
         let t = Instant::now();
-        self.coord.sync.wait();
-        self.rec.close(Phase::Idle, t, 0, 0, 0);
+        let out = loop {
+            if done(self) {
+                break Ok(());
+            }
+            let arrived = self.drain_into(false);
+            if let Err(e) = self.coord.check_deadline() {
+                break Err(e);
+            }
+            if !arrived {
+                std::thread::sleep(WAIT_SLICE);
+            }
+        };
+        self.rec.close(phase, t, 0, 0, 0);
+        out
     }
 
     /// The stratum's fixpoint, one loop for all three strategies: Gather,
@@ -452,9 +490,8 @@ impl<'a> Worker<'a> {
         let ssp = matches!(self.cfg.strategy, Strategy::Ssp { .. });
         loop {
             coord.check_deadline()?;
-            let tg = Instant::now();
-            self.drain_into();
-            self.rec.close(Phase::Gather, tg, 0, 0, 0);
+            self.round += 1;
+            self.gather();
 
             if !global && self.delta.is_empty() {
                 // Local fixpoint: park until new work or global fixpoint.
@@ -467,17 +504,16 @@ impl<'a> Worker<'a> {
                 let work = outcome == IdleOutcome::Work;
                 self.rec.mark(Mark::TerminationRound, work as u64, 0, 0);
                 if !work {
-                    return coord.aborted();
+                    return coord.check_deadline();
                 }
                 if ssp {
                     sc.ssp.rejoin(self.me);
                 }
                 continue;
             }
-            self.omega_wait();
-            if ssp {
-                let abort = || coord.abort.load(Ordering::SeqCst) || sc.termination.is_done();
-                sc.ssp.wait_if_ahead(self.me, abort);
+            self.omega_wait()?;
+            if ssp && sc.ssp.ahead(self.me) {
+                self.wait_until(Phase::Idle, |w| !sc.ssp.ahead(w.me))?;
             }
 
             let t0 = Instant::now();
@@ -491,12 +527,10 @@ impl<'a> Worker<'a> {
                 sc.ssp.advance(self.me);
             }
             if global {
-                let tb = Instant::now();
-                let cont = sc.round.arrive(self.produced);
-                self.rec.close(Phase::Idle, tb, 0, 0, 0);
+                let cont = self.meet(&sc.round, self.produced)?;
                 self.rec.mark(Mark::TerminationRound, cont as u64, 0, 0);
                 if !cont {
-                    return coord.aborted();
+                    return Ok(());
                 }
             }
         }
@@ -505,27 +539,17 @@ impl<'a> Worker<'a> {
     /// DWS only: waits up to τ while the delta is smaller than ω
     /// (Algorithm 2 lines 5–8), draining arrivals meanwhile, then updates
     /// ω and τ and records the decision.
-    fn omega_wait(&mut self) {
+    fn omega_wait(&mut self) -> Result<()> {
         let Some(ctrl) = &self.dws else {
-            return;
+            return Ok(());
         };
-        let omega = ctrl.omega();
+        let (omega, until) = (ctrl.omega(), Instant::now() + ctrl.tau());
         if self.delta.len() < omega {
-            let termination = &self.coord.strata[self.si].termination;
-            let tw = Instant::now();
-            let deadline = tw + ctrl.tau();
-            while self.delta.len() < omega && Instant::now() < deadline && !termination.is_done() {
-                if self.endpoints.has_inbound() {
-                    self.drain_into();
-                } else {
-                    std::thread::sleep(Duration::from_micros(5));
-                }
-            }
-            self.rec.close(Phase::OmegaWait, tw, 0, 0, 0);
+            self.wait_until(Phase::OmegaWait, |w| {
+                w.delta.len() >= omega || Instant::now() >= until
+            })?;
         }
-        let Some(ctrl) = &mut self.dws else {
-            return;
-        };
+        let ctrl = self.dws.as_mut().expect("a DWS worker");
         ctrl.update_params();
         self.rec.dws_decision(
             ctrl.omega() as u64,
@@ -533,6 +557,7 @@ impl<'a> Worker<'a> {
             self.delta.len() as u64,
             ctrl.model(),
         );
+        Ok(())
     }
 
     /// One local semi-naive iteration and its Distribute: runs every
@@ -550,9 +575,8 @@ impl<'a> Worker<'a> {
     /// order, and after every other group Iterate evaluates that order one
     /// slice of the best [`SLICE_ROWS`] pending ids at a time until it is
     /// empty. Each slice checks the deadline, is distributed whole, and
-    /// requeues the ids its local merges improve; under SSP and DWS
-    /// Iterate drains inbound batches between slices (Global's rounds
-    /// still end at the barrier, so it leaves them to the next Gather).
+    /// requeues the ids its local merges improve; Iterate drains inbound
+    /// batches between slices ([`Worker::drain_into`]).
     /// Returns the delta rows evaluated, counting rows requeued and
     /// evaluated again.
     fn iterate(&mut self) -> Result<u64> {
@@ -593,7 +617,6 @@ impl<'a> Worker<'a> {
     /// slice at a time until they are empty, distributing each slice and
     /// requeueing what it improves.
     fn eval_best_first(&mut self, acc: &mut PartialAgg) -> Result<()> {
-        let global = matches!(self.cfg.strategy, Strategy::Global);
         let mut slice = Vec::with_capacity(SLICE_ROWS);
         let mut requeued = 0;
         loop {
@@ -605,10 +628,8 @@ impl<'a> Worker<'a> {
             self.coord.check_deadline()?;
             self.eval_group(&slice, acc)?;
             self.flush(acc, true)?;
-            if !global && self.endpoints.has_inbound() {
-                let tg = Instant::now();
-                self.drain_into();
-                self.rec.close(Phase::Gather, tg, 0, 0, 0);
+            if self.endpoints.has_inbound() {
+                self.gather();
                 self.t_eval = Instant::now();
             }
         }
@@ -818,9 +839,8 @@ impl<'a> Worker<'a> {
         Ok(())
     }
 
-    /// Sends `frame`, one batch of `rel`'s rows, to worker `dest`. A full
-    /// queue drains this worker's own inbox while it retries, so two
-    /// workers flooding each other cannot deadlock.
+    /// Sends `frame`, one batch of `rel`'s rows, to worker `dest`, waiting
+    /// out a full queue in a `Backpressure` span (nested in Distribute).
     fn send(&mut self, dest: WorkerId, rel: RelId, frame: Frame) -> Result<()> {
         let k = frame.len() as u64;
         self.coord.strata[self.si].termination.note_produced(k);
@@ -828,34 +848,23 @@ impl<'a> Worker<'a> {
         m.batches_out += 1;
         m.tuples_sent += k;
         m.bytes_sent += frame.payload_bytes();
-        let mut batch = Batch {
+        let batch = Batch {
             rel: rel as u32,
             frame,
             sent_at: Instant::now(),
             from: self.me,
+            round: self.round,
         };
-        let mut tbp: Option<Instant> = None;
-        loop {
-            match self.endpoints.send(dest, batch) {
-                Ok(()) => break,
-                Err(back) => {
-                    batch = back;
-                    self.coord.aborted()?;
-                    if self.rec.is_tracing() && tbp.is_none() {
-                        tbp = Some(Instant::now());
-                    }
-                    self.rec.counters.backpressure_retries += 1;
-                    self.drain_into();
-                    std::thread::yield_now();
-                }
-            }
+        let mut unsent = self.endpoints.send(dest, batch).err();
+        if unsent.is_none() {
+            return Ok(());
         }
-        if let Some(t) = tbp {
-            // One span per batch that hit a full queue, covering the
-            // whole retry window (nests inside Distribute).
-            self.rec.close(Phase::Backpressure, t, 0, 0, 0);
-        }
-        Ok(())
+        self.wait_until(Phase::Backpressure, |w| {
+            w.rec.counters.backpressure_retries += 1;
+            let batch = unsent.take().expect("a batch to retry");
+            unsent = w.endpoints.send(dest, batch).err();
+            unsent.is_none()
+        })
     }
 
     /// Merges one merge-layout row into the local store; on success, adds
@@ -883,39 +892,61 @@ impl<'a> Worker<'a> {
         1
     }
 
-    /// Drains every inbound queue into the store/delta (Gather, and the
-    /// ω-wait and backpressure loops). The DWS controller, when present,
-    /// observes every batch drained, wherever it is drained: batches it
-    /// missed would underestimate λ.
-    fn drain_into(&mut self) {
+    /// Gather: drains the inbox as one `Gather` span.
+    fn gather(&mut self) {
+        let tg = Instant::now();
+        self.drain_into(true);
+        self.rec.close(Phase::Gather, tg, 0, 0, 0);
+    }
+
+    /// Pops every inbound batch and merges it into the store/delta, except
+    /// under Global, which merges only in Gather (`gather`) and only
+    /// batches of rounds before its own; it holds any other batch, and
+    /// merges held batches source by source in arrival order. The DWS
+    /// controller, when present, observes every batch drained, wherever it
+    /// is drained: batches it missed would underestimate λ. Returns whether
+    /// any batch arrived.
+    fn drain_into(&mut self, gather: bool) -> bool {
+        let below = match self.cfg.strategy {
+            Strategy::Global if gather => self.round,
+            Strategy::Global => 0,
+            _ => u64::MAX,
+        };
         let termination = &self.coord.strata[self.si].termination;
         let tm = self.rec.is_tracing().then(Instant::now);
-        let mut batches = 0u64;
-        let mut new = 0u64;
-        for j in 0..self.cfg.workers {
+        let (mut arrived, mut batches, mut new) = (false, 0u64, 0u64);
+        let mut held = std::mem::take(&mut self.held);
+        for (j, from_j) in held.iter_mut().enumerate() {
             while let Some(batch) = self.endpoints.recv(j) {
-                let k = batch.len() as u64;
+                arrived = true;
                 let m = &mut self.rec.counters;
                 m.batches_in += 1;
-                m.tuples_in += k;
+                m.tuples_in += batch.len() as u64;
                 m.bytes_in += batch.payload_bytes();
                 if let Some(ctrl) = &mut self.dws {
                     ctrl.on_batch(batch.from, batch.len(), batch.sent_at);
                 }
+                from_j.push(batch);
+            }
+            // A peer sends its rounds in order, so the mergeable batches
+            // are a prefix.
+            let ready = from_j.partition_point(|b| b.round < below);
+            for batch in from_j.drain(..ready) {
                 batches += 1;
                 let rel = batch.rel as usize;
                 for row in batch.frame.iter() {
                     new += self.merge_local(rel, row);
                 }
-                termination.note_consumed(k);
+                termination.note_consumed(batch.len() as u64);
             }
         }
+        self.held = held;
         self.rec.counters.local_new += new;
         if let Some(tm) = tm.filter(|_| batches > 0) {
-            // Nested inside whichever phase drained: Gather, ω-wait or a
-            // backpressure retry.
+            // Nested inside whichever phase drained: Gather or a wait.
             self.rec.close(Phase::Merge, tm, batches, new, 0);
         }
+        arrived
     }
 }
 
@@ -1056,7 +1087,8 @@ mod tests {
         assert_eq!(got.len(), pushed.len());
     }
 
-    /// Worker 0 of 1 for `p`, whose base relation `edb` holds `rows`.
+    /// Worker 0 of `cfg.workers` for `p`, whose base relation `edb` holds
+    /// `rows`.
     fn one_worker<'a>(
         p: &'a PhysicalPlan,
         cfg: &'a EngineConfig,
@@ -1067,7 +1099,8 @@ mod tests {
         for (name, rows) in edb {
             data[p.rel_by_name(name).unwrap()] = Some(rows.clone());
         }
-        let catalog = crate::catalog::EdbCatalog::build(p, &data, &Partitioner::new(1));
+        let part = Partitioner::new(cfg.workers);
+        let catalog = crate::catalog::EdbCatalog::build(p, &data, &part);
         let store = WorkerStore::build(p, &catalog, 0, true, 64);
         Worker::new(p, cfg, coord, 0, store)
     }
@@ -1163,6 +1196,28 @@ mod tests {
             taken,
             [want[..SLICE_ROWS].to_vec(), want[SLICE_ROWS..].to_vec()]
         );
+    }
+
+    #[test]
+    fn a_wait_ends_on_cancel_or_at_the_deadline() {
+        // Worker 1 of 2 never arrives at the sync barrier, so only the
+        // wait loop's own checks can end worker 0's wait.
+        let p = tc_plan();
+        let mut cfg = EngineConfig::with_workers(2);
+        let coord = Coordination::new(&p, &cfg);
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| one_worker(&p, &cfg, &coord, &[]).meet(&coord.sync, 1));
+            std::thread::sleep(Duration::from_millis(5));
+            assert!(!waiter.is_finished(), "passed without its peer");
+            coord.cancel();
+            let err = waiter.join().unwrap().unwrap_err();
+            assert_eq!(err, DcdError::Execution("evaluation aborted".into()));
+        });
+        cfg.timeout = Some(Duration::from_millis(5));
+        let coord = Coordination::new(&p, &cfg);
+        let mut w = one_worker(&p, &cfg, &coord, &[]);
+        let err = w.meet(&coord.sync, 1).unwrap_err();
+        assert_eq!(err, DcdError::Timeout);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! and 4 workers.
 
 use dcd_baselines::Reference;
+use dcd_common::Json;
 use dcd_runtime::trace::{EventKind, Mark, Phase};
 use dcdatalog::{queries, Engine, EngineConfig, Program, Strategy, Tuple, Value};
 
@@ -562,38 +563,107 @@ fn dws_report_carries_omega_tau_samples() {
 
 #[test]
 fn queue_backpressure_with_tiny_capacity() {
-    // A 2-slot SPSC queue forces constant backpressure; the drain-while-
-    // retrying path must keep the run deadlock-free and correct.
-    // Distribute cuts a batch as soon as it holds `batch_size` rows, so no
-    // batch is larger and none is empty; the second, denser graph (four
-    // out-edges a node) gives a relation more rows for one peer than one
-    // batch holds. It runs at the default queue capacity: a worker waiting
-    // at a barrier does not drain its inbox, so at 2 slots a peer sending
-    // it more batches than that can block for good.
+    // A 2-slot SPSC queue forces constant backpressure. Every wait, the
+    // barriers included, drains the waiting worker's inbox, so a peer
+    // blocked on its full queue is freed and each strategy finishes with
+    // the 1-worker rows. Distribute cuts a batch as soon as it holds
+    // `batch_size` rows, so no batch is larger and none is empty; the
+    // second, denser graph (four out-edges a node) gives a relation more
+    // rows for one peer than one batch holds. The runs happen on a
+    // watchdog thread, so a run that deadlocks fails the test instead of
+    // hanging it.
     let sparse: Vec<(i64, i64)> = (0..400).map(|i| (i % 100, (i * 7 + 1) % 100)).collect();
     let dense: Vec<(i64, i64)> = (0..400)
         .map(|i| (i % 100, (i * 7 + i / 100 + 1) % 100))
         .collect();
-    for (edges, queue_capacity) in [(sparse, 2), (dense, 1 << 10)] {
-        let mut cfg = EngineConfig::with_workers(4);
-        cfg.queue_capacity = queue_capacity;
-        cfg.batch_size = 8;
-        let mut e = Engine::new(queries::tc().unwrap(), cfg).unwrap();
-        e.load_edges("arc", &edges).unwrap();
-        let r1 = e.run().unwrap();
-        let mut e2 = Engine::new(queries::tc().unwrap(), EngineConfig::with_workers(1)).unwrap();
-        e2.load_edges("arc", &edges).unwrap();
-        let r2 = e2.run().unwrap();
-        assert_eq!(r1.sorted("tc"), r2.sorted("tc"));
-        let workers = &r1.stats.report.per_worker;
-        assert!(workers.iter().any(|w| w.batches_out > 0), "rows were sent");
+    let legs = 2 * 2 * 3;
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        for (graph, edges) in [("sparse", sparse), ("dense", dense)] {
+            let mut e = Engine::new(queries::tc().unwrap(), EngineConfig::with_workers(1)).unwrap();
+            e.load_edges("arc", &edges).unwrap();
+            let want = e.run().unwrap().sorted("tc");
+            for workers in [2, 4] {
+                for strategy in [Strategy::Global, Strategy::Ssp { s: 1 }, Strategy::Dws] {
+                    let name = format!("{graph} {} x{workers}", strategy.name());
+                    let mut cfg = EngineConfig::with_workers(workers).strategy(strategy);
+                    cfg.queue_capacity = 2;
+                    cfg.batch_size = 8;
+                    let mut e = Engine::new(queries::tc().unwrap(), cfg).unwrap();
+                    e.load_edges("arc", &edges).unwrap();
+                    let r = e.run().unwrap();
+                    let got = r.sorted("tc");
+                    done.send((name, got == want, r.stats.report.per_worker))
+                        .unwrap();
+                }
+            }
+        }
+    });
+    for _ in 0..legs {
+        let (name, same_rows, workers) = finished
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("a run with 2-slot queues did not finish in 10 s");
+        assert!(same_rows, "{name}: rows differ from 1 worker");
+        assert!(
+            workers.iter().any(|w| w.batches_out > 0),
+            "{name}: rows were sent"
+        );
         for (me, w) in workers.iter().enumerate() {
             let (sent, batches) = (w.tuples_sent, w.batches_out);
             assert!(
                 sent <= 8 * batches,
-                "worker {me}: {sent} rows in {batches} batches"
+                "{name} worker {me}: {sent} rows in {batches} batches"
             );
-            assert!(batches <= sent, "worker {me}: an empty batch");
+            assert!(batches <= sent, "{name} worker {me}: an empty batch");
+        }
+    }
+}
+
+#[test]
+fn global_runs_repeat() {
+    // A Global round merges exactly the rows its peers sent in earlier
+    // rounds, however the threads interleave, so every run does the same
+    // work: the same per-iteration rows in and out and the same
+    // per-worker counters, except the phase clocks (`*_ns`) and the
+    // backpressure retries, which count timing.
+    let edges = dcd_datagen::gnp(2000, 0.005, 11);
+    let warc = dcd_datagen::weighted(&edges, 100, 11);
+    for workers in [2, 4] {
+        let run = || {
+            let cfg = EngineConfig::with_workers(workers)
+                .strategy(Strategy::Global)
+                .tracing(true);
+            let mut e = Engine::new(queries::sssp(0).unwrap(), cfg).unwrap();
+            e.load_weighted_edges("warc", &warc).unwrap();
+            let rep = e.run().unwrap().stats.report;
+            let mut series: Vec<_> = rep
+                .iteration_series()
+                .iter()
+                .map(|p| (p.worker, p.iteration, p.rows_in, p.rows_out))
+                .collect();
+            series.sort();
+            let doc = Json::parse(&rep.to_json()).unwrap();
+            let counters: Vec<Json> = doc
+                .get("per_worker")
+                .and_then(Json::items)
+                .unwrap()
+                .iter()
+                .map(|w| match w.clone() {
+                    Json::Obj(mut fields) => {
+                        fields.retain(|k, _| !k.ends_with("_ns") && k != "backpressure_retries");
+                        Json::Obj(fields)
+                    }
+                    other => panic!("a worker's counters are not an object: {other:?}"),
+                })
+                .collect();
+            (series, counters)
+        };
+        let first = run();
+        assert!(!first.0.is_empty(), "x{workers}: no iteration series");
+        for i in 1..10 {
+            let again = run();
+            assert_eq!(again.0, first.0, "x{workers} run {i}: iteration series");
+            assert_eq!(again.1, first.1, "x{workers} run {i}: counters");
         }
     }
 }
@@ -838,10 +908,30 @@ fn diverging_min_program_times_out() {
     // hanging it.
     let src = "d(X, min<C>) <- src(X), C = 0.
                d(Y, min<C>) <- d(X, C1), arc(X, Y), C = C1 - 1.";
+    //
+    // The runs with 2-slot queues and 1-row batches spend much of their
+    // time in backpressure, so the wait for a full peer queue must check
+    // the deadline too.
+    let legs: Vec<EngineConfig> = configs()
+        .into_iter()
+        .filter(|c| c.workers < 4)
+        .flat_map(|cfg| {
+            let mut tiny = cfg.clone();
+            tiny.queue_capacity = 2;
+            tiny.batch_size = 1;
+            [cfg, tiny]
+        })
+        .collect();
+    let runs = legs.len();
     let (done, finished) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
-        for mut cfg in configs().into_iter().filter(|c| c.workers < 4) {
-            let name = format!("{} x{}", cfg.strategy.name(), cfg.workers);
+        for mut cfg in legs {
+            let name = format!(
+                "{} x{} queue {}",
+                cfg.strategy.name(),
+                cfg.workers,
+                cfg.queue_capacity
+            );
             cfg.timeout = Some(std::time::Duration::from_millis(300));
             let mut e = Engine::new(Program::parse(src).unwrap(), cfg).unwrap();
             e.load_edb("src", vec![Tuple::from_ints(&[0])]).unwrap();
@@ -851,7 +941,7 @@ fn diverging_min_program_times_out() {
             done.send((name, err, started.elapsed())).unwrap();
         }
     });
-    for _ in 0..6 {
+    for _ in 0..runs {
         let (name, err, took) = finished
             .recv_timeout(std::time::Duration::from_secs(5))
             .expect("a diverging run ignored its 300 ms timeout for 5 s");

@@ -4,9 +4,11 @@
 //! A reusable generation barrier with a twist: each arriving worker
 //! reports how many new tuples it derived in the round, and the last
 //! arriver declares the global fixpoint when a full round produced
-//! nothing anywhere.
+//! nothing anywhere. It never blocks: a worker polls its [`Ticket`]
+//! from its own wait loop, which drains its inbox and watches the
+//! deadline between polls.
 
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 
 struct BarrierState {
     arrived: usize,
@@ -15,10 +17,13 @@ struct BarrierState {
     done: bool,
 }
 
+/// A worker's arrival at one generation of a [`RoundBarrier`].
+#[derive(Clone, Copy, Debug)]
+pub struct Ticket(u64);
+
 /// A reusable barrier over `n` workers with fixpoint detection.
 pub struct RoundBarrier {
     state: Mutex<BarrierState>,
-    cv: Condvar,
     n: usize,
 }
 
@@ -33,52 +38,41 @@ impl RoundBarrier {
                 round_total: 0,
                 done: false,
             }),
-            cv: Condvar::new(),
             n,
         }
     }
 
-    /// Arrives at the barrier reporting `new_tuples` derived this round.
-    /// Blocks until all `n` workers arrive. Returns `true` to continue
-    /// with the next global iteration, `false` when the global fixpoint
-    /// (an all-zero round) was reached.
-    pub fn arrive(&self, new_tuples: u64) -> bool {
-        let mut st = self.state.lock().unwrap();
+    /// Arrives at the barrier reporting `new_tuples` derived this round;
+    /// the last of the `n` arrivals opens the next generation, or declares
+    /// the global fixpoint when the round's total is zero.
+    pub fn arrive(&self, new_tuples: u64) -> Ticket {
+        let mut st = self.state.lock().expect("no worker panics holding it");
+        let ticket = Ticket(st.generation);
         if st.done {
-            return false;
+            return ticket;
         }
         st.round_total += new_tuples;
         st.arrived += 1;
         if st.arrived == self.n {
-            // Leader: decide and open the next generation.
-            if st.round_total == 0 {
-                st.done = true;
-            }
+            st.done = st.round_total == 0;
             st.arrived = 0;
             st.round_total = 0;
             st.generation += 1;
-            self.cv.notify_all();
-            return !st.done;
         }
-        let gen = st.generation;
-        while st.generation == gen && !st.done {
-            st = self.cv.wait(st).unwrap();
-        }
-        !st.done
+        ticket
     }
 
-    /// A plain barrier wait: blocks until all `n` workers arrive. Returns
-    /// `false` when the barrier was cancelled instead.
-    pub fn wait(&self) -> bool {
-        self.arrive(1)
-    }
-
-    /// Marks the barrier as finished, releasing all waiters (cancellation).
-    pub fn cancel(&self) {
-        let mut st = self.state.lock().unwrap();
-        st.done = true;
-        st.generation += 1;
-        self.cv.notify_all();
+    /// `None` while `ticket`'s generation still waits for arrivals;
+    /// otherwise `Some(true)` to continue with the next global iteration,
+    /// `Some(false)` once the global fixpoint (an all-zero round) was
+    /// reached.
+    pub fn passed(&self, ticket: Ticket) -> Option<bool> {
+        let st = self.state.lock().expect("no worker panics holding it");
+        if st.done {
+            Some(false)
+        } else {
+            (st.generation != ticket.0).then_some(true)
+        }
     }
 }
 
@@ -88,14 +82,25 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
+    /// Arrives and polls until the generation is passed.
+    fn arrive_and_wait(b: &RoundBarrier, new_tuples: u64) -> bool {
+        let ticket = b.arrive(new_tuples);
+        loop {
+            if let Some(cont) = b.passed(ticket) {
+                return cont;
+            }
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn single_worker_runs_until_zero_round() {
         let b = RoundBarrier::new(1);
-        assert!(b.arrive(5));
-        assert!(b.arrive(1));
-        assert!(!b.arrive(0));
+        assert_eq!(b.passed(b.arrive(5)), Some(true));
+        assert_eq!(b.passed(b.arrive(1)), Some(true));
+        assert_eq!(b.passed(b.arrive(0)), Some(false));
         // Subsequent arrivals keep reporting done.
-        assert!(!b.arrive(10));
+        assert_eq!(b.passed(b.arrive(10)), Some(false));
     }
 
     #[test]
@@ -113,7 +118,7 @@ mod tests {
                 loop {
                     let produce = if rounds <= w as u64 { 1 } else { 0 };
                     rc.fetch_add(produce, Ordering::Relaxed);
-                    if !b.arrive(produce) {
+                    if !arrive_and_wait(&b, produce) {
                         return rounds;
                     }
                     rounds += 1;
@@ -136,38 +141,42 @@ mod tests {
             let mut cont = true;
             let mut rounds = 0;
             while cont {
-                cont = b2.arrive(0);
+                cont = arrive_and_wait(&b2, 0);
                 rounds += 1;
             }
             rounds
         });
-        assert!(b.arrive(3)); // round 1: total 3 ⇒ continue
-        assert!(!b.arrive(0)); // round 2: total 0 ⇒ done
+        assert!(arrive_and_wait(&b, 3)); // round 1: total 3 ⇒ continue
+        assert!(!arrive_and_wait(&b, 0)); // round 2: total 0 ⇒ done
         assert_eq!(h.join().unwrap(), 2);
     }
 
     #[test]
-    fn plain_wait_passes_until_cancelled() {
-        let b = Arc::new(RoundBarrier::new(2));
-        let b2 = Arc::clone(&b);
-        let h = std::thread::spawn(move || b2.wait());
-        assert!(b.wait());
-        assert!(h.join().unwrap());
-        // A worker that never arrives cannot strand the others once the
-        // barrier is cancelled, whether it was already waiting or not.
-        let b2 = Arc::clone(&b);
-        let h = std::thread::spawn(move || b2.wait());
-        b.cancel();
-        assert!(!h.join().unwrap());
+    fn a_ticket_waits_for_every_arrival() {
+        // A plain barrier (every arrival reports a row, as the run-wide
+        // sync barrier does) passes only once all n workers arrived, and a
+        // worker that never arrives leaves the others' tickets waiting:
+        // only their own wait loop, which sees the abort flag, ends the
+        // wait.
+        let b = RoundBarrier::new(2);
+        let first = b.arrive(1);
+        assert_eq!(b.passed(first), None, "one of two arrived");
+        let second = b.arrive(1);
+        assert_eq!(b.passed(first), Some(true));
+        assert_eq!(b.passed(second), Some(true));
+        let stranded = b.arrive(1);
+        for _ in 0..3 {
+            assert_eq!(b.passed(stranded), None);
+        }
     }
 
     #[test]
-    fn cancel_releases_waiters() {
+    fn tickets_pass_across_threads() {
         let b = Arc::new(RoundBarrier::new(2));
         let b2 = Arc::clone(&b);
-        let h = std::thread::spawn(move || b2.arrive(1));
+        let h = std::thread::spawn(move || arrive_and_wait(&b2, 1));
         std::thread::sleep(std::time::Duration::from_millis(5));
-        b.cancel();
-        assert!(!h.join().unwrap());
+        assert!(arrive_and_wait(&b, 1));
+        assert!(h.join().unwrap());
     }
 }

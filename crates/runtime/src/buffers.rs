@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 /// A batch of derived rows for one recursive relation, stamped with its
-/// send time so the receiver can maintain arrival statistics for DWS.
+/// send time (for DWS's arrival statistics) and its sender's round.
 pub struct Batch {
     /// Which recursive relation the rows belong to (catalog id).
     pub rel: u32,
@@ -25,6 +25,8 @@ pub struct Batch {
     pub sent_at: Instant,
     /// Producer worker.
     pub from: WorkerId,
+    /// The producer's fixpoint round (0 for a stratum's init rows).
+    pub round: u64,
 }
 
 impl Batch {
@@ -151,6 +153,7 @@ mod tests {
             frame,
             sent_at: Instant::now(),
             from,
+            round: 0,
         }
     }
 

@@ -46,8 +46,8 @@ pub struct MetricsSnapshot {
     pub local_new: u64,
     /// Full-queue retry loops taken while flushing outgoing batches.
     pub backpressure_retries: u64,
-    /// Nanoseconds parked: stratum-entry and post-init barriers, the
-    /// Global round barrier, and the idle/termination protocol.
+    /// Nanoseconds parked: the sync and Global round barriers, SSP's
+    /// staleness bound and the idle/termination protocol.
     pub idle_ns: u64,
     /// Nanoseconds spent inside the DWS ω-wait window (Alg. 2 l. 5–8).
     pub omega_wait_ns: u64,

@@ -7,11 +7,10 @@
 //! incoming tuples.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 const FINISHED: u64 = u64::MAX;
 
-/// Per-worker iteration counters with bounded-staleness waiting.
+/// Per-worker iteration counters with a bounded-staleness test.
 pub struct SspClock {
     iters: Vec<AtomicU64>,
     s: u64,
@@ -23,19 +22,6 @@ impl SspClock {
         SspClock {
             iters: (0..n).map(|_| AtomicU64::new(0)).collect(),
             s: s as u64,
-        }
-    }
-
-    /// The staleness bound.
-    pub fn staleness(&self) -> usize {
-        self.s as usize
-    }
-
-    /// Current iteration of `w` (or `None` if finished).
-    pub fn iteration(&self, w: usize) -> Option<u64> {
-        match self.iters[w].load(Ordering::Acquire) {
-            FINISHED => None,
-            v => Some(v),
         }
     }
 
@@ -69,33 +55,18 @@ impl SspClock {
         self.iters[w].store(frontier, Ordering::Release);
     }
 
-    /// Blocks while `w` is more than `s` iterations ahead of the frontier.
-    /// Polls with short sleeps (the SSP baseline is coordination-heavy by
-    /// design). Returns `false` if `should_abort` fired.
-    pub fn wait_if_ahead(&self, w: usize, mut should_abort: impl FnMut() -> bool) -> bool {
-        loop {
-            let mine = self.iters[w].load(Ordering::Acquire);
-            if mine == FINISHED {
-                return true;
-            }
-            match self.frontier() {
-                Some(f) if mine > f + self.s => {
-                    if should_abort() {
-                        return false;
-                    }
-                    std::thread::sleep(Duration::from_micros(20));
-                }
-                _ => return true,
-            }
-        }
+    /// Whether `w` is more than `s` iterations ahead of the frontier, so
+    /// it must wait before its next iteration. A finished worker is never
+    /// ahead. The worker polls this from its own wait loop.
+    pub fn ahead(&self, w: usize) -> bool {
+        let mine = self.iters[w].load(Ordering::Acquire);
+        mine != FINISHED && self.frontier().is_some_and(|f| mine > f + self.s)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
 
     #[test]
     fn frontier_tracks_minimum() {
@@ -116,7 +87,8 @@ mod tests {
         c.advance(0);
         c.advance(0);
         assert_eq!(c.frontier(), Some(2));
-        assert!(c.wait_if_ahead(0, || false));
+        assert!(!c.ahead(0));
+        assert!(!c.ahead(1), "a finished worker is never ahead");
     }
 
     #[test]
@@ -125,7 +97,7 @@ mod tests {
         c.finish(0);
         c.finish(1);
         assert_eq!(c.frontier(), None);
-        assert_eq!(c.iteration(0), None);
+        assert!(!c.ahead(0));
     }
 
     #[test]
@@ -136,41 +108,27 @@ mod tests {
         c.advance(1);
         c.finish(2);
         c.rejoin(2);
-        assert_eq!(c.iteration(2), Some(1));
+        // At 0, worker 2 would hold the frontier back; at 1, two more
+        // iterations put it 2 ahead of worker 1.
+        assert_eq!(c.frontier(), Some(1));
+        c.advance(2);
+        assert!(!c.ahead(2));
+        c.advance(2);
+        assert!(c.ahead(2));
     }
 
     #[test]
-    fn wait_if_ahead_blocks_until_frontier_moves() {
-        let c = Arc::new(SspClock::new(2, 1));
+    fn ahead_until_the_frontier_moves() {
+        let c = SspClock::new(2, 1);
         // Worker 0 is 3 ahead of worker 1 (s = 1): must wait.
         c.advance(0);
         c.advance(0);
         c.advance(0);
-        let released = Arc::new(AtomicBool::new(false));
-        let c2 = Arc::clone(&c);
-        let r2 = Arc::clone(&released);
-        let h = std::thread::spawn(move || {
-            let ok = c2.wait_if_ahead(0, || false);
-            r2.store(true, Ordering::SeqCst);
-            ok
-        });
-        std::thread::sleep(Duration::from_millis(10));
-        assert!(!released.load(Ordering::SeqCst), "should still be blocked");
+        assert!(c.ahead(0));
+        assert!(!c.ahead(1), "the slowest worker is never ahead");
         c.advance(1);
+        assert!(c.ahead(0), "2 ahead is still more than s");
         c.advance(1);
-        assert!(h.join().unwrap());
-    }
-
-    #[test]
-    fn abort_unblocks() {
-        let c = SspClock::new(2, 0);
-        c.advance(0);
-        c.advance(0);
-        let mut calls = 0;
-        let ok = c.wait_if_ahead(0, || {
-            calls += 1;
-            calls > 3
-        });
-        assert!(!ok);
+        assert!(!c.ahead(0));
     }
 }
