@@ -163,6 +163,29 @@ mod tests {
     }
 
     #[test]
+    fn timeout_beyond_the_clock_runs_without_a_deadline() {
+        let dir = tmpdir();
+        let prog = write(
+            &dir,
+            "tc_timeout.dl",
+            "tc(X, Y) <- arc(X, Y).\ntc(X, Y) <- tc(X, Z), arc(Z, Y).\n",
+        );
+        let edges = write(&dir, "timeout_edges.csv", "1,2\n2,3\n");
+        let c = cli(vec![
+            "run".into(),
+            prog,
+            "--edb".into(),
+            format!("arc={edges}"),
+            "--timeout".into(),
+            u64::MAX.to_string(),
+        ]);
+        let mut out = Vec::new();
+        run_cli(&c, &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert!(text.contains("tc (3 rows):"), "{text}");
+    }
+
+    #[test]
     fn explain_prints_plan_without_data() {
         let dir = tmpdir();
         let prog = write(

@@ -27,12 +27,13 @@
 //!
 //! A `min`/`max` relation whose every consuming delta rule is linear (its
 //! join steps probe only base relations) is evaluated *best-first*: its
-//! pending ids wait in a worker-local order by stored value (ascending for
-//! `min`, descending for `max`), and Iterate takes the best 256
-//! (`SLICE_ROWS`) at a time. After each slice it merges the slice's local
-//! head rows and sends the remote ones; every id a merge improves goes
-//! back into the order instead of the next iteration's delta, and inbound
-//! batches are drained between slices. One
+//! pending ids never enter the delta. Every merge that improves a row
+//! pushes the row's id straight into a worker-local order by stored value
+//! (ascending for `min`, descending for `max`), and Iterate takes the best
+//! 256 (`SLICE_ROWS`) at a time. After each slice it merges the slice's
+//! local head rows and sends the remote ones, and inbound batches are
+//! drained between slices; the ids those merges improve join the order
+//! as they merge. One
 //! Iterate thus runs until the worker's order is empty: label-correcting
 //! shortest paths turned toward label-setting, as in Δ-stepping, so a row
 //! is rarely evaluated at a value it is about to improve on. A relation
@@ -92,7 +93,8 @@ pub struct Coordination {
     pub epoch: Instant,
     /// Error/timeout flag.
     pub abort: AtomicBool,
-    /// Wall-clock deadline.
+    /// Wall-clock deadline: `None` without a timeout, or when the clock
+    /// cannot represent the end of the timeout.
     pub deadline: Option<Instant>,
 }
 
@@ -120,7 +122,7 @@ impl Coordination {
             sync: RoundBarrier::new(n),
             epoch: Instant::now(),
             abort: AtomicBool::new(false),
-            deadline: cfg.timeout.map(|t| Instant::now() + t),
+            deadline: cfg.timeout.and_then(|t| Instant::now().checked_add(t)),
         }
     }
 
@@ -340,7 +342,8 @@ pub struct Worker<'a> {
     store: WorkerStore,
     /// The stratum being evaluated.
     si: usize,
-    /// Pending delta rows: ids merged since the last Iterate.
+    /// Pending delta rows: ids merged since the last Iterate, except those
+    /// of best-first relations, which wait in `best_first`.
     delta: Vec<DeltaRow>,
     /// The stratum's DWS controller: `None` under Global and SSP, and
     /// during a stratum's init phase, so it sees only fixpoint batches.
@@ -376,7 +379,7 @@ impl<'a> Worker<'a> {
                 me,
                 workers: cfg.workers,
             },
-            scratch: EvalScratch::new(),
+            scratch: EvalScratch::default(),
             best_first: (0..plan.idb.len())
                 .map(|rel| BestFirst::of(plan, rel))
                 .collect(),
@@ -493,7 +496,7 @@ impl<'a> Worker<'a> {
             self.round += 1;
             self.gather();
 
-            if !global && self.delta.is_empty() {
+            if !global && self.pending() == 0 {
                 // Local fixpoint: park until new work or global fixpoint.
                 if ssp {
                     sc.ssp.finish(self.me);
@@ -544,17 +547,18 @@ impl<'a> Worker<'a> {
             return Ok(());
         };
         let (omega, until) = (ctrl.omega(), Instant::now() + ctrl.tau());
-        if self.delta.len() < omega {
+        if self.pending() < omega {
             self.wait_until(Phase::OmegaWait, |w| {
-                w.delta.len() >= omega || Instant::now() >= until
+                w.pending() >= omega || Instant::now() >= until
             })?;
         }
+        let pending = self.pending() as u64;
         let ctrl = self.dws.as_mut().expect("a DWS worker");
         ctrl.update_params();
         self.rec.dws_decision(
             ctrl.omega() as u64,
             ctrl.tau().as_nanos() as u64,
-            self.delta.len() as u64,
+            pending,
             ctrl.model(),
         );
         Ok(())
@@ -571,13 +575,13 @@ impl<'a> Worker<'a> {
     /// (monotone rules only derive more from them). Their `min`/`max` rows
     /// are distributed once, by [`Worker::finish`] at the end.
     ///
-    /// Best-first groups (see the module docs) instead join the worker's
-    /// order, and after every other group Iterate evaluates that order one
-    /// slice of the best [`SLICE_ROWS`] pending ids at a time until it is
-    /// empty. Each slice checks the deadline, is distributed whole, and
-    /// requeues the ids its local merges improve; Iterate drains inbound
-    /// batches between slices ([`Worker::drain_into`]).
-    /// Returns the delta rows evaluated, counting rows requeued and
+    /// Best-first ids (see the module docs) wait in their orders instead,
+    /// and after the delta Iterate evaluates the orders one slice of the
+    /// best [`SLICE_ROWS`] pending ids at a time until they are empty. Each
+    /// slice checks the deadline and is distributed whole, and the ids its
+    /// local merges improve join the orders; Iterate drains inbound batches
+    /// between slices ([`Worker::drain_into`]).
+    /// Returns the delta rows evaluated, counting rows queued again and
     /// evaluated again.
     fn iterate(&mut self) -> Result<u64> {
         self.t_eval = Instant::now();
@@ -595,36 +599,20 @@ impl<'a> Worker<'a> {
         rows.dedup();
         let mut acc = PartialAgg::default();
         for group in rows.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
-            if self.best_first[group[0].0].is_some() {
-                for &row in group {
-                    self.enqueue(row);
-                }
-                continue;
-            }
             self.eval_group(group, &mut acc)?;
         }
-        let rels = &self.plan.strata[self.si].rels;
-        if rels.iter().any(|&rel| self.best_first[rel].is_some()) {
-            self.eval_best_first(&mut acc)?;
-        }
+        self.eval_best_first(&mut acc)?;
         let evaluated = self.rec.counters.tuples_processed - before;
         self.finish(acc, evaluated)?;
         Ok(evaluated)
     }
 
-    /// Iterate's best-first part: moves the best-first rows that the delta
-    /// gained so far into their orders, then evaluates the orders one
-    /// slice at a time until they are empty, distributing each slice and
-    /// requeueing what it improves.
+    /// Iterate's best-first part: evaluates the orders one slice at a time
+    /// until they are empty, distributing each slice; the ids its merges
+    /// improve join the orders as they merge.
     fn eval_best_first(&mut self, acc: &mut PartialAgg) -> Result<()> {
-        let mut slice = Vec::with_capacity(SLICE_ROWS);
-        let mut requeued = 0;
-        loop {
-            self.requeue(requeued);
-            requeued = self.delta.len();
-            if !self.next_slice(&mut slice) {
-                break;
-            }
+        let mut slice = Vec::new();
+        while self.next_slice(&mut slice) {
             self.coord.check_deadline()?;
             self.eval_group(&slice, acc)?;
             self.flush(acc, true)?;
@@ -707,38 +695,22 @@ impl<'a> Worker<'a> {
         self.distribute(out.iter().map(|(rel, rows)| (*rel, rows)))
     }
 
-    /// Queues best-first delta row `row` at its stored value; `false`
-    /// (and nothing queued) for a row of any other relation.
-    fn enqueue(&mut self, (rel, route, id): DeltaRow) -> bool {
-        let Some(order) = &mut self.best_first[rel] else {
-            return false;
-        };
-        let priority = order.priority(self.store.rec(rel).rows().row(id as usize).get(order.col));
-        order.routes[route as usize].push((priority, Reverse(id)));
-        true
-    }
-
-    /// Moves the best-first rows of `delta[from..]` into their orders, and
-    /// keeps the others in the delta for the next iteration.
-    fn requeue(&mut self, from: usize) {
-        let mut keep = from;
-        for i in from..self.delta.len() {
-            let row = self.delta[i];
-            if !self.enqueue(row) {
-                self.delta[keep] = row;
-                keep += 1;
-            }
+    /// Delta rows waiting for Iterate: the delta's ids and the entries of
+    /// the best-first orders.
+    fn pending(&self) -> usize {
+        let mut pending = self.delta.len();
+        for order in self.best_first.iter().flatten() {
+            pending += order.routes.iter().map(BinaryHeap::len).sum::<usize>();
         }
-        self.delta.truncate(keep);
+        pending
     }
 
     /// Fills `slice` with the best [`SLICE_ROWS`] pending ids of the first
     /// `(rel, route)` with any, skipping stale entries; `false` once every
     /// order is empty. A `min` value only falls and a `max` value only
     /// rises, so an entry queued at another value than its row's stored
-    /// one was queued again at the better value, and is stale. An id
-    /// queued twice at one value (merged from a slice and from an inbound
-    /// batch before it was requeued) has equal entries, which pop
+    /// one was queued again at the better value, and is stale. Equal
+    /// entries (an id improved between two values of one priority) pop
     /// together and are taken once.
     fn next_slice(&mut self, slice: &mut Vec<DeltaRow>) -> bool {
         slice.clear();
@@ -867,26 +839,30 @@ impl<'a> Worker<'a> {
         })
     }
 
-    /// Merges one merge-layout row into the local store; on success, adds
-    /// the stored row's id to the delta once for every route of the
-    /// relation that maps here.
+    /// Merges one merge-layout row into the local store; on success,
+    /// queues the stored row's id once for every route of the relation
+    /// that maps here: into the relation's order at its stored value when
+    /// it is evaluated best-first, into the delta otherwise.
     fn merge_local(&mut self, rel: RelId, row: Row<'_>) -> u64 {
         let decl = self.plan.idb[rel].as_ref().expect("IDB");
         let Merged::New(id) = self.store.rec_mut(rel).merge_row(row) else {
             return 0;
         };
-        if decl.broadcast {
-            // Broadcast relations run every variant everywhere.
-            for r in 0..decl.partition_cols.len().max(1) {
-                self.delta.push((rel, r as u8, id));
+        for route in 0..decl.partition_cols.len().max(1) {
+            // Broadcast relations run every variant everywhere. Route
+            // columns are group columns, so the incoming row routes exactly
+            // as the stored one.
+            let here = |&c: &usize| self.coord.part.of_key(row.key(c)) == self.me;
+            if !decl.broadcast && !decl.partition_cols.get(route).is_some_and(here) {
+                continue;
             }
-        } else {
-            // Route columns are group columns, so the incoming row routes
-            // exactly as the stored one.
-            for (ri, &c) in decl.partition_cols.iter().enumerate() {
-                if self.coord.part.of_key(row.key(c)) == self.me {
-                    self.delta.push((rel, ri as u8, id));
+            match &mut self.best_first[rel] {
+                Some(order) => {
+                    let value = self.store.rec(rel).rows().row(id as usize).get(order.col);
+                    let priority = order.priority(value);
+                    order.routes[route].push((priority, Reverse(id)));
                 }
+                None => self.delta.push((rel, route as u8, id)),
             }
         }
         1
@@ -1145,26 +1121,39 @@ mod tests {
         let warc = vec![Tuple::from_ints(&[1, 2, 10])];
         let mut w = one_worker(&p, &cfg, &coord, &[("warc", warc)]);
         let sp = p.rel_by_name("sp").unwrap();
-        for (value, merged) in [(9, Merged::New(0)), (4, Merged::New(0))] {
-            let row = Tuple::from_ints(&[1, value]);
-            assert_eq!(w.store.rec_mut(sp).merge(&row), merged);
-            w.delta.push((sp, 0, 0));
-            w.requeue(0);
+        // Group 1 merges at 9, then improves in place to 4; a row no
+        // better than the stored one queues nothing. Group 3 improves from
+        // 2^53 + 4 to 2^53 + 3, which rounds to the same `f64` (ties go to
+        // the even mantissa), so it is queued twice at one priority.
+        let big = 1 << 53;
+        for (group, value, new) in [
+            (1, 9, 1),
+            (1, 4, 1),
+            (1, 4, 0),
+            (1, 6, 0),
+            (3, big + 4, 1),
+            (3, big + 3, 1),
+        ] {
+            let row = Tuple::from_ints(&[group, value]);
+            assert_eq!(w.merge_local(sp, row.row()), new);
             assert!(w.delta.is_empty(), "queued in the order, not the delta");
         }
-        // Merged locally and from a peer before one requeue: twice at 4.
-        w.delta.push((sp, 0, 0));
-        w.requeue(0);
-        assert_eq!(w.best_first[sp].as_ref().unwrap().routes[0].len(), 3);
+        let heap = &w.best_first[sp].as_ref().unwrap().routes[0];
+        assert_eq!(heap.len(), 4);
+        let mut distinct = heap.clone().into_sorted_vec();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 3, "group 3's two entries are equal");
+        assert_eq!(w.pending(), 4, "the ω-wait counts every entry");
         let evaluated = w.iterate().unwrap();
-        // Row 1 once, at 4 (its stale entry at 9 is skipped and its second
-        // entry at 4 taken with the first), then the row it derived, (2, 14).
-        assert_eq!(evaluated, 2);
-        assert_eq!(w.rec.counters.kernel_rows, 2);
+        // Row 1 once, at 4 (its stale entry at 9 is skipped), row 3 once
+        // (its second entry is taken with the first), then the row 1
+        // derived, (2, 14).
+        assert_eq!(evaluated, 3);
+        assert_eq!(w.rec.counters.kernel_rows, 3);
         let stored = w.store.rec(sp).rows();
         let mut got: Vec<Tuple> = stored.iter().map(|r| r.to_tuple()).collect();
         got.sort();
-        assert_eq!(got, rows(&[[1, 4], [2, 14]]));
+        assert_eq!(got, rows(&[[1, 4], [2, 14], [3, big + 3]]));
         assert!(w.delta.is_empty());
     }
 
@@ -1178,12 +1167,9 @@ mod tests {
         // Group g holds value (g * 7) % 300: a permutation of 0..300.
         for g in 0..300 {
             let row = Tuple::from_ints(&[g, g * 7 % 300]);
-            let Merged::New(id) = w.store.rec_mut(d).merge(&row) else {
-                panic!("new group");
-            };
-            w.delta.push((d, 0, id));
+            assert_eq!(w.merge_local(d, row.row()), 1, "new group");
         }
-        w.requeue(0);
+        assert!(w.delta.is_empty());
         let mut slice = Vec::new();
         let mut taken = Vec::new();
         while w.next_slice(&mut slice) {

@@ -3,16 +3,18 @@
 //! The batched kernel (`Evaluator::sort_batch`, then
 //! `Evaluator::eval_sorted`) must emit *exactly* the rows the
 //! tuple-at-a-time reference `eval_delta` emits for the same delta and
-//! store state — batching, shared registers and probe memoization are
-//! pure mechanics, not semantics. This harness drives both paths
-//! round-by-round through a full semi-naive evaluation on a single
-//! worker (which sees every route of every relation), comparing the
-//! sorted `(head_rel, row)` emissions after each round, on randomized
-//! EDBs over the paper's query pool: linear recursion (TC), non-linear
-//! with two routes (APSP, SG), `min` inside recursion (CC, SSSP with
-//! arithmetic) and `count` with a threshold filter (Attend). Running
-//! `eval_sorted` over small slices of the sorted order instead of all of
-//! it must emit the same rows in the same order.
+//! store state. Both run the same walk over the join chain; the kernel
+//! adds only mechanics, not semantics: batching, shared registers, the
+//! first-probe sort and the first probe's bucket memo. This harness
+//! drives both paths round-by-round through a full semi-naive
+//! evaluation on a single worker (which sees every route of every
+//! relation), comparing the sorted `(head_rel, row)` emissions after
+//! each round, on randomized EDBs over the paper's query pool: linear
+//! recursion (TC), non-linear with two routes (APSP, SG), `min` inside
+//! recursion (CC, SSSP with arithmetic) and `count` with a threshold
+//! filter (Attend). Running `eval_sorted` over small slices of the
+//! sorted order instead of all of it must emit the same rows in the
+//! same order.
 //! Delta entries name stored rows by id, as in `Worker::iterate`, so each
 //! round's delta is sorted and deduplicated before either path reads it.
 
@@ -79,7 +81,7 @@ fn differential_fixpoint(p: &PhysicalPlan, store: &mut WorkerStore) -> usize {
         me: 0,
         workers: 1,
     };
-    let mut scratch = EvalScratch::new();
+    let mut scratch = EvalScratch::default();
     let mut rounds = 0usize;
     for stratum in &p.strata {
         let mut delta: Vec<DeltaRow> = Vec::new();
@@ -295,7 +297,7 @@ fn skewed_delta_matches_reference_and_reuses_probes() {
         workers: 1,
     };
     let rule = &p.strata[0].delta_rules[0];
-    let mut scratch = EvalScratch::new();
+    let mut scratch = EvalScratch::default();
     let mut got = Vec::new();
     let n = ev.sort_batch(rule, &store, &delta, &mut scratch);
     ev.eval_sorted(rule, &store, &delta, 0..n, &mut scratch, &mut |r| {

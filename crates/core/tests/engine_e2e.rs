@@ -951,6 +951,26 @@ fn diverging_min_program_times_out() {
 }
 
 #[test]
+fn a_timeout_the_clock_cannot_reach_is_no_deadline() {
+    // `Instant::now() + Duration::MAX` overflows; such a timeout must run
+    // as if there were none.
+    for cfg in configs() {
+        let name = format!("{} x{}", cfg.strategy.name(), cfg.workers);
+        let run = |timeout| {
+            let mut cfg = cfg.clone();
+            cfg.timeout = timeout;
+            let mut e = Engine::new(queries::tc().unwrap(), cfg).unwrap();
+            e.load_edges("arc", &[(1, 2), (2, 3), (3, 1), (3, 4)])
+                .unwrap();
+            e.run().unwrap().sorted("tc")
+        };
+        let got = run(Some(std::time::Duration::MAX));
+        assert_eq!(got.len(), 12, "{name}");
+        assert_eq!(got, run(None), "{name}");
+    }
+}
+
+#[test]
 fn best_first_sssp_evaluates_few_delta_rows() {
     // At one worker nothing arrives from outside, so the kernel's row
     // count depends only on the evaluation order. Evaluated best-first,
