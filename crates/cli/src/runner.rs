@@ -297,11 +297,13 @@ mod tests {
         let mut out = Vec::new();
         run_cli(&c, &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("\"schema\": 6"), "{text}");
+        assert!(text.contains("\"schema\": 7"), "{text}");
         assert!(text.contains("\"per_worker\""), "{text}");
         assert!(text.contains("\"exchanged_bytes\""), "{text}");
         assert!(text.contains("\"edb_resident_bytes\""), "{text}");
         assert!(text.contains("\"probe_hits\""), "{text}");
+        assert!(text.contains("\"head_rows\""), "{text}");
+        assert!(text.contains("\"stored_checks\""), "{text}");
         assert!(text.contains("\"rows_per_batch\""), "{text}");
         assert!(text.contains("\"dropped_events\""), "{text}");
         assert!(text.contains("\"iteration_series\""), "{text}");

@@ -183,8 +183,10 @@ impl Frame {
         self.rows += 1;
     }
 
-    /// Appends a copy of `row`.
-    #[inline]
+    /// Appends a copy of `row`. Always inlined: the kernel's sink pushes
+    /// every head row it is handed, and a call per row cost 1-worker
+    /// `tc-rmat` ~6% of its run time.
+    #[inline(always)]
     pub fn push(&mut self, row: Row<'_>) {
         self.start_row(row.arity());
         if !self.floats.is_empty() || !row.all_ints() {

@@ -26,7 +26,9 @@ use dcd_runtime::{chrome_trace_json, DwsModel, MetricsSnapshot, TraceMeta, Worke
 /// `dws_samples` and `samples_dropped`: the ω/τ trajectory is the
 /// `omega`/`tau` columns of `iteration_series`. Schema 6 adds `seal_ns`
 /// and `collect_ns`, which with `elapsed_ns` account for `Engine::run`.
-pub const REPORT_SCHEMA: u32 = 6;
+/// Schema 7 adds the per-worker `head_rows` and `stored_checks`, the
+/// emission funnel's first two stages.
+pub const REPORT_SCHEMA: u32 = 7;
 
 /// A full per-run observability report.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -186,7 +188,7 @@ impl EvalReport {
 
 fn worker_json(i: usize, w: &MetricsSnapshot, dropped_events: u64) -> String {
     format!(
-        r#"{{"worker":{},"iterations":{},"tuples_processed":{},"tuples_sent":{},"batches_out":{},"batches_in":{},"tuples_in":{},"bytes_sent":{},"bytes_in":{},"edb_resident_bytes":{},"local_new":{},"backpressure_retries":{},"idle_ns":{},"omega_wait_ns":{},"gather_ns":{},"iterate_ns":{},"distribute_ns":{},"cache_hits":{},"cache_misses":{},"probe_hits":{},"probe_reuse":{},"kernel_batches":{},"kernel_rows":{},"rows_per_batch":{:.3},"dropped_events":{}}}"#,
+        r#"{{"worker":{},"iterations":{},"tuples_processed":{},"tuples_sent":{},"batches_out":{},"batches_in":{},"tuples_in":{},"bytes_sent":{},"bytes_in":{},"edb_resident_bytes":{},"local_new":{},"backpressure_retries":{},"idle_ns":{},"omega_wait_ns":{},"gather_ns":{},"iterate_ns":{},"distribute_ns":{},"cache_hits":{},"cache_misses":{},"probe_hits":{},"probe_reuse":{},"kernel_batches":{},"kernel_rows":{},"head_rows":{},"stored_checks":{},"rows_per_batch":{:.3},"dropped_events":{}}}"#,
         i,
         w.iterations,
         w.tuples_processed,
@@ -210,6 +212,8 @@ fn worker_json(i: usize, w: &MetricsSnapshot, dropped_events: u64) -> String {
         w.probe_reuse,
         w.kernel_batches,
         w.kernel_rows,
+        w.head_rows,
+        w.stored_checks,
         w.rows_per_batch(),
         dropped_events,
     )
@@ -254,6 +258,8 @@ mod tests {
             probe_reuse: 15,
             kernel_batches: 2,
             kernel_rows: 9,
+            head_rows: 12,
+            stored_checks: 7,
             ..MetricsSnapshot::default()
         };
         let b = MetricsSnapshot {
@@ -331,7 +337,7 @@ mod tests {
     fn json_is_wellformed_and_complete() {
         let r = sample_report();
         let json = r.to_json();
-        assert!(json.contains("\"schema\": 6"));
+        assert!(json.contains("\"schema\": 7"));
         assert!(json.contains("\"seal_ns\": 300,\n  \"elapsed_ns\": 1000,\n  \"collect_ns\": 200,"));
         assert!(json.contains("\"strategy\": \"DWS\""));
         assert!(json.contains("\"exchanged_bytes\": 224"));
@@ -343,6 +349,7 @@ mod tests {
         assert!(json.contains("\"probe_hits\":5"));
         assert!(json.contains("\"probe_reuse\":15"));
         assert!(json.contains("\"kernel_batches\":2"));
+        assert!(json.contains("\"head_rows\":12,\"stored_checks\":7,"));
         assert!(json.contains("\"rows_per_batch\":4.500"));
         assert_eq!(r.exchanged_bytes(), 224);
         assert!(!json.contains("dws_samples") && !json.contains("samples_dropped"));

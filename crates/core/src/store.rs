@@ -22,6 +22,9 @@ pub use dcd_storage::Merged;
 /// Store for one derived relation on one worker.
 pub struct RecStore {
     rel: DerivedRelation,
+    /// Whether head rows meet the stored-row check
+    /// ([`RecStore::already_stored`]): an optimized set relation.
+    checked: bool,
     /// Slot count of the sent-filter; 0 when the relation has none.
     filter_slots: usize,
     /// Distribute's exact-duplicate filter, allocated on first use.
@@ -52,10 +55,11 @@ impl RecStore {
                 }
             }
         };
-        let filtered = optimized && matches!(decl.kind, StorageKind::Set);
+        let checked = optimized && matches!(decl.kind, StorageKind::Set);
         RecStore {
             rel,
-            filter_slots: if filtered { cache_slots } else { 0 },
+            checked,
+            filter_slots: if checked { cache_slots } else { 0 },
             sent_filter: None,
         }
     }
@@ -84,12 +88,13 @@ impl RecStore {
     }
 
     /// Whether this set relation already stores `row`, so re-merging it
-    /// anywhere is a no-op: the existence check a head row meets before it
-    /// is buffered for Distribute. Always `false` for aggregate relations
-    /// and with optimizations off.
+    /// anywhere is a no-op: the existence check a head row this worker
+    /// owns meets before it is queued for Distribute. `None` when the
+    /// relation has no such check: an aggregate relation, or any relation
+    /// with optimizations off. The sent-filter's size does not gate it.
     #[inline]
-    pub fn already_stored(&self, row: Row<'_>) -> bool {
-        self.filter_slots != 0 && self.rel.contains(row)
+    pub fn already_stored(&self, row: Row<'_>) -> Option<bool> {
+        self.checked.then(|| self.rel.contains(row))
     }
 
     /// Distribute's sent-filter: whether this worker already routed `row`
@@ -272,6 +277,25 @@ mod tests {
             assert_eq!(sent(s), None);
             assert_eq!(sent(s), None);
             assert!(s.sent_filter.is_none());
+        }
+    }
+
+    #[test]
+    fn stored_check_needs_an_optimized_set_store_not_a_filter() {
+        let (tc, cc) = (tc_plan(), cc_plan());
+        let row = Tuple::from_ints(&[1, 2]);
+        let tc_rel = tc.rel_by_name("tc").unwrap();
+        // No sent-filter slots: the stored-row check still runs.
+        let mut set = RecStore::new(&tc, tc_rel, true, 0);
+        assert_eq!(set.already_stored(row.row()), Some(false));
+        set.merge(&row);
+        assert_eq!(set.already_stored(row.row()), Some(true));
+        assert_eq!(set.already_sent(row.row()), None, "no filter");
+        let mut off = RecStore::new(&tc, tc_rel, false, 64);
+        let mut agg = RecStore::new(&cc, cc.rel_by_name("cc2").unwrap(), true, 64);
+        for s in [&mut off, &mut agg] {
+            s.merge(&row);
+            assert_eq!(s.already_stored(row.row()), None);
         }
     }
 

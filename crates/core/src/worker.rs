@@ -41,20 +41,22 @@
 //! there a row's derivations depend on the other rows of the store, and
 //! ordering it sent ~8× more tuples.
 //!
-//! Routing note: a derived tuple is *sent* once per distinct destination
-//! worker, and every receiver re-derives locally which of the relation's
-//! routes (§4.3) apply to it — this keeps multi-route relations (APSP)
-//! correct even when two routes hash to the same worker.
+//! Routing note: each head row is routed once, by `owner` (the function
+//! `H`), and meets the one existence check its destination allows
+//! (`PartialAgg::route`). A derived tuple is *sent* once per distinct
+//! destination worker, and every receiver re-derives locally which of the
+//! relation's routes (§4.3) apply to it — this keeps multi-route relations
+//! (APSP) correct even when two routes hash to the same worker.
 
 use crate::config::EngineConfig;
 use crate::eval::{DeltaRow, EvalScratch, Evaluator};
-use crate::store::{Merged, WorkerStore};
+use crate::store::{Merged, RecStore, WorkerStore};
 use dcd_common::{AggFunc, DcdError, Frame, Partitioner, Result, Row, Value, WorkerId};
-use dcd_frontend::physical::{PhysicalPlan, RelId, StorageKind};
+use dcd_frontend::physical::{PhysicalPlan, RelDecl, RelId, StorageKind};
 use dcd_runtime::trace::{Mark, Phase};
 use dcd_runtime::{
-    Batch, BufferMatrix, DwsController, IdleOutcome, Recorder, RoundBarrier, SspClock, Strategy,
-    Termination, WorkerEndpoints,
+    Batch, BufferMatrix, DwsController, IdleOutcome, MetricsSnapshot, Recorder, RoundBarrier,
+    SspClock, Strategy, Termination, WorkerEndpoints,
 };
 use dcd_storage::DerivedRelation;
 use std::cmp::Reverse;
@@ -171,86 +173,208 @@ const FLUSH_ROWS: usize = 1 << 14;
 
 /// Delta rows per evaluation slice: how often Iterate checks the buffer
 /// against [`FLUSH_ROWS`], and how many of the best pending rows a
-/// best-first group evaluates before its head rows are merged.
+/// best-first group evaluates before its head rows are merged. Also the
+/// head rows the kernel's sink buffers before it routes them
+/// ([`PartialAgg::sink`]), so the buffer stays in cache.
 const SLICE_ROWS: usize = 256;
 
 /// Head rows between the kernel and Distribute, with the pre-Distribute
-/// partial aggregation of §5.2.3. A `min`/`max` head relation's rows
-/// collapse in a storage aggregate relation, created at the relation's
-/// first row, so "same group" and "better" mean exactly what they mean at
-/// the merge; its best row per group reaches Distribute when the
-/// iteration ends, or, while a best-first group is evaluated, after each
-/// slice ([`PartialAgg::clear`] keeps the tables, so no slice zeroes a
-/// fresh one). Every other row is copied, as lanes, into its head
-/// relation's queue frame, which [`Worker::flush`] hands on every
-/// [`FLUSH_ROWS`] queued rows: a set row's only collapse is exact-duplicate
-/// elimination, which the stored-row check before the queue, Distribute's
-/// sent-filter and the idempotent merge already perform. A `sum`/`count` merge
-/// replaces the contributor's previous value, so a group ends with the
-/// total it would have had from the latest contribution alone: an exact
-/// duplicate merges as `Merged::Old`, and a superseded contribution
-/// delivered first still moves the total (and can queue the group for the
-/// next iteration) until its successor, queued after it in the same
-/// frame, overwrites it, which costs work but not correctness.
-#[derive(Default)]
-struct PartialAgg {
+/// partial aggregation of §5.2.3: the kernel's sink ([`PartialAgg::sink`]),
+/// which routes each head row once ([`PartialAgg::route`]). A `min`/`max`
+/// head relation's rows collapse in a storage aggregate relation, created
+/// at the relation's first kernel call, so "same group" and "better" mean
+/// exactly what they mean at the merge; its best row per group reaches
+/// Distribute, which routes it, when the iteration ends, or, while a
+/// best-first group is evaluated, after each slice ([`PartialAgg::clear`]
+/// keeps the tables, so no slice zeroes a fresh one). Every other row is
+/// copied, as lanes, into its head relation's queue frame for its
+/// destination, which [`Worker::flush`] hands on every [`FLUSH_ROWS`]
+/// queued rows: a set row's only collapse is exact-duplicate elimination,
+/// which the stored-row check, Distribute's sent-filter and the idempotent
+/// merge already perform. A `sum`/`count` merge replaces the contributor's
+/// previous value, so a group ends with the total it would have had from
+/// the latest contribution alone: an exact duplicate merges as
+/// `Merged::Old`, and a superseded contribution delivered first still moves
+/// the total (and can queue the group for the next iteration) until its
+/// successor, queued after it in the same frame, overwrites it, which costs
+/// work but not correctness.
+struct PartialAgg<'a> {
+    plan: &'a PhysicalPlan,
+    /// The discriminating function `H` and this worker's id.
+    part: Partitioner,
+    me: WorkerId,
     best: Vec<(RelId, DerivedRelation)>,
-    queued: Vec<(RelId, Frame)>,
+    /// Per head relation, one frame per destination worker and, last, one
+    /// of rows with several destinations.
+    queued: Vec<(RelId, Vec<Frame>)>,
     /// Rows in `queued`.
     queued_rows: usize,
+    /// Set and `sum`/`count` rows the kernel emitted that
+    /// [`PartialAgg::route`] has not routed yet.
+    emitted: Frame,
+    /// Rows handed to the sink, and the stored-row lookups made for them.
+    head_rows: u64,
+    stored_checks: u64,
 }
 
-impl PartialAgg {
-    fn push(&mut self, plan: &PhysicalPlan, rel: RelId, row: Row<'_>) {
-        let decl = plan.idb[rel].as_ref().expect("IDB head");
-        let StorageKind::Agg {
+impl<'a> PartialAgg<'a> {
+    /// An empty accumulator for worker `me` of `part.partitions()`.
+    fn new(plan: &'a PhysicalPlan, part: Partitioner, me: WorkerId) -> Self {
+        PartialAgg {
+            plan,
+            part,
+            me,
+            best: Vec::new(),
+            queued: Vec::new(),
+            queued_rows: 0,
+            emitted: Frame::default(),
+            head_rows: 0,
+            stored_checks: 0,
+        }
+    }
+
+    /// The slot of head relation `rel`'s rows, created at its first
+    /// kernel call: a `min`/`max` relation's accumulator, or any other
+    /// relation's queue frames.
+    fn head(&mut self, rel: RelId) -> Head<'a> {
+        let decl = self.plan.idb[rel].as_ref().expect("IDB head");
+        if let StorageKind::Agg {
             func: func @ (AggFunc::Min | AggFunc::Max),
             group_cols,
             ..
         } = decl.kind
-        else {
-            let at = self.queued.iter().position(|(r, _)| *r == rel);
+        {
+            let at = self.best.iter().position(|(r, _)| *r == rel);
             let at = at.unwrap_or_else(|| {
-                self.queued.push((rel, Frame::default()));
-                self.queued.len() - 1
+                let acc = DerivedRelation::aggregate(func, group_cols, 0.0, &[]);
+                self.best.push((rel, acc));
+                self.best.len() - 1
             });
-            self.queued[at].1.push(row);
-            self.queued_rows += 1;
-            return;
-        };
-        let at = self.best.iter().position(|(r, _)| *r == rel);
+            return Head::Collapse(at);
+        }
+        let at = self.queued.iter().position(|(r, _)| *r == rel);
         let at = at.unwrap_or_else(|| {
-            let acc = DerivedRelation::aggregate(func, group_cols, 0.0, &[]);
-            self.best.push((rel, acc));
-            self.best.len() - 1
+            let frames = (0..=self.part.partitions()).map(|_| Frame::default());
+            self.queued.push((rel, frames.collect()));
+            self.queued.len() - 1
         });
+        Head::Queue(at, decl)
+    }
+
+    /// The kernel's sink for `head`'s rows, whose store on this worker
+    /// is `stored`. A `min`/`max` row merges into its relation's
+    /// accumulator. Any other row is buffered, and routed whenever the
+    /// buffer holds [`SLICE_ROWS`] rows; the caller routes the rest
+    /// ([`PartialAgg::route`]) once the kernel returns. The init phase and
+    /// Iterate pass this one sink type, so the kernel is compiled once,
+    /// and the sink is inlined into it: a call per head row cost 1-worker
+    /// `tc-rmat` ~6% of its run time.
+    fn sink<'s>(
+        &'s mut self,
+        head: Head<'a>,
+        stored: &'s RecStore,
+    ) -> impl FnMut(Row<'_>) + use<'a, 's> {
+        #[inline(always)]
+        move |row| match head {
+            Head::Collapse(at) => self.collapse(at, row),
+            Head::Queue(..) => {
+                self.emitted.push(row);
+                if self.emitted.len() == SLICE_ROWS {
+                    self.route(head, stored);
+                }
+            }
+        }
+    }
+
+    /// Merges a `min`/`max` head row into `best[at]`. Not inlined: the
+    /// kernel inlines the sink, and this merge is rare next to its walk.
+    #[inline(never)]
+    fn collapse(&mut self, at: usize, row: Row<'_>) {
+        self.head_rows += 1;
         self.best[at].1.merge(row);
     }
 
-    /// Consumes the accumulator, returning `(head relation, rows)` for
-    /// Distribute: the rows still queued, then each `min`/`max`
-    /// relation's best rows. Each table is freed before its rows merge.
-    fn drain(self) -> Vec<(RelId, Frame)> {
+    /// Routes the rows the sink buffered for `head`, whose store on this
+    /// worker is `stored`, and queues each for its destination ([`owner`]),
+    /// unless its destinations include this worker and `stored` already
+    /// holds it: such a row was routed to every destination when it was
+    /// first stored, so it would merge as `Old` everywhere. A row only
+    /// peers own never meets that check, which could not succeed: this
+    /// worker stores only rows routed here. On one worker every row is
+    /// this worker's, and none is routed. One pass over the buffer keeps
+    /// the kernel's loop free of the lookups.
+    #[inline(never)]
+    fn route(&mut self, head: Head<'a>, stored: &RecStore) {
+        let Head::Queue(at, decl) = head else {
+            return;
+        };
+        let n = self.part.partitions();
+        let mut emitted = std::mem::take(&mut self.emitted);
+        self.head_rows += emitted.len() as u64;
+        for row in emitted.iter() {
+            // The row's queue frame, its one destination's or the last for
+            // several, and whether it may land here.
+            let (frame, here) = if n == 1 {
+                (0, true)
+            } else if let Some(d) = owner(&self.part, decl, row) {
+                (d, d == self.me)
+            } else {
+                let mut routes = decl.partition_cols.iter();
+                let here = routes.any(|&c| self.part.of_key(row.key(c)) == self.me);
+                (n, decl.broadcast || here)
+            };
+            if here {
+                if let Some(stored) = stored.already_stored(row) {
+                    self.stored_checks += 1;
+                    if stored {
+                        continue;
+                    }
+                }
+            }
+            self.queued[at].1[frame].push(row);
+            self.queued_rows += 1;
+        }
+        emitted.clear();
+        self.emitted = emitted;
+    }
+
+    /// Consumes the accumulator, returning `(head relation, destination,
+    /// rows)` for Distribute as [`PartialAgg::frames`] orders them. Each
+    /// table is freed before its rows merge.
+    fn drain(self) -> Vec<(RelId, Option<WorkerId>, Frame)> {
+        debug_assert!(self.emitted.is_empty(), "emitted rows left unrouted");
+        let n = self.part.partitions();
+        let queued = self.queued.into_iter().flat_map(|(rel, frames)| {
+            let dests = (0..n).map(Some).chain([None]);
+            dests.zip(frames).map(move |(d, f)| (rel, d, f))
+        });
         let best = self
             .best
             .into_iter()
-            .map(|(rel, acc)| (rel, acc.into_rows()));
-        self.queued.into_iter().chain(best).collect()
+            .map(|(rel, acc)| (rel, None, acc.into_rows()));
+        queued.chain(best).collect()
     }
 
-    /// The queued rows and, with `best`, each `min`/`max` relation's best
-    /// rows, as [`PartialAgg::drain`] orders them, without consuming the
-    /// accumulator.
-    fn frames(&self, best: bool) -> impl Iterator<Item = (RelId, &Frame)> {
+    /// `(head relation, destination, rows)`: the rows queued for each
+    /// destination worker, then those with several destinations (`None`)
+    /// and, with `best`, each `min`/`max` relation's best rows, which are
+    /// routed in Distribute (`None`). The accumulator is not consumed.
+    fn frames(&self, best: bool) -> impl Iterator<Item = (RelId, Option<WorkerId>, &Frame)> {
+        debug_assert!(self.emitted.is_empty(), "emitted rows left unrouted");
+        let n = self.part.partitions();
+        let queued = self.queued.iter().flat_map(move |(rel, frames)| {
+            let dests = (0..n).map(Some).chain([None]);
+            dests.zip(frames).map(move |(d, f)| (*rel, d, f))
+        });
         let best = if best { &self.best[..] } else { &[] };
-        let best = best.iter().map(|(rel, acc)| (*rel, acc.rows()));
-        self.queued.iter().map(|(rel, f)| (*rel, f)).chain(best)
+        let best = best.iter().map(|(rel, acc)| (*rel, None, acc.rows()));
+        queued.chain(best)
     }
 
     /// Empties, in place, what [`PartialAgg::frames`] returns for `best`,
     /// keeping the buffers and tables for the next slice.
     fn clear(&mut self, best: bool) {
-        for (_, f) in &mut self.queued {
+        for f in self.queued.iter_mut().flat_map(|(_, frames)| frames) {
             f.clear();
         }
         self.queued_rows = 0;
@@ -259,6 +383,60 @@ impl PartialAgg {
                 acc.clear();
             }
         }
+    }
+}
+
+/// [`PartialAgg::sink`]'s handle on one head relation, taken once per
+/// kernel call ([`PartialAgg::head`]).
+#[derive(Clone, Copy)]
+enum Head<'p> {
+    /// A `min`/`max` relation, collapsing in `best[i]`.
+    Collapse(usize),
+    /// Any other relation, routed by its declaration and queued in
+    /// `queued[i]`.
+    Queue(usize, &'p RelDecl),
+}
+
+/// The one worker a row of `decl` goes to under `part` (§5.2.3's `H`):
+/// `None` when it goes to several, that is, the relation is broadcast or
+/// the row's routes hash to different workers. On one worker it is worker
+/// 0, with no hashing. Always inlined: the routing pass calls it for
+/// every row.
+#[inline(always)]
+fn owner(part: &Partitioner, decl: &RelDecl, row: Row<'_>) -> Option<WorkerId> {
+    if part.partitions() == 1 {
+        return Some(0);
+    }
+    if decl.broadcast {
+        return None;
+    }
+    // The planner gives every relation a route column.
+    let cols = &decl.partition_cols;
+    let d = part.of_key(row.key(cols[0]));
+    cols[1..]
+        .iter()
+        .all(|&c| part.of_key(row.key(c)) == d)
+        .then_some(d)
+}
+
+/// Distribute's sent-filter on `store`'s relation (§6.2.2 on the
+/// exchange): whether this worker already routed `row`, counted in `m` as
+/// a hit or a miss. A row this worker routed went to the same
+/// (deterministic) destinations then, and re-merging it anywhere is a
+/// no-op, so it is dropped before it is serialized. `false` for a
+/// relation without a filter.
+#[inline]
+fn already_sent(store: &mut RecStore, m: &mut MetricsSnapshot, row: Row<'_>) -> bool {
+    match store.already_sent(row) {
+        Some(true) => {
+            m.cache_hits += 1;
+            true
+        }
+        Some(false) => {
+            m.cache_misses += 1;
+            false
+        }
+        None => false,
     }
 }
 
@@ -420,16 +598,19 @@ impl<'a> Worker<'a> {
         self.t_eval = Instant::now();
         let plan = self.plan;
         let stratum = &plan.strata[si];
-        let mut acc = PartialAgg::default();
+        let mut acc = PartialAgg::new(plan, coord.part, self.me);
         for rule in &stratum.init_rules {
-            let head = rule.head_rel;
-            let mut sink = |row: Row<'_>| acc.push(plan, head, row);
-            self.evaluator.eval_init(rule, &self.store, &mut sink);
+            let (head, stored) = (acc.head(rule.head_rel), self.store.rec(rule.head_rel));
+            self.evaluator
+                .eval_init(rule, &self.store, &mut acc.sink(head, stored));
+            acc.route(head, stored);
         }
         if self.me == 0 {
             for (rel, t) in &plan.facts {
                 if stratum.rels.contains(rel) {
-                    acc.push(plan, *rel, t.row());
+                    let (head, stored) = (acc.head(*rel), self.store.rec(*rel));
+                    acc.sink(head, stored)(t.row());
+                    acc.route(head, stored);
                 }
             }
         }
@@ -597,7 +778,7 @@ impl<'a> Worker<'a> {
         let mut rows = std::mem::take(&mut self.delta);
         rows.sort_unstable();
         rows.dedup();
-        let mut acc = PartialAgg::default();
+        let mut acc = PartialAgg::new(self.plan, self.coord.part, self.me);
         for group in rows.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
             self.eval_group(group, &mut acc)?;
         }
@@ -610,7 +791,7 @@ impl<'a> Worker<'a> {
     /// Iterate's best-first part: evaluates the orders one slice at a time
     /// until they are empty, distributing each slice; the ids its merges
     /// improve join the orders as they merge.
-    fn eval_best_first(&mut self, acc: &mut PartialAgg) -> Result<()> {
+    fn eval_best_first(&mut self, acc: &mut PartialAgg<'_>) -> Result<()> {
         let mut slice = Vec::new();
         while self.next_slice(&mut slice) {
             self.coord.check_deadline()?;
@@ -630,12 +811,11 @@ impl<'a> Worker<'a> {
     }
 
     /// Runs every delta rule of the stratum that consumes `group`'s
-    /// `(rel, route)` over it, feeding head rows to `acc` unless this
-    /// worker already stores them (`RecStore::already_stored`: such a row
-    /// was routed to every destination when it was first stored, so it
-    /// would merge as `Old` everywhere), and offers the buffered rows to
-    /// [`Worker::flush`] after every slice.
-    fn eval_group(&mut self, group: &[DeltaRow], acc: &mut PartialAgg) -> Result<()> {
+    /// `(rel, route)` over it, handing each head row to `acc`'s sink
+    /// ([`PartialAgg::sink`]), which routes it once and checks it against
+    /// the head's store only when the row may land here, and offers the
+    /// buffered rows to [`Worker::flush`] after every slice.
+    fn eval_group(&mut self, group: &[DeltaRow], acc: &mut PartialAgg<'_>) -> Result<()> {
         let plan = self.plan;
         let (rel, route) = (group[0].0, group[0].1);
         self.rec.counters.tuples_processed += group.len() as u64;
@@ -644,25 +824,22 @@ impl<'a> Worker<'a> {
             if spec.rel != rel || spec.route != route as usize {
                 continue;
             }
-            let head = rule.head_rel;
+            let head = acc.head(rule.head_rel);
             let n = self
                 .evaluator
                 .sort_batch(rule, &self.store, group, &mut self.scratch);
             for lo in (0..n).step_by(SLICE_ROWS) {
                 let slice = lo..n.min(lo + SLICE_ROWS);
-                let stored = self.store.rec(head);
+                let stored = self.store.rec(rule.head_rel);
                 self.evaluator.eval_sorted(
                     rule,
                     &self.store,
                     group,
                     slice,
                     &mut self.scratch,
-                    &mut |row| {
-                        if !stored.already_stored(row) {
-                            acc.push(plan, head, row)
-                        }
-                    },
+                    &mut acc.sink(head, stored),
                 );
+                acc.route(head, stored);
                 self.flush(acc, false)?;
             }
             let m = &mut self.rec.counters;
@@ -675,7 +852,7 @@ impl<'a> Worker<'a> {
     /// Iterate's hand-off to Distribute after a slice, which splits the
     /// open `EvalDelta` span: with `best`, every buffered row; without,
     /// the queued rows once [`FLUSH_ROWS`] of them are buffered.
-    fn flush(&mut self, acc: &mut PartialAgg, best: bool) -> Result<()> {
+    fn flush(&mut self, acc: &mut PartialAgg<'_>, best: bool) -> Result<()> {
         if !best && acc.queued_rows < FLUSH_ROWS {
             return Ok(());
         }
@@ -688,11 +865,15 @@ impl<'a> Worker<'a> {
 
     /// The hand-off that ends the init phase and each iteration: closes
     /// the `EvalDelta` span, which evaluated `rows` delta rows, and
-    /// distributes every row, freeing each `min`/`max` table first.
-    fn finish(&mut self, acc: PartialAgg, rows: u64) -> Result<()> {
+    /// distributes every row, freeing each `min`/`max` table first. Adds
+    /// the accumulator's sink counts to the recorder.
+    fn finish(&mut self, acc: PartialAgg<'_>, rows: u64) -> Result<()> {
         self.rec.close(Phase::EvalDelta, self.t_eval, rows, 0, 0);
+        let m = &mut self.rec.counters;
+        m.head_rows += acc.head_rows;
+        m.stored_checks += acc.stored_checks;
         let out = acc.drain();
-        self.distribute(out.iter().map(|(rel, rows)| (*rel, rows)))
+        self.distribute(out.iter().map(|(rel, dest, rows)| (*rel, *dest, rows)))
     }
 
     /// Delta rows waiting for Iterate: the delta's ids and the entries of
@@ -740,59 +921,61 @@ impl<'a> Worker<'a> {
         false
     }
 
-    /// Routes `(head relation, rows)` frames (Distribute): local merges
-    /// feed the next delta immediately, remote rows are copied, as lanes,
-    /// into one frame per destination, which goes through the SPSC buffers
-    /// as a batch once it holds `batch_size` rows, or once the relation's
-    /// rows are routed. Adds the rows merged here and sent to
-    /// [`Worker::produced`], and the sent-filter's hits and misses to the
-    /// recorder.
-    fn distribute<'r>(&mut self, outs: impl IntoIterator<Item = (RelId, &'r Frame)>) -> Result<()> {
+    /// Routes `(head relation, destination, rows)` frames (Distribute).
+    /// A frame's destination was computed when its rows were routed
+    /// ([`PartialAgg::route`]): rows this worker owns met the stored-row
+    /// check then and merge here, feeding the next delta immediately. Every
+    /// other row meets the sent-filter ([`already_sent`]), and rows without
+    /// a destination (several destinations, or `min`/`max` rows) are routed
+    /// here by the same [`owner`]. Remote rows are copied, as lanes, into
+    /// one frame per destination, which goes through the SPSC buffers as a
+    /// batch once it holds `batch_size` rows, or once the frame is routed.
+    /// Adds the rows merged here and sent to [`Worker::produced`], and the
+    /// sent-filter's hits and misses to the recorder.
+    fn distribute<'r>(
+        &mut self,
+        outs: impl IntoIterator<Item = (RelId, Option<WorkerId>, &'r Frame)>,
+    ) -> Result<()> {
         let t0 = Instant::now();
         let (plan, n) = (self.plan, self.cfg.workers);
-        let batch = self.cfg.batch_size.max(1);
         let sent_before = self.rec.counters.tuples_sent;
         let mut local_new = 0u64;
         let mut staged: Vec<Frame> = (0..n).map(|_| Frame::default()).collect();
         let mut dests: Vec<WorkerId> = Vec::with_capacity(2);
-        for (rel, rows) in outs {
-            let decl = plan.idb[rel].as_ref().expect("IDB head");
-            for row in rows.iter() {
-                // The sent-filter: a row this worker already routed went to
-                // the same (deterministic) destinations then; re-merging it
-                // anywhere is a no-op, so the whole row can be dropped
-                // before it is serialized. On one worker every row merges
-                // locally, where the dedup table is the check, so no filter
-                // is used.
-                if n > 1 {
-                    let m = &mut self.rec.counters;
-                    match self.store.rec_mut(rel).already_sent(row) {
-                        Some(true) => {
-                            m.cache_hits += 1;
+        for (rel, dest, rows) in outs {
+            match dest {
+                // Rows this worker owns met the stored-row check when they
+                // were routed.
+                Some(d) if d == self.me => {
+                    for row in rows.iter() {
+                        local_new += self.merge_local(rel, row);
+                    }
+                }
+                Some(d) => self.stage_unsent(d, rel, rows, &mut staged[d])?,
+                None => {
+                    let decl = plan.idb[rel].as_ref().expect("IDB head");
+                    for row in rows.iter() {
+                        let (store, m) = (self.store.rec_mut(rel), &mut self.rec.counters);
+                        if already_sent(store, m, row) {
                             continue;
                         }
-                        Some(false) => m.cache_misses += 1,
-                        None => {}
-                    }
-                }
-                dests.clear();
-                if decl.broadcast {
-                    dests.extend(0..n);
-                } else {
-                    for &c in &decl.partition_cols {
-                        let d = self.coord.part.of_key(row.key(c));
-                        if !dests.contains(&d) {
-                            dests.push(d);
+                        if let Some(d) = owner(&self.coord.part, decl, row) {
+                            local_new += self.deliver(d, rel, row, &mut staged)?;
+                            continue;
                         }
-                    }
-                }
-                for &d in &dests {
-                    if d == self.me {
-                        local_new += self.merge_local(rel, row);
-                    } else {
-                        staged[d].push(row);
-                        if staged[d].len() == batch {
-                            self.send(d, rel, std::mem::take(&mut staged[d]))?;
+                        dests.clear();
+                        if decl.broadcast {
+                            dests.extend(0..n);
+                        } else {
+                            for &c in &decl.partition_cols {
+                                let d = self.coord.part.of_key(row.key(c));
+                                if !dests.contains(&d) {
+                                    dests.push(d);
+                                }
+                            }
+                        }
+                        for &d in &dests {
+                            local_new += self.deliver(d, rel, row, &mut staged)?;
                         }
                     }
                 }
@@ -809,6 +992,55 @@ impl<'a> Worker<'a> {
         self.rec
             .close(Phase::Distribute, t0, local_new, remote_sent, 0);
         Ok(())
+    }
+
+    /// Distribute for `rows` of `rel` bound for peer `dest`: stages each
+    /// row the sent-filter has not seen in `stage`, and sends the stage as
+    /// a batch whenever it holds `batch_size` rows. One tight loop, so the
+    /// filter's lookups overlap.
+    fn stage_unsent(
+        &mut self,
+        dest: WorkerId,
+        rel: RelId,
+        rows: &Frame,
+        stage: &mut Frame,
+    ) -> Result<()> {
+        let batch = self.cfg.batch_size.max(1);
+        let mut full = Vec::new();
+        let (store, m) = (self.store.rec_mut(rel), &mut self.rec.counters);
+        for row in rows.iter() {
+            if !already_sent(store, m, row) {
+                stage.push(row);
+                if stage.len() == batch {
+                    full.push(std::mem::take(stage));
+                }
+            }
+        }
+        for frame in full {
+            self.send(dest, rel, frame)?;
+        }
+        Ok(())
+    }
+
+    /// Distribute's hand-off of `rel`'s `row` to worker `dest`: merges it
+    /// here when `dest` is this worker, returning 1 when it was new, or
+    /// stages it for `dest`, sending the stage as a batch once it holds
+    /// `batch_size` rows.
+    fn deliver(
+        &mut self,
+        dest: WorkerId,
+        rel: RelId,
+        row: Row<'_>,
+        staged: &mut [Frame],
+    ) -> Result<u64> {
+        if dest == self.me {
+            return Ok(self.merge_local(rel, row));
+        }
+        staged[dest].push(row);
+        if staged[dest].len() == self.cfg.batch_size.max(1) {
+            self.send(dest, rel, std::mem::take(&mut staged[dest]))?;
+        }
+        Ok(0)
     }
 
     /// Sends `frame`, one batch of `rel`'s rows, to worker `dest`, waiting
@@ -946,14 +1178,24 @@ mod tests {
         v.iter().map(|r| Tuple::from_ints(r)).collect()
     }
 
-    fn push(acc: &mut PartialAgg, p: &PhysicalPlan, rel: RelId, row: &Tuple) {
-        acc.push(p, rel, row.row());
+    /// The 1-worker sink for `p`.
+    fn sink(p: &PhysicalPlan) -> PartialAgg<'_> {
+        PartialAgg::new(p, Partitioner::new(1), 0)
+    }
+
+    /// Offers `row` of `rel` to `acc` against an empty store.
+    fn push(acc: &mut PartialAgg<'_>, rel: RelId, row: &Tuple) {
+        let (head, empty) = (acc.head(rel), RecStore::new(acc.plan, rel, true, 64));
+        acc.sink(head, &empty)(row.row());
+        acc.route(head, &empty);
     }
 
     /// `(relation, row)` for every row of `frames`, decoded.
-    fn decode<'f>(frames: impl Iterator<Item = (RelId, &'f Frame)>) -> Vec<(RelId, Tuple)> {
+    fn decode<'f>(
+        frames: impl Iterator<Item = (RelId, Option<WorkerId>, &'f Frame)>,
+    ) -> Vec<(RelId, Tuple)> {
         frames
-            .flat_map(|(rel, f)| f.iter().map(move |r| (rel, r.to_tuple())))
+            .flat_map(|(rel, _, f)| f.iter().map(move |r| (rel, r.to_tuple())))
             .collect()
     }
 
@@ -974,9 +1216,9 @@ mod tests {
         for (src, name, want) in cases {
             let p = plan_of(src);
             let rel = p.rel_by_name(name).unwrap();
-            let mut acc = PartialAgg::default();
+            let mut acc = sink(&p);
             for row in rows(&[[1, 9], [1, 3], [1, 7], [2, 5]]) {
-                push(&mut acc, &p, rel, &row);
+                push(&mut acc, rel, &row);
             }
             let mut got: Vec<Tuple> = decode(acc.frames(true))
                 .into_iter()
@@ -991,10 +1233,10 @@ mod tests {
             // A flushed accumulator starts over: a row worse than the
             // flushed best is new again.
             for row in rows(&[[1, 20], [3, 4]]) {
-                push(&mut acc, &p, rel, &row);
+                push(&mut acc, rel, &row);
             }
             let out = acc.drain();
-            let mut got: Vec<Tuple> = decode(out.iter().map(|(r, f)| (*r, f)))
+            let mut got: Vec<Tuple> = decode(out.iter().map(|(r, d, f)| (*r, *d, f)))
                 .into_iter()
                 .map(|(_, t)| t)
                 .collect();
@@ -1010,13 +1252,16 @@ mod tests {
         // accumulator must forward every row without hashing it.
         let p = tc_plan();
         let tc = p.rel_by_name("tc").unwrap();
-        let mut acc = PartialAgg::default();
+        let mut acc = sink(&p);
         for _ in 0..5 {
-            push(&mut acc, &p, tc, &Tuple::from_ints(&[1, 2]));
+            push(&mut acc, tc, &Tuple::from_ints(&[1, 2]));
         }
-        push(&mut acc, &p, tc, &Tuple::from_ints(&[1, 3]));
+        push(&mut acc, tc, &Tuple::from_ints(&[1, 3]));
         assert_eq!(acc.queued_rows, 6);
-        assert_eq!(acc.drain().iter().map(|(_, f)| f.len()).sum::<usize>(), 6);
+        assert_eq!(
+            acc.drain().iter().map(|(_, _, f)| f.len()).sum::<usize>(),
+            6
+        );
     }
 
     #[test]
@@ -1044,13 +1289,13 @@ mod tests {
             (rank, float(1, 2, 0.75)),
             (cnt, Tuple::from_ints(&[4, 8])),
         ];
-        let mut acc = PartialAgg::default();
+        let mut acc = sink(&p);
         for (rel, row) in &pushed {
-            push(&mut acc, &p, *rel, row);
+            push(&mut acc, *rel, row);
         }
         assert_eq!(acc.queued_rows, pushed.len(), "queued for the flush");
         let out = acc.drain();
-        let got = decode(out.iter().map(|(r, f)| (*r, f)));
+        let got = decode(out.iter().map(|(r, d, f)| (*r, *d, f)));
         for rel in [rank, cnt] {
             let of = |rows: &[(RelId, Tuple)]| -> Vec<Tuple> {
                 rows.iter()
@@ -1061,6 +1306,57 @@ mod tests {
             assert_eq!(of(&got), of(&pushed));
         }
         assert_eq!(got.len(), pushed.len());
+    }
+
+    #[test]
+    fn sink_checks_the_store_only_for_rows_that_may_land_here() {
+        let part = Partitioner::new(2);
+        let owned_by = |w: WorkerId| (0..).find(move |&k| part.of_key(k as u64) == w).unwrap();
+        let (a, b) = (owned_by(0), owned_by(1));
+        // Linear TC routes on column 1; non-linear TC also on column 0.
+        for (src, legs) in [
+            (
+                crate::queries::TC,
+                vec![([7, a], Some(0), true), ([7, b], Some(1), false)],
+            ),
+            (
+                "tc(X, Y) <- arc(X, Y). tc(X, Y) <- tc(X, Z), tc(Z, Y).",
+                vec![
+                    ([a, a], Some(0), true),
+                    ([b, a], None, true),
+                    ([a, b], None, true),
+                    ([b, b], Some(1), false),
+                ],
+            ),
+        ] {
+            let p = plan_of(src);
+            let tc = p.rel_by_name("tc").unwrap();
+            // Worker 0's store holds every row, even those it cannot own,
+            // so only a lookup the sink makes can drop one.
+            let mut store = RecStore::new(&p, tc, true, 64);
+            let mut acc = PartialAgg::new(&p, part, 0);
+            for (row, _, _) in &legs {
+                store.merge(&Tuple::from_ints(row));
+                let head = acc.head(tc);
+                acc.sink(head, &store)(Tuple::from_ints(row).row());
+                acc.route(head, &store);
+            }
+            let checked = legs.iter().filter(|(_, _, here)| *here).count();
+            assert_eq!(acc.head_rows, legs.len() as u64, "{src}");
+            assert_eq!(acc.stored_checks, checked as u64, "{src}");
+            let mut queued: Vec<(Option<WorkerId>, Tuple)> = acc
+                .frames(true)
+                .flat_map(|(_, d, f)| f.iter().map(move |r| (d, r.to_tuple())))
+                .collect();
+            queued.sort();
+            let mut want: Vec<(Option<WorkerId>, Tuple)> = legs
+                .iter()
+                .filter(|(_, _, here)| !here)
+                .map(|(row, d, _)| (*d, Tuple::from_ints(row)))
+                .collect();
+            want.sort();
+            assert_eq!(queued, want, "only rows for peers alone are queued: {src}");
+        }
     }
 
     /// Worker 0 of `cfg.workers` for `p`, whose base relation `edb` holds

@@ -556,7 +556,7 @@ fn dws_report_carries_omega_tau_samples() {
     assert!(decisions > 0, "DWS must record ω/τ decisions");
     assert!(!rep.iteration_series().is_empty());
     let json = rep.to_json();
-    assert!(json.contains("\"schema\": 6"));
+    assert!(json.contains("\"schema\": 7"));
     assert!(!json.contains("dws_samples"));
     assert!(json.contains("\"omega\":"));
 }
@@ -707,6 +707,65 @@ fn sent_filter_suppresses_duplicate_sends() {
             assert_eq!((hits, misses), (0, 0), "{} x1", s.name());
         }
     }
+}
+
+#[test]
+fn each_set_head_row_meets_exactly_one_existence_check() {
+    // The kernel's sink routes each head row once. A row this worker owns
+    // meets the stored-row check there; a row bound for a peer meets only
+    // Distribute's sent-filter. TC and SG route their one set relation by
+    // one column, so every head row meets exactly one of the two, and at
+    // more than one worker some rows are a peer's.
+    let tc_arcs = dcd_datagen::gnp(150, 0.02, 5);
+    let sg_arcs = dcd_datagen::tree(3, 5);
+    for (query, program, arcs) in [
+        ("TC", queries::tc().unwrap(), &tc_arcs),
+        ("SG", queries::sg().unwrap(), &sg_arcs),
+    ] {
+        let mut want = None;
+        for cfg in configs() {
+            let (workers, name) = (
+                cfg.workers,
+                format!("{query} {} x{}", cfg.strategy.name(), cfg.workers),
+            );
+            let mut e = Engine::new(program.clone(), cfg).unwrap();
+            e.load_edges("arc", arcs).unwrap();
+            let r = e.run().unwrap();
+            let rows = r.sorted(&query.to_lowercase());
+            assert_eq!(want.get_or_insert_with(|| rows.clone()), &rows, "{name}");
+            let rep = &r.stats.report;
+            let head_rows = rep.total(|w| w.head_rows);
+            let checks = rep.total(|w| w.stored_checks);
+            let filtered = rep.total(|w| w.cache_hits + w.cache_misses);
+            assert!(head_rows > 0, "{name}");
+            assert_eq!(checks + filtered, head_rows, "{name}");
+            if workers == 1 {
+                assert_eq!((checks, filtered), (head_rows, 0), "{name}");
+            } else {
+                assert!(checks < head_rows, "{name}: no row was a peer's");
+            }
+        }
+    }
+}
+
+#[test]
+fn without_a_sent_filter_the_stored_row_check_still_runs() {
+    // `cache_slots: 0` sizes the sent-filter to nothing; the head's
+    // stored-row check does not depend on it.
+    let edges: Vec<(i64, i64)> = (0..240).map(|i| (i % 48, (i * 7 + 1) % 48)).collect();
+    let run = |cache_slots: usize| {
+        let mut cfg = EngineConfig::with_workers(1);
+        cfg.cache_slots = cache_slots;
+        let mut e = Engine::new(queries::tc().unwrap(), cfg).unwrap();
+        e.load_edges("arc", &edges).unwrap();
+        e.run().unwrap()
+    };
+    let (with, without) = (run(1 << 17), run(0));
+    assert_eq!(without.sorted("tc"), with.sorted("tc"));
+    let rep = &without.stats.report;
+    let head_rows = rep.total(|w| w.head_rows);
+    assert!(head_rows > 0);
+    assert_eq!(rep.total(|w| w.stored_checks), head_rows);
 }
 
 /// A three-layer complete DAG on `3n` nodes: every node of layer 0 points

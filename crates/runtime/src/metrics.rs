@@ -70,6 +70,12 @@ pub struct MetricsSnapshot {
     pub kernel_batches: u64,
     /// Delta rows fed through those batches.
     pub kernel_rows: u64,
+    /// Head rows handed to the kernel's sink, from init and delta rules
+    /// (and a stratum's inline facts): the emission funnel's first stage.
+    pub head_rows: u64,
+    /// Stored-row lookups the sink made for them: one per set row whose
+    /// destinations include this worker.
+    pub stored_checks: u64,
 }
 
 impl MetricsSnapshot {

@@ -10,7 +10,12 @@
 #   4. the traced DWS run carries a non-empty iteration_series, whose
 #      omega/tau columns are the controller's trajectory,
 #   5. the sent-filter engages: Σ cache_hits over per_worker is > 0,
-#   6. the run-level clocks: seal_ns > 0 (the EDB is not empty),
+#   6. each head row meets exactly one existence check: TC's one set
+#      relation routes by one column, so Σ stored_checks (rows this worker
+#      owns, checked against its store at the kernel's sink) plus
+#      Σ (cache_hits + cache_misses) (rows for a peer, checked by
+#      Distribute's sent-filter) equals Σ head_rows,
+#   7. the run-level clocks: seal_ns > 0 (the EDB is not empty),
 #      collect_ns is present, and seal_ns + elapsed_ns + collect_ns is at
 #      most the CLI call's wall time (timed with `date +%s%N`). The three
 #      clocks are disjoint parts of `Engine::run`, so a larger sum means a
@@ -51,7 +56,12 @@ awk 'BEGIN { for (i = 0; i < 120; i++) print i % 40, (i * 7 + 1) % 40 }' \
 
 fail=0
 
-# check_clocks LABEL STATS_FILE WALL_NS: item 6 above.
+# sum_field FIELD STATS_FILE: FIELD summed over the per_worker entries.
+sum_field() {
+    grep -o "\"$1\":[0-9]*" "$2" | awk -F: '{s += $2} END {print s + 0}'
+}
+
+# check_clocks LABEL STATS_FILE WALL_NS: item 7 above.
 check_clocks() {
     local label=$1 out=$2 wall=$3 seal elapsed collect
     seal=$(grep -o '"seal_ns": [0-9]*' "$out" | awk '{print $2}')
@@ -95,16 +105,16 @@ for strategy in global ssp:2 dws; do
                  backpressure_retries idle_ns omega_wait_ns gather_ns \
                  iterate_ns distribute_ns cache_hits cache_misses \
                  probe_hits probe_reuse kernel_batches kernel_rows \
-                 rows_per_batch dropped_events iteration_series; do
+                 head_rows stored_checks rows_per_batch dropped_events iteration_series; do
         if ! grep -q "\"$field\"" "$out"; then
             echo "FAIL($strategy): field \"$field\" missing from $out" >&2
             fail=1
         fi
     done
 
-    # -- Schema version (6 = run-level seal_ns and collect_ns) -----------
-    if ! grep -q '"schema": 6' "$out"; then
-        echo "FAIL($strategy): report schema is not 6 in $out" >&2
+    # -- Schema version (7 = per-worker head_rows and stored_checks) -----
+    if ! grep -q '"schema": 7' "$out"; then
+        echo "FAIL($strategy): report schema is not 7 in $out" >&2
         fail=1
     fi
     check_clocks "$strategy" "$out" "$wall"
@@ -158,7 +168,16 @@ for strategy in global ssp:2 dws; do
         fail=1
     fi
 
-    echo "ok($strategy): produced=$produced consumed=$consumed workers=$nworkers cache_hits=$hits"
+    # -- One existence check per head row --------------------------------
+    head_rows=$(sum_field head_rows "$out")
+    checks=$(sum_field stored_checks "$out")
+    filtered=$(($(sum_field cache_hits "$out") + $(sum_field cache_misses "$out")))
+    if [ "$head_rows" -eq 0 ] || [ $((checks + filtered)) -ne "$head_rows" ]; then
+        echo "FAIL($strategy): stored_checks ($checks) + filter lookups ($filtered) != head_rows ($head_rows)" >&2
+        fail=1
+    fi
+
+    echo "ok($strategy): produced=$produced consumed=$consumed workers=$nworkers cache_hits=$hits head_rows=$head_rows stored_checks=$checks"
 done
 
 # -- One worker: no cache is consulted -----------------------------------
