@@ -134,10 +134,13 @@ impl Frame {
         }
     }
 
-    /// `rows` all-zero integer rows in one zeroed allocation.
-    pub fn zeroed(arity: usize, rows: usize) -> Self {
+    /// `rows` all-zero integer rows in one zeroed allocation, with every
+    /// float tag allocated up front when `floats` (so overwriting a row
+    /// with a `Float` in it allocates nothing).
+    pub fn zeroed(arity: usize, rows: usize, floats: bool) -> Self {
         Frame {
             lanes: vec![0; arity * rows],
+            floats: vec![false; if floats { arity * rows } else { 0 }],
             rows,
             ..Frame::new(arity)
         }

@@ -8,7 +8,9 @@
 //! relation (`rows.to_vec()`) and rebuilt its indexes privately, which made
 //! replicated-EDB residency O(workers); with the catalog it is O(1).
 //! The seal runs inside `Engine::run` (it counts in `run_s` and the
-//! report's `seal_ns`) on the calling thread, before the fixpoint starts.
+//! report's `seal_ns`), before the fixpoint starts. A partitioned relation
+//! is sealed on one thread per worker, the calling thread among them; a
+//! replicated one, a single slice, on the calling thread alone.
 //!
 //! Each relation is sealed clustered on one of its index columns (see
 //! [`SealedRelation::partitioned`]): the partition column when it is
@@ -197,7 +199,7 @@ mod tests {
     #[test]
     fn a_row_of_another_arity_is_named_wherever_it_sits() {
         // TC partitions `arc`, SG replicates it.
-        for (src, workers) in [(TC, 1), (TC, 3), (SG, 3)] {
+        for (src, workers) in [(TC, 1), (TC, 2), (TC, 3), (TC, 4), (SG, 2), (SG, 4)] {
             let p = plan_for(src);
             let arc = p.rel_by_name("arc").unwrap();
             for (bad, at) in [(&[70][..], 0), (&[70, 71, 72], 5), (&[70, 71, 72], 10)] {

@@ -25,7 +25,9 @@
 //! newest row (§5.2.2) is a sort and dedup of the pending ids: the one id
 //! left reads the newest value.
 //!
-//! A `min`/`max` relation whose every consuming delta rule is linear (its
+//! A merged id is queued only for the routes some delta rule reads, so a
+//! relation no delta rule reads (SSSP's `results`) queues nothing. A
+//! `min`/`max` relation whose consuming delta rules are all linear (their
 //! join steps probe only base relations) is evaluated *best-first*: its
 //! pending ids never enter the delta. Every merge that improves a row
 //! pushes the row's id straight into a worker-local order by stored value
@@ -455,8 +457,9 @@ struct BestFirst {
 
 impl BestFirst {
     /// The order for `plan`'s relation `rel` when its pending rows are
-    /// evaluated best-first, that is, it is a `min`/`max` relation and
-    /// every delta rule consuming it is linear; `None` otherwise.
+    /// evaluated best-first, that is, it is a `min`/`max` relation that
+    /// some delta rule consumes and every delta rule consuming it is
+    /// linear; `None` otherwise.
     fn of(plan: &PhysicalPlan, rel: RelId) -> Option<BestFirst> {
         let decl = plan.idb[rel].as_ref()?;
         let StorageKind::Agg {
@@ -467,16 +470,17 @@ impl BestFirst {
         else {
             return None;
         };
-        let mut consumers = plan.strata.iter().flat_map(|s| &s.delta_rules);
-        consumers
-            .all(|r| !matches!(&r.delta, Some(d) if d.rel == rel) || r.is_linear())
-            .then(|| BestFirst {
-                col: group_cols,
-                max: func == AggFunc::Max,
-                routes: (0..decl.partition_cols.len().max(1))
-                    .map(|_| BinaryHeap::new())
-                    .collect(),
-            })
+        let rules = plan.strata.iter().flat_map(|s| &s.delta_rules);
+        let mut consumers = rules
+            .filter(|r| matches!(&r.delta, Some(d) if d.rel == rel))
+            .peekable();
+        (consumers.peek().is_some() && consumers.all(|r| r.is_linear())).then(|| BestFirst {
+            col: group_cols,
+            max: func == AggFunc::Max,
+            routes: (0..decl.partition_cols.len().max(1))
+                .map(|_| BinaryHeap::new())
+                .collect(),
+        })
     }
 
     /// `v`'s place in the order, best greatest: the total order of `v`
@@ -499,6 +503,18 @@ impl BestFirst {
     }
 }
 
+/// `read[rel][route]` for every IDB relation of `plan`: whether some
+/// delta rule reads `rel`'s rows on `route` (§4.3).
+fn read_routes(plan: &PhysicalPlan) -> Vec<Vec<bool>> {
+    let routes = |d: &Option<RelDecl>| d.as_ref().map_or(0, |d| d.partition_cols.len().max(1));
+    let mut read: Vec<Vec<bool>> = plan.idb.iter().map(|d| vec![false; routes(d)]).collect();
+    for rule in plan.strata.iter().flat_map(|s| &s.delta_rules) {
+        let d = rule.delta.as_ref().expect("delta rule");
+        read[d.rel][d.route] = true;
+    }
+    read
+}
+
 /// The worker context: everything one thread needs, and the state of the
 /// stratum it evaluates.
 pub struct Worker<'a> {
@@ -513,6 +529,9 @@ pub struct Worker<'a> {
     /// `best_first[rel]`: relation `rel`'s order when it is evaluated
     /// best-first.
     best_first: Vec<Option<BestFirst>>,
+    /// `read[rel][route]`: whether some delta rule reads relation `rel`
+    /// on `route`; a merged id is queued only for such a route.
+    read: Vec<Vec<bool>>,
     /// This worker's counters and trace; returned by [`Worker::run`].
     rec: Recorder,
     /// This worker's partition of every relation; returned by
@@ -561,6 +580,7 @@ impl<'a> Worker<'a> {
             best_first: (0..plan.idb.len())
                 .map(|rel| BestFirst::of(plan, rel))
                 .collect(),
+            read: read_routes(plan),
             rec: Recorder::new(coord.epoch, cfg.trace.then_some(cfg.trace_capacity)),
             store,
             si: 0,
@@ -1073,14 +1093,18 @@ impl<'a> Worker<'a> {
 
     /// Merges one merge-layout row into the local store; on success,
     /// queues the stored row's id once for every route of the relation
-    /// that maps here: into the relation's order at its stored value when
-    /// it is evaluated best-first, into the delta otherwise.
+    /// that maps here and that some delta rule reads: into the relation's
+    /// order at its stored value when it is evaluated best-first, into the
+    /// delta otherwise.
     fn merge_local(&mut self, rel: RelId, row: Row<'_>) -> u64 {
         let decl = self.plan.idb[rel].as_ref().expect("IDB");
         let Merged::New(id) = self.store.rec_mut(rel).merge_row(row) else {
             return 0;
         };
         for route in 0..decl.partition_cols.len().max(1) {
+            if !self.read[rel][route] {
+                continue;
+            }
             // Broadcast relations run every variant everywhere. Route
             // columns are group columns, so the incoming row routes exactly
             // as the stored one.
@@ -1388,6 +1412,9 @@ mod tests {
                 true,
             ),
             (crate::queries::CC, "cc2", true),
+            // No delta rule reads these, so their ids are not queued.
+            (crate::queries::CC, "cc", false),
+            (crate::queries::APSP, "apsp", false),
             (crate::queries::DELIVERY, "delivery", true),
             (crate::queries::APSP, "path", false),
             (crate::queries::TC, "tc", false),
@@ -1404,6 +1431,30 @@ mod tests {
             let rel = p.rel_by_name(name).unwrap();
             assert_eq!(w.best_first[rel].is_some(), best_first, "{name}");
         }
+    }
+
+    #[test]
+    fn ids_no_delta_rule_reads_are_not_queued() {
+        // `best` (a `min`) and `out` (a set) are read by no delta rule.
+        let p = plan_of(
+            "sp(To, min<C>) <- src(To, C).
+             sp(To2, min<C>) <- sp(To1, C1), warc(To1, To2, C2), C = C1 + C2.
+             best(To, min<C>) <- sp(To, C).
+             out(To) <- sp(To, _).",
+        );
+        let cfg = EngineConfig::with_workers(1);
+        let coord = Coordination::new(&p, &cfg);
+        let mut w = one_worker(&p, &cfg, &coord, &[]);
+        let rel = |name| p.rel_by_name(name).unwrap();
+        assert!(w.best_first[rel("best")].is_none());
+        assert_eq!(
+            w.merge_local(rel("best"), Tuple::from_ints(&[1, 5]).row()),
+            1
+        );
+        assert_eq!(w.merge_local(rel("out"), Tuple::from_ints(&[1]).row()), 1);
+        assert_eq!(w.pending(), 0, "merged, but queued nowhere");
+        assert_eq!(w.merge_local(rel("sp"), Tuple::from_ints(&[1, 5]).row()), 1);
+        assert_eq!(w.pending(), 1);
     }
 
     #[test]

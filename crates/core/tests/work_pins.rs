@@ -170,25 +170,25 @@ const PINS: &[(&str, usize, [u64; 12], &[u64])] = &[
     ("tc", 1, [34512, 28, 34512, 3358, 31154, 34512, 0, 0, 0, 0, 51536, 51536], &[28]),
     ("tc", 2, [34512, 52, 34512, 3355, 31157, 34512, 21627, 49, 5058, 21627, 51536, 24851], &[28, 28]),
     ("tc", 4, [34512, 101, 34512, 3335, 31177, 34512, 34104, 283, 4320, 34104, 51536, 13112], &[28, 28, 28, 28]),
-    ("cc", 1, [3257, 17, 5059, 3257, 0, 7945, 0, 0, 0, 0, 15890, 0], &[3]),
-    ("cc", 2, [6473, 94, 8275, 6473, 0, 10362, 7277, 85, 0, 0, 24534, 0], &[9, 9]),
-    ("cc", 4, [9883, 182, 11685, 9883, 0, 13475, 17021, 471, 0, 0, 33635, 0], &[12, 12, 12, 12]),
-    ("apsp", 1, [7148, 10, 10232, 493, 6655, 6658, 0, 0, 0, 0, 272215, 0], &[6]),
-    ("apsp", 2, [7148, 20, 10232, 489, 6659, 8837, 14749, 14, 0, 0, 273666, 0], &[7, 7]),
-    ("apsp", 4, [7148, 39, 10232, 480, 6668, 10485, 43336, 84, 0, 0, 274445, 0], &[7, 7, 7, 7]),
+    ("cc", 1, [3257, 17, 3257, 3257, 0, 7945, 0, 0, 0, 0, 15890, 0], &[3]),
+    ("cc", 2, [6473, 94, 6473, 6473, 0, 10362, 7277, 85, 0, 0, 24534, 0], &[9, 9]),
+    ("cc", 4, [9883, 182, 9883, 9883, 0, 13475, 17021, 471, 0, 0, 33635, 0], &[12, 12, 12, 12]),
+    ("apsp", 1, [7148, 10, 7148, 493, 6655, 6658, 0, 0, 0, 0, 272215, 0], &[6]),
+    ("apsp", 2, [7148, 20, 7148, 489, 6659, 8837, 14749, 14, 0, 0, 273666, 0], &[7, 7]),
+    ("apsp", 4, [7148, 39, 7148, 480, 6668, 10485, 43336, 84, 0, 0, 274445, 0], &[7, 7, 7, 7]),
     ("attend", 1, [5726, 36, 5726, 982, 0, 8840, 0, 0, 0, 0, 11135, 3277], &[36]),
     ("attend", 2, [5726, 72, 5726, 982, 0, 8840, 3980, 36, 0, 0, 11135, 3277], &[36, 36]),
     ("attend", 4, [5726, 138, 5726, 982, 0, 8840, 5921, 191, 0, 0, 11135, 3277], &[36, 36, 36, 36]),
     ("sg", 1, [17288, 4, 17288, 696, 16592, 17288, 0, 0, 0, 0, 17288, 17288], &[4]),
     ("sg", 2, [17288, 8, 17288, 695, 16593, 17288, 7658, 8, 0, 7658, 17288, 9630], &[4, 4]),
     ("sg", 4, [17288, 16, 17288, 692, 16596, 17288, 12351, 48, 0, 12351, 17288, 4937], &[4, 4, 4, 4]),
-    ("pagerank", 1, [29061, 78, 29559, 29061, 0, 78312, 0, 0, 0, 0, 89432, 498], &[79]),
-    ("pagerank", 2, [29089, 160, 29587, 29089, 0, 78313, 41606, 160, 0, 0, 89526, 498], &[83, 83]),
-    ("pagerank", 4, [29076, 302, 29574, 29076, 0, 78306, 64250, 890, 0, 0, 89502, 498], &[79, 79, 79, 79]),
-    ("sssp", 1, [2667, 18, 4630, 2667, 0, 5796, 0, 0, 0, 0, 12624, 0], &[3]),
-    ("sssp", 2, [5797, 81, 7760, 5797, 0, 9829, 9792, 81, 0, 0, 25103, 0], &[15, 15]),
-    ("sssp", 4, [7357, 239, 9320, 7357, 0, 10739, 19832, 671, 0, 0, 31479, 0], &[18, 18, 18, 18]),
-    ("delivery", 1, [1512, 6, 3012, 1512, 0, 3012, 0, 0, 0, 0, 4310, 0], &[3]),
-    ("delivery", 2, [1612, 13, 3112, 1612, 0, 3114, 447, 12, 0, 0, 4409, 0], &[5, 5]),
-    ("delivery", 4, [1655, 25, 3155, 1655, 0, 3227, 803, 59, 0, 0, 4453, 0], &[5, 5, 5, 5]),
+    ("pagerank", 1, [29061, 78, 29061, 29061, 0, 78312, 0, 0, 0, 0, 89432, 498], &[79]),
+    ("pagerank", 2, [29089, 160, 29089, 29089, 0, 78313, 41606, 160, 0, 0, 89526, 498], &[83, 83]),
+    ("pagerank", 4, [29076, 302, 29076, 29076, 0, 78306, 64250, 890, 0, 0, 89502, 498], &[79, 79, 79, 79]),
+    ("sssp", 1, [2667, 18, 2667, 2667, 0, 5796, 0, 0, 0, 0, 12624, 0], &[3]),
+    ("sssp", 2, [5797, 81, 5797, 5797, 0, 9829, 9792, 81, 0, 0, 25103, 0], &[15, 15]),
+    ("sssp", 4, [7357, 239, 7357, 7357, 0, 10739, 19832, 671, 0, 0, 31479, 0], &[18, 18, 18, 18]),
+    ("delivery", 1, [1512, 6, 1512, 1512, 0, 3012, 0, 0, 0, 0, 4310, 0], &[3]),
+    ("delivery", 2, [1612, 13, 1612, 1612, 0, 3114, 447, 12, 0, 0, 4409, 0], &[5, 5]),
+    ("delivery", 4, [1655, 25, 1655, 1655, 0, 3227, 803, 59, 0, 0, 4453, 0], &[5, 5, 5, 5]),
 ];

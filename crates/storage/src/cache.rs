@@ -50,7 +50,7 @@ impl TupleCache {
     /// check); records it if not.
     pub fn seen(&mut self, row: Row<'_>) -> bool {
         if self.filled.is_empty() {
-            self.slots = Frame::zeroed(row.arity(), self.mask + 1);
+            self.slots = Frame::zeroed(row.arity(), self.mask + 1, false);
             self.filled = vec![false; self.mask + 1];
         }
         let idx = (row_hash(row) as usize) & self.mask;

@@ -44,21 +44,6 @@ pub(crate) enum Index {
 }
 
 impl Index {
-    /// A CSR index over keys in sorted order: the `i`-th of `ids` is the
-    /// row whose key is `sorted[i]`, so each key's run is one range of ids.
-    pub(crate) fn sorted(sorted: &[u64], ids: impl Iterator<Item = u32>) -> Self {
-        let distinct = sorted.chunk_by(|a, b| a == b).count();
-        let mut runs = FastMap::with_capacity_and_hasher(distinct, Default::default());
-        let mut start = 0;
-        for run in sorted.chunk_by(|a, b| a == b) {
-            debug_assert!(!runs.contains_key(&run[0]), "keys must arrive sorted");
-            runs.insert(run[0], (start, start + run.len() as u32));
-            start += run.len() as u32;
-        }
-        let ids = ids.collect();
-        Index::Csr { runs, ids }
-    }
-
     /// The ids stored under `key` (empty when absent).
     #[inline]
     fn ids(&self, key: u64) -> &[u32] {

@@ -2,22 +2,31 @@
 //!
 //! Algorithm 1 lines 2–3 partition each base relation and index every
 //! partition before the loop starts. [`SealedRelation::partitioned`] does
-//! both in one pass: it reads each row's clustering key once, radix-sorts
-//! the `u32` input positions by it and then by owner, builds every index
-//! from those positions, frees the sort buffers, and only then copies each
-//! row, once, into its worker's slice, which never changes after. A slice
-//! stores its rows sorted by one indexed column's key bits, ties in input
-//! order, so a probe on that column reads one contiguous run of rows. The
-//! copy reads the input in order and writes each `Tuple`'s `u64` lanes
-//! (see [`Frame`]), 8 bytes a cell, into its sorted slot of a zeroed
-//! buffer allocated at its exact size.
-//! Every index is CSR (see [`RowStore`]); each bucket lists its rows in
-//! input order.
+//! both on one thread per partition (`std::thread::scope`; the calling
+//! thread takes the first share, so a one-partition seal spawns none).
+//! First each thread counts, then scatters, one chunk of the input by
+//! owner, so each slice's row positions and clustering keys land in one
+//! region, in input order. From then on a slice is one thread's: it sorts
+//! its rows by clustering key (one counting pass when the keys span few
+//! values, else a radix sort over the bytes in which they differ), builds
+//! every index from the sorted order, and copies each of its rows, once
+//! and in input order, into its sorted slot of the slice's lane [`Frame`].
+//! A slice stores its rows sorted by one indexed column's key bits, ties
+//! in input order, so a probe on that column reads one contiguous run of
+//! rows. Every index is CSR (see [`RowStore`]); each bucket lists its rows
+//! in input order.
+//!
+//! The calling thread allocates every buffer whose size grows with the row
+//! count: positions, keys and sort scratch, each index's id array and runs
+//! map (sized from the distinct keys its thread counted), and each slice's
+//! frame with its float tags. The spawned threads only write into them,
+//! so they never draw on a malloc arena of their own (DESIGN.md §7).
 
 use crate::rows::{distinct, Index, RowStore};
-use dcd_common::{Frame, Partitioner, Tuple};
-use std::mem::replace;
-use std::ops::{Deref, Range};
+use dcd_common::hash::FastMap;
+use dcd_common::{Frame, Partitioner, Row, Tuple};
+use std::mem::{swap, take};
+use std::ops::Deref;
 
 /// An immutable EDB relation (or partition slice) with its hash indexes.
 ///
@@ -42,11 +51,12 @@ impl SealedRelation {
     /// `index_cols`: the only constructor, so no slice is ever partly
     /// indexed. Each slice stores its rows sorted by the key bits of `col`
     /// if it is indexed, else of `index_cols[0]`, ties in input order.
+    /// Runs on `part.partitions()` threads, the calling one included.
     ///
     /// Every row must have `arity` values; otherwise `Err` names the
-    /// position in `rows` of the first that does not. The check rides on
-    /// the row copy, the one pass that reads whole rows, so a relation is
-    /// read once however it was loaded.
+    /// position in `rows` of the first that does not, whatever the
+    /// partition count. The check rides on the row copy, the one pass that
+    /// reads whole rows, so it costs no pass of its own.
     pub fn partitioned(
         rows: &[Tuple],
         arity: usize,
@@ -54,116 +64,297 @@ impl SealedRelation {
         part: &Partitioner,
         col: usize,
     ) -> Result<Vec<Self>, usize> {
+        let n = rows.len();
+        u32::try_from(n).expect("sealed relation exceeds u32 row ids");
         let (mut cols, slices) = (distinct(index_cols), part.partitions());
         if let Some(i) = cols.iter().position(|&c| c == col) {
             cols[..=i].rotate_right(1);
         }
         let first = cols.first().copied();
-        // The clustering sort reads a row's owner off its key when that
-        // is the partition key; every other sort needs the owner array.
-        let owner_of = |r: &Tuple| part.of_key(key(r, col)) as u32;
-        let owners: Vec<u32> = match slices == 1 || (first == Some(col) && cols.len() == 1) {
-            true => Vec::new(),
-            false => rows.iter().map(owner_of).collect(),
+        let owner_of = |k| match slices {
+            1 => 0,
+            _ => part.of_key(k),
         };
-        let owner = |k, p: u32| match owners.get(p as usize) {
-            Some(&o) => o as usize,
-            None => part.of_key(k),
-        };
-        // Without an index every key is 0, so the rows keep input order.
-        let (keys, pos, ranges) = sort(rows, |r| first.map_or(0, |c| key(r, c)), slices, owner);
-        let clustered = |r: &Range<usize>| {
-            Vec::from_iter(first.map(|c| (c, Index::sorted(&keys[r.clone()], 0..r.len() as u32))))
-        };
-        let mut indexes: Vec<Vec<(usize, Index)>> = ranges.iter().map(clustered).collect();
-        drop(keys);
-        // Each input row's global sorted position: slice `w` holds the
-        // positions in `ranges[w]`, and a row's id is its offset there.
-        let mut slot = vec![0u32; rows.len()];
-        (0..).zip(&pos).for_each(|(s, &p)| slot[p as usize] = s);
-        drop(pos);
-        // A stable sort, so each run lists its ids in input order.
-        for &c in cols.iter().skip(1) {
-            let (keys, order, _) = sort(rows, |r| key(r, c), slices, owner);
-            for (slice, r) in indexes.iter_mut().zip(&ranges) {
-                let start = r.start as u32;
-                let ids = order[r.clone()].iter().map(|&p| slot[p as usize] - start);
-                slice.push((c, Index::sorted(&keys[r.clone()], ids)));
+        let owner = |r: &Tuple| owner_of(key(r.row(), col));
+        let chunk = n.div_ceil(slices).max(1);
+        let chunks = || (0u32..).step_by(chunk).zip(rows.chunks(chunk));
+
+        // Each input chunk counts its rows per owner.
+        let mut counts = vec![vec![0usize; slices]; n.div_ceil(chunk)];
+        on_threads(
+            chunks().zip(&mut counts),
+            |((_, rows), counts)| match slices {
+                1 => counts[0] = rows.len(),
+                _ => rows.iter().for_each(|r| counts[owner(r)] += 1),
+            },
+        );
+        let totals = Vec::from_iter((0..slices).map(|w| counts.iter().map(|c| c[w]).sum()));
+        let ranges = Vec::from_iter(totals.iter().scan(0, |start, &len| {
+            *start += len;
+            Some(*start - len..*start)
+        }));
+
+        // Each chunk then writes its rows' positions and clustering keys to
+        // its part of each owner's region: the regions lie in owner order,
+        // and a region's parts in input order. It also notes the owners
+        // that get a float, and the least and greatest key.
+        let (mut pos, mut keys) = (vec![0u32; n], vec![0u64; n]);
+        let mut outs = Vec::from_iter(counts.iter().map(|_| Vec::with_capacity(slices)));
+        let (mut pos_rest, mut keys_rest) = (&mut pos[..], &mut keys[..]);
+        for w in 0..slices {
+            for (out, c) in outs.iter_mut().zip(&counts) {
+                out.push((
+                    split_off(&mut pos_rest, c[w]),
+                    split_off(&mut keys_rest, c[w]),
+                ));
             }
         }
-        drop(owners);
-        // Copy the rows in input order, each straight into its slot.
-        let mut frames = Vec::from_iter(ranges.iter().map(|r| Frame::zeroed(arity, r.len())));
-        for (p, (row, &s)) in rows.iter().zip(&slot).enumerate() {
-            if row.arity() != arity {
-                return Err(p);
+        let mut floats = vec![vec![false; slices]; counts.len()];
+        let work = chunks().zip(&mut outs).zip(&mut floats);
+        let bounds = on_threads(work, |(((start, rows), outs), floats)| {
+            let (floats, mut bounds) = (&mut floats[..], (u64::MAX, 0));
+            for (p, t) in (start..).zip(rows) {
+                let r = t.row();
+                let k = first.map_or(0, |c| key(r, c));
+                let w = if first == Some(col) {
+                    owner_of(k)
+                } else {
+                    owner(t)
+                };
+                let (pos, keys) = &mut outs[w];
+                push(pos, p);
+                push(keys, k);
+                floats[w] |= !r.all_ints();
+                bounds = (bounds.0.min(k), bounds.1.max(k));
             }
-            let w = ranges.partition_point(|r| r.end <= s as usize);
-            frames[w].overwrite(s as usize - ranges[w].start, row.row());
+            bounds
+        });
+        let (lo, hi) = bounds
+            .iter()
+            .fold((u64::MAX, 0), |(l, h), b| (l.min(b.0), h.max(b.1)));
+
+        // Each slice sorts its rows by clustering key, ties in input order:
+        // a row's id is its place in that order, and `id_of` maps each
+        // place in the region to it. When the keys span no more values
+        // than there are rows over all slices, one counting pass does it;
+        // otherwise a radix sort over the keys' varying bytes.
+        let span = hi.checked_sub(lo).and_then(|d| d.checked_add(1));
+        let span = span.filter(|&s| s.saturating_mul(slices as u64) <= n as u64);
+        let mut id_of = vec![0u32; n];
+        let mut indexes = Vec::from_iter((0..slices).map(|_| Vec::with_capacity(cols.len())));
+        if let Some(span) = span {
+            let mut ends = Vec::from_iter((0..slices).map(|_| vec![0u32; span as usize]));
+            let work = split(&mut keys, &totals)
+                .into_iter()
+                .zip(split(&mut id_of, &totals));
+            let distinct = on_threads(work.zip(&mut ends), |((keys, id_of), ends)| {
+                counting_sort(keys, lo, id_of, ends)
+            });
+            if let Some(c) = first {
+                let mut built = csr(&distinct, &totals);
+                on_threads(built.iter_mut().zip(&ends), |((runs, ids), ends)| {
+                    let mut start = 0;
+                    for (b, &end) in (0..).zip(ends.iter()) {
+                        if end > start {
+                            runs.insert(lo + b, (start, end));
+                            start = end;
+                        }
+                    }
+                    ids.iter_mut().zip(0..).for_each(|(id, i)| *id = i);
+                });
+                add(&mut indexes, c, built);
+            }
+        }
+
+        // The rest are radix sorts: of the clustering column when the
+        // counting pass did not do it, and of each other index column,
+        // whose ids they list by key, each key's ids in input order.
+        let (mut perm, mut tmp) = (Vec::new(), (Vec::new(), Vec::new()));
+        let sorts = std::iter::once(first).chain(cols.iter().skip(1).map(|&c| Some(c)));
+        for (i, c) in sorts.enumerate().skip(span.is_some() as usize) {
+            perm.resize(n, 0);
+            tmp.0.resize(n, 0);
+            tmp.1.resize(n, 0);
+            let work = split(&mut keys, &totals)
+                .into_iter()
+                .zip(split(&mut perm, &totals))
+                .zip(
+                    split(&mut tmp.0, &totals)
+                        .into_iter()
+                        .zip(split(&mut tmp.1, &totals)),
+                )
+                .zip(split(&mut id_of, &totals).into_iter().zip(&ranges));
+            let distinct = on_threads(work, |(((keys, perm), tmp), (id_of, r))| {
+                if let (Some(c), true) = (c, i > 0) {
+                    let pos = &pos[r.clone()];
+                    keys.iter_mut()
+                        .zip(pos)
+                        .for_each(|(k, &p)| *k = key(rows[p as usize].row(), c));
+                }
+                perm.iter_mut().zip(0..).for_each(|(p, j)| *p = j);
+                radix_sort(keys, perm, tmp);
+                if i == 0 {
+                    perm.iter()
+                        .zip(0..)
+                        .for_each(|(&j, id)| id_of[j as usize] = id);
+                }
+                keys.chunk_by(|a, b| a == b).count()
+            });
+            let Some(c) = c else { continue };
+            let mut built = csr(&distinct, &totals);
+            on_threads(built.iter_mut().zip(&ranges), |((runs, ids), r)| {
+                let mut start = 0;
+                for run in keys[r.clone()].chunk_by(|a, b| a == b) {
+                    let end = start + run.len() as u32;
+                    runs.insert(run[0], (start, end));
+                    start = end;
+                }
+                let (perm, id_of) = (&perm[r.clone()], &id_of[r.clone()]);
+                ids.iter_mut()
+                    .zip(perm)
+                    .for_each(|(id, &j)| *id = id_of[j as usize]);
+            });
+            add(&mut indexes, c, built);
+        }
+        drop((keys, perm, tmp));
+
+        // Each slice copies its rows in input order, each straight into
+        // its slot.
+        let tagged = (0..slices).map(|w| floats.iter().any(|f| f[w]));
+        let frame = |(&len, floats)| Frame::zeroed(arity, len, floats);
+        let mut frames = Vec::from_iter(totals.iter().zip(tagged).map(frame));
+        let bad = on_threads(frames.iter_mut().zip(&ranges), |(frame, r)| {
+            for (&p, &id) in pos[r.clone()].iter().zip(&id_of[r.clone()]) {
+                let row = rows[p as usize].row();
+                if row.arity() != arity {
+                    return Some(p as usize);
+                }
+                frame.overwrite(id as usize, row);
+            }
+            None
+        });
+        if let Some(p) = bad.into_iter().flatten().min() {
+            return Err(p);
         }
         let seal = |(lanes, idx)| SealedRelation(RowStore::from_parts(lanes, idx));
         Ok(frames.into_iter().zip(indexes).map(seal).collect())
     }
 }
 
+/// A CSR index's runs map and id array (see [`Index::Csr`]).
+type Csr = (FastMap<u64, (u32, u32)>, Vec<u32>);
+
+/// An empty CSR index for each slice `w`, allocated at its exact size for
+/// `distinct[w]` keys and `totals[w]` rows.
+fn csr(distinct: &[usize], totals: &[usize]) -> Vec<Csr> {
+    let csr = |(&keys, &rows)| {
+        let runs = FastMap::with_capacity_and_hasher(keys, Default::default());
+        (runs, vec![0; rows])
+    };
+    Vec::from_iter(distinct.iter().zip(totals).map(csr))
+}
+
+/// Adds each slice's index on column `col`.
+fn add(indexes: &mut [Vec<(usize, Index)>], col: usize, built: Vec<Csr>) {
+    for (slice, (runs, ids)) in indexes.iter_mut().zip(built) {
+        slice.push((col, Index::Csr { runs, ids }));
+    }
+}
+
 /// The key bits of `row[col]`, or 0 for a row too short to have it (which
 /// the row copy then reports).
 #[inline]
-fn key(row: &Tuple, col: usize) -> u64 {
-    let row = row.row();
+fn key(row: Row<'_>, col: usize) -> u64 {
     match col < row.arity() {
         true => row.key(col),
         false => 0,
     }
 }
 
-/// Reads `key` of every row once, then returns the keys and row positions
-/// sorted stably by it (LSD radix, skipping bytes all keys share), then by
-/// `owner(key, position)`, with each of the `owners` runs in them.
-fn sort(
-    rows: &[Tuple],
-    key: impl Fn(&Tuple) -> u64,
-    owners: usize,
-    owner: impl Fn(u64, u32) -> usize,
-) -> (Vec<u64>, Vec<u32>, Vec<Range<usize>>) {
-    let n = u32::try_from(rows.len()).expect("sealed relation exceeds u32 row ids");
-    let (mut keys, mut pos) = (Vec::from_iter(rows.iter().map(key)), Vec::from_iter(0..n));
-    let mut tmp = (vec![0; rows.len()], vec![0; rows.len()]);
-    let varying = keys.iter().fold(0, |acc, &k| acc | (k ^ keys[0]));
-    for shift in (0..64).step_by(8).filter(|s| (varying >> s) & 0xff != 0) {
-        let byte = |k, _| (k >> shift) as usize & 0xff;
-        counting_pass(&mut keys, &mut pos, &mut tmp, 256, byte);
-    }
-    let runs = match owners {
-        1 => std::iter::once(0..rows.len()).collect(),
-        _ => counting_pass(&mut keys, &mut pos, &mut tmp, owners, owner),
-    };
-    (keys, pos, runs)
+/// Runs `job` on every share of `work`: the first on the calling thread,
+/// each other on a scoped thread of its own. Returns the results in order.
+fn on_threads<W: Send, R: Send>(
+    work: impl IntoIterator<Item = W>,
+    job: impl Fn(W) -> R + Sync,
+) -> Vec<R> {
+    let (job, mut work) = (&job, work.into_iter());
+    let first = work.next();
+    std::thread::scope(|s| {
+        let spawned = Vec::from_iter(work.map(|w| s.spawn(move || job(w))));
+        let mut out = Vec::from_iter(first.map(job));
+        for thread in spawned {
+            out.push(
+                thread
+                    .join()
+                    .unwrap_or_else(|e| std::panic::resume_unwind(e)),
+            );
+        }
+        out
+    })
 }
 
-/// One stable counting-sort pass of `(keys, pos)` by `digit`, through the
-/// scratch arrays `tmp`; returns each digit's run.
-fn counting_pass(
-    keys: &mut Vec<u64>,
-    pos: &mut Vec<u32>,
-    tmp: &mut (Vec<u64>, Vec<u32>),
-    digits: usize,
-    digit: impl Fn(u64, u32) -> usize,
-) -> Vec<Range<usize>> {
-    let mut count = vec![0; digits];
-    for (&k, &p) in keys.iter().zip(pos.iter()) {
-        count[digit(k, p)] += 1;
+/// The first `len` items of `rest`, which keeps the others.
+fn split_off<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+    let (head, tail) = take(rest).split_at_mut(len);
+    *rest = tail;
+    head
+}
+
+/// `v` cut into consecutive parts of `lens`.
+fn split<'a, T>(mut v: &'a mut [T], lens: &[usize]) -> Vec<&'a mut [T]> {
+    Vec::from_iter(lens.iter().map(|&len| split_off(&mut v, len)))
+}
+
+/// Writes `v` into the first slot of `out`, which then starts after it.
+fn push<T>(out: &mut &mut [T], v: T) {
+    let (head, tail) = take(out).split_first_mut().expect("a slot counted for it");
+    *head = v;
+    *out = tail;
+}
+
+/// Counting-sorts the region whose keys are `keys`, each at most
+/// `ends.len() - 1` above `lo`: stores each row's sorted place in
+/// `id_of`, ties in input order, and leaves `ends[k - lo]` the end of key
+/// `k`'s run. Returns the number of distinct keys.
+fn counting_sort(keys: &[u64], lo: u64, id_of: &mut [u32], ends: &mut [u32]) -> usize {
+    keys.iter().for_each(|&k| ends[(k - lo) as usize] += 1);
+    let distinct = ends.iter().filter(|&&c| c > 0).count();
+    ends.iter_mut()
+        .fold(0, |start, c| start + std::mem::replace(c, start));
+    for (&k, id) in keys.iter().zip(id_of) {
+        let next = &mut ends[(k - lo) as usize];
+        *id = *next;
+        *next += 1;
     }
-    let starts = Vec::from_iter(count.iter().scan(0, |s, &c| Some(replace(s, *s + c))));
-    let mut next = starts.clone();
-    for (&k, &p) in keys.iter().zip(pos.iter()) {
-        let slot = &mut next[digit(k, p)];
-        (tmp.0[*slot], tmp.1[*slot]) = (k, p);
-        *slot += 1;
+    distinct
+}
+
+/// Sorts `keys` and `perm` together, stably by key: LSD radix, one
+/// counting pass per byte in which the keys differ, through the scratch
+/// `tmp` of the same length.
+fn radix_sort(keys: &mut [u64], perm: &mut [u32], tmp: (&mut [u64], &mut [u32])) {
+    let varying = keys.iter().fold(0, |acc, &k| acc | (k ^ keys[0]));
+    let shifts = (0..64).step_by(8).filter(|s| (varying >> s) & 0xff != 0);
+    let (mut src, mut dst) = ((keys, perm), tmp);
+    // An odd pass count would end in the scratch: start there instead.
+    if shifts.clone().count() % 2 == 1 {
+        dst.0.copy_from_slice(src.0);
+        dst.1.copy_from_slice(src.1);
+        swap(&mut src, &mut dst);
     }
-    std::mem::swap(keys, &mut tmp.0);
-    std::mem::swap(pos, &mut tmp.1);
-    starts.into_iter().zip(next).map(|(a, b)| a..b).collect()
+    for shift in shifts {
+        let digit = |k: u64| (k >> shift) as usize & 0xff;
+        let mut next = [0usize; 256];
+        src.0.iter().for_each(|&k| next[digit(k)] += 1);
+        next.iter_mut()
+            .fold(0, |start, c| start + std::mem::replace(c, start));
+        for (&k, &p) in src.0.iter().zip(src.1.iter()) {
+            let slot = &mut next[digit(k)];
+            (dst.0[*slot], dst.1[*slot]) = (k, p);
+            *slot += 1;
+        }
+        swap(&mut src, &mut dst);
+    }
 }
 
 impl Deref for SealedRelation {

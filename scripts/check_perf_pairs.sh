@@ -13,9 +13,12 @@
 #      of `perfbench --workload W --trace 0 --seconds 2` run, alternating
 #      which side goes first, so drift in the host's speed lands on both
 #      sides alike;
-#   4. the gate fails when, on any workload, the change's median `run_s`,
-#      `run_s.1w` or `peak_rss_mb` is more than BUDGET_PCT% of the base's.
-#      Each metric is printed in the unit perfbench reports for it.
+#   4. the gate fails when, on any workload, the change's median `run_s`
+#      or `run_s.1w` is more than 125% of the base's, or its median
+#      `peak_rss_mb` more than 105% (BUDGET_PCT). Peak RSS repeats within
+#      ~1.5% across pairs, so 105% still catches a regression of a few MB,
+#      which timing noise would hide under 125%. Each metric is printed in
+#      the unit perfbench reports for it.
 #
 # It fails closed, naming the side and the reason, when the base cannot
 # be checked out or either side cannot be built, when perfbench exits
@@ -30,8 +33,9 @@ cd "$(dirname "$0")/.."
 WORKLOADS=(tc-rmat sssp-web)
 PAIRS=6
 RUN_SECONDS=2
-BUDGET_PCT=125 # the change's median may be at most 125% of the base's
 METRICS=(run_s run_s.1w peak_rss_mb)
+# The change's median may be at most this percentage of the base's.
+declare -A BUDGET_PCT=([run_s]=125 [run_s.1w]=125 [peak_rss_mb]=105)
 
 export CARGO_NET_OFFLINE=true
 
@@ -128,8 +132,9 @@ for w in "${WORKLOADS[@]}"; do
         u=$(cat "$workdir/$m.unit")
         ratio=$(awk -v b="$b" -v c="$c" 'BEGIN { printf "%.3f", c / b }')
         echo "perf pairs: $w $m median over $PAIRS pairs: base ${b} ${u} ($base = ${sha:0:12}) change ${c} ${u} ratio ${ratio}"
-        if awk -v b="$b" -v c="$c" -v p="$BUDGET_PCT" 'BEGIN { exit !(c * 100 > b * p) }'; then
-            echo "perf pairs FAILED: $w: change's median $m is ${ratio}x the base's (budget ${BUDGET_PCT}%)" >&2
+        p=${BUDGET_PCT[$m]}
+        if awk -v b="$b" -v c="$c" -v p="$p" 'BEGIN { exit !(c * 100 > b * p) }'; then
+            echo "perf pairs FAILED: $w: change's median $m is ${ratio}x the base's (budget ${p}%)" >&2
             verdict=1
         fi
     done
