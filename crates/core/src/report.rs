@@ -245,15 +245,22 @@ mod tests {
     fn sample_report() -> EvalReport {
         let a = MetricsSnapshot {
             iterations: 3,
+            tuples_processed: 11,
             tuples_sent: 10,
+            batches_out: 2,
+            batches_in: 1,
             tuples_in: 4,
             bytes_sent: 160,
             bytes_in: 64,
             edb_resident_bytes: 2048,
+            local_new: 6,
+            backpressure_retries: 1,
             iterate_ns: 300,
             idle_ns: 100,
             gather_ns: 50,
             distribute_ns: 50,
+            cache_hits: 3,
+            cache_misses: 8,
             probe_hits: 5,
             probe_reuse: 15,
             kernel_batches: 2,
@@ -357,6 +364,53 @@ mod tests {
         assert!(json.contains("\"dropped_events\":0"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+    }
+
+    #[test]
+    fn json_round_trips_every_worker_counter() {
+        let r = sample_report();
+        let doc = dcd_common::Json::parse(&r.to_json()).expect("valid JSON");
+        let workers = doc.get("per_worker").and_then(|w| w.items()).unwrap();
+        assert_eq!(workers.len(), r.per_worker.len());
+        for (i, (json, want)) in workers.iter().zip(&r.per_worker).enumerate() {
+            let f = |key: &str| {
+                let v = json.get(key).and_then(|v| v.as_u64());
+                v.unwrap_or_else(|| panic!("worker {i}: no counter \"{key}\""))
+            };
+            assert_eq!(f("worker"), i as u64);
+            // No `..` rest: a counter added to `MetricsSnapshot` fails to
+            // compile here until this test, and so the JSON, names it.
+            let got = MetricsSnapshot {
+                iterations: f("iterations"),
+                tuples_processed: f("tuples_processed"),
+                tuples_sent: f("tuples_sent"),
+                batches_out: f("batches_out"),
+                batches_in: f("batches_in"),
+                tuples_in: f("tuples_in"),
+                bytes_sent: f("bytes_sent"),
+                bytes_in: f("bytes_in"),
+                edb_resident_bytes: f("edb_resident_bytes"),
+                local_new: f("local_new"),
+                backpressure_retries: f("backpressure_retries"),
+                idle_ns: f("idle_ns"),
+                omega_wait_ns: f("omega_wait_ns"),
+                gather_ns: f("gather_ns"),
+                iterate_ns: f("iterate_ns"),
+                distribute_ns: f("distribute_ns"),
+                cache_hits: f("cache_hits"),
+                cache_misses: f("cache_misses"),
+                probe_hits: f("probe_hits"),
+                probe_reuse: f("probe_reuse"),
+                kernel_batches: f("kernel_batches"),
+                kernel_rows: f("kernel_rows"),
+                head_rows: f("head_rows"),
+                stored_checks: f("stored_checks"),
+            };
+            assert_eq!(&got, want, "worker {i}");
+            let rows_per_batch = json.get("rows_per_batch").and_then(|v| v.as_f64());
+            assert_eq!(rows_per_batch, Some(want.rows_per_batch()), "worker {i}");
+            assert_eq!(f("dropped_events"), r.dropped_events(i), "worker {i}");
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! (§5.2.2) over the O(1) dedup table with the aggregate-aware index
 //! (§6.2.1). The only existence-check cache (§6.2.2) is the set
 //! relation's Distribute sent-filter, which sits on the exchange, not on
-//! the merge path.
+//! the merge path, and answers per (row, destination): one table serves
+//! every peer.
 
 use crate::catalog::EdbCatalog;
 use dcd_common::{Frame, Row, Tuple, WorkerId};
@@ -97,18 +98,20 @@ impl RecStore {
         self.checked.then(|| self.rel.contains(row))
     }
 
-    /// Distribute's sent-filter: whether this worker already routed `row`
-    /// (a sound but lossy check), recording it if not. `None` when the
-    /// relation has no filter: an aggregate relation, whose rows evolve,
-    /// or any relation with optimizations off.
-    pub fn already_sent(&mut self, row: Row<'_>) -> Option<bool> {
+    /// Distribute's sent-filter: whether this worker already sent `row` to
+    /// worker `dest` (a sound but lossy check), recording it if not. A row
+    /// with several destinations meets it once per peer, and a send to one
+    /// peer is no hit for another. `None` when the relation has no filter:
+    /// an aggregate relation, whose rows evolve, or any relation with
+    /// optimizations off.
+    pub fn already_sent(&mut self, dest: WorkerId, row: Row<'_>) -> Option<bool> {
         if self.filter_slots == 0 {
             return None;
         }
         let filter = self
             .sent_filter
             .get_or_insert_with(|| TupleCache::new(self.filter_slots));
-        Some(filter.seen(row))
+        Some(filter.seen(row, dest))
     }
 
     /// The current logical rows (one stored copy each) and their row-id
@@ -262,7 +265,7 @@ mod tests {
     fn sent_filter_only_on_optimized_set_stores() {
         let (tc, cc) = (tc_plan(), cc_plan());
         let row = Tuple::from_ints(&[1, 2]);
-        let sent = |s: &mut RecStore| s.already_sent(row.row());
+        let sent = |s: &mut RecStore| s.already_sent(1, row.row());
         let mut set = RecStore::new(&tc, tc.rel_by_name("tc").unwrap(), true, 64);
         set.merge(&row);
         assert!(
@@ -271,6 +274,7 @@ mod tests {
         );
         assert_eq!(sent(&mut set), Some(false));
         assert_eq!(sent(&mut set), Some(true));
+        assert_eq!(set.already_sent(2, row.row()), Some(false), "per peer");
         let mut off = RecStore::new(&tc, tc.rel_by_name("tc").unwrap(), false, 64);
         let mut agg = RecStore::new(&cc, cc.rel_by_name("cc2").unwrap(), true, 64);
         for s in [&mut off, &mut agg] {
@@ -290,7 +294,7 @@ mod tests {
         assert_eq!(set.already_stored(row.row()), Some(false));
         set.merge(&row);
         assert_eq!(set.already_stored(row.row()), Some(true));
-        assert_eq!(set.already_sent(row.row()), None, "no filter");
+        assert_eq!(set.already_sent(1, row.row()), None, "no filter");
         let mut off = RecStore::new(&tc, tc_rel, false, 64);
         let mut agg = RecStore::new(&cc, cc.rel_by_name("cc2").unwrap(), true, 64);
         for s in [&mut off, &mut agg] {

@@ -43,12 +43,19 @@
 //! there a row's derivations depend on the other rows of the store, and
 //! ordering it sent ~8× more tuples.
 //!
-//! Routing note: each head row is routed once, by `owner` (the function
-//! `H`), and meets the one existence check its destination allows
-//! (`PartialAgg::route`). A derived tuple is *sent* once per distinct
+//! Routing note: `PartialAgg::route` is the one place a head row is
+//! routed. It computes the row's destinations once, by `owner` (the
+//! function `H`) or, for a broadcast relation or a row whose routes (§4.3)
+//! hash apart, by every route, and queues one copy in each destination's
+//! frame, after the one existence check a row that may land here meets.
+//! Set and `sum`/`count` rows are routed as the kernel's sink buffers them,
+//! and a `min`/`max` accumulator's best rows whenever it is flushed. Every
+//! frame Distribute sees thus has one destination: it merges this worker's
+//! frames and sends each peer's through the sent-filter, which answers per
+//! (row, destination). A derived tuple is *sent* once per distinct
 //! destination worker, and every receiver re-derives locally which of the
-//! relation's routes (§4.3) apply to it — this keeps multi-route relations
-//! (APSP) correct even when two routes hash to the same worker.
+//! relation's routes apply to it — this keeps multi-route relations (APSP)
+//! correct even when two routes hash to the same worker.
 
 use crate::config::EngineConfig;
 use crate::eval::{DeltaRow, EvalScratch, Evaluator};
@@ -57,10 +64,11 @@ use dcd_common::{AggFunc, DcdError, Frame, Partitioner, Result, Row, Value, Work
 use dcd_frontend::physical::{PhysicalPlan, RelDecl, RelId, StorageKind};
 use dcd_runtime::trace::{Mark, Phase};
 use dcd_runtime::{
-    Batch, BufferMatrix, DwsController, IdleOutcome, MetricsSnapshot, Recorder, RoundBarrier,
-    SspClock, Strategy, Termination, WorkerEndpoints,
+    Batch, BufferMatrix, DwsController, IdleOutcome, Recorder, RoundBarrier, SspClock, Strategy,
+    Termination, WorkerEndpoints,
 };
 use dcd_storage::DerivedRelation;
+use std::borrow::Borrow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -181,16 +189,18 @@ const FLUSH_ROWS: usize = 1 << 14;
 const SLICE_ROWS: usize = 256;
 
 /// Head rows between the kernel and Distribute, with the pre-Distribute
-/// partial aggregation of §5.2.3: the kernel's sink ([`PartialAgg::sink`]),
-/// which routes each head row once ([`PartialAgg::route`]). A `min`/`max`
-/// head relation's rows collapse in a storage aggregate relation, created
-/// at the relation's first kernel call, so "same group" and "better" mean
-/// exactly what they mean at the merge; its best row per group reaches
-/// Distribute, which routes it, when the iteration ends, or, while a
-/// best-first group is evaluated, after each slice ([`PartialAgg::clear`]
-/// keeps the tables, so no slice zeroes a fresh one). Every other row is
-/// copied, as lanes, into its head relation's queue frame for its
-/// destination, which [`Worker::flush`] hands on every [`FLUSH_ROWS`]
+/// partial aggregation of §5.2.3: the kernel's sink ([`PartialAgg::sink`])
+/// and the one routing pass ([`PartialAgg::route`]). A `min`/`max` head
+/// relation's rows collapse in a storage aggregate relation, created at
+/// the relation's first kernel call, so "same group" and "better" mean
+/// exactly what they mean at the merge; its best row per group is routed
+/// whenever the accumulator is flushed ([`PartialAgg::route_best`]): when
+/// the iteration ends, or, while a best-first group is evaluated, after
+/// each slice, which hands out a table's rows but keeps its dedup table,
+/// so no slice zeroes a fresh one. Every other row is routed as the sink
+/// buffers it. Either way each routed row is copied, as lanes, into its
+/// head relation's queue frame for each of its destinations, and
+/// [`Worker::flush`] hands the frames to Distribute every [`FLUSH_ROWS`]
 /// queued rows: a set row's only collapse is exact-duplicate elimination,
 /// which the stored-row check, Distribute's sent-filter and the idempotent
 /// merge already perform. A `sum`/`count` merge replaces the contributor's
@@ -205,14 +215,14 @@ struct PartialAgg<'a> {
     /// The discriminating function `H` and this worker's id.
     part: Partitioner,
     me: WorkerId,
-    best: Vec<(RelId, DerivedRelation)>,
-    /// Per head relation, one frame per destination worker and, last, one
-    /// of rows with several destinations.
-    queued: Vec<(RelId, Vec<Frame>)>,
-    /// Rows in `queued`.
+    /// Per head relation, created at its first kernel call: the relation,
+    /// its accumulator when it is a `min`/`max` relation, and one queue
+    /// frame per destination worker.
+    heads: Vec<(RelId, Option<DerivedRelation>, Vec<Frame>)>,
+    /// Rows in the queue frames.
     queued_rows: usize,
     /// Set and `sum`/`count` rows the kernel emitted that
-    /// [`PartialAgg::route`] has not routed yet.
+    /// [`PartialAgg::route_emitted`] has not routed yet.
     emitted: Frame,
     /// Rows handed to the sink, and the stored-row lookups made for them.
     head_rows: u64,
@@ -226,8 +236,7 @@ impl<'a> PartialAgg<'a> {
             plan,
             part,
             me,
-            best: Vec::new(),
-            queued: Vec::new(),
+            heads: Vec::new(),
             queued_rows: 0,
             emitted: Frame::default(),
             head_rows: 0,
@@ -236,41 +245,37 @@ impl<'a> PartialAgg<'a> {
     }
 
     /// The slot of head relation `rel`'s rows, created at its first
-    /// kernel call: a `min`/`max` relation's accumulator, or any other
-    /// relation's queue frames.
+    /// kernel call.
     fn head(&mut self, rel: RelId) -> Head<'a> {
         let decl = self.plan.idb[rel].as_ref().expect("IDB head");
-        if let StorageKind::Agg {
-            func: func @ (AggFunc::Min | AggFunc::Max),
-            group_cols,
-            ..
-        } = decl.kind
-        {
-            let at = self.best.iter().position(|(r, _)| *r == rel);
-            let at = at.unwrap_or_else(|| {
-                let acc = DerivedRelation::aggregate(func, group_cols, 0.0, &[]);
-                self.best.push((rel, acc));
-                self.best.len() - 1
-            });
-            return Head::Collapse(at);
-        }
-        let at = self.queued.iter().position(|(r, _)| *r == rel);
+        let at = self.heads.iter().position(|(r, ..)| *r == rel);
         let at = at.unwrap_or_else(|| {
-            let frames = (0..=self.part.partitions()).map(|_| Frame::default());
-            self.queued.push((rel, frames.collect()));
-            self.queued.len() - 1
+            let best = match decl.kind {
+                StorageKind::Agg {
+                    func: func @ (AggFunc::Min | AggFunc::Max),
+                    group_cols,
+                    ..
+                } => Some(DerivedRelation::aggregate(func, group_cols, 0.0, &[])),
+                _ => None,
+            };
+            let frames = (0..self.part.partitions()).map(|_| Frame::default());
+            self.heads.push((rel, best, frames.collect()));
+            self.heads.len() - 1
         });
-        Head::Queue(at, decl)
+        match self.heads[at].1 {
+            Some(_) => Head::Collapse(at),
+            None => Head::Queue(at, decl),
+        }
     }
 
     /// The kernel's sink for `head`'s rows, whose store on this worker
     /// is `stored`. A `min`/`max` row merges into its relation's
     /// accumulator. Any other row is buffered, and routed whenever the
     /// buffer holds [`SLICE_ROWS`] rows; the caller routes the rest
-    /// ([`PartialAgg::route`]) once the kernel returns. The init phase and
-    /// Iterate pass this one sink type, so the kernel is compiled once,
-    /// and the sink is inlined into it: a call per head row cost 1-worker
-    /// `tc-rmat` ~6% of its run time.
+    /// ([`PartialAgg::route_emitted`]) once the kernel returns. The init
+    /// phase and Iterate pass this one sink type, so the kernel is
+    /// compiled once, and the sink is inlined into it: a call per head row
+    /// cost 1-worker `tc-rmat` ~6% of its run time.
     fn sink<'s>(
         &'s mut self,
         head: Head<'a>,
@@ -282,109 +287,123 @@ impl<'a> PartialAgg<'a> {
             Head::Queue(..) => {
                 self.emitted.push(row);
                 if self.emitted.len() == SLICE_ROWS {
-                    self.route(head, stored);
+                    self.route_emitted(head, stored);
                 }
             }
         }
     }
 
-    /// Merges a `min`/`max` head row into `best[at]`. Not inlined: the
-    /// kernel inlines the sink, and this merge is rare next to its walk.
+    /// Merges a `min`/`max` head row into `heads[at]`'s accumulator. Not
+    /// inlined: the kernel inlines the sink, and this merge is rare next
+    /// to its walk.
     #[inline(never)]
     fn collapse(&mut self, at: usize, row: Row<'_>) {
         self.head_rows += 1;
-        self.best[at].1.merge(row);
+        self.heads[at]
+            .1
+            .as_mut()
+            .expect("a min/max head")
+            .merge(row);
     }
 
     /// Routes the rows the sink buffered for `head`, whose store on this
-    /// worker is `stored`, and queues each for its destination ([`owner`]),
-    /// unless its destinations include this worker and `stored` already
-    /// holds it: such a row was routed to every destination when it was
-    /// first stored, so it would merge as `Old` everywhere. A row only
-    /// peers own never meets that check, which could not succeed: this
-    /// worker stores only rows routed here. On one worker every row is
-    /// this worker's, and none is routed. One pass over the buffer keeps
-    /// the kernel's loop free of the lookups.
+    /// worker is `stored` ([`PartialAgg::route`]). One pass over the
+    /// buffer keeps the kernel's loop free of the lookups.
     #[inline(never)]
-    fn route(&mut self, head: Head<'a>, stored: &RecStore) {
+    fn route_emitted(&mut self, head: Head<'a>, stored: &RecStore) {
         let Head::Queue(at, decl) = head else {
             return;
         };
-        let n = self.part.partitions();
         let mut emitted = std::mem::take(&mut self.emitted);
         self.head_rows += emitted.len() as u64;
-        for row in emitted.iter() {
-            // The row's queue frame, its one destination's or the last for
-            // several, and whether it may land here.
-            let (frame, here) = if n == 1 {
-                (0, true)
-            } else if let Some(d) = owner(&self.part, decl, row) {
-                (d, d == self.me)
-            } else {
-                let mut routes = decl.partition_cols.iter();
-                let here = routes.any(|&c| self.part.of_key(row.key(c)) == self.me);
-                (n, decl.broadcast || here)
-            };
-            if here {
-                if let Some(stored) = stored.already_stored(row) {
-                    self.stored_checks += 1;
-                    if stored {
-                        continue;
-                    }
-                }
-            }
-            self.queued[at].1[frame].push(row);
-            self.queued_rows += 1;
-        }
+        self.route(at, decl, &emitted, Some(stored));
         emitted.clear();
         self.emitted = emitted;
     }
 
-    /// Consumes the accumulator, returning `(head relation, destination,
-    /// rows)` for Distribute as [`PartialAgg::frames`] orders them. Each
-    /// table is freed before its rows merge.
-    fn drain(self) -> Vec<(RelId, Option<WorkerId>, Frame)> {
-        debug_assert!(self.emitted.is_empty(), "emitted rows left unrouted");
-        let n = self.part.partitions();
-        let queued = self.queued.into_iter().flat_map(|(rel, frames)| {
-            let dests = (0..n).map(Some).chain([None]);
-            dests.zip(frames).map(move |(d, f)| (rel, d, f))
-        });
-        let best = self
-            .best
-            .into_iter()
-            .map(|(rel, acc)| (rel, None, acc.into_rows()));
-        queued.chain(best).collect()
+    /// Routes every `min`/`max` accumulator's best rows
+    /// ([`PartialAgg::route`]; an aggregate store has no stored-row
+    /// check) and frees them before any of them merge, emptying the
+    /// accumulator but keeping its dedup table, or, with `free`, freeing it
+    /// all.
+    fn route_best(&mut self, free: bool) {
+        for at in 0..self.heads.len() {
+            let (rel, best, _) = &mut self.heads[at];
+            let rows = match best {
+                Some(_) if free => best.take().expect("a table").into_rows(),
+                Some(table) => table.take_rows(),
+                None => continue,
+            };
+            let decl = self.plan.idb[*rel].as_ref().expect("IDB head");
+            self.route(at, decl, &rows, None);
+        }
     }
 
-    /// `(head relation, destination, rows)`: the rows queued for each
-    /// destination worker, then those with several destinations (`None`)
-    /// and, with `best`, each `min`/`max` relation's best rows, which are
-    /// routed in Distribute (`None`). The accumulator is not consumed.
-    fn frames(&self, best: bool) -> impl Iterator<Item = (RelId, Option<WorkerId>, &Frame)> {
-        debug_assert!(self.emitted.is_empty(), "emitted rows left unrouted");
-        let n = self.part.partitions();
-        let queued = self.queued.iter().flat_map(move |(rel, frames)| {
-            let dests = (0..n).map(Some).chain([None]);
-            dests.zip(frames).map(move |(d, f)| (*rel, d, f))
-        });
-        let best = if best { &self.best[..] } else { &[] };
-        let best = best.iter().map(|(rel, acc)| (*rel, None, acc.rows()));
-        queued.chain(best)
+    /// The one place a head row is routed: queues each of `rows`, rows of
+    /// `heads[at]`'s relation `decl` whose store on this worker is
+    /// `stored` (if it has one), in the frame of each of its destinations:
+    /// the one worker [`owner`] gives it, or, for a broadcast relation or a
+    /// row whose routes (§4.3) hash apart, every worker a route gives it,
+    /// one copy each. A row whose destinations include this worker is
+    /// dropped when `stored` already holds it: it was routed to every
+    /// destination when it was first stored, so it would merge as `Old`
+    /// everywhere. A row only peers own never meets that check, which could
+    /// not succeed: this worker stores only rows routed here. On one worker
+    /// every row is this worker's, and none is hashed.
+    fn route(&mut self, at: usize, decl: &RelDecl, rows: &Frame, stored: Option<&RecStore>) {
+        let (part, me, cols) = (&self.part, self.me, &decl.partition_cols);
+        let frames = &mut self.heads[at].2;
+        for row in rows.iter() {
+            let one = owner(part, decl, row);
+            let lands = |d| decl.broadcast || cols.iter().any(|&c| part.of_key(row.key(c)) == d);
+            let here = one.map_or_else(|| lands(me), |d| d == me);
+            let checked = stored.filter(|_| here).and_then(|s| s.already_stored(row));
+            self.stored_checks += checked.is_some() as u64;
+            if checked == Some(true) {
+                continue;
+            }
+            if let Some(d) = one {
+                frames[d].push(row);
+                self.queued_rows += 1;
+                continue;
+            }
+            for (d, frame) in frames.iter_mut().enumerate() {
+                if lands(d) {
+                    frame.push(row);
+                    self.queued_rows += 1;
+                }
+            }
+        }
     }
 
-    /// Empties, in place, what [`PartialAgg::frames`] returns for `best`,
-    /// keeping the buffers and tables for the next slice.
-    fn clear(&mut self, best: bool) {
-        for f in self.queued.iter_mut().flat_map(|(_, frames)| frames) {
+    /// `(head relation, destination, rows)` for every queue frame, whose
+    /// rows all go to that one destination.
+    fn frames(&self) -> impl Iterator<Item = (RelId, WorkerId, &Frame)> {
+        debug_assert!(self.emitted.is_empty(), "emitted rows left unrouted");
+        self.heads.iter().flat_map(|(rel, _, frames)| {
+            let dests = frames.iter().enumerate();
+            dests.map(move |(d, f)| (*rel, d, f))
+        })
+    }
+
+    /// Empties every queue frame in place, keeping its capacity for the
+    /// next flush.
+    fn clear(&mut self) {
+        for f in self.heads.iter_mut().flat_map(|(.., frames)| frames) {
             f.clear();
         }
         self.queued_rows = 0;
-        if best {
-            for (_, acc) in &mut self.best {
-                acc.clear();
-            }
-        }
+    }
+
+    /// Consumes the accumulator, handing out what [`PartialAgg::frames`]
+    /// returns, so that Distribute frees each frame once it is merged or
+    /// sent.
+    fn into_frames(self) -> impl Iterator<Item = (RelId, WorkerId, Frame)> {
+        debug_assert!(self.emitted.is_empty(), "emitted rows left unrouted");
+        self.heads.into_iter().flat_map(|(rel, _, frames)| {
+            let dests = frames.into_iter().enumerate();
+            dests.map(move |(d, f)| (rel, d, f))
+        })
     }
 }
 
@@ -392,10 +411,10 @@ impl<'a> PartialAgg<'a> {
 /// kernel call ([`PartialAgg::head`]).
 #[derive(Clone, Copy)]
 enum Head<'p> {
-    /// A `min`/`max` relation, collapsing in `best[i]`.
+    /// A `min`/`max` relation, collapsing in `heads[i]`'s accumulator.
     Collapse(usize),
     /// Any other relation, routed by its declaration and queued in
-    /// `queued[i]`.
+    /// `heads[i]`'s frames.
     Queue(usize, &'p RelDecl),
 }
 
@@ -419,27 +438,6 @@ fn owner(part: &Partitioner, decl: &RelDecl, row: Row<'_>) -> Option<WorkerId> {
         .iter()
         .all(|&c| part.of_key(row.key(c)) == d)
         .then_some(d)
-}
-
-/// Distribute's sent-filter on `store`'s relation (§6.2.2 on the
-/// exchange): whether this worker already routed `row`, counted in `m` as
-/// a hit or a miss. A row this worker routed went to the same
-/// (deterministic) destinations then, and re-merging it anywhere is a
-/// no-op, so it is dropped before it is serialized. `false` for a
-/// relation without a filter.
-#[inline]
-fn already_sent(store: &mut RecStore, m: &mut MetricsSnapshot, row: Row<'_>) -> bool {
-    match store.already_sent(row) {
-        Some(true) => {
-            m.cache_hits += 1;
-            true
-        }
-        Some(false) => {
-            m.cache_misses += 1;
-            false
-        }
-        None => false,
-    }
 }
 
 /// The pending ids of one best-first relation, in a worker-local order
@@ -623,14 +621,14 @@ impl<'a> Worker<'a> {
             let (head, stored) = (acc.head(rule.head_rel), self.store.rec(rule.head_rel));
             self.evaluator
                 .eval_init(rule, &self.store, &mut acc.sink(head, stored));
-            acc.route(head, stored);
+            acc.route_emitted(head, stored);
         }
         if self.me == 0 {
             for (rel, t) in &plan.facts {
                 if stratum.rels.contains(rel) {
                     let (head, stored) = (acc.head(*rel), self.store.rec(*rel));
                     acc.sink(head, stored)(t.row());
-                    acc.route(head, stored);
+                    acc.route_emitted(head, stored);
                 }
             }
         }
@@ -774,7 +772,7 @@ impl<'a> Worker<'a> {
     /// after a slice, [`Worker::flush`] hands them to Distribute before the
     /// next slice, so later slices probe stores those rows may have grown
     /// (monotone rules only derive more from them). Their `min`/`max` rows
-    /// are distributed once, by [`Worker::finish`] at the end.
+    /// are routed and distributed once, by [`Worker::finish`] at the end.
     ///
     /// Best-first ids (see the module docs) wait in their orders instead,
     /// and after the delta Iterate evaluates the orders one slice of the
@@ -859,7 +857,7 @@ impl<'a> Worker<'a> {
                     &mut self.scratch,
                     &mut acc.sink(head, stored),
                 );
-                acc.route(head, stored);
+                acc.route_emitted(head, stored);
                 self.flush(acc, false)?;
             }
             let m = &mut self.rec.counters;
@@ -870,30 +868,35 @@ impl<'a> Worker<'a> {
     }
 
     /// Iterate's hand-off to Distribute after a slice, which splits the
-    /// open `EvalDelta` span: with `best`, every buffered row; without,
-    /// the queued rows once [`FLUSH_ROWS`] of them are buffered.
+    /// open `EvalDelta` span: with `best`, every row, the `min`/`max`
+    /// accumulators' best rows routed first; without, the queued rows once
+    /// [`FLUSH_ROWS`] of them are buffered.
     fn flush(&mut self, acc: &mut PartialAgg<'_>, best: bool) -> Result<()> {
-        if !best && acc.queued_rows < FLUSH_ROWS {
+        if best {
+            acc.route_best(false);
+        } else if acc.queued_rows < FLUSH_ROWS {
             return Ok(());
         }
         self.rec.close(Phase::EvalDelta, self.t_eval, 0, 0, 0);
-        self.distribute(acc.frames(best))?;
-        acc.clear(best);
+        self.distribute(acc.frames())?;
+        acc.clear();
         self.t_eval = Instant::now();
         Ok(())
     }
 
-    /// The hand-off that ends the init phase and each iteration: closes
-    /// the `EvalDelta` span, which evaluated `rows` delta rows, and
-    /// distributes every row, freeing each `min`/`max` table first. Adds
-    /// the accumulator's sink counts to the recorder.
-    fn finish(&mut self, acc: PartialAgg<'_>, rows: u64) -> Result<()> {
+    /// The hand-off that ends the init phase and each iteration: routes
+    /// the `min`/`max` accumulators' best rows, freeing each table before
+    /// any of its rows merge, closes the `EvalDelta` span, which evaluated
+    /// `rows` delta rows, and distributes every row, freeing each frame
+    /// once it is merged or sent. Adds the accumulator's sink counts to the
+    /// recorder.
+    fn finish(&mut self, mut acc: PartialAgg<'_>, rows: u64) -> Result<()> {
+        acc.route_best(true);
         self.rec.close(Phase::EvalDelta, self.t_eval, rows, 0, 0);
         let m = &mut self.rec.counters;
         m.head_rows += acc.head_rows;
         m.stored_checks += acc.stored_checks;
-        let out = acc.drain();
-        self.distribute(out.iter().map(|(rel, dest, rows)| (*rel, *dest, rows)))
+        self.distribute(acc.into_frames())
     }
 
     /// Delta rows waiting for Iterate: the delta's ids and the entries of
@@ -941,69 +944,30 @@ impl<'a> Worker<'a> {
         false
     }
 
-    /// Routes `(head relation, destination, rows)` frames (Distribute).
-    /// A frame's destination was computed when its rows were routed
-    /// ([`PartialAgg::route`]): rows this worker owns met the stored-row
-    /// check then and merge here, feeding the next delta immediately. Every
-    /// other row meets the sent-filter ([`already_sent`]), and rows without
-    /// a destination (several destinations, or `min`/`max` rows) are routed
-    /// here by the same [`owner`]. Remote rows are copied, as lanes, into
-    /// one frame per destination, which goes through the SPSC buffers as a
-    /// batch once it holds `batch_size` rows, or once the frame is routed.
-    /// Adds the rows merged here and sent to [`Worker::produced`], and the
-    /// sent-filter's hits and misses to the recorder.
-    fn distribute<'r>(
+    /// Distribute: hands on `(head relation, destination, rows)` frames,
+    /// whose rows were all routed to that one destination when they were
+    /// queued ([`PartialAgg::route`]). This worker's rows met the
+    /// stored-row check then and merge here, feeding the next delta
+    /// immediately; a peer's rows meet the sent-filter for that peer and
+    /// go to it in batches ([`Worker::stage_unsent`]). An owned frame is
+    /// freed once it is merged or sent. Adds the rows merged here and sent
+    /// to [`Worker::produced`], and the sent-filter's hits and misses to
+    /// the recorder.
+    fn distribute<F: Borrow<Frame>>(
         &mut self,
-        outs: impl IntoIterator<Item = (RelId, Option<WorkerId>, &'r Frame)>,
+        outs: impl IntoIterator<Item = (RelId, WorkerId, F)>,
     ) -> Result<()> {
         let t0 = Instant::now();
-        let (plan, n) = (self.plan, self.cfg.workers);
         let sent_before = self.rec.counters.tuples_sent;
         let mut local_new = 0u64;
-        let mut staged: Vec<Frame> = (0..n).map(|_| Frame::default()).collect();
-        let mut dests: Vec<WorkerId> = Vec::with_capacity(2);
         for (rel, dest, rows) in outs {
-            match dest {
-                // Rows this worker owns met the stored-row check when they
-                // were routed.
-                Some(d) if d == self.me => {
-                    for row in rows.iter() {
-                        local_new += self.merge_local(rel, row);
-                    }
+            let rows = rows.borrow();
+            if dest == self.me {
+                for row in rows.iter() {
+                    local_new += self.merge_local(rel, row);
                 }
-                Some(d) => self.stage_unsent(d, rel, rows, &mut staged[d])?,
-                None => {
-                    let decl = plan.idb[rel].as_ref().expect("IDB head");
-                    for row in rows.iter() {
-                        let (store, m) = (self.store.rec_mut(rel), &mut self.rec.counters);
-                        if already_sent(store, m, row) {
-                            continue;
-                        }
-                        if let Some(d) = owner(&self.coord.part, decl, row) {
-                            local_new += self.deliver(d, rel, row, &mut staged)?;
-                            continue;
-                        }
-                        dests.clear();
-                        if decl.broadcast {
-                            dests.extend(0..n);
-                        } else {
-                            for &c in &decl.partition_cols {
-                                let d = self.coord.part.of_key(row.key(c));
-                                if !dests.contains(&d) {
-                                    dests.push(d);
-                                }
-                            }
-                        }
-                        for &d in &dests {
-                            local_new += self.deliver(d, rel, row, &mut staged)?;
-                        }
-                    }
-                }
-            }
-            for (dest, rows) in staged.iter_mut().enumerate() {
-                if !rows.is_empty() {
-                    self.send(dest, rel, std::mem::take(rows))?;
-                }
+            } else {
+                self.stage_unsent(dest, rel, rows)?;
             }
         }
         let remote_sent = self.rec.counters.tuples_sent - sent_before;
@@ -1014,53 +978,37 @@ impl<'a> Worker<'a> {
         Ok(())
     }
 
-    /// Distribute for `rows` of `rel` bound for peer `dest`: stages each
-    /// row the sent-filter has not seen in `stage`, and sends the stage as
-    /// a batch whenever it holds `batch_size` rows. One tight loop, so the
-    /// filter's lookups overlap.
-    fn stage_unsent(
-        &mut self,
-        dest: WorkerId,
-        rel: RelId,
-        rows: &Frame,
-        stage: &mut Frame,
-    ) -> Result<()> {
+    /// Distribute for `rows` of `rel` bound for peer `dest`: copies, as
+    /// lanes, each row into a staged frame unless the relation's sent-filter
+    /// (§6.2.2 on the exchange) shows it was sent to `dest` before, and
+    /// sends the stage as a batch whenever it holds `batch_size` rows, and
+    /// at the end. Routing is deterministic, so such a row would merge
+    /// there as a no-op; it is dropped before it is serialized. One tight
+    /// loop, so the filter's lookups overlap; it counts the filter's hits
+    /// and misses.
+    fn stage_unsent(&mut self, dest: WorkerId, rel: RelId, rows: &Frame) -> Result<()> {
         let batch = self.cfg.batch_size.max(1);
-        let mut full = Vec::new();
+        let (mut full, mut stage) = (Vec::new(), Frame::default());
         let (store, m) = (self.store.rec_mut(rel), &mut self.rec.counters);
         for row in rows.iter() {
-            if !already_sent(store, m, row) {
-                stage.push(row);
-                if stage.len() == batch {
-                    full.push(std::mem::take(stage));
+            match store.already_sent(dest, row) {
+                Some(true) => m.cache_hits += 1,
+                filtered => {
+                    m.cache_misses += filtered.is_some() as u64;
+                    stage.push(row);
+                    if stage.len() == batch {
+                        full.push(std::mem::take(&mut stage));
+                    }
                 }
             }
+        }
+        if !stage.is_empty() {
+            full.push(stage);
         }
         for frame in full {
             self.send(dest, rel, frame)?;
         }
         Ok(())
-    }
-
-    /// Distribute's hand-off of `rel`'s `row` to worker `dest`: merges it
-    /// here when `dest` is this worker, returning 1 when it was new, or
-    /// stages it for `dest`, sending the stage as a batch once it holds
-    /// `batch_size` rows.
-    fn deliver(
-        &mut self,
-        dest: WorkerId,
-        rel: RelId,
-        row: Row<'_>,
-        staged: &mut [Frame],
-    ) -> Result<u64> {
-        if dest == self.me {
-            return Ok(self.merge_local(rel, row));
-        }
-        staged[dest].push(row);
-        if staged[dest].len() == self.cfg.batch_size.max(1) {
-            self.send(dest, rel, std::mem::take(&mut staged[dest]))?;
-        }
-        Ok(0)
     }
 
     /// Sends `frame`, one batch of `rel`'s rows, to worker `dest`, waiting
@@ -1211,16 +1159,15 @@ mod tests {
     fn push(acc: &mut PartialAgg<'_>, rel: RelId, row: &Tuple) {
         let (head, empty) = (acc.head(rel), RecStore::new(acc.plan, rel, true, 64));
         acc.sink(head, &empty)(row.row());
-        acc.route(head, &empty);
+        acc.route_emitted(head, &empty);
     }
 
-    /// `(relation, row)` for every row of `frames`, decoded.
-    fn decode<'f>(
-        frames: impl Iterator<Item = (RelId, Option<WorkerId>, &'f Frame)>,
-    ) -> Vec<(RelId, Tuple)> {
-        frames
-            .flat_map(|(rel, _, f)| f.iter().map(move |r| (rel, r.to_tuple())))
-            .collect()
+    /// `(relation, destination, row)` for every row queued in `acc`,
+    /// decoded.
+    fn queued(acc: &PartialAgg<'_>) -> Vec<(RelId, WorkerId, Tuple)> {
+        let frames = acc.frames();
+        let rows = frames.flat_map(|(rel, d, f)| f.iter().map(move |r| (rel, d, r.to_tuple())));
+        rows.collect()
     }
 
     #[test]
@@ -1244,14 +1191,17 @@ mod tests {
             for row in rows(&[[1, 9], [1, 3], [1, 7], [2, 5]]) {
                 push(&mut acc, rel, &row);
             }
-            let mut got: Vec<Tuple> = decode(acc.frames(true))
+            assert!(queued(&acc).is_empty(), "collapsed until flushed");
+            acc.route_best(false);
+            let mut got: Vec<Tuple> = queued(&acc)
                 .into_iter()
-                .map(|(r, t)| {
-                    assert_eq!(r, rel);
+                .map(|(r, d, t)| {
+                    assert_eq!((r, d), (rel, 0));
                     t
                 })
                 .collect();
-            acc.clear(true);
+            acc.clear();
+            assert!(queued(&acc).is_empty());
             got.sort();
             assert_eq!(got, rows(&want), "{name}");
             // A flushed accumulator starts over: a row worse than the
@@ -1259,13 +1209,60 @@ mod tests {
             for row in rows(&[[1, 20], [3, 4]]) {
                 push(&mut acc, rel, &row);
             }
-            let out = acc.drain();
-            let mut got: Vec<Tuple> = decode(out.iter().map(|(r, d, f)| (*r, *d, f)))
-                .into_iter()
-                .map(|(_, t)| t)
-                .collect();
+            acc.route_best(true);
+            let mut got: Vec<Tuple> = queued(&acc).into_iter().map(|(.., t)| t).collect();
             got.sort();
             assert_eq!(got, rows(&[[1, 20], [3, 4]]), "{name}");
+        }
+    }
+
+    #[test]
+    fn partial_agg_routes_best_rows_to_their_owners_when_flushed() {
+        let part = Partitioner::new(2);
+        let owned_by = |w: WorkerId| (0..).find(move |&k| part.of_key(k as u64) == w).unwrap();
+        let (a, b) = (owned_by(0), owned_by(1));
+        // CC's `cc2` routes on its group column; APSP's `path` on both of
+        // its group columns, so a row whose columns hash apart goes to
+        // both workers.
+        for (src, name, pushed, want) in [
+            (
+                crate::queries::CC,
+                "cc2",
+                vec![vec![a, 9], vec![a, 4], vec![b, 6]],
+                vec![(0, vec![a, 4]), (1, vec![b, 6])],
+            ),
+            (
+                crate::queries::APSP,
+                "path",
+                vec![vec![a, a, 5], vec![a, b, 7], vec![a, b, 3], vec![b, b, 1]],
+                vec![
+                    (0, vec![a, a, 5]),
+                    (0, vec![a, b, 3]),
+                    (1, vec![a, b, 3]),
+                    (1, vec![b, b, 1]),
+                ],
+            ),
+        ] {
+            let p = plan_of(src);
+            let rel = p.rel_by_name(name).unwrap();
+            let mut acc = PartialAgg::new(&p, part, 0);
+            for row in &pushed {
+                push(&mut acc, rel, &Tuple::from_ints(row));
+            }
+            assert_eq!(acc.head_rows, pushed.len() as u64, "{name}");
+            acc.route_best(false);
+            assert!(acc.heads[0].1.as_ref().unwrap().rows().is_empty());
+            let mut want: Vec<(WorkerId, Tuple)> = want
+                .iter()
+                .map(|(d, r)| (*d, Tuple::from_ints(r)))
+                .collect();
+            want.sort();
+            assert_eq!(acc.queued_rows, want.len(), "{name}");
+            let mut got: Vec<(WorkerId, Tuple)> =
+                queued(&acc).into_iter().map(|(_, d, t)| (d, t)).collect();
+            got.sort();
+            assert_eq!(got, want, "{name}");
+            assert_eq!(acc.stored_checks, 0, "an aggregate has no stored check");
         }
     }
 
@@ -1282,10 +1279,7 @@ mod tests {
         }
         push(&mut acc, tc, &Tuple::from_ints(&[1, 3]));
         assert_eq!(acc.queued_rows, 6);
-        assert_eq!(
-            acc.drain().iter().map(|(_, _, f)| f.len()).sum::<usize>(),
-            6
-        );
+        assert_eq!(queued(&acc).len(), 6);
     }
 
     #[test]
@@ -1318,8 +1312,7 @@ mod tests {
             push(&mut acc, *rel, row);
         }
         assert_eq!(acc.queued_rows, pushed.len(), "queued for the flush");
-        let out = acc.drain();
-        let got = decode(out.iter().map(|(r, d, f)| (*r, *d, f)));
+        let got: Vec<(RelId, Tuple)> = queued(&acc).into_iter().map(|(r, _, t)| (r, t)).collect();
         for rel in [rank, cnt] {
             let of = |rows: &[(RelId, Tuple)]| -> Vec<Tuple> {
                 rows.iter()
@@ -1337,49 +1330,59 @@ mod tests {
         let part = Partitioner::new(2);
         let owned_by = |w: WorkerId| (0..).find(move |&k| part.of_key(k as u64) == w).unwrap();
         let (a, b) = (owned_by(0), owned_by(1));
-        // Linear TC routes on column 1; non-linear TC also on column 0.
+        // `(row, destinations, stored)`. Linear TC routes on column 1;
+        // non-linear TC also on column 0, so a row whose columns hash apart
+        // goes to both workers.
         for (src, legs) in [
             (
                 crate::queries::TC,
-                vec![([7, a], Some(0), true), ([7, b], Some(1), false)],
+                vec![
+                    ([7, a], vec![0], true),
+                    ([8, a], vec![0], false),
+                    ([7, b], vec![1], true),
+                ],
             ),
             (
                 "tc(X, Y) <- arc(X, Y). tc(X, Y) <- tc(X, Z), tc(Z, Y).",
                 vec![
-                    ([a, a], Some(0), true),
-                    ([b, a], None, true),
-                    ([a, b], None, true),
-                    ([b, b], Some(1), false),
+                    ([a, a], vec![0], true),
+                    ([b, a], vec![0, 1], true),
+                    ([a, b], vec![0, 1], false),
+                    ([b, b], vec![1], true),
                 ],
             ),
         ] {
             let p = plan_of(src);
             let tc = p.rel_by_name("tc").unwrap();
-            // Worker 0's store holds every row, even those it cannot own,
-            // so only a lookup the sink makes can drop one.
+            // Worker 0's store holds every row marked stored, even those it
+            // cannot own, so only a lookup the sink makes can drop one.
             let mut store = RecStore::new(&p, tc, true, 64);
-            let mut acc = PartialAgg::new(&p, part, 0);
-            for (row, _, _) in &legs {
+            for (row, ..) in legs.iter().filter(|(.., stored)| *stored) {
                 store.merge(&Tuple::from_ints(row));
+            }
+            let mut acc = PartialAgg::new(&p, part, 0);
+            for (row, ..) in &legs {
                 let head = acc.head(tc);
                 acc.sink(head, &store)(Tuple::from_ints(row).row());
-                acc.route(head, &store);
+                acc.route_emitted(head, &store);
             }
-            let checked = legs.iter().filter(|(_, _, here)| *here).count();
+            let here = |dests: &Vec<WorkerId>| dests.contains(&0);
+            let checked = legs.iter().filter(|(_, dests, _)| here(dests)).count();
             assert_eq!(acc.head_rows, legs.len() as u64, "{src}");
             assert_eq!(acc.stored_checks, checked as u64, "{src}");
-            let mut queued: Vec<(Option<WorkerId>, Tuple)> = acc
-                .frames(true)
-                .flat_map(|(_, d, f)| f.iter().map(move |r| (d, r.to_tuple())))
-                .collect();
-            queued.sort();
-            let mut want: Vec<(Option<WorkerId>, Tuple)> = legs
+            let mut got: Vec<(WorkerId, Tuple)> =
+                queued(&acc).into_iter().map(|(_, d, t)| (d, t)).collect();
+            got.sort();
+            let mut want: Vec<(WorkerId, Tuple)> = legs
                 .iter()
-                .filter(|(_, _, here)| !here)
-                .map(|(row, d, _)| (*d, Tuple::from_ints(row)))
+                .filter(|(_, dests, stored)| !(here(dests) && *stored))
+                .flat_map(|(row, dests, _)| dests.iter().map(|&d| (d, Tuple::from_ints(row))))
                 .collect();
             want.sort();
-            assert_eq!(queued, want, "only rows for peers alone are queued: {src}");
+            assert_eq!(
+                got, want,
+                "one copy per destination, unless stored here: {src}"
+            );
         }
     }
 

@@ -691,6 +691,33 @@ fn sent_filter_suppresses_duplicate_sends() {
         "optimized run must exchange fewer tuples: {p_opt} vs {p_abl}"
     );
 
+    // Rows with several destinations: non-linear TC routes `tc` on both
+    // columns, so a row whose columns hash apart goes to two workers, and
+    // under broadcast routing every row goes to all four. Each such row
+    // meets the filter once per peer, and the filter must still hit: the
+    // stored-row check alone already lowers `produced`, so the leg also
+    // counts the filter's hits, which under broadcast routing can only
+    // come from rows with several destinations.
+    let nonlinear = "tc(X, Y) <- arc(X, Y). tc(X, Y) <- tc(X, Z), tc(Z, Y).";
+    for broadcast in [false, true] {
+        let run = |optimized: bool| {
+            let mut cfg = EngineConfig::with_workers(4).optimizations(optimized);
+            cfg.broadcast_routing = broadcast;
+            let mut e = Engine::new(Program::parse(nonlinear).unwrap(), cfg).unwrap();
+            e.load_edges("arc", &edges).unwrap();
+            e.run().unwrap()
+        };
+        let (opt, abl) = (run(true), run(false));
+        assert_eq!(opt.sorted("tc"), abl.sorted("tc"), "broadcast {broadcast}");
+        let (p_opt, p_abl) = (opt.stats.report.produced, abl.stats.report.produced);
+        assert!(
+            p_opt < p_abl,
+            "broadcast {broadcast}: optimized run must exchange fewer tuples: {p_opt} vs {p_abl}"
+        );
+        let hits = opt.stats.report.total(|w| w.cache_hits);
+        assert!(hits > 0, "broadcast {broadcast}: the sent-filter never hit");
+    }
+
     // On one worker every row merges locally and the dedup table is the
     // only existence check: no cache is consulted, for sets (TC) or
     // min aggregates (CC), under any strategy.

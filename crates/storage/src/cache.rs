@@ -11,12 +11,19 @@
 //!
 //! [`TupleCache`] is a direct-mapped array of exact entries, held as one
 //! flat [`Frame`] of slots (8 bytes a cell), so a hit is always *sound*
-//! (it proves the row was recorded); a miss says nothing. Collisions
-//! simply evict.
+//! (it proves the row was recorded for that destination); a miss says
+//! nothing. Collisions simply evict. A row with several destinations is
+//! looked up once per destination, so the destination is folded into the
+//! slot index rather than stored: one table serves every peer.
 
 use dcd_common::hash::FxStyleHasher;
 use dcd_common::{Frame, Row};
 use std::hash::Hasher;
+
+/// The odd step between one destination's slot for a row and the next
+/// destination's (the golden-ratio constant): odd, so distinct
+/// destinations below the slot count land on distinct slots.
+const DEST_STEP: u64 = 0x9E37_79B9_7F4A_7C15;
 
 fn row_hash(row: Row<'_>) -> u64 {
     let mut h = FxStyleHasher::default();
@@ -26,7 +33,7 @@ fn row_hash(row: Row<'_>) -> u64 {
     h.finish()
 }
 
-/// Lossy set of recently recorded rows.
+/// Lossy set of recently recorded `(row, destination)` pairs.
 pub struct TupleCache {
     /// Slot `i` is `slots.row(i)` when `filled[i]`; both are allocated,
     /// zeroed, at the first row, whose arity sizes the slots.
@@ -46,14 +53,22 @@ impl TupleCache {
         }
     }
 
-    /// Whether `row` was definitely recorded before (a sound duplicate
-    /// check); records it if not.
-    pub fn seen(&mut self, row: Row<'_>) -> bool {
+    /// Whether `row` was definitely recorded before for destination
+    /// `dest` (a sound duplicate check); records it if not. The row's
+    /// slot is `(hash + dest·DEST_STEP) & mask`: since the step is odd,
+    /// a slot holding `row` at `dest`'s index was written for `dest` and
+    /// no other destination below the slot count, so a hit stays proof.
+    /// A destination at or beyond the slot count never hits.
+    pub fn seen(&mut self, row: Row<'_>, dest: usize) -> bool {
+        if dest > self.mask {
+            return false;
+        }
         if self.filled.is_empty() {
             self.slots = Frame::zeroed(row.arity(), self.mask + 1, false);
             self.filled = vec![false; self.mask + 1];
         }
-        let idx = (row_hash(row) as usize) & self.mask;
+        let at = row_hash(row).wrapping_add((dest as u64).wrapping_mul(DEST_STEP));
+        let idx = at as usize & self.mask;
         if self.filled[idx] && self.slots.row(idx) == row {
             return true;
         }
@@ -69,7 +84,7 @@ mod tests {
     use dcd_common::{Tuple, Value};
 
     fn seen(c: &mut TupleCache, t: &Tuple) -> bool {
-        c.seen(t.row())
+        c.seen(t.row(), 1)
     }
 
     #[test]
@@ -118,6 +133,25 @@ mod tests {
         }
         // `a` may or may not still be cached; seen() just returns a bool.
         let _ = seen(&mut c, &a);
+    }
+
+    #[test]
+    fn a_hit_is_per_destination() {
+        let mut c = TupleCache::new(64);
+        let t = Tuple::from_ints(&[1, 2]);
+        assert!(!c.seen(t.row(), 1));
+        assert!(!c.seen(t.row(), 2), "recorded for 1, not for 2");
+        assert!(c.seen(t.row(), 1));
+        assert!(c.seen(t.row(), 2));
+        assert!(!c.seen(t.row(), 0));
+        // Beyond the slot count, two destinations would share an index.
+        for dest in [64, 65, 1 << 20] {
+            assert!(!c.seen(t.row(), dest), "{dest}");
+            assert!(!c.seen(t.row(), dest), "{dest} never hits");
+        }
+        // The last destination below it still records and hits.
+        assert!(!c.seen(t.row(), 63));
+        assert!(c.seen(t.row(), 63));
     }
 
     #[test]

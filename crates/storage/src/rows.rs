@@ -127,6 +127,15 @@ impl RowStore {
         self.rows
     }
 
+    /// Empties a growable store and hands out its rows (in id order)
+    /// without copying them; the index maps keep their capacity. Panics on
+    /// a sealed (CSR-indexed) store.
+    pub(crate) fn take_rows(&mut self) -> Frame {
+        let rows = std::mem::take(&mut self.rows);
+        self.clear();
+        rows
+    }
+
     /// Empties a growable store; the row buffer and the index maps keep
     /// their capacity. Panics on a sealed (CSR-indexed) store.
     pub(crate) fn clear(&mut self) {

@@ -16,8 +16,10 @@
 //! * `DerivedRelation::contains`, the read-only check a head row meets
 //!   before it is buffered;
 //! * the `Frame` round trip (encode, copy, decode);
-//! * the sent-filter: a `TupleCache` hit always names a row equal to one
-//!   recorded before, and a row just recorded hits.
+//! * the sent-filter: a `TupleCache` hit for a destination always names a
+//!   row equal to one recorded before for that destination, and a row
+//!   just recorded hits, unless its destination is beyond the slot count,
+//!   which never hits.
 
 use dcd_common::proptest;
 use dcd_common::proptest::prelude::*;
@@ -165,15 +167,24 @@ fn check_frames(arity: usize, rows: &[Tuple]) {
     }
 }
 
-/// A tiny sent-filter over `rows`: every hit names a row equal to one
-/// recorded earlier, and a row just recorded hits.
-fn check_sent_filter(rows: &[Tuple]) {
+/// A tiny sent-filter over `rows`, row `i` looked up for destination
+/// `dests[i]`: every hit names a row equal to one recorded earlier for the
+/// same destination, a row just recorded hits, and a destination beyond
+/// the 4 slots never hits.
+fn check_sent_filter(rows: &[Tuple], dests: &[usize]) {
     let mut filter = TupleCache::new(4);
-    for (i, row) in rows.iter().enumerate() {
-        if filter.seen(row.row()) {
-            prop_assert!(rows[..i].contains(row), "false hit on {:?}", row);
+    let sent: Vec<(&Tuple, usize)> = rows.iter().zip(dests.iter().copied()).collect();
+    for (i, &(row, d)) in sent.iter().enumerate() {
+        if filter.seen(row.row(), d) {
+            prop_assert!(d < 4, "{:?} hit for destination {}", row, d);
+            prop_assert!(
+                sent[..i].contains(&(row, d)),
+                "false hit on {:?} for {}",
+                row,
+                d
+            );
         } else {
-            prop_assert!(filter.seen(row.row()), "{:?} was not recorded", row);
+            prop_assert_eq!(filter.seen(row.row(), d), d < 4, "{:?} for {}", row, d);
         }
     }
 }
@@ -182,13 +193,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn flat_rows_match_a_tuple_model((arity, rows) in input()) {
+    fn flat_rows_match_a_tuple_model(
+        (arity, rows) in input(),
+        dests in proptest::collection::vec(0usize..6, 60),
+    ) {
         check_set(arity, &rows);
         if arity > 0 {
             check_min(arity, &rows);
         }
         check_frames(arity, &rows);
-        check_sent_filter(&rows);
+        check_sent_filter(&rows, &dests);
     }
 }
 
@@ -218,7 +232,8 @@ fn colliding_cells_fixed_cases() {
                 check_set(arity, &rows);
                 check_min(arity, &rows);
                 check_frames(arity, &rows);
-                check_sent_filter(&rows);
+                check_sent_filter(&rows, &[1, 1, 1, 1]);
+                check_sent_filter(&rows, &[1, 2, 2, 1]);
             }
         }
     }

@@ -8,11 +8,13 @@
 #      git worktree;
 #   2. perfbench is built there and in the working tree;
 #   3. for each workload in WORKLOADS (`tc-rmat`, whose time goes to
-#      local merge, dedup and exchange, and `sssp-web`, whose many small
-#      iterations stress the fixpoint loop's coordination), PAIRS pairs
-#      of `perfbench --workload W --trace 0 --seconds 2` run, alternating
-#      which side goes first, so drift in the host's speed lands on both
-#      sides alike;
+#      local merge, dedup and exchange; `sssp-web`, whose many small
+#      iterations stress the fixpoint loop's coordination; and
+#      `apsp-rmat`, the one workload whose head rows can have two
+#      destinations, from APSP's non-linear `path` with its two routes),
+#      PAIRS pairs of `perfbench --workload W --trace 0 --seconds 2`
+#      run, alternating which side goes first, so drift in the host's
+#      speed lands on both sides alike;
 #   4. the gate fails when, on any workload, the change's median `run_s`
 #      or `run_s.1w` is more than 125% of the base's, or its median
 #      `peak_rss_mb` more than 105% (BUDGET_PCT). Peak RSS repeats within
@@ -30,7 +32,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-WORKLOADS=(tc-rmat sssp-web)
+WORKLOADS=(tc-rmat sssp-web apsp-rmat)
 PAIRS=6
 RUN_SECONDS=2
 METRICS=(run_s run_s.1w peak_rss_mb)

@@ -25,6 +25,13 @@
 # every worker: the only existence cache is the sent-filter on the
 # exchange, and one worker routes nothing.
 #
+# A non-linear TC leg (tc(X, Y) <- tc(X, Z), tc(Z, Y)) runs on the same
+# graph under global, ssp:2 and dws at 4 workers. Its `tc` routes on both
+# columns, so a row whose columns hash apart goes to two workers and
+# meets the sent-filter once per peer. All three must print the same
+# relations, each must reconcile (produced == consumed), and each must
+# report Σ cache_hits > 0.
+#
 # An SSSP leg runs programs/sssp.dl from vertex 0 over a generated
 # weighted graph (1 500 vertices: a ring plus four pseudo-random out-edges
 # each) under global, ssp:2 and dws at 1 and 4 workers. All six must
@@ -192,6 +199,32 @@ if [ "$counted" -ne 1 ] || [ "$nonzero" -ne 0 ]; then
 else
     echo "ok(1 worker): cache_hits == cache_misses == 0"
 fi
+
+# -- Non-linear TC: rows with two destinations still hit the filter -------
+printf 'tc(X, Y) <- arc(X, Y).\ntc(X, Y) <- tc(X, Z), tc(Z, Y).\n' > "$workdir/tc_nl.dl"
+for strategy in global ssp:2 dws; do
+    label="tc-nonlinear $strategy x4"
+    out="$workdir/tc_nl_${strategy%%:*}"
+    "$BIN" run "$workdir/tc_nl.dl" --edb arc="$workdir/edges.csv" \
+        --workers 4 --strategy "$strategy" --limit 0 --stats-json "$out.json" \
+        | grep -v '^done in\|^wrote stats' > "$out.txt"
+    if ! cmp -s "$out.txt" "$workdir/tc_nl_global.txt"; then
+        echo "FAIL($label): results differ from global x4" >&2
+        fail=1
+    fi
+    produced=$(grep -o '"produced": [0-9]*' "$out.json" | awk '{print $2}')
+    consumed=$(grep -o '"consumed": [0-9]*' "$out.json" | awk '{print $2}')
+    if [ -z "$produced" ] || [ "$produced" != "$consumed" ]; then
+        echo "FAIL($label): produced ($produced) != consumed ($consumed)" >&2
+        fail=1
+    fi
+    hits=$(sum_field cache_hits "$out.json")
+    if [ "$hits" -eq 0 ]; then
+        echo "FAIL($label): sum of per_worker cache_hits is 0 (sent-filter never hit)" >&2
+        fail=1
+    fi
+    echo "ok($label): produced=$produced consumed=$consumed cache_hits=$hits"
+done
 
 # -- SSSP: every strategy and worker count agrees; best-first stays lean --
 # A 16-bit LCG (exact in awk's doubles) picks the chords and weights.
