@@ -17,9 +17,10 @@
 //! indexed, else the lowest index column.
 
 use dcd_common::{DcdError, Partitioner, Result, Tuple, WorkerId};
-use dcd_frontend::physical::{PhysicalPlan, Placement, RelId};
+use dcd_frontend::physical::{PhysicalPlan, Placement, RelId, StorageKind};
 use dcd_storage::SealedRelation;
 use std::borrow::Cow;
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 /// How one base relation is materialized.
@@ -33,6 +34,8 @@ enum CatalogEntry {
 /// All base relations of one evaluation, sealed and placement-resolved.
 pub struct EdbCatalog {
     rels: Vec<Option<CatalogEntry>>,
+    /// See [`EdbCatalog::int_box`].
+    ints: Option<RangeInclusive<i64>>,
 }
 
 impl EdbCatalog {
@@ -82,7 +85,18 @@ impl EdbCatalog {
                 }
             }));
         }
-        Ok(EdbCatalog { rels })
+        Ok(EdbCatalog {
+            rels,
+            ints: int_box(plan, edb_data),
+        })
+    }
+
+    /// The least interval holding every integer cell of the base
+    /// relations and inline facts, over which set stores may keep a bit
+    /// matrix: one pass, made only when the plan has a set relation.
+    /// `None` without such a relation or such a cell.
+    pub fn int_box(&self) -> Option<&RangeInclusive<i64>> {
+        self.ints.as_ref()
     }
 
     /// [`EdbCatalog::try_build`] for rows known to have their relations'
@@ -125,6 +139,25 @@ impl EdbCatalog {
             })
             .sum()
     }
+}
+
+/// [`EdbCatalog::int_box`] of `plan` over `edb_data`.
+fn int_box(plan: &PhysicalPlan, data: &[Option<Vec<Tuple>>]) -> Option<RangeInclusive<i64>> {
+    let mut kinds = plan.idb.iter().flatten().map(|d| &d.kind);
+    if !kinds.any(|k| *k == StorageKind::Set) {
+        return None;
+    }
+    let base = plan.edb.iter().flatten().flat_map(|d| &data[d.id]);
+    let facts = plan.facts.iter().map(|(_, fact)| fact);
+    let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+    for row in base.flatten().chain(facts).map(Tuple::row) {
+        for (c, &lane) in row.lanes().iter().enumerate() {
+            if !row.is_float(c) {
+                (lo, hi) = (lo.min(lane as i64), hi.max(lane as i64));
+            }
+        }
+    }
+    (lo <= hi).then_some(lo..=hi)
 }
 
 #[cfg(test)]
@@ -216,6 +249,39 @@ mod tests {
                 assert!(msg.ends_with("but 'arc' expects 2"), "{msg}");
             }
         }
+    }
+
+    #[test]
+    fn the_int_box_spans_every_integer_cell_and_fact() {
+        use dcd_common::Value;
+        // Float cells do not widen it; inline facts do, for base and
+        // derived relations alike.
+        let mut rows = arcs(10);
+        rows.push(Tuple::new(&[Value::Int(-4), Value::Float(1e9)]));
+        let (_, cat) = catalog_for(TC, 2, rows);
+        assert_eq!(cat.int_box(), Some(&(-4..=10)));
+        let with_facts = format!("arc(3, 40). tc(-9, 2.5). {TC}");
+        let p = plan_for(&with_facts);
+        let mut data: Vec<Option<Vec<Tuple>>> = vec![None; p.edb.len()];
+        data[p.rel_by_name("arc").unwrap()] = Some(arcs(10));
+        let cat = EdbCatalog::build(&p, &data, &Partitioner::new(1));
+        assert_eq!(cat.int_box(), Some(&(-9..=40)));
+        // No integer cell: no box.
+        let (_, empty) = catalog_for(TC, 2, Vec::new());
+        assert_eq!(empty.int_box(), None);
+        let floats = vec![Tuple::new(&[Value::Float(0.5), Value::Float(1.5)])];
+        assert_eq!(catalog_for(SG, 2, floats).1.int_box(), None);
+    }
+
+    #[test]
+    fn a_plan_without_a_set_relation_computes_no_box() {
+        let sssp = "sp(X, min<D>) <- X = 1, D = 0.
+                    sp(Y, min<D>) <- sp(X, D1), arc(X, Y, W), D = D1 + W.";
+        let p = plan_for(sssp);
+        let mut data: Vec<Option<Vec<Tuple>>> = vec![None; p.edb.len()];
+        data[p.rel_by_name("arc").unwrap()] = Some(vec![Tuple::from_ints(&[1, 2, 5])]);
+        let cat = EdbCatalog::build(&p, &data, &Partitioner::new(2));
+        assert_eq!(cat.int_box(), None);
     }
 
     #[test]

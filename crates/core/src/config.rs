@@ -13,7 +13,8 @@ pub struct EngineConfig {
     /// Enable the §6.2 optimizations: aggregate index + Distribute
     /// sent-filter. Disabled for the Table-4 ablation.
     pub optimized: bool,
-    /// Slots of the Distribute sent-filter, per worker per set relation.
+    /// Slots of the lossy Distribute sent-filter, per worker per set
+    /// relation: it filters the rows outside the relation's bit matrix.
     pub cache_slots: usize,
     /// ε for `sum` aggregate convergence (PageRank).
     pub sum_epsilon: f64,

@@ -9,13 +9,15 @@
 //! (§5.2.2) over the O(1) dedup table with the aggregate-aware index
 //! (§6.2.1). The only existence-check cache (§6.2.2) is the set
 //! relation's Distribute sent-filter, which sits on the exchange, not on
-//! the merge path, and answers per (row, destination): one table serves
-//! every peer.
+//! the merge path, and answers per (row, destination).
+//! A [`BitMatrix`] over the catalog's integer box makes both checks exact
+//! bit tests for the rows inside it, one sent matrix per destination.
 
 use crate::catalog::EdbCatalog;
 use dcd_common::{Frame, Row, Tuple, WorkerId};
 use dcd_frontend::physical::{PhysicalPlan, RelId, StorageKind, Target};
-use dcd_storage::{DerivedRelation, RowStore, SealedRelation, TupleCache};
+use dcd_storage::{BitMatrix, DerivedRelation, RowStore, SealedRelation, TupleCache};
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 pub use dcd_storage::Merged;
@@ -30,6 +32,10 @@ pub struct RecStore {
     filter_slots: usize,
     /// Distribute's exact-duplicate filter, allocated on first use.
     sent_filter: Option<TupleCache>,
+    /// The empty matrix over the box, when the relation has one.
+    dense: Option<BitMatrix>,
+    /// Per destination, the matrix of the rows sent there.
+    sent_bits: Vec<BitMatrix>,
 }
 
 impl RecStore {
@@ -62,7 +68,21 @@ impl RecStore {
             checked,
             filter_slots: if checked { cache_slots } else { 0 },
             sent_filter: None,
+            dense: None,
+            sent_bits: Vec::new(),
         }
+    }
+
+    /// Gives an optimized set relation of `arity` columns a bit matrix
+    /// over `ints` for its stored-row check and its sent-filter, when one
+    /// passes [`BitMatrix::new`]'s size rule.
+    fn within(mut self, ints: Option<&RangeInclusive<i64>>, arity: usize) -> Self {
+        let bits = ints.and_then(|ints| BitMatrix::new(ints, arity));
+        self.dense = bits.filter(|_| self.checked);
+        if let Some(bits) = &self.dense {
+            self.rel = self.rel.with_bits(bits.clone());
+        }
+        self
     }
 
     /// Number of logical rows / groups.
@@ -99,12 +119,20 @@ impl RecStore {
     }
 
     /// Distribute's sent-filter: whether this worker already sent `row` to
-    /// worker `dest` (a sound but lossy check), recording it if not. A row
-    /// with several destinations meets it once per peer, and a send to one
-    /// peer is no hit for another. `None` when the relation has no filter:
-    /// an aggregate relation, whose rows evolve, or any relation with
-    /// optimizations off.
+    /// worker `dest`, recording it if not: exact for a row inside the bit
+    /// matrix, sound but lossy for any other. A send to one peer is no hit
+    /// for another. `None` when the row meets no filter: an aggregate
+    /// relation, whose rows evolve, any relation with optimizations off,
+    /// or a row outside the matrix when `cache_slots` is 0.
     pub fn already_sent(&mut self, dest: WorkerId, row: Row<'_>) -> Option<bool> {
+        if let Some(empty) = &self.dense {
+            if dest >= self.sent_bits.len() {
+                self.sent_bits.resize(dest + 1, empty.clone());
+            }
+            if let Some(new) = self.sent_bits[dest].insert(row) {
+                return Some(!new);
+            }
+        }
         if self.filter_slots == 0 {
             return None;
         }
@@ -143,7 +171,8 @@ pub struct WorkerStore {
 
 impl WorkerStore {
     /// Builds the store for worker `me`: takes base-relation handles from
-    /// the shared catalog and creates empty recursive stores. No EDB rows
+    /// the shared catalog and creates empty recursive stores, with a bit
+    /// matrix over the catalog's integer box where one fits. No EDB rows
     /// are copied and no indexes are built here — the catalog did both,
     /// exactly once.
     pub fn build(
@@ -160,8 +189,10 @@ impl WorkerStore {
             .idb
             .iter()
             .map(|d| {
-                d.as_ref()
-                    .map(|d| RecStore::new(plan, d.id, optimized, cache_slots))
+                d.as_ref().map(|d| {
+                    let store = RecStore::new(plan, d.id, optimized, cache_slots);
+                    store.within(catalog.int_box(), d.arity)
+                })
             })
             .collect();
         WorkerStore { edb, idb }
@@ -195,6 +226,7 @@ impl WorkerStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcd_common::Value;
     use dcd_frontend::physical::{plan, PlannerConfig};
     use dcd_frontend::{analyze, parse_program};
 
@@ -301,6 +333,58 @@ mod tests {
             s.merge(&row);
             assert_eq!(s.already_stored(row.row()), None);
         }
+    }
+
+    #[test]
+    fn a_sent_hit_comes_only_after_that_send() {
+        // Rows inside the box meet an exact matrix per destination: a hit
+        // exactly when that row went to that destination before. Rows
+        // outside it meet the 2-slot lossy filter: a hit only then.
+        use dcd_common::rng::Rng;
+        use std::collections::HashSet;
+        let p = tc_plan();
+        let tc = p.rel_by_name("tc").unwrap();
+        let mut s = RecStore::new(&p, tc, true, 2).within(Some(&(-2..=5)), 2);
+        assert!(s.dense.is_some());
+        let (mut rng, mut sent) = (Rng::seed_from_u64(7), HashSet::new());
+        for _ in 0..4000 {
+            let row = [rng.gen_range(-4..8i64), rng.gen_range(-4..8i64)];
+            let dest = rng.gen_range(0..4usize);
+            let t = Tuple::from_ints(&row);
+            let hit = s.already_sent(dest, t.row()).expect("a filter");
+            let before = !sent.insert((dest, row));
+            assert!(!hit || before, "{row:?} to {dest}: a hit before any send");
+            if row.iter().all(|v| (-2..=5).contains(v)) {
+                assert_eq!(hit, before, "{row:?} to {dest}: the matrix is exact");
+            }
+        }
+        // A float row misses the matrix and meets the lossy filter.
+        let float = Tuple::new(&[Value::Int(1), Value::Float(2.0)]);
+        assert_eq!(s.already_sent(1, float.row()), Some(false));
+    }
+
+    #[test]
+    fn the_catalog_box_gives_set_stores_their_matrix() {
+        let p = tc_plan();
+        let (arc, tc) = (p.rel_by_name("arc").unwrap(), p.rel_by_name("tc").unwrap());
+        let build = |rows: Vec<Tuple>, optimized: bool| {
+            let mut data: Vec<Option<Vec<Tuple>>> = vec![None; p.edb.len()];
+            data[arc] = Some(rows);
+            let catalog = EdbCatalog::build(&p, &data, &dcd_common::Partitioner::new(1));
+            WorkerStore::build(&p, &catalog, 0, optimized, 64)
+        };
+        let small: Vec<Tuple> = (0..100).map(|i| Tuple::from_ints(&[i, i + 1])).collect();
+        assert!(build(small.clone(), true).rec(tc).dense.is_some());
+        // With optimizations off there are no bits; a box of 1025 values
+        // is too large for a matrix at arity 2.
+        assert!(build(small, false).rec(tc).dense.is_none());
+        let wide = vec![Tuple::from_ints(&[0, 1024])];
+        assert!(build(wide, true).rec(tc).dense.is_none());
+        let mut ws = build(vec![Tuple::from_ints(&[0, 1])], true);
+        let row = Tuple::from_ints(&[1, 0]);
+        assert_eq!(ws.rec(tc).already_stored(row.row()), Some(false));
+        ws.rec_mut(tc).merge(&row);
+        assert_eq!(ws.rec(tc).already_stored(row.row()), Some(true));
     }
 
     #[test]

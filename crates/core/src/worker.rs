@@ -349,13 +349,14 @@ impl<'a> PartialAgg<'a> {
     /// destination when it was first stored, so it would merge as `Old`
     /// everywhere. A row only peers own never meets that check, which could
     /// not succeed: this worker stores only rows routed here. On one worker
-    /// every row is this worker's, and none is hashed.
+    /// every row is this worker's, and none is hashed; on more, each route
+    /// column is hashed once per row.
     fn route(&mut self, at: usize, decl: &RelDecl, rows: &Frame, stored: Option<&RecStore>) {
-        let (part, me, cols) = (&self.part, self.me, &decl.partition_cols);
-        let frames = &mut self.heads[at].2;
+        let (part, me, frames) = (&self.part, self.me, &mut self.heads[at].2);
+        let mut owners = Vec::new();
         for row in rows.iter() {
-            let one = owner(part, decl, row);
-            let lands = |d| decl.broadcast || cols.iter().any(|&c| part.of_key(row.key(c)) == d);
+            let one = owner(part, decl, row, &mut owners);
+            let lands = |d| decl.broadcast || owners.contains(&d);
             let here = one.map_or_else(|| lands(me), |d| d == me);
             let checked = stored.filter(|_| here).and_then(|s| s.already_stored(row));
             self.stored_checks += checked.is_some() as u64;
@@ -420,11 +421,17 @@ enum Head<'p> {
 
 /// The one worker a row of `decl` goes to under `part` (§5.2.3's `H`):
 /// `None` when it goes to several, that is, the relation is broadcast or
-/// the row's routes hash to different workers. On one worker it is worker
-/// 0, with no hashing. Always inlined: the routing pass calls it for
-/// every row.
+/// the row's routes hash to different workers; in the latter case
+/// `owners` then holds the worker of every route column, each column
+/// hashed once. On one worker it is worker 0, with no hashing. Always
+/// inlined: the routing pass calls it for every row.
 #[inline(always)]
-fn owner(part: &Partitioner, decl: &RelDecl, row: Row<'_>) -> Option<WorkerId> {
+fn owner(
+    part: &Partitioner,
+    decl: &RelDecl,
+    row: Row<'_>,
+    owners: &mut Vec<WorkerId>,
+) -> Option<WorkerId> {
     if part.partitions() == 1 {
         return Some(0);
     }
@@ -434,10 +441,16 @@ fn owner(part: &Partitioner, decl: &RelDecl, row: Row<'_>) -> Option<WorkerId> {
     // The planner gives every relation a route column.
     let cols = &decl.partition_cols;
     let d = part.of_key(row.key(cols[0]));
-    cols[1..]
-        .iter()
-        .all(|&c| part.of_key(row.key(c)) == d)
-        .then_some(d)
+    for (i, &c) in cols.iter().enumerate().skip(1) {
+        let e = part.of_key(row.key(c));
+        if e != d {
+            owners.clear();
+            owners.extend([d, e]);
+            owners.extend(cols[i + 1..].iter().map(|&c| part.of_key(row.key(c))));
+            return None;
+        }
+    }
+    Some(d)
 }
 
 /// The pending ids of one best-first relation, in a worker-local order

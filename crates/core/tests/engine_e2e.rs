@@ -795,6 +795,109 @@ fn without_a_sent_filter_the_stored_row_check_still_runs() {
     assert_eq!(rep.total(|w| w.stored_checks), head_rows);
 }
 
+/// A cyclic graph on 48 nodes, five successors each, on which TC and SG
+/// derive each result row from many head rows.
+fn cyclic_48() -> Vec<(i64, i64)> {
+    (0..240)
+        .map(|i| (i % 48, (i * 7 + i / 48 + 1) % 48))
+        .collect()
+}
+
+#[test]
+fn an_exact_sent_filter_sends_each_row_to_each_peer_once() {
+    // Every cell of `tc` and `sg` is one of `arc`'s 48 ids, so both
+    // relations keep their rows, and their sent-filter, as bit matrices.
+    // With a 2-slot lossy filter only the per-peer matrices can hold the
+    // sends to the bound: a worker sends a row to its one owner at most
+    // once, so at most `workers - 1` workers send it at all.
+    let edges = cyclic_48();
+    for (query, src) in [("tc", queries::TC), ("sg", queries::SG)] {
+        let mut reference = Reference::new(src).unwrap();
+        reference.load_edges("arc", &edges);
+        let mut want = reference.run().unwrap().remove(query).unwrap();
+        want.sort();
+        for workers in [2, 4] {
+            for s in strategies() {
+                let name = format!("{query} {} x{workers}", s.name());
+                let mut cfg = EngineConfig::with_workers(workers).strategy(s);
+                cfg.cache_slots = 2;
+                let mut e = Engine::new(Program::parse(src).unwrap(), cfg).unwrap();
+                e.load_edges("arc", &edges).unwrap();
+                let r = e.run().unwrap();
+                assert_eq!(r.sorted(query), want, "{name}");
+                let rep = &r.stats.report;
+                let (sent, heads) = (rep.total(|w| w.tuples_sent), rep.total(|w| w.head_rows));
+                assert!(
+                    heads > (workers as u64) * want.len() as u64,
+                    "{name}: too easy"
+                );
+                let bound = (workers as u64 - 1) * want.len() as u64;
+                assert!(sent <= bound, "{name}: {sent} rows sent, bound {bound}");
+            }
+        }
+    }
+}
+
+#[test]
+fn dense_sets_match_the_reference_with_rows_outside_the_box() {
+    // Each program's set relation keeps a bit matrix over the base
+    // relations' integer box. A head constant (1000) lies outside the box,
+    // so those rows take the dedup table. A float fact (`arc(47, 3.0)`,
+    // `organizer(2.0)`) derives rows equal to integer rows, such as
+    // `tc(X, 3.0)` and `tc(X, 3)`; the first one merged moves the matrix's
+    // rows into the table, where the two meet.
+    let pairs = |edges: &[(i64, i64)]| -> Vec<Tuple> {
+        edges
+            .iter()
+            .map(|&(a, b)| Tuple::from_ints(&[a, b]))
+            .collect()
+    };
+    let arc = vec![("arc", pairs(&cyclic_48()))];
+    let organizers = (0..10).map(|i| Tuple::from_ints(&[i])).collect();
+    let party = vec![
+        ("organizer", organizers),
+        ("friend", pairs(&dcd_datagen::gnp(60, 0.2, 3))),
+    ];
+    let tc = "tc(X, Y) <- arc(X, Y).
+              tc(X, Y) <- tc(X, Z), arc(Z, Y).
+              tc(X, 1000) <- tc(X, 7).";
+    let sg = "sg(X, Y) <- arc(P, X), arc(P, Y), X != Y.
+              sg(X, Y) <- arc(A, X), sg(A, B), arc(B, Y).
+              sg(1000, Y) <- sg(5, Y).";
+    let attend = "attend(X) <- organizer(X).
+                  cnt(Y, count<X>) <- attend(X), friend(Y, X).
+                  attend(X) <- cnt(X, N), N >= 3.
+                  attend(1000) <- cnt(X, N), N >= 3, X >= 10.";
+    let cases = [
+        ("tc", tc, "arc(47, 3.0).", &arc),
+        ("sg", sg, "arc(47, 3.0).", &arc),
+        ("attend", attend, "organizer(2.0).", &party),
+    ];
+    for (query, src, float_fact, inputs) in cases {
+        for src in [src.to_string(), format!("{src}\n{float_fact}")] {
+            let mut reference = Reference::new(&src).unwrap();
+            for (rel, rows) in inputs {
+                reference.load(rel, rows.clone());
+            }
+            let mut want = reference.run().unwrap().remove(query).unwrap();
+            want.sort();
+            let outside = |t: &Tuple| t.values().contains(&Value::Int(1000));
+            assert!(want.iter().any(outside), "{query}: no row outside the box");
+            for workers in 1..=4 {
+                for s in strategies() {
+                    let name = format!("{query} {} x{workers}: {src}", s.name());
+                    let cfg = EngineConfig::with_workers(workers).strategy(s);
+                    let mut e = Engine::new(Program::parse(&src).unwrap(), cfg).unwrap();
+                    for (rel, rows) in inputs {
+                        e.load_edb(rel, rows.clone()).unwrap();
+                    }
+                    assert_eq!(e.run().unwrap().sorted(query), want, "{name}");
+                }
+            }
+        }
+    }
+}
+
 /// A three-layer complete DAG on `3n` nodes: every node of layer 0 points
 /// to every node of layer 1, and every node of layer 1 to every node of
 /// layer 2.

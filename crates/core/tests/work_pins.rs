@@ -168,8 +168,8 @@ fn global_work_is_pinned() {
 #[rustfmt::skip]
 const PINS: &[(&str, usize, [u64; 12], &[u64])] = &[
     ("tc", 1, [34512, 28, 34512, 3358, 31154, 34512, 0, 0, 0, 0, 51536, 51536], &[28]),
-    ("tc", 2, [34512, 52, 34512, 3355, 31157, 34512, 21627, 49, 5058, 21627, 51536, 24851], &[28, 28]),
-    ("tc", 4, [34512, 101, 34512, 3335, 31177, 34512, 34095, 283, 4329, 34095, 51536, 13112], &[28, 28, 28, 28]),
+    ("tc", 2, [34512, 52, 34512, 3355, 31157, 34512, 21500, 49, 5185, 21500, 51536, 24851], &[28, 28]),
+    ("tc", 4, [34512, 101, 34512, 3335, 31177, 34512, 34019, 283, 4405, 34019, 51536, 13112], &[28, 28, 28, 28]),
     ("cc", 1, [3257, 17, 3257, 3257, 0, 7945, 0, 0, 0, 0, 15890, 0], &[3]),
     ("cc", 2, [6473, 94, 6473, 6473, 0, 10362, 7277, 85, 0, 0, 24534, 0], &[9, 9]),
     ("cc", 4, [9883, 182, 9883, 9883, 0, 13475, 17021, 471, 0, 0, 33635, 0], &[12, 12, 12, 12]),

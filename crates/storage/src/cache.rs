@@ -7,9 +7,10 @@
 //! [`DerivedRelation`](crate::DerivedRelation) is already O(1), so the
 //! merge path has no cache. The one cache left is Distribute's sent-filter,
 //! where a hit saves what the table cannot: serializing a duplicate row,
-//! queueing it to a peer and deserializing it there.
-//!
-//! [`TupleCache`] is a direct-mapped array of exact entries, held as one
+//! queueing it to a peer and deserializing it there. A row inside a set
+//! relation's [`BitMatrix`](crate::BitMatrix) meets one exact matrix per
+//! destination instead; [`TupleCache`] filters every other row. It is a
+//! direct-mapped array of exact entries, held as one
 //! flat [`Frame`] of slots (8 bytes a cell), so a hit is always *sound*
 //! (it proves the row was recorded for that destination); a miss says
 //! nothing. Collisions simply evict. A row with several destinations is

@@ -15,6 +15,9 @@
 //!   (`Float(-0.0)` and `Float(0.0)` share them, as do a float and the
 //!   integer holding its IEEE bits), so every bits match is then confirmed
 //!   against the stored row by value.
+//! * optionally for a set relation, a [`BitMatrix`] over an integer box
+//!   that holds the rows inside it in place of the dedup table, until the
+//!   first `Float` row merged moves them into the table.
 //! * aggregate values updated in place in the stored row, plus — for
 //!   `sum`/`count` — a side table of per-contributor values (the paper's
 //!   second index "on the attribute value that is incrementally
@@ -30,7 +33,7 @@
 use crate::rows::RowStore;
 use dcd_common::hash::FastMap;
 use dcd_common::{AggFunc, Frame, Row, Value};
-use std::ops::Deref;
+use std::ops::{Deref, RangeInclusive};
 
 /// Outcome of merging one incoming row.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -277,6 +280,79 @@ impl KeyTable {
     }
 }
 
+/// Exact membership of the all-integer rows of one arity whose cells all
+/// lie in `lo..=hi`: one bit per such row, at the mixed-radix index of its
+/// cells' offsets from `lo`, allocated at the first insert. Any other row,
+/// such as one with a `Float` cell, is outside it.
+#[derive(Clone, Debug)]
+pub struct BitMatrix {
+    lo: i64,
+    /// Values per column.
+    span: u64,
+    /// Bits: `span^arity`.
+    len: usize,
+    words: Vec<u64>,
+}
+
+impl BitMatrix {
+    /// The empty matrix of rows of `arity` cells in `within`, if it is no
+    /// larger than the dedup table's first allocation for such rows
+    /// (`FIRST_SLOTS` slots of `2 + arity` lanes; at arity 2, a span of at
+    /// most 1024 values).
+    pub fn new(within: &RangeInclusive<i64>, arity: usize) -> Option<Self> {
+        let (lo, hi) = (*within.start(), *within.end());
+        let span = u64::try_from(i128::from(hi) - i128::from(lo) + 1).ok()?;
+        let limit = (FIRST_SLOTS * (2 + arity) * 32) as u128;
+        let len = u128::from(span)
+            .checked_pow(arity as u32)
+            .filter(|&n| n <= limit)?;
+        let words = Vec::new();
+        Some(BitMatrix {
+            lo,
+            span,
+            len: len as usize,
+            words,
+        })
+    }
+
+    /// `row`'s bit, or `None` when it is outside the matrix.
+    #[inline]
+    fn bit(&self, row: Row<'_>) -> Option<usize> {
+        if !row.all_ints() {
+            return None;
+        }
+        let mut at = 0u64;
+        for &lane in row.lanes() {
+            // Below `lo` wraps to at least `span`, as `hi` fits an `i64`.
+            let off = (lane as i64).wrapping_sub(self.lo) as u64;
+            if off >= self.span {
+                return None;
+            }
+            at = at * self.span + off;
+        }
+        Some(at as usize)
+    }
+
+    /// Whether bit `b` is set.
+    #[inline]
+    fn test(&self, b: usize) -> bool {
+        !self.words.is_empty() && self.words[b / 64] >> (b % 64) & 1 != 0
+    }
+
+    /// Sets `row`'s bit: `Some(true)` if it was clear, `Some(false)` if it
+    /// was set, `None` when `row` is outside the matrix.
+    #[inline]
+    pub fn insert(&mut self, row: Row<'_>) -> Option<bool> {
+        let b = self.bit(row)?;
+        if self.words.is_empty() {
+            self.words = vec![0; self.len.div_ceil(64)];
+        }
+        let new = !self.test(b);
+        self.words[b / 64] |= 1 << (b % 64);
+        Some(new)
+    }
+}
+
 #[derive(Clone, Copy)]
 struct Aggregate {
     func: AggFunc,
@@ -304,8 +380,10 @@ pub struct DerivedRelation {
     /// `None` for set relations.
     agg: Option<Aggregate>,
     /// Key (whole row, or group prefix) → row id; `None` under linear
-    /// lookup.
+    /// lookup. With `dense`, only rows outside the matrix.
     table: Option<KeyTable>,
+    /// The matrix, until the first `Float` row is merged.
+    dense: Option<BitMatrix>,
     /// `sum`/`count` state, indexed by row id.
     contribs: Vec<Contributions>,
 }
@@ -317,8 +395,16 @@ impl DerivedRelation {
             store: RowStore::new(index_cols),
             agg: None,
             table: Some(KeyTable::default()),
+            dense: None,
             contribs: Vec::new(),
         }
+    }
+
+    /// Keeps the membership of the rows `bits` covers in `bits` instead of
+    /// the dedup table. Only a set relation takes it.
+    pub fn with_bits(mut self, bits: BitMatrix) -> Self {
+        self.dense = (self.agg.is_none() && self.table.is_some()).then_some(bits);
+        self
     }
 
     /// An empty aggregate relation with `group_cols` leading group-by
@@ -357,6 +443,23 @@ impl DerivedRelation {
         }
     }
 
+    /// Moves the matrix's rows into the dedup table and drops the
+    /// matrix: the first `Float` row needs value comparison.
+    #[cold]
+    #[inline(never)]
+    fn migrate(&mut self) {
+        let (Some(bits), Some(table)) = (self.dense.take(), &mut self.table) else {
+            return;
+        };
+        let rows = self.store.rows();
+        for (id, row) in rows.iter().enumerate() {
+            if bits.bit(row).is_some() {
+                let at = table.find(row, row.arity(), rows);
+                table.fill(at.expect_err("new"), id as u32, row);
+            }
+        }
+    }
+
     /// Stores a copy of `row`, whose key `find` placed at `at`, and
     /// returns its id.
     fn insert(&mut self, at: Vacancy, row: Row<'_>) -> u32 {
@@ -387,15 +490,24 @@ impl DerivedRelation {
         if let Some(table) = &mut self.table {
             table.clear();
         }
+        if let Some(bits) = &mut self.dense {
+            bits.words.fill(0);
+        }
         self.contribs.clear();
         self.store.clear();
     }
 
     /// Whether a set relation already stores `row` (always `false` for
     /// an aggregate relation, or under linear lookup). Reads only: the
-    /// evaluator calls it while it holds the relation borrowed.
+    /// evaluator calls it while it holds the relation borrowed. A `Float`
+    /// row equal to a matrix row answers `false`, which is sound.
     #[inline]
     pub fn contains(&self, row: Row<'_>) -> bool {
+        if let Some(bits) = &self.dense {
+            if let Some(b) = bits.bit(row) {
+                return bits.test(b);
+            }
+        }
         match (&self.table, self.agg) {
             (Some(table), None) => table.lookup(row, self.store.rows()).is_some(),
             _ => false,
@@ -405,6 +517,14 @@ impl DerivedRelation {
     /// Merges one incoming merge-layout row.
     pub fn merge(&mut self, t: Row<'_>) -> Merged {
         let Some(agg) = self.agg else {
+            if let Some(bits) = &mut self.dense {
+                match bits.insert(t) {
+                    Some(true) => return Merged::New(self.store.push(t)),
+                    Some(false) => return Merged::Old,
+                    None if !t.all_ints() => self.migrate(),
+                    None => {}
+                }
+            }
             return match self.find(t, t.arity()) {
                 Ok(_) => Merged::Old,
                 Err(at) => Merged::New(self.insert(at, t)),

@@ -36,6 +36,6 @@ pub mod sealed;
 
 pub use cache::TupleCache;
 pub use dcd_common::AggFunc;
-pub use derived::{DerivedRelation, Merged};
+pub use derived::{BitMatrix, DerivedRelation, Merged};
 pub use rows::RowStore;
 pub use sealed::SealedRelation;

@@ -27,7 +27,7 @@ for f in $files; do
     else
         continue
     fi | awk -v crate="$(echo "$f" | cut -d/ -f2)" \
-        '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print crate, n + 0 }'
+        '/^#\[cfg\(test\)\]/ { stop = 1 } !stop { n++ } END { print crate, n + 0 }'
 done | awk '
     { lines[$1] += $2; total += $2 }
     END {
