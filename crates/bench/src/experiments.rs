@@ -29,8 +29,8 @@ pub struct Opts {
     /// Largest APSP RMAT size to attempt.
     pub apsp_max: usize,
     /// Simulated worker count for the scheduler-simulator columns
-    /// (fig1/fig8/fig9a); real threads cannot show parallel speedup on a
-    /// single-core host, the deterministic simulator can.
+    /// (fig1/fig8/fig9a): real threads speed up only to the host's core
+    /// count, the deterministic simulator at any worker count.
     pub sim_workers: usize,
 }
 

@@ -10,6 +10,10 @@
 //! derivation is duplicated: a replicated base relation is strided across
 //! workers, and a broadcast derived relation (every row on every worker)
 //! is read only where each row is owned, `H(row[partition_cols[0]]) == me`.
+//! An init rule runs over a range of its leading scan's rows
+//! ([`Evaluator::init_rows`]), so the worker evaluates it in slices, as it
+//! does a delta group; a rule that opens with an index probe, or has no
+//! atom, is one slice.
 //!
 //! Rows are read and written as `u64` lanes ([`Row`] views of the stores'
 //! [`Frame`]s). Registers are [`Value`]s: a bind reads a cell straight
@@ -37,6 +41,7 @@ use dcd_common::{Frame, Partitioner, Row, Value, WorkerId};
 use dcd_frontend::physical::{
     BindAction, CompiledRule, PhysicalPlan, Placement, Probe, RelId, Step, Target,
 };
+use std::ops::Range;
 
 /// A pending delta row: `(relation, route, row id)`, the id indexing the
 /// relation's rows in this worker's store.
@@ -102,13 +107,15 @@ fn prelude(rule: &CompiledRule, delta_row: Option<Row<'_>>, regs: &mut [Value]) 
 }
 
 /// What the walk keeps across the rows of one call: the store it reads,
-/// the one-row frame each head row is written into, and the first
-/// probe's memo, that is, the key the first probe last looked up, that
-/// key's bucket, and how often it descended the index (`hits`) or reused
-/// the bucket (`reuse`). The store is immutable while a `Walk` lives, so
-/// the bucket borrow stays valid across rows.
+/// the rows of an init rule's leading scan it visits, the one-row frame
+/// each head row is written into, and the first probe's memo, that is,
+/// the key the first probe last looked up, that key's bucket, and how
+/// often it descended the index (`hits`) or reused the bucket (`reuse`).
+/// The store is immutable while a `Walk` lives, so the bucket borrow
+/// stays valid across rows.
 struct Walk<'s> {
     store: &'s WorkerStore,
+    scan: Range<usize>,
     head: Frame,
     last: Option<(u64, &'s [u32])>,
     hits: u64,
@@ -119,6 +126,7 @@ impl<'s> Walk<'s> {
     fn new(store: &'s WorkerStore) -> Self {
         Walk {
             store,
+            scan: 0..usize::MAX,
             head: Frame::default(),
             last: None,
             hits: 0,
@@ -146,6 +154,7 @@ pub struct EvalScratch {
 }
 
 /// Evaluation context shared by one worker.
+#[derive(Clone, Copy)]
 pub struct Evaluator<'a> {
     /// The plan.
     pub plan: &'a PhysicalPlan,
@@ -221,28 +230,17 @@ impl Evaluator<'_> {
     /// share one first-probe memo, so a run of equal keys descends the
     /// index once (`scratch` counts descents as `probe_hits` and reuses as
     /// `probe_reuse`). Delta rows and probe targets are fetched from
-    /// `store` on every call, so `store` may grow between slices.
-    ///
-    /// A stored aggregate row can change between the passes, because a
-    /// mid-iteration flush merges into the store: its local merges rewrite
-    /// `sum`/`count` rows whenever the rule's head is its delta relation
-    /// (PageRank's `rank`), and a backpressure drain inside the flush can
-    /// improve a `min`/`max` row. The walk therefore reads each row at its
-    /// newest value: the prelude runs again, and the first probe's key is
-    /// computed again. A row that now fails the prelude is skipped, and a
-    /// row whose key moved probes its new key's bucket, which is exactly
-    /// what evaluating the newest value derives. A change the merge
-    /// reported as `Merged::New` also queued the id for the next
-    /// iteration. A `sum` move of at most the relation's ε reports
-    /// `Merged::Old` and queues nothing: that is the ε cut-off every `sum`
-    /// merge applies, so the value a row was last evaluated at stays
-    /// within 2ε of its final value.
+    /// `store` on every call, so `store` may grow between slices, and a
+    /// stored aggregate row a flush changed between the passes is read at
+    /// its newest value: the prelude runs again and the first probe's key
+    /// is computed again (DESIGN.md, the `sort_batch` bullet, says why
+    /// that derives exactly what the newest value derives).
     pub fn eval_sorted(
         &self,
         rule: &CompiledRule,
         store: &WorkerStore,
         batch: &[DeltaRow],
-        range: std::ops::Range<usize>,
+        range: Range<usize>,
         scratch: &mut EvalScratch,
         sink: &mut impl FnMut(Row<'_>),
     ) {
@@ -264,23 +262,38 @@ impl Evaluator<'_> {
         *probe_reuse += walk.reuse;
     }
 
-    /// Runs an initialization rule (leading scan / constant rule),
-    /// feeding merge-layout head rows to `sink`.
+    /// The rows an init rule's slices cover: its leading scan's rows; one,
+    /// standing for the whole rule, when it opens with an index probe; and
+    /// for a constant rule (`sp(To, min<C>) <- To = start, C = 0.`), which
+    /// derives the same row everywhere, one on worker 0 and none elsewhere.
+    pub fn init_rows(&self, rule: &CompiledRule, store: &WorkerStore) -> usize {
+        match rule.steps.first() {
+            Some(s) if matches!(s.probe, Probe::Scan) => store.relation(s.target).rows().len(),
+            Some(_) => 1,
+            None => (self.me == 0) as usize,
+        }
+    }
+
+    /// Runs an initialization rule over `range` of its rows
+    /// ([`Evaluator::init_rows`]), feeding merge-layout head rows to
+    /// `sink`. Consecutive ranges emit, in order, exactly the rows one
+    /// call over all of them emits.
     pub fn eval_init(
         &self,
         rule: &CompiledRule,
         store: &WorkerStore,
+        range: Range<usize>,
         sink: &mut impl FnMut(Row<'_>),
     ) {
         debug_assert!(rule.delta.is_none());
-        // A constant rule (`sp(To, min<C>) <- To = start, C = 0.`) derives
-        // the same row everywhere: worker 0 derives it.
-        if rule.steps.is_empty() && self.me != 0 {
+        let scan = range.start..range.end.min(self.init_rows(rule, store));
+        if scan.is_empty() {
             return;
         }
         let mut regs = vec![Value::Int(0); rule.nregs];
         if prelude(rule, None, &mut regs) {
             let mut walk = Walk::new(store);
+            walk.scan = scan;
             self.run_steps(rule, &mut walk, 0, &mut regs, sink);
         }
     }
@@ -356,7 +369,13 @@ impl Evaluator<'_> {
             }
             Probe::Scan => {
                 let leading = k == 0 && rule.delta.is_none();
-                for (i, row) in rows.iter().enumerate() {
+                let scan = if leading {
+                    walk.scan.start..walk.scan.end.min(rows.len())
+                } else {
+                    0..rows.len()
+                };
+                for i in scan {
+                    let row = rows.row(i);
                     if leading && !self.visits(step.target, i, row) {
                         continue;
                     }
@@ -375,9 +394,10 @@ mod tests {
     use crate::store::{Merged, WorkerStore};
     use dcd_common::{Partitioner, Tuple};
 
-    /// Runs init rule `rule`, decoding its head rows.
+    /// Runs init rule `rule` over all its rows, decoding its head rows.
     fn run_init(ev: &Evaluator, rule: &CompiledRule, store: &WorkerStore, out: &mut Vec<Tuple>) {
-        ev.eval_init(rule, store, &mut |r| out.push(r.to_tuple()));
+        let rows = 0..ev.init_rows(rule, store);
+        ev.eval_init(rule, store, rows, &mut |r| out.push(r.to_tuple()));
     }
 
     /// Runs delta rule `rule` for `row`, decoding its head rows.

@@ -8,6 +8,10 @@
 //! strategies then run one fixpoint loop: drain the message buffers into
 //! the local stores, emitting delta rows (Gather); evaluate one local
 //! semi-naive iteration (Iterate); route the derived rows (Distribute).
+//! Init rules and delta rules run through one slice loop,
+//! `Worker::eval_rule`, which hands the queued head rows to Distribute
+//! whenever a slice leaves `FLUSH_ROWS` of them, in the init phase as in
+//! an iteration.
 //! They differ only in where a worker waits: Global at the round barrier
 //! after every iteration, whose all-zero round is its fixpoint; SSP at its
 //! staleness bound and DWS for up to τ while fewer than ω rows are pending,
@@ -19,49 +23,33 @@
 //! Global, as Algorithm 1, merges only in Gather and only batches of
 //! earlier rounds, so its runs repeat (DESIGN.md §4, "One fixpoint loop").
 //!
-//! A delta row is the id of a row in this worker's store, not a copy of
-//! it. An aggregate group keeps one id while its value improves in place,
-//! so Gather's rule that a group updated several times keeps only its
-//! newest row (§5.2.2) is a sort and dedup of the pending ids: the one id
-//! left reads the newest value.
-//!
 //! A merged id is queued only for the routes some delta rule reads, so a
 //! relation no delta rule reads (SSSP's `results`) queues nothing. A
 //! `min`/`max` relation whose consuming delta rules are all linear (their
-//! join steps probe only base relations) is evaluated *best-first*: its
-//! pending ids never enter the delta. Every merge that improves a row
-//! pushes the row's id straight into a worker-local order by stored value
-//! (ascending for `min`, descending for `max`), and Iterate takes the best
-//! 256 (`SLICE_ROWS`) at a time. After each slice it merges the slice's
-//! local head rows and sends the remote ones, and inbound batches are
-//! drained between slices; the ids those merges improve join the order
-//! as they merge. One
-//! Iterate thus runs until the worker's order is empty: label-correcting
-//! shortest paths turned toward label-setting, as in Δ-stepping, so a row
-//! is rarely evaluated at a value it is about to improve on. A relation
-//! consumed by a non-linear rule (APSP's `path`) keeps semi-naive rounds:
-//! there a row's derivations depend on the other rows of the store, and
-//! ordering it sent ~8× more tuples.
+//! join steps probe only base relations) is evaluated *best-first*: every
+//! merge that improves a row pushes its id into a worker-local order by
+//! stored value (ascending for `min`, descending for `max`), and Iterate
+//! evaluates the best 256 (`SLICE_ROWS`) at a time, distributing each
+//! slice and draining inbound batches between slices, until the order is
+//! empty: label-correcting shortest paths turned toward label-setting, as
+//! in Δ-stepping, so a row is rarely evaluated at a value it is about to
+//! improve on. A relation consumed by a non-linear rule (APSP's `path`)
+//! keeps semi-naive rounds: there a row's derivations depend on the other
+//! rows of the store, and ordering it sent ~8× more tuples.
 //!
 //! Routing note: `PartialAgg::route` is the one place a head row is
-//! routed. It computes the row's destinations once, by `owner` (the
-//! function `H`) or, for a broadcast relation or a row whose routes (§4.3)
-//! hash apart, by every route, and queues one copy in each destination's
-//! frame, after the one existence check a row that may land here meets.
-//! Set and `sum`/`count` rows are routed as the kernel's sink buffers them,
-//! and a `min`/`max` accumulator's best rows whenever it is flushed. Every
-//! frame Distribute sees thus has one destination: it merges this worker's
-//! frames and sends each peer's through the sent-filter, which answers per
-//! (row, destination). A derived tuple is *sent* once per distinct
-//! destination worker, and every receiver re-derives locally which of the
-//! relation's routes apply to it — this keeps multi-route relations (APSP)
-//! correct even when two routes hash to the same worker.
+//! routed, so every frame Distribute sees has one destination: it merges
+//! this worker's frames and sends each peer's through the sent-filter,
+//! which answers per (row, destination). A derived tuple is *sent* once
+//! per distinct destination worker, and every receiver re-derives locally
+//! which of the relation's routes apply to it — this keeps multi-route
+//! relations (APSP) correct even when two routes hash to the same worker.
 
 use crate::config::EngineConfig;
 use crate::eval::{DeltaRow, EvalScratch, Evaluator};
 use crate::store::{Merged, RecStore, WorkerStore};
 use dcd_common::{AggFunc, DcdError, Frame, Partitioner, Result, Row, Value, WorkerId};
-use dcd_frontend::physical::{PhysicalPlan, RelDecl, RelId, StorageKind};
+use dcd_frontend::physical::{CompiledRule, PhysicalPlan, RelDecl, RelId, StorageKind};
 use dcd_runtime::trace::{Mark, Phase};
 use dcd_runtime::{
     Batch, BufferMatrix, DwsController, IdleOutcome, Recorder, RoundBarrier, SspClock, Strategy,
@@ -173,10 +161,12 @@ impl Coordination {
 }
 
 /// Set and `sum`/`count` rows evaluated but not yet distributed: once an
-/// evaluation slice leaves this many buffered, Iterate hands them to
-/// Distribute before the next slice, so the buffer between the kernel and
-/// Distribute stays bounded however large one iteration's output is. The
-/// flush tests in `tests/engine_e2e.rs` (set and `sum` rows) and
+/// evaluation slice leaves this many buffered, [`Worker::eval_rule`] hands
+/// them to Distribute before the next slice, so the buffer between the
+/// kernel and Distribute stays bounded however large one init phase's or
+/// iteration's output is. The flush tests in `tests/engine_e2e.rs` (set
+/// and `sum` rows mid-iteration, and
+/// `init_rows_flush_in_the_middle_of_the_init_phase`) and
 /// `scripts/check_trace_smoke.sh` size their inputs to more than twice
 /// this.
 const FLUSH_ROWS: usize = 1 << 14;
@@ -195,21 +185,16 @@ const SLICE_ROWS: usize = 256;
 /// the relation's first kernel call, so "same group" and "better" mean
 /// exactly what they mean at the merge; its best row per group is routed
 /// whenever the accumulator is flushed ([`PartialAgg::route_best`]): when
-/// the iteration ends, or, while a best-first group is evaluated, after
-/// each slice, which hands out a table's rows but keeps its dedup table,
-/// so no slice zeroes a fresh one. Every other row is routed as the sink
-/// buffers it. Either way each routed row is copied, as lanes, into its
-/// head relation's queue frame for each of its destinations, and
-/// [`Worker::flush`] hands the frames to Distribute every [`FLUSH_ROWS`]
-/// queued rows: a set row's only collapse is exact-duplicate elimination,
-/// which the stored-row check, Distribute's sent-filter and the idempotent
-/// merge already perform. A `sum`/`count` merge replaces the contributor's
-/// previous value, so a group ends with the total it would have had from
-/// the latest contribution alone: an exact duplicate merges as
-/// `Merged::Old`, and a superseded contribution delivered first still moves
-/// the total (and can queue the group for the next iteration) until its
-/// successor, queued after it in the same frame, overwrites it, which costs
-/// work but not correctness.
+/// the init phase or iteration ends, and after each best-first slice,
+/// which keeps the dedup table, so no slice zeroes a fresh one. Every
+/// other row is routed as the sink buffers it. Either way each routed row
+/// is copied, as lanes, into its head relation's queue frame for each of
+/// its destinations, and [`Worker::flush`] hands the frames to Distribute
+/// every [`FLUSH_ROWS`] queued rows: a set row's only collapse is
+/// exact-duplicate elimination, which the stored-row check, Distribute's
+/// sent-filter and the idempotent merge already perform, and a
+/// `sum`/`count` merge replaces the contributor's previous value
+/// (DESIGN.md, "Bounded emission").
 struct PartialAgg<'a> {
     plan: &'a PhysicalPlan,
     /// The discriminating function `H` and this worker's id.
@@ -272,10 +257,10 @@ impl<'a> PartialAgg<'a> {
     /// is `stored`. A `min`/`max` row merges into its relation's
     /// accumulator. Any other row is buffered, and routed whenever the
     /// buffer holds [`SLICE_ROWS`] rows; the caller routes the rest
-    /// ([`PartialAgg::route_emitted`]) once the kernel returns. The init
-    /// phase and Iterate pass this one sink type, so the kernel is
-    /// compiled once, and the sink is inlined into it: a call per head row
-    /// cost 1-worker `tc-rmat` ~6% of its run time.
+    /// ([`PartialAgg::route_emitted`]) once the kernel returns. Every
+    /// rule's slices ([`Worker::eval_rule`]) pass this one sink type, so
+    /// the kernel is compiled once, and the sink is inlined into it: a
+    /// call per head row cost 1-worker `tc-rmat` ~6% of its run time.
     fn sink<'s>(
         &'s mut self,
         head: Head<'a>,
@@ -323,19 +308,24 @@ impl<'a> PartialAgg<'a> {
 
     /// Routes every `min`/`max` accumulator's best rows
     /// ([`PartialAgg::route`]; an aggregate store has no stored-row
-    /// check) and frees them before any of them merge, emptying the
-    /// accumulator but keeping its dedup table, or, with `free`, freeing it
-    /// all.
+    /// check) from where they lie, then empties the accumulator, freeing
+    /// its rows but keeping its dedup table for the next slice; with
+    /// `free`, it frees the dedup table before routing, so none of the
+    /// table is left when the rows merge.
     fn route_best(&mut self, free: bool) {
         for at in 0..self.heads.len() {
             let (rel, best, _) = &mut self.heads[at];
-            let rows = match best {
-                Some(_) if free => best.take().expect("a table").into_rows(),
-                Some(table) => table.take_rows(),
-                None => continue,
+            let Some(mut table) = best.take() else {
+                continue;
             };
             let decl = self.plan.idb[*rel].as_ref().expect("IDB head");
-            self.route(at, decl, &rows, None);
+            if free {
+                self.route(at, decl, &table.into_rows(), None);
+            } else {
+                self.route(at, decl, table.rows(), None);
+                table.clear();
+                self.heads[at].1 = Some(table);
+            }
         }
     }
 
@@ -631,10 +621,7 @@ impl<'a> Worker<'a> {
         let stratum = &plan.strata[si];
         let mut acc = PartialAgg::new(plan, coord.part, self.me);
         for rule in &stratum.init_rules {
-            let (head, stored) = (acc.head(rule.head_rel), self.store.rec(rule.head_rel));
-            self.evaluator
-                .eval_init(rule, &self.store, &mut acc.sink(head, stored));
-            acc.route_emitted(head, stored);
+            self.eval_rule(rule, &[], &mut acc)?;
         }
         if self.me == 0 {
             for (rel, t) in &plan.facts {
@@ -780,12 +767,11 @@ impl<'a> Worker<'a> {
     /// matching delta variant over the pending delta rows, which become
     /// empty and collect the next delta. Head rows pass through the partial
     /// aggregation of §5.2.3 ("the Distribute operators also perform some
-    /// partial aggregation"). Each kernel call's second pass runs in slices
-    /// of [`SLICE_ROWS`]; whenever [`FLUSH_ROWS`] queued rows are buffered
-    /// after a slice, [`Worker::flush`] hands them to Distribute before the
-    /// next slice, so later slices probe stores those rows may have grown
-    /// (monotone rules only derive more from them). Their `min`/`max` rows
-    /// are routed and distributed once, by [`Worker::finish`] at the end.
+    /// partial aggregation"). Each variant runs in slices
+    /// ([`Worker::eval_rule`]), so later slices probe stores a flush may
+    /// have grown (monotone rules only derive more from them). Their
+    /// `min`/`max` rows are routed and distributed once, by
+    /// [`Worker::finish`] at the end.
     ///
     /// Best-first ids (see the module docs) wait in their orders instead,
     /// and after the delta Iterate evaluates the orders one slice of the
@@ -842,10 +828,8 @@ impl<'a> Worker<'a> {
     }
 
     /// Runs every delta rule of the stratum that consumes `group`'s
-    /// `(rel, route)` over it, handing each head row to `acc`'s sink
-    /// ([`PartialAgg::sink`]), which routes it once and checks it against
-    /// the head's store only when the row may land here, and offers the
-    /// buffered rows to [`Worker::flush`] after every slice.
+    /// `(rel, route)` over it ([`Worker::eval_rule`]), counting the group
+    /// as a kernel batch per rule.
     fn eval_group(&mut self, group: &[DeltaRow], acc: &mut PartialAgg<'_>) -> Result<()> {
         let plan = self.plan;
         let (rel, route) = (group[0].0, group[0].1);
@@ -855,24 +839,7 @@ impl<'a> Worker<'a> {
             if spec.rel != rel || spec.route != route as usize {
                 continue;
             }
-            let head = acc.head(rule.head_rel);
-            let n = self
-                .evaluator
-                .sort_batch(rule, &self.store, group, &mut self.scratch);
-            for lo in (0..n).step_by(SLICE_ROWS) {
-                let slice = lo..n.min(lo + SLICE_ROWS);
-                let stored = self.store.rec(rule.head_rel);
-                self.evaluator.eval_sorted(
-                    rule,
-                    &self.store,
-                    group,
-                    slice,
-                    &mut self.scratch,
-                    &mut acc.sink(head, stored),
-                );
-                acc.route_emitted(head, stored);
-                self.flush(acc, false)?;
-            }
+            self.eval_rule(rule, group, acc)?;
             let m = &mut self.rec.counters;
             m.kernel_batches += 1;
             m.kernel_rows += group.len() as u64;
@@ -880,7 +847,38 @@ impl<'a> Worker<'a> {
         Ok(())
     }
 
-    /// Iterate's hand-off to Distribute after a slice, which splits the
+    /// The one slice loop every rule runs through, [`SLICE_ROWS`] at a
+    /// time: a delta rule over the order [`Evaluator::sort_batch`] gives
+    /// `group`, an init rule over its rows ([`Evaluator::init_rows`]). Each
+    /// slice feeds `acc`'s sink ([`PartialAgg::sink`]), routes what it
+    /// buffered and offers the queue to [`Worker::flush`].
+    fn eval_rule(
+        &mut self,
+        rule: &CompiledRule,
+        group: &[DeltaRow],
+        acc: &mut PartialAgg<'_>,
+    ) -> Result<()> {
+        let (ev, head) = (self.evaluator, acc.head(rule.head_rel));
+        let n = match rule.delta {
+            Some(_) => ev.sort_batch(rule, &self.store, group, &mut self.scratch),
+            None => ev.init_rows(rule, &self.store),
+        };
+        for lo in (0..n).step_by(SLICE_ROWS) {
+            let slice = lo..n.min(lo + SLICE_ROWS);
+            let (store, stored) = (&self.store, self.store.rec(rule.head_rel));
+            let mut sink = acc.sink(head, stored);
+            match rule.delta {
+                Some(_) => ev.eval_sorted(rule, store, group, slice, &mut self.scratch, &mut sink),
+                None => ev.eval_init(rule, store, slice, &mut sink),
+            }
+            drop(sink);
+            acc.route_emitted(head, stored);
+            self.flush(acc, false)?;
+        }
+        Ok(())
+    }
+
+    /// The hand-off to Distribute after a slice, which splits the
     /// open `EvalDelta` span: with `best`, every row, the `min`/`max`
     /// accumulators' best rows routed first; without, the queued rows once
     /// [`FLUSH_ROWS`] of them are buffered.

@@ -17,6 +17,12 @@
 //! same order.
 //! Delta entries name stored rows by id, as in `Worker::iterate`, so each
 //! round's delta is sorted and deduplicated before either path reads it.
+//!
+//! Init rules run in slices too: `Evaluator::eval_init` over consecutive
+//! ranges of a rule's rows (`Evaluator::init_rows`) must emit what one
+//! call over all of them emits, in the same order, on every worker of 1
+//! to 4, for every init rule of the eight paper queries, as planned and
+//! with every derived relation broadcast.
 
 use dcd_common::proptest;
 use dcd_common::proptest::prelude::*;
@@ -88,7 +94,10 @@ fn differential_fixpoint(p: &PhysicalPlan, store: &mut WorkerStore) -> usize {
         let mut pending: Vec<(RelId, Tuple)> = Vec::new();
         for rule in &stratum.init_rules {
             let head = rule.head_rel;
-            ev.eval_init(rule, store, &mut |r| pending.push((head, r.to_tuple())));
+            let rows = 0..ev.init_rows(rule, store);
+            ev.eval_init(rule, store, rows, &mut |r| {
+                pending.push((head, r.to_tuple()))
+            });
         }
         merge_pending(p, store, pending, &mut delta);
 
@@ -193,6 +202,140 @@ fn weighted_strategy(
     max_e: usize,
 ) -> impl proptest::strategy::Strategy<Value = Vec<(i64, i64, i64)>> {
     proptest::collection::vec((0..max_v, 0..max_v, 1..8i64), 0..max_e)
+}
+
+/// `src` planned with `params` bound; with `broadcast`, every derived
+/// relation is broadcast, as `EngineConfig::broadcast_routing` makes it.
+fn plan_with(src: &str, params: &[(&str, Value)], broadcast: bool) -> PhysicalPlan {
+    let analyzed = analyze(parse_program(src).unwrap()).unwrap();
+    let mut cfg = PlannerConfig::default();
+    for (name, v) in params {
+        cfg.params.insert(name.to_string(), *v);
+    }
+    let mut p = plan(&analyzed, &cfg).unwrap();
+    for decl in p.idb.iter_mut().flatten() {
+        decl.broadcast |= broadcast;
+    }
+    p
+}
+
+/// Runs every init rule of `p` on each of `workers` workers, whose stores
+/// hold `edb` as the engine partitions it: once over all of a rule's rows,
+/// and over consecutive ranges of 1, 7 and 256 of them, which must emit the
+/// same rows in the same order. After each stratum every row any worker
+/// derived is merged into every worker's store, so the next stratum's
+/// init rules scan a derived relation, a broadcast one only where each row
+/// is owned. Returns the distinct `(head, row)`s derived, sorted.
+fn init_rows_by_slices(
+    p: &PhysicalPlan,
+    edb: &[(&str, Vec<Tuple>)],
+    workers: usize,
+) -> Vec<(RelId, Tuple)> {
+    let mut data: Vec<Option<Vec<Tuple>>> = vec![None; p.edb.len()];
+    for (name, rows) in edb {
+        data[p.rel_by_name(name).unwrap()] = Some(rows.clone());
+    }
+    let catalog = EdbCatalog::build(p, &data, &Partitioner::new(workers));
+    let mut stores: Vec<WorkerStore> = (0..workers)
+        .map(|me| WorkerStore::build(p, &catalog, me, true, 64))
+        .collect();
+    let mut all = Vec::new();
+    for stratum in &p.strata {
+        let mut derived = Vec::new();
+        for (me, store) in stores.iter().enumerate() {
+            let ev = Evaluator {
+                plan: p,
+                me,
+                workers,
+            };
+            for rule in &stratum.init_rules {
+                let head = rule.head_rel;
+                let n = ev.init_rows(rule, store);
+                let mut whole = Vec::new();
+                ev.eval_init(rule, store, 0..n, &mut |r| whole.push((head, r.to_tuple())));
+                for size in [1, 7, 256] {
+                    let mut sliced = Vec::new();
+                    for lo in (0..n).step_by(size) {
+                        ev.eval_init(rule, store, lo..n.min(lo + size), &mut |r| {
+                            sliced.push((head, r.to_tuple()))
+                        });
+                    }
+                    assert_eq!(sliced, whole, "worker {me} of {workers}, slices of {size}");
+                }
+                derived.extend(whole);
+            }
+        }
+        for store in &mut stores {
+            for (rel, row) in &derived {
+                store.rec_mut(*rel).merge(row);
+            }
+        }
+        all.extend(derived);
+    }
+    all.sort();
+    all.dedup();
+    all
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn init_slices_emit_what_one_call_emits(
+        edges in edges_strategy(20, 300),
+        weight in 1..8i64,
+    ) {
+        let arc = to_tuples(&edges);
+        let weighted: Vec<(i64, i64, i64)> = edges
+            .iter()
+            .zip(0..)
+            .map(|(&(a, b), i)| (a, b, 1 + i * weight % 7))
+            .collect();
+        let warc = to_tuples3(&weighted);
+        let mut links = edges.clone();
+        links.retain(|(a, b)| a != b);
+        links.sort_unstable();
+        links.dedup();
+        let degree = |y: i64| links.iter().filter(|(a, _)| *a == y).count() as i64;
+        let matrix: Vec<Tuple> = links
+            .iter()
+            .map(|&(y, x)| Tuple::from_ints(&[y, x, degree(y)]))
+            .collect();
+        let basic: Vec<Tuple> = weighted
+            .iter()
+            .map(|&(a, _, w)| Tuple::from_ints(&[a, w]))
+            .collect();
+        let organizers = vec![Tuple::from_ints(&[0]), Tuple::from_ints(&[1])];
+        let int = |v: i64| Value::Int(v);
+        let queries = [
+            (queries::TC, vec![], vec![("arc", arc.clone())]),
+            (queries::CC, vec![], vec![("arc", to_tuples(&dcd_datagen::symmetrize(&edges)))]),
+            (queries::APSP, vec![], vec![("warc", warc.clone())]),
+            (
+                queries::ATTEND,
+                vec![("threshold", int(2))],
+                vec![("organizer", organizers), ("friend", arc.clone())],
+            ),
+            (queries::SG, vec![], vec![("arc", arc.clone())]),
+            (
+                queries::PAGERANK,
+                vec![("alpha", Value::Float(0.5)), ("vnum", Value::Float(20.0))],
+                vec![("matrix", matrix)],
+            ),
+            (queries::SSSP, vec![("start", int(0))], vec![("warc", warc)]),
+            (queries::DELIVERY, vec![], vec![("basic", basic), ("assbl", arc)]),
+        ];
+        for (src, params, edb) in &queries {
+            for broadcast in [false, true] {
+                let p = plan_with(src, params, broadcast);
+                let one = init_rows_by_slices(&p, edb, 1);
+                for workers in 2..=4 {
+                    let many = init_rows_by_slices(&p, edb, workers);
+                    assert_eq!(many, one, "{workers} workers, broadcast {broadcast}:{src}");
+                }
+            }
+        }
+    }
 }
 
 proptest! {

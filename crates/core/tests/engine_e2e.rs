@@ -4,7 +4,7 @@
 
 use dcd_baselines::Reference;
 use dcd_common::Json;
-use dcd_runtime::trace::{EventKind, Mark, Phase};
+use dcd_runtime::trace::{EventKind, Mark, Phase, TraceEvent};
 use dcdatalog::{queries, Engine, EngineConfig, Program, Strategy, Tuple, Value};
 
 fn strategies() -> Vec<Strategy> {
@@ -970,6 +970,67 @@ fn set_rows_flush_in_the_middle_of_an_iteration() {
             "{qname}: {distributes} Distribute spans for {iterations} iterations"
         );
     }
+}
+
+#[test]
+fn init_rows_flush_in_the_middle_of_the_init_phase() {
+    // Two parents share 150 children, so SG's init rule derives every
+    // ordered pair of distinct children once per parent: 44 700 rows,
+    // 22 350 of them distinct, more than twice the init phase's flush
+    // budget (2^14 rows). The children have no children, so the recursive
+    // rule derives nothing and the closed form is the init rule's output.
+    let children = 2..152;
+    let edges: Vec<(i64, i64)> = [0, 1]
+        .into_iter()
+        .flat_map(|p| children.clone().map(move |c| (p, c)))
+        .collect();
+    let mut want: Vec<Tuple> = children
+        .clone()
+        .flat_map(|x| children.clone().map(move |y| (x, y)))
+        .filter(|(x, y)| x != y)
+        .map(|(x, y)| Tuple::from_ints(&[x, y]))
+        .collect();
+    want.sort();
+    assert_eq!(want.len(), 22_350);
+    for cfg in configs() {
+        let name = format!("{} x{}", cfg.strategy.name(), cfg.workers);
+        let mut e = Engine::new(queries::sg().unwrap(), cfg).unwrap();
+        e.load_edges("arc", &edges).unwrap();
+        let r = e.run().unwrap();
+        assert_eq!(r.sorted("sg"), want, "{name}");
+        assert!(r.stats.report.reconciles(), "{name}: report must reconcile");
+    }
+
+    // On one worker the init phase ends in one Distribute, and the first
+    // Gather, after the barrier that closes the init phase, opens the
+    // fixpoint. Any other Distribute before that Gather is a flush of the
+    // init rule's rows while it still ran. (The first `Iteration` mark
+    // comes after that iteration's own Distribute, so it is no boundary.)
+    let cfg = EngineConfig::with_workers(1)
+        .strategy(Strategy::Global)
+        .tracing(true);
+    let mut e = Engine::new(queries::sg().unwrap(), cfg).unwrap();
+    e.load_edges("arc", &edges).unwrap();
+    let r = e.run().unwrap();
+    assert_eq!(r.sorted("sg"), want, "traced");
+    let events = &r.stats.report.traces[0].events;
+    let count = |events: &[TraceEvent], kind| events.iter().filter(|e| e.kind == kind).count();
+    let gather = events
+        .iter()
+        .position(|e| e.kind == EventKind::Span(Phase::Gather))
+        .expect("a Gather");
+    let distribute = EventKind::Span(Phase::Distribute);
+    let init_distributes = count(&events[..gather], distribute);
+    assert!(
+        init_distributes >= 2,
+        "{init_distributes} Distribute spans in the init phase"
+    );
+    let iterations = count(events, EventKind::Instant(Mark::Iteration));
+    let distributes = count(events, distribute);
+    assert!(
+        distributes > iterations + 1,
+        "{distributes} Distribute spans for {iterations} iterations"
+    );
 }
 
 /// PageRank's `matrix(X, Y, D)` for a graph on `n` nodes without self-loops

@@ -475,17 +475,8 @@ impl DerivedRelation {
         self.store.into_rows()
     }
 
-    /// Empties the relation and hands out its logical rows (in id order)
-    /// without copying them. Every other allocation stays, as for
-    /// [`DerivedRelation::clear`].
-    pub fn take_rows(&mut self) -> Frame {
-        let rows = self.store.take_rows();
-        self.clear();
-        rows
-    }
-
-    /// Empties the relation and keeps every allocation: refilling it
-    /// allocates and zeroes no new table.
+    /// Empties the relation, freeing its rows but keeping every other
+    /// allocation: refilling it allocates and zeroes no new table.
     pub fn clear(&mut self) {
         if let Some(table) = &mut self.table {
             table.clear();
@@ -645,28 +636,23 @@ mod tests {
 
     #[test]
     fn clear_empties_and_the_relation_refills() {
-        // `take_rows` empties as `clear` does and hands the rows out.
-        for take in [false, true] {
-            let mut r = DerivedRelation::aggregate(AggFunc::Min, 1, 0.0, &[1]);
-            r.merge_t(&ints(&[1, 10]));
-            r.merge_t(&ints(&[2, 4]));
-            r.merge_t(&ints(&[1, 7]));
-            let lanes = r.table.as_ref().map(|t| t.lanes.len());
-            assert_eq!(r.tuples(), [ints(&[1, 7]), ints(&[2, 4])]);
-            if take {
-                let out: Vec<Tuple> = r.take_rows().iter().map(|t| t.to_tuple()).collect();
-                assert_eq!(out, [ints(&[1, 7]), ints(&[2, 4])]);
-            } else {
-                r.clear();
-            }
-            assert!(r.is_empty());
-            assert!(r.probe_ids(1, Value::Int(7).key_bits()).is_empty());
-            // The old groups are gone: 12 is new, not worse than 7.
-            assert_eq!(r.merge_t(&ints(&[1, 12])), Merged::New(0));
-            assert_eq!(r.merge_t(&ints(&[1, 9])), Merged::New(0));
-            assert_eq!(r.tuples(), [ints(&[1, 9])]);
-            assert_eq!(r.table.as_ref().map(|t| t.lanes.len()), lanes, "kept");
-        }
+        // `clear` frees the row buffer and keeps the dedup table.
+        let mut r = DerivedRelation::aggregate(AggFunc::Min, 1, 0.0, &[1]);
+        r.merge_t(&ints(&[1, 10]));
+        r.merge_t(&ints(&[2, 4]));
+        r.merge_t(&ints(&[1, 7]));
+        let lanes = r.table.as_ref().map(|t| t.lanes.len());
+        assert!(r.store.rows().resident_bytes() > 0);
+        assert_eq!(r.tuples(), [ints(&[1, 7]), ints(&[2, 4])]);
+        r.clear();
+        assert!(r.is_empty());
+        assert_eq!(r.store.rows().resident_bytes(), 0, "row buffer freed");
+        assert!(r.probe_ids(1, Value::Int(7).key_bits()).is_empty());
+        // The old groups are gone: 12 is new, not worse than 7.
+        assert_eq!(r.merge_t(&ints(&[1, 12])), Merged::New(0));
+        assert_eq!(r.merge_t(&ints(&[1, 9])), Merged::New(0));
+        assert_eq!(r.tuples(), [ints(&[1, 9])]);
+        assert_eq!(r.table.as_ref().map(|t| t.lanes.len()), lanes, "kept");
     }
 
     #[test]

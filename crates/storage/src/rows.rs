@@ -127,22 +127,13 @@ impl RowStore {
         self.rows
     }
 
-    /// Empties a growable store and hands out its rows (in id order)
-    /// without copying them; the index maps keep their capacity. Panics on
-    /// a sealed (CSR-indexed) store.
-    pub(crate) fn take_rows(&mut self) -> Frame {
-        let rows = std::mem::take(&mut self.rows);
-        self.clear();
-        rows
-    }
-
-    /// Empties a growable store; the row buffer and the index maps keep
-    /// their capacity. Panics on a sealed (CSR-indexed) store.
+    /// Empties a growable store and frees its row buffer; the index maps
+    /// keep their capacity. Panics on a sealed (CSR-indexed) store.
     pub(crate) fn clear(&mut self) {
         for (_, idx) in &mut self.indexes {
             idx.buckets_mut().clear();
         }
-        self.rows.clear();
+        self.rows = Frame::default();
     }
 
     /// Number of rows.

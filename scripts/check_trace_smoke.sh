@@ -25,6 +25,10 @@
 #      one per iteration plus the init one, its stats JSON must count the
 #      trace's iterations, and it must still derive the closed form's 3n^2
 #      rows.
+#   7b. the init phase flushes too: 1-worker SG on two parents sharing 150
+#      children, whose init rule derives 44 700 rows (22 350 distinct),
+#      must close more Distribute spans than one per iteration plus the
+#      init one, and derive the 22 350 ordered pairs of distinct children.
 #
 # Run from anywhere inside the repo: scripts/check_trace_smoke.sh
 # Pass a prebuilt binary path as $1 to skip the cargo build.
@@ -163,6 +167,30 @@ if [ "$stats_iterations" != "$iterations" ]; then
     fail=1
 fi
 echo "ok(flush): $distributes Distribute spans, $iterations iterations, $rows rows"
+
+# -- The init phase flushes mid-rule -------------------------------------
+# Parents 0 and 1 share children 2..151: SG's init rule derives every
+# ordered pair of distinct children once per parent, 44 700 rows, and the
+# recursive rule nothing more.
+awk 'BEGIN { for (p = 0; p < 2; p++) for (c = 2; c < 152; c++) print p, c }' \
+    > "$workdir/parents.csv"
+"$BIN" run programs/sg.dl \
+    --edb arc="$workdir/parents.csv" \
+    --workers 1 --strategy global --limit 1 \
+    --trace-json "$workdir/sg_trace.json" > "$workdir/sg_out.txt"
+distributes=$(grep -c '"name":"Distribute".*"tid":0,' "$workdir/sg_trace.json" || true)
+iterations=$(grep -c '"name":"iteration".*"tid":0,' "$workdir/sg_trace.json" || true)
+if [ "$distributes" -le $((iterations + 1)) ]; then
+    echo "FAIL(init flush): worker 0 closed $distributes Distribute spans for" \
+         "$iterations iterations; no flush during the init phase" >&2
+    fail=1
+fi
+rows=$(grep -o '^sg ([0-9]* rows' "$workdir/sg_out.txt" | grep -o '[0-9][0-9]*' || true)
+if [ "$rows" != 22350 ]; then
+    echo "FAIL(init flush): sg has ${rows:-no} rows, closed form 22350" >&2
+    fail=1
+fi
+echo "ok(init flush): $distributes Distribute spans, $iterations iterations, $rows rows"
 
 if [ "$fail" -ne 0 ]; then
     echo "trace smoke FAILED" >&2
