@@ -9,9 +9,11 @@
 //! the local stores, emitting delta rows (Gather); evaluate one local
 //! semi-naive iteration (Iterate); route the derived rows (Distribute).
 //! Init rules and delta rules run through one slice loop,
-//! `Worker::eval_rule`, which hands the queued head rows to Distribute
-//! whenever a slice leaves `FLUSH_ROWS` of them, in the init phase as in
-//! an iteration.
+//! `Worker::eval_rule`, into the worker's one head-row accumulator
+//! (`PartialAgg`, built once for the run), and every row leaves it through
+//! one hand-off, `Worker::flush`: whenever a slice leaves `FLUSH_ROWS`
+//! queued, after each best-first slice, and at the end of the init phase
+//! and of each iteration.
 //! They differ only in where a worker waits: Global at the round barrier
 //! after every iteration, whose all-zero round is its fixpoint; SSP at its
 //! staleness bound and DWS for up to τ while fewer than ω rows are pending,
@@ -56,7 +58,6 @@ use dcd_runtime::{
     Termination, WorkerEndpoints,
 };
 use dcd_storage::DerivedRelation;
-use std::borrow::Borrow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -161,7 +162,7 @@ impl Coordination {
 }
 
 /// Set and `sum`/`count` rows evaluated but not yet distributed: once an
-/// evaluation slice leaves this many buffered, [`Worker::eval_rule`] hands
+/// evaluation slice leaves this many buffered, [`Worker::flush`] hands
 /// them to Distribute before the next slice, so the buffer between the
 /// kernel and Distribute stays bounded however large one init phase's or
 /// iteration's output is. The flush tests in `tests/engine_e2e.rs` (set
@@ -178,18 +179,20 @@ const FLUSH_ROWS: usize = 1 << 14;
 /// ([`PartialAgg::sink`]), so the buffer stays in cache.
 const SLICE_ROWS: usize = 256;
 
-/// Head rows between the kernel and Distribute, with the pre-Distribute
-/// partial aggregation of §5.2.3: the kernel's sink ([`PartialAgg::sink`])
-/// and the one routing pass ([`PartialAgg::route`]). A `min`/`max` head
-/// relation's rows collapse in a storage aggregate relation, created at
-/// the relation's first kernel call, so "same group" and "better" mean
-/// exactly what they mean at the merge; its best row per group is routed
-/// whenever the accumulator is flushed ([`PartialAgg::route_best`]): when
-/// the init phase or iteration ends, and after each best-first slice,
-/// which keeps the dedup table, so no slice zeroes a fresh one. Every
-/// other row is routed as the sink buffers it. Either way each routed row
-/// is copied, as lanes, into its head relation's queue frame for each of
-/// its destinations, and [`Worker::flush`] hands the frames to Distribute
+/// The worker's head rows between the kernel and Distribute, with the
+/// pre-Distribute partial aggregation of §5.2.3: the kernel's sink
+/// ([`PartialAgg::sink`]) and the one routing pass ([`PartialAgg::route`]).
+/// One lives on each [`Worker`] for the whole run, and its rows leave
+/// only through [`Worker::flush`]. A `min`/`max` head relation's rows
+/// collapse in a storage aggregate relation, made whenever the relation's
+/// slot has none, so "same group" and "better" mean exactly what they
+/// mean at the merge; its best row per group is routed when a flush asks
+/// for it ([`PartialAgg::route_best`]): after each best-first slice, which
+/// keeps the dedup table, so no slice zeroes a fresh one, and when the
+/// init phase or an iteration ends, which frees it. Every other row is
+/// routed as the sink buffers it. Either way each routed row is copied,
+/// as lanes, into its head relation's queue frame for each of its
+/// destinations, and Distribute ([`Worker::distribute`]) walks the frames
 /// every [`FLUSH_ROWS`] queued rows: a set row's only collapse is
 /// exact-duplicate elimination, which the stored-row check, Distribute's
 /// sent-filter and the idempotent merge already perform, and a
@@ -201,8 +204,8 @@ struct PartialAgg<'a> {
     part: Partitioner,
     me: WorkerId,
     /// Per head relation, created at its first kernel call: the relation,
-    /// its accumulator when it is a `min`/`max` relation, and one queue
-    /// frame per destination worker.
+    /// its accumulator while it is a `min`/`max` relation with rows to
+    /// collapse, and one queue frame per destination worker.
     heads: Vec<(RelId, Option<DerivedRelation>, Vec<Frame>)>,
     /// Rows in the queue frames.
     queued_rows: usize,
@@ -230,26 +233,27 @@ impl<'a> PartialAgg<'a> {
     }
 
     /// The slot of head relation `rel`'s rows, created at its first
-    /// kernel call.
+    /// kernel call; a `min`/`max` relation's accumulator is made whenever
+    /// the slot has none.
     fn head(&mut self, rel: RelId) -> Head<'a> {
         let decl = self.plan.idb[rel].as_ref().expect("IDB head");
         let at = self.heads.iter().position(|(r, ..)| *r == rel);
         let at = at.unwrap_or_else(|| {
-            let best = match decl.kind {
-                StorageKind::Agg {
-                    func: func @ (AggFunc::Min | AggFunc::Max),
-                    group_cols,
-                    ..
-                } => Some(DerivedRelation::aggregate(func, group_cols, 0.0, &[])),
-                _ => None,
-            };
             let frames = (0..self.part.partitions()).map(|_| Frame::default());
-            self.heads.push((rel, best, frames.collect()));
+            self.heads.push((rel, None, frames.collect()));
             self.heads.len() - 1
         });
-        match self.heads[at].1 {
-            Some(_) => Head::Collapse(at),
-            None => Head::Queue(at, decl),
+        match decl.kind {
+            StorageKind::Agg {
+                func: func @ (AggFunc::Min | AggFunc::Max),
+                group_cols,
+                ..
+            } => {
+                let new = || DerivedRelation::aggregate(func, group_cols, 0.0, &[]);
+                self.heads[at].1.get_or_insert_with(new);
+                Head::Collapse(at)
+            }
+            _ => Head::Queue(at, decl),
         }
     }
 
@@ -366,36 +370,21 @@ impl<'a> PartialAgg<'a> {
             }
         }
     }
+}
 
-    /// `(head relation, destination, rows)` for every queue frame, whose
-    /// rows all go to that one destination.
-    fn frames(&self) -> impl Iterator<Item = (RelId, WorkerId, &Frame)> {
-        debug_assert!(self.emitted.is_empty(), "emitted rows left unrouted");
-        self.heads.iter().flat_map(|(rel, _, frames)| {
-            let dests = frames.iter().enumerate();
-            dests.map(move |(d, f)| (*rel, d, f))
-        })
-    }
-
-    /// Empties every queue frame in place, keeping its capacity for the
-    /// next flush.
-    fn clear(&mut self) {
-        for f in self.heads.iter_mut().flat_map(|(.., frames)| frames) {
-            f.clear();
-        }
-        self.queued_rows = 0;
-    }
-
-    /// Consumes the accumulator, handing out what [`PartialAgg::frames`]
-    /// returns, so that Distribute frees each frame once it is merged or
-    /// sent.
-    fn into_frames(self) -> impl Iterator<Item = (RelId, WorkerId, Frame)> {
-        debug_assert!(self.emitted.is_empty(), "emitted rows left unrouted");
-        self.heads.into_iter().flat_map(|(rel, _, frames)| {
-            let dests = frames.into_iter().enumerate();
-            dests.map(move |(d, f)| (rel, d, f))
-        })
-    }
+/// What ended when [`Worker::flush`] runs.
+#[derive(Clone, Copy)]
+enum Flush {
+    /// A set or `sum`/`count` slice: the queue goes once [`FLUSH_ROWS`]
+    /// rows are buffered, its frames emptied in place.
+    Slice,
+    /// A best-first slice: the `min`/`max` best rows are routed and the
+    /// queue goes, tables and frames emptied in place.
+    BestSlice,
+    /// The init phase or an iteration, which evaluated this many delta
+    /// rows: as `BestSlice`, but each table is freed before its rows merge
+    /// and each frame once it is merged or sent.
+    End(u64),
 }
 
 /// [`PartialAgg::sink`]'s handle on one head relation, taken once per
@@ -527,6 +516,8 @@ pub struct Worker<'a> {
     evaluator: Evaluator<'a>,
     /// Persistent register file + probe counters for the batched kernel.
     scratch: EvalScratch,
+    /// The head rows not yet distributed, and the sink's counters.
+    acc: PartialAgg<'a>,
     /// `best_first[rel]`: relation `rel`'s order when it is evaluated
     /// best-first.
     best_first: Vec<Option<BestFirst>>,
@@ -546,8 +537,6 @@ pub struct Worker<'a> {
     /// The stratum's DWS controller: `None` under Global and SSP, and
     /// during a stratum's init phase, so it sees only fixpoint batches.
     dws: Option<DwsController>,
-    /// Start of the open `EvalDelta` span.
-    t_eval: Instant,
     /// Rows Distribute merged here or sent in the current iteration.
     produced: u64,
     /// The stratum's round (0 in init, +1 per Gather), stamped on batches.
@@ -578,6 +567,7 @@ impl<'a> Worker<'a> {
                 workers: cfg.workers,
             },
             scratch: EvalScratch::default(),
+            acc: PartialAgg::new(plan, coord.part, me),
             best_first: (0..plan.idb.len())
                 .map(|rel| BestFirst::of(plan, rel))
                 .collect(),
@@ -587,7 +577,6 @@ impl<'a> Worker<'a> {
             si: 0,
             delta: Vec::new(),
             dws: None,
-            t_eval: Instant::now(),
             produced: 0,
             round: 0,
             held: (0..cfg.workers).map(|_| Vec::new()).collect(),
@@ -600,10 +589,13 @@ impl<'a> Worker<'a> {
         for si in 0..self.plan.strata.len() {
             self.run_stratum(si)?;
         }
-        // The kernel's probe counters go into the report.
+        // The kernel's probe counters and the sink's counts go into the
+        // report.
         let m = &mut self.rec.counters;
         m.probe_hits += self.scratch.probe_hits;
         m.probe_reuse += self.scratch.probe_reuse;
+        m.head_rows += self.acc.head_rows;
+        m.stored_checks += self.acc.stored_checks;
         Ok((self.store, self.rec))
     }
 
@@ -616,23 +608,21 @@ impl<'a> Worker<'a> {
         coord.check_deadline()?;
 
         // ---- Init phase: base rules + inline facts ----
-        self.t_eval = Instant::now();
         let plan = self.plan;
         let stratum = &plan.strata[si];
-        let mut acc = PartialAgg::new(plan, coord.part, self.me);
         for rule in &stratum.init_rules {
-            self.eval_rule(rule, &[], &mut acc)?;
+            self.eval_rule(rule, &[])?;
         }
         if self.me == 0 {
             for (rel, t) in &plan.facts {
                 if stratum.rels.contains(rel) {
-                    let (head, stored) = (acc.head(*rel), self.store.rec(*rel));
-                    acc.sink(head, stored)(t.row());
-                    acc.route_emitted(head, stored);
+                    let (head, stored) = (self.acc.head(*rel), self.store.rec(*rel));
+                    self.acc.sink(head, stored)(t.row());
+                    self.acc.route_emitted(head, stored);
                 }
             }
         }
-        self.finish(acc, 0)?;
+        self.flush(Flush::End(0))?;
         self.meet(&coord.sync, 1)?;
         // Every peer sent its init rows before it arrived: drain them now,
         // so the DWS controller sees only fixpoint batches.
@@ -654,7 +644,8 @@ impl<'a> Worker<'a> {
         Ok(cont)
     }
 
-    /// The one loop in which a worker waits, timed as one `phase` span:
+    /// The one loop in which a worker waits, timed as one `phase` span
+    /// (nested when it is `Backpressure`):
     /// each turn checks `done`, drains the inbox ([`Worker::drain_into`]),
     /// checks the deadline and the abort flag, and sleeps [`WAIT_SLICE`]
     /// when nothing arrived. `Err` once the run is aborted or past its
@@ -673,7 +664,11 @@ impl<'a> Worker<'a> {
                 std::thread::sleep(WAIT_SLICE);
             }
         };
-        self.rec.close(phase, t, 0, 0, 0);
+        if phase == Phase::Backpressure {
+            self.rec.close_since(phase, t, 0, 0, 0);
+        } else {
+            self.rec.close(phase, 0, 0, 0);
+        }
         out
     }
 
@@ -700,9 +695,8 @@ impl<'a> Worker<'a> {
                 if ssp {
                     sc.ssp.finish(self.me);
                 }
-                let ti = Instant::now();
                 let outcome = sc.termination.idle_wait(|| self.endpoints.has_inbound());
-                self.rec.close(Phase::Idle, ti, 0, 0, 0);
+                self.rec.close(Phase::Idle, 0, 0, 0);
                 let work = outcome == IdleOutcome::Work;
                 self.rec.mark(Mark::TerminationRound, work as u64, 0, 0);
                 if !work {
@@ -770,8 +764,8 @@ impl<'a> Worker<'a> {
     /// partial aggregation"). Each variant runs in slices
     /// ([`Worker::eval_rule`]), so later slices probe stores a flush may
     /// have grown (monotone rules only derive more from them). Their
-    /// `min`/`max` rows are routed and distributed once, by
-    /// [`Worker::finish`] at the end.
+    /// `min`/`max` rows are routed and distributed once, by the
+    /// [`Worker::flush`] that ends the iteration.
     ///
     /// Best-first ids (see the module docs) wait in their orders instead,
     /// and after the delta Iterate evaluates the orders one slice of the
@@ -782,7 +776,6 @@ impl<'a> Worker<'a> {
     /// Returns the delta rows evaluated, counting rows queued again and
     /// evaluated again.
     fn iterate(&mut self) -> Result<u64> {
-        self.t_eval = Instant::now();
         self.produced = 0;
         let before = self.rec.counters.tuples_processed;
         // Gather (§5.2.2): an aggregate group updated several times since
@@ -795,28 +788,26 @@ impl<'a> Worker<'a> {
         let mut rows = std::mem::take(&mut self.delta);
         rows.sort_unstable();
         rows.dedup();
-        let mut acc = PartialAgg::new(self.plan, self.coord.part, self.me);
         for group in rows.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
-            self.eval_group(group, &mut acc)?;
+            self.eval_group(group)?;
         }
-        self.eval_best_first(&mut acc)?;
+        self.eval_best_first()?;
         let evaluated = self.rec.counters.tuples_processed - before;
-        self.finish(acc, evaluated)?;
+        self.flush(Flush::End(evaluated))?;
         Ok(evaluated)
     }
 
     /// Iterate's best-first part: evaluates the orders one slice at a time
     /// until they are empty, distributing each slice; the ids its merges
     /// improve join the orders as they merge.
-    fn eval_best_first(&mut self, acc: &mut PartialAgg<'_>) -> Result<()> {
+    fn eval_best_first(&mut self) -> Result<()> {
         let mut slice = Vec::new();
         while self.next_slice(&mut slice) {
             self.coord.check_deadline()?;
-            self.eval_group(&slice, acc)?;
-            self.flush(acc, true)?;
+            self.eval_group(&slice)?;
+            self.flush(Flush::BestSlice)?;
             if self.endpoints.has_inbound() {
                 self.gather();
-                self.t_eval = Instant::now();
             }
         }
         // Every order is empty now; free its heaps. Kept until the next
@@ -830,7 +821,7 @@ impl<'a> Worker<'a> {
     /// Runs every delta rule of the stratum that consumes `group`'s
     /// `(rel, route)` over it ([`Worker::eval_rule`]), counting the group
     /// as a kernel batch per rule.
-    fn eval_group(&mut self, group: &[DeltaRow], acc: &mut PartialAgg<'_>) -> Result<()> {
+    fn eval_group(&mut self, group: &[DeltaRow]) -> Result<()> {
         let plan = self.plan;
         let (rel, route) = (group[0].0, group[0].1);
         self.rec.counters.tuples_processed += group.len() as u64;
@@ -839,7 +830,7 @@ impl<'a> Worker<'a> {
             if spec.rel != rel || spec.route != route as usize {
                 continue;
             }
-            self.eval_rule(rule, group, acc)?;
+            self.eval_rule(rule, group)?;
             let m = &mut self.rec.counters;
             m.kernel_batches += 1;
             m.kernel_rows += group.len() as u64;
@@ -850,15 +841,10 @@ impl<'a> Worker<'a> {
     /// The one slice loop every rule runs through, [`SLICE_ROWS`] at a
     /// time: a delta rule over the order [`Evaluator::sort_batch`] gives
     /// `group`, an init rule over its rows ([`Evaluator::init_rows`]). Each
-    /// slice feeds `acc`'s sink ([`PartialAgg::sink`]), routes what it
-    /// buffered and offers the queue to [`Worker::flush`].
-    fn eval_rule(
-        &mut self,
-        rule: &CompiledRule,
-        group: &[DeltaRow],
-        acc: &mut PartialAgg<'_>,
-    ) -> Result<()> {
-        let (ev, head) = (self.evaluator, acc.head(rule.head_rel));
+    /// slice feeds the accumulator's sink ([`PartialAgg::sink`]), routes
+    /// what it buffered and offers the queue to [`Worker::flush`].
+    fn eval_rule(&mut self, rule: &CompiledRule, group: &[DeltaRow]) -> Result<()> {
+        let (ev, head) = (self.evaluator, self.acc.head(rule.head_rel));
         let n = match rule.delta {
             Some(_) => ev.sort_batch(rule, &self.store, group, &mut self.scratch),
             None => ev.init_rows(rule, &self.store),
@@ -866,48 +852,32 @@ impl<'a> Worker<'a> {
         for lo in (0..n).step_by(SLICE_ROWS) {
             let slice = lo..n.min(lo + SLICE_ROWS);
             let (store, stored) = (&self.store, self.store.rec(rule.head_rel));
-            let mut sink = acc.sink(head, stored);
+            let mut sink = self.acc.sink(head, stored);
             match rule.delta {
                 Some(_) => ev.eval_sorted(rule, store, group, slice, &mut self.scratch, &mut sink),
                 None => ev.eval_init(rule, store, slice, &mut sink),
             }
             drop(sink);
-            acc.route_emitted(head, stored);
-            self.flush(acc, false)?;
+            self.acc.route_emitted(head, stored);
+            self.flush(Flush::Slice)?;
         }
         Ok(())
     }
 
-    /// The hand-off to Distribute after a slice, which splits the
-    /// open `EvalDelta` span: with `best`, every row, the `min`/`max`
-    /// accumulators' best rows routed first; without, the queued rows once
-    /// [`FLUSH_ROWS`] of them are buffered.
-    fn flush(&mut self, acc: &mut PartialAgg<'_>, best: bool) -> Result<()> {
-        if best {
-            acc.route_best(false);
-        } else if acc.queued_rows < FLUSH_ROWS {
-            return Ok(());
+    /// The one hand-off to Distribute, when a slice or a phase ends
+    /// ([`Flush`]): closes the open `EvalDelta` span, which a slice's flush
+    /// splits, and distributes the accumulator's queued rows.
+    fn flush(&mut self, ended: Flush) -> Result<()> {
+        let (rows, free) = match ended {
+            Flush::Slice if self.acc.queued_rows < FLUSH_ROWS => return Ok(()),
+            Flush::Slice | Flush::BestSlice => (0, false),
+            Flush::End(rows) => (rows, true),
+        };
+        if !matches!(ended, Flush::Slice) {
+            self.acc.route_best(free);
         }
-        self.rec.close(Phase::EvalDelta, self.t_eval, 0, 0, 0);
-        self.distribute(acc.frames())?;
-        acc.clear();
-        self.t_eval = Instant::now();
-        Ok(())
-    }
-
-    /// The hand-off that ends the init phase and each iteration: routes
-    /// the `min`/`max` accumulators' best rows, freeing each table before
-    /// any of its rows merge, closes the `EvalDelta` span, which evaluated
-    /// `rows` delta rows, and distributes every row, freeing each frame
-    /// once it is merged or sent. Adds the accumulator's sink counts to the
-    /// recorder.
-    fn finish(&mut self, mut acc: PartialAgg<'_>, rows: u64) -> Result<()> {
-        acc.route_best(true);
-        self.rec.close(Phase::EvalDelta, self.t_eval, rows, 0, 0);
-        let m = &mut self.rec.counters;
-        m.head_rows += acc.head_rows;
-        m.stored_checks += acc.stored_checks;
-        self.distribute(acc.into_frames())
+        self.rec.close(Phase::EvalDelta, rows, 0, 0);
+        self.distribute(free)
     }
 
     /// Delta rows waiting for Iterate: the delta's ids and the entries of
@@ -955,37 +925,42 @@ impl<'a> Worker<'a> {
         false
     }
 
-    /// Distribute: hands on `(head relation, destination, rows)` frames,
-    /// whose rows were all routed to that one destination when they were
-    /// queued ([`PartialAgg::route`]). This worker's rows met the
+    /// Distribute: walks the accumulator's queue frames, each holding rows
+    /// of one head relation that were all routed to one destination when
+    /// they were queued ([`PartialAgg::route`]). This worker's rows met the
     /// stored-row check then and merge here, feeding the next delta
     /// immediately; a peer's rows meet the sent-filter for that peer and
-    /// go to it in batches ([`Worker::stage_unsent`]). An owned frame is
-    /// freed once it is merged or sent. Adds the rows merged here and sent
-    /// to [`Worker::produced`], and the sent-filter's hits and misses to
-    /// the recorder.
-    fn distribute<F: Borrow<Frame>>(
-        &mut self,
-        outs: impl IntoIterator<Item = (RelId, WorkerId, F)>,
-    ) -> Result<()> {
-        let t0 = Instant::now();
+    /// go to it in batches ([`Worker::stage_unsent`]). Each frame is taken
+    /// out of its slot while it is merged or sent; with `free` it is then
+    /// freed, otherwise emptied and put back, keeping its capacity. Adds
+    /// the rows merged here and sent to [`Worker::produced`], and the
+    /// sent-filter's hits and misses to the recorder.
+    fn distribute(&mut self, free: bool) -> Result<()> {
+        debug_assert!(self.acc.emitted.is_empty(), "emitted rows left unrouted");
         let sent_before = self.rec.counters.tuples_sent;
         let mut local_new = 0u64;
-        for (rel, dest, rows) in outs {
-            let rows = rows.borrow();
-            if dest == self.me {
-                for row in rows.iter() {
-                    local_new += self.merge_local(rel, row);
+        for at in 0..self.acc.heads.len() {
+            let rel = self.acc.heads[at].0;
+            for dest in 0..self.cfg.workers {
+                let mut rows = std::mem::take(&mut self.acc.heads[at].2[dest]);
+                if dest == self.me {
+                    for row in rows.iter() {
+                        local_new += self.merge_local(rel, row);
+                    }
+                } else {
+                    self.stage_unsent(dest, rel, &rows)?;
                 }
-            } else {
-                self.stage_unsent(dest, rel, rows)?;
+                if !free {
+                    rows.clear();
+                    self.acc.heads[at].2[dest] = rows;
+                }
             }
         }
+        self.acc.queued_rows = 0;
         let remote_sent = self.rec.counters.tuples_sent - sent_before;
         self.rec.counters.local_new += local_new;
         self.produced += local_new + remote_sent;
-        self.rec
-            .close(Phase::Distribute, t0, local_new, remote_sent, 0);
+        self.rec.close(Phase::Distribute, local_new, remote_sent, 0);
         Ok(())
     }
 
@@ -1085,9 +1060,8 @@ impl<'a> Worker<'a> {
 
     /// Gather: drains the inbox as one `Gather` span.
     fn gather(&mut self) {
-        let tg = Instant::now();
         self.drain_into(true);
-        self.rec.close(Phase::Gather, tg, 0, 0, 0);
+        self.rec.close(Phase::Gather, 0, 0, 0);
     }
 
     /// Pops every inbound batch and merges it into the store/delta, except
@@ -1135,7 +1109,7 @@ impl<'a> Worker<'a> {
         self.rec.counters.local_new += new;
         if let Some(tm) = tm.filter(|_| batches > 0) {
             // Nested inside whichever phase drained: Gather or a wait.
-            self.rec.close(Phase::Merge, tm, batches, new, 0);
+            self.rec.close_since(Phase::Merge, tm, batches, new, 0);
         }
         arrived
     }
@@ -1176,9 +1150,11 @@ mod tests {
     /// `(relation, destination, row)` for every row queued in `acc`,
     /// decoded.
     fn queued(acc: &PartialAgg<'_>) -> Vec<(RelId, WorkerId, Tuple)> {
-        let frames = acc.frames();
-        let rows = frames.flat_map(|(rel, d, f)| f.iter().map(move |r| (rel, d, r.to_tuple())));
-        rows.collect()
+        let frames = acc.heads.iter().flat_map(|(rel, _, frames)| {
+            let dests = frames.iter().enumerate();
+            dests.flat_map(move |(d, f)| f.iter().map(move |r| (*rel, d, r.to_tuple())))
+        });
+        frames.collect()
     }
 
     #[test]
@@ -1211,8 +1187,6 @@ mod tests {
                     t
                 })
                 .collect();
-            acc.clear();
-            assert!(queued(&acc).is_empty());
             got.sort();
             assert_eq!(got, rows(&want), "{name}");
             // A flushed accumulator starts over: a row worse than the
@@ -1221,9 +1195,15 @@ mod tests {
                 push(&mut acc, rel, &row);
             }
             acc.route_best(true);
+            assert!(acc.heads[0].1.is_none(), "freed at the end of a phase");
+            // The next phase's first row makes a new one.
+            push(&mut acc, rel, &Tuple::from_ints(&[1, 30]));
+            acc.route_best(false);
             let mut got: Vec<Tuple> = queued(&acc).into_iter().map(|(.., t)| t).collect();
             got.sort();
-            assert_eq!(got, rows(&[[1, 20], [3, 4]]), "{name}");
+            let mut again = [want.as_slice(), &[[1, 20], [1, 30], [3, 4]]].concat();
+            again.sort();
+            assert_eq!(got, rows(&again), "{name}");
         }
     }
 
@@ -1413,6 +1393,55 @@ mod tests {
         let catalog = crate::catalog::EdbCatalog::build(p, &data, &part);
         let store = WorkerStore::build(p, &catalog, 0, true, 64);
         Worker::new(p, cfg, coord, 0, store)
+    }
+
+    #[test]
+    fn a_slice_flush_keeps_the_buffers_and_the_end_of_an_iteration_frees_them() {
+        let p = plan_of(
+            "sp(To, min<C>) <- src(To, C).
+             sp(To2, min<C>) <- sp(To1, C1), warc(To1, To2, C2), C = C1 + C2.",
+        );
+        let cfg = EngineConfig::with_workers(1);
+        let coord = Coordination::new(&p, &cfg);
+        let warc = [[1, 2, 5], [2, 3, 1]]
+            .map(|r| Tuple::from_ints(&r))
+            .to_vec();
+        let mut w = one_worker(&p, &cfg, &coord, &[("warc", warc)]);
+        let sp = p.rel_by_name("sp").unwrap();
+        assert_eq!(w.merge_local(sp, Tuple::from_ints(&[1, 0]).row()), 1);
+        let mut slice = Vec::new();
+        assert!(w.next_slice(&mut slice));
+        w.eval_group(&slice).unwrap();
+        w.flush(Flush::BestSlice).unwrap();
+        let (_, table, frames) = &w.acc.heads[0];
+        assert!(
+            table.as_ref().unwrap().rows().is_empty(),
+            "emptied in place"
+        );
+        assert!(
+            frames
+                .iter()
+                .all(|f| f.is_empty() && f.resident_bytes() > 0),
+            "emptied in place, keeping their capacity"
+        );
+        assert_eq!(w.pending(), 1, "(2, 5) merged and queued");
+        w.iterate().unwrap();
+        for (_, table, frames) in &w.acc.heads {
+            assert!(table.is_none(), "no min/max table held");
+            assert!(
+                frames.iter().all(|f| f.resident_bytes() == 0),
+                "frames freed"
+            );
+        }
+        let mut got: Vec<Tuple> = w
+            .store
+            .rec(sp)
+            .rows()
+            .iter()
+            .map(|r| r.to_tuple())
+            .collect();
+        got.sort();
+        assert_eq!(got, rows(&[[1, 0], [2, 5], [3, 6]]));
     }
 
     #[test]

@@ -20,25 +20,29 @@ fn traced_configs() -> Vec<EngineConfig> {
     out
 }
 
-/// Fraction of `[first span start, last span end]` covered by the
-/// worker's spans; a nested span counts once, inside its parent.
-fn span_coverage(t: &WorkerTrace) -> f64 {
+/// The worker's top-level spans (every phase but the nested Merge and
+/// Backpressure) abut: each opens exactly where the previous one closed,
+/// so from the first to the last no instant of the timeline lies outside
+/// one of them.
+fn assert_top_level_spans_abut(t: &WorkerTrace, name: &str) {
     let mut spans: Vec<(u64, u64)> = t
         .events
         .iter()
-        .filter(|e| matches!(e.kind, EventKind::Span(_)))
+        .filter(|e| match e.kind {
+            EventKind::Span(p) => !matches!(p, Phase::Merge | Phase::Backpressure),
+            EventKind::Instant(_) => false,
+        })
         .map(|e| (e.ts, e.end()))
         .collect();
     spans.sort_unstable();
-    let Some(&(lo, _)) = spans.first() else {
-        return 0.0;
-    };
-    let (mut covered, mut reach) = (0, lo);
-    for (start, end) in spans {
-        covered += end.saturating_sub(start.max(reach));
-        reach = reach.max(end);
+    assert!(!spans.is_empty(), "{name} w{}: no span", t.worker);
+    for pair in spans.windows(2) {
+        assert_eq!(
+            pair[1].0, pair[0].1,
+            "{name} w{}: a gap or an overlap between top-level spans",
+            t.worker
+        );
     }
-    covered as f64 / (reach - lo).max(1) as f64
 }
 
 fn run_traced(prog: Program, cfg: EngineConfig) -> dcdatalog::EvalResult {
@@ -92,6 +96,7 @@ fn traces_are_wellformed_across_queries_and_strategies() {
                     );
                 }
                 assert_spans_nest(tr, &name);
+                assert_top_level_spans_abut(tr, &name);
                 // One Iteration instant per local iteration the metrics
                 // counted.
                 let iters = tr
@@ -170,23 +175,19 @@ fn phase_counters_equal_their_span_sums() {
 
 #[test]
 fn dws_spans_cover_worker_wall_time() {
-    // The acceptance bar for the schedule view: on a 1-worker DWS TC run
-    // the phase spans account for ≥95% of the worker's recorded timeline —
-    // anything less means the view has unexplained holes. One worker keeps
-    // this independent of the thread schedule: with more workers than
-    // cores, a descheduled thread opens gaps no span can own.
+    // The acceptance bar for the schedule view: the phase spans account for
+    // all of a worker's recorded timeline. Each top-level span opens where
+    // the previous one closed, so a pause between two phases (the
+    // iteration's end bookkeeping, a DWS decision, a preemption) lands in
+    // the next span instead of opening a hole. That holds whatever the
+    // thread schedule, so the check is exact, at any worker count.
     let cfg = EngineConfig::with_workers(1)
         .strategy(Strategy::Dws)
         .tracing(true);
     let r = run_traced(queries::tc().unwrap(), cfg);
-    let cov = span_coverage(&r.stats.report.traces[0]);
-    assert!(
-        cov >= 0.95,
-        "spans cover only {:.1}% of the timeline",
-        cov * 100.0
-    );
+    assert_top_level_spans_abut(&r.stats.report.traces[0], "dws x1");
 
-    // At 4 workers, only structure: every worker evaluates, distributes
+    // At 4 workers, also structure: every worker evaluates, distributes
     // and idles, and its spans (EvalDelta split around Iterate's flushes
     // included) nest or are disjoint.
     let cfg = EngineConfig::with_workers(4)
@@ -203,6 +204,7 @@ fn dws_spans_cover_worker_wall_time() {
             );
         }
         assert_spans_nest(tr, "dws x4");
+        assert_top_level_spans_abut(tr, "dws x4");
     }
     // DWS controller decisions are present and land on the controller
     // track in the export.

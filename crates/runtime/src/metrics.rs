@@ -8,10 +8,12 @@
 //! phase ends with one [`Recorder::close`] call: it reads the clock once,
 //! adds that duration to the phase's `*_ns` counter and, when tracing is
 //! on, records a span built from the same two timestamps. Counters and
-//! spans therefore cannot disagree. There is one writer and the engine
-//! reads the recorder only after the worker has returned it, so the
-//! counters are plain `u64` fields and the trace is a plain `Vec`: no
-//! atomics and no locks.
+//! spans therefore cannot disagree. A top-level phase opens at the
+//! previous one's closing reading, so top-level spans abut: the timeline
+//! has no instant outside them. There is one writer and the engine reads
+//! the recorder only after the worker has returned it, so the counters
+//! are plain `u64` fields and the trace is a plain `Vec`: no atomics and
+//! no locks.
 
 use crate::dws::DwsModel;
 use crate::trace::{EventKind, Mark, Phase, TraceEvent, WorkerTrace};
@@ -103,6 +105,9 @@ pub struct Recorder {
     epoch: Instant,
     /// Whether events are recorded.
     tracing: bool,
+    /// Where the next top-level span opens: the clock reading of the last
+    /// top-level [`Recorder::close`], or the recorder's creation.
+    opened: Instant,
     /// Recorded events, preallocated to `cap`; the record path never
     /// allocates.
     events: Vec<TraceEvent>,
@@ -123,6 +128,7 @@ impl Recorder {
         Recorder {
             counters: MetricsSnapshot::default(),
             epoch,
+            opened: Instant::now(),
             tracing: trace_cap.is_some(),
             events: Vec::with_capacity(cap),
             cap,
@@ -137,13 +143,22 @@ impl Recorder {
         self.tracing
     }
 
-    /// Ends a phase that began at `started`: reads the clock once, adds
-    /// the elapsed time to the phase's counter (Merge and Backpressure nest
-    /// inside other phases and have none) and, when tracing, records the
-    /// span with arguments `a`, `b`, `c`.
+    /// Ends a top-level phase (Gather, EvalDelta, Distribute, Idle,
+    /// OmegaWait) through [`Recorder::close_since`]: it opened at the
+    /// previous one's closing reading, and its own opens the next.
     #[inline]
-    pub fn close(&mut self, phase: Phase, started: Instant, a: u64, b: u64, c: u64) {
-        let dur = started.elapsed().as_nanos() as u64;
+    pub fn close(&mut self, phase: Phase, a: u64, b: u64, c: u64) {
+        self.opened = self.close_since(phase, self.opened, a, b, c);
+    }
+
+    /// Ends a phase that began at `from`, as a nested phase (Merge,
+    /// Backpressure) does: reads the clock once, adds the elapsed time to
+    /// the phase's counter (a nested phase has none) and, when tracing,
+    /// records the span with arguments `a`, `b`, `c`. Returns the reading.
+    #[inline]
+    pub fn close_since(&mut self, phase: Phase, from: Instant, a: u64, b: u64, c: u64) -> Instant {
+        let now = Instant::now();
+        let dur = now.duration_since(from).as_nanos() as u64;
         let m = &mut self.counters;
         match phase {
             Phase::Gather => m.gather_ns += dur,
@@ -154,9 +169,10 @@ impl Recorder {
             Phase::Merge | Phase::Backpressure => {}
         }
         if self.tracing {
-            let ts = started.saturating_duration_since(self.epoch).as_nanos() as u64;
+            let ts = from.saturating_duration_since(self.epoch).as_nanos() as u64;
             self.push(EventKind::Span(phase), ts, dur, a, b, c);
         }
+        now
     }
 
     /// Records an instant mark stamped now (a no-op when not tracing).
@@ -244,9 +260,8 @@ mod tests {
             Phase::OmegaWait,
         ];
         for (i, &p) in phases.iter().enumerate() {
-            let started = Instant::now();
             std::thread::sleep(Duration::from_micros(50 * (i as u64 + 1)));
-            r.close(p, started, i as u64, 0, 0);
+            r.close(p, i as u64, 0, 0);
         }
         let (s, tr, _) = r.finish(3);
         assert_eq!(tr.worker, 3);
@@ -256,24 +271,38 @@ mod tests {
         assert!(s.idle_ns >= 200_000, "a 200µs sleep, got {}ns", s.idle_ns);
         assert_eq!(tr.events[1].kind, EventKind::Span(Phase::EvalDelta));
         assert_eq!(tr.events[1].a, 1);
+        for pair in tr.events.windows(2) {
+            assert_eq!(
+                pair[1].ts,
+                pair[0].end(),
+                "each opens where the last closed"
+            );
+        }
     }
 
     #[test]
     fn nested_phases_have_no_counter() {
         let mut r = Recorder::new(Instant::now(), Some(8));
-        r.close(Phase::Merge, Instant::now(), 2, 1, 0);
-        r.close(Phase::Backpressure, Instant::now(), 0, 0, 0);
-        let (s, tr, _) = r.finish(0);
-        assert_eq!(s, MetricsSnapshot::default());
-        assert_eq!(tr.events.len(), 2);
+        r.close_since(Phase::Merge, Instant::now(), 2, 1, 0);
+        r.close_since(Phase::Backpressure, Instant::now(), 0, 0, 0);
+        assert_eq!(r.counters, MetricsSnapshot::default());
+        // Nor do they move the next top-level span's start: a Gather
+        // closed now opened at the recorder's creation and contains them.
+        r.close(Phase::Gather, 0, 0, 0);
+        let (_, tr, _) = r.finish(0);
+        assert_eq!(tr.events.len(), 3);
+        let gather = tr.events[2];
+        for nested in &tr.events[..2] {
+            assert!(nested.ts >= gather.ts && nested.end() <= gather.end());
+        }
     }
 
     #[test]
     fn events_carry_the_iteration_in_progress() {
         let mut r = Recorder::new(Instant::now(), Some(16));
-        r.close(Phase::EvalDelta, Instant::now(), 0, 0, 0);
+        r.close(Phase::EvalDelta, 0, 0, 0);
         r.end_iteration(10, 4, 1);
-        r.close(Phase::Idle, Instant::now(), 0, 0, 0);
+        r.close(Phase::Idle, 0, 0, 0);
         r.mark(Mark::TerminationRound, 1, 0, 0);
         let (s, tr, _) = r.finish(0);
         assert_eq!(s.iterations, 1);
@@ -323,9 +352,8 @@ mod tests {
     fn untraced_recorder_counts_but_records_nothing() {
         let mut r = Recorder::new(Instant::now(), None);
         assert!(!r.is_tracing());
-        let started = Instant::now();
         std::thread::sleep(Duration::from_micros(100));
-        r.close(Phase::Gather, started, 0, 0, 0);
+        r.close(Phase::Gather, 0, 0, 0);
         r.mark(Mark::DwsDecision, 8, 1000, 3);
         r.end_iteration(5, 5, 0);
         let (s, tr, _) = r.finish(0);
