@@ -26,7 +26,7 @@ pub struct Cli {
     /// `--limit N` rows printed per relation (default 20; 0 = all).
     pub limit: usize,
     /// `--no-optimizations` (Table-4 ablation switch: aggregate index +
-    /// Distribute sent-filter).
+    /// sent-filter).
     pub optimized: bool,
     /// `--stats-json PATH` writes the per-worker observability report
     /// (`-` = stdout).
@@ -62,7 +62,7 @@ options:
   --timeout SECS        abort evaluation after SECS seconds
   --print REL           print only this relation (repeatable; default all)
   --limit N             max rows printed per relation (default 20; 0 = all)
-  --no-optimizations    disable the aggregate index + Distribute sent-filter
+  --no-optimizations    disable the aggregate index + sent-filter
                         (the paper's Table-4 ablation)
   --stats-json PATH     write the per-worker observability report (counters,
                         time splits, DWS ω/τ samples, per-iteration series)

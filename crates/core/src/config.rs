@@ -10,10 +10,10 @@ pub struct EngineConfig {
     pub workers: usize,
     /// Coordination strategy (§4): Global, SSP(s) or DWS.
     pub strategy: Strategy,
-    /// Enable the §6.2 optimizations: aggregate index + Distribute
-    /// sent-filter. Disabled for the Table-4 ablation.
+    /// Enable the §6.2 optimizations: aggregate index + sent-filter.
+    /// Disabled for the Table-4 ablation.
     pub optimized: bool,
-    /// Slots of the lossy Distribute sent-filter, per worker per set
+    /// Slots of the lossy sent-filter a worker's router holds per set head
     /// relation: it filters the rows outside the relation's bit matrix.
     pub cache_slots: usize,
     /// ε for `sum` aggregate convergence (PageRank).

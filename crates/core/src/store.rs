@@ -7,9 +7,9 @@
 //! worker; partitioned relations at this worker's slice) and a [`RecStore`]
 //! per derived relation. A `RecStore` combines the Gather merge logic
 //! (§5.2.2) over the O(1) dedup table with the aggregate-aware index
-//! (§6.2.1). The only existence-check cache (§6.2.2) is the set
-//! relation's Distribute sent-filter, which sits on the exchange, not on
-//! the merge path, and answers per (row, destination).
+//! (§6.2.1). The only existence-check cache (§6.2.2) is the set relation's
+//! [`SentFilter`] on the exchange, per (row, destination): the store hands
+//! out an empty one, and the worker's router owns it and its state.
 //! A [`BitMatrix`] over the catalog's integer box makes both checks exact
 //! bit tests for the rows inside it, one sent matrix per destination.
 
@@ -28,19 +28,13 @@ pub struct RecStore {
     /// Whether head rows meet the stored-row check
     /// ([`RecStore::already_stored`]): an optimized set relation.
     checked: bool,
-    /// Slot count of the sent-filter; 0 when the relation has none.
-    filter_slots: usize,
-    /// Distribute's exact-duplicate filter, allocated on first use.
-    sent_filter: Option<TupleCache>,
-    /// The empty matrix over the box, when the relation has one.
-    dense: Option<BitMatrix>,
-    /// Per destination, the matrix of the rows sent there.
-    sent_bits: Vec<BitMatrix>,
+    /// The empty sent-filter handed out for this relation's rows.
+    sent: SentFilter,
 }
 
 impl RecStore {
-    /// Creates the store for `rel` as declared in `plan`. A set relation
-    /// gets a sent-filter of `cache_slots` slots. With `optimized` off
+    /// Creates the store for `rel` as declared in `plan`. A set relation's
+    /// sent-filters get `cache_slots` lossy slots. With `optimized` off
     /// (the Table 4 ablation) there is no filter, and aggregate merges
     /// locate their group by a linear scan of the stored rows instead of
     /// the §6.2.1 index.
@@ -66,10 +60,10 @@ impl RecStore {
         RecStore {
             rel,
             checked,
-            filter_slots: if checked { cache_slots } else { 0 },
-            sent_filter: None,
-            dense: None,
-            sent_bits: Vec::new(),
+            sent: SentFilter {
+                lossy: (checked && cache_slots > 0).then(|| TupleCache::new(cache_slots)),
+                ..SentFilter::default()
+            },
         }
     }
 
@@ -78,8 +72,8 @@ impl RecStore {
     /// passes [`BitMatrix::new`]'s size rule.
     fn within(mut self, ints: Option<&RangeInclusive<i64>>, arity: usize) -> Self {
         let bits = ints.and_then(|ints| BitMatrix::new(ints, arity));
-        self.dense = bits.filter(|_| self.checked);
-        if let Some(bits) = &self.dense {
+        self.sent.empty = bits.filter(|_| self.checked);
+        if let Some(bits) = &self.sent.empty {
             self.rel = self.rel.with_bits(bits.clone());
         }
         self
@@ -118,28 +112,9 @@ impl RecStore {
         self.checked.then(|| self.rel.contains(row))
     }
 
-    /// Distribute's sent-filter: whether this worker already sent `row` to
-    /// worker `dest`, recording it if not: exact for a row inside the bit
-    /// matrix, sound but lossy for any other. A send to one peer is no hit
-    /// for another. `None` when the row meets no filter: an aggregate
-    /// relation, whose rows evolve, any relation with optimizations off,
-    /// or a row outside the matrix when `cache_slots` is 0.
-    pub fn already_sent(&mut self, dest: WorkerId, row: Row<'_>) -> Option<bool> {
-        if let Some(empty) = &self.dense {
-            if dest >= self.sent_bits.len() {
-                self.sent_bits.resize(dest + 1, empty.clone());
-            }
-            if let Some(new) = self.sent_bits[dest].insert(row) {
-                return Some(!new);
-            }
-        }
-        if self.filter_slots == 0 {
-            return None;
-        }
-        let filter = self
-            .sent_filter
-            .get_or_insert_with(|| TupleCache::new(self.filter_slots));
-        Some(filter.seen(row, dest))
+    /// An empty sent-filter for this relation's rows ([`SentFilter`]).
+    pub fn sent_filter(&self) -> SentFilter {
+        self.sent.clone()
     }
 
     /// The current logical rows (one stored copy each) and their row-id
@@ -157,6 +132,38 @@ impl RecStore {
     /// them.
     pub fn into_rows(self) -> Frame {
         self.rel.into_rows()
+    }
+}
+
+/// The rows of one set relation this worker sent to each peer (§6.2.2 on
+/// the exchange), exact inside the relation's bit matrix and sound but
+/// lossy outside it; the router owns one per head relation.
+#[derive(Clone, Default)]
+pub struct SentFilter {
+    /// The lossy filter of the rows outside the matrix (`cache_slots`).
+    lossy: Option<TupleCache>,
+    /// The empty matrix over the box, when the relation has one.
+    empty: Option<BitMatrix>,
+    /// Per destination, the matrix of the rows sent there.
+    sent: Vec<BitMatrix>,
+}
+
+impl SentFilter {
+    /// Whether this worker already sent `row` to worker `dest`, recording
+    /// it if not; a send to one peer is no hit for another. `None` when the
+    /// row meets no filter: an aggregate relation, whose rows evolve, any
+    /// relation with optimizations off, or one outside the matrix at 0
+    /// `cache_slots`.
+    pub fn already_sent(&mut self, dest: WorkerId, row: Row<'_>) -> Option<bool> {
+        if let Some(empty) = &self.empty {
+            if dest >= self.sent.len() {
+                self.sent.resize(dest + 1, empty.clone());
+            }
+            if let Some(new) = self.sent[dest].insert(row) {
+                return Some(!new);
+            }
+        }
+        self.lossy.as_mut().map(|lossy| lossy.seen(row, dest))
     }
 }
 
@@ -297,22 +304,28 @@ mod tests {
     fn sent_filter_only_on_optimized_set_stores() {
         let (tc, cc) = (tc_plan(), cc_plan());
         let row = Tuple::from_ints(&[1, 2]);
-        let sent = |s: &mut RecStore| s.already_sent(1, row.row());
         let mut set = RecStore::new(&tc, tc.rel_by_name("tc").unwrap(), true, 64);
         set.merge(&row);
-        assert!(
-            set.sent_filter.is_none(),
-            "merging never touches the filter"
+        let mut sent = set.sent_filter();
+        assert_eq!(
+            sent.already_sent(1, row.row()),
+            Some(false),
+            "merging never touches it"
         );
-        assert_eq!(sent(&mut set), Some(false));
-        assert_eq!(sent(&mut set), Some(true));
-        assert_eq!(set.already_sent(2, row.row()), Some(false), "per peer");
-        let mut off = RecStore::new(&tc, tc.rel_by_name("tc").unwrap(), false, 64);
-        let mut agg = RecStore::new(&cc, cc.rel_by_name("cc2").unwrap(), true, 64);
-        for s in [&mut off, &mut agg] {
-            assert_eq!(sent(s), None);
-            assert_eq!(sent(s), None);
-            assert!(s.sent_filter.is_none());
+        assert_eq!(sent.already_sent(1, row.row()), Some(true));
+        assert_eq!(sent.already_sent(2, row.row()), Some(false), "per peer");
+        assert_eq!(
+            set.sent_filter().already_sent(1, row.row()),
+            Some(false),
+            "the store hands out an empty filter"
+        );
+        let off = RecStore::new(&tc, tc.rel_by_name("tc").unwrap(), false, 64);
+        let agg = RecStore::new(&cc, cc.rel_by_name("cc2").unwrap(), true, 64);
+        for s in [off, agg] {
+            let mut sent = s.sent_filter();
+            assert_eq!(sent.already_sent(1, row.row()), None);
+            assert_eq!(sent.already_sent(1, row.row()), None);
+            assert!(sent.lossy.is_none());
         }
     }
 
@@ -326,7 +339,8 @@ mod tests {
         assert_eq!(set.already_stored(row.row()), Some(false));
         set.merge(&row);
         assert_eq!(set.already_stored(row.row()), Some(true));
-        assert_eq!(set.already_sent(1, row.row()), None, "no filter");
+        let no_filter = set.sent_filter().already_sent(1, row.row());
+        assert_eq!(no_filter, None, "no filter");
         let mut off = RecStore::new(&tc, tc_rel, false, 64);
         let mut agg = RecStore::new(&cc, cc.rel_by_name("cc2").unwrap(), true, 64);
         for s in [&mut off, &mut agg] {
@@ -344,8 +358,9 @@ mod tests {
         use std::collections::HashSet;
         let p = tc_plan();
         let tc = p.rel_by_name("tc").unwrap();
-        let mut s = RecStore::new(&p, tc, true, 2).within(Some(&(-2..=5)), 2);
-        assert!(s.dense.is_some());
+        let s = RecStore::new(&p, tc, true, 2).within(Some(&(-2..=5)), 2);
+        assert!(s.sent.empty.is_some());
+        let mut s = s.sent_filter();
         let (mut rng, mut sent) = (Rng::seed_from_u64(7), HashSet::new());
         for _ in 0..4000 {
             let row = [rng.gen_range(-4..8i64), rng.gen_range(-4..8i64)];
@@ -374,12 +389,12 @@ mod tests {
             WorkerStore::build(&p, &catalog, 0, optimized, 64)
         };
         let small: Vec<Tuple> = (0..100).map(|i| Tuple::from_ints(&[i, i + 1])).collect();
-        assert!(build(small.clone(), true).rec(tc).dense.is_some());
+        assert!(build(small.clone(), true).rec(tc).sent.empty.is_some());
         // With optimizations off there are no bits; a box of 1025 values
         // is too large for a matrix at arity 2.
-        assert!(build(small, false).rec(tc).dense.is_none());
+        assert!(build(small, false).rec(tc).sent.empty.is_none());
         let wide = vec![Tuple::from_ints(&[0, 1024])];
-        assert!(build(wide, true).rec(tc).dense.is_none());
+        assert!(build(wide, true).rec(tc).sent.empty.is_none());
         let mut ws = build(vec![Tuple::from_ints(&[0, 1])], true);
         let row = Tuple::from_ints(&[1, 0]);
         assert_eq!(ws.rec(tc).already_stored(row.row()), Some(false));

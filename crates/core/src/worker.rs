@@ -40,16 +40,16 @@
 //! rows of the store, and ordering it sent ~8× more tuples.
 //!
 //! Routing note: `PartialAgg::route` is the one place a head row is
-//! routed, so every frame Distribute sees has one destination: it merges
-//! this worker's frames and sends each peer's through the sent-filter,
-//! which answers per (row, destination). A derived tuple is *sent* once
-//! per distinct destination worker, and every receiver re-derives locally
-//! which of the relation's routes apply to it — this keeps multi-route
-//! relations (APSP) correct even when two routes hash to the same worker.
+//! routed and checked (the stored-row check here, the sent-filter per
+//! peer), so Distribute merges this worker's frames and sends each peer's
+//! as they are. A derived tuple is *sent* once per distinct destination
+//! worker, and every receiver re-derives locally which of the relation's
+//! routes apply to it — this keeps multi-route relations (APSP) correct
+//! even when two routes hash to the same worker.
 
 use crate::config::EngineConfig;
 use crate::eval::{DeltaRow, EvalScratch, Evaluator};
-use crate::store::{Merged, RecStore, WorkerStore};
+use crate::store::{Merged, RecStore, SentFilter, WorkerStore};
 use dcd_common::{AggFunc, DcdError, Frame, Partitioner, Result, Row, Value, WorkerId};
 use dcd_frontend::physical::{CompiledRule, PhysicalPlan, RelDecl, RelId, StorageKind};
 use dcd_runtime::trace::{Mark, Phase};
@@ -190,57 +190,78 @@ const SLICE_ROWS: usize = 256;
 /// for it ([`PartialAgg::route_best`]): after each best-first slice, which
 /// keeps the dedup table, so no slice zeroes a fresh one, and when the
 /// init phase or an iteration ends, which frees it. Every other row is
-/// routed as the sink buffers it. Either way each routed row is copied,
-/// as lanes, into its head relation's queue frame for each of its
-/// destinations, and Distribute ([`Worker::distribute`]) walks the frames
-/// every [`FLUSH_ROWS`] queued rows: a set row's only collapse is
-/// exact-duplicate elimination, which the stored-row check, Distribute's
-/// sent-filter and the idempotent merge already perform, and a
-/// `sum`/`count` merge replaces the contributor's previous value
-/// (DESIGN.md, "Bounded emission").
+/// routed as the sink buffers it. Either way each routed row meets its
+/// one check per destination and is copied, as lanes, into its head
+/// relation's queue frame for each that passes, and Distribute
+/// ([`Worker::distribute`]) merges or sends the frames every
+/// [`FLUSH_ROWS`] queued rows: a set row's only collapse is
+/// exact-duplicate elimination, which those checks and the idempotent
+/// merge already perform, and a `sum`/`count` merge replaces the
+/// contributor's previous value (DESIGN.md, "Bounded emission").
 struct PartialAgg<'a> {
     plan: &'a PhysicalPlan,
-    /// The discriminating function `H` and this worker's id.
+    /// The discriminating function `H`, this worker's id, rows per batch.
     part: Partitioner,
     me: WorkerId,
-    /// Per head relation, created at its first kernel call: the relation,
-    /// its accumulator while it is a `min`/`max` relation with rows to
-    /// collapse, and one queue frame per destination worker.
-    heads: Vec<(RelId, Option<DerivedRelation>, Vec<Frame>)>,
-    /// Rows in the queue frames.
+    batch: usize,
+    /// Per head relation, from its first kernel call on.
+    heads: Vec<HeadQueue>,
+    /// Peer batches to send, `(relation, peer, rows)`, in order per pair.
+    full: Vec<(RelId, WorkerId, Frame)>,
+    /// Rows in the queue frames and the full batches.
     queued_rows: usize,
     /// Set and `sum`/`count` rows the kernel emitted that
     /// [`PartialAgg::route_emitted`] has not routed yet.
     emitted: Frame,
-    /// Rows handed to the sink, and the stored-row lookups made for them.
+    /// The funnel: rows handed to the sink, the stored-row lookups made
+    /// for them, and the sent-filter's hits and misses.
     head_rows: u64,
     stored_checks: u64,
+    cache_hits: u64,
+    cache_misses: u64,
+}
+
+/// One head relation's slot in [`PartialAgg`]: its `min`/`max` rows to
+/// collapse, its sent-filter and one queue frame per destination worker.
+struct HeadQueue {
+    rel: RelId,
+    best: Option<DerivedRelation>,
+    sent: SentFilter,
+    frames: Vec<Frame>,
 }
 
 impl<'a> PartialAgg<'a> {
     /// An empty accumulator for worker `me` of `part.partitions()`.
-    fn new(plan: &'a PhysicalPlan, part: Partitioner, me: WorkerId) -> Self {
+    fn new(plan: &'a PhysicalPlan, part: Partitioner, me: WorkerId, batch: usize) -> Self {
         PartialAgg {
             plan,
             part,
             me,
+            batch: batch.max(1),
             heads: Vec::new(),
+            full: Vec::new(),
             queued_rows: 0,
             emitted: Frame::default(),
             head_rows: 0,
             stored_checks: 0,
+            cache_hits: 0,
+            cache_misses: 0,
         }
     }
 
-    /// The slot of head relation `rel`'s rows, created at its first
-    /// kernel call; a `min`/`max` relation's accumulator is made whenever
-    /// the slot has none.
-    fn head(&mut self, rel: RelId) -> Head<'a> {
+    /// The slot of head relation `rel`'s rows, created at its first kernel
+    /// call with an empty sent-filter from its store here, `stored`; a
+    /// `min`/`max` relation's accumulator is made whenever it has none.
+    fn head(&mut self, rel: RelId, stored: &RecStore) -> Head<'a> {
         let decl = self.plan.idb[rel].as_ref().expect("IDB head");
-        let at = self.heads.iter().position(|(r, ..)| *r == rel);
+        let at = self.heads.iter().position(|h| h.rel == rel);
         let at = at.unwrap_or_else(|| {
-            let frames = (0..self.part.partitions()).map(|_| Frame::default());
-            self.heads.push((rel, None, frames.collect()));
+            self.heads.push(HeadQueue {
+                rel,
+                best: None,
+                sent: stored.sent_filter(),
+                frames: vec![Frame::default(); self.part.partitions()],
+            });
             self.heads.len() - 1
         });
         match decl.kind {
@@ -250,7 +271,7 @@ impl<'a> PartialAgg<'a> {
                 ..
             } => {
                 let new = || DerivedRelation::aggregate(func, group_cols, 0.0, &[]);
-                self.heads[at].1.get_or_insert_with(new);
+                self.heads[at].best.get_or_insert_with(new);
                 Head::Collapse(at)
             }
             _ => Head::Queue(at, decl),
@@ -289,7 +310,7 @@ impl<'a> PartialAgg<'a> {
     fn collapse(&mut self, at: usize, row: Row<'_>) {
         self.head_rows += 1;
         self.heads[at]
-            .1
+            .best
             .as_mut()
             .expect("a min/max head")
             .merge(row);
@@ -318,35 +339,37 @@ impl<'a> PartialAgg<'a> {
     /// table is left when the rows merge.
     fn route_best(&mut self, free: bool) {
         for at in 0..self.heads.len() {
-            let (rel, best, _) = &mut self.heads[at];
-            let Some(mut table) = best.take() else {
+            let head = &mut self.heads[at];
+            let Some(mut table) = head.best.take() else {
                 continue;
             };
-            let decl = self.plan.idb[*rel].as_ref().expect("IDB head");
+            let decl = self.plan.idb[head.rel].as_ref().expect("IDB head");
             if free {
                 self.route(at, decl, &table.into_rows(), None);
             } else {
                 self.route(at, decl, table.rows(), None);
                 table.clear();
-                self.heads[at].1 = Some(table);
+                self.heads[at].best = Some(table);
             }
         }
     }
 
-    /// The one place a head row is routed: queues each of `rows`, rows of
-    /// `heads[at]`'s relation `decl` whose store on this worker is
-    /// `stored` (if it has one), in the frame of each of its destinations:
-    /// the one worker [`owner`] gives it, or, for a broadcast relation or a
-    /// row whose routes (§4.3) hash apart, every worker a route gives it,
-    /// one copy each. A row whose destinations include this worker is
-    /// dropped when `stored` already holds it: it was routed to every
-    /// destination when it was first stored, so it would merge as `Old`
-    /// everywhere. A row only peers own never meets that check, which could
-    /// not succeed: this worker stores only rows routed here. On one worker
-    /// every row is this worker's, and none is hashed; on more, each route
-    /// column is hashed once per row.
+    /// The one place a head row is routed and checked: queues each of
+    /// `rows`, rows of `heads[at]`'s relation `decl` whose store on this
+    /// worker is `stored` (if it has one), in the frame of each of its
+    /// destinations: the one worker [`owner`] gives it, or, for a broadcast
+    /// relation or a row whose routes (§4.3) hash apart, every worker a
+    /// route gives it, one copy each. A row whose destinations include
+    /// this worker is dropped when `stored` already holds it: it was routed
+    /// to every destination when it was first stored, so it would merge as
+    /// `Old` everywhere. A row only peers own never meets that check, which
+    /// could not succeed: this worker stores only rows routed here. A peer's
+    /// copy meets the sent-filter instead, and is dropped when it went to
+    /// that peer before; a peer frame is cut off at `batch` rows. On one
+    /// worker every row is this worker's, and none is hashed; on more, each
+    /// route column is hashed once per row.
     fn route(&mut self, at: usize, decl: &RelDecl, rows: &Frame, stored: Option<&RecStore>) {
-        let (part, me, frames) = (&self.part, self.me, &mut self.heads[at].2);
+        let (part, me, head) = (&self.part, self.me, &mut self.heads[at]);
         let mut owners = Vec::new();
         for row in rows.iter() {
             let one = owner(part, decl, row, &mut owners);
@@ -357,15 +380,19 @@ impl<'a> PartialAgg<'a> {
             if checked == Some(true) {
                 continue;
             }
-            if let Some(d) = one {
-                frames[d].push(row);
+            let dests = one.map_or(0..part.partitions(), |d| d..d + 1);
+            for d in dests.filter(|&d| one.is_some() || lands(d)) {
+                let sent = (d != me).then(|| head.sent.already_sent(d, row)).flatten();
+                self.cache_hits += (sent == Some(true)) as u64;
+                self.cache_misses += (sent == Some(false)) as u64;
+                if sent == Some(true) {
+                    continue;
+                }
+                let frame = &mut head.frames[d];
+                frame.push(row);
                 self.queued_rows += 1;
-                continue;
-            }
-            for (d, frame) in frames.iter_mut().enumerate() {
-                if lands(d) {
-                    frame.push(row);
-                    self.queued_rows += 1;
+                if d != me && frame.len() == self.batch {
+                    self.full.push((head.rel, d, std::mem::take(frame)));
                 }
             }
         }
@@ -567,7 +594,7 @@ impl<'a> Worker<'a> {
                 workers: cfg.workers,
             },
             scratch: EvalScratch::default(),
-            acc: PartialAgg::new(plan, coord.part, me),
+            acc: PartialAgg::new(plan, coord.part, me, cfg.batch_size),
             best_first: (0..plan.idb.len())
                 .map(|rel| BestFirst::of(plan, rel))
                 .collect(),
@@ -589,13 +616,14 @@ impl<'a> Worker<'a> {
         for si in 0..self.plan.strata.len() {
             self.run_stratum(si)?;
         }
-        // The kernel's probe counters and the sink's counts go into the
-        // report.
-        let m = &mut self.rec.counters;
+        // The kernel's probe counters and the router's funnel, reported.
+        let (m, acc) = (&mut self.rec.counters, &self.acc);
         m.probe_hits += self.scratch.probe_hits;
         m.probe_reuse += self.scratch.probe_reuse;
-        m.head_rows += self.acc.head_rows;
-        m.stored_checks += self.acc.stored_checks;
+        m.head_rows += acc.head_rows;
+        m.stored_checks += acc.stored_checks;
+        m.cache_hits += acc.cache_hits;
+        m.cache_misses += acc.cache_misses;
         Ok((self.store, self.rec))
     }
 
@@ -616,7 +644,8 @@ impl<'a> Worker<'a> {
         if self.me == 0 {
             for (rel, t) in &plan.facts {
                 if stratum.rels.contains(rel) {
-                    let (head, stored) = (self.acc.head(*rel), self.store.rec(*rel));
+                    let stored = self.store.rec(*rel);
+                    let head = self.acc.head(*rel, stored);
                     self.acc.sink(head, stored)(t.row());
                     self.acc.route_emitted(head, stored);
                 }
@@ -844,7 +873,8 @@ impl<'a> Worker<'a> {
     /// slice feeds the accumulator's sink ([`PartialAgg::sink`]), routes
     /// what it buffered and offers the queue to [`Worker::flush`].
     fn eval_rule(&mut self, rule: &CompiledRule, group: &[DeltaRow]) -> Result<()> {
-        let (ev, head) = (self.evaluator, self.acc.head(rule.head_rel));
+        let ev = self.evaluator;
+        let head = self.acc.head(rule.head_rel, self.store.rec(rule.head_rel));
         let n = match rule.delta {
             Some(_) => ev.sort_batch(rule, &self.store, group, &mut self.scratch),
             None => ev.init_rows(rule, &self.store),
@@ -926,74 +956,44 @@ impl<'a> Worker<'a> {
     }
 
     /// Distribute: walks the accumulator's queue frames, each holding rows
-    /// of one head relation that were all routed to one destination when
-    /// they were queued ([`PartialAgg::route`]). This worker's rows met the
-    /// stored-row check then and merge here, feeding the next delta
-    /// immediately; a peer's rows meet the sent-filter for that peer and
-    /// go to it in batches ([`Worker::stage_unsent`]). Each frame is taken
-    /// out of its slot while it is merged or sent; with `free` it is then
-    /// freed, otherwise emptied and put back, keeping its capacity. Adds
-    /// the rows merged here and sent to [`Worker::produced`], and the
-    /// sent-filter's hits and misses to the recorder.
+    /// of one head relation that were routed to one destination, and met
+    /// its check, when they were queued ([`PartialAgg::route`]). This
+    /// worker's merge here, feeding the next delta immediately, each taken
+    /// out of its slot meanwhile: with `free` it is then freed, otherwise
+    /// emptied and put back, keeping its capacity. Then every peer batch
+    /// goes as it is, the full ones of a (relation, peer) before its last.
+    /// Adds the rows merged here and sent to [`Worker::produced`].
     fn distribute(&mut self, free: bool) -> Result<()> {
         debug_assert!(self.acc.emitted.is_empty(), "emitted rows left unrouted");
         let sent_before = self.rec.counters.tuples_sent;
         let mut local_new = 0u64;
         for at in 0..self.acc.heads.len() {
-            let rel = self.acc.heads[at].0;
+            let rel = self.acc.heads[at].rel;
             for dest in 0..self.cfg.workers {
-                let mut rows = std::mem::take(&mut self.acc.heads[at].2[dest]);
-                if dest == self.me {
-                    for row in rows.iter() {
-                        local_new += self.merge_local(rel, row);
+                let mut rows = std::mem::take(&mut self.acc.heads[at].frames[dest]);
+                if dest != self.me {
+                    if !rows.is_empty() {
+                        self.acc.full.push((rel, dest, rows));
                     }
-                } else {
-                    self.stage_unsent(dest, rel, &rows)?;
+                    continue;
+                }
+                for row in rows.iter() {
+                    local_new += self.merge_local(rel, row);
                 }
                 if !free {
                     rows.clear();
-                    self.acc.heads[at].2[dest] = rows;
+                    self.acc.heads[at].frames[dest] = rows;
                 }
             }
+        }
+        for (rel, dest, frame) in std::mem::take(&mut self.acc.full) {
+            self.send(dest, rel, frame)?;
         }
         self.acc.queued_rows = 0;
         let remote_sent = self.rec.counters.tuples_sent - sent_before;
         self.rec.counters.local_new += local_new;
         self.produced += local_new + remote_sent;
         self.rec.close(Phase::Distribute, local_new, remote_sent, 0);
-        Ok(())
-    }
-
-    /// Distribute for `rows` of `rel` bound for peer `dest`: copies, as
-    /// lanes, each row into a staged frame unless the relation's sent-filter
-    /// (§6.2.2 on the exchange) shows it was sent to `dest` before, and
-    /// sends the stage as a batch whenever it holds `batch_size` rows, and
-    /// at the end. Routing is deterministic, so such a row would merge
-    /// there as a no-op; it is dropped before it is serialized. One tight
-    /// loop, so the filter's lookups overlap; it counts the filter's hits
-    /// and misses.
-    fn stage_unsent(&mut self, dest: WorkerId, rel: RelId, rows: &Frame) -> Result<()> {
-        let batch = self.cfg.batch_size.max(1);
-        let (mut full, mut stage) = (Vec::new(), Frame::default());
-        let (store, m) = (self.store.rec_mut(rel), &mut self.rec.counters);
-        for row in rows.iter() {
-            match store.already_sent(dest, row) {
-                Some(true) => m.cache_hits += 1,
-                filtered => {
-                    m.cache_misses += filtered.is_some() as u64;
-                    stage.push(row);
-                    if stage.len() == batch {
-                        full.push(std::mem::take(&mut stage));
-                    }
-                }
-            }
-        }
-        if !stage.is_empty() {
-            full.push(stage);
-        }
-        for frame in full {
-            self.send(dest, rel, frame)?;
-        }
         Ok(())
     }
 
@@ -1137,24 +1137,34 @@ mod tests {
 
     /// The 1-worker sink for `p`.
     fn sink(p: &PhysicalPlan) -> PartialAgg<'_> {
-        PartialAgg::new(p, Partitioner::new(1), 0)
+        PartialAgg::new(p, Partitioner::new(1), 0, 64)
     }
 
     /// Offers `row` of `rel` to `acc` against an empty store.
     fn push(acc: &mut PartialAgg<'_>, rel: RelId, row: &Tuple) {
-        let (head, empty) = (acc.head(rel), RecStore::new(acc.plan, rel, true, 64));
+        let empty = RecStore::new(acc.plan, rel, true, 64);
+        let head = acc.head(rel, &empty);
         acc.sink(head, &empty)(row.row());
         acc.route_emitted(head, &empty);
+    }
+
+    /// Every frame queued in `acc`, full batches first, as `(relation,
+    /// destination, frame)`.
+    fn frames<'f>(acc: &'f PartialAgg<'_>) -> impl Iterator<Item = (RelId, WorkerId, &'f Frame)> {
+        let full = acc.full.iter().map(|(rel, d, f)| (*rel, *d, f));
+        let slots = acc.heads.iter().flat_map(|h| {
+            let dests = h.frames.iter().enumerate();
+            dests.map(move |(d, f)| (h.rel, d, f))
+        });
+        full.chain(slots)
     }
 
     /// `(relation, destination, row)` for every row queued in `acc`,
     /// decoded.
     fn queued(acc: &PartialAgg<'_>) -> Vec<(RelId, WorkerId, Tuple)> {
-        let frames = acc.heads.iter().flat_map(|(rel, _, frames)| {
-            let dests = frames.iter().enumerate();
-            dests.flat_map(move |(d, f)| f.iter().map(move |r| (*rel, d, r.to_tuple())))
-        });
-        frames.collect()
+        let rows =
+            frames(acc).flat_map(|(rel, d, f)| f.iter().map(move |r| (rel, d, r.to_tuple())));
+        rows.collect()
     }
 
     #[test]
@@ -1195,7 +1205,7 @@ mod tests {
                 push(&mut acc, rel, &row);
             }
             acc.route_best(true);
-            assert!(acc.heads[0].1.is_none(), "freed at the end of a phase");
+            assert!(acc.heads[0].best.is_none(), "freed at the end of a phase");
             // The next phase's first row makes a new one.
             push(&mut acc, rel, &Tuple::from_ints(&[1, 30]));
             acc.route_best(false);
@@ -1236,13 +1246,13 @@ mod tests {
         ] {
             let p = plan_of(src);
             let rel = p.rel_by_name(name).unwrap();
-            let mut acc = PartialAgg::new(&p, part, 0);
+            let mut acc = PartialAgg::new(&p, part, 0, 64);
             for row in &pushed {
                 push(&mut acc, rel, &Tuple::from_ints(row));
             }
             assert_eq!(acc.head_rows, pushed.len() as u64, "{name}");
             acc.route_best(false);
-            assert!(acc.heads[0].1.as_ref().unwrap().rows().is_empty());
+            assert!(acc.heads[0].best.as_ref().unwrap().rows().is_empty());
             let mut want: Vec<(WorkerId, Tuple)> = want
                 .iter()
                 .map(|(d, r)| (*d, Tuple::from_ints(r)))
@@ -1260,8 +1270,9 @@ mod tests {
     #[test]
     fn partial_agg_passes_set_rows_through() {
         // Set rows are NOT collapsed here: exact-duplicate elimination is
-        // Distribute's job (sent-filter + idempotent merge), so the
-        // accumulator must forward every row without hashing it.
+        // left to the stored-row check, the sent-filter and the idempotent
+        // merge, so the accumulator must forward every row without hashing
+        // it (on one worker with an empty store, every row is queued).
         let p = tc_plan();
         let tc = p.rel_by_name("tc").unwrap();
         let mut acc = sink(&p);
@@ -1321,6 +1332,7 @@ mod tests {
         let part = Partitioner::new(2);
         let owned_by = |w: WorkerId| (0..).find(move |&k| part.of_key(k as u64) == w).unwrap();
         let (a, b) = (owned_by(0), owned_by(1));
+        let c = (b + 1..).find(|&k| part.of_key(k as u64) == 1).unwrap();
         // `(row, destinations, stored)`. Linear TC routes on column 1;
         // non-linear TC also on column 0, so a row whose columns hash apart
         // goes to both workers.
@@ -1331,6 +1343,8 @@ mod tests {
                     ([7, a], vec![0], true),
                     ([8, a], vec![0], false),
                     ([7, b], vec![1], true),
+                    ([8, b], vec![1], false),
+                    ([9, c], vec![1], false),
                 ],
             ),
             (
@@ -1351,22 +1365,36 @@ mod tests {
             for (row, ..) in legs.iter().filter(|(.., stored)| *stored) {
                 store.merge(&Tuple::from_ints(row));
             }
-            let mut acc = PartialAgg::new(&p, part, 0);
-            for (row, ..) in &legs {
-                let head = acc.head(tc);
-                acc.sink(head, &store)(Tuple::from_ints(row).row());
-                acc.route_emitted(head, &store);
-            }
+            // Batches of 2 rows, each leg routed twice.
+            let mut acc = PartialAgg::new(&p, part, 0, 2);
+            let route_all = |acc: &mut PartialAgg<'_>| {
+                for (row, ..) in &legs {
+                    let head = acc.head(tc, &store);
+                    acc.sink(head, &store)(Tuple::from_ints(row).row());
+                    acc.route_emitted(head, &store);
+                }
+            };
+            route_all(&mut acc);
             let here = |dests: &Vec<WorkerId>| dests.contains(&0);
             let checked = legs.iter().filter(|(_, dests, _)| here(dests)).count();
+            let routed = legs
+                .iter()
+                .filter(|(_, dests, stored)| !(here(dests) && *stored));
+            let to_peer = routed
+                .clone()
+                .filter(|(_, dests, _)| dests.contains(&1))
+                .count();
             assert_eq!(acc.head_rows, legs.len() as u64, "{src}");
             assert_eq!(acc.stored_checks, checked as u64, "{src}");
+            assert_eq!(
+                (acc.cache_hits, acc.cache_misses),
+                (0, to_peer as u64),
+                "the filter once per peer: {src}"
+            );
             let mut got: Vec<(WorkerId, Tuple)> =
                 queued(&acc).into_iter().map(|(_, d, t)| (d, t)).collect();
             got.sort();
-            let mut want: Vec<(WorkerId, Tuple)> = legs
-                .iter()
-                .filter(|(_, dests, stored)| !(here(dests) && *stored))
+            let mut want: Vec<(WorkerId, Tuple)> = routed
                 .flat_map(|(row, dests, _)| dests.iter().map(|&d| (d, Tuple::from_ints(row))))
                 .collect();
             want.sort();
@@ -1374,6 +1402,23 @@ mod tests {
                 got, want,
                 "one copy per destination, unless stored here: {src}"
             );
+            // Routed again, a row bound for the peer hits the sent-filter
+            // and is not queued again; the rows for this worker still are,
+            // as the store never merged them.
+            route_all(&mut acc);
+            assert_eq!(acc.stored_checks, 2 * checked as u64, "{src}");
+            assert_eq!(
+                (acc.cache_hits, acc.cache_misses),
+                (to_peer as u64, to_peer as u64),
+                "{src}"
+            );
+            let peer = queued(&acc).into_iter().filter(|(_, d, _)| *d == 1);
+            assert_eq!(peer.count(), to_peer, "a sent row is queued once: {src}");
+            assert!(
+                frames(&acc).all(|(_, d, f)| d == 0 || f.len() <= 2),
+                "peer batches are cut at batch_size: {src}"
+            );
+            assert_eq!(acc.queued_rows, queued(&acc).len(), "{src}");
         }
     }
 
@@ -1413,23 +1458,23 @@ mod tests {
         assert!(w.next_slice(&mut slice));
         w.eval_group(&slice).unwrap();
         w.flush(Flush::BestSlice).unwrap();
-        let (_, table, frames) = &w.acc.heads[0];
+        let head = &w.acc.heads[0];
         assert!(
-            table.as_ref().unwrap().rows().is_empty(),
+            head.best.as_ref().unwrap().rows().is_empty(),
             "emptied in place"
         );
         assert!(
-            frames
+            head.frames
                 .iter()
                 .all(|f| f.is_empty() && f.resident_bytes() > 0),
             "emptied in place, keeping their capacity"
         );
         assert_eq!(w.pending(), 1, "(2, 5) merged and queued");
         w.iterate().unwrap();
-        for (_, table, frames) in &w.acc.heads {
-            assert!(table.is_none(), "no min/max table held");
+        for head in &w.acc.heads {
+            assert!(head.best.is_none(), "no min/max table held");
             assert!(
-                frames.iter().all(|f| f.resident_bytes() == 0),
+                head.frames.iter().all(|f| f.resident_bytes() == 0),
                 "frames freed"
             );
         }

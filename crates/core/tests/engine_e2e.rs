@@ -671,7 +671,7 @@ fn global_runs_repeat() {
 #[test]
 fn sent_filter_suppresses_duplicate_sends() {
     // TC on a cyclic graph derives the same closure row from many delta
-    // rows. With the §6.2 optimizations on, Distribute's sent-filter must
+    // rows. With the §6.2 optimizations on, the router's sent-filter must
     // drop exact repeats before they are serialized, so the optimized run
     // exchanges strictly fewer tuples than the ablation — with an
     // identical fixpoint.
@@ -740,7 +740,7 @@ fn sent_filter_suppresses_duplicate_sends() {
 fn each_set_head_row_meets_exactly_one_existence_check() {
     // The kernel's sink routes each head row once. A row this worker owns
     // meets the stored-row check there; a row bound for a peer meets only
-    // Distribute's sent-filter. TC and SG route their one set relation by
+    // the sent-filter. TC and SG route their one set relation by
     // one column, so every head row meets exactly one of the two, and at
     // more than one worker some rows are a peer's.
     let tc_arcs = dcd_datagen::gnp(150, 0.02, 5);

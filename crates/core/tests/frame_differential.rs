@@ -71,7 +71,7 @@ fn differential(
         compare(&name, rels, &reference, &got, exact);
     }
     // Table-4 ablation path: with the §6.2 optimizations off there is no
-    // Distribute sent-filter, so every duplicate derivation travels the
+    // sent-filter, so every duplicate derivation travels the
     // exchange and must be rejected by the idempotent merge alone.
     let cfg = EngineConfig::with_workers(4).optimizations(false);
     let got = run_once(make(), cfg, load, rels);

@@ -7,7 +7,7 @@
 
 use dcd_common::Json;
 use dcd_runtime::trace::{EventKind, Mark, Phase};
-use dcd_runtime::WorkerTrace;
+use dcd_runtime::{MetricsSnapshot, TraceEvent, WorkerTrace};
 use dcdatalog::{queries, Engine, EngineConfig, Program, Strategy};
 
 fn traced_configs() -> Vec<EngineConfig> {
@@ -43,6 +43,29 @@ fn assert_top_level_spans_abut(t: &WorkerTrace, name: &str) {
             t.worker
         );
     }
+}
+
+/// Every send and every merge is attributed to one span: a worker's
+/// Distribute spans carry its merges here (`a`) and its sends (`b`), and
+/// its nested Merge spans the rows its drains merged (`b`). Exact whatever
+/// the schedule, on a trace that dropped nothing.
+fn assert_sends_and_merges_are_spanned(w: &MetricsSnapshot, t: &WorkerTrace, name: &str) {
+    let sum = |p: Phase, f: fn(&TraceEvent) -> u64| -> u64 {
+        let spans = t.events.iter().filter(|e| e.kind == EventKind::Span(p));
+        spans.map(f).sum()
+    };
+    let i = t.worker;
+    assert_eq!(t.dropped, 0, "{name} w{i}: a truncated trace cannot add up");
+    assert_eq!(
+        sum(Phase::Distribute, |e| e.b),
+        w.tuples_sent,
+        "{name} w{i} sent"
+    );
+    assert_eq!(
+        sum(Phase::Distribute, |e| e.a) + sum(Phase::Merge, |e| e.b),
+        w.local_new,
+        "{name} w{i} merged"
+    );
 }
 
 fn run_traced(prog: Program, cfg: EngineConfig) -> dcdatalog::EvalResult {
@@ -97,6 +120,7 @@ fn traces_are_wellformed_across_queries_and_strategies() {
                 }
                 assert_spans_nest(tr, &name);
                 assert_top_level_spans_abut(tr, &name);
+                assert_sends_and_merges_are_spanned(&rep.per_worker[i], tr, &name);
                 // One Iteration instant per local iteration the metrics
                 // counted.
                 let iters = tr
@@ -205,6 +229,7 @@ fn dws_spans_cover_worker_wall_time() {
         }
         assert_spans_nest(tr, "dws x4");
         assert_top_level_spans_abut(tr, "dws x4");
+        assert_sends_and_merges_are_spanned(&rep.per_worker[tr.worker], tr, "dws x4");
     }
     // DWS controller decisions are present and land on the controller
     // track in the export.

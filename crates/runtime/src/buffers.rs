@@ -21,7 +21,8 @@ pub struct Batch {
     pub rel: u32,
     /// The rows, flat and arity-strided.
     pub frame: Frame,
-    /// When the producer finished the iteration that derived these rows.
+    /// When the producer pushed it, mid-iteration flushes included: the
+    /// send time DWS's arrival gaps (`DwsController::on_batch`) read.
     pub sent_at: Instant,
     /// Producer worker.
     pub from: WorkerId,

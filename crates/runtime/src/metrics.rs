@@ -59,9 +59,9 @@ pub struct MetricsSnapshot {
     pub iterate_ns: u64,
     /// Nanoseconds routing/merging derived tuples (Distribute).
     pub distribute_ns: u64,
-    /// Distribute sent-filter hits (rows dropped as already routed).
+    /// Sent-filter hits (peer-bound rows the router dropped as sent).
     pub cache_hits: u64,
-    /// Distribute sent-filter misses (rows routed).
+    /// Sent-filter misses (peer-bound rows the router queued).
     pub cache_misses: u64,
     /// Index descents performed by the batched kernel's first probes.
     pub probe_hits: u64,

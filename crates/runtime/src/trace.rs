@@ -55,9 +55,9 @@ pub enum Phase {
     /// Draining inbound queues at the top of the loop.
     Gather,
     /// Evaluating rules: a stratum's init rules once, then its delta
-    /// rules (the Iterate operator).
+    /// rules (the Iterate operator), routing and checking their head rows.
     EvalDelta,
-    /// Routing/staging/flushing derived tuples.
+    /// Merging the routed rows here and sending peers theirs.
     Distribute,
     /// Merging a burst of inbound batches into the local stores
     /// (nested inside Gather, ω-wait or Backpressure).

@@ -5,7 +5,7 @@
 //! If the key is already there, we ignore the tuple; otherwise, we proceed
 //! to check the index." Here the dedup table of
 //! [`DerivedRelation`](crate::DerivedRelation) is already O(1), so the
-//! merge path has no cache. The one cache left is Distribute's sent-filter,
+//! merge path has no cache. The one cache left is the router's sent-filter,
 //! where a hit saves what the table cannot: serializing a duplicate row,
 //! queueing it to a peer and deserializing it there. A row inside a set
 //! relation's [`BitMatrix`](crate::BitMatrix) meets one exact matrix per
@@ -35,6 +35,7 @@ fn row_hash(row: Row<'_>) -> u64 {
 }
 
 /// Lossy set of recently recorded `(row, destination)` pairs.
+#[derive(Clone)]
 pub struct TupleCache {
     /// Slot `i` is `slots.row(i)` when `filled[i]`; both are allocated,
     /// zeroed, at the first row, whose arity sizes the slots.

@@ -23,8 +23,8 @@
 //!   pre-Distribute partial-aggregation accumulator, and takes the final
 //!   rows out with `into_rows` when it collects the result.
 //! * [`cache`] — the constant-time existence-check cache (§6.2.2). The
-//!   dedup table needs none in front of it; Distribute uses one as its
-//!   sent-filter, so a row already routed is not serialized again.
+//!   dedup table needs none in front of it; the engine's router uses one
+//!   as its sent-filter, so a row already sent is not queued again.
 //!
 //! Rows come in and go out as [`Row`](dcd_common::Row) views of lanes;
 //! no `Tuple` is built between a rule head and the store.

@@ -12,9 +12,12 @@
 #   5. the sent-filter engages: Σ cache_hits over per_worker is > 0,
 #   6. each head row meets exactly one existence check: TC's one set
 #      relation routes by one column, so Σ stored_checks (rows this worker
-#      owns, checked against its store at the kernel's sink) plus
-#      Σ (cache_hits + cache_misses) (rows for a peer, checked by
-#      Distribute's sent-filter) equals Σ head_rows,
+#      owns, checked against its store) plus Σ (cache_hits + cache_misses)
+#      (rows for a peer, checked by the sent-filter), both where the
+#      router queues the row, equals Σ head_rows,
+#   6b. every sent-filter miss is sent once and nothing else is:
+#      Σ tuples_sent == Σ cache_misses (for a set relation a hit is
+#      dropped before it is queued, and a local row meets no filter),
 #   7. the run-level clocks: seal_ns > 0 (the EDB is not empty),
 #      collect_ns is present, and seal_ns + elapsed_ns + collect_ns is at
 #      most the CLI call's wall time (timed with `date +%s%N`). The three
@@ -30,7 +33,7 @@
 # columns, so a row whose columns hash apart goes to two workers and
 # meets the sent-filter once per peer. All three must print the same
 # relations, each must reconcile (produced == consumed), and each must
-# report Σ cache_hits > 0.
+# report Σ cache_hits > 0 and Σ tuples_sent == Σ cache_misses (6b).
 #
 # An SSSP leg runs programs/sssp.dl from vertex 0 over a generated
 # weighted graph (1 500 vertices: a ring plus four pseudo-random out-edges
@@ -66,6 +69,17 @@ fail=0
 # sum_field FIELD STATS_FILE: FIELD summed over the per_worker entries.
 sum_field() {
     grep -o "\"$1\":[0-9]*" "$2" | awk -F: '{s += $2} END {print s + 0}'
+}
+
+# check_sent_misses LABEL STATS_FILE: item 6b above.
+check_sent_misses() {
+    local sent misses
+    sent=$(sum_field tuples_sent "$2")
+    misses=$(sum_field cache_misses "$2")
+    if [ "$sent" -ne "$misses" ]; then
+        echo "FAIL($1): Σ tuples_sent ($sent) != Σ cache_misses ($misses)" >&2
+        fail=1
+    fi
 }
 
 # check_clocks LABEL STATS_FILE WALL_NS: item 7 above.
@@ -183,6 +197,7 @@ for strategy in global ssp:2 dws; do
         echo "FAIL($strategy): stored_checks ($checks) + filter lookups ($filtered) != head_rows ($head_rows)" >&2
         fail=1
     fi
+    check_sent_misses "$strategy" "$out"
 
     echo "ok($strategy): produced=$produced consumed=$consumed workers=$nworkers cache_hits=$hits head_rows=$head_rows stored_checks=$checks"
 done
@@ -223,6 +238,7 @@ for strategy in global ssp:2 dws; do
         echo "FAIL($label): sum of per_worker cache_hits is 0 (sent-filter never hit)" >&2
         fail=1
     fi
+    check_sent_misses "$label" "$out.json"
     echo "ok($label): produced=$produced consumed=$consumed cache_hits=$hits"
 done
 
